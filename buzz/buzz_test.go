@@ -212,6 +212,35 @@ func TestProgressExposed(t *testing.T) {
 	}
 }
 
+// TestGoldenIdentifiedSession pins a full identify-then-transfer session
+// byte for byte. Without KnownSchedule the decoder starts from the
+// identification phase's tap estimates and refines them every slot
+// (ratedapt.Config.RefineChannel), so this is the golden for that path.
+func TestGoldenIdentifiedSession(t *testing.T) {
+	const (
+		wantSlots     = 8
+		wantDecodedAt = "[7 5 3 5 4 8 4 7]"
+		wantProgress  = "[{1 6 0 0 0} {2 4 0 0 0} {3 3 1 1 0.3333333333333333} {4 5 2 3 0.75} {5 7 2 5 1} {6 6 0 5 0.8333333333333334} {7 5 2 7 1} {8 7 1 8 1}]"
+	)
+	sess, err := NewSession(sensorTags(8), Options{Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodedAt := make([]int, len(res.Tags))
+	for i, tr := range res.Tags {
+		decodedAt[i] = tr.DecodedAtSlot
+	}
+	gotDecodedAt, gotProgress := fmt.Sprint(decodedAt), fmt.Sprint(res.Progress)
+	if res.Slots != wantSlots || gotDecodedAt != wantDecodedAt || gotProgress != wantProgress {
+		t.Fatalf("golden drift:\n got slots=%d decodedAt=%s progress=%s\nwant slots=%d decodedAt=%s progress=%s",
+			res.Slots, gotDecodedAt, gotProgress, wantSlots, wantDecodedAt, wantProgress)
+	}
+}
+
 func TestBytesBitsRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{{0x00}, {0xFF}, {0xA5, 0x5A}, []byte("hello world")} {
 		if got := bitsToBytes(bytesToBits(payload)); !bytes.Equal(got, payload) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -34,6 +35,19 @@ func TestGoldenHeadlineDeterminism(t *testing.T) {
 			t.Fatalf("round %d: RunHeadline(2, 12345) = {%.17g, %.17g, %.17g}, golden {%.17g, %.17g, %.17g}",
 				round, h.IdentSpeedup, h.DataRateGain, h.OverallSpeedup, wantIdent, wantData, wantOverall)
 		}
+	}
+}
+
+// TestGoldenDecodeProgress pins the Fig. 9 trace: DecodeProgress(8, 23)
+// must reproduce the captured per-slot series exactly.
+func TestGoldenDecodeProgress(t *testing.T) {
+	const want = "[{1 5 0 0 0} {2 5 0 0 0} {3 7 0 0 0} {4 4 1 1 0.25} {5 5 4 5 1} {6 4 2 7 1.1666666666666667} {7 2 1 8 1.1428571428571428}]"
+	prog, err := DecodeProgress(8, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(prog); got != want {
+		t.Fatalf("DecodeProgress(8, 23) drifted:\n got %s\nwant %s", got, want)
 	}
 }
 
