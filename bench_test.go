@@ -330,45 +330,6 @@ func BenchmarkScenario_PopulationChurn(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchLockstep sweeps the lockstep trial batch width over a
-// 16-trial block-fading workload: batch=1 is the scalar per-trial path,
-// batch=4 runs four-lane chunks through bp.Batch.Decode, batch=16 packs
-// the whole sweep into one fan. The slots/s metric is the paper-level
-// throughput unit (collision slots decoded per second, summed across
-// trials); scripts/bench.sh reruns the family at GOMAXPROCS 1 and 4 to
-// record the core-scaling curve into BENCH_PR9.json. Outcomes are
-// byte-identical across widths (TestLockstepBatchEquivalence), so the
-// sweep measures pure scheduling/layout effects.
-func BenchmarkBatchLockstep(b *testing.B) {
-	spec := scenario.Spec{
-		Trials: 16, Seed: 4242,
-		Workload: scenario.WorkloadSpec{K: 8},
-		Channel: scenario.ChannelSpec{
-			Kind: scenario.KindBlockFading, BlockLen: 32,
-			SNRLodB: 14, SNRHidB: 30,
-		},
-	}
-	for _, batch := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			b.ReportAllocs()
-			var slots int
-			for i := 0; i < b.N; i++ {
-				s := spec
-				s.Seed = spec.Seed + uint64(i)
-				out, err := sim.Run(s, sim.WithTrialDetail(), sim.WithBatchSize(batch))
-				if err != nil {
-					b.Fatal(err)
-				}
-				slots = 0
-				for _, tr := range out.Trials {
-					slots += tr.SlotsUsed
-				}
-			}
-			b.ReportMetric(float64(slots)*float64(b.N)/b.Elapsed().Seconds(), "slots/s")
-		})
-	}
-}
-
 // BenchmarkWarehouseSweepProbe is one capacity-sweep probe evaluation
 // at the warehouse workload shape — Poisson arrivals over a
 // Gauss–Markov channel with per-tag rho draws, finite dwell, analytic

@@ -67,7 +67,6 @@ func main() {
 	httpAddr := flag.String("http", "", "HTTP introspection address: /statsz, /healthz, /debug/vars (empty disables)")
 	workers := flag.Int("workers", 0, "decode shard workers (0 = GOMAXPROCS)")
 	maxSessions := flag.Int("max-sessions", 0, "cap on concurrently live sessions (0 = unlimited; excess Opens get Busy)")
-	batch := flag.Int("batch", 0, "lockstep decode batch: same-shaped sessions queued on a shard decode together, up to this many (0 = 1, scalar)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for live sessions before force-closing")
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop a connection that starts no frame within this (0 = no bound)")
 	readTimeout := flag.Duration("read-timeout", 0, "drop a connection that stalls mid-frame for this long (0 = no bound)")
@@ -93,17 +92,17 @@ func main() {
 		WriteTimeout:    *writeTimeout,
 		MalformedBudget: *malformedBudget,
 	}
-	if err := runDaemon(*listen, *unixPath, *httpAddr, *workers, *maxSessions, *batch, *drainTimeout, scfg); err != nil {
+	if err := runDaemon(*listen, *unixPath, *httpAddr, *workers, *maxSessions, *drainTimeout, scfg); err != nil {
 		fmt.Fprintln(os.Stderr, "buzzd:", err)
 		os.Exit(1)
 	}
 }
 
-func runDaemon(listen, unixPath, httpAddr string, workers, maxSessions, batch int, drainTimeout time.Duration, scfg engine.ServerConfig) error {
+func runDaemon(listen, unixPath, httpAddr string, workers, maxSessions int, drainTimeout time.Duration, scfg engine.ServerConfig) error {
 	if listen == "" && unixPath == "" {
 		return fmt.Errorf("nothing to serve: both -listen and -unix are empty")
 	}
-	m := engine.New(engine.Config{Workers: workers, MaxSessions: maxSessions, LockstepBatch: batch})
+	m := engine.New(engine.Config{Workers: workers, MaxSessions: maxSessions})
 	srv := engine.NewServer(m, scfg)
 
 	var draining bool

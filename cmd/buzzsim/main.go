@@ -39,10 +39,6 @@
 //
 //	$ buzzsim run examples/scenarios/mobility.json -repeat 200 -cpuprofile decode.prof
 //	$ go tool pprof decode.prof
-//
-// The pre-subcommand spellings `-scenario spec.json` and `-check
-// -scenario spec.json` still work and route to the same code, printing
-// a deprecation note on stderr.
 package main
 
 import (
@@ -72,7 +68,7 @@ func main() {
 			os.Exit(cmdSweep(os.Args[2:]))
 		}
 	}
-	os.Exit(legacyMain())
+	os.Exit(sessionMain())
 }
 
 // cmdRun is `buzzsim run <spec.json>`: the scenario engine from a file.
@@ -136,19 +132,16 @@ func cmdSweep(args []string) int {
 	return 0
 }
 
-// legacyMain is the pre-subcommand flag interface, kept whole so every
-// existing invocation — ad-hoc sessions and the deprecated -scenario /
-// -check spellings — behaves exactly as before.
-func legacyMain() int {
+// sessionMain is the subcommand-free interface: one ad-hoc session
+// end to end from flags.
+func sessionMain() int {
 	k := flag.Int("k", 8, "number of tags with data")
 	snrLo := flag.Float64("snr-lo", 14, "lower bound of the per-tag SNR band (dB)")
 	snrHi := flag.Float64("snr-hi", 30, "upper bound of the per-tag SNR band (dB)")
 	nBytes := flag.Int("bytes", 4, "payload size per tag in bytes")
 	seed := flag.Uint64("seed", 1, "session seed (deterministic replay)")
 	periodic := flag.Bool("periodic", false, "periodic network: skip identification (§4b)")
-	scenarioPath := flag.String("scenario", "", "deprecated: use `buzzsim run <spec.json>`")
-	check := flag.Bool("check", false, "deprecated: use `buzzsim check <spec.json>`")
-	repeat := flag.Int("repeat", 1, "run the session (or scenario) this many times (iterating the seed); profiling runs want more samples than one session provides")
+	repeat := flag.Int("repeat", 1, "run the session this many times (iterating the seed); profiling runs want more samples than one session provides")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the full run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
 	flag.Parse()
@@ -157,39 +150,7 @@ func legacyMain() int {
 		fmt.Fprintln(os.Stderr, "buzzsim: -k, -bytes and -repeat must be positive")
 		return 2
 	}
-	if *scenarioPath != "" {
-		// The spec is the whole workload: session flags do not compose
-		// with it, and silently ignoring an explicit -seed or -k would
-		// hand a seed sweep N copies of the same realization.
-		for _, name := range []string{"k", "snr-lo", "snr-hi", "bytes", "seed", "periodic"} {
-			set := false
-			flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
-			if set {
-				fmt.Fprintf(os.Stderr, "buzzsim: -%s does not apply with -scenario (set it in the spec file)\n", name)
-				return 2
-			}
-		}
-		// The note goes to stderr: scripts parse run reports off stdout.
-		if *check {
-			fmt.Fprintln(os.Stderr, "buzzsim: note: -check -scenario is deprecated; use `buzzsim check <spec.json>`")
-		} else {
-			fmt.Fprintln(os.Stderr, "buzzsim: note: -scenario is deprecated; use `buzzsim run <spec.json>`")
-		}
-	} else if *check {
-		fmt.Fprintln(os.Stderr, "buzzsim: -check validates a spec file; it requires -scenario")
-		return 2
-	}
-	if *check {
-		if err := checkScenario(*scenarioPath); err != nil {
-			fmt.Fprintf(os.Stderr, "buzzsim: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 	return withProfiles(*cpuProfile, *memProfile, func() error {
-		if *scenarioPath != "" {
-			return runScenario(*scenarioPath, *repeat)
-		}
 		return run(*k, *nBytes, *repeat, *seed, *snrLo, *snrHi, *periodic)
 	})
 }

@@ -98,9 +98,9 @@ func TestCheckRejectsMalformedSpecs(t *testing.T) {
 			if err := os.WriteFile(path, []byte(tc.spec), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			code, stderr := runBuzzsim(t, "-check", "-scenario", path)
+			code, stderr := runBuzzsim(t, "check", path)
 			if code == 0 {
-				t.Fatalf("buzzsim -check accepted a malformed spec\nspec: %s", tc.spec)
+				t.Fatalf("buzzsim check accepted a malformed spec\nspec: %s", tc.spec)
 			}
 			if !strings.Contains(stderr, tc.wantMsg) {
 				t.Fatalf("stderr %q does not mention %q", stderr, tc.wantMsg)
@@ -109,19 +109,19 @@ func TestCheckRejectsMalformedSpecs(t *testing.T) {
 	}
 }
 
-// TestCheckAcceptsValidSpec is the control: -check on a well-formed
+// TestCheckAcceptsValidSpec is the control: check on a well-formed
 // spec exits 0.
 func TestCheckAcceptsValidSpec(t *testing.T) {
 	path := writeSpec(t, `{"k": 4, "trials": 2, "seed": 1}`)
-	if code, stderr := runBuzzsim(t, "-check", "-scenario", path); code != 0 {
+	if code, stderr := runBuzzsim(t, "check", path); code != 0 {
 		t.Fatalf("valid spec rejected: exit %d, stderr %q", code, stderr)
 	}
 }
 
 // TestSubcommandCheck exercises the v2 spelling of the pre-flight:
 // `buzzsim check <spec>` accepts valid specs (both schema versions),
-// rejects malformed ones with the same diagnostics as the legacy path,
-// and complains about usage when the spec path is missing.
+// rejects malformed ones, and complains about usage when the spec path
+// is missing.
 func TestSubcommandCheck(t *testing.T) {
 	v1 := writeSpec(t, `{"k": 4, "trials": 2, "seed": 1}`)
 	if code, stderr := runBuzzsim(t, "check", v1); code != 0 {
@@ -197,34 +197,5 @@ func TestSubcommandSweep(t *testing.T) {
 	}
 	if code, stderr := runBuzzsim(t, "sweep"); code == 0 || !strings.Contains(stderr, "usage") {
 		t.Fatalf("sweep with no spec path: exit %d, stderr %q", code, stderr)
-	}
-}
-
-// TestLegacyFlagShim pins that the pre-subcommand spellings still work
-// and print a deprecation note to stderr while exiting with the same
-// code the subcommand would.
-func TestLegacyFlagShim(t *testing.T) {
-	path := writeSpec(t, `{"k": 2, "trials": 1, "seed": 7}`)
-
-	code, stderr := runBuzzsim(t, "-check", "-scenario", path)
-	if code != 0 {
-		t.Fatalf("legacy -check -scenario failed: exit %d, stderr %q", code, stderr)
-	}
-	if !strings.Contains(stderr, "deprecated") || !strings.Contains(stderr, "buzzsim check") {
-		t.Fatalf("legacy -check did not point at `buzzsim check`: stderr %q", stderr)
-	}
-
-	code, legacyOut, stderr := runBuzzsimFull(t, "-scenario", path)
-	if code != 0 {
-		t.Fatalf("legacy -scenario failed: exit %d, stderr %q", code, stderr)
-	}
-	if !strings.Contains(stderr, "deprecated") || !strings.Contains(stderr, "buzzsim run") {
-		t.Fatalf("legacy -scenario did not point at `buzzsim run`: stderr %q", stderr)
-	}
-	// The shim must produce the same stdout as the subcommand — CI
-	// parsers see no difference between the spellings.
-	_, newOut, _ := runBuzzsimFull(t, "run", path)
-	if legacyOut != newOut {
-		t.Fatalf("legacy and subcommand stdout differ:\nlegacy:\n%s\nnew:\n%s", legacyOut, newOut)
 	}
 }

@@ -406,17 +406,6 @@ func (s *Session) TakeDecodeCost() DecodeCost {
 	}
 }
 
-// Shape identifies a session's decode shape — the grouping key batch
-// executors use: only same-shaped sessions may share a Batch.Decode.
-type Shape struct {
-	K, FrameLen, MaxSlots, Restarts int
-}
-
-// Shape returns the session's current decode shape.
-func (s *Session) Shape() Shape {
-	return Shape{K: s.k, FrameLen: s.frameLen, MaxSlots: s.maxSlots, Restarts: s.restarts}
-}
-
 // Reserve pre-sizes every buffer for a transfer of up to kCap tags,
 // frameLen bit positions and maxSlots collision slots, without changing
 // the session's logical shape. Call before Begin: a following Begin at
@@ -1200,6 +1189,18 @@ func (s *Session) PosBits(p int) []bool { return s.posBits[p*s.k : (p+1)*s.k] }
 // PosError returns ‖residual‖² at position p's current decode.
 func (s *Session) PosError(p int) float64 { return s.errs[p] }
 
+// SlotJob is one session's staged per-slot decode — the arguments its
+// owner passes to DecodeSlot, held as data so a driver can stage a slot
+// in one place and run its decode in another.
+type SlotJob struct {
+	S         *Session
+	Slot      int
+	Locked    []bool
+	Base      uint64
+	MinMargin []float64
+	Ambiguous []bool
+}
+
 // DecodeSlot decodes every bit position against the slot just appended:
 // pass 0 continues each position's cached descent (or rebuilds it when
 // taps changed), then the configured number of random re-initializations,
@@ -1212,7 +1213,7 @@ func (s *Session) PosError(p int) float64 { return s.errs[p] }
 // margin; anyAmbiguous[i] reports whether any position's restarts
 // exposed a near-tie on tag i.
 func (s *Session) DecodeSlot(slot int, locked []bool, base uint64, minMargin []float64, anyAmbiguous []bool) {
-	s.PrepareSlot(slot, locked, base)
+	s.prepareSlot(slot, locked, base)
 	if s.par > 1 {
 		s.ensureWorkers()
 		s.wg.Add(s.frameLen)
@@ -1225,21 +1226,18 @@ func (s *Session) DecodeSlot(slot int, locked []bool, base uint64, minMargin []f
 			s.decodePosition(p, &s.wstates[0])
 		}
 	}
-	s.FinishSlot(minMargin, anyAmbiguous)
+	s.finishSlot(minMargin, anyAmbiguous)
 }
 
-// PrepareSlot runs DecodeSlot's serial preamble: newly locked tags fold
+// prepareSlot runs DecodeSlot's serial preamble: newly locked tags fold
 // into the graph, gain tables and locked-base residuals, and the
 // per-slot fan-out context (slot, locked set, PRNG base, tie threshold,
-// active-row snapshot) is staged. After PrepareSlot, every position is
-// an independent decode unit — the session's own DecodeSlot fans them
-// over its worker pool, and Batch.Decode fans many sessions' units over
-// one shared pool — until FinishSlot merges the results. Drivers other
-// than DecodeSlot must call PrepareSlot, decode every position, then
-// FinishSlot, with no session mutation in between.
-func (s *Session) PrepareSlot(slot int, locked []bool, base uint64) {
+// active-row snapshot) is staged. After it, every position is an
+// independent decode unit, fanned over the session's worker pool until
+// finishSlot merges the results.
+func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 	if locked != nil && len(locked) != s.k {
-		panic(fmt.Sprintf("bp: PrepareSlot locked length %d != K %d", len(locked), s.k))
+		panic(fmt.Sprintf("bp: DecodeSlot locked length %d != K %d", len(locked), s.k))
 	}
 	// Fold newly locked tags into the graph and the cached gain tables
 	// before fanning out — a frozen tag's gain is −∞ and its fan-out
@@ -1297,11 +1295,10 @@ func (s *Session) PrepareSlot(slot int, locked []bool, base uint64) {
 	s.g.SnapshotActive()
 }
 
-// FinishSlot completes a slot decode whose positions were fanned out by
-// an external driver (see PrepareSlot): it marks the cached state valid
-// and merges the per-position results into the caller's margin and
-// ambiguity outputs.
-func (s *Session) FinishSlot(minMargin []float64, anyAmbiguous []bool) {
+// finishSlot completes DecodeSlot after the position fan-out: it marks
+// the cached state valid and merges the per-position results into the
+// caller's margin and ambiguity outputs.
+func (s *Session) finishSlot(minMargin []float64, anyAmbiguous []bool) {
 	s.stateValid = true
 
 	// Deterministic merge of the per-position results, in position

@@ -1,6 +1,6 @@
 // Package engine hosts the decode core behind a session manager: the
 // one owner of bp.Session + scratch-arena lifecycle for every decode
-// path in the repo. Batch simulation (sim.RunScenario's trial pool) and
+// path in the repo. Batch simulation (sim.Run's trial pool) and
 // the streaming daemon (cmd/buzzd, over the wire protocol in
 // engine/wire) are both clients of the same SessionManager, so the
 // decode loop they drive — ratedapt.Stream — cannot fork between them;
@@ -46,14 +46,6 @@ type Config struct {
 	ShardQueue int
 	// MaxSessions caps concurrently live streaming sessions; 0 = no cap.
 	MaxSessions int
-	// LockstepBatch bounds how many same-shaped decode sessions advance
-	// through one slot phase together (bp.Batch): RunLockstep groups
-	// that many trials per worker, and a shard worker drains up to this
-	// many queued same-shape streaming slots and decodes them in
-	// lockstep. 1 (the default) decodes every slot alone. Decisions are
-	// byte-identical at any setting — batching only changes memory
-	// layout and scheduling, never per-session results.
-	LockstepBatch int
 }
 
 func (c Config) workers() int {
@@ -75,13 +67,6 @@ func (c Config) shardQueue() int {
 		return c.ShardQueue
 	}
 	return 128
-}
-
-func (c Config) lockstepBatch() int {
-	if c.LockstepBatch > 0 {
-		return c.LockstepBatch
-	}
-	return 1
 }
 
 // Resources is one worker's pooled decode state: the scratch arena and
@@ -140,10 +125,6 @@ type Stats struct {
 	DescentPasses atomic.Int64
 	RestartPasses atomic.Int64
 	BitFlips      atomic.Int64
-	// SlotsBatched counts ingested slots that rode a lockstep batch of
-	// two or more sessions (Config.LockstepBatch); the remainder of
-	// SlotsIngested decoded alone.
-	SlotsBatched atomic.Int64
 }
 
 // StatsSnapshot is a plain-int copy of Stats for serialization, plus
@@ -165,7 +146,6 @@ type StatsSnapshot struct {
 	DescentPasses     int64   `json:"descent_passes"`
 	RestartPasses     int64   `json:"restart_passes"`
 	BitFlips          int64   `json:"bit_flips"`
-	SlotsBatched      int64   `json:"slots_batched"`
 	UptimeSeconds     float64 `json:"uptime_seconds"`
 	SlotsPerSecond    float64 `json:"slots_per_second"`
 }
@@ -175,11 +155,10 @@ type StatsSnapshot struct {
 // manager serves both the batch API (RunBatch) and the streaming API
 // (Open/Feed/Close); a process normally has one.
 type SessionManager struct {
-	cfg     Config
-	pool    sync.Pool // *Resources
-	kitPool sync.Pool // *batchKit (RunLockstep workers)
-	stats   Stats
-	start   time.Time
+	cfg   Config
+	pool  sync.Pool // *Resources
+	stats Stats
+	start time.Time
 
 	mu        sync.Mutex
 	shards    []*shard
@@ -221,7 +200,6 @@ func (m *SessionManager) Snapshot() StatsSnapshot {
 		DescentPasses:     m.stats.DescentPasses.Load(),
 		RestartPasses:     m.stats.RestartPasses.Load(),
 		BitFlips:          m.stats.BitFlips.Load(),
-		SlotsBatched:      m.stats.SlotsBatched.Load(),
 		UptimeSeconds:     up,
 	}
 	if up > 0 {
@@ -312,24 +290,14 @@ func (m *SessionManager) RunBatch(trials int, body func(trial int, res *Resource
 	return nil
 }
 
-// shard is one streaming worker: a FIFO of session-pinned jobs, plus the
-// lockstep execution state the worker reuses across slot batches.
+// shard is one streaming worker: a FIFO of session-pinned jobs.
 type shard struct {
 	jobs chan shardJob
-
-	// Worker-local lockstep state (touched only by the shard goroutine).
-	bt      *bp.Batch
-	pending []shardJob
-	staged  []int
-	members []int
-	keep    []int
-	sjobs   []bp.SlotJob
 }
 
 // shardJob is one unit of shard work: either a bookkeeping closure
-// (Close's teardown — always runs alone, in FIFO position) or one
-// streaming session's Feed'd slot, which the worker may decode in
-// lockstep with other queued same-shape slots (Config.LockstepBatch).
+// (Close's teardown, in FIFO position) or one streaming session's
+// Feed'd slot.
 type shardJob struct {
 	run func()
 	l   *LiveSession
@@ -342,10 +310,7 @@ func (m *SessionManager) shardsLocked() []*shard {
 		n := m.cfg.workers()
 		m.shards = make([]*shard, n)
 		for i := range m.shards {
-			sh := &shard{
-				jobs: make(chan shardJob, m.cfg.shardQueue()),
-				bt:   bp.NewBatch(1), // the shards are the parallelism
-			}
+			sh := &shard{jobs: make(chan shardJob, m.cfg.shardQueue())}
 			m.shards[i] = sh
 			go m.shardLoop(sh)
 		}
@@ -353,60 +318,15 @@ func (m *SessionManager) shardsLocked() []*shard {
 	return m.shards
 }
 
-// shardLoop drains a shard's queue. Slot jobs are opportunistically
-// batched: after taking one, the worker pulls up to LockstepBatch-1 more
-// already-queued slot jobs — stopping at the first non-batchable one (a
-// bookkeeping job, or a second slot for a session already in hand, which
-// must observe the first slot's outcome) — and advances them through the
-// decode in lockstep. The stopper runs after the batch, preserving FIFO
-// semantics per session; an empty queue never waits (batching borrows
-// only work that is already behind this slot).
+// shardLoop drains a shard's queue in FIFO order, one job at a time.
 func (m *SessionManager) shardLoop(sh *shard) {
-	batchCap := m.cfg.lockstepBatch()
 	for job := range sh.jobs {
 		if job.run != nil {
 			m.runShardFunc(job.run)
 			continue
 		}
-		sh.pending = append(sh.pending[:0], job)
-		var stopper *shardJob
-		if batchCap > 1 {
-		drain:
-			for len(sh.pending) < batchCap {
-				select {
-				case nj, ok := <-sh.jobs:
-					if !ok {
-						break drain
-					}
-					if nj.run != nil || sessionQueued(sh.pending, nj.l) {
-						stopper = &nj
-						break drain
-					}
-					sh.pending = append(sh.pending, nj)
-				default:
-					break drain
-				}
-			}
-		}
-		m.runSlotJobs(sh, sh.pending)
-		if stopper != nil {
-			if stopper.run != nil {
-				m.runShardFunc(stopper.run)
-			} else {
-				sh.pending = append(sh.pending[:0], *stopper)
-				m.runSlotJobs(sh, sh.pending)
-			}
-		}
+		m.runSlotJob(job)
 	}
-}
-
-func sessionQueued(jobs []shardJob, l *LiveSession) bool {
-	for i := range jobs {
-		if jobs[i].l == l {
-			return true
-		}
-	}
-	return false
 }
 
 // runShardFunc executes a bookkeeping job under the backstop recover:
@@ -422,97 +342,14 @@ func (m *SessionManager) runShardFunc(job func()) {
 	job()
 }
 
-// runSlotJobs advances a batch of distinct sessions' slots in lockstep:
-// per-session stream advance and ingest staging, one bp.Batch.Decode
-// per shape group (arrivals may have grown some sessions this very
-// slot), then per-session acceptance and event emission in FIFO order.
-// Every per-session stage runs under that session's own panic isolation
-// — a blow-up kills its session (wire Error, counters, resources
-// quarantined at Close) and nothing else.
-func (m *SessionManager) runSlotJobs(sh *shard, jobs []shardJob) {
-	defer func() {
-		if r := recover(); r != nil {
-			// Backstop, as in runShardFunc: only reachable through a
-			// bookkeeping bug outside the per-session isolation.
-			m.stats.PanicsRecovered.Add(1)
-		}
-		for i := range jobs {
-			<-jobs[i].l.tokens
-		}
-	}()
-
-	// Stage: population events in, observations appended, decode inputs
-	// staged (ratedapt.Stream.BeginIngest).
-	sh.staged = sh.staged[:0]
-	for i := range jobs {
-		j := &jobs[i]
-		l := j.l
-		ok := func() (ok bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					l.poisoned = true
-					m.stats.PanicsRecovered.Add(1)
-					l.fail(fmt.Errorf("%w: %v", ErrDecodePanic, r))
-					ok = false
-				}
-			}()
-			if l.dead || l.shed.Load() {
-				return false
-			}
-			if hook, _ := testHookDecodePanic.Load().(func(uint64, int)); hook != nil {
-				hook(l.ID, l.st.Slot()+1)
-			}
-			if _, err := l.st.Advance(j.ev); err != nil {
-				l.fail(err)
-				return false
-			}
-			if err := l.st.BeginIngest(j.obs); err != nil {
-				l.fail(err)
-				return false
-			}
-			return true
-		}()
-		if ok {
-			sh.staged = append(sh.staged, i)
-		}
-	}
-
-	// Decode: one lockstep Batch.Decode per shape group, groups in
-	// first-appearance order. With LockstepBatch 1 this is exactly one
-	// session's scalar slot.
-	remaining := sh.staged
-	for len(remaining) > 0 {
-		lead := jobs[remaining[0]].l.st.SessionShape()
-		sh.members, sh.keep, sh.sjobs = sh.members[:0], sh.keep[:0], sh.sjobs[:0]
-		for _, i := range remaining {
-			if jobs[i].l.st.SessionShape() == lead {
-				sh.members = append(sh.members, i)
-				sh.sjobs = append(sh.sjobs, jobs[i].l.st.SlotJob())
-			} else {
-				sh.keep = append(sh.keep, i)
-			}
-		}
-		sh.bt.Decode(sh.sjobs)
-		if len(sh.sjobs) > 1 {
-			m.stats.SlotsBatched.Add(int64(len(sh.sjobs)))
-		}
-		for x, i := range sh.members {
-			l := jobs[i].l
-			if r := sh.sjobs[x].Panicked; r != nil {
-				l.poisoned = true
-				m.stats.PanicsRecovered.Add(1)
-				l.fail(fmt.Errorf("%w: %v", ErrDecodePanic, r))
-				continue
-			}
-			m.finishSlotJob(l)
-		}
-		remaining = append(remaining[:0], sh.keep...)
-	}
-}
-
-// finishSlotJob applies one staged slot's acceptance gates and emits its
-// event, under the session's panic isolation.
-func (m *SessionManager) finishSlotJob(l *LiveSession) {
+// runSlotJob advances one session through one slot — stream advance,
+// append, decode, acceptance gates — and emits its event. The whole
+// slot runs under the session's panic isolation: a blow-up kills its
+// session (wire Error, counters, resources quarantined at Close) and
+// nothing else. The slot's inbox token returns however the job ends.
+func (m *SessionManager) runSlotJob(j shardJob) {
+	l := j.l
+	defer func() { <-l.tokens }()
 	defer func() {
 		if r := recover(); r != nil {
 			l.poisoned = true
@@ -520,7 +357,17 @@ func (m *SessionManager) finishSlotJob(l *LiveSession) {
 			l.fail(fmt.Errorf("%w: %v", ErrDecodePanic, r))
 		}
 	}()
-	step, err := l.st.FinishIngest()
+	if l.dead || l.shed.Load() {
+		return
+	}
+	if hook, _ := testHookDecodePanic.Load().(func(uint64, int)); hook != nil {
+		hook(l.ID, l.st.Slot()+1)
+	}
+	if _, err := l.st.Advance(j.ev); err != nil {
+		l.fail(err)
+		return
+	}
+	step, err := l.st.Ingest(j.obs)
 	if err != nil {
 		l.fail(err)
 		return
@@ -537,6 +384,20 @@ func (m *SessionManager) finishSlotJob(l *LiveSession) {
 		}
 	}
 	l.emit(out)
+}
+
+// addDecodeCost folds one drained bp.DecodeCost block into the live
+// counters.
+func (m *SessionManager) addDecodeCost(c bp.DecodeCost) {
+	if c.DescentPasses != 0 {
+		m.stats.DescentPasses.Add(int64(c.DescentPasses))
+	}
+	if c.RestartPasses != 0 {
+		m.stats.RestartPasses.Add(int64(c.RestartPasses))
+	}
+	if c.Flips != 0 {
+		m.stats.BitFlips.Add(int64(c.Flips))
+	}
 }
 
 // EventKind tags a streaming session event.

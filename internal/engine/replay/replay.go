@@ -1,6 +1,6 @@
 // Package replay is the wire protocol's reference client: it plays the
 // tag/air side of a scenario trial against a buzzd daemon, frame by
-// frame, reproducing sim.RunScenario's per-trial randomness exactly.
+// frame, reproducing sim.Run's per-trial randomness exactly.
 // The daemon only ever sees observations — like a real reader front end
 // — while this client draws the messages, channels and noise from the
 // trial's setup stream in the simulator's exact order, so the payload

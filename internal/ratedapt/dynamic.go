@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/bits"
-	"repro/internal/bp"
 	"repro/internal/channel"
 	"repro/internal/prng"
 	"repro/internal/scratch"
@@ -77,8 +76,8 @@ type DynamicResult struct {
 // decodable only this way.
 //
 // With a static process and an event-free roster, TransferDynamic is
-// byte-identical to Transfer — the equivalence tests pin that, so the
-// scenario engine's static workloads reproduce the classic
+// byte-identical to Transfer — both run the same slot loop (runRound),
+// so the scenario engine's static workloads reproduce the classic
 // experiments exactly.
 //
 // cfg.Seeds must be empty (seeds ride on the roster); RefineChannel,
@@ -89,86 +88,67 @@ func TransferDynamic(cfg Config, roster []RosterTag, air, decoder channel.Proces
 	if len(roster) == 0 {
 		return &DynamicResult{}, nil
 	}
-	ln, err := OpenTransferDynamic(cfg, roster, air, decoder, noiseSrc, decodeSrc)
-	if err != nil {
-		return nil, err
-	}
-	defer ln.Close()
-	for ln.BeginSlot() {
-		j := ln.SlotJob()
-		j.S.DecodeSlot(j.Slot, j.Locked, j.Base, j.MinMargin, j.Ambiguous)
-		ln.FinishSlot()
-	}
-	return ln.Result()
-}
-
-// DynamicLane is one dynamic transfer's slot loop held as a resumable
-// slot machine, the churn-and-drift analogue of TransferLane: population
-// events, stream advance and air synthesis in BeginSlot, acceptance and
-// accounting in FinishSlot, with the decode between them staged as a
-// bp.SlotJob so a lockstep runner can batch it with sibling trials.
-// TransferDynamic is exactly OpenTransferDynamic + the BeginSlot/
-// DecodeSlot/FinishSlot loop + Result + Close, so the scalar and
-// batched paths cannot diverge.
-type DynamicLane struct {
-	cfg     Config
-	roster  []RosterTag
-	airProc channel.Process
-	decoder channel.Process
-	noise   *prng.Source
-
-	kTot     int
-	frameLen int
-	maxSlots int
-	frames   []bits.Vector
-	wins     []int
-
-	st  *Stream
-	res *DynamicResult
-
-	sc        *scratch.Scratch
-	airMark   scratch.Mark
-	obs       []complex128
-	activeIdx []int
-	bitIdx    []int
-	tagPow    []float64
-	powStale  bool
-
-	nextArr  int
-	nextDep  int
-	depFIFO  bool
-	ev       SlotEvents
-	arriving []int
-	dm       *channel.Model
-
-	slot   int
-	err    error
-	closed bool
-}
-
-// OpenTransferDynamic stages a dynamic transfer as a DynamicLane: all of
-// TransferDynamic's validation, window resolution, stream opening and
-// air staging, with the slot loop left to the caller.
-func OpenTransferDynamic(cfg Config, roster []RosterTag, air, decoder channel.Process, noiseSrc, decodeSrc *prng.Source) (*DynamicLane, error) {
-	kTot := len(roster)
-	if kTot == 0 {
-		return nil, fmt.Errorf("ratedapt: OpenTransferDynamic needs a non-empty roster")
-	}
 	if len(cfg.Seeds) != 0 {
 		return nil, fmt.Errorf("ratedapt: TransferDynamic takes seeds from the roster; Config.Seeds must be empty")
 	}
 	if cfg.RefineChannel || cfg.SilenceDecoded || cfg.DiesAtSlot != nil {
 		return nil, fmt.Errorf("ratedapt: RefineChannel/SilenceDecoded/DiesAtSlot are not supported by TransferDynamic")
 	}
-	if air.K() != kTot || decoder.K() != kTot {
-		return nil, fmt.Errorf("ratedapt: air covers %d tags, decoder %d, roster has %d", air.K(), decoder.K(), kTot)
+	if air.K() != len(roster) || decoder.K() != len(roster) {
+		return nil, fmt.Errorf("ratedapt: air covers %d tags, decoder %d, roster has %d", air.K(), decoder.K(), len(roster))
 	}
+	return runRound(cfg, roster, decoder, decodeSrc, processAir(air, noiseSrc, cfg.Scratch))
+}
+
+// airFunc synthesizes one collision slot: the received symbol per bit
+// position when the joined tags flagged in active (join order = roster
+// order) transmit. The returned slice is reused across slots.
+type airFunc func(slot int, active []bool) []complex128
+
+// processAir is the symbol-level air over a channel process: sparseAir
+// against the taps in effect at each slot, staged once per round from
+// the roster's frames. The per-tag tap powers are refreshed whenever the
+// taps move or the joined population grows.
+func processAir(proc channel.Process, noise *prng.Source, sc *scratch.Scratch) func(frames []bits.Vector) airFunc {
+	return func(frames []bits.Vector) airFunc {
+		k := len(frames)
+		obs := sc.Complex(len(frames[0]))
+		activeIdx, bitIdx, tagPow := sc.Int(k), sc.Int(k), sc.Float(k)
+		powN := 0
+		return func(slot int, active []bool) []complex128 {
+			m := proc.ModelAt(slot)
+			if n := len(active); n != powN || !proc.Static() {
+				for i, h := range m.Taps[:n] {
+					tagPow[i] = real(h)*real(h) + imag(h)*imag(h)
+				}
+				powN = n
+			}
+			sparseAir(m, frames, active, obs, activeIdx, bitIdx, tagPow, noise)
+			return obs
+		}
+	}
+}
+
+// runRound is the data phase's one slot loop, shared by every
+// in-process transfer: roster events, Stream.Advance, the air, then
+// Stream.Ingest, until every roster tag is resolved or the slot budget
+// is spent. newAir stages the air from the roster's frames before the
+// stream opens. The static-only Config features ride the same loop:
+// SilenceDecoded is a row rule inside the stream (ACK cost charged here
+// per accepted tag), RefineChannel a stream-side refit, and DiesAtSlot
+// an air-side mask — a dead tag's radio is silent while the reader's D
+// still schedules it, exactly as when a real tag browns out (§6d).
+func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc *prng.Source,
+	newAir func(frames []bits.Vector) airFunc) (*DynamicResult, error) {
+
+	kTot := len(roster)
 	msgLen := len(roster[0].Message)
 	k0 := 0
 	for i := range roster {
 		rt := &roster[i]
 		if len(rt.Message) != msgLen {
-			return nil, fmt.Errorf("ratedapt: roster message %d has %d bits, others %d — equal lengths required", i, len(rt.Message), msgLen)
+			return nil, fmt.Errorf("ratedapt: message %d has %d bits, others %d — equal lengths required (§6 footnote 5)",
+				i, len(rt.Message), msgLen)
 		}
 		if i > 0 && rt.Arrive() < roster[i-1].Arrive() {
 			return nil, fmt.Errorf("ratedapt: roster not ordered by arrival (tag %d arrives at %d after tag %d at %d)",
@@ -184,7 +164,6 @@ func OpenTransferDynamic(cfg Config, roster []RosterTag, air, decoder channel.Pr
 	if k0 == 0 {
 		return nil, fmt.Errorf("ratedapt: at least one roster tag must be present at slot 1")
 	}
-	frameLen := msgLen + cfg.CRC.Width()
 	frames := make([]bits.Vector, kTot)
 	for i := range roster {
 		frames[i] = bits.Message{Payload: roster[i].Message, Kind: cfg.CRC}.Frame()
@@ -197,7 +176,7 @@ func OpenTransferDynamic(cfg Config, roster []RosterTag, air, decoder channel.Pr
 	// Departure shape: every roster the scenario layer builds (FIFO
 	// retirement, constant dwell) departs a roster prefix in
 	// nondecreasing DepartSlot order, with the never-departing tags —
-	// if any — forming the suffix. When that holds, BeginSlot retires
+	// if any — forming the suffix. When that holds, the loop retires
 	// tags through an O(1)-amortized cursor instead of rescanning the
 	// arrived roster every slot (the scan is O(N) per slot — quadratic
 	// over a round — which a warehouse roster cannot afford). A
@@ -241,8 +220,15 @@ func OpenTransferDynamic(cfg Config, roster []RosterTag, air, decoder channel.Pr
 		}
 	}
 
+	// The air stays outside the stream: the decode core only ever sees
+	// observations, exactly like a wire-fed daemon session.
+	sc := cfg.Scratch
+	mark := sc.Mark()
+	defer sc.Release(mark)
+	air := newAir(frames)
+
 	seeds := make([]uint64, k0)
-	for i := 0; i < k0; i++ {
+	for i := range seeds {
 		seeds[i] = roster[i].Seed
 	}
 	var winTag0 []int
@@ -268,12 +254,15 @@ func OpenTransferDynamic(cfg Config, roster []RosterTag, air, decoder channel.Pr
 		Taps:            dm.Taps[:k0],
 		RosterCap:       kTot,
 		DecodeSrc:       decodeSrc,
-		Scratch:         cfg.Scratch,
+		Scratch:         sc,
 		Session:         cfg.Session,
+		SilenceDecoded:  cfg.SilenceDecoded,
+		RefineChannel:   cfg.RefineChannel,
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer st.Close()
 
 	res := &DynamicResult{
 		Result: Result{
@@ -281,8 +270,11 @@ func OpenTransferDynamic(cfg Config, roster []RosterTag, air, decoder channel.Pr
 			Verified:      make([]bool, kTot),
 			DecodedAtSlot: make([]int, kTot),
 			Participation: make([]int, kTot),
-			Progress:      make([]SlotResult, 0, min(maxSlots, 4*kTot+16)),
-			WindowSlots:   win,
+			// Most transfers finish in a few slots per tag; let the rare
+			// straggler grow the slice rather than reserving the whole
+			// slot budget every call.
+			Progress:    make([]SlotResult, 0, min(maxSlots, 4*kTot+16)),
+			WindowSlots: win,
 		},
 		Retired: make([]bool, kTot),
 	}
@@ -291,196 +283,115 @@ func OpenTransferDynamic(cfg Config, roster []RosterTag, air, decoder channel.Pr
 		res.RowsRetiredTag = make([]int, kTot)
 	}
 
-	// Air staging, as in TransferEstimated: per-slot index lists so each
-	// position's superposition walks only the colliders. tagPow mirrors
-	// the air model's tap powers and is refreshed whenever the air moves
-	// or the population grows. The air side stays here, outside the
-	// stream: the decode core only ever sees observations, exactly like
-	// a wire-fed daemon session.
-	sc := cfg.Scratch
-	ln := &DynamicLane{
-		cfg:      cfg,
-		roster:   roster,
-		airProc:  air,
-		decoder:  decoder,
-		noise:    noiseSrc,
-		kTot:     kTot,
-		frameLen: frameLen,
-		maxSlots: maxSlots,
-		frames:   frames,
-		wins:     wins,
-		st:       st,
-		res:      res,
-		sc:       sc,
-		powStale: true,
-		nextArr:  k0, // next roster index awaiting arrival
-		depFIFO:  depFIFO,
-		arriving: make([]int, 0, kTot-k0),
-		dm:       dm,
+	var alive []bool
+	if cfg.DiesAtSlot != nil {
+		alive = sc.Bool(kTot)
 	}
-	ln.airMark = sc.Mark()
-	ln.obs = sc.Complex(frameLen)
-	ln.activeIdx = sc.Int(kTot)
-	ln.bitIdx = sc.Int(kTot)
-	ln.tagPow = sc.Float(kTot)
-	return ln, nil
-}
-
-// BeginSlot opens the next collision slot — population events, stream
-// advance, air synthesis, ingest staging — and reports whether the
-// round continues. After a true return the staged SlotJob must be
-// decoded and FinishSlot called; a false return means the round is over
-// or the lane failed (see Result).
-func (ln *DynamicLane) BeginSlot() bool {
-	if ln.err != nil || ln.slot >= ln.maxSlots || (ln.nextArr == ln.kTot && ln.st.Done()) {
-		return false
-	}
-	ln.slot++
-	slot := ln.slot
-	st, roster, res := ln.st, ln.roster, ln.res
-
-	// --- Population events. ---
-	ln.ev.Arrivals = ln.ev.Arrivals[:0]
-	ln.ev.Departs = ln.ev.Departs[:0]
-	ln.ev.Retap = nil
-	if ln.nextArr < ln.kTot && roster[ln.nextArr].Arrive() <= slot {
-		first := ln.nextArr
-		ln.dm = ln.decoder.ModelAt(slot)
-		for ln.nextArr < ln.kTot && roster[ln.nextArr].Arrive() <= slot {
-			w := 0
-			if ln.wins != nil {
-				w = ln.wins[ln.nextArr]
+	var ev SlotEvents
+	arriving := make([]int, 0, kTot-k0)
+	nextArr, nextDep := k0, 0 // next roster index awaiting arrival / departure
+	for slot := 1; slot <= maxSlots && !(nextArr == kTot && st.Done()); slot++ {
+		// --- Population events. ---
+		ev.Arrivals = ev.Arrivals[:0]
+		ev.Departs = ev.Departs[:0]
+		ev.Retap = nil
+		if nextArr < kTot && roster[nextArr].Arrive() <= slot {
+			first := nextArr
+			dm = decoder.ModelAt(slot)
+			for nextArr < kTot && roster[nextArr].Arrive() <= slot {
+				w := 0
+				if wins != nil {
+					w = wins[nextArr]
+				}
+				ev.Arrivals = append(ev.Arrivals, StreamArrival{Seed: roster[nextArr].Seed, Tap: dm.Taps[nextArr], Window: w})
+				nextArr++
 			}
-			ln.ev.Arrivals = append(ln.ev.Arrivals, StreamArrival{
-				Seed:   roster[ln.nextArr].Seed,
-				Tap:    ln.dm.Taps[ln.nextArr],
-				Window: w,
-			})
-			ln.nextArr++
-		}
-		ln.powStale = true
-		if ln.cfg.OnArrival != nil {
-			ln.arriving = ln.arriving[:0]
-			for i := first; i < ln.nextArr; i++ {
-				ln.arriving = append(ln.arriving, i)
-			}
-			res.ReidentBitSlots += ln.cfg.OnArrival(slot, ln.arriving)
-		}
-	}
-	if ln.depFIFO {
-		// FIFO rosters retire a prefix: each tag is listed exactly once,
-		// the slot its departure fires. (The scan below instead re-lists
-		// every past departure; the stream skips those idempotently, so
-		// the two shapes decode identically.)
-		for ln.nextDep < ln.nextArr && roster[ln.nextDep].DepartSlot > 0 && slot >= roster[ln.nextDep].DepartSlot {
-			ln.ev.Departs = append(ln.ev.Departs, ln.nextDep)
-			ln.nextDep++
-		}
-	} else {
-		for i := 0; i < ln.nextArr; i++ {
-			if roster[i].DepartSlot > 0 && slot >= roster[i].DepartSlot {
-				ln.ev.Departs = append(ln.ev.Departs, i)
+			if cfg.OnArrival != nil {
+				arriving = arriving[:0]
+				for i := first; i < nextArr; i++ {
+					arriving = append(arriving, i)
+				}
+				res.ReidentBitSlots += cfg.OnArrival(slot, arriving)
 			}
 		}
-	}
-
-	// --- Channel drift: fold the slot's decoder taps in. ---
-	if !ln.decoder.Static() {
-		ln.dm = ln.decoder.ModelAt(slot)
-		ln.ev.Retap = ln.dm.Taps[:ln.nextArr]
-	}
-
-	// --- Tag side: who participates, what hits the air. The row
-	// comes back from the stream (the reader's reconstruction of D
-	// is the tags' own participation rule — internal/prng shared
-	// state), and the air is synthesized against it. ---
-	row, err := st.Advance(ln.ev)
-	if err != nil {
-		ln.err = err
-		return false
-	}
-	nJ := st.Joined()
-	am := ln.airProc.ModelAt(slot)
-	if ln.powStale || !ln.airProc.Static() {
-		for i := 0; i < nJ; i++ {
-			h := am.Taps[i]
-			ln.tagPow[i] = real(h)*real(h) + imag(h)*imag(h)
+		if depFIFO {
+			// FIFO rosters retire a prefix: each tag is listed exactly once,
+			// the slot its departure fires. (The scan below instead re-lists
+			// every past departure; the stream skips those idempotently, so
+			// the two shapes decode identically.)
+			for nextDep < nextArr && roster[nextDep].DepartSlot > 0 && slot >= roster[nextDep].DepartSlot {
+				ev.Departs = append(ev.Departs, nextDep)
+				nextDep++
+			}
+		} else {
+			for i := 0; i < nextArr; i++ {
+				if roster[i].DepartSlot > 0 && slot >= roster[i].DepartSlot {
+					ev.Departs = append(ev.Departs, i)
+				}
+			}
 		}
-		ln.powStale = false
+
+		// --- Channel drift: fold the slot's decoder taps in. ---
+		if !decoder.Static() {
+			dm = decoder.ModelAt(slot)
+			ev.Retap = dm.Taps[:nextArr]
+		}
+
+		// --- Tag side: the row comes back from the stream (the reader's
+		// reconstruction of D is the tags' own participation rule —
+		// internal/prng shared state), and the air is synthesized
+		// against it. ---
+		row, err := st.Advance(ev)
+		if err != nil {
+			return nil, err
+		}
+		active := row
+		if alive != nil {
+			active = alive[:len(row)]
+			for i, on := range row {
+				dies := 0
+				if i < len(cfg.DiesAtSlot) {
+					dies = cfg.DiesAtSlot[i]
+				}
+				active[i] = on && (dies <= 0 || slot < dies)
+			}
+		}
+
+		// --- Reader side: append, decode, gates, window slide. ---
+		step, err := st.Ingest(air(slot, active))
+		if err != nil {
+			return nil, err
+		}
+		res.Progress = append(res.Progress, SlotResult{
+			Slot:          slot,
+			Colliders:     step.Colliders,
+			NewlyDecoded:  step.NewlyAccepted,
+			TotalDecoded:  step.TotalAccepted,
+			BitsPerSymbol: float64(step.TotalAccepted) / float64(slot),
+		})
+		res.SlotsUsed = slot
+		res.RowsRetired += step.RowsRetired
+		if cfg.SilenceDecoded {
+			// ACK = 2-bit command code + 16-bit temporary id echo, plus
+			// two link turnarounds, per newly verified tag.
+			res.AckDownlinkBits += 18 * step.NewlyAccepted
+			res.AckTurnarounds += 2 * step.NewlyAccepted
+		}
 	}
-	sparseAir(am, ln.frames, row, ln.obs, ln.activeIdx, ln.bitIdx, ln.tagPow, ln.noise)
 
-	if err := st.BeginIngest(ln.obs); err != nil {
-		ln.err = err
-		return false
-	}
-	return true
-}
-
-// SlotJob returns the decode BeginSlot staged; valid until FinishSlot.
-func (ln *DynamicLane) SlotJob() bp.SlotJob { return ln.st.SlotJob() }
-
-// FinishSlot completes the slot BeginSlot opened, after its SlotJob has
-// been decoded: acceptance gates, window slide, progress accounting
-// (see runLane for the gate rationale, Stream.Ingest for the shared
-// implementation).
-func (ln *DynamicLane) FinishSlot() {
-	step, err := ln.st.FinishIngest()
-	if err != nil {
-		ln.err = err
-		return
-	}
-	ln.res.Progress = append(ln.res.Progress, SlotResult{
-		Slot:          ln.slot,
-		Colliders:     step.Colliders,
-		NewlyDecoded:  step.NewlyAccepted,
-		TotalDecoded:  step.TotalAccepted,
-		BitsPerSymbol: float64(step.TotalAccepted) / float64(ln.slot),
-	})
-	ln.res.SlotsUsed = ln.slot
-	ln.res.RowsRetired += step.RowsRetired
-}
-
-// Done reports whether BeginSlot would return false.
-func (ln *DynamicLane) Done() bool {
-	return ln.err != nil || ln.slot >= ln.maxSlots || (ln.nextArr == ln.kTot && ln.st.Done())
-}
-
-// TakeDecodeCost drains the lane's per-phase decode cost counters; call
-// before Close.
-func (ln *DynamicLane) TakeDecodeCost() bp.DecodeCost { return ln.st.TakeDecodeCost() }
-
-// Result finalizes and returns the transfer outcome (or the first error
-// the slot loop hit). Call after the loop ends and before Close.
-func (ln *DynamicLane) Result() (*DynamicResult, error) {
-	if ln.err != nil {
-		return nil, ln.err
-	}
-	st, res := ln.st, ln.res
 	// The stream's per-tag state covers tags that joined; roster tags
-	// that never arrived keep their zero values, as before.
+	// that never arrived keep their zero values.
 	nJ := st.Joined()
 	copy(res.Frames, st.Frames()[:nJ])
 	copy(res.Verified, st.Verified()[:nJ])
 	copy(res.DecodedAtSlot, st.DecodedAt()[:nJ])
 	copy(res.Participation, st.ParticipationCounts()[:nJ])
 	copy(res.Retired, st.Retired()[:nJ])
-	if ln.wins != nil {
+	if wins != nil {
 		copy(res.RowsRetiredTag, st.RowsRetiredPerTag()[:nJ])
 	}
 	if res.SlotsUsed > 0 {
 		res.BitsPerSymbol = float64(st.TotalAccepted()) / float64(res.SlotsUsed)
 	}
 	return res, nil
-}
-
-// Close releases the lane's air-staging scratch and closes its stream.
-// Idempotent.
-func (ln *DynamicLane) Close() {
-	if ln.closed {
-		return
-	}
-	ln.closed = true
-	ln.sc.Release(ln.airMark)
-	ln.st.Close()
 }

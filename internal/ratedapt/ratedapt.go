@@ -140,15 +140,11 @@ type Config struct {
 	OnArrival func(slot int, arriving []int) int
 }
 
-func (c *Config) k() int { return len(c.Seeds) }
-
-func (c *Config) density() float64 { return participationDensity(c.Density, c.k()) }
-
 // participationDensity derives the per-slot participation probability
 // for n transmitting tags: an explicit configured density wins;
-// otherwise DefaultMeanColliders/n clamped to MaxDensity. The one
-// definition both the static loop (fixed K) and the dynamic loop
-// (re-derived as the population churns) use.
+// otherwise DefaultMeanColliders/n clamped to MaxDensity. Stream
+// re-derives it as the population churns; a static roster keeps the
+// slot-1 value.
 func participationDensity(explicit float64, n int) float64 {
 	if explicit > 0 {
 		return explicit
@@ -161,13 +157,6 @@ func participationDensity(explicit float64, n int) float64 {
 		return MaxDensity
 	}
 	return d
-}
-
-func (c *Config) maxSlots() int {
-	if c.MaxSlots > 0 {
-		return c.MaxSlots
-	}
-	return 40 * c.k()
 }
 
 func (c *Config) minDegree() int {
@@ -209,8 +198,7 @@ type pendingFrame struct {
 	slot   int
 }
 
-// gateState is the per-tag acceptance bookkeeping shared by the static
-// and dynamic decode loops. All slices have one entry per decodable
+// gateState is the per-tag acceptance bookkeeping of a Stream. All slices have one entry per decodable
 // tag; estimates/locked/candidates persist across slots, the CRC
 // memoization trio avoids re-checking unchanged frames.
 type gateState struct {
@@ -338,16 +326,32 @@ func (gp *gatePolicy) thrFor(sess *bp.Session, i int) (thr, condThr float64) {
 	return gp.thr / d, condThr
 }
 
-// acceptSlot applies one slot's estimate refresh and acceptance gates —
-// the logic is documented at its (sole) static call site in
-// the static transfer lane; TransferDynamic shares it verbatim so the gates cannot
-// drift apart. It folds the session's per-position decode into the
-// per-tag estimates, then locks every tag whose frame passes the CRC
-// plus the margin/confirmation/conditional-margin gates of gp (see
-// gatePolicy; both loops derive it via effectiveGates), calling
-// onAccept(i) for each newly locked tag (the callers' extra
-// bookkeeping: ACK accounting, verified flags). Returns the number of
-// tags locked this slot.
+// acceptSlot applies one slot's estimate refresh and acceptance gates.
+// It folds the session's per-position decode into the per-tag
+// estimates, then locks every tag whose frame verifies, calling
+// onAccept(i) for each newly locked tag. Returns the number of tags
+// locked this slot.
+//
+// A bare 5-bit CRC would false-accept 1 in 32 of the garbage frames the
+// reader sees before convergence, so acceptance takes one of two paths
+// (classic gates; see gatePolicy for the windowed variant):
+//
+//   - confident — every bit position's flip margin clears the threshold
+//     (strong tags; enables the paper's slot-1 decodes), or
+//
+//   - confirmed — the identical frame keeps passing CRC while the tag
+//     participates in a further collision, with at least half the
+//     confident margin (weak tags, whose margins are noisy). The margin
+//     floor matters: a frame that is *stably wrong* accumulates mismatch
+//     energy as evidence arrives, so its wrong bits develop negative
+//     flip margins — repeated CRC passes of an unchanged frame alone
+//     would re-check the same 1-in-32 event, not an independent one.
+//
+// condOK then re-tests every bit position of the tag with the bit
+// forced opposite and the rest re-optimized, reusing the session's
+// cached residual and error per position. Single-flip margins cannot
+// see constellation near-coincidences where several tags' bits swap
+// together; this can (see bp.Graph.ConditionalMargin).
 func (cfg *Config) acceptSlot(sess *bp.Session, slot, k, frameLen int, gs *gateState,
 	minMargin []float64, ambiguous []bool, gp gatePolicy, onAccept func(i int)) int {
 
@@ -435,10 +439,9 @@ func (cfg *Config) acceptSlot(sess *bp.Session, slot, k, frameLen int, gs *gateS
 	return newly
 }
 
-// effectiveGates returns the slot's acceptance-gate parameters.
-// Without a window (win 0, wins nil) the classic gates pass through
-// untouched, keeping the PR-2/PR-3 decode paths byte-identical. With
-// the coherence window active the thresholds deflate with the
+// gatesWith returns the slot's acceptance-gate parameters. Without a
+// window (win 0, wins nil) the classic gates pass through untouched.
+// With the coherence window active the thresholds deflate with the
 // session's measured model-error fraction and the disjoint-window
 // double confirmation switches on — see gatePolicy for why the two
 // must move together. The factor 2 calibrates the rescale to the
@@ -449,25 +452,11 @@ func (cfg *Config) acceptSlot(sess *bp.Session, slot, k, frameLen int, gs *gateS
 // tag's thresholds deflate by its own maximum in-window drift fraction
 // (gatePolicy.thrFor — a parked tag keeps the full bar), every
 // acceptance double-confirms at the tag's own window distance, and a
-// never-windowed tag confirms at the roster's largest finite window
-// (see gatePolicy.winTag).
-func (cfg *Config) effectiveGates(sess *bp.Session, win int, wins []int) gatePolicy {
-	maxWin := 0
-	for _, w := range wins {
-		if w > maxWin {
-			maxWin = w
-		}
-	}
-	return cfg.gatesWith(sess, win, wins, maxWin)
-}
-
-// gatesWith is effectiveGates with the per-tag confirm distance already
-// known — the streaming form. A Stream's wins slice covers only the
-// tags joined so far, so the roster-wide maximum cannot be recomputed
-// per slot there; it is fixed at open (StreamConfig.ConfirmWindow) and
-// passed through, which keeps the never-windowed tags' confirmation
-// distance identical whether the roster arrived up front or over the
-// wire.
+// never-windowed tag confirms at maxWin, the roster's largest finite
+// window. A Stream's wins slice covers only the tags joined so far, so
+// maxWin is fixed at open (StreamConfig.ConfirmWindow) and passed
+// through, which keeps the never-windowed tags' confirmation distance
+// identical whether the roster arrived up front or over the wire.
 func (cfg *Config) gatesWith(sess *bp.Session, win int, wins []int, maxWin int) gatePolicy {
 	thr := cfg.marginThreshold()
 	if wins != nil {
@@ -575,94 +564,42 @@ func Transfer(cfg Config, messages []bits.Vector, ch *channel.Model, noiseSrc, d
 // rateless loop absorbs the estimation error by collecting more
 // collisions.
 func TransferEstimated(cfg Config, messages []bits.Vector, air, decoder *channel.Model, noiseSrc, decodeSrc *prng.Source) (*Result, error) {
-	k := cfg.k()
-	if len(messages) != k {
-		return nil, fmt.Errorf("ratedapt: %d messages for %d seeds", len(messages), k)
+	roster, err := staticRoster(cfg.Seeds, messages)
+	if err != nil {
+		return nil, err
 	}
-	if air.K() != k || decoder.K() != k {
-		return nil, fmt.Errorf("ratedapt: air has %d taps, decoder %d, for %d tags", air.K(), decoder.K(), k)
+	if air.K() != len(roster) || decoder.K() != len(roster) {
+		return nil, fmt.Errorf("ratedapt: air has %d taps, decoder %d, for %d tags", air.K(), decoder.K(), len(roster))
 	}
-	if k == 0 {
+	if len(roster) == 0 {
 		return &Result{}, nil
 	}
-	ln, err := OpenTransfer(cfg, messages, air, decoder, noiseSrc, decodeSrc)
+	res, err := runRound(cfg, roster, channel.NewStatic(decoder), decodeSrc,
+		processAir(channel.NewStatic(air), noiseSrc, cfg.Scratch))
 	if err != nil {
 		return nil, err
 	}
-	defer ln.Close()
-	runLane(ln)
-	return ln.Result(), nil
+	return &res.Result, nil
 }
 
-// runLane drives a lane's slot loop on the lane's own session — the
-// scalar composition every batched path must match byte for byte.
-func runLane(ln *TransferLane) {
-	for ln.BeginSlot() {
-		j := ln.SlotJob()
-		j.S.DecodeSlot(j.Slot, j.Locked, j.Base, j.MinMargin, j.Ambiguous)
-		ln.FinishSlot()
+// staticRoster turns a static transfer's seeds and messages into the
+// event-free roster the slot loop runs on: every tag present from slot 1
+// to the end of the round.
+func staticRoster(seeds []uint64, messages []bits.Vector) ([]RosterTag, error) {
+	if len(messages) != len(seeds) {
+		return nil, fmt.Errorf("ratedapt: %d messages for %d seeds", len(messages), len(seeds))
 	}
-}
-
-// OpenTransfer stages a static data-phase transfer as a TransferLane —
-// TransferEstimated reshaped into an explicit slot machine, so a
-// lockstep runner (engine.RunLockstep) can advance many trials'
-// transfers through the same slot phase together. The scalar
-// TransferEstimated is exactly OpenTransfer + the BeginSlot/DecodeSlot/
-// FinishSlot loop + Result + Close, so the two paths cannot diverge.
-func OpenTransfer(cfg Config, messages []bits.Vector, air, decoder *channel.Model,
-	noiseSrc, decodeSrc *prng.Source) (*TransferLane, error) {
-
-	k := cfg.k()
-	if len(messages) != k {
-		return nil, fmt.Errorf("ratedapt: %d messages for %d seeds", len(messages), k)
+	roster := make([]RosterTag, len(seeds))
+	for i, seed := range seeds {
+		roster[i] = RosterTag{Seed: seed, Message: messages[i]}
 	}
-	if air.K() != k || decoder.K() != k {
-		return nil, fmt.Errorf("ratedapt: air has %d taps, decoder %d, for %d tags", air.K(), decoder.K(), k)
-	}
-	if k == 0 {
-		return nil, fmt.Errorf("ratedapt: OpenTransfer needs at least one tag")
-	}
-	frameLen := len(messages[0]) + cfg.CRC.Width()
-	frames := make([]bits.Vector, k)
-	for i, msg := range messages {
-		if len(msg) != len(messages[0]) {
-			return nil, fmt.Errorf("ratedapt: message %d has %d bits, others %d — equal lengths required (§6 footnote 5)",
-				i, len(msg), len(messages[0]))
-		}
-		frames[i] = bits.Message{Payload: msg, Kind: cfg.CRC}.Frame()
-	}
-	sc := cfg.Scratch
-	mark := sc.Mark()
-	// The symbol-level air: one complex observation per bit position,
-	// superposing the taps of tags whose bit is 1 in that position (see
-	// sparseAir). Staging buffers persist across slots; the decode loop
-	// copies the observations out before the next call.
-	obs := sc.Complex(frameLen)
-	activeIdx := sc.Int(k)
-	bitIdx := sc.Int(k)
-	tagPow := sc.Float(k)
-	for i, h := range air.Taps {
-		tagPow[i] = real(h)*real(h) + imag(h)*imag(h)
-	}
-	airFn := func(active []bool) []complex128 {
-		sparseAir(air, frames, active, obs, activeIdx, bitIdx, tagPow, noiseSrc)
-		return obs
-	}
-	ln, err := openDecodeLane(cfg, frames, frameLen, decoder, airFn, decodeSrc)
-	if err != nil {
-		sc.Release(mark)
-		return nil, err
-	}
-	ln.openMark = mark
-	return ln, nil
+	return roster, nil
 }
 
 // SynthAir is sparseAir for external drivers: the engine package's wire
 // replay client plays the tag/air side of a streaming session (the
 // daemon only ever sees observations, like a real reader) and must
-// synthesize collision slots byte-identically to TransferDynamic's
-// in-process air. Same contract as sparseAir below.
+// synthesize collision slots byte-identically to the in-process air. Same contract as sparseAir below.
 func SynthAir(m *channel.Model, frames []bits.Vector, active []bool, obs []complex128,
 	activeIdx, bitIdx []int, tagPow []float64, noise *prng.Source) {
 	sparseAir(m, frames, active, obs, activeIdx, bitIdx, tagPow, noise)
@@ -678,7 +615,7 @@ func ParticipationDensity(explicit float64, n int) float64 {
 // sparseAir synthesizes one collision slot of received symbols:
 // obs[p] = the superposition of the taps of this slot's transmitting
 // tags whose frame bit p is 1, plus one AWGN sample — the index-staged
-// form shared by Transfer's symbol-level air and TransferDynamic. The
+// symbol-level air (processAir). The
 // active set is staged as an index list once per slot, so each
 // position's superposition walks only the few colliders instead of all
 // K tags. activeIdx and bitIdx are caller-owned staging of at least
@@ -705,307 +642,6 @@ func sparseAir(m *channel.Model, frames []bits.Vector, active []bool, obs []comp
 			}
 		}
 		obs[p] = m.SymbolSparsePow(bitIdx[:nb], pow, noise)
-	}
-}
-
-// TransferLane is one static transfer's decode loop held as a resumable
-// slot machine: the former runDecodeLoop's locals promoted to fields so
-// the loop body can run a slot at a time under an external driver.
-// Lifecycle: OpenTransfer → { BeginSlot → (decode the SlotJob) →
-// FinishSlot } until BeginSlot returns false → Result → Close. The
-// decode between BeginSlot and FinishSlot may run on the lane's own
-// session (scalar DecodeSlot) or inside a bp.Batch with other lanes —
-// byte-identical either way.
-type TransferLane struct {
-	cfg      Config
-	frames   []bits.Vector
-	frameLen int
-	decoder  *channel.Model
-	air      func(active []bool) []complex128
-
-	k        int
-	density  float64
-	maxSlots int
-	sc       *scratch.Scratch
-
-	openMark    scratch.Mark
-	hasOpenMark bool
-	laneMark    scratch.Mark
-	sess        *bp.Session
-	ownSess     bool
-	win         int
-	d           *bits.Matrix
-	estimates   []bits.Vector
-	decodeBase  uint64
-	locked      []bool
-	res         *Result
-	gs          gateState
-	alive       []bool
-
-	totalDecoded int
-	slot         int
-	closed       bool
-
-	// Per-slot staging between BeginSlot and FinishSlot.
-	slotMark  scratch.Mark
-	colliders int
-	minMargin []float64
-	ambiguous []bool
-}
-
-// openDecodeLane is the rateless decode engine's preamble, shared by the
-// symbol-level and sample-level airs: session begin, window resolution,
-// estimate initialization, gate state. The air function receives the set
-// of tags whose radios actually transmit this slot and returns one
-// observation per bit position.
-func openDecodeLane(cfg Config, frames []bits.Vector, frameLen int, decoder *channel.Model,
-	air func(active []bool) []complex128, decodeSrc *prng.Source) (*TransferLane, error) {
-
-	k := cfg.k()
-	sc := cfg.Scratch
-	ln := &TransferLane{
-		cfg:      cfg,
-		frames:   frames,
-		frameLen: frameLen,
-		decoder:  decoder,
-		air:      air,
-		k:        k,
-		density:  cfg.density(),
-		maxSlots: cfg.maxSlots(),
-		sc:       sc,
-	}
-	ln.laneMark = sc.Mark()
-
-	// The session carries the decoder's incremental cross-slot state:
-	// the growing graph, each bit position's residual/gain caches and
-	// the position worker pool. A caller-supplied Session stays warm
-	// across that caller's transfers; otherwise one comes from the
-	// process pool.
-	ln.sess = cfg.Session
-	if ln.sess == nil {
-		ln.sess = bp.GetSession()
-		ln.ownSess = true
-	}
-	ln.sess.Begin(k, frameLen, ln.maxSlots, cfg.parallelism(), cfg.Restarts, decoder.Taps)
-	// This loop's channel model is frozen for the round (infinitely
-	// coherent), so an Auto window resolves to "no window"; a fixed
-	// window still applies — the caller asked the decoder to forget.
-	ln.win = cfg.beginWindow(ln.sess, 0, ln.maxSlots)
-
-	// D is still materialized row by row for the channel-refinement
-	// fit; the decoding graph itself grows inside the session.
-	ln.d = bits.NewMatrixBacked(k, sc.Bool(ln.maxSlots*k))
-
-	// Decoder state: current estimate per tag, lock flags.
-	ln.estimates = make([]bits.Vector, k)
-	for i := range ln.estimates {
-		ln.estimates[i] = bits.Vector(sc.Bool(frameLen))
-		bits.RandomInto(decodeSrc, ln.estimates[i])
-	}
-	ln.sess.InitPositions(ln.estimates)
-	// Every (slot, position) decode derives its own PRNG stream from
-	// this base via prng.Mix3, so the parallel fan-out is deterministic
-	// and independent of scheduling order.
-	ln.decodeBase = decodeSrc.Uint64()
-	ln.locked = make([]bool, k)
-	decodedAt := make([]int, k)
-	ln.res = &Result{
-		Frames:        make([]bits.Vector, k),
-		Verified:      ln.locked,
-		DecodedAtSlot: decodedAt,
-		Participation: make([]int, k),
-		// Most transfers finish in a few slots per tag; let the rare
-		// straggler grow the slice rather than reserving the whole
-		// MaxSlots budget every call.
-		Progress:    make([]SlotResult, 0, min(ln.maxSlots, 4*k+16)),
-		WindowSlots: ln.win,
-	}
-	ln.gs = gateState{
-		estimates:  ln.estimates,
-		locked:     ln.locked,
-		decodedAt:  decodedAt,
-		candidates: make([]*pendingFrame, k),
-		// CRC results are memoized per tag: a frame only needs
-		// re-checking when some position's bit actually changed this
-		// slot.
-		frameChanged: sc.Bool(k),
-		frameOK:      sc.Bool(k),
-		crcValid:     sc.Bool(k),
-		frames:       ln.res.Frames,
-	}
-
-	ln.alive = sc.Bool(k)
-	for i := range ln.alive {
-		ln.alive[i] = true
-	}
-	return ln, nil
-}
-
-// BeginSlot opens the next collision slot — the tag side (participation
-// row, air synthesis), the channel-refinement fit, and the decode
-// staging — and reports whether the transfer continues. After a true
-// return the staged SlotJob must be decoded and FinishSlot called;
-// false means the round is over (all verified or budget spent).
-func (ln *TransferLane) BeginSlot() bool {
-	if ln.slot >= ln.maxSlots || ln.totalDecoded >= ln.k {
-		return false
-	}
-	ln.slot++
-	slot := ln.slot
-	cfg, sc, k := &ln.cfg, ln.sc, ln.k
-	ln.slotMark = sc.Mark()
-	// --- Tag side: who participates, what hits the air. ---
-	row := bits.Vector(sc.Bool(k))
-	ln.colliders = 0
-	for i, seed := range cfg.Seeds {
-		// A verified tag has been silenced by the reader? No — the
-		// paper explicitly keeps tags transmitting until the single
-		// global stop (§8.2 discusses and rejects per-tag ACKs), so
-		// verified tags keep colliding.
-		row[i] = Participates(seed, cfg.SessionSalt, slot, ln.density)
-		if cfg.SilenceDecoded && ln.locked[i] {
-			// The reader ACKed this tag after its message verified;
-			// it no longer transmits, and the reader's D knows it.
-			row[i] = false
-		}
-		if row[i] {
-			ln.colliders++
-			ln.res.Participation[i]++
-		}
-		// Failure injection: a dead tag's radio is silent, but the
-		// reader's D (built from the same Participates call) still
-		// schedules it — the air and the model disagree from here
-		// on, exactly as when a real tag browns out (§6d).
-		if cfg.DiesAtSlot != nil && i < len(cfg.DiesAtSlot) &&
-			cfg.DiesAtSlot[i] > 0 && slot >= cfg.DiesAtSlot[i] {
-			ln.alive[i] = false
-		}
-	}
-	ln.d.AppendRow(row)
-	active := sc.Bool(k)
-	for i := 0; i < k; i++ {
-		active[i] = bool(row[i]) && ln.alive[i]
-	}
-	ln.sess.AppendSlot(row, ln.air(active))
-
-	// --- Reader side: incremental decode. ---
-	if cfg.RefineChannel && slot > 1 {
-		if refined, ok := refineTaps(ln.d, ln.sess.Ys(), ln.estimates, ln.decoder.Taps, sc); ok {
-			ln.decoder = channel.NewExact(refined, ln.decoder.NoisePower)
-			ln.sess.SetTaps(refined)
-		}
-	}
-	// minMargin[i] tracks tag i's weakest per-position flip margin;
-	// it gates the CRC check below. ambiguous[i] reports restart
-	// near-ties anywhere in the frame: withhold locking such tags
-	// this round (see bp.Result.Ambiguous).
-	ln.minMargin = sc.Float(k)
-	ln.ambiguous = sc.Bool(k)
-	return true
-}
-
-// SlotJob returns the decode BeginSlot staged; valid until FinishSlot.
-func (ln *TransferLane) SlotJob() bp.SlotJob {
-	return bp.SlotJob{
-		S:         ln.sess,
-		Slot:      ln.slot,
-		Locked:    ln.locked,
-		Base:      ln.decodeBase,
-		MinMargin: ln.minMargin,
-		Ambiguous: ln.ambiguous,
-	}
-}
-
-// FinishSlot completes the slot BeginSlot opened, after its SlotJob has
-// been decoded: acceptance gates, progress accounting, window slide.
-func (ln *TransferLane) FinishSlot() {
-	cfg, slot := &ln.cfg, ln.slot
-	// CRC gate (acceptSlot): lock tags whose estimated frame
-	// verifies. A bare 5-bit CRC would false-accept 1 in 32 of the
-	// garbage frames the reader sees before convergence, so
-	// acceptance takes one of two paths:
-	//
-	//   confident — every bit position's flip margin clears the
-	//   threshold (strong tags; enables the paper's slot-1
-	//   decodes), or
-	//
-	//   confirmed — the identical frame keeps passing CRC while the
-	//   tag participates in two further collisions, with at least
-	//   half the confident margin (weak tags, whose margins are
-	//   noisy). The margin floor matters: a frame that is *stably
-	//   wrong* accumulates mismatch energy as evidence arrives, so
-	//   its wrong bits develop negative flip margins — repeated CRC
-	//   passes of an unchanged frame alone would re-check the same
-	//   1-in-32 event, not an independent one.
-	//
-	// acceptSlot's condOK re-tests every bit position of tag i with
-	// the bit forced opposite and the rest re-optimized, reusing the
-	// session's cached residual and error per position. Single-flip
-	// margins cannot see constellation near-coincidences where
-	// several tags' bits swap together; this can (see
-	// bp.Graph.ConditionalMargin).
-	newly := cfg.acceptSlot(ln.sess, slot, ln.k, ln.frameLen, &ln.gs, ln.minMargin, ln.ambiguous,
-		cfg.effectiveGates(ln.sess, ln.win, nil), func(int) {
-			if cfg.SilenceDecoded {
-				// ACK = 2-bit command code + 16-bit temporary id
-				// echo, plus two link turnarounds.
-				ln.res.AckDownlinkBits += 18
-				ln.res.AckTurnarounds += 2
-			}
-		})
-	ln.totalDecoded += newly
-	ln.res.Progress = append(ln.res.Progress, SlotResult{
-		Slot:          slot,
-		Colliders:     ln.colliders,
-		NewlyDecoded:  newly,
-		TotalDecoded:  ln.totalDecoded,
-		BitsPerSymbol: float64(ln.totalDecoded) / float64(slot),
-	})
-	ln.res.SlotsUsed = slot
-	// Slide the coherence window: rows older than win slots are
-	// retired before the next slot's evidence arrives, preserving
-	// the surviving positions' descent state.
-	ln.res.RowsRetired += slideWindow(ln.sess, ln.win, slot)
-	ln.minMargin, ln.ambiguous = nil, nil
-	ln.sc.Release(ln.slotMark)
-}
-
-// Done reports whether BeginSlot would return false.
-func (ln *TransferLane) Done() bool {
-	return ln.slot >= ln.maxSlots || ln.totalDecoded >= ln.k
-}
-
-// Session returns the lane's decode session (shape inspection for batch
-// grouping; the session remains owned by the lane).
-func (ln *TransferLane) Session() *bp.Session { return ln.sess }
-
-// Result finalizes and returns the transfer outcome. Call after the
-// slot loop ends and before Close (the Result does not alias scratch).
-func (ln *TransferLane) Result() *Result {
-	if ln.res.SlotsUsed > 0 {
-		ln.res.BitsPerSymbol = float64(ln.totalDecoded) / float64(ln.res.SlotsUsed)
-	}
-	return ln.res
-}
-
-// TakeDecodeCost drains the lane session's per-phase decode cost
-// counters; call before Close.
-func (ln *TransferLane) TakeDecodeCost() bp.DecodeCost { return ln.sess.TakeDecodeCost() }
-
-// Close releases the lane's scratch scope and any pooled session.
-// Idempotent.
-func (ln *TransferLane) Close() {
-	if ln.closed {
-		return
-	}
-	ln.closed = true
-	if ln.ownSess {
-		bp.PutSession(ln.sess)
-	}
-	ln.sess = nil
-	ln.sc.Release(ln.laneMark)
-	if ln.hasOpenMark {
-		ln.sc.Release(ln.openMark)
 	}
 }
 

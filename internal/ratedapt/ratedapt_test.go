@@ -233,17 +233,14 @@ func TestParticipationDensity(t *testing.T) {
 }
 
 func TestDensityDefaults(t *testing.T) {
-	c := Config{Seeds: seeds(14)}
 	want := DefaultMeanColliders / 14
-	if math.Abs(c.density()-want) > 1e-12 {
-		t.Fatalf("density %f, want %f", c.density(), want)
+	if d := participationDensity(0, 14); math.Abs(d-want) > 1e-12 {
+		t.Fatalf("density %f, want %f", d, want)
 	}
-	c2 := Config{Seeds: seeds(2)}
-	if c2.density() != MaxDensity {
-		t.Fatalf("tiny networks should clamp density to MaxDensity, got %f", c2.density())
+	if d := participationDensity(0, 2); d != MaxDensity {
+		t.Fatalf("tiny networks should clamp density to MaxDensity, got %f", d)
 	}
-	c3 := Config{Seeds: seeds(8), Density: 0.4}
-	if c3.density() != 0.4 {
+	if participationDensity(0.4, 8) != 0.4 {
 		t.Fatal("explicit density ignored")
 	}
 }

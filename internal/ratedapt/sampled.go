@@ -73,94 +73,78 @@ func (c *SampledConfig) midWindow() int {
 // noise — any performance difference from Transfer is attributable to
 // the timing imperfections alone.
 func TransferSampled(cfg SampledConfig, messages []bits.Vector, ch *channel.Model, noiseSrc, decodeSrc *prng.Source) (*Result, error) {
-	k := len(cfg.Seeds)
-	if len(messages) != k {
-		return nil, fmt.Errorf("ratedapt: %d messages for %d seeds", len(messages), k)
-	}
-	if ch.K() != k {
-		return nil, fmt.Errorf("ratedapt: channel has %d taps for %d tags", ch.K(), k)
-	}
-	if k == 0 {
-		return &Result{}, nil
-	}
-
-	// Draw per-tag timing imperfections once; they persist across the
-	// transfer (the same crystal keeps drifting the same way).
-	model := cfg.OffsetModel
-	if model == nil {
-		m := phy.MooOffsets
-		model = &m
-	}
-	timings := make([]phy.Timing, k)
-	for i := range timings {
-		timings[i] = model.DrawTiming(phy.DefaultBitRate, cfg.driftPPM(), noiseSrc)
-	}
-
-	spb := cfg.samplesPerBit()
-	mid := cfg.midWindow()
-	lead := (spb - mid) / 2
-
-	frameLen := len(messages[0]) + cfg.CRC.Width()
-	frames := make([]bits.Vector, k)
-	for i, msg := range messages {
-		if len(msg) != len(messages[0]) {
-			return nil, fmt.Errorf("ratedapt: message %d has %d bits, others %d", i, len(msg), len(messages[0]))
-		}
-		frames[i] = bits.Message{Payload: msg, Kind: cfg.CRC}.Frame()
-	}
-
-	// Staging buffers persist across slots: per-tag chip streams are
-	// rendered once (the frames never change), and the waveform and
-	// observation buffers are reused slot to slot.
-	sc := cfg.Scratch
-	mark := sc.Mark()
-	defer sc.Release(mark)
-	chipStreams := make([][]bool, k)
-	for i := range chipStreams {
-		stream := sc.Bool(frameLen)
-		copy(stream, frames[i])
-		chipStreams[i] = stream
-	}
-	obs := sc.Complex(frameLen)
-	samples := sc.Complex(frameLen * spb)
-	tagsBuf := make([]phy.TagSignal, 0, k)
-
-	// The sampled air: synthesize a slot's waveform and integrate the
-	// central samples of each bit.
-	synthesizeSlot := func(active []bool) []complex128 {
-		noisePower := ch.SlotNoisePower(active)
-		tags := tagsBuf[:0]
-		for i := 0; i < k; i++ {
-			if !active[i] {
-				continue
-			}
-			tags = append(tags, phy.TagSignal{
-				Chips:  chipStreams[i],
-				H:      ch.Taps[i],
-				Timing: timings[i],
-			})
-		}
-		cap := phy.Capture{
-			SamplesPerChip: spb,
-			Carrier:        0, // carrier-removed capture
-			NoisePower:     noisePower * float64(spb),
-		}
-		cap.SynthesizeInto(samples, tags, frameLen, noiseSrc)
-		for p := 0; p < frameLen; p++ {
-			var s complex128
-			for j := 0; j < mid; j++ {
-				s += samples[p*spb+lead+j]
-			}
-			obs[p] = s / complex(float64(mid), 0)
-		}
-		return obs
-	}
-
-	ln, err := openDecodeLane(cfg.Config, frames, frameLen, ch, synthesizeSlot, decodeSrc)
+	roster, err := staticRoster(cfg.Seeds, messages)
 	if err != nil {
 		return nil, err
 	}
-	defer ln.Close()
-	runLane(ln)
-	return ln.Result(), nil
+	if ch.K() != len(roster) {
+		return nil, fmt.Errorf("ratedapt: channel has %d taps for %d tags", ch.K(), len(roster))
+	}
+	if len(roster) == 0 {
+		return &Result{}, nil
+	}
+	res, err := runRound(cfg.Config, roster, channel.NewStatic(ch), decodeSrc, cfg.sampledAir(ch, noiseSrc))
+	if err != nil {
+		return nil, err
+	}
+	return &res.Result, nil
+}
+
+// sampledAir is TransferSampled's air: each slot's collision waveform is
+// synthesized with the per-tag timing imperfections and integrated over
+// the central samples of each bit into one observation per position.
+func (cfg *SampledConfig) sampledAir(ch *channel.Model, noiseSrc *prng.Source) func(frames []bits.Vector) airFunc {
+	return func(frames []bits.Vector) airFunc {
+		k, frameLen := len(frames), len(frames[0])
+		// Draw per-tag timing imperfections once; they persist across
+		// the transfer (the same crystal keeps drifting the same way).
+		model := cfg.OffsetModel
+		if model == nil {
+			m := phy.MooOffsets
+			model = &m
+		}
+		timings := make([]phy.Timing, k)
+		for i := range timings {
+			timings[i] = model.DrawTiming(phy.DefaultBitRate, cfg.driftPPM(), noiseSrc)
+		}
+		spb := cfg.samplesPerBit()
+		mid := cfg.midWindow()
+		lead := (spb - mid) / 2
+
+		// Staging buffers persist across slots: per-tag chip streams are
+		// rendered once (the frames never change), and the waveform and
+		// observation buffers are reused slot to slot.
+		sc := cfg.Scratch
+		chipStreams := make([][]bool, k)
+		for i := range chipStreams {
+			stream := sc.Bool(frameLen)
+			copy(stream, frames[i])
+			chipStreams[i] = stream
+		}
+		obs := sc.Complex(frameLen)
+		samples := sc.Complex(frameLen * spb)
+		tagsBuf := make([]phy.TagSignal, 0, k)
+		return func(_ int, active []bool) []complex128 {
+			tags := tagsBuf[:0]
+			for i, on := range active {
+				if on {
+					tags = append(tags, phy.TagSignal{Chips: chipStreams[i], H: ch.Taps[i], Timing: timings[i]})
+				}
+			}
+			cap := phy.Capture{
+				SamplesPerChip: spb,
+				Carrier:        0, // carrier-removed capture
+				NoisePower:     ch.SlotNoisePower(active) * float64(spb),
+			}
+			cap.SynthesizeInto(samples, tags, frameLen, noiseSrc)
+			for p := 0; p < frameLen; p++ {
+				var s complex128
+				for j := 0; j < mid; j++ {
+					s += samples[p*spb+lead+j]
+				}
+				obs[p] = s / complex(float64(mid), 0)
+			}
+			return obs
+		}
+	}
 }

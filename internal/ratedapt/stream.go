@@ -9,17 +9,18 @@ import (
 	"repro/internal/scratch"
 )
 
-// Stream is the per-session decode core carved out of TransferDynamic:
-// the reader side of one rateless data-phase round, driven one
-// collision slot at a time by an external owner. TransferDynamic is one
-// driver (it walks a roster and synthesizes the air in-process); the
-// engine package's SessionManager is the other (slots arrive over
-// buzzd's wire protocol from a live reader). Everything on this type is
+// Stream is the decode core of the data phase: the reader side of one
+// rateless round, driven one collision slot at a time by an external
+// owner. Every in-process transfer (Transfer, TransferEstimated,
+// TransferSampled, TransferDynamic) is one driver — runRound walks a
+// roster and synthesizes the air in-process; the engine package's
+// SessionManager is the other (slots arrive over buzzd's wire protocol
+// from a live reader). Everything on this type is
 // reader-reconstructible state — seeds, taps, estimates, gates — never
 // the true payloads: a Stream decodes what the air delivers, exactly as
 // a physical reader would.
 //
-// The slot cycle is two-phase so both drivers share one code path
+// The slot cycle is two-phase so every driver shares one code path
 // without double-deriving the participation row:
 //
 //	row, _ := st.Advance(ev)   // population events + row for this slot
@@ -71,6 +72,12 @@ type Stream struct {
 
 	tapStage []complex128
 	accepted []int
+
+	// Decision-directed channel refinement (StreamConfig.RefineChannel):
+	// d materializes the participation matrix for the least-squares fit
+	// and taps holds the decoder's current estimates; d is nil when off.
+	d    *bits.Matrix
+	taps []complex128
 
 	row           bits.Vector
 	staged        bool
@@ -163,7 +170,8 @@ type StreamConfig struct {
 	MaxSlots int
 
 	// WindowSlots is the resolved global coherence window (0 = none).
-	// Windows at or beyond MaxSlots clamp to none, as in beginWindow.
+	// Windows at or beyond MaxSlots clamp to none, as in
+	// WindowPolicy.EffectiveSlots.
 	WindowSlots int
 	// WindowTag, when non-nil, arms the per-tag window policy with the
 	// initial tags' resolved windows (len == len(Seeds), 0 entries =
@@ -199,6 +207,15 @@ type StreamConfig struct {
 	// heap, nil Session borrows from the process pool until Close.
 	Scratch *scratch.Scratch
 	Session *bp.Session
+
+	// SilenceDecoded and RefineChannel switch on the Config features of
+	// the same name. Silencing drops verified tags from every later
+	// participation row without re-tuning the density. Refinement re-fits
+	// the taps after each slot's append and before its decode; it needs a
+	// fixed population on a frozen channel, so Advance rejects arrivals
+	// and retaps while it is on.
+	SilenceDecoded bool
+	RefineChannel  bool
 }
 
 // OpenStream begins a streaming decode session: Begin on the session,
@@ -236,6 +253,7 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 			MarginThreshold: cfg.MarginThreshold,
 			Parallelism:     cfg.Parallelism,
 			Window:          WindowPolicy{SoftWeight: cfg.WindowSoft},
+			SilenceDecoded:  cfg.SilenceDecoded,
 		},
 		sc:       cfg.Scratch,
 		frameLen: cfg.MessageBits + cfg.CRC.Width(),
@@ -273,8 +291,8 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 	}
 	st.sess.Begin(k0, st.frameLen, st.maxSlots, st.cfg.parallelism(), cfg.Restarts, cfg.Taps)
 	// Windows arrive resolved; only the budget clamp is re-applied here
-	// (a window the round can never outgrow is no window — beginWindow's
-	// rule), so a mis-sized wire value degrades identically on both
+	// (a window the round can never outgrow is no window — see
+	// WindowPolicy.EffectiveSlots), so a mis-sized wire value degrades identically on both
 	// sides instead of desynchronizing the gates.
 	st.win = cfg.WindowSlots
 	if st.win >= st.maxSlots {
@@ -301,6 +319,10 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 	}
 	st.sess.InitPositions(st.estimates[:k0])
 	st.decodeBase = cfg.DecodeSrc.Uint64()
+	if cfg.RefineChannel {
+		st.d = bits.NewMatrixBacked(k0, st.sc.Bool(st.maxSlots*k0))
+		st.taps = append([]complex128(nil), cfg.Taps...)
+	}
 	// Arrival estimates come from per-(slot, tag) addressable streams
 	// under a separate base — joining mid-round consumes nothing from
 	// the open-time source and cannot shift any other stream.
@@ -331,6 +353,9 @@ func (st *Stream) Advance(ev SlotEvents) (bits.Vector, error) {
 		return nil, fmt.Errorf("ratedapt: slot budget exhausted (%d slots)", st.maxSlots)
 	}
 	slot := st.slot + 1
+	if st.d != nil && (len(ev.Arrivals) > 0 || ev.Retap != nil) {
+		return nil, fmt.Errorf("ratedapt: RefineChannel streams take no arrivals or retaps")
+	}
 
 	if n := len(ev.Arrivals); n > 0 {
 		first := st.nJ
@@ -408,11 +433,18 @@ func (st *Stream) Advance(ev SlotEvents) (bits.Vector, error) {
 	row := bits.Vector(st.sc.Bool(st.nJ))
 	st.colliders = 0
 	for i := 0; i < st.nJ; i++ {
-		row[i] = !st.departed[i] && Participates(st.seeds[i], st.cfg.SessionSalt, slot, st.density)
+		// Verified tags keep colliding until the single global stop
+		// (§8.2 rejects per-tag ACKs) unless the reader ACKs them
+		// (SilenceDecoded); either way the reader's D knows who is on.
+		row[i] = !st.departed[i] && !(st.cfg.SilenceDecoded && st.verified[i]) &&
+			Participates(st.seeds[i], st.cfg.SessionSalt, slot, st.density)
 		if row[i] {
 			st.colliders++
 			st.participation[i]++
 		}
+	}
+	if st.d != nil {
+		st.d.AppendRow(row)
 	}
 	st.row = row
 	return row, nil
@@ -431,11 +463,11 @@ func (st *Stream) Ingest(obs []complex128) (StepResult, error) {
 	return st.FinishIngest()
 }
 
-// BeginIngest is the first half of Ingest: it appends the observations
-// and stages the slot's decode as a bp.SlotJob (see SlotJob), without
-// running it. A batch driver begins several streams' slots, decodes
-// their jobs in lockstep (bp.Batch.Decode), then FinishIngests each;
-// the decisions are byte-identical to per-stream Ingest calls.
+// BeginIngest is the first half of Ingest: it appends the observations,
+// applies the channel refinement fit when armed, and stages the slot's
+// decode as a bp.SlotJob (see SlotJob) without running it. Ingest is
+// exactly BeginIngest, SlotJob's DecodeSlot and FinishIngest; the split
+// lets a driver observe the decode on its own.
 func (st *Stream) BeginIngest(obs []complex128) error {
 	if !st.inSlot {
 		return fmt.Errorf("ratedapt: Ingest without Advance")
@@ -447,14 +479,23 @@ func (st *Stream) BeginIngest(obs []complex128) error {
 		return fmt.Errorf("ratedapt: got %d observations for frame length %d", len(obs), st.frameLen)
 	}
 	st.sess.AppendSlot(st.row, obs)
+	if st.d != nil && st.slot > 1 {
+		// Re-fit the taps against the current estimates — after this
+		// slot's append, before its decode — and let the next DecodeSlot
+		// rebuild under them.
+		if refined, ok := refineTaps(st.d, st.sess.Ys(), st.estimates, st.taps, st.sc); ok {
+			st.taps = refined
+			st.sess.SetTaps(refined)
+		}
+	}
 	st.stageMargin = st.sc.Float(st.nJ)
 	st.stageAmb = st.sc.Bool(st.nJ)
 	st.staged = true
 	return nil
 }
 
-// SlotJob returns the decode BeginIngest staged, ready for a batch
-// executor. Valid until the matching FinishIngest.
+// SlotJob returns the decode BeginIngest staged. Valid until the
+// matching FinishIngest.
 func (st *Stream) SlotJob() bp.SlotJob {
 	return bp.SlotJob{
 		S:         st.sess,
@@ -468,7 +509,7 @@ func (st *Stream) SlotJob() bp.SlotJob {
 
 // FinishIngest is the second half of Ingest: acceptance gates and
 // window slides over the decode the staged job produced. The job must
-// have been decoded (DecodeSlot or a batch Decode) before this call.
+// have been decoded (the job's DecodeSlot) before this call.
 func (st *Stream) FinishIngest() (StepResult, error) {
 	if !st.staged {
 		return StepResult{}, fmt.Errorf("ratedapt: FinishIngest without BeginIngest")
@@ -477,9 +518,8 @@ func (st *Stream) FinishIngest() (StepResult, error) {
 	minMargin, ambiguous := st.stageMargin, st.stageAmb
 	st.stageMargin, st.stageAmb = nil, nil
 
-	// Acceptance gates shared verbatim with the batch loops (see
-	// TransferLane.FinishSlot's gate comment); the slice headers are restaged each
-	// slot because arrivals may have regrown the backing arrays.
+	// Acceptance gates (see acceptSlot); the slice headers are restaged
+	// each slot because arrivals may have regrown the backing arrays.
 	gs := gateState{
 		estimates:    st.estimates,
 		locked:       st.locked,
@@ -545,12 +585,6 @@ func (st *Stream) Done() bool { return st.nResolved == st.nJ }
 // TakeDecodeCost drains the session's per-phase decode cost counters
 // (see bp.Session.TakeDecodeCost). Call between slots, before Close.
 func (st *Stream) TakeDecodeCost() bp.DecodeCost { return st.sess.TakeDecodeCost() }
-
-// SessionShape returns the decode session's current shape — the
-// lockstep grouping key: only same-shaped sessions can share a
-// bp.Batch.Decode. Arrivals grow it mid-round, so callers re-read it
-// after every Advance.
-func (st *Stream) SessionShape() bp.Shape { return st.sess.Shape() }
 
 // Slot returns the last slot Advance opened (0 before the first).
 func (st *Stream) Slot() int { return st.slot }

@@ -34,9 +34,9 @@ type WindowPolicy struct {
 	// tags to discard good evidence whenever any mover's coherence
 	// collapses, while per-tag windows age only the mover's rows out
 	// (bp.Session.RetireTag). A tag whose channel is coherent forever
-	// never windows. Takes precedence over Auto and Slots; only
-	// TransferDynamic (the one loop with a channel process) honors it —
-	// the static-channel loops resolve it to no window, like Auto.
+	// never windows. Takes precedence over Auto and Slots. On a static
+	// channel every tag is coherent forever, so it resolves to no
+	// window, like Auto.
 	PerTag bool
 	// SoftWeight, with PerTag, down-weights a mover's stale rows by its
 	// banked drift ratio instead of removing them
@@ -71,9 +71,8 @@ func PerTagWindow(soft bool) WindowPolicy {
 
 // resolve returns the effective window length against a channel whose
 // taps stay coherent for coherenceSlots slots (0 = forever); 0 means
-// no window. A PerTag policy resolves to none here — the per-tag
-// resolution (resolveTags) lives on the one loop with a channel
-// process to consult.
+// no window. A PerTag policy resolves to none here — its per-tag
+// resolution is resolveTags.
 func (w WindowPolicy) resolve(coherenceSlots int) int {
 	if w.PerTag {
 		return 0
@@ -93,25 +92,12 @@ func (w WindowPolicy) resolve(coherenceSlots int) int {
 	return coherenceSlots
 }
 
-// beginWindow resolves the transfer's effective window — the policy
-// against the channel's coherence time and the slot budget — and arms
-// the session's drift accounting to match. One definition shared by
-// the transfer lanes so the static and dynamic loops
-// cannot drift apart (the acceptSlot pattern). A window the transfer
-// can never outgrow is no window at all: it would never retire a row,
-// and its double-confirmation gate could never fire a second pass.
-func (cfg *Config) beginWindow(sess *bp.Session, coherenceSlots, maxSlots int) int {
-	win := cfg.Window.EffectiveSlots(coherenceSlots, maxSlots)
-	sess.TrackDrift(win > 0)
-	return win
-}
-
 // EffectiveSlots resolves the policy's global window against a channel
 // with the given coherence time and slot budget — resolve plus the
-// can-never-outgrow clamp. Exported for stream drivers (TransferDynamic
-// and the wire replay client), which resolve windows before opening a
-// Stream; beginWindow uses it too, so batch and streaming resolution
-// cannot drift apart.
+// can-never-outgrow clamp: a window the transfer can never outgrow would
+// never retire a row, and its double-confirmation gate could never fire
+// a second pass. Exported for stream drivers (runRound and the wire
+// replay client), which resolve windows before opening a Stream.
 func (w WindowPolicy) EffectiveSlots(coherenceSlots, maxSlots int) int {
 	win := w.resolve(coherenceSlots)
 	if win >= maxSlots {
@@ -122,7 +108,7 @@ func (w WindowPolicy) EffectiveSlots(coherenceSlots, maxSlots int) int {
 
 // slideWindow retires the rows that age out of a win-slot window after
 // the given slot's decode and gates, returning the count (0 when the
-// window is off or not yet full). Shared by both decode loops.
+// window is off or not yet full).
 func slideWindow(sess *bp.Session, win, slot int) int {
 	if win > 0 && slot > win {
 		return sess.Retire(slot - win)
@@ -161,23 +147,10 @@ func (w WindowPolicy) resolveTags(proc channel.Process, maxSlots, k int) []int {
 
 // ResolveTagWindows reports the per-tag effective windows a PerTag
 // policy would run with against proc at the given slot budget —
-// exported for spec tooling (buzzsim -check), so the printed summary
+// exported for spec tooling (buzzsim check), so the printed summary
 // cannot drift from the decode loop's own resolution.
 func ResolveTagWindows(proc channel.Process, maxSlots, k int) []int {
 	return WindowPolicy{PerTag: true}.resolveTags(proc, maxSlots, k)
-}
-
-// beginTagWindows resolves a PerTag policy for the transfer and arms
-// the session's per-tag drift ledgers — beginWindow's per-tag sibling,
-// owned by TransferDynamic. Returns nil when the policy is not PerTag
-// or no tag windows.
-func (cfg *Config) beginTagWindows(sess *bp.Session, proc channel.Process, maxSlots, k int) []int {
-	if !cfg.Window.PerTag {
-		return nil
-	}
-	wins := cfg.Window.resolveTags(proc, maxSlots, k)
-	sess.TrackTagDrift(wins != nil)
-	return wins
 }
 
 // slideTagWindows ages each tag's rows out of its own window after the

@@ -15,15 +15,12 @@ package sim
 import (
 	"fmt"
 	"math"
-	"os"
-	"strconv"
 
 	"repro/internal/baseline/cdma"
 	"repro/internal/baseline/tdma"
 	"repro/internal/bits"
 	"repro/internal/bp"
 	"repro/internal/channel"
-	"repro/internal/engine"
 	"repro/internal/epc"
 	"repro/internal/identify"
 	"repro/internal/prng"
@@ -68,29 +65,6 @@ type Option func(*runConfig)
 type runConfig struct {
 	messages   func(trial int) []bits.Vector
 	keepTrials bool
-	batch      int
-}
-
-// WithBatchSize sets the lockstep batch width: how many trials each
-// worker advances through the decode together, their per-slot state
-// packed into one bp.Batch (engine.RunLockstep). 1 — the default, also
-// settable process-wide via BUZZ_LOCKSTEP_BATCH — keeps the classic one
-// trial-per-worker loop. Results are byte-identical at every width; the
-// batch-vs-scalar equivalence tests pin that over every example
-// scenario.
-func WithBatchSize(n int) Option {
-	return func(c *runConfig) { c.batch = n }
-}
-
-// envBatchSize reads the BUZZ_LOCKSTEP_BATCH default (CI's race matrix
-// sweeps it); unset, empty or unparsable means 1.
-func envBatchSize() int {
-	if v := os.Getenv("BUZZ_LOCKSTEP_BATCH"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 1 {
-			return n
-		}
-	}
-	return 1
 }
 
 // WithMessages supplies each trial's payloads (one per roster tag, each
@@ -109,18 +83,6 @@ func WithTrialDetail() Option {
 	return func(c *runConfig) { c.keepTrials = true }
 }
 
-// ScenarioOptions tune a RunScenarioOpts call beyond the declarative
-// spec.
-//
-// Deprecated: pass Options to Run instead (WithMessages,
-// WithTrialDetail). Retained for source compatibility.
-type ScenarioOptions struct {
-	// Messages mirrors WithMessages.
-	Messages func(trial int) []bits.Vector
-	// KeepTrials mirrors WithTrialDetail.
-	KeepTrials bool
-}
-
 // ScenarioOutcome aggregates a scenario run.
 type ScenarioOutcome struct {
 	// Name echoes the spec.
@@ -137,7 +99,7 @@ type ScenarioOutcome struct {
 	// DecodeCost totals the Buzz decoder's per-phase effort across all
 	// trials — descent passes, restart passes and bit flips
 	// (bp.DecodeCost). The totals are sums of per-trial counters, so
-	// they are deterministic at any parallelism or batch width.
+	// they are deterministic at any parallelism.
 	DecodeCost bp.DecodeCost
 }
 
@@ -149,79 +111,6 @@ func (o *ScenarioOutcome) Scheme(name string) *SchemeOutcome {
 		}
 	}
 	return nil
-}
-
-// RunScenario executes a declarative scenario spec.
-//
-// Deprecated: use Run. This wrapper forwards unchanged.
-func RunScenario(spec scenario.Spec) (*ScenarioOutcome, error) {
-	return Run(spec)
-}
-
-// RunScenarioOpts is RunScenario with options.
-//
-// Deprecated: use Run with WithMessages / WithTrialDetail. This
-// wrapper forwards unchanged.
-func RunScenarioOpts(spec scenario.Spec, opts ScenarioOptions) (*ScenarioOutcome, error) {
-	var o []Option
-	if opts.Messages != nil {
-		o = append(o, WithMessages(opts.Messages))
-	}
-	if opts.KeepTrials {
-		o = append(o, WithTrialDetail())
-	}
-	return Run(spec, o...)
-}
-
-// trialLane is one scenario trial's in-flight transfer — whichever
-// ratedapt lane the spec routes to, plus the per-trial context the
-// finish pass needs (the setup stream for the baseline forks, the
-// messages and channel for scoring). It implements engine.Lane, so the
-// lockstep runner can advance many trials' decodes together.
-type trialLane struct {
-	static   *ratedapt.TransferLane
-	dyn      *ratedapt.DynamicLane
-	setup    *prng.Source
-	msgs     []bits.Vector
-	ch       *channel.Model
-	identErr *error
-}
-
-func (tl *trialLane) BeginSlot() bool {
-	if tl.static != nil {
-		return tl.static.BeginSlot()
-	}
-	return tl.dyn.BeginSlot()
-}
-
-func (tl *trialLane) SlotJob() bp.SlotJob {
-	if tl.static != nil {
-		return tl.static.SlotJob()
-	}
-	return tl.dyn.SlotJob()
-}
-
-func (tl *trialLane) FinishSlot() {
-	if tl.static != nil {
-		tl.static.FinishSlot()
-		return
-	}
-	tl.dyn.FinishSlot()
-}
-
-func (tl *trialLane) TakeDecodeCost() bp.DecodeCost {
-	if tl.static != nil {
-		return tl.static.TakeDecodeCost()
-	}
-	return tl.dyn.TakeDecodeCost()
-}
-
-func (tl *trialLane) Close() {
-	if tl.static != nil {
-		tl.static.Close()
-		return
-	}
-	tl.dyn.Close()
 }
 
 // scenarioRow is one trial's per-scheme raw numbers.
@@ -296,22 +185,16 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 
 	costs := make([]bp.DecodeCost, spec.Trials)
 
-	// openTrial runs a trial's setup — message/channel/seed draws, the
-	// ratedapt config, and the transfer lane open — and returns the
-	// in-flight trial. The setup-stream draw order is identical on the
-	// scalar and lockstep paths (all draws happen here; the baseline
-	// forks in finishTrial are index-derived), so both produce the same
-	// bytes.
-	openTrial := func(trial int, setup *prng.Source, res trialResources) (*trialLane, error) {
+	err = forEachTrial(spec.Trials, spec.Seed, func(trial int, setup *prng.Source, res trialResources) error {
 		var msgs []bits.Vector
 		if cfg.messages != nil {
 			msgs = cfg.messages(trial)
 			if len(msgs) != kTot {
-				return nil, fmt.Errorf("sim: options supplied %d messages for %d roster tags", len(msgs), kTot)
+				return fmt.Errorf("sim: options supplied %d messages for %d roster tags", len(msgs), kTot)
 			}
 			for i, m := range msgs {
 				if len(m) != spec.Workload.MessageBits {
-					return nil, fmt.Errorf("sim: options message %d has %d bits, spec says %d", i, len(m), spec.Workload.MessageBits)
+					return fmt.Errorf("sim: options message %d has %d bits, spec says %d", i, len(m), spec.Workload.MessageBits)
 				}
 			}
 		} else {
@@ -346,110 +229,61 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 		case scenario.WindowPerTag:
 			rcfg.Window = ratedapt.PerTagWindow(spec.Decode.WindowSoft)
 		}
-		tl := &trialLane{setup: setup, msgs: msgs, ch: ch}
-		if !dynamic {
-			rcfg.Seeds = seeds
-			ln, err := ratedapt.OpenTransfer(rcfg, msgs, ch, ch, setup.Fork(1), setup.Fork(2))
-			if err != nil {
-				return nil, err
-			}
-			tl.static = ln
-		} else {
-			procSeed := setup.Uint64()
-			proc := spec.NewProcessRoster(ch, procSeed, rost.Rho)
-			roster := make([]ratedapt.RosterTag, kTot)
-			for i := range roster {
-				roster[i] = ratedapt.RosterTag{
-					Seed:       seeds[i],
-					Message:    msgs[i],
-					ArriveSlot: windows[i].ArriveSlot,
-					DepartSlot: windows[i].DepartSlot,
-				}
-			}
-			tl.identErr = new(error)
-			if a := spec.Workload.Arrivals; a != nil && a.Reident == scenario.ReidentAnalytic {
-				rcfg.OnArrival = analyticReidentifier(windows)
-			} else {
-				rcfg.OnArrival = reidentifier(roster, proc, salt, res.Scratch, tl.identErr)
-			}
-			ln, err := ratedapt.OpenTransferDynamic(rcfg, roster, proc, proc, setup.Fork(1), setup.Fork(2))
-			if err != nil {
-				return nil, err
-			}
-			tl.dyn = ln
+		// A static spec is the degenerate stream — a frozen channel and
+		// an event-free roster — and reproduces the classic experiments
+		// byte for byte; only dynamic specs draw a process seed.
+		var proc channel.Process = channel.NewStatic(ch)
+		if dynamic {
+			proc = spec.NewProcessRoster(ch, setup.Uint64(), rost.Rho)
 		}
-		return tl, nil
-	}
+		roster := make([]ratedapt.RosterTag, kTot)
+		for i := range roster {
+			roster[i] = ratedapt.RosterTag{
+				Seed:       seeds[i],
+				Message:    msgs[i],
+				ArriveSlot: windows[i].ArriveSlot,
+				DepartSlot: windows[i].DepartSlot,
+			}
+		}
+		var identErr error
+		if a := spec.Workload.Arrivals; a != nil && a.Reident == scenario.ReidentAnalytic {
+			rcfg.OnArrival = analyticReidentifier(windows)
+		} else {
+			rcfg.OnArrival = reidentifier(roster, proc, salt, res.Scratch, &identErr)
+		}
+		rb, err := ratedapt.TransferDynamic(rcfg, roster, proc, proc, setup.Fork(1), setup.Fork(2))
+		if err != nil {
+			return err
+		}
+		if identErr != nil {
+			return identErr
+		}
+		costs[trial] = res.Session.TakeDecodeCost()
 
-	// finishTrial scores a completed trial: the Buzz result, the decode
-	// cost drain, and the baseline schemes (whose forks are index-derived
-	// from the setup stream, so running them after a batched decode
-	// changes nothing).
-	finishTrial := func(trial int, tl *trialLane) error {
-		setup, msgs, ch := tl.setup, tl.msgs, tl.ch
+		transferMilli := frameMillis(rb.SlotsUsed*frameLen) + epc.UplinkMicros(float64(rb.ReidentBitSlots))/1000
 		row := &rows[trial]
-		var (
-			verified       []bool
-			frames         []bits.Vector
-			decodedAt      []int
-			slotsUsed      int
-			lost           int
-			rate           float64
-			reidentSlots   int
-			transferMilli  float64
-			windowSlots    int
-			rowsRetired    int
-			rowsRetiredTag []int
-		)
-		// Roster-length even for static specs, where nothing can retire —
-		// BuzzTrial promises index-aligned per-tag slices.
-		retired := make([]bool, kTot)
-		costs[trial] = tl.TakeDecodeCost()
-		if tl.static != nil {
-			rb := tl.static.Result()
-			verified, frames = rb.Verified, rb.Frames
-			decodedAt = rb.DecodedAtSlot
-			slotsUsed, lost, rate = rb.SlotsUsed, rb.Lost(), rb.BitsPerSymbol
-			windowSlots, rowsRetired = rb.WindowSlots, rb.RowsRetired
-			transferMilli = frameMillis(rb.SlotsUsed * frameLen)
-		} else {
-			rb, err := tl.dyn.Result()
-			if err != nil {
-				return err
-			}
-			if *tl.identErr != nil {
-				return *tl.identErr
-			}
-			verified, frames, retired = rb.Verified, rb.Frames, rb.Retired
-			decodedAt = rb.DecodedAtSlot
-			slotsUsed, lost, rate = rb.SlotsUsed, rb.Lost(), rb.BitsPerSymbol
-			windowSlots, rowsRetired = rb.WindowSlots, rb.RowsRetired
-			rowsRetiredTag = rb.RowsRetiredTag
-			reidentSlots = rb.ReidentBitSlots
-			transferMilli = frameMillis(rb.SlotsUsed*frameLen) + epc.UplinkMicros(float64(reidentSlots))/1000
-		}
 		buzz := &row[0]
 		buzz.ms = transferMilli
-		buzz.lost = float64(lost)
-		buzz.rate = rate
+		buzz.lost = float64(rb.Lost())
+		buzz.rate = rb.BitsPerSymbol
 		var payloads []bits.Vector
 		if cfg.keepTrials {
 			payloads = make([]bits.Vector, kTot)
 		}
-		scoreFrames(buzz, verified, frames, msgs, crc, payloads)
-		lat[trial] = latencySamples(verified, decodedAt, windows)
+		scoreFrames(buzz, rb.Verified, rb.Frames, msgs, crc, payloads)
+		lat[trial] = latencySamples(rb.Verified, rb.DecodedAtSlot, windows)
 		if cfg.keepTrials {
 			trials[trial] = BuzzTrial{
-				Verified:          append([]bool(nil), verified...),
+				Verified:          append([]bool(nil), rb.Verified...),
 				Payloads:          payloads,
-				Retired:           append([]bool(nil), retired...),
-				SlotsUsed:         slotsUsed,
+				Retired:           append([]bool(nil), rb.Retired...),
+				SlotsUsed:         rb.SlotsUsed,
 				Millis:            transferMilli,
-				BitsPerSymbol:     rate,
-				ReidentBitSlots:   reidentSlots,
-				WindowSlots:       windowSlots,
-				RowsRetired:       rowsRetired,
-				RowsRetiredPerTag: append([]int(nil), rowsRetiredTag...),
+				BitsPerSymbol:     rb.BitsPerSymbol,
+				ReidentBitSlots:   rb.ReidentBitSlots,
+				WindowSlots:       rb.WindowSlots,
+				RowsRetired:       rb.RowsRetired,
+				RowsRetiredPerTag: append([]int(nil), rb.RowsRetiredTag...),
 			}
 		}
 
@@ -476,57 +310,7 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 			scoreFrames(r, rc.Verified, rc.Frames, msgs, crc, nil)
 		}
 		return nil
-	}
-
-	batch := cfg.batch
-	if batch == 0 {
-		batch = envBatchSize()
-	}
-	if batch <= 1 {
-		err = forEachTrial(spec.Trials, spec.Seed, func(trial int, setup *prng.Source, res trialResources) error {
-			tl, err := openTrial(trial, setup, res)
-			if err != nil {
-				return err
-			}
-			defer tl.Close()
-			for tl.BeginSlot() {
-				j := tl.SlotJob()
-				j.S.DecodeSlot(j.Slot, j.Locked, j.Base, j.MinMargin, j.Ambiguous)
-				tl.FinishSlot()
-			}
-			return finishTrial(trial, tl)
-		})
-	} else {
-		// Lockstep: each worker advances up to `batch` trials through
-		// the decode together on slab-carved sessions. One spec's trials
-		// all share a session shape by construction (same roster, same
-		// arrival schedule), which is exactly the grouping RunLockstep
-		// requires. The slot budget mirrors ratedapt's own default so
-		// the carve is sized right.
-		maxSlots := spec.Decode.MaxSlots
-		if maxSlots <= 0 {
-			maxSlots = 40 * kTot
-		}
-		shape := bp.Shape{K: kTot, FrameLen: frameLen, MaxSlots: maxSlots, Restarts: spec.Decode.Restarts}
-		err = batchEngine.RunLockstep(spec.Trials, batch, shape,
-			func(trial int, res *engine.Resources) (engine.Lane, error) {
-				setup := prng.NewSource(prng.Mix2(spec.Seed, uint64(trial)))
-				tl, err := openTrial(trial, setup, trialResources{
-					Scratch:     res.Scratch,
-					Session:     res.Session,
-					Parallelism: res.Parallelism,
-				})
-				if err != nil {
-					return nil, err
-				}
-				return tl, nil
-			},
-			func(trial int, ln engine.Lane) error {
-				tl := ln.(*trialLane)
-				defer tl.Close()
-				return finishTrial(trial, tl)
-			})
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -632,7 +416,7 @@ func scoreFrames(r *scenarioRow, verified []bool, frames []bits.Vector, msgs []b
 // at warehouse rosters). Presence is tracked with two cursors over the
 // FIFO windows, so a whole round's charges cost O(N) total. The hook
 // is a pure function of the slot sequence: deterministic at any
-// parallelism or batch width.
+// parallelism.
 func analyticReidentifier(windows []scenario.Window) func(slot int, arriving []int) int {
 	arrived, departed := 0, 0
 	return func(slot int, arriving []int) int {

@@ -26,7 +26,7 @@ func TestScenarioStaticMatchesDataPhaseGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunScenario(spec)
+	out, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,14 +15,9 @@
 # paths (hard retire and soft down-weight), the warehouse sweep-probe
 # path (BenchmarkWarehouseSweepProbe: streaming arrivals + finite
 # dwell + analytic re-identification; its allocs/op and live-heap
-# metrics back the PR-10 memory model in PERFORMANCE.md), and the
-# lockstep batch sweep (BenchmarkBatchLockstep, batch 1/4/16) — the last run twice,
-# at GOMAXPROCS 1 and 4, with a procs=N segment spliced into the
-# recorded names (benchjson strips go test's own -N suffix, so the
-# splice is what keeps the two series distinct) so the JSON carries
-# the core-scaling curve. CI reruns the same set and gates it — tight
-# on the classic paths, looser on the scenario and lockstep paths
-# (see scripts/benchguard's -bench/-override flags and
+# metrics back the PR-10 memory model in PERFORMANCE.md). CI reruns the
+# same set and gates it — tight on the classic paths, looser on the
+# scenario paths (see scripts/benchguard's -bench/-override flags and
 # .github/workflows/ci.yml).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,13 +26,6 @@ STAGE="${1:-after}"
 COUNT="${2:-5}"
 OUT="BENCH_PR10.json"
 BENCHES='BenchmarkHeadline_Overall$|BenchmarkFig10_TransferTime_K16$|BenchmarkFig10_TransferTime_K8$|BenchmarkScenario_BlockFading_K8$|BenchmarkScenario_GaussMarkov_K8$|BenchmarkScenario_FastMobility_K8$|BenchmarkScenario_MixedMobility_K8$|BenchmarkScenario_MixedMobilitySoft_K8$|BenchmarkScenario_PopulationChurn$|BenchmarkWarehouseSweepProbe$'
-LOCKSTEP='BenchmarkBatchLockstep/'
 
 go test -run '^$' -bench "$BENCHES" -benchmem -count="$COUNT" -timeout 60m . |
     go run ./scripts/benchjson -out "$OUT" -stage "$STAGE"
-
-for procs in 1 4; do
-    GOMAXPROCS="$procs" go test -run '^$' -bench "$LOCKSTEP" -benchmem -count="$COUNT" -timeout 60m . |
-        sed "s#^BenchmarkBatchLockstep/#BenchmarkBatchLockstep/procs=$procs/#" |
-        go run ./scripts/benchjson -out "$OUT" -stage "$STAGE"
-done
