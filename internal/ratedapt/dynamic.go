@@ -256,8 +256,8 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 		DecodeSrc:       decodeSrc,
 		Scratch:         sc,
 		Session:         cfg.Session,
-		SilenceDecoded:  cfg.SilenceDecoded,
-		RefineChannel:   cfg.RefineChannel,
+		silenceDecoded:  cfg.SilenceDecoded,
+		refineChannel:   cfg.RefineChannel,
 	})
 	if err != nil {
 		return nil, err

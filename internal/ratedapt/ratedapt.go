@@ -198,9 +198,10 @@ type pendingFrame struct {
 	slot   int
 }
 
-// gateState is the per-tag acceptance bookkeeping of a Stream. All slices have one entry per decodable
-// tag; estimates/locked/candidates persist across slots, the CRC
-// memoization trio avoids re-checking unchanged frames.
+// gateState is the per-tag acceptance bookkeeping of a Stream. All
+// slices have one entry per decodable tag; estimates/locked/candidates
+// persist across slots, the CRC memoization trio avoids re-checking
+// unchanged frames.
 type gateState struct {
 	estimates    []bits.Vector
 	locked       []bool
@@ -599,7 +600,8 @@ func staticRoster(seeds []uint64, messages []bits.Vector) ([]RosterTag, error) {
 // SynthAir is sparseAir for external drivers: the engine package's wire
 // replay client plays the tag/air side of a streaming session (the
 // daemon only ever sees observations, like a real reader) and must
-// synthesize collision slots byte-identically to the in-process air. Same contract as sparseAir below.
+// synthesize collision slots byte-identically to the in-process air.
+// Same contract as sparseAir below.
 func SynthAir(m *channel.Model, frames []bits.Vector, active []bool, obs []complex128,
 	activeIdx, bitIdx []int, tagPow []float64, noise *prng.Source) {
 	sparseAir(m, frames, active, obs, activeIdx, bitIdx, tagPow, noise)
@@ -615,10 +617,9 @@ func ParticipationDensity(explicit float64, n int) float64 {
 // sparseAir synthesizes one collision slot of received symbols:
 // obs[p] = the superposition of the taps of this slot's transmitting
 // tags whose frame bit p is 1, plus one AWGN sample — the index-staged
-// symbol-level air (processAir). The
-// active set is staged as an index list once per slot, so each
-// position's superposition walks only the few colliders instead of all
-// K tags. activeIdx and bitIdx are caller-owned staging of at least
+// symbol-level air (processAir). The active set is staged as an index
+// list once per slot, so each position's superposition walks only the
+// few colliders instead of all K tags. activeIdx and bitIdx are caller-owned staging of at least
 // len(active) entries; tagPow[i] must hold |m.Taps[i]|² for every tag
 // that can be active.
 func sparseAir(m *channel.Model, frames []bits.Vector, active []bool, obs []complex128,

@@ -73,7 +73,7 @@ type Stream struct {
 	tapStage []complex128
 	accepted []int
 
-	// Decision-directed channel refinement (StreamConfig.RefineChannel):
+	// Decision-directed channel refinement (Config.RefineChannel):
 	// d materializes the participation matrix for the least-squares fit
 	// and taps holds the decoder's current estimates; d is nil when off.
 	d    *bits.Matrix
@@ -208,14 +208,15 @@ type StreamConfig struct {
 	Scratch *scratch.Scratch
 	Session *bp.Session
 
-	// SilenceDecoded and RefineChannel switch on the Config features of
-	// the same name. Silencing drops verified tags from every later
+	// silenceDecoded and refineChannel carry the Config features of the
+	// same name from the in-process transfers (runRound); wire sessions
+	// never set them. Silencing drops verified tags from every later
 	// participation row without re-tuning the density. Refinement re-fits
 	// the taps after each slot's append and before its decode; it needs a
 	// fixed population on a frozen channel, so Advance rejects arrivals
 	// and retaps while it is on.
-	SilenceDecoded bool
-	RefineChannel  bool
+	silenceDecoded bool
+	refineChannel  bool
 }
 
 // OpenStream begins a streaming decode session: Begin on the session,
@@ -253,7 +254,7 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 			MarginThreshold: cfg.MarginThreshold,
 			Parallelism:     cfg.Parallelism,
 			Window:          WindowPolicy{SoftWeight: cfg.WindowSoft},
-			SilenceDecoded:  cfg.SilenceDecoded,
+			SilenceDecoded:  cfg.silenceDecoded,
 		},
 		sc:       cfg.Scratch,
 		frameLen: cfg.MessageBits + cfg.CRC.Width(),
@@ -292,8 +293,8 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 	st.sess.Begin(k0, st.frameLen, st.maxSlots, st.cfg.parallelism(), cfg.Restarts, cfg.Taps)
 	// Windows arrive resolved; only the budget clamp is re-applied here
 	// (a window the round can never outgrow is no window — see
-	// WindowPolicy.EffectiveSlots), so a mis-sized wire value degrades identically on both
-	// sides instead of desynchronizing the gates.
+	// WindowPolicy.EffectiveSlots), so a mis-sized wire value degrades
+	// identically on both sides instead of desynchronizing the gates.
 	st.win = cfg.WindowSlots
 	if st.win >= st.maxSlots {
 		st.win = 0
@@ -319,7 +320,7 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 	}
 	st.sess.InitPositions(st.estimates[:k0])
 	st.decodeBase = cfg.DecodeSrc.Uint64()
-	if cfg.RefineChannel {
+	if cfg.refineChannel {
 		st.d = bits.NewMatrixBacked(k0, st.sc.Bool(st.maxSlots*k0))
 		st.taps = append([]complex128(nil), cfg.Taps...)
 	}
@@ -565,9 +566,7 @@ func (st *Stream) Close() {
 	if st.closed {
 		return
 	}
-	if st.inSlot {
-		st.inSlot = false
-	}
+	st.inSlot = false
 	st.staged = false
 	st.stageMargin, st.stageAmb = nil, nil
 	st.sc.Release(st.openMark)

@@ -2,8 +2,9 @@
 // declarative scenario.Spec into channels, rosters and trials. The
 // classic experiment functions (CompareDataPhase, RunChallenging) are
 // thin wrappers over Run with static specs — the goldens pin that the
-// wrapping is byte-exact — while time-varying channels and dynamic
-// populations route through ratedapt.TransferDynamic with mid-round
+// wrapping is byte-exact. Every spec runs through
+// ratedapt.TransferDynamic: a static spec as a frozen channel with an
+// event-free roster, dynamic ones with drift, churn and mid-round
 // re-identification charged via the identify package. Arrival-process
 // workloads resolve their roster through scenario.ResolveRoster's
 // streaming iterator before the first trial — one O(N) pass shared
@@ -140,12 +141,11 @@ type trialLatency struct {
 
 // Run executes a declarative scenario spec: Trials independent draws of
 // messages, channels and (for dynamic specs) tap processes and
-// population churn, streamed across the trial worker pool. Static
-// population-free specs take exactly the code path of the classic
-// experiments — a static Spec reproduces CompareDataPhase bit for bit —
-// while dynamic specs run the TransferDynamic engine. Arrival-process
-// workloads stream their roster once, up front. Results are
-// deterministic in (Spec, options) at any parallelism.
+// population churn, streamed across the trial worker pool. Every trial
+// runs ratedapt.TransferDynamic, and a static Spec reproduces
+// CompareDataPhase bit for bit. Arrival-process workloads stream their
+// roster once, up front. Results are deterministic in (Spec, options)
+// at any parallelism.
 func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 	var cfg runConfig
 	for _, o := range options {
