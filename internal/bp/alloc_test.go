@@ -134,3 +134,74 @@ func TestDecodeScratchMatchesHeapDecode(t *testing.T) {
 	}
 	sc.Release(mark)
 }
+
+// TestSessionLockGrowSteadyStateAllocationFree pins the active-set
+// bookkeeping to the zero-allocation warm path: on a session Reserved
+// for its roster cap, a slot cycle that also CRC-locks a tag (the
+// graph's active list shrinks) or Grows the roster within the cap (it
+// extends) touches the heap no more than a plain slot does. Every tap
+// drifts each slot, so each decode runs the full rebuild.
+func TestSessionLockGrowSteadyStateAllocationFree(t *testing.T) {
+	const (
+		k0       = 8
+		kCap     = 24
+		frameLen = 8
+		maxSlots = 256
+		restarts = 2
+		base     = 0x10C6
+	)
+	src := prng.NewSource(0x6A0)
+	taps := randomTaps(kCap, src)
+	est := randomEstimates(kCap, frameLen, src)
+	rows, obss := scriptSlots(kCap, frameLen, 64, 0x6A1)
+
+	s := NewSession()
+	defer s.Close()
+	s.Reserve(kCap, frameLen, maxSlots, restarts)
+	locked := make([]bool, kCap)
+	minMargin := make([]float64, kCap)
+	ambiguous := make([]bool, kCap)
+	cur := make([]complex128, kCap)
+	slot, k := 1, k0
+	cycle := func() {
+		for i := range cur[:k] {
+			cur[i] *= complex(0.9999, 0.001)
+		}
+		s.RetapAll(cur[:k])
+		i := (slot - 1) % len(rows)
+		s.AppendSlot(rows[i][:k], obss[i])
+		s.DecodeSlot(slot, locked[:k], base, minMargin[:k], ambiguous[:k])
+		switch {
+		case slot%5 == 0 && k < kCap:
+			s.Grow(cur[k:k+1], est[k:k+1])
+			k++
+		case slot%3 == 0:
+			locked[(slot/3)%k] = true
+		}
+		slot++
+	}
+	begin := func() {
+		k = k0
+		s.Begin(k, frameLen, maxSlots, 1, restarts, taps[:k])
+		s.InitPositions(est[:k])
+		copy(cur, taps)
+		clear(locked)
+		slot = 1
+	}
+	// First transfer: grow every backing the steady state will touch.
+	begin()
+	for slot <= 120 {
+		cycle()
+	}
+	// Warm transfer of the same shape: the measured regime.
+	begin()
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(60, cycle); allocs != 0 {
+		t.Fatalf("warm slot cycle with locks and grows allocates %v times, want 0", allocs)
+	}
+	if k == k0 || len(s.g.activeTags) == k {
+		t.Fatalf("measured cycles neither grew nor locked: K %d, %d active", k, len(s.g.activeTags))
+	}
+}

@@ -45,6 +45,7 @@ package bp
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bits"
 	"repro/internal/dsp"
@@ -74,6 +75,11 @@ type Graph struct {
 	// are verified) touch only the remaining stragglers.
 	rowActive   [][]int
 	deactivated []bool
+	// activeTags lists (ascending) the tags not deactivated — the
+	// unlocked set every per-pass kernel walks instead of all K, since a
+	// locked tag's bits, sums and gain never change again. DeactivateTag
+	// removes, AddTag appends (a new tag has the largest index).
+	activeTags []int
 	// activeRows lists (ascending) the rows whose rowActive is still
 	// non-empty — the only rows a restart build or re-descent can ever
 	// touch. Rows whose every collider has locked drop out; their
@@ -177,6 +183,10 @@ func (g *Graph) Reset(k int, taps []complex128) {
 	}
 	g.deactivated = g.deactivated[:k]
 	clear(g.deactivated)
+	g.activeTags = reserveCap(g.activeTags[:0], k)
+	for i := 0; i < k; i++ {
+		g.activeTags = append(g.activeTags, i)
+	}
 	if cap(g.staleCut) < k {
 		g.staleCut = make([]int, k, scratch.CeilPow2(k))
 		g.softAlpha = make([]float64, k, scratch.CeilPow2(k))
@@ -266,11 +276,12 @@ func (g *Graph) RetapTag(i int, h complex128) {
 func (g *Graph) ReserveTags(kCap int) {
 	if kCap <= cap(g.colRows) &&
 		kCap <= cap(g.deactivated) && kCap <= cap(g.staleCut) &&
-		kCap <= cap(g.taps) {
+		kCap <= cap(g.taps) && kCap <= cap(g.activeTags) {
 		return
 	}
 	g.colRows = reserveCap(g.colRows, kCap)
 	g.deactivated = reserveCap(g.deactivated, kCap)
+	g.activeTags = reserveCap(g.activeTags, kCap)
 	g.staleCut = reserveCap(g.staleCut, kCap)
 	g.softAlpha = reserveCap(g.softAlpha, kCap)
 	g.staleCnt = reserveCap(g.staleCnt, kCap)
@@ -304,6 +315,7 @@ func (g *Graph) AddTag(h complex128) {
 		g.colRows = append(g.colRows, nil)
 	}
 	g.deactivated = append(g.deactivated, false)
+	g.activeTags = append(g.activeTags, k)
 	g.staleCut = append(g.staleCut, 0)
 	g.softAlpha = append(g.softAlpha, 1)
 	g.staleCnt = append(g.staleCnt, 0)
@@ -633,16 +645,19 @@ func (g *Graph) ReserveAdjacency(kCap, n int) {
 // the window [Retired(), L).
 func (g *Graph) Retired() int { return g.retired }
 
-// DeactivateTag drops tag i from every row's flip fan-out: callers do
-// this when the outer loop CRC-locks the tag, whose sums and gains are
-// dead state from then on. Rows left with no active tags are pruned
-// from activeRows and reported via TakeNewlyInactive.
-// O(w_i · colliders), once per locked tag.
+// DeactivateTag drops tag i from every row's flip fan-out and from the
+// active tag list: callers do this when the outer loop CRC-locks the
+// tag, whose sums and gains are dead state from then on. Rows left with
+// no active tags are pruned from activeRows and reported via
+// TakeNewlyInactive. O(w_i · colliders + active), once per locked tag.
 func (g *Graph) DeactivateTag(i int) {
 	if g.deactivated[i] {
 		return
 	}
 	g.deactivated[i] = true
+	if x, ok := slices.BinarySearch(g.activeTags, i); ok {
+		g.activeTags = slices.Delete(g.activeTags, x, x+1)
+	}
 	emptied := false
 	for _, row := range g.colRows[i] {
 		ra := g.rowActive[row]
@@ -800,7 +815,9 @@ type Result struct {
 // persists one of these per bit position across collision slots; the
 // standalone Decode builds them in scratch per pass.
 type descentState struct {
-	// residual is r = y − D·H·b for the state's current bits.
+	// residual is r = y − D·H·b for the state's current bits. A Session
+	// maintains only the active rows' entries: no reader looks at a row
+	// whose every collider is locked.
 	residual dsp.Vec
 	// sum[i] is S_i = Σ_{rows ∋ i} residual[row].
 	sum []complex128
@@ -825,37 +842,44 @@ type descentState struct {
 	dirty   []int
 	inDirty []bool
 	// useTree selects the argmax structure: the tournament tree pays
-	// off past treeCutoverK tags; below it a contiguous scan of the
-	// gain table beats the tree's pointer-chasing constants. Both
+	// off past treeCutoverK active tags; below it a scan of the active
+	// tags' gains beats the tree's pointer-chasing constants. Both
 	// implement the same (gain desc, index asc) total order, so the
 	// flip sequence is identical either way.
 	useTree bool
 }
 
-// treeCutoverK is the tag count above which descents query the
-// tournament tree instead of scanning the gain table. At the paper's
-// K ≤ 16 the scan is 16 contiguous float compares — cheaper than any
-// tree walk — while the tree keeps per-flip selection O(touched·log K)
-// when a deployment scales K into the hundreds.
-const treeCutoverK = 64
+// treeCutoverK is the active (unlocked) tag count above which descents
+// query the tournament tree instead of scanning the active tags' gains.
+// At the paper's K ≤ 16, or late in a large transfer when only a few
+// tags remain unlocked, the scan is a handful of float compares —
+// cheaper than any tree walk — while the tree keeps per-flip selection
+// O(touched·log K) when hundreds of tags are still being decoded. It
+// is a variable only so tests can pin the scan against the tree.
+var treeCutoverK = 64
 
-// alloc sizes the state's buffers for k tags and l symbols from sc.
-func (st *descentState) alloc(k, l int, sc *scratch.Scratch) {
-	st.residual = dsp.Vec(sc.Complex(l))
+// useTreeFor reports whether descents over nActive unlocked tags query
+// the tournament tree.
+func useTreeFor(nActive int) bool { return nActive > treeCutoverK }
+
+// alloc sizes the state's buffers for g's tags and symbols from sc.
+func (st *descentState) alloc(g *Graph, sc *scratch.Scratch) {
+	k := g.K
+	st.residual = dsp.Vec(sc.Complex(g.L))
 	st.sum = sc.Complex(k)
 	st.gain = sc.Float(k)
 	st.bSign = sc.Float(k)
 	st.maskTap = sc.Complex(k)
-	st.allocTree(k, sc.Int(2*scratch.CeilPow2(max(k, 1))))
+	st.allocTree(sc.Int(2 * scratch.CeilPow2(max(k, 1))))
+	st.useTree = useTreeFor(len(g.activeTags))
 	st.allocDirty(sc.Int(k), sc.Bool(k))
 }
 
 // allocTree installs the tournament-tree backing (length must be
 // 2·CeilPow2(k)) and records the leaf offset.
-func (st *descentState) allocTree(k int, buf []int) {
+func (st *descentState) allocTree(buf []int) {
 	st.tree = buf
 	st.leafBase = len(buf) / 2
-	st.useTree = k > treeCutoverK
 }
 
 // allocDirty installs the dirty-list backing (length k each; inDirty
@@ -910,14 +934,16 @@ func (st *descentState) treeFix(i int) {
 	}
 }
 
-// treeBuild populates the whole tree from the gain table.
-func (st *descentState) treeBuild(k int) {
-	for i := 0; i < st.leafBase; i++ {
-		if i < k {
-			st.tree[st.leafBase+i] = i
-		} else {
-			st.tree[st.leafBase+i] = -1
-		}
+// treeBuild populates the whole tree from the gain table. Only the
+// graph's active tags get a leaf: a deactivated (locked) tag can never
+// win, so its gain is never read.
+func (st *descentState) treeBuild(g *Graph) {
+	leaves := st.tree[st.leafBase:]
+	for x := range leaves {
+		leaves[x] = -1
+	}
+	for _, i := range g.activeTags {
+		leaves[i] = i
 	}
 	for p := st.leafBase - 1; p >= 1; p-- {
 		l, r := st.tree[2*p], st.tree[2*p+1]
@@ -946,12 +972,14 @@ func (st *descentState) build(g *Graph, y dsp.Vec, b bits.Vector, locked []bool)
 // pointer chasing; this costs one.
 //
 // Callers must guarantee that the graph's deactivated set equals the
-// locked set (the Session maintains exactly that invariant).
-// Only the graph's active rows are visited: rows whose every collider
-// is locked keep whatever the residual buffer holds (the caller
-// accounts for their frozen energy separately — see normSqActive).
-func (st *descentState) buildFromBase(g *Graph, base []complex128, b bits.Vector, locked []bool) {
-	for i := 0; i < g.K; i++ {
+// locked set (the Session maintains exactly that invariant). Only the
+// active tags' entries and the active rows are written: a locked tag's
+// sum, sign and gain are never read again, and rows whose every
+// collider is locked keep whatever the residual buffer holds (the
+// caller accounts for their frozen energy separately — see
+// normSqActive). Cost is O(active tags + active nnz), independent of K.
+func (st *descentState) buildFromBase(g *Graph, base []complex128, b bits.Vector) {
+	for _, i := range g.activeTags {
 		if b[i] {
 			st.bSign[i] = -1
 			st.maskTap[i] = g.taps[i]
@@ -959,12 +987,7 @@ func (st *descentState) buildFromBase(g *Graph, base []complex128, b bits.Vector
 			st.bSign[i] = 1
 			st.maskTap[i] = 0
 		}
-		if locked != nil && locked[i] {
-			st.gain[i] = math.Inf(-1)
-			st.maskTap[i] = 0 // locked contributions already live in base
-		} else {
-			st.sum[i] = 0
-		}
+		st.sum[i] = 0
 	}
 	if g.soft {
 		// Weighted form: a stale row sees α_i·h_i of tag i and feeds
@@ -1006,13 +1029,11 @@ func (st *descentState) buildFromBase(g *Graph, base []complex128, b bits.Vector
 			}
 		}
 	}
-	for i := 0; i < g.K; i++ {
-		if locked == nil || !locked[i] {
-			st.gain[i] = st.gainOf(g, i)
-		}
+	for _, i := range g.activeTags {
+		st.gain[i] = st.gainOf(g, i)
 	}
 	if st.useTree {
-		st.treeBuild(g.K)
+		st.treeBuild(g)
 	}
 }
 
@@ -1028,17 +1049,19 @@ func (st *descentState) normSqActive(g *Graph) float64 {
 	return s
 }
 
-// copyActiveFrom copies src's state into st, restricting the residual
-// transfer to the graph's active rows (the only entries src's builder
-// materialized; st's frozen entries stay valid).
+// copyActiveFrom copies src's state into st, restricting the transfer
+// to the graph's active rows and active tags (the only entries src's
+// builder materialized; st's frozen entries stay valid).
 func (st *descentState) copyActiveFrom(g *Graph, src *descentState) {
 	st.residual = st.residual[:len(src.residual)]
 	for _, row := range g.activeRows {
 		st.residual[row] = src.residual[row]
 	}
-	copy(st.sum, src.sum)
-	copy(st.gain, src.gain)
-	copy(st.bSign, src.bSign)
+	for _, i := range g.activeTags {
+		st.sum[i] = src.sum[i]
+		st.gain[i] = src.gain[i]
+		st.bSign[i] = src.bSign[i]
+	}
 	if src.useTree {
 		copy(st.tree, src.tree)
 	}
@@ -1048,9 +1071,12 @@ func (st *descentState) copyActiveFrom(g *Graph, src *descentState) {
 
 // rederive recomputes S-sums, gains and the tree from the state's
 // current residual and the candidate bits — the taps-changed and
-// copied-state entry points.
+// copied-state entry points. It walks the graph's active tags only: a
+// deactivated tag's entries are dead state (the Session pins its gain
+// at −∞ when it locks), and every row an active tag touches is an
+// active row, so the residual is read only where it is maintained.
 func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool) {
-	for i := 0; i < g.K; i++ {
+	for _, i := range g.activeTags {
 		if b[i] {
 			st.bSign[i] = -1
 		} else {
@@ -1081,7 +1107,7 @@ func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool) {
 		st.gain[i] = st.gainOf(g, i)
 	}
 	if st.useTree {
-		st.treeBuild(g.K)
+		st.treeBuild(g)
 	}
 }
 
@@ -1170,7 +1196,7 @@ func (st *descentState) applyFlip(g *Graph, b bits.Vector, locked []bool, i int)
 	// Tree repair: per-leaf paths cost ~log K comparisons each, a full
 	// rebuild K−1 — pick whichever is cheaper for this flip's fan-out.
 	if nd*treeDepth(st.leafBase) >= st.leafBase {
-		st.treeBuild(len(st.gain))
+		st.treeBuild(g)
 	} else {
 		for _, j := range st.dirty[:nd] {
 			st.treeFix(j)
@@ -1188,12 +1214,13 @@ func treeDepth(leaves int) int {
 	return d
 }
 
-// lockTag freezes tag i in the state: its gain drops to −∞ so the
-// descent can never select it. The Session applies this between slots
-// when the outer loop verifies a message.
+// lockTag freezes tag i in the state: its gain drops to −∞ and its
+// tree leaf empties, so the descent can never select it. The Session
+// applies this between slots when the outer loop verifies a message.
 func (st *descentState) lockTag(i int) {
 	st.gain[i] = math.Inf(-1)
 	if st.useTree {
+		st.tree[st.leafBase+i] = -1
 		st.treeFix(i)
 	}
 }
@@ -1216,12 +1243,13 @@ func (st *descentState) descend(g *Graph, b bits.Vector, locked []bool, eps floa
 				break
 			}
 		} else {
-			// Contiguous scan with the same (gain desc, index asc)
-			// order the tree serves — optimal below the cutover.
+			// Scan of the active tags, ascending, with the same (gain
+			// desc, index asc) order the tree serves — optimal below
+			// the cutover. Locked tags (gain −∞) could never win.
 			best = -1
 			bestG := eps
-			for i, gv := range st.gain {
-				if gv > bestG {
+			for _, i := range g.activeTags {
+				if gv := st.gain[i]; gv > bestG {
 					bestG = gv
 					best = i
 				}
@@ -1262,7 +1290,7 @@ func (g *Graph) Decode(y dsp.Vec, opts Options, src *prng.Source) Result {
 	passErr := sc.Float(passes)
 	var st descentState
 	stMark := sc.Mark()
-	st.alloc(g.K, g.L, sc)
+	st.alloc(g, sc)
 	totalFlips := 0
 	bestPass := 0
 	bestErr := math.Inf(1)
@@ -1311,12 +1339,12 @@ func markAmbiguous(g *Graph, allBits []bool, passErr []float64, bestPass int, be
 	g.markAmbiguousPruned(allBits, passErr, bestPass, bestBits, out, g.maxTieThreshold())
 }
 
-// maxTieThreshold returns the largest per-tag tie threshold of the
-// current graph — the prune bound for the ambiguity sweep. The Session
-// hoists it to once per slot.
+// maxTieThreshold returns the largest tie threshold among the active
+// tags — the prune bound for the ambiguity sweep, which never marks a
+// deactivated tag. The Session hoists it to once per slot.
 func (g *Graph) maxTieThreshold() float64 {
 	maxThresh := 0.0
-	for i := 0; i < g.K; i++ {
+	for _, i := range g.activeTags {
 		if t := 0.15 * g.wPow[i]; t > maxThresh {
 			maxThresh = t
 		}
@@ -1328,7 +1356,10 @@ func (g *Graph) maxTieThreshold() float64 {
 // pass whose error gap exceeds every tag's tie threshold cannot mark
 // anything, so its bit sweep is skipped entirely (most restarts end far
 // from the optimum, leaving only the interesting few), as is the best
-// pass itself (its bits are bestBits — nothing can differ).
+// pass itself (its bits are bestBits — nothing can differ). The sweep
+// visits the active tags only: a deactivated tag's bit is the same
+// locked value in every pass, so it can never differ either, and only
+// the active entries of allBits, bestBits and out are read or written.
 func (g *Graph) markAmbiguousPruned(allBits []bool, passErr []float64, bestPass int, bestBits bits.Vector, out []bool, maxThresh float64) {
 	bestErr := passErr[bestPass]
 	for pass := 0; pass < len(passErr); pass++ {
@@ -1340,7 +1371,7 @@ func (g *Graph) markAmbiguousPruned(allBits []bool, passErr []float64, bestPass 
 			continue
 		}
 		alt := allBits[pass*g.K : (pass+1)*g.K]
-		for i := 0; i < g.K; i++ {
+		for _, i := range g.activeTags {
 			if alt[i] != bool(bestBits[i]) && gap < 0.15*g.wPow[i] {
 				out[i] = true
 			}

@@ -76,8 +76,9 @@ type Session struct {
 	// for the outer loop's CRC checks.
 	posBits []bool
 	// ambiguous and errs cache each position's post-decode restart-tie
-	// flags and squared error. (Margins need no cache: the merge reads
-	// them straight off the per-position gain tables.)
+	// flags (active tags' entries only — a locked tag is never marked)
+	// and squared error. (Margins need no cache: the merge reads them
+	// straight off the per-position gain tables.)
 	ambiguous []bool
 	errs      []float64
 	// errInactive[p] is Σ|lockedBase[p][row]|² over rows whose every
@@ -95,7 +96,6 @@ type Session struct {
 	// stateValid reports whether the cached per-position states match
 	// the graph; SetTaps invalidates, the next DecodeSlot rebuilds.
 	stateValid bool
-	prevLocked []bool
 	// retapIdx is RetapAll's changed-tag staging buffer.
 	retapIdx []int
 
@@ -187,6 +187,7 @@ type workerState struct {
 	gainBack []float64
 	signBack []float64
 	maskBack []complex128
+	setTap   []complex128
 	treeBack []int
 	dirtBack []int
 	inDirt   []bool
@@ -200,6 +201,7 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 	w.gainBack = growFloats(w.gainBack, k)
 	w.signBack = growFloats(w.signBack, k)
 	w.maskBack = growComplex(w.maskBack, k)
+	w.setTap = growComplex(w.setTap, k)
 	treeLen := 2 * scratch.CeilPow2(max(k, 1))
 	w.treeBack = growInts(w.treeBack, treeLen)
 	w.dirtBack = growInts(w.dirtBack, k)
@@ -210,7 +212,7 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 	w.rst.gain = w.gainBack
 	w.rst.bSign = w.signBack
 	w.rst.maskTap = w.maskBack
-	w.rst.allocTree(k, w.treeBack)
+	w.rst.allocTree(w.treeBack)
 	w.rst.allocDirty(w.dirtBack, w.inDirt)
 	w.allBits = growBools(w.allBits, passes*k)
 	w.passErr = growFloats(w.passErr, passes)
@@ -270,7 +272,6 @@ func (s *Session) Reset() {
 	s.retireIdx = s.retireIdx[:0]
 	s.stateValid = false
 	s.curLocked = nil
-	s.prevLocked = s.prevLocked[:0]
 	s.costDescent.Store(0)
 	s.costRestarts.Store(0)
 	s.costFlips.Store(0)
@@ -326,7 +327,7 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 		st.sum = s.sumBacking[p*k : (p+1)*k]
 		st.gain = s.gainBacking[p*k : (p+1)*k]
 		st.bSign = s.bSignBacking[p*k : (p+1)*k]
-		st.allocTree(k, s.treeBacking[p*treeLen:(p+1)*treeLen])
+		st.allocTree(s.treeBacking[p*treeLen : (p+1)*treeLen])
 		st.allocDirty(s.dirtyBacking[p*k:(p+1)*k], s.inDirtyBacking[p*k:(p+1)*k])
 	}
 	s.posBits = growBools(s.posBits, frameLen*k)
@@ -334,8 +335,6 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	s.errs = growFloats(s.errs, frameLen)
 	s.errInactive = growFloats(s.errInactive, frameLen)
 	clear(s.errInactive)
-	s.prevLocked = growBools(s.prevLocked, k)
-	clear(s.prevLocked)
 	s.rowPower = growFloats(s.rowPower, maxSlots)[:0]
 	s.driftEnergy = growFloats(s.driftEnergy, maxSlots)[:0]
 	s.driftTotal, s.sigTotal = 0, 0
@@ -372,6 +371,7 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	}
 	s.cond.shape(k, maxSlots, 1)
 	s.stateValid = false
+	s.syncTreeMode()
 	s.costDescent.Store(0)
 	s.costRestarts.Store(0)
 	s.costFlips.Store(0)
@@ -440,7 +440,6 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 	}
 	s.errs = growFloats(s.errs, frameLen)[:0]
 	s.errInactive = growFloats(s.errInactive, frameLen)[:0]
-	s.prevLocked = growBools(s.prevLocked, kCap)[:0]
 	s.retireIdx = growInts(s.retireIdx, kCap)[:0]
 	s.retireTouched = growBools(s.retireTouched, kCap)[:0]
 	s.retireRows = growInts(s.retireRows, maxSlots)[:0]
@@ -499,8 +498,8 @@ func (s *Session) SetTaps(taps []complex128) {
 // state incrementally where that is cheaper than a rebuild. For each
 // changed unlocked tag i the patch is O(frameLen · w_i · colliders):
 // every absorbed residual entry of a row tag i transmits a 1 in moves
-// by h_old − h_new, the touched S-sums move with it, and one O(K) sweep
-// per position re-derives the gains. Two cases fall back to full
+// by h_old − h_new, the touched S-sums move with it, and one sweep over
+// the unlocked tags per position re-derives the gains. Two cases fall back to full
 // invalidation (the next DecodeSlot rebuilds from the observations):
 // a locked tag's tap moved (its contribution lives in the locked-base
 // residuals and the frozen-row error constants), or at least half the
@@ -565,7 +564,7 @@ func (s *Session) RetapAll(taps []complex128) {
 	full := !s.stateValid || 2*len(changed) >= s.k || s.g.anyStale
 	if !full {
 		for _, i := range changed {
-			if s.prevLocked[i] {
+			if s.g.deactivated[i] {
 				full = true
 				break
 			}
@@ -601,13 +600,11 @@ func (s *Session) RetapAll(taps []complex128) {
 	// re-derives every unlocked gain and rebuilds the argmax tree.
 	for p := 0; p < s.frameLen; p++ {
 		st := &s.states[p]
-		for i := 0; i < s.k; i++ {
-			if !s.prevLocked[i] {
-				st.gain[i] = st.gainOf(&s.g, i)
-			}
+		for _, i := range s.g.activeTags {
+			st.gain[i] = st.gainOf(&s.g, i)
 		}
 		if st.useTree {
-			st.treeBuild(s.k)
+			st.treeBuild(&s.g)
 		}
 	}
 }
@@ -672,14 +669,6 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 	s.dirtyBacking = growInts(s.dirtyBacking, s.frameLen*k2)
 	s.inDirtyBacking = growBools(s.inDirtyBacking, s.frameLen*k2)
 	clear(s.inDirtyBacking)
-	if cap(s.prevLocked) < k2 {
-		next := make([]bool, k2, scratch.CeilPow2(k2))
-		copy(next, s.prevLocked)
-		s.prevLocked = next
-	} else {
-		s.prevLocked = s.prevLocked[:k2]
-		clear(s.prevLocked[oldK:])
-	}
 	s.retireIdx = growInts(s.retireIdx, k2)[:0]
 	s.retireTouched = growBools(s.retireTouched, k2)
 	clear(s.retireTouched)
@@ -713,7 +702,7 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 		st.sum = s.sumBacking[p*k2 : (p+1)*k2]
 		st.gain = s.gainBacking[p*k2 : (p+1)*k2]
 		st.bSign = s.bSignBacking[p*k2 : (p+1)*k2]
-		st.allocTree(k2, s.treeBacking[p*treeLen:(p+1)*treeLen])
+		st.allocTree(s.treeBacking[p*treeLen : (p+1)*treeLen])
 		st.allocDirty(s.dirtyBacking[p*k2:(p+1)*k2], s.inDirtyBacking[p*k2:(p+1)*k2])
 		for j := range est {
 			i := oldK + j
@@ -730,13 +719,14 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 			st.gain[i] = st.gainOf(&s.g, i)
 		}
 		if st.useTree {
-			st.treeBuild(k2)
+			st.treeBuild(&s.g)
 		}
 	}
 	for w := range s.wstates {
 		s.wstates[w].shape(k2, s.maxSlots, 1+s.restarts)
 	}
 	s.cond.shape(k2, s.maxSlots, 1)
+	s.syncTreeMode()
 }
 
 // AppendSlot feeds the session one new collision slot: the
@@ -821,22 +811,24 @@ func (s *Session) Retire(throughSlot int) int {
 	touched := s.retireIdx[:0]
 	for r := lo; r < hi; r++ {
 		if patch {
-			inactive := len(g.rowActive[r]) == 0
+			// An active row leaves its unlocked colliders' S-sums; an
+			// inactive row has none, and its residual entry is not
+			// maintained — only its banked locked-base energy goes.
+			active := g.rowActive[r]
 			for p := 0; p < s.frameLen; p++ {
 				st := &s.states[p]
-				res := st.residual[r]
-				for _, i := range g.rowCols[r] {
-					if !s.prevLocked[i] {
-						st.sum[i] -= res
-					}
-				}
-				if inactive {
+				if len(active) == 0 {
 					lb := s.lockedBase[p][r]
 					s.errInactive[p] -= real(lb)*real(lb) + imag(lb)*imag(lb)
+					continue
+				}
+				res := st.residual[r]
+				for _, i := range active {
+					st.sum[i] -= res
 				}
 			}
-			for _, i := range g.rowCols[r] {
-				if !s.retireTouched[i] && !s.prevLocked[i] {
+			for _, i := range active {
+				if !s.retireTouched[i] {
 					s.retireTouched[i] = true
 					touched = append(touched, i)
 				}
@@ -932,7 +924,7 @@ func (s *Session) RetireTag(tag, throughSlot int) int {
 	}
 	rows := append(s.retireRows[:0], cr[:n]...)
 	s.retireRows = rows[:0]
-	patch := s.stateValid && !s.prevLocked[tag] && !g.anyStale
+	patch := s.stateValid && !g.deactivated[tag] && !g.anyStale
 	if patch && s.frameLen > 0 && rows[n-1] >= len(s.states[0].residual) {
 		// Not yet absorbed (RetireTag mid-slot, between AppendSlot and
 		// DecodeSlot): nothing cached references the row — rebuild.
@@ -1244,9 +1236,15 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 	// entries are dead from here on (§6d).
 	if locked != nil {
 		for i, l := range locked {
-			if l && !s.prevLocked[i] {
+			if l && !s.g.deactivated[i] {
 				s.g.DeactivateTag(i)
-				if s.stateValid {
+				if !s.stateValid {
+					// The rebuild re-derives active tags only: pin the
+					// frozen gain here.
+					for p := 0; p < s.frameLen; p++ {
+						s.states[p].gain[i] = math.Inf(-1)
+					}
+				} else {
 					h := s.g.taps[i]
 					for p := 0; p < s.frameLen; p++ {
 						s.states[p].lockTag(i)
@@ -1285,14 +1283,37 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 				s.errInactive[p] = acc
 			}
 		}
-		copy(s.prevLocked, locked)
 	}
+	s.syncTreeMode()
 
 	s.curSlot = slot
 	s.curLocked = locked
 	s.curBase = base
 	s.curThresh = s.g.maxTieThreshold()
 	s.g.SnapshotActive()
+}
+
+// syncTreeMode points every descent state's argmax at the structure the
+// active tag count calls for (useTreeFor): the count falls as tags lock
+// and rises as Grow admits more. A position switching to the tree while
+// its cached state is valid gets the tree built from its gains; an
+// invalid one builds it at its rebuild, and the restart and
+// conditional-margin workspaces build or copy theirs per use.
+func (s *Session) syncTreeMode() {
+	want := useTreeFor(len(s.g.activeTags))
+	for p := range s.states {
+		st := &s.states[p]
+		if st.useTree != want {
+			st.useTree = want
+			if want && s.stateValid {
+				st.treeBuild(&s.g)
+			}
+		}
+	}
+	for w := range s.wstates {
+		s.wstates[w].rst.useTree = want
+	}
+	s.cond.rst.useTree = want
 }
 
 // finishSlot completes DecodeSlot after the position fan-out: it marks
@@ -1307,15 +1328,18 @@ func (s *Session) finishSlot(minMargin []float64, anyAmbiguous []bool) {
 	// The flip margin is m_i(p) = −gain_i(p)/(|h_i|²·w_i) with a
 	// p-independent denominator, so the minimum margin is one division
 	// from the maximum gain — the per-position margin rows of the naive
-	// loop disappear entirely.
+	// loop disappear entirely. Only the active tags are merged: a locked
+	// tag's gain is −∞ at every position and the ambiguity sweep never
+	// marks it, so its staged −∞ and false are already the merge result.
 	for i := 0; i < s.k; i++ {
 		minMargin[i] = math.Inf(-1) // staging: max gain over positions
 		anyAmbiguous[i] = false
 	}
+	active := s.g.activeTags
 	for p := 0; p < s.frameLen; p++ {
 		grow := s.states[p].gain
 		arow := s.ambiguous[p*s.k : (p+1)*s.k]
-		for i := 0; i < s.k; i++ {
+		for _, i := range active {
 			if grow[i] > minMargin[i] {
 				minMargin[i] = grow[i]
 			}
@@ -1347,17 +1371,21 @@ func (s *Session) ensureWorkers() {
 	s.started = true
 }
 
-// randomBitsInto fills b with fair bits for the unlocked tags, packing
-// 64 draws per PRNG word (the restart inits are the decode loop's only
-// bulk randomness; one splitmix step per tag would dominate the fill).
-func randomBitsInto(src *prng.Source, b bits.Vector) {
-	var w uint64
-	for i := range b {
-		if i&63 == 0 {
-			w = src.Uint64()
+// randomBitsInto draws fair bits for a restart init, packing 64 draws
+// per PRNG word (the restart inits are the decode loop's only bulk
+// randomness; one splitmix step per tag would dominate the fill). Tag
+// i's bit is bit i&63 of word i>>6, and all ⌈len(b)/64⌉ words are drawn
+// whatever the active set, so the stream's draw count depends on K
+// alone; only the active (ascending) tags' bits are written — a locked
+// tag's restart bit is its locked value, which no reader takes from b.
+func randomBitsInto(src *prng.Source, b bits.Vector, active []int) {
+	x := 0
+	for base := 0; base < len(b); base += 64 {
+		w := src.Uint64()
+		for ; x < len(active) && active[x] < base+64; x++ {
+			i := active[x]
+			b[i] = w>>uint(i-base)&1 == 1
 		}
-		b[i] = w&1 == 1
-		w >>= 1
 	}
 }
 
@@ -1371,7 +1399,9 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 	myBits := bits.Vector(s.posBits[p*s.k : (p+1)*s.k])
 	locked := s.curLocked
 
-	if s.stateValid {
+	if !s.stateValid {
+		s.rebuildPosition(p, st, ws, myBits, locked)
+	} else {
 		// O(colliders) per pending row: absorb what AppendSlot added
 		// into both the descent state and the locked-base residual. A
 		// row born with every collider already locked is frozen on
@@ -1393,45 +1423,24 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 			}
 			st.appendRow(g, row, obs, myBits, locked)
 		}
-	} else {
-		lbp := s.lockedBase[p][:g.L]
-		copy(lbp, s.ys[p][:g.L])
-		if locked != nil {
-			for i, l := range locked {
-				if l && myBits[i] {
-					h := g.taps[i]
-					for _, row := range g.colRows[i] {
-						if g.soft && row < g.staleCut[i] {
-							lbp[row] -= complex(g.softAlpha[i], 0) * h
-						} else {
-							lbp[row] -= h
-						}
-					}
-				}
-			}
-		}
-		s.lockedBase[p] = lbp
-		acc := 0.0
-		// Retired rows also have an empty rowActive, but they are gone
-		// from the model entirely — only live frozen rows bank energy.
-		for row := g.retired; row < g.L; row++ {
-			if len(g.rowActive[row]) == 0 {
-				x := lbp[row]
-				acc += real(x)*real(x) + imag(x)*imag(x)
-			}
-		}
-		s.errInactive[p] = acc
-		st.residual = st.residual[:g.L]
-		st.build(g, s.ys[p], myBits, locked)
 	}
 	cFlips := uint64(st.descend(g, myBits, locked, s.eps))
 	cRestarts := uint64(0)
 	bestErr := st.normSqActive(g) + s.errInactive[p]
 
+	// Every per-pass step below walks the active tags and rows only. A
+	// pass block's locked entries are never written or read: a locked
+	// tag's restart bit is its locked value by definition, the builder
+	// takes locked contributions from the locked base, the descent and
+	// the ambiguity sweep never touch a locked tag, and adoption copies
+	// back active bits alone.
+	active := g.activeTags
 	passes := 1 + s.restarts
 	allBits := ws.allBits[:passes*s.k]
 	passErr := ws.passErr[:passes]
-	copy(allBits[:s.k], myBits)
+	for _, i := range active {
+		allBits[i] = myBits[i]
+	}
 	passErr[0] = bestErr
 	bestPass := 0
 
@@ -1440,19 +1449,12 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 		rst := &ws.rst
 		for pass := 1; pass < passes; pass++ {
 			bhat := bits.Vector(allBits[pass*s.k : (pass+1)*s.k])
-			randomBitsInto(&ws.src, bhat)
-			if locked != nil {
-				for i, l := range locked {
-					if l {
-						bhat[i] = myBits[i]
-					}
-				}
-			}
+			randomBitsInto(&ws.src, bhat, active)
 			// Build the restart's state from the locked-base residual
 			// in one fused sweep over the active rows only: unlocked
 			// contributions and live rows are all that remain.
 			rst.residual = rst.residual[:g.L]
-			rst.buildFromBase(g, s.lockedBase[p], bhat, locked)
+			rst.buildFromBase(g, s.lockedBase[p], bhat)
 			cFlips += uint64(rst.descend(g, bhat, locked, s.eps))
 			cRestarts++
 			errV := rst.normSqActive(g) + s.errInactive[p]
@@ -1461,7 +1463,9 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 				bestErr = errV
 				bestPass = pass
 				st.copyActiveFrom(g, rst)
-				copy(myBits, bhat)
+				for _, i := range active {
+					myBits[i] = bhat[i]
+				}
 			}
 		}
 	}
@@ -1479,8 +1483,81 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 	// merge reads the gains directly. Locked tags' −∞ gains surface as
 	// +∞ margins; the outer loop never gates on a locked tag's margin.
 	arow := s.ambiguous[p*s.k : (p+1)*s.k]
-	clear(arow)
+	for _, i := range active {
+		arow[i] = false
+	}
 	g.markAmbiguousPruned(allBits, passErr, bestPass, myBits, arow, s.curThresh)
+}
+
+// rebuildPosition re-derives position p's cached state from its
+// observations and current bits when the session state is invalid (a
+// retap of a locked tag, a block fade, a grow, a window shrink): the
+// locked-base residual and the inactive rows' banked energy over the
+// live rows, the residual wherever a reader needs it, then the active
+// tags' S-sums, gains and tree. Both residual builds subtract each
+// row's set-bit colliders in ascending tag order, so the floats do not
+// depend on which one runs. The locked base costs O(live rows + locked
+// nnz), the one part that still scales with everyone who joined; with
+// few active rows the rest is O(active).
+func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bits.Vector, locked []bool) {
+	g := &s.g
+	y := s.ys[p][:g.L]
+	lbp := s.lockedBase[p][:g.L]
+	copy(lbp[g.retired:], y[g.retired:])
+	if locked != nil {
+		for i, l := range locked {
+			if l && b[i] {
+				h := g.taps[i]
+				for _, row := range g.colRows[i] {
+					if g.soft && row < g.staleCut[i] {
+						lbp[row] -= complex(g.softAlpha[i], 0) * h
+					} else {
+						lbp[row] -= h
+					}
+				}
+			}
+		}
+	}
+	s.lockedBase[p] = lbp
+	acc := 0.0
+	// Retired rows also have an empty rowActive, but they are gone from
+	// the model entirely — only live frozen rows bank energy.
+	for row := g.retired; row < g.L; row++ {
+		if len(g.rowActive[row]) == 0 {
+			x := lbp[row]
+			acc += real(x)*real(x) + imag(x)*imag(x)
+		}
+	}
+	s.errInactive[p] = acc
+	st.residual = st.residual[:g.L]
+	if g.soft || 2*len(g.activeRows) > g.L-g.retired {
+		// Most live rows are active (few tags locked): the column-major
+		// build walks only the set-bit columns, about half the entries a
+		// row sweep would. Soft down-weighting (heavy drift, few locks)
+		// keeps this one weighted builder too.
+		g.residualInto(st.residual, y, b)
+	} else {
+		// Few active rows (most tags locked): sweep just those rows.
+		// setTap[i] is tag i's tap where its bit is set and 0 elsewhere —
+		// subtracting a zero is exact, and the row loop carries no
+		// mispredict on the random bits.
+		setTap := ws.setTap[:g.K]
+		for i := range setTap {
+			if b[i] {
+				setTap[i] = g.taps[i]
+			} else {
+				setTap[i] = 0
+			}
+		}
+		for _, row := range g.activeRows {
+			r := y[row]
+			for _, i := range g.rowCols[row] {
+				r -= setTap[i]
+			}
+			st.residual[row] = r
+		}
+	}
+	st.rederive(g, b, locked)
 }
 
 // ConditionalMargin is the session-cached form of

@@ -2,6 +2,7 @@ package bp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/bits"
@@ -95,8 +96,10 @@ func decodeCompare(t *testing.T, a, b *Session, slot int, locked []bool, base ui
 // and gains from the session's observations, current bits and current
 // taps, and fails if the cached state disagrees beyond tol — the
 // white-box contract RetapAll's and Retire's incremental patches must
-// keep. Retired rows are skipped: their cached entries are dead by
-// design. (Exact equality is not required: the patches add deltas onto
+// keep. Retired rows and inactive rows (every collider locked) are
+// skipped: their cached residual entries are dead by design — an
+// inactive row's energy lives in the frozen-row constant, checked
+// below. (Exact equality is not required: the patches add deltas onto
 // cached values, a different float association than the rebuild.)
 func verifyState(t *testing.T, s *Session, locked []bool, tol float64, what string) {
 	t.Helper()
@@ -108,6 +111,9 @@ func verifyState(t *testing.T, s *Session, locked []bool, tol float64, what stri
 		st := &s.states[p]
 		myBits := s.PosBits(p)
 		for row := g.retired; row < g.L; row++ {
+			if len(g.rowActive[row]) == 0 {
+				continue
+			}
 			want := s.ys[p][row]
 			for _, i := range g.rowCols[row] {
 				if myBits[i] {
@@ -240,6 +246,79 @@ func TestSessionRetapAllPatchesState(t *testing.T) {
 	if s.stateValid {
 		t.Fatal("majority retap did not invalidate the cached state")
 	}
+
+	// Three unlocked tags leave most rows active, one leaves most rows
+	// inactive: the rebuild takes its column-major and its row-sweep
+	// residual build respectively. With a single unlocked tag the
+	// restarts would re-derive both of its states from the locked base,
+	// so that case runs without them and keeps pass 0's rebuilt state.
+	t.Run("mostly-locked", func(t *testing.T) { retapAllMostlyLocked(t, 3, 2, false) })
+	t.Run("one-unlocked", func(t *testing.T) { retapAllMostlyLocked(t, 1, 0, true) })
+}
+
+// retapAllMostlyLocked drives the retap patch where the active set is a
+// small strict subset of K: all but `unlocked` of 16 tags lock at slot
+// 3, so the rows they alone collide in go inactive mid-run and later
+// rows are born inactive. Each slot moves one unlocked tap — the
+// incremental patch — while a twin session is forced onto the rebuild;
+// the two must decode alike, and a locked tag's move must land the
+// patched session's rebuild on the recomputed state. sparse asserts
+// that at most half the live rows are active at the rebuild.
+func retapAllMostlyLocked(t *testing.T, unlocked, restarts int, sparse bool) {
+	const (
+		k        = 16
+		frameLen = 7
+		maxSlots = 32
+		base     = 0x10CC
+	)
+	src := prng.NewSource(0x5EA1)
+	taps := randomTaps(k, src)
+	est := randomEstimates(k, frameLen, src)
+	rows, obss := scriptSlots(k, frameLen, maxSlots, 0xAC71)
+	mk := func() *Session {
+		s := NewSession()
+		s.Begin(k, frameLen, maxSlots, 1, restarts, taps)
+		s.InitPositions(est)
+		return s
+	}
+	patch, rebuild := mk(), mk()
+	defer patch.Close()
+	defer rebuild.Close()
+
+	locked := make([]bool, k)
+	cur := append([]complex128(nil), taps...)
+	slot := 1
+	for ; slot <= 20; slot++ {
+		if slot > 6 {
+			cur[slot%unlocked] *= complex(1.01, 0.005)
+			patch.RetapAll(cur)
+			rebuild.RetapAll(cur)
+			verifyState(t, patch, locked, 1e-9, "after an unlocked retap")
+			rebuild.stateValid = false
+		}
+		patch.AppendSlot(rows[slot-1], obss[slot-1])
+		rebuild.AppendSlot(rows[slot-1], obss[slot-1])
+		decodeCompare(t, patch, rebuild, slot, locked, base, k, frameLen, 1e-9)
+		if slot == 3 {
+			for i := unlocked; i < k; i++ {
+				locked[i] = true
+			}
+		}
+	}
+	g := &patch.g
+	live, active := g.L-g.retired, len(g.activeRows)
+	if active == live || 2*active <= live != sparse || len(g.activeTags) != unlocked {
+		t.Fatalf("script left %d of %d live rows active and %d active tags, want %d (sparse %v)", active, live, len(g.activeTags), unlocked, sparse)
+	}
+
+	cur[k-1] *= complex(1.01, 0)
+	patch.RetapAll(cur)
+	if patch.stateValid {
+		t.Fatal("locked-tag retap did not invalidate the cached state")
+	}
+	patch.AppendSlot(rows[slot-1], obss[slot-1])
+	patch.DecodeSlot(slot, locked, base, make([]float64, k), make([]bool, k))
+	verifyState(t, patch, locked, 1e-9, "after a rebuild with most tags locked")
 }
 
 // TestSessionGrowMatchesFresh pins Grow against a from-scratch session:
@@ -247,15 +326,36 @@ func TestSessionRetapAllPatchesState(t *testing.T) {
 // must decode exactly like a session born with k2 tags whose extra
 // columns simply never participated in the early rows. Restarts are 0
 // here so per-position random draws don't depend on K; the restart path
-// under growth is covered end to end by the ratedapt dynamic tests.
+// under growth is covered end to end by the ratedapt dynamic tests. The
+// mostly-locked case grows a session whose active set is one tag: the
+// rows only locked tags collide in go inactive before the growth.
 func TestSessionGrowMatchesFresh(t *testing.T) {
+	cases := []struct {
+		name     string
+		k0, kNew int
+		// lockEarly locks after the second pre-growth slot; the first
+		// latecomer locks after the second post-growth slot.
+		lockEarly []int
+		// wantInactive asserts that some row went inactive before the
+		// growth.
+		wantInactive bool
+	}{
+		{name: "one-lock", k0: 5, kNew: 2, lockEarly: []int{1}},
+		{name: "mostly-locked", k0: 10, kNew: 2, lockEarly: []int{1, 2, 3, 4, 5, 6, 7, 8, 9}, wantInactive: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			growMatchesFresh(t, tc.k0, tc.kNew, tc.lockEarly, tc.wantInactive)
+		})
+	}
+}
+
+func growMatchesFresh(t *testing.T, k0, kNew int, lockEarly []int, wantInactive bool) {
 	const (
-		k0       = 5
-		kNew     = 2
-		k2       = k0 + kNew
 		frameLen = 6
 		maxSlots = 24
 	)
+	k2 := k0 + kNew
 	src := prng.NewSource(0x6120)
 	taps := randomTaps(k2, src)
 	est := randomEstimates(k2, frameLen, src)
@@ -298,8 +398,19 @@ func TestSessionGrowMatchesFresh(t *testing.T) {
 			}
 		}
 		if s == 1 {
-			locked[1] = true
+			for _, i := range lockEarly {
+				locked[i] = true
+			}
 		}
+	}
+	inactive := 0
+	for row := 0; row < grown.g.L; row++ {
+		if len(grown.g.rowActive[row]) == 0 {
+			inactive++
+		}
+	}
+	if wantInactive && inactive == 0 {
+		t.Fatal("no row went inactive before the growth")
 	}
 	grown.Grow(taps[k0:], est[k0:])
 	if grown.Slots() != fresh.Slots() {
@@ -321,6 +432,77 @@ func TestSessionGrowMatchesFresh(t *testing.T) {
 	for p := 0; p < frameLen; p++ {
 		if math.IsNaN(grown.PosError(p)) {
 			t.Fatalf("position %d error is NaN", p)
+		}
+	}
+}
+
+// TestSessionTreeScanCutoverIdentical pins the argmax cutover to the
+// active tag count: a transfer that starts in tree mode (70 unlocked
+// tags), drops to the scan when 50 of them lock, and returns to the
+// tree when Grow admits 50 more must decode exactly — margins,
+// ambiguity flags, bits and errors — as the same transfer scanning
+// throughout. (gain desc, index asc) is a total order, so both
+// structures pick the same flip every time.
+func TestSessionTreeScanCutoverIdentical(t *testing.T) {
+	const (
+		k0       = 70
+		kNew     = 50
+		k2       = k0 + kNew
+		frameLen = 5
+		maxSlots = 12
+		base     = 0x7EE5
+	)
+	src := prng.NewSource(0xC07)
+	taps := randomTaps(k2, src)
+	est := randomEstimates(k2, frameLen, src)
+	rows, obss := scriptSlots(k2, frameLen, maxSlots, 0xC08)
+
+	type record struct {
+		margins []float64
+		amb     []bool
+		bits    []bool
+		errs    []float64
+	}
+	run := func() (out []record, modes []bool) {
+		s := NewSession()
+		defer s.Close()
+		s.Begin(k0, frameLen, maxSlots, 1, 2, taps[:k0])
+		s.InitPositions(est[:k0])
+		locked := make([]bool, k2)
+		for slot := 1; slot <= maxSlots; slot++ {
+			if slot == 7 {
+				s.Grow(taps[k0:], est[k0:])
+			}
+			k := s.k
+			rec := record{margins: make([]float64, k), amb: make([]bool, k)}
+			s.AppendSlot(rows[slot-1][:k], obss[slot-1])
+			s.DecodeSlot(slot, locked[:k], base, rec.margins, rec.amb)
+			modes = append(modes, s.states[0].useTree)
+			for p := 0; p < frameLen; p++ {
+				rec.bits = append(rec.bits, s.PosBits(p)...)
+				rec.errs = append(rec.errs, s.PosError(p))
+			}
+			out = append(out, rec)
+			if slot == 3 {
+				for i := 20; i < k0; i++ {
+					locked[i] = true
+				}
+			}
+		}
+		return out, modes
+	}
+	tree, modes := run()
+	if want := []bool{true, true, true, false, false, false, true}; !reflect.DeepEqual(modes[:len(want)], want) {
+		t.Fatalf("argmax modes per slot %v, want the tree, then the scan, then the tree again (%v…)", modes, want)
+	}
+	defer func(c int) { treeCutoverK = c }(treeCutoverK)
+	treeCutoverK = math.MaxInt
+	scan, _ := run()
+	if !reflect.DeepEqual(tree, scan) {
+		for slot := range tree {
+			if !reflect.DeepEqual(tree[slot], scan[slot]) {
+				t.Fatalf("slot %d: tree-mode decode diverged from the scan:\n tree %+v\n scan %+v", slot+1, tree[slot], scan[slot])
+			}
 		}
 	}
 }

@@ -120,13 +120,34 @@ func TestSessionRetireKeepsStateConsistent(t *testing.T) {
 // identical script; one retires on the incremental patch path, the
 // other is forced onto the rebuild fall-back before every Retire. The
 // two float associations agree to round-off on margins and errors;
-// bits are compared exactly, which holds on this script because no
-// descent decision sits within round-off of a tie (the script seed is
-// chosen for that — a near-tie would make bit equality seed-dependent,
-// as with the RetapAll patch the comment on decodeCompare describes).
+// bits are compared exactly, which holds on these scripts because no
+// descent decision sits within round-off of a tie (the script seeds
+// are chosen for that — a near-tie would make bit equality
+// seed-dependent, as with the RetapAll patch the comment on
+// decodeCompare describes). The mostly-locked case locks all but three
+// of its tags mid-run, so the patch retires inactive rows — rows whose
+// residual entries the session no longer maintains.
 func TestSessionRetirePatchMatchesRebuild(t *testing.T) {
+	cases := []struct {
+		name string
+		k    int
+		// lock is locked after slot 5's decode.
+		lock []int
+		// wantInactive asserts that the patch retired an inactive row.
+		wantInactive bool
+	}{
+		{name: "one-lock", k: 7, lock: []int{1}},
+		{name: "mostly-locked", k: 14, lock: []int{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, wantInactive: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			retirePatchMatchesRebuild(t, tc.k, tc.lock, tc.wantInactive)
+		})
+	}
+}
+
+func retirePatchMatchesRebuild(t *testing.T, k int, lock []int, wantInactive bool) {
 	const (
-		k        = 7
 		frameLen = 6
 		maxSlots = 40
 		window   = 6
@@ -148,14 +169,20 @@ func TestSessionRetirePatchMatchesRebuild(t *testing.T) {
 	defer rebuild.Close()
 
 	locked := make([]bool, k)
+	retiredInactive := 0
 	for slot := 1; slot <= 16; slot++ {
 		patch.AppendSlot(rows[slot-1], obss[slot-1])
 		rebuild.AppendSlot(rows[slot-1], obss[slot-1])
 		decodeCompare(t, patch, rebuild, slot, locked, base, k, frameLen, 1e-9)
 		if slot == 5 {
-			locked[1] = true
+			for _, i := range lock {
+				locked[i] = true
+			}
 		}
 		if slot > window {
+			if g := &patch.g; len(g.rowActive[g.retired]) == 0 {
+				retiredInactive++
+			}
 			rebuild.stateValid = false // force the fall-back
 			np := patch.Retire(slot - window)
 			nr := rebuild.Retire(slot - window)
@@ -166,6 +193,9 @@ func TestSessionRetirePatchMatchesRebuild(t *testing.T) {
 				t.Fatalf("slot %d: patch session fell back to rebuild", slot)
 			}
 		}
+	}
+	if wantInactive && retiredInactive == 0 {
+		t.Fatal("the patch never retired an inactive row")
 	}
 }
 
