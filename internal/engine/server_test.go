@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,24 +69,49 @@ func openSession(t *testing.T, conn net.Conn, seed uint64) (uint64, int) {
 	return opened.SessionID, int(opened.FrameLen)
 }
 
+// acceptGate wraps a listener and closes ready when Serve enters Accept
+// for the n-th time: by then Serve has registered the listener and
+// every connection it accepted before.
+type acceptGate struct {
+	net.Listener
+	n     int32
+	calls atomic.Int32
+	ready chan struct{}
+}
+
+func (l *acceptGate) Accept() (net.Conn, error) {
+	if l.calls.Add(1) == l.n {
+		close(l.ready)
+	}
+	return l.Listener.Accept()
+}
+
 func TestServerShutdownIdempotent(t *testing.T) {
 	leaktest.Check(t)
 	m := engine.New(engine.Config{Workers: 1})
 	defer m.Close()
 	srv := engine.NewServer(m, engine.ServerConfig{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	ln := &acceptGate{Listener: raw, n: 2, ready: make(chan struct{})}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
-	// A connected client must be force-closed by shutdown.
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	// A connected client must be force-closed by shutdown. Shut down
+	// only once Serve is back in Accept after taking the connection, so
+	// the shutdown meets a running server, not one still starting.
+	conn, err := net.Dial("tcp", raw.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	select {
+	case <-ln.ready:
+	case <-time.After(5 * time.Second):
+		t.Fatal("serve never accepted the connection")
+	}
 
 	ctx := context.Background()
 	if err := srv.Shutdown(ctx); err != nil {
