@@ -568,8 +568,8 @@ func BenchmarkAblation_CDMASync(b *testing.B) {
 // (margins + tie detection + confirmation). The bare rule is faster in
 // slots but delivers wrong payloads: a 5-bit CRC false-accepts 1 in 32
 // garbage frames, and near-zero signed subset sums of taps make some
-// wrong frames CRC-consistent (see bp.Result.Ambiguous). The gated rule
-// trades a few slots for zero wrong deliveries.
+// wrong frames CRC-consistent (see bp.Session.DecodeSlot's ambiguity
+// flags). The gated rule trades a few slots for zero wrong deliveries.
 func BenchmarkAblation_CRCFreeze(b *testing.B) {
 	for _, gated := range []bool{true, false} {
 		name := "bare-crc"

@@ -246,12 +246,6 @@ func (m *Matrix) Row(r int) Vector {
 	return out
 }
 
-// RowView returns row r as a view into the matrix's storage — no copy.
-// The caller must not modify it; it is invalidated by AppendRow.
-func (m *Matrix) RowView(r int) Vector {
-	return Vector(m.data[r*m.Cols : (r+1)*m.Cols])
-}
-
 // Col returns a copy of column c.
 func (m *Matrix) Col(c int) Vector {
 	out := make(Vector, m.Rows)

@@ -6,133 +6,97 @@ import (
 	"repro/internal/bits"
 	"repro/internal/dsp"
 	"repro/internal/prng"
-	"repro/internal/scratch"
 )
 
-// TestPerSlotDecodePathAllocationFree pins the tentpole property of the
-// scratch refactor: one steady-state per-slot decode round — graph
-// rebuild, initialized multi-restart decode, margin computation — runs
-// with zero heap allocations once the worker's arena is warm.
-func TestPerSlotDecodePathAllocationFree(t *testing.T) {
-	src := prng.NewSource(7)
-	const k, l = 12, 40
-	d := bits.NewMatrix(0, k)
+// randomProblem draws a dense one-shot problem: every tag in each of l
+// rows with probability 1/2, random taps, and unit-power random
+// observations unrelated to any bit pattern.
+func randomProblem(src *prng.Source, k, l int) problem {
+	pr := problem{taps: make([]complex128, k), y: make(dsp.Vec, l)}
 	for r := 0; r < l; r++ {
 		row := make(bits.Vector, k)
 		for c := range row {
 			row[c] = src.Bool()
 		}
-		d.AppendRow(row)
+		pr.rows = append(pr.rows, row)
 	}
-	taps := make([]complex128, k)
-	for i := range taps {
-		taps[i] = complex(0.5+src.Float64(), src.Float64())
+	for i := range pr.taps {
+		pr.taps[i] = complex(0.5+src.Float64(), src.Float64())
 	}
-	y := make(dsp.Vec, l)
-	for j := range y {
-		y[j] = src.ComplexNorm()
+	for j := range pr.y {
+		pr.y[j] = src.ComplexNorm()
 	}
+	return pr
+}
+
+// TestPerSlotDecodePathAllocationFree pins the warm one-shot decode
+// round — Begin, InitPositions, one AppendSlot per row, an initialized
+// multi-restart DecodeSlot with its margins — to zero heap allocations
+// once the session has seen the shape.
+func TestPerSlotDecodePathAllocationFree(t *testing.T) {
+	src := prng.NewSource(7)
+	const k, l = 12, 40
+	pr := randomProblem(src, k, l)
 	locked := make([]bool, k)
 	init := bits.Random(src, k)
-	margins := make([]float64, k)
 
-	sc := scratch.New()
-	g := &Graph{}
-	cycle := func() {
-		g.Rebuild(d, taps)
-		mark := sc.Mark()
-		out := g.Decode(y, Options{Init: init, Locked: locked, Restarts: 2, Scratch: sc}, src)
-		g.MarginsInto(margins, y, out.Bits, sc)
-		sc.Release(mark)
-	}
-	cycle()    // warm-up: sizes the arena and the graph's adjacency
-	sc.Reset() // grows arena blocks to the observed peak
+	o := newOneShot()
+	cycle := func() { o.decode(pr, init, locked, 2, 7) }
+	cycle() // warm-up: sizes the session's buffers and the graph's adjacency
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-		t.Fatalf("steady-state per-slot decode allocates %v times per round, want 0", allocs)
+		t.Fatalf("steady-state one-shot decode allocates %v times per round, want 0", allocs)
 	}
 }
 
 // TestConditionalMarginScratchAllocationFree covers the acceptance-gate
-// path: the conditional re-decode must also run allocation-free on a
-// warm arena.
+// path: after a warm DecodeSlot, Session.ConditionalMargin's forced
+// flip and re-descent run allocation-free.
 func TestConditionalMarginScratchAllocationFree(t *testing.T) {
 	src := prng.NewSource(11)
 	const k, l = 6, 24
-	d := bits.NewMatrix(0, k)
-	for r := 0; r < l; r++ {
-		row := make(bits.Vector, k)
-		for c := range row {
-			row[c] = src.Bool()
-		}
-		d.AppendRow(row)
-	}
-	taps := make([]complex128, k)
-	for i := range taps {
-		taps[i] = complex(0.5+src.Float64(), src.Float64())
-	}
-	y := make(dsp.Vec, l)
-	for j := range y {
-		y[j] = src.ComplexNorm()
-	}
+	pr := randomProblem(src, k, l)
 	b := bits.Random(src, k)
 
-	sc := scratch.New()
-	g := NewGraph(d, taps)
+	o := newOneShot()
+	o.decode(pr, b, nil, 0, 11)
 	cycle := func() {
-		g.ConditionalMarginScratch(y, b, 2, nil, src, sc)
+		o.s.ConditionalMargin(0, 2, nil)
 	}
 	cycle()
-	sc.Reset()
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-		t.Fatalf("ConditionalMarginScratch allocates %v times per call, want 0", allocs)
+		t.Fatalf("ConditionalMargin allocates %v times per call, want 0", allocs)
 	}
 }
 
-// TestDecodeScratchMatchesHeapDecode pins that a scratch-backed decode
-// is bit-identical to the plain heap decode for the same source stream.
+// TestDecodeScratchMatchesHeapDecode pins that a session whose buffers
+// were dirtied by a differently-shaped decode is bit-identical to a
+// fresh session for the same decode-PRNG root: bits, error, flips,
+// margins and ambiguity flags.
 func TestDecodeScratchMatchesHeapDecode(t *testing.T) {
 	src := prng.NewSource(13)
 	const k, l = 10, 30
-	d := bits.NewMatrix(0, k)
-	for r := 0; r < l; r++ {
-		row := make(bits.Vector, k)
-		for c := range row {
-			row[c] = src.Bool()
-		}
-		d.AppendRow(row)
-	}
-	taps := make([]complex128, k)
-	for i := range taps {
-		taps[i] = complex(0.5+src.Float64(), src.Float64())
-	}
-	y := make(dsp.Vec, l)
-	for j := range y {
-		y[j] = src.ComplexNorm()
-	}
-	g := NewGraph(d, taps)
+	pr := randomProblem(src, k, l)
 
-	sc := scratch.New()
-	// Dirty the arena with a differently-shaped decode first so any
+	warm := newOneShot()
+	// Dirty the session with a differently-shaped decode first so any
 	// stale-buffer reuse bug would surface.
-	g.Decode(y, Options{Restarts: 5, Scratch: sc}, prng.NewSource(999))
-	sc.Reset()
+	warm.decode(randomProblem(src, k+3, l+7), nil, nil, 5, 999)
 
-	plain := g.Decode(y, Options{Restarts: 3}, prng.NewSource(42))
-	mark := sc.Mark()
-	arena := g.Decode(y, Options{Restarts: 3, Scratch: sc}, prng.NewSource(42))
-	if plain.Error != arena.Error || plain.Flips != arena.Flips {
-		t.Fatalf("scratch decode diverged: err %v vs %v, flips %d vs %d",
-			plain.Error, arena.Error, plain.Flips, arena.Flips)
+	fresh := newOneShot()
+	fresh.decode(pr, nil, nil, 3, 42)
+	warm.decode(pr, nil, nil, 3, 42)
+	if fresh.err() != warm.err() || fresh.flips != warm.flips {
+		t.Fatalf("warm decode diverged: err %v vs %v, flips %d vs %d",
+			fresh.err(), warm.err(), fresh.flips, warm.flips)
 	}
-	if !plain.Bits.Equal(arena.Bits) {
-		t.Fatalf("scratch decode bits diverged:\n  plain %v\n  arena %v", plain.Bits, arena.Bits)
+	if !fresh.decoded().Equal(warm.decoded()) {
+		t.Fatalf("warm decode bits diverged:\n  fresh %v\n  warm  %v", fresh.decoded(), warm.decoded())
 	}
-	for i := range plain.Ambiguous {
-		if plain.Ambiguous[i] != arena.Ambiguous[i] {
-			t.Fatalf("ambiguity flags diverged at tag %d", i)
+	for i := range fresh.ambiguous {
+		if fresh.ambiguous[i] != warm.ambiguous[i] || fresh.margins[i] != warm.margins[i] {
+			t.Fatalf("margins or ambiguity flags diverged at tag %d", i)
 		}
 	}
-	sc.Release(mark)
 }
 
 // TestSessionLockGrowSteadyStateAllocationFree pins the active-set

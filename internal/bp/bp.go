@@ -49,7 +49,6 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/dsp"
-	"repro/internal/prng"
 	"repro/internal/scratch"
 )
 
@@ -147,16 +146,6 @@ type Graph struct {
 	wPow []float64
 }
 
-// NewGraph builds the decoding graph from the participation matrix D
-// (rows = slots, cols = tags) and the channel taps. It panics on a
-// tap/column count mismatch: decoding with misaligned channels would
-// produce silent garbage.
-func NewGraph(d *bits.Matrix, taps []complex128) *Graph {
-	g := &Graph{}
-	g.Rebuild(d, taps)
-	return g
-}
-
 // Reset empties the graph to K tags and zero rows, keeping every
 // adjacency list's capacity, and installs the taps. The rateless loop
 // calls it once per transfer on a long-lived Graph and then grows the
@@ -216,11 +205,6 @@ func (g *Graph) alphaAt(r, i int) float64 {
 	}
 	return 1
 }
-
-// AnyStale reports whether any tag currently has soft-down-weighted
-// stale rows; the Session's weight-unaware incremental patches must
-// take their rebuild fall-backs while it holds.
-func (g *Graph) AnyStale() bool { return g.anyStale }
 
 // SetTaps replaces the channel taps without touching the collision
 // structure — the decision-directed channel-refinement path re-taps the
@@ -706,31 +690,12 @@ func (g *Graph) SnapshotActive() {
 	g.flatStart = append(g.flatStart, len(g.flatTags))
 }
 
-// Rebuild re-derives the graph from d and taps in place, reusing the
-// adjacency storage of earlier builds; a steady-state rebuild (same
-// dimensions as a previous one) allocates nothing. Callers that grow D
-// one row per slot should prefer Reset + AppendRow, which skips the
-// full matrix scan.
-func (g *Graph) Rebuild(d *bits.Matrix, taps []complex128) {
-	if d.Cols != len(taps) {
-		panic(fmt.Sprintf("bp: D has %d columns but %d taps supplied", d.Cols, len(taps)))
-	}
-	g.Reset(d.Cols, taps)
-	for r := 0; r < d.Rows; r++ {
-		g.AppendRow(d.RowView(r))
-	}
-}
-
 // Degree returns the participation count of tag i.
 func (g *Graph) Degree(i int) int { return len(g.colRows[i]) }
 
-// RowTags returns the tags participating in collision row r. The slice
-// aliases the graph's storage; callers must not modify it.
-func (g *Graph) RowTags(r int) []int { return g.rowCols[r] }
-
 // residualInto computes r = y − D·H·b into dst (length L) and returns
-// dst — the one definition of the residual model shared by the descent,
-// the margin computation and the error evaluation.
+// dst — the column-major residual build the Session's rebuild uses when
+// most live rows are still active.
 func (g *Graph) residualInto(dst dsp.Vec, y dsp.Vec, b bits.Vector) dsp.Vec {
 	copy(dst, y)
 	if g.soft {
@@ -760,60 +725,11 @@ func (g *Graph) residualInto(dst dsp.Vec, y dsp.Vec, b bits.Vector) dsp.Vec {
 	return dst
 }
 
-// Options tunes a decode.
-type Options struct {
-	// Init seeds the search. Nil means a uniform random start (the
-	// paper's initialization); the outer rateless loop passes the
-	// previous slot-count's estimate so added collisions refine rather
-	// than restart.
-	Init bits.Vector
-	// Locked marks tags whose bit values are frozen (CRC-verified).
-	// Locked tags keep their Init value and are never flipped; Init must
-	// be non-nil wherever Locked is true.
-	Locked []bool
-	// Restarts runs the search from this many additional random
-	// initializations and keeps the lowest-error result. Zero means a
-	// single pass.
-	Restarts int
-	// GainEps is the minimum gain worth flipping for; it guards against
-	// floating-point limit cycles. Default 1e-12.
-	GainEps float64
-	// Scratch, when non-nil, supplies every working buffer of the decode
-	// — candidate vectors, residuals, gains — from a per-worker arena
-	// instead of the heap. The numerics are identical either way. With a
-	// Scratch set, Result.Bits and Result.Ambiguous are arena-backed:
-	// they remain valid only until the caller's next Release or Reset of
-	// the arena, so callers bracket Decode with Mark/Release and copy out
-	// anything they keep.
-	Scratch *scratch.Scratch
-}
-
-// Result reports a decode outcome.
-type Result struct {
-	// Bits is the best b̂ found.
-	Bits bits.Vector
-	// Error is ‖D·H·b̂ − y‖² at Bits.
-	Error float64
-	// Flips counts bit flips performed across all restarts.
-	Flips int
-	// Ambiguous flags tags whose bit differs between the best solution
-	// and another restart's solution of nearly equal error. This is the
-	// decoder's defense against signed near-zero subset sums of taps
-	// (Σ ±h_i ≈ 0): a coordinated multi-bit flip over such a subset is
-	// invisible to the observations, defeats single-flip margins, and
-	// cannot be traversed by greedy conditional re-optimization — but
-	// independent random restarts land in both basins and expose the
-	// tie. "Nearly equal" means the error gap is below half the tag's
-	// own collision energy |h_i|²: the gap an honest single-bit error
-	// would create.
-	Ambiguous []bool
-}
-
 // descentState is the incremental working set of one bit-flipping search:
 // the residual, the per-tag residual row-sums S_i, the gain table derived
 // from them, and the tournament tree that serves argmax queries. Session
-// persists one of these per bit position across collision slots; the
-// standalone Decode builds them in scratch per pass.
+// persists one of these per bit position across collision slots, and
+// each worker keeps one more as its restart workspace.
 type descentState struct {
 	// residual is r = y − D·H·b for the state's current bits. A Session
 	// maintains only the active rows' entries: no reader looks at a row
@@ -861,19 +777,6 @@ var treeCutoverK = 64
 // useTreeFor reports whether descents over nActive unlocked tags query
 // the tournament tree.
 func useTreeFor(nActive int) bool { return nActive > treeCutoverK }
-
-// alloc sizes the state's buffers for g's tags and symbols from sc.
-func (st *descentState) alloc(g *Graph, sc *scratch.Scratch) {
-	k := g.K
-	st.residual = dsp.Vec(sc.Complex(g.L))
-	st.sum = sc.Complex(k)
-	st.gain = sc.Float(k)
-	st.bSign = sc.Float(k)
-	st.maskTap = sc.Complex(k)
-	st.allocTree(sc.Int(2 * scratch.CeilPow2(max(k, 1))))
-	st.useTree = useTreeFor(len(g.activeTags))
-	st.allocDirty(sc.Int(k), sc.Bool(k))
-}
 
 // allocTree installs the tournament-tree backing (length must be
 // 2·CeilPow2(k)) and records the leaf offset.
@@ -953,13 +856,6 @@ func (st *descentState) treeBuild(g *Graph) {
 		}
 		st.tree[p] = win
 	}
-}
-
-// build derives the full state — residual, S-sums, gains, tree — for
-// candidate b against observation y. O(L + nnz + K).
-func (st *descentState) build(g *Graph, y dsp.Vec, b bits.Vector, locked []bool) {
-	g.residualInto(st.residual, y, b)
-	st.rederive(g, b, locked)
 }
 
 // buildFromBase derives residual, S-sums, gains and tree for candidate
@@ -1264,81 +1160,6 @@ func (st *descentState) descend(g *Graph, b bits.Vector, locked []bool, eps floa
 	return flips
 }
 
-// Decode runs the bit-flipping search for one bit position. y must hold
-// exactly L symbols. src drives the random initializations.
-func (g *Graph) Decode(y dsp.Vec, opts Options, src *prng.Source) Result {
-	if len(y) != g.L {
-		panic(fmt.Sprintf("bp: observation length %d != L %d", len(y), g.L))
-	}
-	if opts.Locked != nil && len(opts.Locked) != g.K {
-		panic(fmt.Sprintf("bp: Locked length %d != K %d", len(opts.Locked), g.K))
-	}
-	if opts.Init != nil && len(opts.Init) != g.K {
-		panic(fmt.Sprintf("bp: Init length %d != K %d", len(opts.Init), g.K))
-	}
-	eps := opts.GainEps
-	if eps == 0 {
-		eps = 1e-12
-	}
-	sc := opts.Scratch
-
-	// One contiguous block holds every pass's candidate so the
-	// tie-detection sweep below can revisit all of them without keeping a
-	// slice of Results around.
-	passes := 1 + opts.Restarts
-	allBits := sc.Bool(passes * g.K)
-	passErr := sc.Float(passes)
-	var st descentState
-	stMark := sc.Mark()
-	st.alloc(g, sc)
-	totalFlips := 0
-	bestPass := 0
-	bestErr := math.Inf(1)
-	for pass := 0; pass < passes; pass++ {
-		bhat := bits.Vector(allBits[pass*g.K : (pass+1)*g.K])
-		switch {
-		case pass == 0 && opts.Init != nil:
-			copy(bhat, opts.Init)
-		default:
-			bits.RandomInto(src, bhat)
-			// Random restarts must still respect locks.
-			if opts.Locked != nil && opts.Init != nil {
-				for i, l := range opts.Locked {
-					if l {
-						bhat[i] = opts.Init[i]
-					}
-				}
-			}
-		}
-		st.build(g, y, bhat, opts.Locked)
-		totalFlips += st.descend(g, bhat, opts.Locked, eps)
-		errV := st.residual.NormSq()
-		passErr[pass] = errV
-		if errV < bestErr {
-			bestErr = errV
-			bestPass = pass
-		}
-	}
-	sc.Release(stMark)
-	best := Result{
-		Bits:      bits.Vector(allBits[bestPass*g.K : (bestPass+1)*g.K]),
-		Error:     bestErr,
-		Flips:     totalFlips,
-		Ambiguous: sc.Bool(g.K),
-	}
-	// Tie detection: any alternative local optimum whose error is within
-	// a tag's own collision energy of the best, yet disagrees on that
-	// tag's bit, marks the tag ambiguous.
-	markAmbiguous(g, allBits, passErr, bestPass, best.Bits, best.Ambiguous)
-	return best
-}
-
-// markAmbiguous runs the cross-pass tie sweep of Result.Ambiguous over
-// the contiguous per-pass candidate block.
-func markAmbiguous(g *Graph, allBits []bool, passErr []float64, bestPass int, bestBits bits.Vector, out []bool) {
-	g.markAmbiguousPruned(allBits, passErr, bestPass, bestBits, out, g.maxTieThreshold())
-}
-
 // maxTieThreshold returns the largest tie threshold among the active
 // tags — the prune bound for the ambiguity sweep, which never marks a
 // deactivated tag. The Session hoists it to once per slot.
@@ -1352,11 +1173,14 @@ func (g *Graph) maxTieThreshold() float64 {
 	return maxThresh
 }
 
-// markAmbiguousPruned is markAmbiguous with the prune bound supplied: a
-// pass whose error gap exceeds every tag's tie threshold cannot mark
-// anything, so its bit sweep is skipped entirely (most restarts end far
-// from the optimum, leaving only the interesting few), as is the best
-// pass itself (its bits are bestBits — nothing can differ). The sweep
+// markAmbiguousPruned runs the cross-pass tie sweep behind DecodeSlot's
+// anyAmbiguous: tag i is marked when a pass ending within 0.15·|h_i|²·w_i
+// of the best error disagrees with the best pass on bit i. maxThresh is
+// the prune bound (maxTieThreshold): a pass whose error gap exceeds
+// every tag's tie threshold cannot mark anything, so its bit sweep is
+// skipped entirely (most restarts end far from the optimum, leaving
+// only the interesting few), as is the best pass itself (its bits are
+// bestBits — nothing can differ). The sweep
 // visits the active tags only: a deactivated tag's bit is the same
 // locked value in every pass, so it can never differ either, and only
 // the active entries of allBits, bestBits and out are read or written.
@@ -1379,148 +1203,20 @@ func (g *Graph) markAmbiguousPruned(allBits []bool, passErr []float64, bestPass 
 	}
 }
 
-// Margins returns, for each tag, the normalized flip margin of candidate
-// b against observation y:
+// marginOf converts tag i's flip gain into its normalized flip margin
 //
 //	m_i = −G_i / (|h_i|²·w_i)
 //
-// where G_i is the flip gain (≤ 0 at a local optimum) and w_i tag i's
-// participation count. A confidently decoded bit has m_i ≈ 1 — flipping
-// it would add its full collision energy back as error — while a bit the
-// observations barely constrain has m_i ≈ 0. Tags with w_i = 0 report 0:
-// nothing has been observed about them at all.
-//
-// The rateless outer loop uses these margins as a CRC gate: a 5-bit
-// checksum false-accepts 1 in 32 random frames, so the reader only
-// checks frames whose every bit is strongly pinned (see
+// where w_i is the tag's (effective) participation count. A confidently
+// decoded bit has m_i ≈ 1 — flipping it would add its full collision
+// energy back as error — while a bit the observations barely constrain
+// has m_i ≈ 0. Tags with w_i = 0 report 0: nothing has been observed
+// about them at all. DecodeSlot serves the minimum over positions as its
+// minMargin output, which the rateless outer loop uses as a CRC gate (see
 // ratedapt.Config.MarginThreshold).
-func (g *Graph) Margins(y dsp.Vec, b bits.Vector) []float64 {
-	return g.MarginsInto(make([]float64, g.K), y, b, nil)
-}
-
-// MarginsInto is Margins computed into out (which must have length K),
-// with the residual drawn from sc; the allocation-free form callers on
-// the hot path use. A nil sc falls back to plain allocation.
-func (g *Graph) MarginsInto(out []float64, y dsp.Vec, b bits.Vector, sc *scratch.Scratch) []float64 {
-	if len(b) != g.K || len(y) != g.L {
-		panic("bp: Margins dimension mismatch")
-	}
-	if len(out) != g.K {
-		panic(fmt.Sprintf("bp: MarginsInto out length %d != K %d", len(out), g.K))
-	}
-	mark := sc.Mark()
-	residual := g.residualInto(dsp.Vec(sc.Complex(len(y))), y, b)
-	for i := 0; i < g.K; i++ {
-		out[i] = 0
-		w := len(g.colRows[i])
-		if w == 0 || g.tapPower[i] == 0 {
-			continue
-		}
-		var s complex128
-		den := g.tapPower[i] * float64(w)
-		if g.soft && g.staleCnt[i] > 0 {
-			// Weighted correlation and effective |h|²·w under soft
-			// stale-row down-weighting — the same model the descent ran.
-			cut, a := g.staleCut[i], complex(g.softAlpha[i], 0)
-			for _, row := range g.colRows[i] {
-				if row < cut {
-					s += a * residual[row]
-				} else {
-					s += residual[row]
-				}
-			}
-			den = g.tapPower[i] * g.effWeight(i)
-			if den == 0 {
-				continue
-			}
-		} else {
-			for _, row := range g.colRows[i] {
-				s += residual[row]
-			}
-		}
-		corr := g.tapRe[i]*real(s) + g.tapIm[i]*imag(s)
-		if b[i] {
-			corr = -corr
-		}
-		gain := 2*corr - den
-		out[i] = -gain / den
-	}
-	sc.Release(mark)
-	return out
-}
-
-// marginOf converts a gain into the normalized flip margin; shared by
-// MarginsInto's formula and the Session's cached-gain fast path.
 func (g *Graph) marginOf(i int, gain float64) float64 {
 	if g.wPow[i] == 0 {
 		return 0
 	}
 	return -gain / g.wPow[i]
-}
-
-// ConditionalMargin measures how much worse the observations can be
-// explained with tag i's bit forced to the opposite value: it flips bit
-// i in candidate b, pins it, lets every other unlocked bit re-optimize,
-// and returns
-//
-//	(err(best with bit i flipped) − err(b)) / (|h_i|²·w_i)
-//
-// The plain flip margin (Margins) only scores single-bit flips, so it is
-// blind to constellation near-coincidences in which several tags' bits
-// change together — the dominant false-decode mode when many tags
-// collide in few slots. A conditional margin near zero says the flipped
-// world explains the data almost as well: the bit is ambiguous no matter
-// how confident the single-flip margin looks. Tags with no observations
-// report 0.
-func (g *Graph) ConditionalMargin(y dsp.Vec, b bits.Vector, i int, locked []bool, src *prng.Source) float64 {
-	return g.ConditionalMarginScratch(y, b, i, locked, src, nil)
-}
-
-// ConditionalMarginScratch is ConditionalMargin with the working buffers
-// — the flipped candidate, the pin mask, and the inner re-decode — drawn
-// from sc. Nothing escapes: the arena is released before returning.
-// Callers holding a Session should prefer Session.ConditionalMargin,
-// which reuses the position's cached residual and error instead of
-// rebuilding both.
-func (g *Graph) ConditionalMarginScratch(y dsp.Vec, b bits.Vector, i int, locked []bool, src *prng.Source, sc *scratch.Scratch) float64 {
-	if len(b) != g.K || len(y) != g.L {
-		panic("bp: ConditionalMargin dimension mismatch")
-	}
-	w := len(g.colRows[i])
-	den := g.tapPower[i] * float64(w)
-	if g.soft {
-		den = g.tapPower[i] * g.effWeight(i)
-	}
-	if w == 0 || den == 0 {
-		return 0
-	}
-	mark := sc.Mark()
-	defer sc.Release(mark)
-	base := g.errorOf(y, b, sc)
-	init := bits.Vector(sc.Bool(g.K))
-	copy(init, b)
-	init[i] = !init[i]
-	pin := sc.Bool(g.K)
-	if locked != nil {
-		copy(pin, locked)
-	}
-	pin[i] = true
-	res := g.Decode(y, Options{Init: init, Locked: pin, Scratch: sc}, src)
-	return (res.Error - base) / den
-}
-
-// ErrorOf computes ‖D·H·b − y‖² for an arbitrary candidate without
-// running a decode; tests and diagnostics use it.
-func (g *Graph) ErrorOf(y dsp.Vec, b bits.Vector) float64 {
-	return g.errorOf(y, b, nil)
-}
-
-func (g *Graph) errorOf(y dsp.Vec, b bits.Vector, sc *scratch.Scratch) float64 {
-	if len(b) != g.K || len(y) != g.L {
-		panic("bp: ErrorOf dimension mismatch")
-	}
-	mark := sc.Mark()
-	errV := g.residualInto(dsp.Vec(sc.Complex(len(y))), y, b).NormSq()
-	sc.Release(mark)
-	return errV
 }

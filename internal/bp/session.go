@@ -1202,9 +1202,23 @@ type SlotJob struct {
 // scheduling.
 //
 // minMargin[i] receives the minimum over positions of tag i's flip
-// margin; anyAmbiguous[i] reports whether any position's restarts
-// exposed a near-tie on tag i.
+// margin (see marginOf); anyAmbiguous[i] reports whether any position's
+// restarts exposed a near-tie on tag i. Both must have one entry per
+// tag.
+//
+// The ambiguity flag is the decoder's defense against signed near-zero
+// subset sums of taps (Σ ±h_i ≈ 0): a coordinated multi-bit flip over
+// such a subset is invisible to the observations, defeats single-flip
+// margins, and cannot be traversed by greedy conditional
+// re-optimization — but independent random restarts land in both basins
+// and expose the tie. A position marks tag i when another pass ended
+// with an error less than 0.15·|h_i|²·w_i above the best pass's yet
+// disagrees on bit i — a gap well below the |h_i|²·w_i an honest
+// single-bit error would create (see markAmbiguousPruned).
 func (s *Session) DecodeSlot(slot int, locked []bool, base uint64, minMargin []float64, anyAmbiguous []bool) {
+	if len(minMargin) != s.k || len(anyAmbiguous) != s.k {
+		panic(fmt.Sprintf("bp: DecodeSlot outputs have lengths %d and %d, want K %d", len(minMargin), len(anyAmbiguous), s.k))
+	}
 	s.prepareSlot(slot, locked, base)
 	if s.par > 1 {
 		s.ensureWorkers()
@@ -1560,12 +1574,25 @@ func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bi
 	st.rederive(g, b, locked)
 }
 
-// ConditionalMargin is the session-cached form of
-// Graph.ConditionalMarginScratch: it reuses position p's residual,
-// S-sums, gains and error instead of rebuilding them, so the outer
-// loop's acceptance gate costs one O(w_i) flip plus the re-descent
-// rather than two from-scratch residual builds per (position, tag).
-// It must be called from the session's owning goroutine (it shares one
+// ConditionalMargin measures how much worse position p's observations
+// can be explained with tag i's bit forced to the opposite value: it
+// flips bit i in the position's current decode, pins it, lets every
+// other unlocked bit re-optimize, and returns
+//
+//	(err(best with bit i flipped) − err(current)) / (|h_i|²·w_i)
+//
+// The plain flip margin only scores single-bit flips, so it is blind to
+// constellation near-coincidences in which several tags' bits change
+// together — the dominant false-decode mode when many tags collide in
+// few slots. A conditional margin near zero says the flipped world
+// explains the data almost as well: the bit is ambiguous no matter how
+// confident the single-flip margin looks. Tags with no observations
+// report 0.
+//
+// It reuses position p's cached residual, S-sums, gains and error, so
+// the outer loop's acceptance gate costs one O(w_i) flip plus the
+// re-descent rather than a from-scratch build per (position, tag). It
+// must be called from the session's owning goroutine (it shares one
 // workspace), after a DecodeSlot and before the next state mutation
 // (AppendSlot, RetapAll, Grow) — the cached error it reuses is only
 // valid inside that window.

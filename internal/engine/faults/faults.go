@@ -174,13 +174,6 @@ func (p *Plan) CountsSnapshot() [NumKinds]int64 {
 	return out
 }
 
-// TimeoutFaults counts injected faults that manifest only through a
-// deadline or timeout (no frame error reaches the peer): drops and
-// stalls.
-func (p *Plan) TimeoutFaults() int64 {
-	return p.Counts[Drop].Load() + p.Counts[Stall].Load()
-}
-
 // Conn wraps a net.Conn, injecting the Plan's faults into the frames
 // written through it. Reads pass through. Safe for the usual net.Conn
 // discipline (one writer goroutine, one reader goroutine).

@@ -87,9 +87,6 @@ func NewServer(m *SessionManager, cfg ServerConfig) *Server {
 	}
 }
 
-// Manager returns the server's session manager.
-func (s *Server) Manager() *SessionManager { return s.m }
-
 // Serve accepts connections on ln until Shutdown closes it (returns
 // nil) or the listener fails (returns the error). Callable on several
 // listeners concurrently (e.g. a TCP and a unix socket).

@@ -71,7 +71,8 @@ type Config struct {
 	MinDegreeForCRC int
 	// MarginThreshold gates CRC checks on decoding confidence: a frame
 	// is only checked when every bit position's normalized flip margin
-	// (bp.Graph.Margins) is at least this value. A short CRC alone is
+	// (the minMargin output of bp.Session.DecodeSlot) is at least this
+	// value. A short CRC alone is
 	// too weak against the many garbage frames the reader sees before
 	// convergence — 1 in 32 of them would false-accept — while a frame
 	// whose every bit is strongly pinned is almost never garbage.
@@ -352,7 +353,7 @@ func (gp *gatePolicy) thrFor(sess *bp.Session, i int) (thr, condThr float64) {
 // forced opposite and the rest re-optimized, reusing the session's
 // cached residual and error per position. Single-flip margins cannot
 // see constellation near-coincidences where several tags' bits swap
-// together; this can (see bp.Graph.ConditionalMargin).
+// together; this can (see bp.Session.ConditionalMargin).
 func (cfg *Config) acceptSlot(sess *bp.Session, slot, k, frameLen int, gs *gateState,
 	minMargin []float64, ambiguous []bool, gp gatePolicy, onAccept func(i int)) int {
 

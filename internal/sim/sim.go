@@ -112,10 +112,6 @@ type trialResources struct {
 // the pre-engine trial pool.
 var batchEngine = engine.New(engine.Config{})
 
-// BatchEngineSnapshot exposes the simulation engine's live counters
-// (trials run, payloads accepted, …) for tooling.
-func BatchEngineSnapshot() engine.StatsSnapshot { return batchEngine.Snapshot() }
-
 // forEachTrial runs the trial body for indices [0, trials) across the
 // batch engine's bounded worker pool. Each trial derives its own
 // deterministic source from (seed, trial), so results are independent
