@@ -693,11 +693,13 @@ func (g *Graph) SnapshotActive() {
 // Degree returns the participation count of tag i.
 func (g *Graph) Degree(i int) int { return len(g.colRows[i]) }
 
-// residualInto computes r = y − D·H·b into dst (length L) and returns
-// dst — the column-major residual build the Session's rebuild uses when
-// most live rows are still active.
+// residualInto computes r = y − D·H·b into dst (length L) over the
+// live rows [retired, L) and returns dst — the column-major residual
+// build the Session's rebuild uses when most live rows are still
+// active. The retired prefix of dst is left as it was: no reader looks
+// at a retired row's residual.
 func (g *Graph) residualInto(dst dsp.Vec, y dsp.Vec, b bits.Vector) dsp.Vec {
-	copy(dst, y)
+	copy(dst[g.retired:], y[g.retired:])
 	if g.soft {
 		for i, on := range b {
 			if on {
@@ -863,9 +865,11 @@ func (st *descentState) treeBuild(g *Graph) {
 // carries the locked tags' contributions (the Session's locked-base).
 // Only the active (unlocked) adjacency is traversed, once: each row's
 // residual entry is finished and immediately scattered into the S-sums
-// of the row's active tags. This is the restart passes' builder — the
-// column-major build + rederive pair costs two traversals and O(K·w̄)
-// pointer chasing; this costs one.
+// of the row's active tags. The column-major build + rederive pair
+// costs two traversals and O(K·w̄) pointer chasing; this costs one. It
+// starts every restart pass on the row path, and on the Gram path (see
+// Session.prepareGram) it materializes the one restart a position
+// adopts, from that pass's final bits.
 //
 // Callers must guarantee that the graph's deactivated set equals the
 // locked set (the Session maintains exactly that invariant). Only the
@@ -971,8 +975,14 @@ func (st *descentState) copyActiveFrom(g *Graph, src *descentState) {
 // deactivated tag's entries are dead state (the Session pins its gain
 // at −∞ when it locks), and every row an active tag touches is an
 // active row, so the residual is read only where it is maintained.
-func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool) {
-	for _, i := range g.activeTags {
+//
+// When proj is non-nil the same walk also projects base (the locked
+// base, one entry per row) onto the active tags: proj[x] =
+// Σ_{rows ∋ i} w·base[row] for the x-th active tag i, the Gram path's
+// B vector (see Session.prepareGram). It adds each row in the order
+// workerState.gramProject does, so the two agree bit for bit.
+func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool, base, proj []complex128) {
+	for x, i := range g.activeTags {
 		if b[i] {
 			st.bSign[i] = -1
 		} else {
@@ -984,20 +994,31 @@ func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool) {
 			st.gain[i] = math.Inf(-1)
 			continue
 		}
-		var s complex128
-		if g.soft && g.staleCnt[i] > 0 {
+		var s, pb complex128
+		switch {
+		case g.soft && g.staleCnt[i] > 0:
 			cut, a := g.staleCut[i], complex(g.softAlpha[i], 0)
 			for _, row := range g.colRows[i] {
 				if row < cut {
 					s += a * st.residual[row]
+					pb += a * base[row]
 				} else {
 					s += st.residual[row]
+					pb += base[row]
 				}
 			}
-		} else {
+		case proj != nil:
+			for _, row := range g.colRows[i] {
+				s += st.residual[row]
+				pb += base[row]
+			}
+		default:
 			for _, row := range g.colRows[i] {
 				s += st.residual[row]
 			}
+		}
+		if proj != nil {
+			proj[x] = pb
 		}
 		st.sum[i] = s
 		st.gain[i] = st.gainOf(g, i)

@@ -63,13 +63,26 @@ type Session struct {
 	inDirtyBacking []bool
 
 	// lockedBase[p] is y_p − Σ_{locked i, b_ip} h_i·d_i — the residual
-	// with only the frozen tags' contributions removed. Restart passes
-	// start from it and subtract just the unlocked tags' terms, so a
-	// random re-initialization costs O(unlocked · density) instead of a
-	// full O(K · density) residual build; late in a transfer, when most
-	// messages are verified, that is nearly free.
+	// with only the frozen tags' contributions removed. Restarts never
+	// rebuild more than the unlocked tags' terms on top of it: on the row
+	// path a restart subtracts them over the active rows, O(active nnz);
+	// on the Gram path the position projects it onto the active tags once
+	// per slot (B and E0, see prepareGram) and each restart costs
+	// O(unlocked²), whatever the row count.
 	lockedBase    [][]complex128
 	lockedBacking []complex128
+
+	// Gram-space restarts, staged by prepareGram once per slot and only
+	// read by the position workers. gramOn reports that this slot's
+	// restarts run in Gram space (gramRule); gram is the active tags'
+	// Ka×Ka weighted Gram N_ab = Σ_rows w_ra·w_rb, indexed by rank in
+	// activeTags; gramTap and gramWPow are the ranked tags' taps and
+	// |h|²·w constants, and gramRank[i] is active tag i's rank.
+	gramOn   bool
+	gram     []float64
+	gramTap  []complex128
+	gramWPow []float64
+	gramRank []int
 
 	// posBits[p·K+i] is tag i's bit at position p in the current joint
 	// decode — the init of the next slot's descent and the frame source
@@ -191,6 +204,19 @@ type workerState struct {
 	treeBack []int
 	dirtBack []int
 	inDirt   []bool
+
+	// Gram-space restart workspace, indexed by active-tag rank (see
+	// Session.prepareGram): gB[x] = Σ_{rows ∋ x} w·lockedBase[row] and
+	// gE0 = Σ_{active rows} |lockedBase[row]|² for the position being
+	// decoded; gS, gGain, gSign, gBits and gMask are one restart's
+	// S = B − N·m, gains, flip signs, bits and masked taps m.
+	gB    []complex128
+	gE0   float64
+	gS    []complex128
+	gGain []float64
+	gSign []float64
+	gBits []bool
+	gMask []complex128
 }
 
 // shape sizes the worker state for k tags, maxSlots symbols and the
@@ -217,6 +243,146 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 	w.allBits = growBools(w.allBits, passes*k)
 	w.passErr = growFloats(w.passErr, passes)
 	w.pin = growBools(w.pin, k)
+	w.gB = growComplex(w.gB, k)
+	w.gS = growComplex(w.gS, k)
+	w.gGain = growFloats(w.gGain, k)
+	w.gSign = growFloats(w.gSign, k)
+	w.gBits = growBools(w.gBits, k)
+	w.gMask = growComplex(w.gMask, k)
+}
+
+// shapeGram sizes the session's Gram buffers for a transfer of k tags,
+// reusing capacity: gramRule admits at most min(k, treeCutoverK) active
+// tags, so a reserved session's prepareGram re-slices without
+// allocating.
+func (s *Session) shapeGram(k int) {
+	ka := min(k, treeCutoverK)
+	s.gram = growFloats(s.gram, ka*ka)
+	s.gramTap = growComplex(s.gramTap, ka)
+	s.gramWPow = growFloats(s.gramWPow, ka)
+	s.gramRank = growInts(s.gramRank, k)
+}
+
+// gramProject computes the Gram path's per-position projection of the
+// locked base lbp — gB[x] = Σ_{rows ∋ x} w·lbp[row] for every ranked
+// active tag and gE0 = Σ_{active rows} |lbp[row]|² — in one sweep of
+// the active CSR, O(active nnz). A rebuilding position gets the same
+// numbers, bit for bit, from rebuildPosition's sweeps instead.
+func (w *workerState) gramProject(s *Session, lbp []complex128) {
+	g := &s.g
+	rank := s.gramRank
+	B := w.gB[:len(g.activeTags)]
+	clear(B)
+	e0 := 0.0
+	for x, row := range g.activeRows {
+		v := lbp[row]
+		e0 += real(v)*real(v) + imag(v)*imag(v)
+		ra := g.flatTags[g.flatStart[x]:g.flatStart[x+1]]
+		if g.soft {
+			for _, i := range ra {
+				if row < g.staleCut[i] {
+					B[rank[i]] += complex(g.softAlpha[i], 0) * v
+				} else {
+					B[rank[i]] += v
+				}
+			}
+			continue
+		}
+		for _, i := range ra {
+			B[rank[i]] += v
+		}
+	}
+	w.gE0 = e0
+}
+
+// gramDescend runs one restart's descent in Gram space from the bits in
+// b (active entries), leaving the local optimum's bits there, and
+// returns the flip count. It is descentState.descend over S = B − N·m:
+// the same gains, scan order, eps and flip cap, with a flip of tag a
+// updating S along N's column a in O(Ka) instead of walking a's rows.
+func (w *workerState) gramDescend(s *Session, b bits.Vector, maxFlips int) int {
+	act := s.g.activeTags
+	ka := len(act)
+	n, h, wp := s.gram, s.gramTap, s.gramWPow
+	S, gain := w.gS[:ka], w.gGain[:ka]
+	sign, lb := w.gSign[:ka], w.gBits[:ka]
+	copy(S, w.gB[:ka])
+	for x, i := range act {
+		lb[x] = b[i]
+		if !b[i] {
+			sign[x] = 1
+			continue
+		}
+		sign[x] = -1
+		hx := h[x]
+		col := n[x*ka : (x+1)*ka]
+		for y, c := range col {
+			S[y] -= complex(c*real(hx), c*imag(hx))
+		}
+	}
+	for y := range gain {
+		gain[y] = 2*(real(h[y])*real(S[y])+imag(h[y])*imag(S[y]))*sign[y] - wp[y]
+	}
+	flips := 0
+	for flips < maxFlips {
+		best, bestG := -1, s.eps
+		for y, gv := range gain {
+			if gv > bestG {
+				bestG = gv
+				best = y
+			}
+		}
+		if best < 0 {
+			break
+		}
+		d := h[best]
+		if lb[best] {
+			d = -d
+		}
+		lb[best] = !lb[best]
+		sign[best] = -sign[best]
+		col := n[best*ka : (best+1)*ka]
+		for y, c := range col {
+			S[y] -= complex(c*real(d), c*imag(d))
+			gain[y] = 2*(real(h[y])*real(S[y])+imag(h[y])*imag(S[y]))*sign[y] - wp[y]
+		}
+		flips++
+	}
+	for x, i := range act {
+		b[i] = lb[x]
+	}
+	return flips
+}
+
+// gramError returns the active rows' ‖r‖² at bits b (active entries) in
+// Gram form, E0 − Re(mᴴ(2B − N·m)) = E0 − Re(mᴴ(B + S)). It is
+// evaluated from the bits alone, in a fixed order, so two passes that
+// end on the same bits score exactly the same.
+func (w *workerState) gramError(s *Session, b bits.Vector) float64 {
+	act := s.g.activeTags
+	ka := len(act)
+	n, h := s.gram, s.gramTap
+	m := w.gMask[:ka]
+	for x, i := range act {
+		if b[i] {
+			m[x] = h[x]
+		} else {
+			m[x] = 0
+		}
+	}
+	acc := 0.0
+	for x, mx := range m {
+		if mx == 0 {
+			continue
+		}
+		t := 2 * w.gB[x]
+		col := n[x*ka : (x+1)*ka]
+		for y, c := range col {
+			t -= complex(c*real(m[y]), c*imag(m[y]))
+		}
+		acc += real(mx)*real(t) + imag(mx)*imag(t)
+	}
+	return w.gE0 - acc
 }
 
 // NewSession returns an empty Session; Begin shapes it.
@@ -370,6 +536,7 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 		s.wstates[w].shape(k, maxSlots, 1+restarts)
 	}
 	s.cond.shape(k, maxSlots, 1)
+	s.shapeGram(k)
 	s.stateValid = false
 	s.syncTreeMode()
 	s.costDescent.Store(0)
@@ -465,6 +632,7 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 		s.wstates[w].shape(kCap, maxSlots, 1+restarts)
 	}
 	s.cond.shape(kCap, maxSlots, 1)
+	s.shapeGram(kCap)
 }
 
 // InitPositions seeds every position's joint decode from the outer
@@ -726,6 +894,7 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 		s.wstates[w].shape(k2, s.maxSlots, 1+s.restarts)
 	}
 	s.cond.shape(k2, s.maxSlots, 1)
+	s.shapeGram(k2)
 	s.syncTreeMode()
 }
 
@@ -1265,17 +1434,7 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 						// Fold the frozen tag into the locked-base
 						// residual of every absorbed row it touches.
 						if s.posBits[p*s.k+i] {
-							lbp := s.lockedBase[p]
-							for _, row := range s.g.colRows[i] {
-								if row >= len(lbp) {
-									break
-								}
-								if s.g.soft && row < s.g.staleCut[i] {
-									lbp[row] -= complex(s.g.softAlpha[i], 0) * h
-								} else {
-									lbp[row] -= h
-								}
-							}
+							s.foldLocked(s.lockedBase[p], i, h)
 						}
 					}
 				}
@@ -1305,6 +1464,76 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 	s.curBase = base
 	s.curThresh = s.g.maxTieThreshold()
 	s.g.SnapshotActive()
+	s.gramOn = s.restarts > 0 && gramRule(len(s.g.activeTags), len(s.g.flatTags))
+	if s.gramOn {
+		s.prepareGram()
+	}
+}
+
+// gramRule reports whether a slot with ka active tags over nnz active
+// adjacency entries runs its restarts in Gram space: when the Ka×Ka
+// Gram has fewer entries than the adjacency it summarizes, and the
+// descents scan the active tags rather than query the tournament tree.
+// At equality the Gram saves nothing per restart and the position
+// still pays its projection (a slot with one unlocked tag in one row,
+// common on a dock door, decodes faster on the row path). The rule
+// reads the graph's shape alone, so the path taken never depends on
+// parallelism, and the floats each path produces depend only on the
+// inputs.
+func gramRule(ka, nnz int) bool { return ka <= treeCutoverK && ka*ka < nnz }
+
+// prepareGram stages the Gram path's per-slot constants from the
+// active adjacency's CSR snapshot: the rank of every active tag, the
+// ranked taps and |h|²·w constants, and the weighted Gram
+// N_ab = Σ_rows w_ra·w_rb (w = 1, or α on a tag's soft-stale rows;
+// hard-mode entries are integer counts), in O(Σ_rows colliders²).
+//
+// Why it suffices: with m_a = h_a where a's bit is set and 0 elsewhere,
+// a restart's residual over the active rows is r = base − W·m, so its
+// S-sums are S = Wᴴr = B − N·m with B = Wᴴ·base, a flip of tag a moves
+// S by −N_{·a}·δ, and ‖r‖² = E0 − Re(mᴴ(B + S)) with E0 = ‖base‖² over
+// the active rows. The matched-filter outputs B and the Gram N are a
+// sufficient statistic for the bit decision, so once a position has
+// projected its locked base (B, E0: rebuildPosition's sweeps, or
+// gramProject) each restart costs O(Ka²) instead of a residual rebuild
+// and descent over every active row. The descent is the row path's to
+// the flip: same gain formula, same (gain desc, index asc) scan, same
+// eps and flip cap; only float association differs.
+func (s *Session) prepareGram() {
+	g := &s.g
+	act := g.activeTags
+	ka := len(act)
+	s.gramTap = growComplex(s.gramTap, ka)
+	s.gramWPow = growFloats(s.gramWPow, ka)
+	s.gramRank = growInts(s.gramRank, g.K)
+	rank := s.gramRank
+	for x, i := range act {
+		rank[i] = x
+		s.gramTap[x] = g.taps[i]
+		s.gramWPow[x] = g.wPow[i]
+	}
+	n := growFloats(s.gram, ka*ka)
+	s.gram = n
+	clear(n)
+	for x, row := range g.activeRows {
+		ra := g.flatTags[g.flatStart[x]:g.flatStart[x+1]]
+		if !g.soft {
+			for _, a := range ra {
+				col := n[rank[a]*ka : (rank[a]+1)*ka]
+				for _, b := range ra {
+					col[rank[b]]++
+				}
+			}
+			continue
+		}
+		for _, a := range ra {
+			wa := g.alphaAt(row, a)
+			col := n[rank[a]*ka : (rank[a]+1)*ka]
+			for _, b := range ra {
+				col[rank[b]] += wa * g.alphaAt(row, b)
+			}
+		}
+	}
 }
 
 // syncTreeMode points every descent state's argmax at the structure the
@@ -1458,7 +1687,12 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 	passErr[0] = bestErr
 	bestPass := 0
 
-	if s.restarts > 0 {
+	if s.gramOn {
+		var f uint64
+		f, bestPass, bestErr = s.restartsGram(p, ws, allBits, passErr, bestErr)
+		cFlips += f
+		cRestarts = uint64(s.restarts)
+	} else if s.restarts > 0 {
 		ws.src.Reseed(prng.Mix3(s.curBase, uint64(s.curSlot), uint64(p)))
 		rst := &ws.rst
 		for pass := 1; pass < passes; pass++ {
@@ -1503,6 +1737,54 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 	g.markAmbiguousPruned(allBits, passErr, bestPass, myBits, arow, s.curThresh)
 }
 
+// restartsGram runs position p's restart passes in Gram space (see
+// prepareGram) after its pass-0 descent, filling the pass blocks of
+// allBits and passErr. rowErr is the pass-0 state's residual norm. It
+// returns the restarts' flips, the adopted pass (0 when none beat pass
+// 0) and the adopted state's residual norm. An adopted restart is
+// materialized into the position state from its final bits.
+func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr []float64, rowErr float64) (flips uint64, bestPass int, bestErr float64) {
+	g := &s.g
+	active := g.activeTags
+	myBits := bits.Vector(s.posBits[p*s.k : (p+1)*s.k])
+	ws.src.Reseed(prng.Mix3(s.curBase, uint64(s.curSlot), uint64(p)))
+	if s.stateValid {
+		// A rebuilding position projected its base in rebuildPosition.
+		ws.gramProject(s, s.lockedBase[p])
+	}
+	// Pass 0 is scored in Gram form too, so adoption and the ambiguity
+	// gaps compare like with like: a restart that ends on the
+	// incumbent's bits scores exactly the incumbent's error and is never
+	// adopted on rounding noise.
+	passErr[0] = ws.gramError(s, myBits) + s.errInactive[p]
+	best := passErr[0]
+	maxFlips := 64 * (g.K + 1) * (g.L + 1)
+	for pass := 1; pass < len(passErr); pass++ {
+		bhat := bits.Vector(allBits[pass*s.k : (pass+1)*s.k])
+		randomBitsInto(&ws.src, bhat, active)
+		flips += uint64(ws.gramDescend(s, bhat, maxFlips))
+		errV := ws.gramError(s, bhat) + s.errInactive[p]
+		passErr[pass] = errV
+		if errV < best {
+			best = errV
+			bestPass = pass
+		}
+	}
+	if bestPass == 0 {
+		return flips, 0, rowErr
+	}
+	bhat := allBits[bestPass*s.k : (bestPass+1)*s.k]
+	for _, i := range active {
+		myBits[i] = bhat[i]
+	}
+	rst := &ws.rst
+	rst.residual = rst.residual[:g.L]
+	rst.buildFromBase(g, s.lockedBase[p], myBits)
+	st := &s.states[p]
+	st.copyActiveFrom(g, rst)
+	return flips, bestPass, st.normSqActive(g) + s.errInactive[p]
+}
+
 // rebuildPosition re-derives position p's cached state from its
 // observations and current bits when the session state is invalid (a
 // retap of a locked tag, a block fade, a grow, a window shrink): the
@@ -1521,28 +1803,29 @@ func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bi
 	if locked != nil {
 		for i, l := range locked {
 			if l && b[i] {
-				h := g.taps[i]
-				for _, row := range g.colRows[i] {
-					if g.soft && row < g.staleCut[i] {
-						lbp[row] -= complex(g.softAlpha[i], 0) * h
-					} else {
-						lbp[row] -= h
-					}
-				}
+				s.foldLocked(lbp, i, g.taps[i])
 			}
 		}
 	}
 	s.lockedBase[p] = lbp
-	acc := 0.0
 	// Retired rows also have an empty rowActive, but they are gone from
-	// the model entirely — only live frozen rows bank energy.
+	// the model entirely — only live frozen rows bank energy. The same
+	// sweep sums the active rows' energy, the Gram path's E0.
+	acc, e0 := 0.0, 0.0
 	for row := g.retired; row < g.L; row++ {
+		x := lbp[row]
 		if len(g.rowActive[row]) == 0 {
-			x := lbp[row]
 			acc += real(x)*real(x) + imag(x)*imag(x)
+		} else {
+			e0 += real(x)*real(x) + imag(x)*imag(x)
 		}
 	}
 	s.errInactive[p] = acc
+	var proj []complex128
+	if s.gramOn {
+		ws.gE0 = e0
+		proj = ws.gB[:len(g.activeTags)]
+	}
 	st.residual = st.residual[:g.L]
 	if g.soft || 2*len(g.activeRows) > g.L-g.retired {
 		// Most live rows are active (few tags locked): the column-major
@@ -1571,7 +1854,30 @@ func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bi
 			st.residual[row] = r
 		}
 	}
-	st.rederive(g, b, locked)
+	st.rederive(g, b, locked, lbp, proj)
+}
+
+// foldLocked subtracts locked tag i's contribution h (weighted on its
+// soft-stale rows) from every absorbed row of lbp it transmits in.
+// colRows is ascending, so the rows past len(lbp) (appended, not yet
+// absorbed) are a suffix and the soft-stale rows a prefix: the weight
+// test leaves the per-row loops, as in residualInto.
+func (s *Session) foldLocked(lbp []complex128, i int, h complex128) {
+	g := &s.g
+	rows := g.colRows[i]
+	for len(rows) > 0 && rows[len(rows)-1] >= len(lbp) {
+		rows = rows[:len(rows)-1]
+	}
+	if g.soft {
+		cut, a := g.staleCut[i], complex(g.softAlpha[i], 0)
+		for len(rows) > 0 && rows[0] < cut {
+			lbp[rows[0]] -= a * h
+			rows = rows[1:]
+		}
+	}
+	for _, row := range rows {
+		lbp[row] -= h
+	}
 }
 
 // ConditionalMargin measures how much worse position p's observations

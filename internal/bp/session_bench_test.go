@@ -102,3 +102,95 @@ func BenchmarkDecodeSlotWarehouseShape(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/slot")
 }
+
+// BenchmarkDecodeSlotMobilityShape times one warm collision-slot cycle
+// of the mobility workload's average slot (mixed-mobility.json): K = 8
+// with 4 tags CRC-locked, a 160-row live window in which each tag
+// collides with probability 0.2 (about 95 rows with an unlocked
+// collider, about 130 active adjacency entries), frameLen 37 and 2
+// restarts. Every slot moves half the taps, so RetapAll falls back to
+// a full rebuild every slot, as under the per-tag Gauss–Markov drift;
+// each slot appends a row, decodes and retires the row that left the
+// window. Four unlocked tags over ~130 entries put every slot's
+// restarts on the Gram path. A transfer is re-begun every 250 timed
+// slots; its 160-slot fill runs untimed.
+func BenchmarkDecodeSlotMobilityShape(b *testing.B) {
+	const (
+		k        = 8
+		unlocked = 4
+		frameLen = 37
+		restarts = 2
+		window   = 160
+		timed    = 250
+		maxSlots = window + timed
+		base     = 0x30B1
+	)
+	src := prng.NewSource(0x30B2)
+	taps := randomTaps(k, src)
+	msgs := randomEstimates(k, frameLen, src)
+	est := randomEstimates(k, frameLen, src)
+	locked := make([]bool, k)
+	for i := unlocked; i < k; i++ {
+		locked[i] = true
+		est[i] = msgs[i]
+	}
+	rows := make([]bits.Vector, maxSlots)
+	obss := make([][]complex128, maxSlots)
+	for r := range rows {
+		row := make(bits.Vector, k)
+		obs := make([]complex128, frameLen)
+		for i := range row {
+			row[i] = src.Bernoulli(0.2)
+		}
+		for p := range obs {
+			y := 0.1 * src.ComplexNorm()
+			for i, on := range row {
+				if on && msgs[i][p] {
+					y += taps[i]
+				}
+			}
+			obs[p] = y
+		}
+		rows[r], obss[r] = row, obs
+	}
+
+	s := NewSession()
+	defer s.Close()
+	s.Reserve(k, frameLen, maxSlots, restarts)
+	minMargin := make([]float64, k)
+	ambiguous := make([]bool, k)
+	cur := make([]complex128, k)
+	slot := 1
+	cycle := func() {
+		for i := 0; i < k; i += 2 {
+			cur[i] *= complex(0.9999, 0.001)
+		}
+		s.RetapAll(cur)
+		s.AppendSlot(rows[slot-1], obss[slot-1])
+		s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
+		if slot > window {
+			s.Retire(slot - window)
+		}
+		slot++
+	}
+	begin := func() {
+		s.Begin(k, frameLen, maxSlots, 1, restarts, taps)
+		s.InitPositions(est)
+		copy(cur, taps)
+		slot = 1
+		for slot <= window {
+			cycle()
+		}
+	}
+	begin()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if slot > maxSlots {
+			b.StopTimer()
+			begin()
+			b.StartTimer()
+		}
+		cycle()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/slot")
+}

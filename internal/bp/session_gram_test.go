@@ -1,0 +1,190 @@
+package bp
+
+import (
+	"testing"
+
+	"repro/internal/bits"
+	"repro/internal/prng"
+)
+
+// TestSessionGramRestartMatchesRowRestart pins the Gram path's restart
+// (prepareGram, gramProject, gramDescend, gramError) against the row
+// path's (buildFromBase + descend + normSqActive). Random sessions in
+// hard and soft mode run through locks, a global Retire and RetireTag
+// (SoftRetireTag in soft mode); after every decoded slot, every
+// position descends from a batch of random restart inits both ways.
+// The two must end on the same bits after the same number of flips,
+// with errors equal to 1e-9 relative. It also pins that a rebuilding
+// position's fused projection (rebuildPosition's sweeps) equals
+// gramProject bit for bit, and that the shape rule picks each path at
+// least once.
+func TestSessionGramRestartMatchesRowRestart(t *testing.T) {
+	const (
+		frameLen = 5
+		restarts = 2
+		slots    = 36
+		window   = 12
+		inits    = 6
+		base     = 0x6A3
+	)
+	var gramSlots, rowSlots [2]int // by mode: hard, soft
+	var fusedChecks, compared int
+	for mode, soft := range []bool{false, true} {
+		for trial := 0; trial < 12; trial++ {
+			src := prng.NewSource(0x6A30 + uint64(100*mode+trial))
+			k := 4 + src.IntN(7)
+			q := 0.15 + 0.35*src.Float64()
+			taps := randomTaps(k, src)
+			msgs := randomEstimates(k, frameLen, src)
+			est := randomEstimates(k, frameLen, src)
+			nLock := k / 2
+			for i := 0; i < nLock; i++ {
+				est[i] = msgs[i]
+			}
+			mover := k - 1
+
+			s := NewSession()
+			s.Begin(k, frameLen, slots+1, 1, restarts, taps)
+			s.TrackTagDrift(true)
+			s.InitPositions(est)
+			locked := make([]bool, k)
+			minMargin := make([]float64, k)
+			ambiguous := make([]bool, k)
+			cur := append([]complex128(nil), taps...)
+			initSrc := prng.NewSource(0x1417 + uint64(trial))
+			for slot := 1; slot <= slots; slot++ {
+				cur[mover] *= complex(0.995, 0.02)
+				if slot%9 == 0 {
+					// Move half the taps: RetapAll falls back to a rebuild.
+					for i := 0; i < k; i += 2 {
+						cur[i] *= complex(0.999, 0.01)
+					}
+				}
+				s.RetapAll(cur)
+				row := make(bits.Vector, k)
+				for i := range row {
+					row[i] = src.Bernoulli(q)
+				}
+				obs := make([]complex128, frameLen)
+				for p := range obs {
+					y := 0.2 * src.ComplexNorm()
+					for i, on := range row {
+						if on && msgs[i][p] {
+							y += cur[i]
+						}
+					}
+					obs[p] = y
+				}
+				s.AppendSlot(row, obs)
+				rebuilds := !s.stateValid
+				s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
+				if s.gramOn {
+					gramSlots[mode]++
+				} else {
+					rowSlots[mode]++
+				}
+				if rebuilds && s.gramOn {
+					checkFusedProjection(t, s)
+					fusedChecks++
+				}
+				compared += checkGramMatchesRow(t, s, initSrc, inits)
+				if t.Failed() {
+					t.Fatalf("soft=%v trial %d k %d: diverged at slot %d", soft, trial, k, slot)
+				}
+
+				switch {
+				case slot == 10:
+					for i := 0; i < nLock; i++ {
+						locked[i] = true
+					}
+				case slot > window && slot%3 == 0:
+					s.Retire(slot - window)
+				}
+				if slot > window/2 {
+					if soft {
+						s.SoftRetireTag(mover, slot-window/2)
+					} else {
+						s.RetireTag(mover, slot-window/2)
+					}
+				}
+			}
+			s.Close()
+		}
+	}
+	for mode, name := range []string{"hard", "soft"} {
+		if gramSlots[mode] == 0 || rowSlots[mode] == 0 {
+			t.Fatalf("%s mode: shape rule picked the Gram path on %d slots and the row path on %d, want both", name, gramSlots[mode], rowSlots[mode])
+		}
+	}
+	if fusedChecks == 0 {
+		t.Fatal("no rebuilding slot ran the Gram path: the fused projection went unchecked")
+	}
+	t.Logf("%d restarts compared; Gram path on %v slots, row path on %v (hard, soft)", compared, gramSlots, rowSlots)
+}
+
+// checkGramMatchesRow stages the Gram constants for the graph the last
+// DecodeSlot decoded (whatever the shape rule chose), then descends
+// every position from n random inits on both paths and fails on any
+// difference in bits or flips, or an error gap over 1e-9 relative.
+// Returns the number of restarts compared.
+func checkGramMatchesRow(t *testing.T, s *Session, src *prng.Source, n int) int {
+	t.Helper()
+	g := &s.g
+	s.prepareGram()
+	ws := &s.wstates[0]
+	maxFlips := 64 * (g.K + 1) * (g.L + 1)
+	gb := make(bits.Vector, s.k)
+	rb := make(bits.Vector, s.k)
+	for p := 0; p < s.frameLen; p++ {
+		lbp := s.lockedBase[p]
+		ws.gramProject(s, lbp)
+		for r := 0; r < n; r++ {
+			copy(gb, s.PosBits(p))
+			randomBitsInto(src, gb, g.activeTags)
+			copy(rb, gb)
+			gf := ws.gramDescend(s, gb, maxFlips)
+			ge := ws.gramError(s, gb) + s.errInactive[p]
+			rst := &ws.rst
+			rst.residual = rst.residual[:g.L]
+			rst.buildFromBase(g, lbp, rb)
+			rf := rst.descend(g, rb, s.curLocked, s.eps)
+			re := rst.normSqActive(g) + s.errInactive[p]
+			for _, i := range g.activeTags {
+				if gb[i] != rb[i] {
+					t.Errorf("position %d init %d: Gram descent ended with tag %d = %v, row descent %v", p, r, i, gb[i], rb[i])
+					return 0
+				}
+			}
+			if gf != rf {
+				t.Errorf("position %d init %d: Gram descent took %d flips, row descent %d", p, r, gf, rf)
+				return 0
+			}
+			if !closeTo(ge, re, 1e-9) {
+				t.Errorf("position %d init %d: Gram error %v, row error %v", p, r, ge, re)
+				return 0
+			}
+		}
+	}
+	return s.frameLen * n
+}
+
+// checkFusedProjection compares the projection the last position's
+// rebuild left in the serial workspace with gramProject's: they must
+// agree exactly, or a slot's restarts would depend on whether it
+// rebuilt.
+func checkFusedProjection(t *testing.T, s *Session) {
+	t.Helper()
+	ws := &s.wstates[0]
+	ka := len(s.g.activeTags)
+	fused := append([]complex128(nil), ws.gB[:ka]...)
+	fusedE0 := ws.gE0
+	ws.gramProject(s, s.lockedBase[s.frameLen-1])
+	for x := range fused {
+		if fused[x] != ws.gB[x] {
+			t.Errorf("fused B[%d] = %v, gramProject %v", x, fused[x], ws.gB[x])
+		}
+	}
+	if fusedE0 != ws.gE0 {
+		t.Errorf("fused E0 = %v, gramProject %v", fusedE0, ws.gE0)
+	}
+}
