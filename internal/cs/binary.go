@@ -55,14 +55,19 @@ func (m *BinaryMat) ColWeight(c int) int {
 	return n
 }
 
-// andCount returns popcount(col(a) AND col(b)) — one Gram entry.
-func (m *BinaryMat) andCount(a, b int) int {
-	ca, cb := m.Col(a), m.Col(b)
-	n := 0
-	for w := range ca {
-		n += mbits.OnesCount64(ca[w] & cb[w])
+// gramRowInto sets g[c] = popcount(col(a) AND col(c)) for every column
+// c: column a's row of the integer Gram matrix AᵀA.
+func (m *BinaryMat) gramRowInto(g []float64, a int) {
+	ca := m.Col(a)
+	g = g[:m.Cols]
+	for c := range g {
+		cb := m.Bits[c*m.Words:][:len(ca)]
+		n := 0
+		for w, word := range ca {
+			n += mbits.OnesCount64(word & cb[w])
+		}
+		g[c] = float64(n)
 	}
-	return n
 }
 
 // dotY returns Σ_{r: col(c)[r]=1} y[r] — the column's correlation with
@@ -84,11 +89,15 @@ func (m *BinaryMat) dotY(c int, y dsp.Vec) complex128 {
 // OMPBits runs Orthogonal Matching Pursuit on y = A·z for a binary A,
 // solving each growing least-squares subproblem through the normal
 // equations G·x = Bᴴy with an incrementally-updated Cholesky factor of
-// the integer Gram matrix G = BᴴB. Per pursuit iteration the cost is
-// O(cols·words) popcount work for the new Gram column, O(cols·s) for
-// the score refresh and O(s²) for the triangular solves — no dense
-// matrix assembly, no Householder QR, no residual vector at all (its
-// norm comes from ‖y‖² − 2Re(xᴴBᴴy) + xᴴGx).
+// the integer Gram matrix G = BᴴB. Setup costs O(cols·words) popcounts
+// for the column weights and one add per set bit of A for Aᴴy. With s
+// atoms in the support, a pursuit iteration costs O(cols·words)
+// popcounts for the new atom's Gram row, O(cols·s) multiply-adds for
+// the score refresh (contiguous passes over the Gram rows, see
+// refreshScores), O(cols) for the scoring and O(s²) for the triangular
+// solves; over a whole pursuit the refresh's O(cols·s²) dominates. No
+// dense matrix is assembled, no Householder QR runs and no residual
+// vector exists at all (its norm comes from ‖y‖² − 2Re(xᴴBᴴy) + xᴴGx).
 //
 // Options mean the same as for OMP. The recovered supports match the
 // dense solver's; coefficients agree to least-squares accuracy (the
@@ -165,9 +174,7 @@ func OMPBits(a *BinaryMat, y dsp.Vec, opts OMPOptions) (*Result, error) {
 			}
 			rhs = sum
 		} else {
-			for c := 0; c < a.Cols; c++ {
-				g[c] = float64(a.andCount(col, c))
-			}
+			a.gramRowInto(g, col)
 			diag = float64(weight[col])
 			rhs = aty[col]
 		}
@@ -254,28 +261,31 @@ func OMPBits(a *BinaryMat, y dsp.Vec, opts OMPOptions) (*Result, error) {
 		}
 	}
 
+	// z_c = aty_c − Σ_j gcols[j][c]·x_j, the residual's correlation
+	// with every candidate column, split into real and imaginary parts.
+	zr := sc.Float(a.Cols)
+	zi := sc.Float(a.Cols)
+
 	iters := 0
 	for len(support)-dcAtoms < opts.MaxSparsity && len(support) < a.Rows {
 		iters++
-		// Atom selection: candidate column most correlated with the
-		// residual, z_c = aty_c − Σ_j gcols[j][c]·x_j, normalized by
-		// the column norm √weight.
+		refreshScores(zr, zi, aty, gcols, x[:len(support)])
+		// Atom selection: the candidate column most correlated with the
+		// residual, scored by |z_c|²/weight_c — the square of the
+		// normalized correlation |z_c|/√weight_c, so the same argmax
+		// without a hypot or a square root per candidate.
 		best, bestScore := -1, 0.0
 		for c := 0; c < a.Cols; c++ {
 			if inSupport[c] || weight[c] == 0 {
 				continue
 			}
-			z := aty[c]
-			for j := range support {
-				z -= complex(gcols[j*a.Cols+c], 0) * x[j]
-			}
-			s := cmplx.Abs(z) / math.Sqrt(float64(weight[c]))
+			s := (zr[c]*zr[c] + zi[c]*zi[c]) / float64(weight[c])
 			if s > bestScore {
 				bestScore = s
 				best = c
 			}
 		}
-		if best < 0 || bestScore < 1e-12 {
+		if best < 0 || bestScore < 1e-24 {
 			break // nothing left to explain
 		}
 		if !addAtom(best) {
@@ -308,4 +318,53 @@ func OMPBits(a *BinaryMat, y dsp.Vec, opts OMPOptions) (*Result, error) {
 		return res, ErrNoConvergence
 	}
 	return res, nil
+}
+
+// refreshScores sets z = aty − Σ_j gcols[j]·x_j over every candidate
+// column, as real and imaginary parts zr, zi; gcols[j] is the cross-Gram
+// row of support atom j, len(zr) floats long. The support is walked
+// outside in blocks of up to four atoms and the candidates inside, so
+// every pass reads its Gram rows contiguously. Each candidate still
+// subtracts its atoms one at a time in support order, so the sums are
+// the ones a per-candidate loop over the support computes, bit for bit
+// (a real Gram entry g times x is g·re(x), g·im(x); the complex product
+// differs from that only in the sign of an exact zero).
+func refreshScores(zr, zi []float64, aty dsp.Vec, gcols []float64, x dsp.Vec) {
+	n := len(zr)
+	zi = zi[:n]
+	aty = aty[:n]
+	for c, v := range aty {
+		zr[c], zi[c] = real(v), imag(v)
+	}
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		g0 := gcols[j*n:][:n]
+		g1 := gcols[(j+1)*n:][:n]
+		g2 := gcols[(j+2)*n:][:n]
+		g3 := gcols[(j+3)*n:][:n]
+		x0r, x0i := real(x[j]), imag(x[j])
+		x1r, x1i := real(x[j+1]), imag(x[j+1])
+		x2r, x2i := real(x[j+2]), imag(x[j+2])
+		x3r, x3i := real(x[j+3]), imag(x[j+3])
+		for c := range zr {
+			r, i := zr[c], zi[c]
+			r -= g0[c] * x0r
+			i -= g0[c] * x0i
+			r -= g1[c] * x1r
+			i -= g1[c] * x1i
+			r -= g2[c] * x2r
+			i -= g2[c] * x2i
+			r -= g3[c] * x3r
+			i -= g3[c] * x3i
+			zr[c], zi[c] = r, i
+		}
+	}
+	for ; j < len(x); j++ {
+		g0 := gcols[j*n:][:n]
+		x0r, x0i := real(x[j]), imag(x[j])
+		for c := range zr {
+			zr[c] -= g0[c] * x0r
+			zi[c] -= g0[c] * x0i
+		}
+	}
 }

@@ -292,24 +292,38 @@ func Run(cfg Config, activeIDs []uint64, ch *channel.Model, noiseSrc *prng.Sourc
 			break
 		}
 	}
+	// pEmpty is clamped to [pFloor, pCeil] (the log guards of the direct
+	// form); the clamps' logs are constants of the scan.
+	const pFloor, pCeil = 1e-300, 1 - 1e-12
+	logFloor, logCeil := math.Log(pFloor), math.Log(pCeil)
 	kHat := 1
 	bestLL := math.Inf(-1)
 	for kCand := 1; kCand <= 1<<20; kCand = nextCandidate(kCand) {
 		ll := 0.0
 		for _, o := range observations {
-			// pEmpty = (1−p)^K = exp(K·ln(1−p)), with the log guards of
-			// the direct form.
+			// pEmpty = (1−p)^K = exp(K·ln(1−p)). Below K·ln(1−p) = −691
+			// it is under e^−691 < pFloor, so the floor applies without
+			// evaluating exp.
 			logP := float64(kCand) * o.logQ
-			pEmpty := math.Exp(logP)
-			if pEmpty < 1e-300 {
-				pEmpty = 1e-300
-				logP = math.Log(pEmpty)
+			pEmpty := 0.0
+			if logP >= -691 {
+				pEmpty = math.Exp(logP)
 			}
-			if pEmpty > 1-1e-12 {
-				pEmpty = 1 - 1e-12
-				logP = math.Log(pEmpty)
+			if pEmpty < pFloor {
+				pEmpty, logP = pFloor, logFloor
 			}
-			ll += float64(o.empty)*logP + float64(s-o.empty)*math.Log(1-pEmpty)
+			if pEmpty > pCeil {
+				pEmpty, logP = pCeil, logCeil
+			}
+			// The busy-slot term is exactly ±0 when the step had no busy
+			// slot or when 1−pEmpty rounds to 1 (ln 1 = 0), and adding
+			// ±0 leaves ll unchanged (ll starts at +0 and so is never
+			// −0); skip its logarithm then.
+			t := float64(o.empty) * logP
+			if q := 1 - pEmpty; q != 1 && s != o.empty {
+				t += float64(s-o.empty) * math.Log(q)
+			}
+			ll += t
 		}
 		if ll > bestLL {
 			bestLL = ll
