@@ -271,9 +271,9 @@ func OMPBits(a *BinaryMat, y dsp.Vec, opts OMPOptions) (*Result, error) {
 		iters++
 		refreshScores(zr, zi, aty, gcols, x[:len(support)])
 		// Atom selection: the candidate column most correlated with the
-		// residual, scored by |z_c|²/weight_c — the square of the
-		// normalized correlation |z_c|/√weight_c, so the same argmax
-		// without a hypot or a square root per candidate.
+		// residual, scored by |z_c|²/weight_c: the square of the
+		// normalized correlation |z_c|/√weight_c, so the same argmax up
+		// to rounding, without a hypot or a square root per candidate.
 		best, bestScore := -1, 0.0
 		for c := 0; c < a.Cols; c++ {
 			if inSupport[c] || weight[c] == 0 {
@@ -285,7 +285,7 @@ func OMPBits(a *BinaryMat, y dsp.Vec, opts OMPOptions) (*Result, error) {
 				best = c
 			}
 		}
-		if best < 0 || bestScore < 1e-24 {
+		if best < 0 || bestScore < 1e-24 { // |z|/√w < 1e-12
 			break // nothing left to explain
 		}
 		if !addAtom(best) {

@@ -316,9 +316,9 @@ func Run(cfg Config, activeIDs []uint64, ch *channel.Model, noiseSrc *prng.Sourc
 				pEmpty, logP = pCeil, logCeil
 			}
 			// The busy-slot term is exactly ±0 when the step had no busy
-			// slot or when 1−pEmpty rounds to 1 (ln 1 = 0), and adding
-			// ±0 leaves ll unchanged (ll starts at +0 and so is never
-			// −0); skip its logarithm then.
+			// slot or when 1−pEmpty rounds to 1 (ln 1 = 0). Skipping it
+			// can change only the sign of a zero t, which ll absorbs: ll
+			// starts at +0, so it is never −0.
 			t := float64(o.empty) * logP
 			if q := 1 - pEmpty; q != 1 && s != o.empty {
 				t += float64(s-o.empty) * math.Log(q)
