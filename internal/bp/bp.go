@@ -81,9 +81,10 @@ type Graph struct {
 	activeTags []int
 	// activeRows lists (ascending) the rows whose rowActive is still
 	// non-empty — the only rows a restart build or re-descent can ever
-	// touch. Rows whose every collider has locked drop out; their
-	// residual entries are frozen and the Session carries their error
-	// contribution as a per-position constant.
+	// touch, and the only rows the Session scores. Rows whose every
+	// collider has locked drop out: their residual entries are frozen,
+	// so their energy is the same for every pass of a position and never
+	// enters a comparison.
 	activeRows []int
 	// flatTags/flatStart are a CSR snapshot of the active adjacency,
 	// rebuilt by SnapshotActive once per slot: flatTags[flatStart[x] :
@@ -92,9 +93,6 @@ type Graph struct {
 	// chasing per-row slice headers.
 	flatTags  []int
 	flatStart []int
-	// newlyInactive accumulates rows emptied by DeactivateTag calls
-	// until the caller consumes them (TakeNewlyInactive).
-	newlyInactive []int
 	// retired counts the dead prefix rows dropped by RetireRow: rows
 	// [0, retired) have left every adjacency list but keep their indices,
 	// so L and all later row numbers never shift under a caller's cached
@@ -166,7 +164,6 @@ func (g *Graph) Reset(k int, taps []complex128) {
 	g.rowCols = g.rowCols[:0]
 	g.rowActive = g.rowActive[:0]
 	g.activeRows = g.activeRows[:0]
-	g.newlyInactive = g.newlyInactive[:0]
 	if cap(g.deactivated) < k {
 		g.deactivated = make([]bool, k, scratch.CeilPow2(k))
 	}
@@ -424,9 +421,9 @@ func (g *Graph) RetireRow() {
 // rows themselves stay live for their other colliders: only tag i's
 // adjacency entries, |h_i|²·w constant and row memberships go, in
 // O(rows removed · colliders) plus an O(live rows) activeRows prune
-// when a row's last active collider leaves. Rows emptied of active
-// tags are reported via TakeNewlyInactive, exactly as DeactivateTag
-// reports them. Returns the number of rows the tag was removed from.
+// when a row's last active collider leaves. A row emptied of active
+// tags drops out of activeRows, exactly as under DeactivateTag. Returns
+// the number of rows the tag was removed from.
 //
 // Callers owning cached descent state must subtract the tag's
 // contribution from those rows first — that is Session.RetireTag's job.
@@ -460,7 +457,6 @@ func (g *Graph) RetireTagRows(i, throughRow int) int {
 				}
 			}
 			if len(g.rowActive[r]) == 0 {
-				g.newlyInactive = append(g.newlyInactive, r)
 				emptied = true
 			}
 		}
@@ -622,7 +618,6 @@ func (g *Graph) ReserveAdjacency(kCap, n int) {
 	}
 	g.colRows = cs[:g.K]
 	g.activeRows = reserveCap(g.activeRows, n)[:len(g.activeRows)]
-	g.newlyInactive = reserveCap(g.newlyInactive, n)[:len(g.newlyInactive)]
 }
 
 // Retired returns the number of retired prefix rows; the live graph is
@@ -632,8 +627,8 @@ func (g *Graph) Retired() int { return g.retired }
 // DeactivateTag drops tag i from every row's flip fan-out and from the
 // active tag list: callers do this when the outer loop CRC-locks the
 // tag, whose sums and gains are dead state from then on. Rows left with
-// no active tags are pruned from activeRows and reported via
-// TakeNewlyInactive. O(w_i · colliders + active), once per locked tag.
+// no active tags are pruned from activeRows. O(w_i · colliders +
+// active), once per locked tag.
 func (g *Graph) DeactivateTag(i int) {
 	if g.deactivated[i] {
 		return
@@ -652,7 +647,6 @@ func (g *Graph) DeactivateTag(i int) {
 			}
 		}
 		if len(g.rowActive[row]) == 0 {
-			g.newlyInactive = append(g.newlyInactive, row)
 			emptied = true
 		}
 	}
@@ -666,15 +660,6 @@ func (g *Graph) DeactivateTag(i int) {
 		}
 		g.activeRows = keep
 	}
-}
-
-// TakeNewlyInactive returns the rows emptied since the last call and
-// resets the accumulator. The Session folds their frozen residual
-// energy into its per-position error constant.
-func (g *Graph) TakeNewlyInactive() []int {
-	rows := g.newlyInactive
-	g.newlyInactive = g.newlyInactive[:0]
-	return rows
 }
 
 // SnapshotActive packs the active adjacency into the flat CSR the
@@ -725,6 +710,24 @@ func (g *Graph) residualInto(dst dsp.Vec, y dsp.Vec, b bits.Vector) dsp.Vec {
 		}
 	}
 	return dst
+}
+
+// subtractOnActiveRows sets dst[row] = y[row] − Σ_{i ∈ row} mask[i] on
+// every active row, subtracting in ascending tag order, and returns
+// Σ|dst[row]|² over them — the sparse shape's row-major build, where
+// mask is a tap masked to the colliders that count (subtracting a zero
+// is exact, and the loop carries no branch on the random bits).
+func (g *Graph) subtractOnActiveRows(dst, y, mask []complex128) float64 {
+	e := 0.0
+	for _, row := range g.activeRows {
+		x := y[row]
+		for _, i := range g.rowCols[row] {
+			x -= mask[i]
+		}
+		dst[row] = x
+		e += real(x)*real(x) + imag(x)*imag(x)
+	}
+	return e
 }
 
 // descentState is the incremental working set of one bit-flipping search:
@@ -875,9 +878,9 @@ func (st *descentState) treeBuild(g *Graph) {
 // locked set (the Session maintains exactly that invariant). Only the
 // active tags' entries and the active rows are written: a locked tag's
 // sum, sign and gain are never read again, and rows whose every
-// collider is locked keep whatever the residual buffer holds (the
-// caller accounts for their frozen energy separately — see
-// normSqActive). Cost is O(active tags + active nnz), independent of K.
+// collider is locked keep whatever the residual buffer holds (no pass
+// scores them — see normSqActive). base need only be valid on the
+// active rows. Cost is O(active tags + active nnz), independent of K.
 func (st *descentState) buildFromBase(g *Graph, base []complex128, b bits.Vector) {
 	for _, i := range g.activeTags {
 		if b[i] {
@@ -938,12 +941,19 @@ func (st *descentState) buildFromBase(g *Graph, base []complex128, b bits.Vector
 }
 
 // normSqActive returns the squared norm of the residual restricted to
-// the graph's active rows; adding the Session's frozen-row constant
-// yields the full ‖r‖².
+// the graph's active rows — the score of every pass. The rows it skips
+// have only locked colliders, so their energy is one constant per
+// position: the same for every pass, it cancels from every comparison
+// the Session makes (adoption, ambiguity gaps, conditional margins).
 func (st *descentState) normSqActive(g *Graph) float64 {
+	return sqNormOn(st.residual, g.activeRows)
+}
+
+// sqNormOn returns Σ|v[row]|² over rows, summed in the order given.
+func sqNormOn(v []complex128, rows []int) float64 {
 	var s float64
-	for _, row := range g.activeRows {
-		x := st.residual[row]
+	for _, row := range rows {
+		x := v[row]
 		s += real(x)*real(x) + imag(x)*imag(x)
 	}
 	return s

@@ -68,7 +68,10 @@ type Session struct {
 	// path a restart subtracts them over the active rows, O(active nnz);
 	// on the Gram path the position projects it onto the active tags once
 	// per slot (B and E0, see prepareGram) and each restart costs
-	// O(unlocked²), whatever the row count.
+	// O(unlocked²), whatever the row count. Only active rows read it, so
+	// it is valid on the active rows only: a rebuild on the sparse shape
+	// writes nothing else (see rebuildPosition), and an entry left behind
+	// when its row froze is never read again (rows never reactivate).
 	lockedBase    [][]complex128
 	lockedBacking []complex128
 
@@ -88,17 +91,12 @@ type Session struct {
 	// decode — the init of the next slot's descent and the frame source
 	// for the outer loop's CRC checks.
 	posBits []bool
-	// ambiguous and errs cache each position's post-decode restart-tie
-	// flags (active tags' entries only — a locked tag is never marked)
-	// and squared error. (Margins need no cache: the merge reads them
-	// straight off the per-position gain tables.)
+	// ambiguous caches each position's post-decode restart-tie flags
+	// (active tags' entries only — a locked tag is never marked). Errors
+	// and margins need no cache: a position's score is its cached
+	// residual's norm over the active rows (normSqActive), and the merge
+	// reads margins straight off the per-position gain tables.
 	ambiguous []bool
-	errs      []float64
-	// errInactive[p] is Σ|lockedBase[p][row]|² over rows whose every
-	// collider is locked: their residual entries are frozen, so restart
-	// builds and conditional re-decodes sweep only the active rows and
-	// add this constant back when they need a full ‖r‖².
-	errInactive []float64
 
 	// wstates[w] is worker w's private restart workspace (serial decode
 	// uses wstates[0]); cond is the ConditionalMargin workspace, used
@@ -201,6 +199,7 @@ type workerState struct {
 	signBack []float64
 	maskBack []complex128
 	setTap   []complex128
+	lockTap  []complex128
 	treeBack []int
 	dirtBack []int
 	inDirt   []bool
@@ -228,6 +227,7 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 	w.signBack = growFloats(w.signBack, k)
 	w.maskBack = growComplex(w.maskBack, k)
 	w.setTap = growComplex(w.setTap, k)
+	w.lockTap = growComplex(w.lockTap, k)
 	treeLen := 2 * scratch.CeilPow2(max(k, 1))
 	w.treeBack = growInts(w.treeBack, treeLen)
 	w.dirtBack = growInts(w.dirtBack, k)
@@ -498,9 +498,6 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	}
 	s.posBits = growBools(s.posBits, frameLen*k)
 	s.ambiguous = growBools(s.ambiguous, frameLen*k)
-	s.errs = growFloats(s.errs, frameLen)
-	s.errInactive = growFloats(s.errInactive, frameLen)
-	clear(s.errInactive)
 	s.rowPower = growFloats(s.rowPower, maxSlots)[:0]
 	s.driftEnergy = growFloats(s.driftEnergy, maxSlots)[:0]
 	s.driftTotal, s.sigTotal = 0, 0
@@ -605,8 +602,6 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 	if cap(s.states) < frameLen {
 		s.states = make([]descentState, 0, scratch.CeilPow2(frameLen))
 	}
-	s.errs = growFloats(s.errs, frameLen)[:0]
-	s.errInactive = growFloats(s.errInactive, frameLen)[:0]
 	s.retireIdx = growInts(s.retireIdx, kCap)[:0]
 	s.retireTouched = growBools(s.retireTouched, kCap)[:0]
 	s.retireRows = growInts(s.retireRows, maxSlots)[:0]
@@ -667,23 +662,21 @@ func (s *Session) SetTaps(taps []complex128) {
 // changed unlocked tag i the patch is O(frameLen · w_i · colliders):
 // every absorbed residual entry of a row tag i transmits a 1 in moves
 // by h_old − h_new, the touched S-sums move with it, and one sweep over
-// the unlocked tags per position re-derives the gains. Two cases fall back to full
-// invalidation (the next DecodeSlot rebuilds from the observations):
-// a locked tag's tap moved (its contribution lives in the locked-base
-// residuals and the frozen-row error constants), or at least half the
-// taps moved (block fade — the rebuild touches less memory than the
-// per-tag patches would). The two paths agree up to floating-point
-// association (the patch adds tap deltas onto cached residuals instead
-// of re-summing them), and the path taken depends only on which taps
-// moved — never on parallelism or scheduling — so same-seed transfers
-// remain byte-identical.
+// the unlocked tags per position re-derives the gains. Two cases fall
+// back to full invalidation (the next DecodeSlot rebuilds from the
+// observations): a locked tag's tap moved (its contribution lives in
+// the locked-base residuals), or at least half the taps moved (block
+// fade — the rebuild touches less memory than the per-tag patches
+// would). The two paths agree up to floating-point association (the
+// patch adds tap deltas onto cached residuals instead of re-summing
+// them), and the path taken depends only on which taps moved — never
+// on parallelism or scheduling — so same-seed transfers remain
+// byte-identical.
 //
-// RetapAll does NOT refresh the cached per-position errors (that would
-// cost a full O(frameLen·L) residual-norm sweep, more than the patch
-// itself): like AppendSlot, it invalidates PosError and
-// ConditionalMargin until the next DecodeSlot recomputes them. Call
-// order per slot is retap → append → decode → gates, as the transfer
-// loops do.
+// The patch leaves PosError current; a fall-back, like AppendSlot,
+// leaves it and ConditionalMargin invalid until the next DecodeSlot.
+// Call order per slot is retap → append → decode → gates, as the
+// transfer loops do.
 func (s *Session) RetapAll(taps []complex128) {
 	if len(taps) != s.k {
 		panic(fmt.Sprintf("bp: RetapAll got %d taps for %d tags", len(taps), s.k))
@@ -941,12 +934,11 @@ func (s *Session) AppendSlot(row bits.Vector, obs []complex128) {
 // per-row state stays aligned) and each position's cached descent
 // state loses exactly that row's contribution: the S-sums drop the
 // cached residual entry, the touched tags' gains and argmax trees are
-// re-derived once after the sweep, and a row whose energy had been
-// banked into the frozen-row error constant gives it back. Cost is
-// O(frameLen · colliders) per retired row plus one O(frameLen ·
-// touched · log K) gain sweep per call; descent state of the surviving
-// rows is untouched, so the next DecodeSlot continues every position's
-// search where it left off.
+// re-derived once after the sweep; a row with no active collider
+// touches no cached state at all. Cost is O(frameLen · colliders) per
+// retired row plus one O(frameLen · touched · log K) gain sweep per
+// call; descent state of the surviving rows is untouched, so the next
+// DecodeSlot continues every position's search where it left off.
 //
 // Two cases fall back to whole-state invalidation, after which the
 // next DecodeSlot rebuilds every position from the surviving rows'
@@ -954,9 +946,9 @@ func (s *Session) AppendSlot(row bits.Vector, obs []complex128) {
 // retap/grow rebuild — under fast drift RetapAll invalidates every
 // slot, so windowed fast-mobility decodes take this path), and a call
 // retiring at least half the live rows (a window shrink; the rebuild
-// touches less memory than the patches would). Like AppendSlot, Retire
-// invalidates the cached per-position errors until the next DecodeSlot;
-// call it between a DecodeSlot and the next AppendSlot.
+// touches less memory than the patches would), after which PosError
+// stays invalid until the next DecodeSlot. Call it between a
+// DecodeSlot and the next AppendSlot.
 //
 // Returns the number of rows retired; retiring everything is legal
 // (the decoder then knows nothing and margins collapse to zero until
@@ -979,18 +971,11 @@ func (s *Session) Retire(throughSlot int) int {
 	}
 	touched := s.retireIdx[:0]
 	for r := lo; r < hi; r++ {
-		if patch {
+		if active := g.rowActive[r]; patch && len(active) > 0 {
 			// An active row leaves its unlocked colliders' S-sums; an
-			// inactive row has none, and its residual entry is not
-			// maintained — only its banked locked-base energy goes.
-			active := g.rowActive[r]
+			// inactive row has none, and no pass scores it.
 			for p := 0; p < s.frameLen; p++ {
 				st := &s.states[p]
-				if len(active) == 0 {
-					lb := s.lockedBase[p][r]
-					s.errInactive[p] -= real(lb)*real(lb) + imag(lb)*imag(lb)
-					continue
-				}
 				res := st.residual[r]
 				for _, i := range active {
 					st.sum[i] -= res
@@ -1066,8 +1051,8 @@ func (s *Session) Retired() int { return s.g.retired }
 // entry, and every touched gain and argmax tree is re-derived once
 // after the sweep — O(frameLen · colliders) per removed row, the same
 // shape as Retire. A row whose last active collider was the retired
-// tag freezes exactly as when its last collider locks: its locked-base
-// energy joins the per-position error constant.
+// tag freezes exactly as when its last collider locks: it leaves the
+// active rows, and with them every pass's score.
 //
 // Falls back to whole-state invalidation (the next DecodeSlot rebuilds
 // from the surviving model) when the cached state is already invalid,
@@ -1075,9 +1060,8 @@ func (s *Session) Retired() int { return s.g.retired }
 // residuals, not the descent state), soft down-weighting is active
 // anywhere, or a removed row has not been absorbed yet. Removing a
 // tag's every row is legal: like a tag that just joined, its margins
-// collapse to zero until it participates again. Like Retire, RetireTag
-// invalidates the cached per-position errors until the next DecodeSlot;
-// call it between a DecodeSlot and the next AppendSlot.
+// collapse to zero until it participates again. Like Retire, call it
+// between a DecodeSlot and the next AppendSlot.
 //
 // Returns the number of rows the tag was removed from.
 func (s *Session) RetireTag(tag, throughSlot int) int {
@@ -1131,7 +1115,6 @@ func (s *Session) RetireTag(tag, throughSlot int) int {
 		s.tagLedger[tag] = led[:len(led)-2*x]
 	}
 	if !patch {
-		g.TakeNewlyInactive() // the rebuild re-derives the frozen-row constants
 		s.stateValid = false
 		return n
 	}
@@ -1163,20 +1146,6 @@ func (s *Session) RetireTag(tag, throughSlot int) int {
 				s.retireTouched[j] = true
 				touched = append(touched, j)
 			}
-		}
-	}
-	// Rows the tag left empty of active colliders freeze: their residual
-	// entries leave the active error sweep and their locked-base energy
-	// joins the per-position constant, as when a lock empties a row.
-	if inactive := g.TakeNewlyInactive(); len(inactive) > 0 {
-		for p := 0; p < s.frameLen; p++ {
-			lbp := s.lockedBase[p]
-			acc := s.errInactive[p]
-			for _, row := range inactive {
-				x := lbp[row]
-				acc += real(x)*real(x) + imag(x)*imag(x)
-			}
-			s.errInactive[p] = acc
 		}
 	}
 	degZero := g.Degree(tag) == 0
@@ -1347,8 +1316,30 @@ func (s *Session) Ys() [][]complex128 { return s.ys }
 // aliasing the session's state: valid until the next DecodeSlot.
 func (s *Session) PosBits(p int) []bool { return s.posBits[p*s.k : (p+1)*s.k] }
 
-// PosError returns ‖residual‖² at position p's current decode.
-func (s *Session) PosError(p int) float64 { return s.errs[p] }
+// PosError returns ‖y − D·H·b‖² over the live rows at position p's
+// current decode: the active rows' energy every pass is scored by,
+// read off the cached residual, plus the frozen rows' (no active
+// collider) energy, recomputed here in O(frozen nnz). Valid from a
+// DecodeSlot until the next AppendSlot or rebuild-forcing mutation;
+// the incremental patches (RetapAll, Retire, RetireTag) keep it current.
+func (s *Session) PosError(p int) float64 {
+	g := &s.g
+	b := s.PosBits(p)
+	e := s.states[p].normSqActive(g)
+	for row := g.retired; row < g.L; row++ {
+		if len(g.rowActive[row]) > 0 {
+			continue
+		}
+		x := s.ys[p][row]
+		for _, i := range g.rowCols[row] {
+			if b[i] {
+				x -= complex(g.alphaAt(row, i), 0) * g.taps[i]
+			}
+		}
+		e += real(x)*real(x) + imag(x)*imag(x)
+	}
+	return e
+}
 
 // SlotJob is one session's staged per-slot decode — the arguments its
 // owner passes to DecodeSlot, held as data so a driver can stage a slot
@@ -1438,22 +1429,6 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 						}
 					}
 				}
-			}
-		}
-		// Rows whose last active collider just locked are frozen from
-		// here on: bank their energy into the per-position constant.
-		// (Consumed after all folds so lockedBase is final.)
-		if rows := s.g.TakeNewlyInactive(); len(rows) > 0 && s.stateValid {
-			for p := 0; p < s.frameLen; p++ {
-				lbp := s.lockedBase[p]
-				acc := s.errInactive[p]
-				for _, row := range rows {
-					if row < len(lbp) {
-						x := lbp[row]
-						acc += real(x)*real(x) + imag(x)*imag(x)
-					}
-				}
-				s.errInactive[p] = acc
 			}
 		}
 	}
@@ -1648,7 +1623,7 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 		// O(colliders) per pending row: absorb what AppendSlot added
 		// into both the descent state and the locked-base residual. A
 		// row born with every collider already locked is frozen on
-		// arrival — its energy goes straight to the error constant.
+		// arrival, and no pass scores it.
 		for len(st.residual) < g.L {
 			row := len(st.residual)
 			obs := s.ys[p][row]
@@ -1661,15 +1636,12 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 				}
 			}
 			s.lockedBase[p] = append(s.lockedBase[p], lb)
-			if len(g.rowActive[row]) == 0 {
-				s.errInactive[p] += real(lb)*real(lb) + imag(lb)*imag(lb)
-			}
 			st.appendRow(g, row, obs, myBits, locked)
 		}
 	}
 	cFlips := uint64(st.descend(g, myBits, locked, s.eps))
 	cRestarts := uint64(0)
-	bestErr := st.normSqActive(g) + s.errInactive[p]
+	bestErr := st.normSqActive(g)
 
 	// Every per-pass step below walks the active tags and rows only. A
 	// pass block's locked entries are never written or read: a locked
@@ -1689,7 +1661,7 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 
 	if s.gramOn {
 		var f uint64
-		f, bestPass, bestErr = s.restartsGram(p, ws, allBits, passErr, bestErr)
+		f, bestPass = s.restartsGram(p, ws, allBits, passErr)
 		cFlips += f
 		cRestarts = uint64(s.restarts)
 	} else if s.restarts > 0 {
@@ -1705,7 +1677,7 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 			rst.buildFromBase(g, s.lockedBase[p], bhat)
 			cFlips += uint64(rst.descend(g, bhat, locked, s.eps))
 			cRestarts++
-			errV := rst.normSqActive(g) + s.errInactive[p]
+			errV := rst.normSqActive(g)
 			passErr[pass] = errV
 			if errV < bestErr {
 				bestErr = errV
@@ -1717,7 +1689,6 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 			}
 		}
 	}
-	s.errs[p] = bestErr
 	s.costDescent.Add(1)
 	if cRestarts > 0 {
 		s.costRestarts.Add(cRestarts)
@@ -1739,11 +1710,10 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 
 // restartsGram runs position p's restart passes in Gram space (see
 // prepareGram) after its pass-0 descent, filling the pass blocks of
-// allBits and passErr. rowErr is the pass-0 state's residual norm. It
-// returns the restarts' flips, the adopted pass (0 when none beat pass
-// 0) and the adopted state's residual norm. An adopted restart is
-// materialized into the position state from its final bits.
-func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr []float64, rowErr float64) (flips uint64, bestPass int, bestErr float64) {
+// allBits and passErr. It returns the restarts' flips and the adopted
+// pass (0 when none beat pass 0). An adopted restart is materialized
+// into the position state from its final bits.
+func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr []float64) (flips uint64, bestPass int) {
 	g := &s.g
 	active := g.activeTags
 	myBits := bits.Vector(s.posBits[p*s.k : (p+1)*s.k])
@@ -1756,14 +1726,14 @@ func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr [
 	// gaps compare like with like: a restart that ends on the
 	// incumbent's bits scores exactly the incumbent's error and is never
 	// adopted on rounding noise.
-	passErr[0] = ws.gramError(s, myBits) + s.errInactive[p]
+	passErr[0] = ws.gramError(s, myBits)
 	best := passErr[0]
 	maxFlips := 64 * (g.K + 1) * (g.L + 1)
 	for pass := 1; pass < len(passErr); pass++ {
 		bhat := bits.Vector(allBits[pass*s.k : (pass+1)*s.k])
 		randomBitsInto(&ws.src, bhat, active)
 		flips += uint64(ws.gramDescend(s, bhat, maxFlips))
-		errV := ws.gramError(s, bhat) + s.errInactive[p]
+		errV := ws.gramError(s, bhat)
 		passErr[pass] = errV
 		if errV < best {
 			best = errV
@@ -1771,7 +1741,7 @@ func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr [
 		}
 	}
 	if bestPass == 0 {
-		return flips, 0, rowErr
+		return flips, 0
 	}
 	bhat := allBits[bestPass*s.k : (bestPass+1)*s.k]
 	for _, i := range active {
@@ -1780,25 +1750,62 @@ func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr [
 	rst := &ws.rst
 	rst.residual = rst.residual[:g.L]
 	rst.buildFromBase(g, s.lockedBase[p], myBits)
-	st := &s.states[p]
-	st.copyActiveFrom(g, rst)
-	return flips, bestPass, st.normSqActive(g) + s.errInactive[p]
+	s.states[p].copyActiveFrom(g, rst)
+	return flips, bestPass
 }
 
 // rebuildPosition re-derives position p's cached state from its
 // observations and current bits when the session state is invalid (a
 // retap of a locked tag, a block fade, a grow, a window shrink): the
-// locked-base residual and the inactive rows' banked energy over the
-// live rows, the residual wherever a reader needs it, then the active
-// tags' S-sums, gains and tree. Both residual builds subtract each
+// locked base and the residual on the rows their readers need, then
+// the active tags' S-sums, gains and tree. Every build subtracts each
 // row's set-bit colliders in ascending tag order, so the floats do not
-// depend on which one runs. The locked base costs O(live rows + locked
-// nnz), the one part that still scales with everyone who joined; with
-// few active rows the rest is O(active).
+// depend on the shape. With few active rows both builds sweep just
+// those rows, O(active nnz), whatever the number of joined tags.
 func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bits.Vector, locked []bool) {
 	g := &s.g
 	y := s.ys[p][:g.L]
 	lbp := s.lockedBase[p][:g.L]
+	s.lockedBase[p] = lbp
+	st.residual = st.residual[:g.L]
+	var e0 float64
+	if g.soft || 2*len(g.activeRows) > g.L-g.retired {
+		// Most live rows are active (few tags locked): the column-major
+		// builds walk only the set-bit columns, about half the entries a
+		// row sweep would. Soft down-weighting (heavy drift, few locks)
+		// keeps these weighted builders too.
+		e0 = s.lockedBaseByCols(lbp, y, b, locked)
+		g.residualInto(st.residual, y, b)
+	} else {
+		// Few active rows (most tags locked): sweep just those rows, the
+		// residual with setTap[i] = h_i where b[i] is set, 0 elsewhere.
+		e0 = s.lockedBaseByRows(lbp, y, b, locked, ws.lockTap)
+		setTap := ws.setTap
+		for _, row := range g.activeRows {
+			for _, i := range g.rowCols[row] {
+				setTap[i] = 0
+				if b[i] {
+					setTap[i] = g.taps[i]
+				}
+			}
+		}
+		g.subtractOnActiveRows(st.residual, y, setTap)
+	}
+	var proj []complex128
+	if s.gramOn {
+		ws.gE0 = e0
+		proj = ws.gB[:len(g.activeTags)]
+	}
+	st.rederive(g, b, locked, lbp, proj)
+}
+
+// lockedBaseByCols builds the locked base column by column over the
+// live rows — lbp = y, then every locked set-bit tag's tap off its rows
+// in ascending tag order (foldLocked) — and returns E0, the base's
+// energy over the active rows. O(live rows + locked set nnz): the
+// dense and soft shapes' builder.
+func (s *Session) lockedBaseByCols(lbp, y []complex128, b bits.Vector, locked []bool) float64 {
+	g := &s.g
 	copy(lbp[g.retired:], y[g.retired:])
 	if locked != nil {
 		for i, l := range locked {
@@ -1807,54 +1814,26 @@ func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bi
 			}
 		}
 	}
-	s.lockedBase[p] = lbp
-	// Retired rows also have an empty rowActive, but they are gone from
-	// the model entirely — only live frozen rows bank energy. The same
-	// sweep sums the active rows' energy, the Gram path's E0.
-	acc, e0 := 0.0, 0.0
-	for row := g.retired; row < g.L; row++ {
-		x := lbp[row]
-		if len(g.rowActive[row]) == 0 {
-			acc += real(x)*real(x) + imag(x)*imag(x)
-		} else {
-			e0 += real(x)*real(x) + imag(x)*imag(x)
-		}
-	}
-	s.errInactive[p] = acc
-	var proj []complex128
-	if s.gramOn {
-		ws.gE0 = e0
-		proj = ws.gB[:len(g.activeTags)]
-	}
-	st.residual = st.residual[:g.L]
-	if g.soft || 2*len(g.activeRows) > g.L-g.retired {
-		// Most live rows are active (few tags locked): the column-major
-		// build walks only the set-bit columns, about half the entries a
-		// row sweep would. Soft down-weighting (heavy drift, few locks)
-		// keeps this one weighted builder too.
-		g.residualInto(st.residual, y, b)
-	} else {
-		// Few active rows (most tags locked): sweep just those rows.
-		// setTap[i] is tag i's tap where its bit is set and 0 elsewhere —
-		// subtracting a zero is exact, and the row loop carries no
-		// mispredict on the random bits.
-		setTap := ws.setTap[:g.K]
-		for i := range setTap {
-			if b[i] {
-				setTap[i] = g.taps[i]
-			} else {
-				setTap[i] = 0
+	return sqNormOn(lbp, g.activeRows)
+}
+
+// lockedBaseByRows is the sparse (hard-mode) shape's builder: it sets
+// the locked base on the active rows alone, y minus lockTap (h_i for a
+// locked set-bit collider, 0 otherwise) over each row's colliders, and
+// sums E0 in the same sweep — O(active nnz). rowCols is ascending, the
+// order lockedBaseByCols's folds reach a row in, and subtracting +0 is
+// exact, so every active row and E0 are bitwise the column build's.
+func (s *Session) lockedBaseByRows(lbp, y []complex128, b bits.Vector, locked []bool, lockTap []complex128) float64 {
+	g := &s.g
+	for _, row := range g.activeRows {
+		for _, i := range g.rowCols[row] {
+			lockTap[i] = 0
+			if locked != nil && locked[i] && b[i] {
+				lockTap[i] = g.taps[i]
 			}
 		}
-		for _, row := range g.activeRows {
-			r := y[row]
-			for _, i := range g.rowCols[row] {
-				r -= setTap[i]
-			}
-			st.residual[row] = r
-		}
 	}
-	st.rederive(g, b, locked, lbp, proj)
+	return g.subtractOnActiveRows(lbp, y, lockTap)
 }
 
 // foldLocked subtracts locked tag i's contribution h (weighted on its
@@ -1895,13 +1874,14 @@ func (s *Session) foldLocked(lbp []complex128, i int, h complex128) {
 // confident the single-flip margin looks. Tags with no observations
 // report 0.
 //
-// It reuses position p's cached residual, S-sums, gains and error, so
-// the outer loop's acceptance gate costs one O(w_i) flip plus the
-// re-descent rather than a from-scratch build per (position, tag). It
-// must be called from the session's owning goroutine (it shares one
-// workspace), after a DecodeSlot and before the next state mutation
-// (AppendSlot, RetapAll, Grow) — the cached error it reuses is only
-// valid inside that window.
+// It reuses position p's cached residual, S-sums and gains, so the
+// outer loop's acceptance gate costs one O(w_i) flip plus the
+// re-descent rather than a from-scratch build per (position, tag). Both
+// errors are taken over the active rows: the frozen rows add the same
+// energy to each, so it cancels. It must be called from the session's
+// owning goroutine (it shares one workspace), after a DecodeSlot and
+// before the next state mutation (AppendSlot, RetapAll, Grow) — the
+// cached state it reuses is only valid inside that window.
 func (s *Session) ConditionalMargin(p, i int, locked []bool) float64 {
 	g := &s.g
 	w := g.Degree(i)
@@ -1912,7 +1892,7 @@ func (s *Session) ConditionalMargin(p, i int, locked []bool) float64 {
 	if w == 0 || den == 0 {
 		return 0
 	}
-	base := s.errs[p]
+	base := s.states[p].normSqActive(g)
 
 	st := &s.cond.rst
 	st.residual = st.residual[:len(s.states[p].residual)]
@@ -1932,7 +1912,7 @@ func (s *Session) ConditionalMargin(p, i int, locked []bool) float64 {
 	st.applyFlip(g, bhat, pin, i)
 	st.lockTag(i)
 	st.descend(g, bhat, pin, s.eps)
-	errV := st.normSqActive(g) + s.errInactive[p]
+	errV := st.normSqActive(g)
 	return (errV - base) / den
 }
 

@@ -97,10 +97,13 @@ func decodeCompare(t *testing.T, a, b *Session, slot int, locked []bool, base ui
 // taps, and fails if the cached state disagrees beyond tol — the
 // white-box contract RetapAll's and Retire's incremental patches must
 // keep. Retired rows and inactive rows (every collider locked) are
-// skipped: their cached residual entries are dead by design — an
-// inactive row's energy lives in the frozen-row constant, checked
-// below. (Exact equality is not required: the patches add deltas onto
-// cached values, a different float association than the rebuild.)
+// skipped: their cached residual entries are dead by design. It also
+// checks PosError against a from-scratch
+// ‖y − D·H·b‖² over the live rows, and the locked base on every active
+// row against a from-scratch y − Σ(locked, set) h. (Exact equality is
+// not required: the patches add deltas onto cached values, and locks
+// fold into the base in lock order — both a different float
+// association than the rebuild.)
 func verifyState(t *testing.T, s *Session, locked []bool, tol float64, what string) {
 	t.Helper()
 	if !s.stateValid {
@@ -145,26 +148,48 @@ func verifyState(t *testing.T, s *Session, locked []bool, tol float64, what stri
 				t.Fatalf("%s: position %d tag %d gain %v, want %v", what, p, i, st.gain[i], want)
 			}
 		}
-		// The frozen-row error constant must equal the energy of the
-		// live rows whose every collider is locked — retired rows give
-		// their banked share back.
-		wantInact := 0.0
-		for row := g.retired; row < g.L; row++ {
-			if len(g.rowActive[row]) != 0 {
-				continue
-			}
-			lb := s.ys[p][row]
-			for _, i := range g.rowCols[row] {
-				if myBits[i] {
-					lb -= g.taps[i]
-				}
-			}
-			wantInact += real(lb)*real(lb) + imag(lb)*imag(lb)
+		if got, want := s.PosError(p), scratchError(s, p); !closeTo(got, want, tol) {
+			t.Fatalf("%s: position %d error %v, want %v", what, p, got, want)
 		}
-		if !closeTo(s.errInactive[p], wantInact, tol) {
-			t.Fatalf("%s: position %d frozen-row error %v, want %v", what, p, s.errInactive[p], wantInact)
+		for _, row := range g.activeRows {
+			got, want := s.lockedBase[p][row], scratchLockedBase(s, p, row, locked)
+			if !closeTo(real(got), real(want), tol) || !closeTo(imag(got), imag(want), tol) {
+				t.Fatalf("%s: position %d row %d locked base %v, want %v", what, p, row, got, want)
+			}
 		}
 	}
+}
+
+// scratchError is ‖y − D·H·b‖² over the live rows at position p's
+// current bits, from the observations and taps alone (hard mode).
+func scratchError(s *Session, p int) float64 {
+	g := &s.g
+	b := s.PosBits(p)
+	e := 0.0
+	for row := g.retired; row < g.L; row++ {
+		x := s.ys[p][row]
+		for _, i := range g.rowCols[row] {
+			if b[i] {
+				x -= g.taps[i]
+			}
+		}
+		e += real(x)*real(x) + imag(x)*imag(x)
+	}
+	return e
+}
+
+// scratchLockedBase is y − Σ(locked, set) h at one row of position p,
+// subtracting in ascending tag order (hard mode).
+func scratchLockedBase(s *Session, p, row int, locked []bool) complex128 {
+	g := &s.g
+	b := s.PosBits(p)
+	x := s.ys[p][row]
+	for _, i := range g.rowCols[row] {
+		if locked != nil && locked[i] && b[i] {
+			x -= g.taps[i]
+		}
+	}
+	return x
 }
 
 // TestSessionRetapAllPatchesState pins the incremental retap path: a

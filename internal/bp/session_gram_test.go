@@ -143,12 +143,12 @@ func checkGramMatchesRow(t *testing.T, s *Session, src *prng.Source, n int) int 
 			randomBitsInto(src, gb, g.activeTags)
 			copy(rb, gb)
 			gf := ws.gramDescend(s, gb, maxFlips)
-			ge := ws.gramError(s, gb) + s.errInactive[p]
+			ge := ws.gramError(s, gb)
 			rst := &ws.rst
 			rst.residual = rst.residual[:g.L]
 			rst.buildFromBase(g, lbp, rb)
 			rf := rst.descend(g, rb, s.curLocked, s.eps)
-			re := rst.normSqActive(g) + s.errInactive[p]
+			re := rst.normSqActive(g)
 			for _, i := range g.activeTags {
 				if gb[i] != rb[i] {
 					t.Errorf("position %d init %d: Gram descent ended with tag %d = %v, row descent %v", p, r, i, gb[i], rb[i])

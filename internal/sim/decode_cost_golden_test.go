@@ -60,11 +60,11 @@ func TestGoldenDecodeCost(t *testing.T) {
 	}{
 		"block-fading.json":      {"dc8c4042d9151f7f", bp.DecodeCost{DescentPasses: 5439, RestartPasses: 10878, Flips: 27323}},
 		"conveyor.json":          {"6784a9194762a4d6", bp.DecodeCost{DescentPasses: 31524, RestartPasses: 63048, Flips: 112595}},
-		"dock-door.json":         {"de0015f77c8b4734", bp.DecodeCost{DescentPasses: 8066, RestartPasses: 16132, Flips: 6311}},
+		"dock-door.json":         {"de0015f77c8b4734", bp.DecodeCost{DescentPasses: 8066, RestartPasses: 16132, Flips: 6306}},
 		"fast-mobility.json":     {"122bc348aa6dc8cf", bp.DecodeCost{DescentPasses: 284160, RestartPasses: 568320, Flips: 1871233}},
 		"mixed-mobility.json":    {"186177a573606762", bp.DecodeCost{DescentPasses: 284160, RestartPasses: 568320, Flips: 1271372}},
 		"mobility.json":          {"f29efa6f913ba503", bp.DecodeCost{DescentPasses: 532800, RestartPasses: 1065600, Flips: 2694597}},
-		"warehouse-shape/555001": {"665c3bc73077397d", bp.DecodeCost{DescentPasses: 12864, RestartPasses: 25728, Flips: 30217}},
+		"warehouse-shape/555001": {"665c3bc73077397d", bp.DecodeCost{DescentPasses: 12864, RestartPasses: 25728, Flips: 30220}},
 		"warehouse-shape/655001": {"e09c6d9e0fe60735", bp.DecodeCost{DescentPasses: 16608, RestartPasses: 33216, Flips: 19201}},
 	}
 	type run struct {
