@@ -1,6 +1,9 @@
 package bp
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
@@ -457,6 +460,81 @@ func growMatchesFresh(t *testing.T, k0, kNew int, lockEarly []int, wantInactive 
 	for p := 0; p < frameLen; p++ {
 		if math.IsNaN(grown.PosError(p)) {
 			t.Fatalf("position %d error is NaN", p)
+		}
+	}
+}
+
+// TestGoldenLargeKDecode pins a transfer past the paper's K: 70
+// unlocked tags for three slots, then tags 20–69 lock, then Grow admits
+// 50 more at slot 7 (120 tags, 70 unlocked), and from slot 9 on three
+// taps move a little every slot (RetapAll's incremental patch). A
+// SHA-256 over every
+// slot's margins, ambiguity flags, per-position bits and per-position
+// errors (float bit patterns) must match the pinned digest at
+// Parallelism 1 and 2.
+func TestGoldenLargeKDecode(t *testing.T) {
+	const (
+		k0       = 70
+		kNew     = 50
+		k2       = k0 + kNew
+		frameLen = 5
+		maxSlots = 12
+		base     = 0x7EE5
+		golden   = "8e19d314fdf7465f3f1d723f6bf7c389146565730d8ff2338b244cfb8697936e"
+	)
+	src := prng.NewSource(0xC07)
+	taps := randomTaps(k2, src)
+	est := randomEstimates(k2, frameLen, src)
+	rows, obss := scriptSlots(k2, frameLen, maxSlots, 0xC08)
+
+	for _, par := range []int{1, 2} {
+		s := NewSession()
+		s.Begin(k0, frameLen, maxSlots, par, 2, taps[:k0])
+		s.InitPositions(est[:k0])
+		locked := make([]bool, k2)
+		cur := append([]complex128(nil), taps...)
+		h := sha256.New()
+		word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+		flag := func(b bool) {
+			if b {
+				h.Write([]byte{1})
+			} else {
+				h.Write([]byte{0})
+			}
+		}
+		for slot := 1; slot <= maxSlots; slot++ {
+			if slot == 7 {
+				s.Grow(taps[k0:], est[k0:])
+			}
+			k := s.k
+			if slot >= 9 {
+				for i := 0; i < 3; i++ {
+					cur[i] *= complex(0.999, 0.01)
+				}
+				s.RetapAll(cur[:k])
+			}
+			margins, amb := make([]float64, k), make([]bool, k)
+			s.AppendSlot(rows[slot-1][:k], obss[slot-1])
+			s.DecodeSlot(slot, locked[:k], base, margins, amb)
+			for i := 0; i < k; i++ {
+				word(math.Float64bits(margins[i]))
+				flag(amb[i])
+			}
+			for p := 0; p < frameLen; p++ {
+				for _, b := range s.PosBits(p) {
+					flag(b)
+				}
+				word(math.Float64bits(s.PosError(p)))
+			}
+			if slot == 3 {
+				for i := 20; i < k0; i++ {
+					locked[i] = true
+				}
+			}
+		}
+		s.Close()
+		if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+			t.Errorf("par=%d: digest %s, golden %s", par, got, golden)
 		}
 	}
 }

@@ -111,3 +111,47 @@ func TestGoldenDecodeCost(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenLargeK pins two Gauss–Markov transfers of 80 tags, past the
+// paper's K ≤ 16, the way TestGoldenDecodeCost pins the example specs:
+// outcome digest and exact DecodeCost, at Parallelism 1 and 4. The
+// per-tag window drives RetireTag and RetapAll's patches every slot;
+// the auto window at ρ 0.99 drives Retire.
+func TestGoldenLargeK(t *testing.T) {
+	golden := []struct {
+		name, spec string
+		digest     string
+		cost       bp.DecodeCost
+	}{
+		{
+			"per-tag",
+			`{"k": 80, "trials": 1, "seed": 2026, "channel": {"kind": "gauss-markov", "rho": 0.95}, "window": "per_tag", "max_slots": 200}`,
+			"c3266c08ca5a2a1b", bp.DecodeCost{DescentPasses: 7400, RestartPasses: 14800, Flips: 325499},
+		},
+		{
+			"auto",
+			`{"k": 80, "trials": 1, "seed": 2026, "channel": {"kind": "gauss-markov", "rho": 0.99}, "window": "auto", "max_slots": 200}`,
+			"b5b8d1165e52dcec", bp.DecodeCost{DescentPasses: 7400, RestartPasses: 14800, Flips: 532690},
+		},
+	}
+	for _, g := range golden {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/par=%d", g.name, par), func(t *testing.T) {
+				spec, err := scenario.Parse([]byte(g.spec))
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec.Decode.Parallelism = par
+				out, err := Run(spec, WithTrialDetail())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := outcomeDigest(out); got != g.digest || out.DecodeCost != g.cost {
+					t.Errorf("got {%q, bp.DecodeCost{DescentPasses: %d, RestartPasses: %d, Flips: %d}}, golden {%q, %+v}",
+						got, out.DecodeCost.DescentPasses, out.DecodeCost.RestartPasses, out.DecodeCost.Flips,
+						g.digest, g.cost)
+				}
+			})
+		}
+	}
+}
