@@ -24,10 +24,10 @@
 //     every touched residual entry by the same constant −δ·h_j, so each
 //     neighbor's S update is one complex subtraction — O(1) instead of
 //     re-accumulating the O(w_i) correlation.
-//   - The "flip the highest-gain bit" selection runs on a tournament
-//     tree over the gain table (argmax with ties broken toward the lower
-//     index, exactly the order the straight scan produced), so a flip
-//     costs O(touched·log K) instead of an O(K) rescan per flip.
+//   - The "flip the highest-gain bit" selection scans only the active
+//     (unlocked) tags' gains, keeping the first strictly greater one, so
+//     ties break toward the lower index. Late in a transfer, when most
+//     tags are verified, a flip scans just the stragglers.
 //
 // CRC-gated freezing (§6d): once a tag's message passes its checksum in
 // the outer loop, the caller locks that tag. Locked bits get gain −∞ so
@@ -731,10 +731,10 @@ func (g *Graph) subtractOnActiveRows(dst, y, mask []complex128) float64 {
 }
 
 // descentState is the incremental working set of one bit-flipping search:
-// the residual, the per-tag residual row-sums S_i, the gain table derived
-// from them, and the tournament tree that serves argmax queries. Session
-// persists one of these per bit position across collision slots, and
-// each worker keeps one more as its restart workspace.
+// the residual, the per-tag residual row-sums S_i and the gain table
+// derived from them. Session persists one of these per bit position
+// across collision slots, and each worker keeps one more as its restart
+// workspace.
 type descentState struct {
 	// residual is r = y − D·H·b for the state's current bits. A Session
 	// maintains only the active rows' entries: no reader looks at a row
@@ -753,41 +753,11 @@ type descentState struct {
 	// elsewhere — the restart builder's branchless row kernel
 	// (subtracting complex(0,0) is exact).
 	maskTap []complex128
-	// tree is a tournament tree over gain: tree[1] is the root, leaves
-	// start at leafBase, node values are tag indices (−1 = empty).
-	tree     []int
-	leafBase int
 	// dirty and inDirty are the flip loop's dirty-list: a flip touches
-	// each neighbor once per shared row, but its gain and tree path are
-	// repaired once per unique neighbor after the sums settle.
+	// each neighbor once per shared row, but its gain is recomputed once
+	// per unique neighbor after the sums settle.
 	dirty   []int
 	inDirty []bool
-	// useTree selects the argmax structure: the tournament tree pays
-	// off past treeCutoverK active tags; below it a scan of the active
-	// tags' gains beats the tree's pointer-chasing constants. Both
-	// implement the same (gain desc, index asc) total order, so the
-	// flip sequence is identical either way.
-	useTree bool
-}
-
-// treeCutoverK is the active (unlocked) tag count above which descents
-// query the tournament tree instead of scanning the active tags' gains.
-// At the paper's K ≤ 16, or late in a large transfer when only a few
-// tags remain unlocked, the scan is a handful of float compares —
-// cheaper than any tree walk — while the tree keeps per-flip selection
-// O(touched·log K) when hundreds of tags are still being decoded. It
-// is a variable only so tests can pin the scan against the tree.
-var treeCutoverK = 64
-
-// useTreeFor reports whether descents over nActive unlocked tags query
-// the tournament tree.
-func useTreeFor(nActive int) bool { return nActive > treeCutoverK }
-
-// allocTree installs the tournament-tree backing (length must be
-// 2·CeilPow2(k)) and records the leaf offset.
-func (st *descentState) allocTree(buf []int) {
-	st.tree = buf
-	st.leafBase = len(buf) / 2
 }
 
 // allocDirty installs the dirty-list backing (length k each; inDirty
@@ -807,64 +777,8 @@ func (st *descentState) gainOf(g *Graph, i int) float64 {
 	return 2*corr*st.bSign[i] - g.wPow[i]
 }
 
-// better reports whether candidate tag a beats b under the search's
-// total order: higher gain first, ties broken toward the lower index —
-// exactly the order the original first-strictly-greater scan produced.
-func (st *descentState) better(a, b int) bool {
-	if b < 0 {
-		return true
-	}
-	if a < 0 {
-		return false
-	}
-	ga, gb := st.gain[a], st.gain[b]
-	if ga != gb {
-		return ga > gb
-	}
-	return a < b
-}
-
-// treeFix re-plays the tournament on the path from leaf i to the root
-// after gain[i] changed. The walk cannot stop early even when a node's
-// winning index is unchanged: the winner's key (its gain) changed, so
-// every ancestor's comparison must be re-evaluated.
-func (st *descentState) treeFix(i int) {
-	n := st.leafBase + i
-	for n > 1 {
-		p := n >> 1
-		l, r := st.tree[2*p], st.tree[2*p+1]
-		win := l
-		if st.better(r, l) {
-			win = r
-		}
-		st.tree[p] = win
-		n = p
-	}
-}
-
-// treeBuild populates the whole tree from the gain table. Only the
-// graph's active tags get a leaf: a deactivated (locked) tag can never
-// win, so its gain is never read.
-func (st *descentState) treeBuild(g *Graph) {
-	leaves := st.tree[st.leafBase:]
-	for x := range leaves {
-		leaves[x] = -1
-	}
-	for _, i := range g.activeTags {
-		leaves[i] = i
-	}
-	for p := st.leafBase - 1; p >= 1; p-- {
-		l, r := st.tree[2*p], st.tree[2*p+1]
-		win := l
-		if st.better(r, l) {
-			win = r
-		}
-		st.tree[p] = win
-	}
-}
-
-// buildFromBase derives residual, S-sums, gains and tree for candidate
-// b in ONE row-major sweep, starting from a base residual that already
+// buildFromBase derives residual, S-sums and gains for candidate b in
+// ONE row-major sweep, starting from a base residual that already
 // carries the locked tags' contributions (the Session's locked-base).
 // Only the active (unlocked) adjacency is traversed, once: each row's
 // residual entry is finished and immediately scattered into the S-sums
@@ -935,9 +849,6 @@ func (st *descentState) buildFromBase(g *Graph, base []complex128, b bits.Vector
 	for _, i := range g.activeTags {
 		st.gain[i] = st.gainOf(g, i)
 	}
-	if st.useTree {
-		st.treeBuild(g)
-	}
 }
 
 // normSqActive returns the squared norm of the residual restricted to
@@ -972,15 +883,10 @@ func (st *descentState) copyActiveFrom(g *Graph, src *descentState) {
 		st.gain[i] = src.gain[i]
 		st.bSign[i] = src.bSign[i]
 	}
-	if src.useTree {
-		copy(st.tree, src.tree)
-	}
-	st.leafBase = src.leafBase
-	st.useTree = src.useTree
 }
 
-// rederive recomputes S-sums, gains and the tree from the state's
-// current residual and the candidate bits — the taps-changed and
+// rederive recomputes S-sums and gains from the state's current
+// residual and the candidate bits — the taps-changed and
 // copied-state entry points. It walks the graph's active tags only: a
 // deactivated tag's entries are dead state (the Session pins its gain
 // at −∞ when it locks), and every row an active tag touches is an
@@ -1033,9 +939,6 @@ func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool, base, p
 		st.sum[i] = s
 		st.gain[i] = st.gainOf(g, i)
 	}
-	if st.useTree {
-		st.treeBuild(g)
-	}
 }
 
 // appendRow folds collision row `row` into the state in O(colliders):
@@ -1057,17 +960,15 @@ func (st *descentState) appendRow(g *Graph, row int, obs complex128, b bits.Vect
 			st.sum[i] += r
 			st.gain[i] = st.gainOf(g, i)
 		}
-		if st.useTree {
-			st.treeFix(i)
-		}
 	}
 }
 
 // applyFlip flips bit i in b and updates residual, S-sums and the gains
 // of every touched tag: O(w_i · colliders) sum updates (one complex
 // subtraction each — every touched residual entry moves by the same
-// −δ·h_i), then one gain recompute and tree repair per unique neighbor
-// via the dirty-list.
+// −δ·h_i), then one gain recompute per unique neighbor via the
+// dirty-list: a neighbor sharing several rows with tag i has its sum
+// moved once per shared row but its gain recomputed once.
 func (st *descentState) applyFlip(g *Graph, b bits.Vector, locked []bool, i int) {
 	delta := g.taps[i]
 	if b[i] {
@@ -1117,40 +1018,12 @@ func (st *descentState) applyFlip(g *Graph, b bits.Vector, locked []bool, i int)
 		}
 		st.gain[j] = st.gainOf(g, j)
 	}
-	if !st.useTree {
-		return
-	}
-	// Tree repair: per-leaf paths cost ~log K comparisons each, a full
-	// rebuild K−1 — pick whichever is cheaper for this flip's fan-out.
-	if nd*treeDepth(st.leafBase) >= st.leafBase {
-		st.treeBuild(g)
-	} else {
-		for _, j := range st.dirty[:nd] {
-			st.treeFix(j)
-		}
-	}
 }
 
-// treeDepth returns the leaf-to-root path length of a tournament tree
-// with the given leaf count (a power of two).
-func treeDepth(leaves int) int {
-	d := 0
-	for n := leaves; n > 1; n >>= 1 {
-		d++
-	}
-	return d
-}
-
-// lockTag freezes tag i in the state: its gain drops to −∞ and its
-// tree leaf empties, so the descent can never select it. The Session
-// applies this between slots when the outer loop verifies a message.
-func (st *descentState) lockTag(i int) {
-	st.gain[i] = math.Inf(-1)
-	if st.useTree {
-		st.tree[st.leafBase+i] = -1
-		st.treeFix(i)
-	}
-}
+// lockTag freezes tag i in the state: its gain drops to −∞, so the
+// descent can never select it. The Session applies this between slots
+// when the outer loop verifies a message.
+func (st *descentState) lockTag(i int) { st.gain[i] = math.Inf(-1) }
 
 // descend runs the greedy flip loop to a local optimum, mutating b and
 // the state in place; it returns the flip count. The state must be
@@ -1163,27 +1036,18 @@ func (st *descentState) descend(g *Graph, b bits.Vector, locked []bool, eps floa
 	// behaviour.
 	maxFlips := 64 * (g.K + 1) * (g.L + 1)
 	for flips < maxFlips {
-		var best int
-		if st.useTree {
-			best = st.tree[1]
-			if best < 0 || st.gain[best] <= eps {
-				break
+		// Scan the active tags in ascending order, keeping the first
+		// strictly greater gain: the highest gain wins, ties go to the
+		// lower index. Locked tags (gain −∞) could never win.
+		best, bestG := -1, eps
+		for _, i := range g.activeTags {
+			if gv := st.gain[i]; gv > bestG {
+				bestG = gv
+				best = i
 			}
-		} else {
-			// Scan of the active tags, ascending, with the same (gain
-			// desc, index asc) order the tree serves — optimal below
-			// the cutover. Locked tags (gain −∞) could never win.
-			best = -1
-			bestG := eps
-			for _, i := range g.activeTags {
-				if gv := st.gain[i]; gv > bestG {
-					bestG = gv
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
+		}
+		if best < 0 {
+			break
 		}
 		st.applyFlip(g, b, locked, best)
 		flips++

@@ -2,6 +2,7 @@ package bp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bits"
@@ -268,6 +269,56 @@ func TestDecodeStrongTagsDecodeDespiteWeak(t *testing.T) {
 	}
 	if strongRight < trials*9/10 {
 		t.Fatalf("strong tag decoded only %d/%d", strongRight, trials)
+	}
+}
+
+// TestDescendTieBreaksTowardLowerIndex pins the descent's selection
+// order on an exact tie. Tags 1 and 3 share a tap and a row whose
+// observation is that tap, so from all-zero bits their gains are
+// bitwise equal and positive, and flipping either one explains the row
+// and drives the other's gain negative. The descent must flip tag 1,
+// the lower index, and leave tag 3 alone. Tag 4, alone in its row, has
+// a strictly larger gain and flips too: a higher gain beats a lower
+// index.
+func TestDescendTieBreaksTowardLowerIndex(t *testing.T) {
+	const eps = 1e-12
+	h := complex(1.2, 0.3)
+	taps := []complex128{complex(0.8, -0.2), h, complex(1.1, 0.4), h, complex(2, 0)}
+	rows := []bits.Vector{
+		{false, true, false, true, false},
+		{true, false, true, false, false},
+		{false, false, false, false, true},
+	}
+	y := []complex128{h, 0, taps[4]}
+	k, l := len(taps), len(rows)
+
+	var g Graph
+	g.Reset(k, taps)
+	for _, row := range rows {
+		g.AppendRow(row)
+	}
+	g.SnapshotActive()
+	st := descentState{
+		residual: make(dsp.Vec, l),
+		sum:      make([]complex128, k),
+		gain:     make([]float64, k),
+		bSign:    make([]float64, k),
+		maskTap:  make([]complex128, k),
+	}
+	st.allocDirty(make([]int, k), make([]bool, k))
+	b := make(bits.Vector, k)
+	st.buildFromBase(&g, y, b)
+	if st.gain[1] != st.gain[3] || !(st.gain[1] > eps) {
+		t.Fatalf("gains of tags 1 and 3 are %v and %v, want bitwise equal and above eps", st.gain[1], st.gain[3])
+	}
+	if !(st.gain[4] > st.gain[1]) {
+		t.Fatalf("tag 4 gain %v, want above the tied gain %v", st.gain[4], st.gain[1])
+	}
+	if flips := st.descend(&g, b, nil, eps); flips != 2 {
+		t.Fatalf("descent made %d flips, want 2", flips)
+	}
+	if want := (bits.Vector{false, true, false, false, true}); !slices.Equal(b, want) {
+		t.Fatalf("descent ended on %v, want %v (the tie goes to tag 1)", b, want)
 	}
 }
 

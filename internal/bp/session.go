@@ -51,14 +51,13 @@ type Session struct {
 	ysBacking []complex128
 
 	// states[p] is position p's cached descent state; residuals live in
-	// resBacking stripes, sums/gains/trees/dirty-lists in the flat
+	// resBacking stripes, sums/gains/signs/dirty-lists in the flat
 	// blocks below.
 	states         []descentState
 	resBacking     []complex128
 	sumBacking     []complex128
 	gainBacking    []float64
 	bSignBacking   []float64
-	treeBacking    []int
 	dirtyBacking   []int
 	inDirtyBacking []bool
 
@@ -200,7 +199,6 @@ type workerState struct {
 	maskBack []complex128
 	setTap   []complex128
 	lockTap  []complex128
-	treeBack []int
 	dirtBack []int
 	inDirt   []bool
 
@@ -228,8 +226,6 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 	w.maskBack = growComplex(w.maskBack, k)
 	w.setTap = growComplex(w.setTap, k)
 	w.lockTap = growComplex(w.lockTap, k)
-	treeLen := 2 * scratch.CeilPow2(max(k, 1))
-	w.treeBack = growInts(w.treeBack, treeLen)
 	w.dirtBack = growInts(w.dirtBack, k)
 	w.inDirt = growBools(w.inDirt, k)
 	clear(w.inDirt)
@@ -238,7 +234,6 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 	w.rst.gain = w.gainBack
 	w.rst.bSign = w.signBack
 	w.rst.maskTap = w.maskBack
-	w.rst.allocTree(w.treeBack)
 	w.rst.allocDirty(w.dirtBack, w.inDirt)
 	w.allBits = growBools(w.allBits, passes*k)
 	w.passErr = growFloats(w.passErr, passes)
@@ -252,11 +247,11 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 }
 
 // shapeGram sizes the session's Gram buffers for a transfer of k tags,
-// reusing capacity: gramRule admits at most min(k, treeCutoverK) active
+// reusing capacity: gramRule admits at most min(k, gramMaxKa) active
 // tags, so a reserved session's prepareGram re-slices without
 // allocating.
 func (s *Session) shapeGram(k int) {
-	ka := min(k, treeCutoverK)
+	ka := min(k, gramMaxKa)
 	s.gram = growFloats(s.gram, ka*ka)
 	s.gramTap = growComplex(s.gramTap, ka)
 	s.gramWPow = growFloats(s.gramWPow, ka)
@@ -475,8 +470,6 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	s.sumBacking = growComplex(s.sumBacking, frameLen*k)
 	s.gainBacking = growFloats(s.gainBacking, frameLen*k)
 	s.bSignBacking = growFloats(s.bSignBacking, frameLen*k)
-	treeLen := 2 * scratch.CeilPow2(max(k, 1))
-	s.treeBacking = growInts(s.treeBacking, frameLen*treeLen)
 	s.dirtyBacking = growInts(s.dirtyBacking, frameLen*k)
 	s.inDirtyBacking = growBools(s.inDirtyBacking, frameLen*k)
 	clear(s.inDirtyBacking)
@@ -493,7 +486,6 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 		st.sum = s.sumBacking[p*k : (p+1)*k]
 		st.gain = s.gainBacking[p*k : (p+1)*k]
 		st.bSign = s.bSignBacking[p*k : (p+1)*k]
-		st.allocTree(s.treeBacking[p*treeLen : (p+1)*treeLen])
 		st.allocDirty(s.dirtyBacking[p*k:(p+1)*k], s.inDirtyBacking[p*k:(p+1)*k])
 	}
 	s.posBits = growBools(s.posBits, frameLen*k)
@@ -535,7 +527,6 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	s.cond.shape(k, maxSlots, 1)
 	s.shapeGram(k)
 	s.stateValid = false
-	s.syncTreeMode()
 	s.costDescent.Store(0)
 	s.costRestarts.Store(0)
 	s.costFlips.Store(0)
@@ -584,7 +575,6 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 	s.g.ReserveRows(maxSlots)
 	s.g.ReserveAdjacency(kCap, maxSlots)
 	s.reservedK = kCap
-	treeLen := 2 * scratch.CeilPow2(kCap)
 	ysN := frameLen * maxSlots
 	s.ysBacking = growComplex(s.ysBacking, ysN)[:0]
 	s.lockedBacking = growComplex(s.lockedBacking, ysN)[:0]
@@ -594,7 +584,6 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 	s.sumBacking = growComplex(s.sumBacking, frameLen*kCap)[:0]
 	s.gainBacking = growFloats(s.gainBacking, frameLen*kCap)[:0]
 	s.bSignBacking = growFloats(s.bSignBacking, frameLen*kCap)[:0]
-	s.treeBacking = growInts(s.treeBacking, frameLen*treeLen)[:0]
 	s.dirtyBacking = growInts(s.dirtyBacking, frameLen*kCap)[:0]
 	s.inDirtyBacking = growBools(s.inDirtyBacking, frameLen*kCap)[:0]
 	s.posBits = growBools(s.posBits, frameLen*kCap)[:0]
@@ -758,14 +747,11 @@ func (s *Session) RetapAll(taps []complex128) {
 		}
 	}
 	// Sums and tap caches moved under the gains; one sweep per position
-	// re-derives every unlocked gain and rebuilds the argmax tree.
+	// re-derives every unlocked gain.
 	for p := 0; p < s.frameLen; p++ {
 		st := &s.states[p]
 		for _, i := range s.g.activeTags {
 			st.gain[i] = st.gainOf(&s.g, i)
-		}
-		if st.useTree {
-			st.treeBuild(&s.g)
 		}
 	}
 }
@@ -825,8 +811,6 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 	s.bSignBacking = restripe(s.bSignBacking, s.frameLen, oldK, k2)
 	s.posBits = restripe(s.posBits, s.frameLen, oldK, k2)
 	s.ambiguous = growBools(s.ambiguous, s.frameLen*k2)
-	treeLen := 2 * scratch.CeilPow2(k2)
-	s.treeBacking = growInts(s.treeBacking, s.frameLen*treeLen)
 	s.dirtyBacking = growInts(s.dirtyBacking, s.frameLen*k2)
 	s.inDirtyBacking = growBools(s.inDirtyBacking, s.frameLen*k2)
 	clear(s.inDirtyBacking)
@@ -863,7 +847,6 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 		st.sum = s.sumBacking[p*k2 : (p+1)*k2]
 		st.gain = s.gainBacking[p*k2 : (p+1)*k2]
 		st.bSign = s.bSignBacking[p*k2 : (p+1)*k2]
-		st.allocTree(s.treeBacking[p*treeLen : (p+1)*treeLen])
 		st.allocDirty(s.dirtyBacking[p*k2:(p+1)*k2], s.inDirtyBacking[p*k2:(p+1)*k2])
 		for j := range est {
 			i := oldK + j
@@ -879,16 +862,12 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 			// gain is exactly 0 — never worth flipping, never −∞.
 			st.gain[i] = st.gainOf(&s.g, i)
 		}
-		if st.useTree {
-			st.treeBuild(&s.g)
-		}
 	}
 	for w := range s.wstates {
 		s.wstates[w].shape(k2, s.maxSlots, 1+s.restarts)
 	}
 	s.cond.shape(k2, s.maxSlots, 1)
 	s.shapeGram(k2)
-	s.syncTreeMode()
 }
 
 // AppendSlot feeds the session one new collision slot: the
@@ -933,12 +912,12 @@ func (s *Session) AppendSlot(row bits.Vector, obs []complex128) {
 // adjacency (Graph.RetireRow; indices never shift, so all cached
 // per-row state stays aligned) and each position's cached descent
 // state loses exactly that row's contribution: the S-sums drop the
-// cached residual entry, the touched tags' gains and argmax trees are
-// re-derived once after the sweep; a row with no active collider
-// touches no cached state at all. Cost is O(frameLen · colliders) per
-// retired row plus one O(frameLen · touched · log K) gain sweep per
-// call; descent state of the surviving rows is untouched, so the next
-// DecodeSlot continues every position's search where it left off.
+// cached residual entry, the touched tags' gains are re-derived once
+// after the sweep; a row with no active collider touches no cached
+// state at all. Cost is O(frameLen · colliders) per retired row plus
+// one O(frameLen · touched) gain sweep per call; descent state of the
+// surviving rows is untouched, so the next DecodeSlot continues every
+// position's search where it left off.
 //
 // Two cases fall back to whole-state invalidation, after which the
 // next DecodeSlot rebuilds every position from the surviving rows'
@@ -1016,15 +995,11 @@ func (s *Session) Retire(throughSlot int) int {
 		return n
 	}
 	// Sums and the graph's |h|²·w constants moved under the touched
-	// tags' gains; one sweep per position re-derives them and repairs
-	// the argmax trees.
+	// tags' gains; one sweep per position re-derives them.
 	for p := 0; p < s.frameLen; p++ {
 		st := &s.states[p]
 		for _, i := range touched {
 			st.gain[i] = st.gainOf(g, i)
-			if st.useTree {
-				st.treeFix(i)
-			}
 		}
 	}
 	for _, i := range touched {
@@ -1048,11 +1023,11 @@ func (s *Session) Retired() int { return s.g.retired }
 // exactly that pair's terms: the row's residual gains the tag's tap
 // back (where the position's current bit is 1), the surviving active
 // colliders' S-sums move with it, the tag's own S-sum drops the row's
-// entry, and every touched gain and argmax tree is re-derived once
-// after the sweep — O(frameLen · colliders) per removed row, the same
-// shape as Retire. A row whose last active collider was the retired
-// tag freezes exactly as when its last collider locks: it leaves the
-// active rows, and with them every pass's score.
+// entry, and every touched gain is re-derived once after the sweep —
+// O(frameLen · colliders) per removed row, the same shape as Retire. A
+// row whose last active collider was the retired tag freezes exactly
+// as when its last collider locks: it leaves the active rows, and with
+// them every pass's score.
 //
 // Falls back to whole-state invalidation (the next DecodeSlot rebuilds
 // from the surviving model) when the cached state is already invalid,
@@ -1158,9 +1133,6 @@ func (s *Session) RetireTag(tag, throughSlot int) int {
 		}
 		for _, i := range touched {
 			st.gain[i] = st.gainOf(g, i)
-			if st.useTree {
-				st.treeFix(i)
-			}
 		}
 	}
 	for _, i := range touched {
@@ -1432,7 +1404,6 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 			}
 		}
 	}
-	s.syncTreeMode()
 
 	s.curSlot = slot
 	s.curLocked = locked
@@ -1445,17 +1416,21 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 	}
 }
 
+// gramMaxKa caps the active tag count of a Gram-path slot. Begin and
+// Reserve size the Gram storage for min(K, gramMaxKa)² entries up front
+// (shapeGram), so a reserved session never allocates in prepareGram.
+const gramMaxKa = 64
+
 // gramRule reports whether a slot with ka active tags over nnz active
 // adjacency entries runs its restarts in Gram space: when the Ka×Ka
-// Gram has fewer entries than the adjacency it summarizes, and the
-// descents scan the active tags rather than query the tournament tree.
-// At equality the Gram saves nothing per restart and the position
-// still pays its projection (a slot with one unlocked tag in one row,
-// common on a dock door, decodes faster on the row path). The rule
-// reads the graph's shape alone, so the path taken never depends on
-// parallelism, and the floats each path produces depend only on the
-// inputs.
-func gramRule(ka, nnz int) bool { return ka <= treeCutoverK && ka*ka < nnz }
+// Gram has fewer entries than the adjacency it summarizes, and ka is
+// within the reserved Gram storage (gramMaxKa). At equality the Gram
+// saves nothing per restart and the position still pays its
+// projection (a slot with one unlocked tag in one row, common on a
+// dock door, decodes faster on the row path). The rule reads the
+// graph's shape alone, so the path taken never depends on parallelism,
+// and the floats each path produces depend only on the inputs.
+func gramRule(ka, nnz int) bool { return ka <= gramMaxKa && ka*ka < nnz }
 
 // prepareGram stages the Gram path's per-slot constants from the
 // active adjacency's CSR snapshot: the rank of every active tag, the
@@ -1509,29 +1484,6 @@ func (s *Session) prepareGram() {
 			}
 		}
 	}
-}
-
-// syncTreeMode points every descent state's argmax at the structure the
-// active tag count calls for (useTreeFor): the count falls as tags lock
-// and rises as Grow admits more. A position switching to the tree while
-// its cached state is valid gets the tree built from its gains; an
-// invalid one builds it at its rebuild, and the restart and
-// conditional-margin workspaces build or copy theirs per use.
-func (s *Session) syncTreeMode() {
-	want := useTreeFor(len(s.g.activeTags))
-	for p := range s.states {
-		st := &s.states[p]
-		if st.useTree != want {
-			st.useTree = want
-			if want && s.stateValid {
-				st.treeBuild(&s.g)
-			}
-		}
-	}
-	for w := range s.wstates {
-		s.wstates[w].rst.useTree = want
-	}
-	s.cond.rst.useTree = want
 }
 
 // finishSlot completes DecodeSlot after the position fan-out: it marks
@@ -1758,7 +1710,7 @@ func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr [
 // observations and current bits when the session state is invalid (a
 // retap of a locked tag, a block fade, a grow, a window shrink): the
 // locked base and the residual on the rows their readers need, then
-// the active tags' S-sums, gains and tree. Every build subtracts each
+// the active tags' S-sums and gains. Every build subtracts each
 // row's set-bit colliders in ascending tag order, so the floats do not
 // depend on the shape. With few active rows both builds sweep just
 // those rows, O(active nnz), whatever the number of joined tags.

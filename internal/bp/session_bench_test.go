@@ -194,3 +194,91 @@ func BenchmarkDecodeSlotMobilityShape(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/slot")
 }
+
+// BenchmarkDecodeSlotLargeK times one warm collision-slot cycle of a
+// transfer well past the paper's K: 128 unlocked tags, each colliding
+// with probability 0.1 (about 13 colliders a row), a 48-row live
+// window, frameLen 16 and 2 restarts. Every slot moves 4 of the 128
+// taps a little (RetapAll's incremental patch), appends a row, decodes
+// and retires the row that left the window. With 128 active tags the
+// restarts run on the row path, and every flip scans all of them. A
+// transfer is re-begun every 200 timed slots; its 48-slot fill runs
+// untimed.
+func BenchmarkDecodeSlotLargeK(b *testing.B) {
+	const (
+		k        = 128
+		frameLen = 16
+		restarts = 2
+		window   = 48
+		timed    = 200
+		maxSlots = window + timed
+		moved    = 4
+		base     = 0x1A26
+	)
+	src := prng.NewSource(0x1A27)
+	taps := randomTaps(k, src)
+	msgs := randomEstimates(k, frameLen, src)
+	est := randomEstimates(k, frameLen, src)
+	rows := make([]bits.Vector, maxSlots)
+	obss := make([][]complex128, maxSlots)
+	for r := range rows {
+		row := make(bits.Vector, k)
+		obs := make([]complex128, frameLen)
+		for i := range row {
+			row[i] = src.Bernoulli(0.1)
+		}
+		for p := range obs {
+			y := 0.1 * src.ComplexNorm()
+			for i, on := range row {
+				if on && msgs[i][p] {
+					y += taps[i]
+				}
+			}
+			obs[p] = y
+		}
+		rows[r], obss[r] = row, obs
+	}
+
+	s := NewSession()
+	defer s.Close()
+	s.Reserve(k, frameLen, maxSlots, restarts)
+	minMargin := make([]float64, k)
+	ambiguous := make([]bool, k)
+	locked := make([]bool, k)
+	cur := make([]complex128, k)
+	slot := 1
+	cycle := func() {
+		for x := 0; x < moved; x++ {
+			i := (slot*moved + x) % k
+			cur[i] *= complex(0.9999, 0.001)
+		}
+		s.RetapAll(cur)
+		s.AppendSlot(rows[slot-1], obss[slot-1])
+		s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
+		if slot > window {
+			s.Retire(slot - window)
+		}
+		slot++
+	}
+	begin := func() {
+		s.Begin(k, frameLen, maxSlots, 1, restarts, taps)
+		s.InitPositions(est)
+		copy(cur, taps)
+		slot = 1
+		for slot <= window {
+			cycle()
+		}
+	}
+	begin()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if slot > maxSlots {
+			b.StopTimer()
+			begin()
+			b.StartTimer()
+		}
+		cycle()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/slot")
+}

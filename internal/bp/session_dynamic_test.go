@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/bits"
@@ -535,77 +534,6 @@ func TestGoldenLargeKDecode(t *testing.T) {
 		s.Close()
 		if got := hex.EncodeToString(h.Sum(nil)); got != golden {
 			t.Errorf("par=%d: digest %s, golden %s", par, got, golden)
-		}
-	}
-}
-
-// TestSessionTreeScanCutoverIdentical pins the argmax cutover to the
-// active tag count: a transfer that starts in tree mode (70 unlocked
-// tags), drops to the scan when 50 of them lock, and returns to the
-// tree when Grow admits 50 more must decode exactly — margins,
-// ambiguity flags, bits and errors — as the same transfer scanning
-// throughout. (gain desc, index asc) is a total order, so both
-// structures pick the same flip every time.
-func TestSessionTreeScanCutoverIdentical(t *testing.T) {
-	const (
-		k0       = 70
-		kNew     = 50
-		k2       = k0 + kNew
-		frameLen = 5
-		maxSlots = 12
-		base     = 0x7EE5
-	)
-	src := prng.NewSource(0xC07)
-	taps := randomTaps(k2, src)
-	est := randomEstimates(k2, frameLen, src)
-	rows, obss := scriptSlots(k2, frameLen, maxSlots, 0xC08)
-
-	type record struct {
-		margins []float64
-		amb     []bool
-		bits    []bool
-		errs    []float64
-	}
-	run := func() (out []record, modes []bool) {
-		s := NewSession()
-		defer s.Close()
-		s.Begin(k0, frameLen, maxSlots, 1, 2, taps[:k0])
-		s.InitPositions(est[:k0])
-		locked := make([]bool, k2)
-		for slot := 1; slot <= maxSlots; slot++ {
-			if slot == 7 {
-				s.Grow(taps[k0:], est[k0:])
-			}
-			k := s.k
-			rec := record{margins: make([]float64, k), amb: make([]bool, k)}
-			s.AppendSlot(rows[slot-1][:k], obss[slot-1])
-			s.DecodeSlot(slot, locked[:k], base, rec.margins, rec.amb)
-			modes = append(modes, s.states[0].useTree)
-			for p := 0; p < frameLen; p++ {
-				rec.bits = append(rec.bits, s.PosBits(p)...)
-				rec.errs = append(rec.errs, s.PosError(p))
-			}
-			out = append(out, rec)
-			if slot == 3 {
-				for i := 20; i < k0; i++ {
-					locked[i] = true
-				}
-			}
-		}
-		return out, modes
-	}
-	tree, modes := run()
-	if want := []bool{true, true, true, false, false, false, true}; !reflect.DeepEqual(modes[:len(want)], want) {
-		t.Fatalf("argmax modes per slot %v, want the tree, then the scan, then the tree again (%v…)", modes, want)
-	}
-	defer func(c int) { treeCutoverK = c }(treeCutoverK)
-	treeCutoverK = math.MaxInt
-	scan, _ := run()
-	if !reflect.DeepEqual(tree, scan) {
-		for slot := range tree {
-			if !reflect.DeepEqual(tree[slot], scan[slot]) {
-				t.Fatalf("slot %d: tree-mode decode diverged from the scan:\n tree %+v\n scan %+v", slot+1, tree[slot], scan[slot])
-			}
 		}
 	}
 }
