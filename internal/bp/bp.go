@@ -127,10 +127,6 @@ type Graph struct {
 	// below staleCut[i]) — the bookkeeping behind the effective |h|²·w
 	// constant wPow[i] = |h_i|²·(α_i²·stale + fresh).
 	staleCnt []int
-	// anyStale reports that at least one tag has a nonzero stale cut:
-	// the Session's incremental patch paths (RetapAll, Retire) are not
-	// weight-aware, so they fall back to a rebuild while this holds.
-	anyStale bool
 	// taps[i] is tag i's channel coefficient h_i.
 	taps []complex128
 	// tapPower[i] caches |h_i|².
@@ -187,7 +183,6 @@ func (g *Graph) Reset(k int, taps []complex128) {
 		g.softAlpha[i] = 1
 	}
 	g.soft = false
-	g.anyStale = false
 	g.K = k
 	g.L = 0
 	g.retired = 0
@@ -240,9 +235,9 @@ func (g *Graph) effWeight(i int) float64 {
 }
 
 // RetapTag installs a new tap for tag i, updating the derived caches
-// (|h|², hoisted conjugate parts, |h|²·w) in O(1). Callers owning
-// cached descent state must patch or rebuild it themselves — that is
-// Session.RetapAll's job.
+// (|h|², hoisted conjugate parts, |h|²·w) in O(1). Cached descent
+// state derived under the old tap is stale afterwards: Session.RetapAll
+// invalidates it, and the next DecodeSlot rebuilds.
 func (g *Graph) RetapTag(i int, h complex128) {
 	re, im := real(h), imag(h)
 	g.taps[i] = h
@@ -514,9 +509,6 @@ func (g *Graph) SetSoftCut(i, throughRow int, alpha float64) (newly int, changed
 	g.staleCut[i] = cut
 	g.softAlpha[i] = alpha
 	g.staleCnt[i] += newly
-	if g.staleCnt[i] > 0 {
-		g.anyStale = true
-	}
 	g.wPow[i] = g.tapPower[i] * g.effWeight(i)
 	return newly, true
 }

@@ -57,7 +57,7 @@ func TestResetRecycledSessionMatchesFresh(t *testing.T) {
 		row, obs := drv.slot()
 		fresh.AppendSlot(row, obs)
 		recycled.AppendSlot(row.Clone(), append([]complex128(nil), obs...))
-		decodeCompare(t, fresh, recycled, slot, locked, 0xF00D, k, frameLen, 0)
+		decodeCompare(t, fresh, recycled, slot, locked, 0xF00D, k, frameLen)
 	}
 }
 

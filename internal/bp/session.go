@@ -104,7 +104,11 @@ type Session struct {
 	cond    workerState
 
 	// stateValid reports whether the cached per-position states match
-	// the graph; SetTaps invalidates, the next DecodeSlot rebuilds.
+	// the graph. Only AppendSlot's rows, DecodeSlot's locks and Grow's
+	// empty columns are absorbed incrementally; every other model change
+	// (SetTaps, RetapAll, Retire, RetireTag, SoftRetireTag,
+	// InitPositions) invalidates, and the next DecodeSlot rebuilds every
+	// position.
 	stateValid bool
 	// retapIdx is RetapAll's changed-tag staging buffer.
 	retapIdx []int
@@ -126,12 +130,9 @@ type Session struct {
 	// (and before the first AppendSlot — toggling mid-transfer would
 	// desynchronize the per-row series from the graph).
 	trackDrift bool
-	// retireIdx/retireTouched stage Retire's unique-collider sweep;
 	// retireRows stages RetireTag's removed-row indices across the
 	// graph mutation.
-	retireIdx     []int
-	retireTouched []bool
-	retireRows    []int
+	retireRows []int
 
 	// Per-tag drift ledgers — the per-tag coherence window's margin-gate
 	// input, armed by TrackTagDrift. tagCum[i] is the cumulative model
@@ -430,7 +431,6 @@ func (s *Session) Reset() {
 	s.trackDrift, s.trackTagDrift = false, false
 	s.orphan = s.orphan[:0]
 	s.retireRows = s.retireRows[:0]
-	s.retireIdx = s.retireIdx[:0]
 	s.stateValid = false
 	s.curLocked = nil
 	s.costDescent.Store(0)
@@ -494,9 +494,6 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	s.driftEnergy = growFloats(s.driftEnergy, maxSlots)[:0]
 	s.driftTotal, s.sigTotal = 0, 0
 	s.trackDrift = false
-	s.retireIdx = growInts(s.retireIdx, k)[:0]
-	s.retireTouched = growBools(s.retireTouched, k)
-	clear(s.retireTouched)
 	s.retireRows = growInts(s.retireRows, maxSlots)[:0]
 	s.trackTagDrift = false
 	s.tagCum = growFloats(s.tagCum, k)
@@ -591,8 +588,6 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 	if cap(s.states) < frameLen {
 		s.states = make([]descentState, 0, scratch.CeilPow2(frameLen))
 	}
-	s.retireIdx = growInts(s.retireIdx, kCap)[:0]
-	s.retireTouched = growBools(s.retireTouched, kCap)[:0]
 	s.retireRows = growInts(s.retireRows, maxSlots)[:0]
 	s.rowPower = growFloats(s.rowPower, maxSlots)[:0]
 	s.driftEnergy = growFloats(s.driftEnergy, maxSlots)[:0]
@@ -646,26 +641,14 @@ func (s *Session) SetTaps(taps []complex128) {
 	s.stateValid = false
 }
 
-// RetapAll installs new channel taps, patching the cached per-position
-// state incrementally where that is cheaper than a rebuild. For each
-// changed unlocked tag i the patch is O(frameLen · w_i · colliders):
-// every absorbed residual entry of a row tag i transmits a 1 in moves
-// by h_old − h_new, the touched S-sums move with it, and one sweep over
-// the unlocked tags per position re-derives the gains. Two cases fall
-// back to full invalidation (the next DecodeSlot rebuilds from the
-// observations): a locked tag's tap moved (its contribution lives in
-// the locked-base residuals), or at least half the taps moved (block
-// fade — the rebuild touches less memory than the per-tag patches
-// would). The two paths agree up to floating-point association (the
-// patch adds tap deltas onto cached residuals instead of re-summing
-// them), and the path taken depends only on which taps moved — never
-// on parallelism or scheduling — so same-seed transfers remain
-// byte-identical.
-//
-// The patch leaves PosError current; a fall-back, like AppendSlot,
-// leaves it and ConditionalMargin invalid until the next DecodeSlot.
-// Call order per slot is retap → append → decode → gates, as the
-// transfer loops do.
+// RetapAll installs new channel taps. A call that moves any tap banks
+// the move's drift (see DriftFraction and DriftFractionTag) and
+// invalidates the cached per-position state: the next DecodeSlot
+// rebuilds every position from its observations under the new taps,
+// and PosError and ConditionalMargin are invalid until then. A call
+// that moves no tap is a no-op and leaves the state valid. Call order
+// per slot is retap → append → decode → gates, as the transfer loops
+// do.
 func (s *Session) RetapAll(taps []complex128) {
 	if len(taps) != s.k {
 		panic(fmt.Sprintf("bp: RetapAll got %d taps for %d tags", len(taps), s.k))
@@ -709,51 +692,10 @@ func (s *Session) RetapAll(taps []complex128) {
 			s.tagCum[i] += 0.5 * (real(d)*real(d) + imag(d)*imag(d))
 		}
 	}
-	// Soft-stale rows carry per-(row, tag) weights the patch below does
-	// not know about — rebuild instead.
-	full := !s.stateValid || 2*len(changed) >= s.k || s.g.anyStale
-	if !full {
-		for _, i := range changed {
-			if s.g.deactivated[i] {
-				full = true
-				break
-			}
-		}
-	}
-	if full {
-		for _, i := range changed {
-			s.g.RetapTag(i, taps[i])
-		}
-		s.stateValid = false
-		return
-	}
 	for _, i := range changed {
-		delta := s.g.taps[i] - taps[i]
 		s.g.RetapTag(i, taps[i])
-		for p := 0; p < s.frameLen; p++ {
-			if !s.posBits[p*s.k+i] {
-				continue
-			}
-			st := &s.states[p]
-			for _, row := range s.g.colRows[i] {
-				if row >= len(st.residual) {
-					break // not yet absorbed; appendRow uses the new taps
-				}
-				st.residual[row] += delta
-				for _, j := range s.g.rowActive[row] {
-					st.sum[j] += delta
-				}
-			}
-		}
 	}
-	// Sums and tap caches moved under the gains; one sweep per position
-	// re-derives every unlocked gain.
-	for p := 0; p < s.frameLen; p++ {
-		st := &s.states[p]
-		for _, i := range s.g.activeTags {
-			st.gain[i] = st.gainOf(&s.g, i)
-		}
-	}
+	s.stateValid = false
 }
 
 // restripe resizes a per-position striped backing from stride oldK to
@@ -814,9 +756,6 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 	s.dirtyBacking = growInts(s.dirtyBacking, s.frameLen*k2)
 	s.inDirtyBacking = growBools(s.inDirtyBacking, s.frameLen*k2)
 	clear(s.inDirtyBacking)
-	s.retireIdx = growInts(s.retireIdx, k2)[:0]
-	s.retireTouched = growBools(s.retireTouched, k2)
-	clear(s.retireTouched)
 	growTagFloats := func(buf []float64) []float64 {
 		if cap(buf) < k2 {
 			next := make([]float64, k2, scratch.CeilPow2(k2))
@@ -910,23 +849,12 @@ func (s *Session) AppendSlot(row bits.Vector, obs []complex128) {
 // AppendSlot's accretion, turning "the graph only grows" into "the
 // graph is a sliding window". Each retired row leaves the graph's
 // adjacency (Graph.RetireRow; indices never shift, so all cached
-// per-row state stays aligned) and each position's cached descent
-// state loses exactly that row's contribution: the S-sums drop the
-// cached residual entry, the touched tags' gains are re-derived once
-// after the sweep; a row with no active collider touches no cached
-// state at all. Cost is O(frameLen · colliders) per retired row plus
-// one O(frameLen · touched) gain sweep per call; descent state of the
-// surviving rows is untouched, so the next DecodeSlot continues every
-// position's search where it left off.
-//
-// Two cases fall back to whole-state invalidation, after which the
-// next DecodeSlot rebuilds every position from the surviving rows'
-// observations: the cached state is already invalid (a pending
-// retap/grow rebuild — under fast drift RetapAll invalidates every
-// slot, so windowed fast-mobility decodes take this path), and a call
-// retiring at least half the live rows (a window shrink; the rebuild
-// touches less memory than the patches would), after which PosError
-// stays invalid until the next DecodeSlot. Call it between a
+// per-row state stays aligned) and takes its share of the drift
+// bookkeeping with it. A call that retires anything invalidates the
+// cached per-position state: the next DecodeSlot rebuilds every
+// position from the surviving rows' observations, and PosError and
+// ConditionalMargin are invalid until then. A call with nothing to
+// retire is a no-op and leaves the state valid. Call it between a
 // DecodeSlot and the next AppendSlot.
 //
 // Returns the number of rows retired; retiring everything is legal
@@ -939,34 +867,7 @@ func (s *Session) Retire(throughSlot int) int {
 	if hi <= lo {
 		return 0
 	}
-	n := hi - lo
-	// Soft-stale rows carry weights the patch does not know about.
-	patch := s.stateValid && 2*n < g.L-lo && !g.anyStale
-	if patch && s.frameLen > 0 && hi > len(s.states[0].residual) {
-		// Positions have not absorbed the rows being retired yet (Retire
-		// mid-slot, between AppendSlot and DecodeSlot): nothing cached
-		// references them consistently — rebuild.
-		patch = false
-	}
-	touched := s.retireIdx[:0]
 	for r := lo; r < hi; r++ {
-		if active := g.rowActive[r]; patch && len(active) > 0 {
-			// An active row leaves its unlocked colliders' S-sums; an
-			// inactive row has none, and no pass scores it.
-			for p := 0; p < s.frameLen; p++ {
-				st := &s.states[p]
-				res := st.residual[r]
-				for _, i := range active {
-					st.sum[i] -= res
-				}
-			}
-			for _, i := range active {
-				if !s.retireTouched[i] {
-					s.retireTouched[i] = true
-					touched = append(touched, i)
-				}
-			}
-		}
 		if s.trackDrift {
 			s.driftTotal -= s.driftEnergy[r]
 			s.sigTotal -= s.rowPower[r]
@@ -989,23 +890,8 @@ func (s *Session) Retire(throughSlot int) int {
 		}
 		g.RetireRow()
 	}
-	s.retireIdx = touched
-	if !patch {
-		s.stateValid = false
-		return n
-	}
-	// Sums and the graph's |h|²·w constants moved under the touched
-	// tags' gains; one sweep per position re-derives them.
-	for p := 0; p < s.frameLen; p++ {
-		st := &s.states[p]
-		for _, i := range touched {
-			st.gain[i] = st.gainOf(g, i)
-		}
-	}
-	for _, i := range touched {
-		s.retireTouched[i] = false
-	}
-	return n
+	s.stateValid = false
+	return hi - lo
 }
 
 // Retired returns the number of collision slots retired so far.
@@ -1019,22 +905,13 @@ func (s *Session) Retired() int { return s.g.retired }
 // discard good observations whenever any mover's coherence collapses.
 //
 // Each removed (row, tag) pair leaves the graph's adjacency
-// (Graph.RetireTagRows) and each position's cached descent state loses
-// exactly that pair's terms: the row's residual gains the tag's tap
-// back (where the position's current bit is 1), the surviving active
-// colliders' S-sums move with it, the tag's own S-sum drops the row's
-// entry, and every touched gain is re-derived once after the sweep —
-// O(frameLen · colliders) per removed row, the same shape as Retire. A
-// row whose last active collider was the retired tag freezes exactly
-// as when its last collider locks: it leaves the active rows, and with
-// them every pass's score.
-//
-// Falls back to whole-state invalidation (the next DecodeSlot rebuilds
-// from the surviving model) when the cached state is already invalid,
-// the tag is locked (its contribution lives in the locked-base
-// residuals, not the descent state), soft down-weighting is active
-// anywhere, or a removed row has not been absorbed yet. Removing a
-// tag's every row is legal: like a tag that just joined, its margins
+// (Graph.RetireTagRows); a row whose last active collider was the
+// retired tag freezes exactly as when its last collider locks. A call
+// that removes any row invalidates the cached per-position state: the
+// next DecodeSlot rebuilds every position from the surviving model,
+// and PosError and ConditionalMargin are invalid until then. A call
+// that removes no row is a no-op and leaves the state valid. Removing
+// a tag's every row is legal: like a tag that just joined, its margins
 // collapse to zero until it participates again. Like Retire, call it
 // between a DecodeSlot and the next AppendSlot.
 //
@@ -1052,12 +929,6 @@ func (s *Session) RetireTag(tag, throughSlot int) int {
 	}
 	rows := append(s.retireRows[:0], cr[:n]...)
 	s.retireRows = rows[:0]
-	patch := s.stateValid && !g.deactivated[tag] && !g.anyStale
-	if patch && s.frameLen > 0 && rows[n-1] >= len(s.states[0].residual) {
-		// Not yet absorbed (RetireTag mid-slot, between AppendSlot and
-		// DecodeSlot): nothing cached references the row — rebuild.
-		patch = false
-	}
 	g.RetireTagRows(tag, hi)
 	if s.trackTagDrift {
 		// The ledger holds only the tag's in-window rows: rows soft
@@ -1089,56 +960,7 @@ func (s *Session) RetireTag(tag, throughSlot int) int {
 		copy(led, led[2*x:])
 		s.tagLedger[tag] = led[:len(led)-2*x]
 	}
-	if !patch {
-		s.stateValid = false
-		return n
-	}
-	h := g.taps[tag]
-	for p := 0; p < s.frameLen; p++ {
-		st := &s.states[p]
-		set := s.posBits[p*s.k+tag]
-		for _, row := range rows {
-			// The tag leaves the row's model: its S-sum drops the row's
-			// entry, and where its bit is 1 the residual gains the tap
-			// back — rowActive already excludes the tag (and the locked,
-			// whose sums are dead), so the survivors' S-sums follow.
-			res := st.residual[row]
-			st.sum[tag] -= res
-			if set {
-				st.residual[row] = res + h
-				for _, j := range g.rowActive[row] {
-					st.sum[j] += h
-				}
-			}
-		}
-	}
-	touched := s.retireIdx[:0]
-	s.retireTouched[tag] = true
-	touched = append(touched, tag)
-	for _, row := range rows {
-		for _, j := range g.rowActive[row] {
-			if !s.retireTouched[j] {
-				s.retireTouched[j] = true
-				touched = append(touched, j)
-			}
-		}
-	}
-	degZero := g.Degree(tag) == 0
-	for p := 0; p < s.frameLen; p++ {
-		st := &s.states[p]
-		if degZero {
-			// All rows gone: snap the float dust out of the tag's S-sum
-			// so its gain is exactly 0, as for a tag that just joined.
-			st.sum[tag] = 0
-		}
-		for _, i := range touched {
-			st.gain[i] = st.gainOf(g, i)
-		}
-	}
-	for _, i := range touched {
-		s.retireTouched[i] = false
-	}
-	s.retireIdx = touched[:0]
+	s.stateValid = false
 	return n
 }
 
@@ -1292,8 +1114,8 @@ func (s *Session) PosBits(p int) []bool { return s.posBits[p*s.k : (p+1)*s.k] }
 // current decode: the active rows' energy every pass is scored by,
 // read off the cached residual, plus the frozen rows' (no active
 // collider) energy, recomputed here in O(frozen nnz). Valid from a
-// DecodeSlot until the next AppendSlot or rebuild-forcing mutation;
-// the incremental patches (RetapAll, Retire, RetireTag) keep it current.
+// DecodeSlot until the next mutation: an AppendSlot, or a RetapAll,
+// Retire, RetireTag or SoftRetireTag that changes anything.
 func (s *Session) PosError(p int) float64 {
 	g := &s.g
 	b := s.PosBits(p)
@@ -1832,7 +1654,8 @@ func (s *Session) foldLocked(lbp []complex128, i int, h complex128) {
 // errors are taken over the active rows: the frozen rows add the same
 // energy to each, so it cancels. It must be called from the session's
 // owning goroutine (it shares one workspace), after a DecodeSlot and
-// before the next state mutation (AppendSlot, RetapAll, Grow) — the
+// before the next state mutation (AppendSlot, Grow, or a RetapAll,
+// Retire, RetireTag or SoftRetireTag that changes anything) — the
 // cached state it reuses is only valid inside that window.
 func (s *Session) ConditionalMargin(p, i int, locked []bool) float64 {
 	g := &s.g

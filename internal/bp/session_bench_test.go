@@ -11,10 +11,11 @@ import (
 // of the warehouse workload's average slot: 60 joined tags of which 57
 // are CRC-locked, a 150-row live window holding only a couple of rows
 // with an unlocked collider, frameLen 48 and 2 restarts. Every slot
-// moves every tap a little (RetapAll falls back to a full rebuild, as
-// under the Gauss–Markov channel), appends a row of ~5 colliders,
-// decodes and retires the row that left the window. A transfer is
-// re-begun every 250 timed slots; its 150-slot fill runs untimed.
+// moves every tap a little (RetapAll invalidates and the decode
+// rebuilds, as under the Gauss–Markov channel), appends a row of ~5
+// colliders, decodes and retires the row that left the window. A
+// transfer is re-begun every 250 timed slots; its 150-slot fill runs
+// untimed.
 func BenchmarkDecodeSlotWarehouseShape(b *testing.B) {
 	const (
 		k        = 60
@@ -108,8 +109,8 @@ func BenchmarkDecodeSlotWarehouseShape(b *testing.B) {
 // with 4 tags CRC-locked, a 160-row live window in which each tag
 // collides with probability 0.2 (about 95 rows with an unlocked
 // collider, about 130 active adjacency entries), frameLen 37 and 2
-// restarts. Every slot moves half the taps, so RetapAll falls back to
-// a full rebuild every slot, as under the per-tag Gauss–Markov drift;
+// restarts. Every slot moves half the taps, so every decode rebuilds,
+// as under the per-tag Gauss–Markov drift;
 // each slot appends a row, decodes and retires the row that left the
 // window. Four unlocked tags over ~130 entries put every slot's
 // restarts on the Gram path. A transfer is re-begun every 250 timed
@@ -199,9 +200,10 @@ func BenchmarkDecodeSlotMobilityShape(b *testing.B) {
 // transfer well past the paper's K: 128 unlocked tags, each colliding
 // with probability 0.1 (about 13 colliders a row), a 48-row live
 // window, frameLen 16 and 2 restarts. Every slot moves 4 of the 128
-// taps a little (RetapAll's incremental patch), appends a row, decodes
-// and retires the row that left the window. With 128 active tags the
-// restarts run on the row path, and every flip scans all of them. A
+// taps a little, appends a row, decodes and retires the row that left
+// the window; the retap invalidates, so every decode rebuilds every
+// position. With 128 active tags the restarts run on the row path, and
+// every flip scans all of them. A
 // transfer is re-begun every 200 timed slots; its 48-slot fill runs
 // untimed.
 func BenchmarkDecodeSlotLargeK(b *testing.B) {

@@ -65,24 +65,21 @@ func closeTo(a, b, tol float64) bool {
 
 // decodeCompare runs DecodeSlot on both sessions and fails on any
 // divergence in margins, ambiguity flags, per-position bits or errors.
-// tol bounds the float divergence: 0 before any incremental retap
-// (identical code paths must agree exactly), a few ULPs' worth after
-// one (the patch adds tap deltas onto cached residuals instead of
-// re-summing, a different float association than the rebuild). Bits
-// and ambiguity flags must always match exactly.
-func decodeCompare(t *testing.T, a, b *Session, slot int, locked []bool, base uint64, k, frameLen int, tol float64) {
+// Both sessions run the same code path on the same inputs, so every
+// value must match exactly.
+func decodeCompare(t *testing.T, a, b *Session, slot int, locked []bool, base uint64, k, frameLen int) {
 	t.Helper()
 	am, bm := make([]float64, k), make([]float64, k)
 	aa, ba := make([]bool, k), make([]bool, k)
 	a.DecodeSlot(slot, locked, base, am, aa)
 	b.DecodeSlot(slot, locked, base, bm, ba)
 	for i := 0; i < k; i++ {
-		if !closeTo(am[i], bm[i], tol) || aa[i] != ba[i] {
+		if am[i] != bm[i] || aa[i] != ba[i] {
 			t.Fatalf("slot %d tag %d: margins/ambiguity diverged: (%v,%v) vs (%v,%v)", slot, i, am[i], aa[i], bm[i], ba[i])
 		}
 	}
 	for p := 0; p < frameLen; p++ {
-		if !closeTo(a.PosError(p), b.PosError(p), tol) {
+		if a.PosError(p) != b.PosError(p) {
 			t.Fatalf("slot %d position %d: error diverged: %v vs %v", slot, p, a.PosError(p), b.PosError(p))
 		}
 		pa, pb := a.PosBits(p), b.PosBits(p)
@@ -94,22 +91,26 @@ func decodeCompare(t *testing.T, a, b *Session, slot int, locked []bool, base ui
 	}
 }
 
+// verifyTol is verifyState's relative tolerance.
+const verifyTol = 1e-9
+
 // verifyState recomputes every position's residual, unlocked S-sums
 // and gains from the session's observations, current bits and current
-// taps, and fails if the cached state disagrees beyond tol — the
-// white-box contract RetapAll's and Retire's incremental patches must
-// keep. Retired rows and inactive rows (every collider locked) are
-// skipped: their cached residual entries are dead by design. It also
-// checks PosError against a from-scratch
-// ‖y − D·H·b‖² over the live rows, and the locked base on every active
-// row against a from-scratch y − Σ(locked, set) h. (Exact equality is
-// not required: the patches add deltas onto cached values, and locks
-// fold into the base in lock order — both a different float
-// association than the rebuild.)
-func verifyState(t *testing.T, s *Session, locked []bool, tol float64, what string) {
+// taps, and fails if the cached state disagrees beyond verifyTol. Call
+// it after a DecodeSlot (or after a mutation that changed nothing):
+// RetapAll, Retire and RetireTag invalidate the cached state, and only
+// the next decode rebuilds it. Retired rows and inactive rows (every
+// collider locked) are skipped: their cached residual entries are dead
+// by design. It also checks PosError against a from-scratch
+// ‖y − D·H·b‖² over the live rows, the locked base on every active row
+// against a from-scratch y − Σ(locked, set) h, and the armed drift
+// bookkeeping against a recount (verifyDrift). Exact equality is not
+// required: appended rows and locks fold into the cached state in
+// arrival order, a different float association than the rebuild.
+func verifyState(t *testing.T, s *Session, locked []bool, what string) {
 	t.Helper()
 	if !s.stateValid {
-		t.Fatalf("%s: state invalidated, expected an incremental patch", what)
+		t.Fatalf("%s: cached state is invalid; verify after the next DecodeSlot", what)
 	}
 	g := &s.g
 	for p := 0; p < s.frameLen; p++ {
@@ -126,7 +127,7 @@ func verifyState(t *testing.T, s *Session, locked []bool, tol float64, what stri
 				}
 			}
 			got := st.residual[row]
-			if !closeTo(real(got), real(want), tol) || !closeTo(imag(got), imag(want), tol) {
+			if !closeTo(real(got), real(want), verifyTol) || !closeTo(imag(got), imag(want), verifyTol) {
 				t.Fatalf("%s: position %d row %d residual %v, want %v", what, p, row, got, want)
 			}
 		}
@@ -141,23 +142,80 @@ func verifyState(t *testing.T, s *Session, locked []bool, tol float64, what stri
 			for _, row := range g.colRows[i] {
 				sum += st.residual[row]
 			}
-			if !closeTo(real(st.sum[i]), real(sum), tol) || !closeTo(imag(st.sum[i]), imag(sum), tol) {
+			if !closeTo(real(st.sum[i]), real(sum), verifyTol) || !closeTo(imag(st.sum[i]), imag(sum), verifyTol) {
 				t.Fatalf("%s: position %d tag %d sum %v, want %v", what, p, i, st.sum[i], sum)
 			}
 			corr := g.tapRe[i]*real(st.sum[i]) + g.tapIm[i]*imag(st.sum[i])
 			want := 2*corr*st.bSign[i] - g.wPow[i]
-			if !closeTo(st.gain[i], want, tol) {
+			if !closeTo(st.gain[i], want, verifyTol) {
 				t.Fatalf("%s: position %d tag %d gain %v, want %v", what, p, i, st.gain[i], want)
 			}
 		}
-		if got, want := s.PosError(p), scratchError(s, p); !closeTo(got, want, tol) {
+		if got, want := s.PosError(p), scratchError(s, p); !closeTo(got, want, verifyTol) {
 			t.Fatalf("%s: position %d error %v, want %v", what, p, got, want)
 		}
 		for _, row := range g.activeRows {
 			got, want := s.lockedBase[p][row], scratchLockedBase(s, p, row, locked)
-			if !closeTo(real(got), real(want), tol) || !closeTo(imag(got), imag(want), tol) {
+			if !closeTo(real(got), real(want), verifyTol) || !closeTo(imag(got), imag(want), verifyTol) {
 				t.Fatalf("%s: position %d row %d locked base %v, want %v", what, p, row, got, want)
 			}
+		}
+	}
+	verifyDrift(t, s, what)
+}
+
+// verifyDrift recounts the armed drift bookkeeping from its per-row
+// and per-tag entries and fails where a running sum disagrees beyond
+// verifyTol: the pooled drift and signal totals against the live rows'
+// driftEnergy and rowPower (TrackDrift), and each tag's ledger sums and
+// orphan energy against its in-window rows (TrackTagDrift).
+// DriftFraction and DriftFractionTag must then equal the ratios of the
+// recounts.
+func verifyDrift(t *testing.T, s *Session, what string) {
+	t.Helper()
+	g := &s.g
+	if s.trackDrift {
+		drift, sig := 0.0, 0.0
+		for row := g.retired; row < g.L; row++ {
+			drift += s.driftEnergy[row]
+			sig += s.rowPower[row]
+		}
+		if !closeTo(s.driftTotal, drift, verifyTol) || !closeTo(s.sigTotal, sig, verifyTol) {
+			t.Fatalf("%s: drift/signal totals %v/%v, recount %v/%v", what, s.driftTotal, s.sigTotal, drift, sig)
+		}
+		want := 0.0
+		if sig > 0 && drift > 0 {
+			want = drift / sig
+		}
+		if got := s.DriftFraction(); !closeTo(got, want, verifyTol) {
+			t.Fatalf("%s: DriftFraction %v, recount %v", what, got, want)
+		}
+	}
+	if !s.trackTagDrift {
+		return
+	}
+	for i := 0; i < s.k; i++ {
+		rows := g.colRows[i][g.staleCnt[i]:]
+		led := s.tagLedger[i]
+		if len(led) != 2*len(rows) {
+			t.Fatalf("%s: tag %d ledger holds %d rows, want %d", what, i, len(led)/2, len(rows))
+		}
+		snap, sig, orphan := 0.0, 0.0, 0.0
+		for x, row := range rows {
+			snap += led[2*x]
+			sig += led[2*x+1]
+			orphan += s.orphan[row]
+		}
+		if !closeTo(s.tagSnapSum[i], snap, verifyTol) || !closeTo(s.tagSig[i], sig, verifyTol) || !closeTo(s.tagOrphan[i], orphan, verifyTol) {
+			t.Fatalf("%s: tag %d snap/sig/orphan sums %v/%v/%v, recount %v/%v/%v",
+				what, i, s.tagSnapSum[i], s.tagSig[i], s.tagOrphan[i], snap, sig, orphan)
+		}
+		want := 0.0
+		if bad := max(0, s.tagCum[i]*float64(len(rows))-snap) + orphan; len(rows) > 0 && sig > 0 && bad > 0 {
+			want = bad / sig
+		}
+		if got := s.DriftFractionTag(i); !closeTo(got, want, verifyTol) {
+			t.Fatalf("%s: tag %d DriftFractionTag %v, recount %v", what, i, got, want)
 		}
 	}
 }
@@ -194,13 +252,142 @@ func scratchLockedBase(s *Session, p, row int, locked []bool) complex128 {
 	return x
 }
 
-// TestSessionRetapAllPatchesState pins the incremental retap path: a
-// minority-tap perturbation must keep the session's cached residuals,
-// S-sums and gains consistent with a from-scratch recompute under the
-// new taps (within float round-off) without invalidating the state,
-// and decoding must continue cleanly; a majority perturbation or a
-// locked tag's move must take the rebuild fall-back.
-func TestSessionRetapAllPatchesState(t *testing.T) {
+// stateWords flattens everything a decode reads from the cached
+// per-position state — residuals, S-sums, gains, flip signs, locked
+// bases, bits — plus the graph's row window and taps into float bit
+// patterns, so two snapshots compare bitwise.
+func stateWords(s *Session) []uint64 {
+	var w []uint64
+	c := func(v complex128) { w = append(w, math.Float64bits(real(v)), math.Float64bits(imag(v))) }
+	w = append(w, uint64(s.g.L), uint64(s.g.retired))
+	for _, h := range s.g.taps {
+		c(h)
+	}
+	for p := 0; p < s.frameLen; p++ {
+		st := &s.states[p]
+		for _, v := range st.residual {
+			c(v)
+		}
+		for _, v := range s.lockedBase[p] {
+			c(v)
+		}
+		for i := 0; i < s.k; i++ {
+			c(st.sum[i])
+			w = append(w, math.Float64bits(st.gain[i]), math.Float64bits(st.bSign[i]))
+		}
+		for _, b := range s.PosBits(p) {
+			if b {
+				w = append(w, 1)
+			} else {
+				w = append(w, 0)
+			}
+		}
+	}
+	return w
+}
+
+// TestSessionMutationsInvalidate pins the one update rule for the
+// session's model changes. On a warm, valid session, a RetapAll that
+// moves one tap, a Retire of one row and a RetireTag of one row each
+// invalidate the cached state, and the next DecodeSlot rebuilds it
+// onto a from-scratch recompute. The same calls with nothing to change
+// are no-ops: the state stays valid and bitwise unchanged.
+func TestSessionMutationsInvalidate(t *testing.T) {
+	const (
+		k        = 7
+		frameLen = 5
+		maxSlots = 16
+		base     = 0x1AD
+	)
+	src := prng.NewSource(0x1A7E)
+	taps := randomTaps(k, src)
+	est := randomEstimates(k, frameLen, src)
+	rows, obss := scriptSlots(k, frameLen, maxSlots, 0x1A7F)
+
+	// firstRow returns an unlocked tag with at least two live rows and
+	// the first of them.
+	firstRow := func(t *testing.T, s *Session, locked []bool) (tag, row int) {
+		for i := 0; i < k; i++ {
+			if !locked[i] && s.Degree(i) >= 2 {
+				return i, s.g.colRows[i][0]
+			}
+		}
+		t.Fatal("no unlocked tag has two live rows")
+		return 0, 0
+	}
+	retap := func(s *Session, moved int) {
+		next := append([]complex128(nil), s.g.taps...)
+		for i := 0; i < moved; i++ {
+			next[k-1-i] *= complex(1.01, 0.005)
+		}
+		s.RetapAll(next)
+	}
+	cases := []struct {
+		name string
+		// mutate applies the call under test and returns the count it
+		// reports (taps moved for RetapAll, rows for the retires).
+		mutate  func(t *testing.T, s *Session, locked []bool) int
+		changes int
+	}{
+		{"retap-one-tap", func(t *testing.T, s *Session, _ []bool) int { retap(s, 1); return 1 }, 1},
+		{"retire-one-row", func(t *testing.T, s *Session, _ []bool) int { return s.Retire(s.Retired() + 1) }, 1},
+		{"retire-tag-one-row", func(t *testing.T, s *Session, locked []bool) int {
+			tag, row := firstRow(t, s, locked)
+			return s.RetireTag(tag, row+1)
+		}, 1},
+		{"retap-no-tap", func(t *testing.T, s *Session, _ []bool) int { retap(s, 0); return 0 }, 0},
+		{"retire-no-row", func(t *testing.T, s *Session, _ []bool) int { return s.Retire(s.Retired()) }, 0},
+		{"retire-tag-no-row", func(t *testing.T, s *Session, locked []bool) int {
+			tag, row := firstRow(t, s, locked)
+			return s.RetireTag(tag, row)
+		}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSession()
+			defer s.Close()
+			s.Begin(k, frameLen, maxSlots, 1, 2, taps)
+			s.TrackDrift(true)
+			s.TrackTagDrift(true)
+			s.InitPositions(est)
+			locked := make([]bool, k)
+			locked[1] = true
+			slot := driveSlots(t, s, rows, obss, 1, 6, locked, base)
+			verifyState(t, s, locked, "warm session")
+			before := stateWords(s)
+
+			if got := tc.mutate(t, s, locked); got != tc.changes {
+				t.Fatalf("call reported %d changes, want %d", got, tc.changes)
+			}
+			if tc.changes == 0 {
+				if !s.stateValid {
+					t.Fatal("a call that changed nothing invalidated the cached state")
+				}
+				after := stateWords(s)
+				if len(after) != len(before) {
+					t.Fatalf("no-op changed the state's shape: %d words, was %d", len(after), len(before))
+				}
+				for x := range before {
+					if before[x] != after[x] {
+						t.Fatalf("no-op changed state word %d: %#x, was %#x", x, after[x], before[x])
+					}
+				}
+				verifyState(t, s, locked, "after the no-op")
+			} else if s.stateValid {
+				t.Fatal("the call changed the model but left the cached state valid")
+			}
+			driveSlots(t, s, rows, obss, slot, 1, locked, base)
+			verifyState(t, s, locked, "after the next decode")
+		})
+	}
+}
+
+// TestSessionRetapAllKeepsStateConsistent drives RetapAll through each
+// kind of move — a minority of unlocked taps, a locked tag's tap, a
+// majority of taps — on a session with a mid-transfer lock. After each
+// retap the next DecodeSlot rebuilds, and its state must match a
+// from-scratch recompute under the new taps.
+func TestSessionRetapAllKeepsStateConsistent(t *testing.T) {
 	const (
 		k        = 9
 		frameLen = 7
@@ -215,6 +402,8 @@ func TestSessionRetapAllPatchesState(t *testing.T) {
 	s := NewSession()
 	defer s.Close()
 	s.Begin(k, frameLen, maxSlots, 1, restarts, taps)
+	s.TrackDrift(true)
+	s.TrackTagDrift(true)
 	s.InitPositions(est)
 
 	locked := make([]bool, k)
@@ -222,57 +411,49 @@ func TestSessionRetapAllPatchesState(t *testing.T) {
 	ambiguous := make([]bool, k)
 	const base = 0xBA5E
 	slot := 1
-	for ; slot <= 4; slot++ {
+	decode := func() {
 		row, obs := drv.slot()
 		s.AppendSlot(row, obs)
 		s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
-		if slot == 2 {
+		slot++
+	}
+	for slot <= 4 {
+		if slot == 3 {
 			locked[3] = true // a mid-transfer CRC lock, folded next decode
 		}
+		decode()
 	}
 
-	// Perturb a minority of unlocked taps: the incremental patch path.
+	// A minority of unlocked taps moves.
 	newTaps := append([]complex128(nil), taps...)
 	newTaps[0] *= complex(1.02, 0.01)
 	newTaps[5] *= complex(0.97, -0.02)
 	s.RetapAll(newTaps)
-	verifyState(t, s, locked, 1e-9, "after first retap")
+	decode()
+	verifyState(t, s, locked, "after a minority retap")
 
-	for ; slot <= 8; slot++ {
-		row, obs := drv.slot()
-		s.AppendSlot(row, obs)
-		s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
-		for p := 0; p < frameLen; p++ {
-			if math.IsNaN(s.PosError(p)) {
-				t.Fatalf("slot %d position %d: error is NaN", slot, p)
-			}
-		}
+	for slot <= 8 {
+		decode()
 	}
-	// Patch again on the warm post-decode state.
 	newTaps[6] *= complex(0.99, 0.015)
 	s.RetapAll(newTaps)
-	verifyState(t, s, locked, 1e-9, "after second retap")
+	decode()
+	verifyState(t, s, locked, "after a retap on the warm state")
 
-	// A locked tag's move forces the rebuild fall-back.
-	lockedMove := append([]complex128(nil), newTaps...)
-	lockedMove[3] *= complex(1.01, 0)
-	s.RetapAll(lockedMove)
-	if s.stateValid {
-		t.Fatal("locked-tag retap did not invalidate the cached state")
-	}
-	row, obs := drv.slot()
-	s.AppendSlot(row, obs)
-	s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
-	verifyState(t, s, locked, 1e-9, "after rebuild")
+	// A locked tag's tap moves: its contribution lives in the locked
+	// base, which the rebuild re-derives.
+	newTaps[3] *= complex(1.01, 0)
+	s.RetapAll(newTaps)
+	decode()
+	verifyState(t, s, locked, "after a locked tag's retap")
 
-	// A majority move also falls back to the rebuild.
-	for i := range lockedMove {
-		lockedMove[i] *= complex(1.01, -0.005)
+	// Every tap moves.
+	for i := range newTaps {
+		newTaps[i] *= complex(1.01, -0.005)
 	}
-	s.RetapAll(lockedMove)
-	if s.stateValid {
-		t.Fatal("majority retap did not invalidate the cached state")
-	}
+	s.RetapAll(newTaps)
+	decode()
+	verifyState(t, s, locked, "after a majority retap")
 
 	// Three unlocked tags leave most rows active, one leaves most rows
 	// inactive: the rebuild takes its column-major and its row-sweep
@@ -283,14 +464,13 @@ func TestSessionRetapAllPatchesState(t *testing.T) {
 	t.Run("one-unlocked", func(t *testing.T) { retapAllMostlyLocked(t, 1, 0, true) })
 }
 
-// retapAllMostlyLocked drives the retap patch where the active set is a
-// small strict subset of K: all but `unlocked` of 16 tags lock at slot
-// 3, so the rows they alone collide in go inactive mid-run and later
-// rows are born inactive. Each slot moves one unlocked tap — the
-// incremental patch — while a twin session is forced onto the rebuild;
-// the two must decode alike, and a locked tag's move must land the
-// patched session's rebuild on the recomputed state. sparse asserts
-// that at most half the live rows are active at the rebuild.
+// retapAllMostlyLocked moves one unlocked tap every slot where the
+// active set is a small strict subset of K: all but `unlocked` of 16
+// tags lock at slot 3, so the rows they alone collide in go inactive
+// mid-run and later rows are born inactive. Every decode after a retap
+// rebuilds and must land on the recomputed state, and so must the
+// decode after a locked tag's move. sparse asserts that at most half
+// the live rows are active at the end.
 func retapAllMostlyLocked(t *testing.T, unlocked, restarts int, sparse bool) {
 	const (
 		k        = 16
@@ -302,50 +482,37 @@ func retapAllMostlyLocked(t *testing.T, unlocked, restarts int, sparse bool) {
 	taps := randomTaps(k, src)
 	est := randomEstimates(k, frameLen, src)
 	rows, obss := scriptSlots(k, frameLen, maxSlots, 0xAC71)
-	mk := func() *Session {
-		s := NewSession()
-		s.Begin(k, frameLen, maxSlots, 1, restarts, taps)
-		s.InitPositions(est)
-		return s
-	}
-	patch, rebuild := mk(), mk()
-	defer patch.Close()
-	defer rebuild.Close()
+	s := NewSession()
+	defer s.Close()
+	s.Begin(k, frameLen, maxSlots, 1, restarts, taps)
+	s.InitPositions(est)
 
 	locked := make([]bool, k)
 	cur := append([]complex128(nil), taps...)
 	slot := 1
-	for ; slot <= 20; slot++ {
+	for slot <= 20 {
 		if slot > 6 {
 			cur[slot%unlocked] *= complex(1.01, 0.005)
-			patch.RetapAll(cur)
-			rebuild.RetapAll(cur)
-			verifyState(t, patch, locked, 1e-9, "after an unlocked retap")
-			rebuild.stateValid = false
+			s.RetapAll(cur)
 		}
-		patch.AppendSlot(rows[slot-1], obss[slot-1])
-		rebuild.AppendSlot(rows[slot-1], obss[slot-1])
-		decodeCompare(t, patch, rebuild, slot, locked, base, k, frameLen, 1e-9)
-		if slot == 3 {
+		slot = driveSlots(t, s, rows, obss, slot, 1, locked, base)
+		verifyState(t, s, locked, "after an unlocked retap")
+		if slot == 4 {
 			for i := unlocked; i < k; i++ {
 				locked[i] = true
 			}
 		}
 	}
-	g := &patch.g
+	g := &s.g
 	live, active := g.L-g.retired, len(g.activeRows)
 	if active == live || 2*active <= live != sparse || len(g.activeTags) != unlocked {
 		t.Fatalf("script left %d of %d live rows active and %d active tags, want %d (sparse %v)", active, live, len(g.activeTags), unlocked, sparse)
 	}
 
 	cur[k-1] *= complex(1.01, 0)
-	patch.RetapAll(cur)
-	if patch.stateValid {
-		t.Fatal("locked-tag retap did not invalidate the cached state")
-	}
-	patch.AppendSlot(rows[slot-1], obss[slot-1])
-	patch.DecodeSlot(slot, locked, base, make([]float64, k), make([]bool, k))
-	verifyState(t, patch, locked, 1e-9, "after a rebuild with most tags locked")
+	s.RetapAll(cur)
+	driveSlots(t, s, rows, obss, slot, 1, locked, base)
+	verifyState(t, s, locked, "after a locked tag's retap with most tags locked")
 }
 
 // TestSessionGrowMatchesFresh pins Grow against a from-scratch session:
@@ -446,7 +613,7 @@ func growMatchesFresh(t *testing.T, k0, kNew int, lockEarly []int, wantInactive 
 	for s := 4; s < 8; s++ {
 		grown.AppendSlot(rows[s], obss[s])
 		fresh.AppendSlot(rows[s], obss[s])
-		decodeCompare(t, grown, fresh, s+1, locked, base, k2, frameLen, 0)
+		decodeCompare(t, grown, fresh, s+1, locked, base, k2, frameLen)
 		if s == 5 {
 			locked[k0] = true // lock a latecomer too
 		}
@@ -466,11 +633,10 @@ func growMatchesFresh(t *testing.T, k0, kNew int, lockEarly []int, wantInactive 
 // TestGoldenLargeKDecode pins a transfer past the paper's K: 70
 // unlocked tags for three slots, then tags 20–69 lock, then Grow admits
 // 50 more at slot 7 (120 tags, 70 unlocked), and from slot 9 on three
-// taps move a little every slot (RetapAll's incremental patch). A
-// SHA-256 over every
-// slot's margins, ambiguity flags, per-position bits and per-position
-// errors (float bit patterns) must match the pinned digest at
-// Parallelism 1 and 2.
+// taps move a little every slot, so each of those slots rebuilds every
+// position. A SHA-256 over every slot's margins, ambiguity flags,
+// per-position bits and per-position errors (float bit patterns) must
+// match the pinned digest at Parallelism 1 and 2.
 func TestGoldenLargeKDecode(t *testing.T) {
 	const (
 		k0       = 70
@@ -479,7 +645,7 @@ func TestGoldenLargeKDecode(t *testing.T) {
 		frameLen = 5
 		maxSlots = 12
 		base     = 0x7EE5
-		golden   = "8e19d314fdf7465f3f1d723f6bf7c389146565730d8ff2338b244cfb8697936e"
+		golden   = "17c4ed01158013d3e4586aa26615b13b13db56f0bdf56634abdbe67d0423877f"
 	)
 	src := prng.NewSource(0xC07)
 	taps := randomTaps(k2, src)

@@ -7,12 +7,13 @@ import (
 	"repro/internal/prng"
 )
 
-// TestSessionRetireTagKeepsStateConsistent drives RetireTag interleaved
-// with Grow, RetapAll, global Retire and mid-transfer locks across
-// DISTINCT tags, verifying after every step that the incrementally
-// patched state matches a from-scratch recompute over the surviving
-// model — the retire-order-invariance contract: it must not matter
-// which mover aged out first.
+// TestSessionRetireTagKeepsStateConsistent drives RetireTag
+// interleaved with Grow, RetapAll, global Retire and mid-transfer locks
+// across DISTINCT tags. Each removal invalidates the cached state, and
+// after the next DecodeSlot the rebuilt state must match a
+// from-scratch recompute over the surviving model, per-tag drift
+// ledgers and orphan energy included — the retire-order-invariance
+// contract: it must not matter which mover aged out first.
 func TestSessionRetireTagKeepsStateConsistent(t *testing.T) {
 	const (
 		k0       = 6
@@ -35,124 +36,66 @@ func TestSessionRetireTagKeepsStateConsistent(t *testing.T) {
 	locked := make([]bool, k2)
 
 	slot := driveSlots(t, s, rows, obss, 1, 8, locked, base)
+	settle := func(what string) {
+		t.Helper()
+		slot = driveSlots(t, s, rows, obss, slot, 1, locked, base)
+		verifyState(t, s, locked, what)
+	}
 
-	// Patch path: age two distinct tags out on different clocks.
-	n0 := s.RetireTag(0, 4)
-	verifyState(t, s, locked, 1e-9, "after first RetireTag")
-	if n0 == 0 {
+	// Age two distinct tags out on different clocks.
+	if n := s.RetireTag(0, 4); n == 0 {
 		t.Fatal("RetireTag(0, 4) removed nothing — the script never collided tag 0 early, repick the seed")
 	}
+	settle("after first RetireTag")
 	s.RetireTag(3, 6)
-	verifyState(t, s, locked, 1e-9, "after second RetireTag")
+	settle("after second RetireTag")
 
-	// Interleave a minority retap (its own patch path), then another
-	// tag's retirement on the doubly-patched state.
+	// Interleave a minority retap, then another tag's retirement.
 	newTaps := append([]complex128(nil), taps[:s.k]...)
 	newTaps[1] *= complex(1.03, 0.011)
 	s.RetapAll(newTaps)
-	verifyState(t, s, locked, 1e-9, "after retap")
+	settle("after retap")
 	s.RetireTag(1, 5)
-	verifyState(t, s, locked, 1e-9, "after RetireTag on retapped state")
+	settle("after RetireTag on retapped state")
 
 	// Grow the roster mid-round, decode, then retire rows of an
 	// original tag past the growth point.
 	s.Grow(taps[k0:], est[k0:])
 	slot = driveSlots(t, s, rows, obss, slot, 4, locked, base)
-	verifyState(t, s, locked, 1e-9, "after grow")
+	verifyState(t, s, locked, "after grow")
 	s.RetireTag(4, 9)
-	verifyState(t, s, locked, 1e-9, "after RetireTag past grow")
+	settle("after RetireTag past grow")
 
-	// Lock a tag mid-round; retiring OTHER tags must keep patching.
+	// Lock a tag mid-round, then retire another tag.
 	locked[2] = true
 	slot = driveSlots(t, s, rows, obss, slot, 2, locked, base)
 	s.RetireTag(5, slot-4)
-	verifyState(t, s, locked, 1e-9, "after RetireTag with a locked neighbor")
+	settle("after RetireTag with a locked neighbor")
 
-	// The locked-tag edge: retiring the locked tag itself falls back to
-	// a rebuild (its contribution lives in the locked-base residuals),
-	// and the next decode lands back on a consistent state.
+	// Retire the locked tag itself: its contribution lives in the
+	// locked base, which the rebuild re-derives.
 	if n := s.RetireTag(2, slot-2); n == 0 {
 		t.Fatal("locked-tag RetireTag removed nothing")
 	}
-	if s.stateValid {
-		t.Fatal("locked-tag RetireTag did not take the rebuild fall-back")
-	}
-	slot = driveSlots(t, s, rows, obss, slot, 2, locked, base)
-	verifyState(t, s, locked, 1e-9, "after locked-tag rebuild")
+	settle("after locked-tag RetireTag")
 
-	// Global Retire interleaves with per-tag retirement: rows [0, 3)
-	// leave for everyone (tags already aged past them just skip).
-	s.Retire(3)
-	verifyState(t, s, locked, 1e-9, "after global retire over per-tag holes")
+	// Global Retire interleaves with per-tag retirement: every row
+	// through slot−3 leaves for everyone. Tags already aged past a row
+	// skip it, and its survivors give back the orphan energy the
+	// per-tag retirements banked in it.
+	if s.Retire(slot-3) == 0 {
+		t.Fatal("global retire removed nothing")
+	}
+	settle("after global retire over per-tag holes")
 	driveSlots(t, s, rows, obss, slot, 2, locked, base)
-	verifyState(t, s, locked, 1e-9, "after decode on the mixed window")
-}
-
-// TestSessionRetireTagMatchesRebuild drives two sessions through the
-// identical script; one retires tags on the incremental patch path,
-// the other is forced onto the rebuild fall-back before every
-// RetireTag. Same comparison contract as
-// TestSessionRetirePatchMatchesRebuild: margins and errors agree to
-// round-off, bits exactly.
-func TestSessionRetireTagMatchesRebuild(t *testing.T) {
-	const (
-		k        = 7
-		frameLen = 6
-		maxSlots = 40
-		window   = 6
-		base     = 0x77E2
-	)
-	src := prng.NewSource(0x5A5A)
-	taps := randomTaps(k, src)
-	est := randomEstimates(k, frameLen, src)
-	rows, obss := scriptSlots(k, frameLen, maxSlots, 0xFA7E)
-
-	mk := func() *Session {
-		s := NewSession()
-		s.Begin(k, frameLen, maxSlots, 1, 2, taps)
-		s.TrackTagDrift(true)
-		s.InitPositions(est)
-		return s
-	}
-	patch, rebuild := mk(), mk()
-	defer patch.Close()
-	defer rebuild.Close()
-
-	// Tags 1 and 4 are the movers: each ages out on its own clock.
-	movers := map[int]int{1: window, 4: window + 3}
-	locked := make([]bool, k)
-	for slot := 1; slot <= 18; slot++ {
-		patch.AppendSlot(rows[slot-1], obss[slot-1])
-		rebuild.AppendSlot(rows[slot-1], obss[slot-1])
-		decodeCompare(t, patch, rebuild, slot, locked, base, k, frameLen, 1e-9)
-		if slot == 5 {
-			locked[2] = true
-		}
-		for tag, w := range movers {
-			if slot <= w {
-				continue
-			}
-			rebuild.stateValid = false // force the fall-back
-			np := patch.RetireTag(tag, slot-w)
-			nr := rebuild.RetireTag(tag, slot-w)
-			if np != nr {
-				t.Fatalf("slot %d tag %d: retired %d vs %d rows", slot, tag, np, nr)
-			}
-			if np > 0 && !patch.stateValid {
-				t.Fatalf("slot %d tag %d: patch session fell back to rebuild", slot, tag)
-			}
-			if df, dr := patch.DriftFractionTag(tag), rebuild.DriftFractionTag(tag); df != dr {
-				t.Fatalf("slot %d tag %d: drift fraction diverged: %v vs %v", slot, tag, df, dr)
-			}
-		}
-	}
+	verifyState(t, s, locked, "after decode on the mixed window")
 }
 
 // TestSessionRetireTagAllRows pins the retire-all-rows-of-one-tag
 // edge: a tag stripped of its every collision row is back to knowing
-// nothing — degree 0, margin exactly 0, S-sum snapped clean — while
-// every other tag's decode continues, and fresh participations rebuild
-// the tag's evidence.
+// nothing — degree 0, drift fraction 0, and after the rebuild a margin
+// of exactly 0 — while every other tag's decode continues, and fresh
+// participations rebuild the tag's evidence.
 func TestSessionRetireTagAllRows(t *testing.T) {
 	const (
 		k        = 5
@@ -183,29 +126,26 @@ func TestSessionRetireTagAllRows(t *testing.T) {
 	if f := s.DriftFractionTag(victim); f != 0 {
 		t.Fatalf("tag %d drift fraction %v after retire-all, want 0", victim, f)
 	}
-	verifyState(t, s, locked, 1e-9, "after retire-all of one tag")
 
 	minMargin := make([]float64, k)
 	ambiguous := make([]bool, k)
 	s.AppendSlot(rows[slot-1], obss[slot-1])
 	s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
-	for p := 0; p < frameLen; p++ {
-		if math.IsNaN(s.PosError(p)) {
-			t.Fatalf("position %d error is NaN after retire-all", p)
-		}
-	}
+	verifyState(t, s, locked, "after retire-all of one tag")
 	if !rows[slot-1][victim] && minMargin[victim] != 0 {
 		t.Fatalf("evidence-free tag margin %v, want exactly 0", minMargin[victim])
 	}
 	slot++
 	driveSlots(t, s, rows, obss, slot, 4, locked, base)
-	verifyState(t, s, locked, 1e-9, "after the tag re-accumulates evidence")
+	verifyState(t, s, locked, "after the tag re-accumulates evidence")
 }
 
 // TestSessionPerTagParallelismEquivalence pins that per-tag-windowed
 // decoding is byte-identical at any position fan-out: a scripted
 // two-mover RetireTag schedule at Parallelism 1 and 4 must agree bit
 // for bit, exactly like the global-window and unwindowed sessions.
+// After every decode the serial session's state and per-tag drift
+// ledgers must also match a from-scratch recompute.
 func TestSessionPerTagParallelismEquivalence(t *testing.T) {
 	const (
 		k        = 9
@@ -234,7 +174,8 @@ func TestSessionPerTagParallelismEquivalence(t *testing.T) {
 	for slot := 1; slot <= 22; slot++ {
 		serial.AppendSlot(rows[slot-1], obss[slot-1])
 		parallel.AppendSlot(rows[slot-1], obss[slot-1])
-		decodeCompare(t, serial, parallel, slot, locked, base, k, frameLen, 0)
+		decodeCompare(t, serial, parallel, slot, locked, base, k, frameLen)
+		verifyState(t, serial, locked, "after a decode")
 		if slot == 6 {
 			locked[3] = true
 		}

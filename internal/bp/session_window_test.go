@@ -37,10 +37,10 @@ func scriptSlots(k, frameLen, n int, seed uint64) ([]bits.Vector, [][]complex128
 }
 
 // TestSessionRetireKeepsStateConsistent drives Retire interleaved with
-// Grow, RetapAll and mid-transfer locks, verifying after every step
-// that the incrementally-patched state matches a from-scratch
-// recompute over the live rows — the white-box equivalence the ISSUE's
-// "interleaved Retire/Grow/RetapAll vs rebuild" criterion asks for.
+// Grow, RetapAll and mid-transfer locks. Each retire invalidates the
+// cached state, and after the next DecodeSlot the rebuilt state must
+// match a from-scratch recompute over the live rows, drift bookkeeping
+// included.
 func TestSessionRetireKeepsStateConsistent(t *testing.T) {
 	const (
 		k0       = 6
@@ -64,14 +64,15 @@ func TestSessionRetireKeepsStateConsistent(t *testing.T) {
 
 	slot := driveSlots(t, s, rows, obss, 1, 6, locked, base)
 
-	// Patch path: a steady-window retire of the two oldest rows.
+	// A steady-window retire of the two oldest rows.
 	if n := s.Retire(2); n != 2 {
 		t.Fatalf("Retire(2) retired %d rows, want 2", n)
 	}
 	if s.Retired() != 2 {
 		t.Fatalf("Retired() = %d, want 2", s.Retired())
 	}
-	verifyState(t, s, locked, 1e-9, "after first retire")
+	slot = driveSlots(t, s, rows, obss, slot, 1, locked, base)
+	verifyState(t, s, locked, "after first retire")
 
 	// Lock a tag mid-round, decode, then retire rows that include it.
 	locked[2] = true
@@ -79,61 +80,54 @@ func TestSessionRetireKeepsStateConsistent(t *testing.T) {
 	if n := s.Retire(4); n != 2 {
 		t.Fatalf("Retire(4) retired %d rows, want 2", n)
 	}
-	verifyState(t, s, locked, 1e-9, "after retire with a locked tag")
+	slot = driveSlots(t, s, rows, obss, slot, 1, locked, base)
+	verifyState(t, s, locked, "after retire with a locked tag")
 
 	// Grow the roster mid-window; earlier rows still exclude the
 	// newcomers, later ones include them.
 	s.Grow(taps[k0:], est[k0:])
 	slot = driveSlots(t, s, rows, obss, slot, 4, locked, base)
-	verifyState(t, s, locked, 1e-9, "after grow")
+	verifyState(t, s, locked, "after grow")
 	if n := s.Retire(7); n != 3 {
 		t.Fatalf("Retire(7) retired %d rows, want 3", n)
 	}
-	verifyState(t, s, locked, 1e-9, "after retire past grow")
+	slot = driveSlots(t, s, rows, obss, slot, 1, locked, base)
+	verifyState(t, s, locked, "after retire past grow")
 
-	// RetapAll a minority of unlocked tags (the incremental retap
-	// patch), then retire again on the doubly-patched state.
+	// RetapAll a minority of unlocked tags, then retire again.
 	newTaps := append([]complex128(nil), taps...)
 	newTaps[0] *= complex(1.02, 0.013)
 	newTaps[5] *= complex(0.98, -0.02)
 	s.RetapAll(newTaps)
-	verifyState(t, s, locked, 1e-9, "after retap")
 	slot = driveSlots(t, s, rows, obss, slot, 2, locked, base)
+	verifyState(t, s, locked, "after retap")
 	if n := s.Retire(9); n != 2 {
 		t.Fatalf("Retire(9) retired %d rows, want 2", n)
 	}
-	verifyState(t, s, locked, 1e-9, "after retire on retapped state")
+	slot = driveSlots(t, s, rows, obss, slot, 1, locked, base)
+	verifyState(t, s, locked, "after retire on retapped state")
 
-	// Retiring most of the window must take the rebuild fall-back, and
-	// the next decode must land back on a consistent state.
+	// Retire most of the window at once.
 	if got := s.Retire(slot - 2); got == 0 {
 		t.Fatal("majority retire retired nothing")
 	}
-	if s.stateValid {
-		t.Fatal("majority retire did not take the rebuild fall-back")
-	}
 	driveSlots(t, s, rows, obss, slot, 2, locked, base)
-	verifyState(t, s, locked, 1e-9, "after rebuild")
+	verifyState(t, s, locked, "after majority retire")
 }
 
-// TestSessionRetirePatchMatchesRebuild drives two sessions through the
-// identical script; one retires on the incremental patch path, the
-// other is forced onto the rebuild fall-back before every Retire. The
-// two float associations agree to round-off on margins and errors;
-// bits are compared exactly, which holds on these scripts because no
-// descent decision sits within round-off of a tie (the script seeds
-// are chosen for that — a near-tie would make bit equality
-// seed-dependent, as with the RetapAll patch the comment on
-// decodeCompare describes). The mostly-locked case locks all but three
-// of its tags mid-run, so the patch retires inactive rows — rows whose
-// residual entries the session no longer maintains.
-func TestSessionRetirePatchMatchesRebuild(t *testing.T) {
+// TestSessionRetireSlidingWindow slides a six-row window one row per
+// slot, so every slot retires a row, invalidates and rebuilds; each
+// rebuilt state must match a from-scratch recompute. The mostly-locked
+// case locks all but three of its tags mid-run, so the window retires
+// inactive rows — rows whose residual entries the session no longer
+// maintains.
+func TestSessionRetireSlidingWindow(t *testing.T) {
 	cases := []struct {
 		name string
 		k    int
 		// lock is locked after slot 5's decode.
 		lock []int
-		// wantInactive asserts that the patch retired an inactive row.
+		// wantInactive asserts that the window retired an inactive row.
 		wantInactive bool
 	}{
 		{name: "one-lock", k: 7, lock: []int{1}},
@@ -141,12 +135,12 @@ func TestSessionRetirePatchMatchesRebuild(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			retirePatchMatchesRebuild(t, tc.k, tc.lock, tc.wantInactive)
+			retireSlidingWindow(t, tc.k, tc.lock, tc.wantInactive)
 		})
 	}
 }
 
-func retirePatchMatchesRebuild(t *testing.T, k int, lock []int, wantInactive bool) {
+func retireSlidingWindow(t *testing.T, k int, lock []int, wantInactive bool) {
 	const (
 		frameLen = 6
 		maxSlots = 40
@@ -158,44 +152,33 @@ func retirePatchMatchesRebuild(t *testing.T, k int, lock []int, wantInactive boo
 	est := randomEstimates(k, frameLen, src)
 	rows, obss := scriptSlots(k, frameLen, maxSlots, 0xC0FF)
 
-	mk := func() *Session {
-		s := NewSession()
-		s.Begin(k, frameLen, maxSlots, 1, 2, taps)
-		s.InitPositions(est)
-		return s
-	}
-	patch, rebuild := mk(), mk()
-	defer patch.Close()
-	defer rebuild.Close()
+	s := NewSession()
+	defer s.Close()
+	s.Begin(k, frameLen, maxSlots, 1, 2, taps)
+	s.TrackDrift(true)
+	s.InitPositions(est)
 
 	locked := make([]bool, k)
 	retiredInactive := 0
 	for slot := 1; slot <= 16; slot++ {
-		patch.AppendSlot(rows[slot-1], obss[slot-1])
-		rebuild.AppendSlot(rows[slot-1], obss[slot-1])
-		decodeCompare(t, patch, rebuild, slot, locked, base, k, frameLen, 1e-9)
+		driveSlots(t, s, rows, obss, slot, 1, locked, base)
+		verifyState(t, s, locked, "after a decode")
 		if slot == 5 {
 			for _, i := range lock {
 				locked[i] = true
 			}
 		}
 		if slot > window {
-			if g := &patch.g; len(g.rowActive[g.retired]) == 0 {
+			if g := &s.g; len(g.rowActive[g.retired]) == 0 {
 				retiredInactive++
 			}
-			rebuild.stateValid = false // force the fall-back
-			np := patch.Retire(slot - window)
-			nr := rebuild.Retire(slot - window)
-			if np != nr || np != 1 {
-				t.Fatalf("slot %d: retired %d vs %d rows, want 1", slot, np, nr)
-			}
-			if !patch.stateValid {
-				t.Fatalf("slot %d: patch session fell back to rebuild", slot)
+			if n := s.Retire(slot - window); n != 1 {
+				t.Fatalf("slot %d: retired %d rows, want 1", slot, n)
 			}
 		}
 	}
 	if wantInactive && retiredInactive == 0 {
-		t.Fatal("the patch never retired an inactive row")
+		t.Fatal("the window never retired an inactive row")
 	}
 }
 
@@ -249,7 +232,7 @@ func TestSessionRetireAllRows(t *testing.T) {
 	}
 	slot++
 	driveSlots(t, s, rows, obss, slot, 4, locked, base)
-	verifyState(t, s, locked, 1e-9, "after refilling the window")
+	verifyState(t, s, locked, "after refilling the window")
 }
 
 // TestSessionRetireParallelismEquivalence pins that windowed decoding
@@ -284,7 +267,7 @@ func TestSessionRetireParallelismEquivalence(t *testing.T) {
 	for slot := 1; slot <= 20; slot++ {
 		serial.AppendSlot(rows[slot-1], obss[slot-1])
 		parallel.AppendSlot(rows[slot-1], obss[slot-1])
-		decodeCompare(t, serial, parallel, slot, locked, base, k, frameLen, 0)
+		decodeCompare(t, serial, parallel, slot, locked, base, k, frameLen)
 		if slot == 6 {
 			locked[4] = true
 		}
@@ -304,9 +287,10 @@ func TestSessionRetireParallelismEquivalence(t *testing.T) {
 // TestSessionWindowSteadyStateAllocationFree extends the PR-1/PR-2
 // allocation regression to the windowed decoder: one steady-state slot
 // cycle — AppendSlot, DecodeSlot, Retire — on a warm session must not
-// touch the heap. The retire step's staging (touched-tag sweep, drift
-// bookkeeping) is session-owned, so a sliding window costs zero
-// allocations per slot, exactly like the growing decode it replaces.
+// touch the heap. The retire step's drift bookkeeping and the rebuild
+// it triggers run on session-owned buffers, so a sliding window costs
+// zero allocations per slot, exactly like the growing decode it
+// replaces.
 func TestSessionWindowSteadyStateAllocationFree(t *testing.T) {
 	const (
 		k        = 8
