@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -496,7 +497,7 @@ func retapAllMostlyLocked(t *testing.T, unlocked, restarts int, sparse bool) {
 			s.RetapAll(cur)
 		}
 		slot = driveSlots(t, s, rows, obss, slot, 1, locked, base)
-		verifyState(t, s, locked, "after an unlocked retap")
+		verifyState(t, s, locked, fmt.Sprintf("slot %d", slot-1))
 		if slot == 4 {
 			for i := unlocked; i < k; i++ {
 				locked[i] = true
