@@ -705,21 +705,18 @@ func (g *Graph) residualInto(dst dsp.Vec, y dsp.Vec, b bits.Vector) dsp.Vec {
 }
 
 // subtractOnActiveRows sets dst[row] = y[row] − Σ_{i ∈ row} mask[i] on
-// every active row, subtracting in ascending tag order, and returns
-// Σ|dst[row]|² over them — the sparse shape's row-major build, where
-// mask is a tap masked to the colliders that count (subtracting a zero
-// is exact, and the loop carries no branch on the random bits).
-func (g *Graph) subtractOnActiveRows(dst, y, mask []complex128) float64 {
-	e := 0.0
+// every active row, subtracting in ascending tag order — the sparse
+// shape's row-major residual build, where mask is a tap masked to the
+// set-bit colliders (subtracting a zero is exact, and the loop carries
+// no branch on the bits).
+func (g *Graph) subtractOnActiveRows(dst, y, mask []complex128) {
 	for _, row := range g.activeRows {
 		x := y[row]
 		for _, i := range g.rowCols[row] {
 			x -= mask[i]
 		}
 		dst[row] = x
-		e += real(x)*real(x) + imag(x)*imag(x)
 	}
-	return e
 }
 
 // descentState is the incremental working set of one bit-flipping search:
@@ -741,9 +738,9 @@ type descentState struct {
 	// data-dependent branch (random candidate bits made the old
 	// `if bit { corr = −corr }` a steady branch-mispredict).
 	bSign []float64
-	// maskTap[i] is taps[i] where b[i] is set and unlocked, 0
-	// elsewhere — the restart builder's branchless row kernel
-	// (subtracting complex(0,0) is exact).
+	// maskTap[i] is the signed tap change ±h_i of an active tag whose
+	// bit the restart changes, a zero elsewhere — the restart builder's
+	// branchless row kernel (subtracting a zero is exact).
 	maskTap []complex128
 	// dirty and inDirty are the flip loop's dirty-list: a flip touches
 	// each neighbor once per shared row, but its gain is recomputed once
@@ -769,33 +766,40 @@ func (st *descentState) gainOf(g *Graph, i int) float64 {
 	return 2*corr*st.bSign[i] - g.wPow[i]
 }
 
-// buildFromBase derives residual, S-sums and gains for candidate b in
-// ONE row-major sweep, starting from a base residual that already
-// carries the locked tags' contributions (the Session's locked-base).
-// Only the active (unlocked) adjacency is traversed, once: each row's
-// residual entry is finished and immediately scattered into the S-sums
-// of the row's active tags. The column-major build + rederive pair
-// costs two traversals and O(K·w̄) pointer chasing; this costs one. It
-// starts every restart pass on the row path, and on the Gram path (see
+// buildFrom derives residual, S-sums and gains for candidate b in ONE
+// row-major sweep, starting from cur, a state consistent with curBits.
+// A restart changes only active tags' bits, so each active row's
+// residual is cur's minus the changed bits' taps: maskTap[i] is +h_i
+// where b sets a bit curBits clears, −h_i where it clears one curBits
+// sets, and 0 elsewhere. Each row's entry is finished and immediately
+// scattered into the S-sums of the row's active tags. It starts every
+// restart pass on the row path, and on the Gram path (see
 // Session.prepareGram) it materializes the one restart a position
 // adopts, from that pass's final bits.
 //
 // Callers must guarantee that the graph's deactivated set equals the
-// locked set (the Session maintains exactly that invariant). Only the
+// locked set (the Session maintains exactly that invariant), that b and
+// curBits agree on every locked tag, and that st is not cur. Only the
 // active tags' entries and the active rows are written: a locked tag's
 // sum, sign and gain are never read again, and rows whose every
 // collider is locked keep whatever the residual buffer holds (no pass
-// scores them — see normSqActive). base need only be valid on the
-// active rows. Cost is O(active tags + active nnz), independent of K.
-func (st *descentState) buildFromBase(g *Graph, base []complex128, b bits.Vector) {
+// scores them — see normSqActive). Cost is O(active tags + active nnz),
+// independent of K.
+func (st *descentState) buildFrom(g *Graph, cur *descentState, curBits, b bits.Vector) {
 	for _, i := range g.activeTags {
+		// d = b[i] − curBits[i] ∈ {−1, 0, +1} from integer selects, so
+		// the random candidate bits cost no branch; d·h is exactly ±h_i
+		// or a zero.
+		var bi, ci int
 		if b[i] {
-			st.bSign[i] = -1
-			st.maskTap[i] = g.taps[i]
-		} else {
-			st.bSign[i] = 1
-			st.maskTap[i] = 0
+			bi = 1
 		}
+		if curBits[i] {
+			ci = 1
+		}
+		d, h := float64(bi-ci), g.taps[i]
+		st.maskTap[i] = complex(d*real(h), d*imag(h))
+		st.bSign[i] = float64(1 - 2*bi)
 		st.sum[i] = 0
 	}
 	if g.soft {
@@ -804,7 +808,7 @@ func (st *descentState) buildFromBase(g *Graph, base []complex128, b bits.Vector
 		// paid only in soft mode; the classic path below stays
 		// branch-free.
 		for x, row := range g.activeRows {
-			r := base[row]
+			r := cur.residual[row]
 			ra := g.flatTags[g.flatStart[x]:g.flatStart[x+1]]
 			for _, i := range ra {
 				if row < g.staleCut[i] {
@@ -824,7 +828,7 @@ func (st *descentState) buildFromBase(g *Graph, base []complex128, b bits.Vector
 		}
 	} else {
 		for x, row := range g.activeRows {
-			r := base[row]
+			r := cur.residual[row]
 			ra := g.flatTags[g.flatStart[x]:g.flatStart[x+1]]
 			// Branch-free: subtracting a zero masked tap is an exact
 			// no-op, and the candidate bits are random — a conditional
@@ -878,19 +882,13 @@ func (st *descentState) copyActiveFrom(g *Graph, src *descentState) {
 }
 
 // rederive recomputes S-sums and gains from the state's current
-// residual and the candidate bits — the taps-changed and
-// copied-state entry points. It walks the graph's active tags only: a
-// deactivated tag's entries are dead state (the Session pins its gain
-// at −∞ when it locks), and every row an active tag touches is an
-// active row, so the residual is read only where it is maintained.
-//
-// When proj is non-nil the same walk also projects base (the locked
-// base, one entry per row) onto the active tags: proj[x] =
-// Σ_{rows ∋ i} w·base[row] for the x-th active tag i, the Gram path's
-// B vector (see Session.prepareGram). It adds each row in the order
-// workerState.gramProject does, so the two agree bit for bit.
-func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool, base, proj []complex128) {
-	for x, i := range g.activeTags {
+// residual and the candidate bits — the rebuild's second half. It walks
+// the graph's active tags only: a deactivated tag's entries are dead
+// state (the Session pins its gain at −∞ when it locks), and every row
+// an active tag touches is an active row, so the residual is read only
+// where it is maintained.
+func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool) {
+	for _, i := range g.activeTags {
 		if b[i] {
 			st.bSign[i] = -1
 		} else {
@@ -902,31 +900,20 @@ func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool, base, p
 			st.gain[i] = math.Inf(-1)
 			continue
 		}
-		var s, pb complex128
-		switch {
-		case g.soft && g.staleCnt[i] > 0:
+		var s complex128
+		if g.soft && g.staleCnt[i] > 0 {
 			cut, a := g.staleCut[i], complex(g.softAlpha[i], 0)
 			for _, row := range g.colRows[i] {
 				if row < cut {
 					s += a * st.residual[row]
-					pb += a * base[row]
 				} else {
 					s += st.residual[row]
-					pb += base[row]
 				}
 			}
-		case proj != nil:
-			for _, row := range g.colRows[i] {
-				s += st.residual[row]
-				pb += base[row]
-			}
-		default:
+		} else {
 			for _, row := range g.colRows[i] {
 				s += st.residual[row]
 			}
-		}
-		if proj != nil {
-			proj[x] = pb
 		}
 		st.sum[i] = s
 		st.gain[i] = st.gainOf(g, i)

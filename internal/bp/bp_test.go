@@ -306,8 +306,9 @@ func TestDescendTieBreaksTowardLowerIndex(t *testing.T) {
 		maskTap:  make([]complex128, k),
 	}
 	st.allocDirty(make([]int, k), make([]bool, k))
+	// At all-zero bits the residual is y itself.
 	b := make(bits.Vector, k)
-	st.buildFromBase(&g, y, b)
+	st.buildFrom(&g, &descentState{residual: y}, b, b)
 	if st.gain[1] != st.gain[3] || !(st.gain[1] > eps) {
 		t.Fatalf("gains of tags 1 and 3 are %v and %v, want bitwise equal and above eps", st.gain[1], st.gain[3])
 	}

@@ -50,9 +50,19 @@ type Session struct {
 	ys        [][]complex128
 	ysBacking []complex128
 
-	// states[p] is position p's cached descent state; residuals live in
-	// resBacking stripes, sums/gains/signs/dirty-lists in the flat
-	// blocks below.
+	// states[p] is position p's cached descent state — the residual
+	// y_p − D·H·b_p and the active tags' S-sums, gains and flip signs at
+	// the position's current bits — and the one per-position array every
+	// pass starts from. Pass 0 continues its descent; a restart changes
+	// only active tags' bits, so it starts from the residual plus those
+	// bits' tap differences on the active rows, O(active nnz) on the row
+	// path (buildFrom), and from the S-sums on the Gram path, O(Ka²)
+	// (gramProject). The residual is maintained on the active rows only:
+	// a rebuild on the sparse shape writes nothing else (see
+	// rebuildPosition), and an entry left behind when its row froze is
+	// never read again (rows never reactivate). Residuals live in
+	// resBacking stripes, sums/gains/signs/dirty-lists in the flat blocks
+	// below.
 	states         []descentState
 	resBacking     []complex128
 	sumBacking     []complex128
@@ -60,19 +70,6 @@ type Session struct {
 	bSignBacking   []float64
 	dirtyBacking   []int
 	inDirtyBacking []bool
-
-	// lockedBase[p] is y_p − Σ_{locked i, b_ip} h_i·d_i — the residual
-	// with only the frozen tags' contributions removed. Restarts never
-	// rebuild more than the unlocked tags' terms on top of it: on the row
-	// path a restart subtracts them over the active rows, O(active nnz);
-	// on the Gram path the position projects it onto the active tags once
-	// per slot (B and E0, see prepareGram) and each restart costs
-	// O(unlocked²), whatever the row count. Only active rows read it, so
-	// it is valid on the active rows only: a rebuild on the sparse shape
-	// writes nothing else (see rebuildPosition), and an entry left behind
-	// when its row froze is never read again (rows never reactivate).
-	lockedBase    [][]complex128
-	lockedBacking []complex128
 
 	// Gram-space restarts, staged by prepareGram once per slot and only
 	// read by the position workers. gramOn reports that this slot's
@@ -184,9 +181,11 @@ type Session struct {
 }
 
 // workerState is one worker's private descent workspace: a scratch
-// descentState for restart passes plus the per-pass candidate block the
-// ambiguity sweep revisits. All buffers are session-owned and reused
-// across positions, slots and transfers.
+// descentState each row-path restart is built into from the position's
+// state, the per-pass candidate block the ambiguity sweep revisits, the
+// sparse rebuild's masked taps and the Gram path's per-restart vectors.
+// All buffers are session-owned and reused across positions, slots and
+// transfers.
 type workerState struct {
 	rst      descentState
 	src      prng.Source
@@ -199,17 +198,15 @@ type workerState struct {
 	signBack []float64
 	maskBack []complex128
 	setTap   []complex128
-	lockTap  []complex128
 	dirtBack []int
 	inDirt   []bool
 
 	// Gram-space restart workspace, indexed by active-tag rank (see
-	// Session.prepareGram): gB[x] = Σ_{rows ∋ x} w·lockedBase[row] and
-	// gE0 = Σ_{active rows} |lockedBase[row]|² for the position being
-	// decoded; gS, gGain, gSign, gBits and gMask are one restart's
-	// S = B − N·m, gains, flip signs, bits and masked taps m.
+	// Session.prepareGram): gB is the position's matched-filter output
+	// B = Wᴴ·(y − locked set-bit taps) (gramProject); gS, gGain, gSign,
+	// gBits and gMask are one restart's S = B − N·m, gains, flip signs,
+	// bits and masked taps m.
 	gB    []complex128
-	gE0   float64
 	gS    []complex128
 	gGain []float64
 	gSign []float64
@@ -226,7 +223,6 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 	w.signBack = growFloats(w.signBack, k)
 	w.maskBack = growComplex(w.maskBack, k)
 	w.setTap = growComplex(w.setTap, k)
-	w.lockTap = growComplex(w.lockTap, k)
 	w.dirtBack = growInts(w.dirtBack, k)
 	w.inDirt = growBools(w.inDirt, k)
 	clear(w.inDirt)
@@ -259,36 +255,30 @@ func (s *Session) shapeGram(k int) {
 	s.gramRank = growInts(s.gramRank, k)
 }
 
-// gramProject computes the Gram path's per-position projection of the
-// locked base lbp — gB[x] = Σ_{rows ∋ x} w·lbp[row] for every ranked
-// active tag and gE0 = Σ_{active rows} |lbp[row]|² — in one sweep of
-// the active CSR, O(active nnz). A rebuilding position gets the same
-// numbers, bit for bit, from rebuildPosition's sweeps instead.
-func (w *workerState) gramProject(s *Session, lbp []complex128) {
-	g := &s.g
-	rank := s.gramRank
-	B := w.gB[:len(g.activeTags)]
-	clear(B)
-	e0 := 0.0
-	for x, row := range g.activeRows {
-		v := lbp[row]
-		e0 += real(v)*real(v) + imag(v)*imag(v)
-		ra := g.flatTags[g.flatStart[x]:g.flatStart[x+1]]
-		if g.soft {
-			for _, i := range ra {
-				if row < g.staleCut[i] {
-					B[rank[i]] += complex(g.softAlpha[i], 0) * v
-				} else {
-					B[rank[i]] += v
-				}
-			}
+// gramProject sets gB to a position's matched-filter output B = Wᴴ·base
+// for every ranked active tag, where base is y minus the locked set-bit
+// taps, from the position's state st at its bits b: st's residual is
+// base − W·m with m_y = h_y on the set active bits, so B = S + N·m. It
+// starts from the S-sums and adds, for each set bit y in ascending rank,
+// N's column y times h_y — O(Ka²), whatever the row count.
+func (w *workerState) gramProject(s *Session, st *descentState, b bits.Vector) {
+	act := s.g.activeTags
+	ka := len(act)
+	n, h := s.gram, s.gramTap
+	B := w.gB[:ka]
+	for x, i := range act {
+		B[x] = st.sum[i]
+	}
+	for y, i := range act {
+		if !b[i] {
 			continue
 		}
-		for _, i := range ra {
-			B[rank[i]] += v
+		hy := h[y]
+		col := n[y*ka : (y+1)*ka]
+		for x, c := range col {
+			B[x] += complex(c*real(hy), c*imag(hy))
 		}
 	}
-	w.gE0 = e0
 }
 
 // gramDescend runs one restart's descent in Gram space from the bits in
@@ -351,9 +341,11 @@ func (w *workerState) gramDescend(s *Session, b bits.Vector, maxFlips int) int {
 }
 
 // gramError returns the active rows' ‖r‖² at bits b (active entries) in
-// Gram form, E0 − Re(mᴴ(2B − N·m)) = E0 − Re(mᴴ(B + S)). It is
-// evaluated from the bits alone, in a fixed order, so two passes that
-// end on the same bits score exactly the same.
+// Gram form, less the constant E0 = ‖base‖² over the active rows:
+// −Re(mᴴ(2B − N·m)). Every reader compares errors within one position
+// (adoption, the ambiguity gaps), where E0 cancels. It is evaluated
+// from the bits alone, in a fixed order, so two passes that end on the
+// same bits score exactly the same.
 func (w *workerState) gramError(s *Session, b bits.Vector) float64 {
 	act := s.g.activeTags
 	ka := len(act)
@@ -378,7 +370,7 @@ func (w *workerState) gramError(s *Session, b bits.Vector) float64 {
 		}
 		acc += real(mx)*real(t) + imag(mx)*imag(t)
 	}
-	return w.gE0 - acc
+	return -acc
 }
 
 // NewSession returns an empty Session; Begin shapes it.
@@ -423,7 +415,6 @@ func (s *Session) Reset() {
 	s.g.Reset(0, nil)
 	s.k, s.frameLen, s.maxSlots, s.restarts = 0, 0, 0, 0
 	s.ys = s.ys[:0]
-	s.lockedBase = s.lockedBase[:0]
 	s.states = s.states[:0]
 	s.rowPower = s.rowPower[:0]
 	s.driftEnergy = s.driftEnergy[:0]
@@ -464,8 +455,6 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 
 	s.ysBacking = growComplex(s.ysBacking, frameLen*maxSlots)
 	s.ys = growSlices(s.ys, frameLen)
-	s.lockedBacking = growComplex(s.lockedBacking, frameLen*maxSlots)
-	s.lockedBase = growSlices(s.lockedBase, frameLen)
 	s.resBacking = growComplex(s.resBacking, frameLen*maxSlots)
 	s.sumBacking = growComplex(s.sumBacking, frameLen*k)
 	s.gainBacking = growFloats(s.gainBacking, frameLen*k)
@@ -480,7 +469,6 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	s.states = s.states[:frameLen]
 	for p := 0; p < frameLen; p++ {
 		s.ys[p] = s.ysBacking[p*maxSlots : p*maxSlots : (p+1)*maxSlots]
-		s.lockedBase[p] = s.lockedBacking[p*maxSlots : p*maxSlots : (p+1)*maxSlots]
 		st := &s.states[p]
 		st.residual = s.resBacking[p*maxSlots : p*maxSlots : (p+1)*maxSlots]
 		st.sum = s.sumBacking[p*k : (p+1)*k]
@@ -574,10 +562,8 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 	s.reservedK = kCap
 	ysN := frameLen * maxSlots
 	s.ysBacking = growComplex(s.ysBacking, ysN)[:0]
-	s.lockedBacking = growComplex(s.lockedBacking, ysN)[:0]
 	s.resBacking = growComplex(s.resBacking, ysN)[:0]
 	s.ys = growSlices(s.ys, frameLen)[:0]
-	s.lockedBase = growSlices(s.lockedBase, frameLen)[:0]
 	s.sumBacking = growComplex(s.sumBacking, frameLen*kCap)[:0]
 	s.gainBacking = growFloats(s.gainBacking, frameLen*kCap)[:0]
 	s.bSignBacking = growFloats(s.bSignBacking, frameLen*kCap)[:0]
@@ -1189,39 +1175,27 @@ func (s *Session) DecodeSlot(slot int, locked []bool, base uint64, minMargin []f
 	s.finishSlot(minMargin, anyAmbiguous)
 }
 
-// prepareSlot runs DecodeSlot's serial preamble: newly locked tags fold
-// into the graph, gain tables and locked-base residuals, and the
-// per-slot fan-out context (slot, locked set, PRNG base, tie threshold,
-// active-row snapshot) is staged. After it, every position is an
-// independent decode unit, fanned over the session's worker pool until
-// finishSlot merges the results.
+// prepareSlot runs DecodeSlot's serial preamble: newly locked tags
+// leave the graph's fan-out and the gain tables, and the per-slot
+// fan-out context (slot, locked set, PRNG base, tie threshold,
+// active-row snapshot, Gram constants) is staged. After it, every
+// position is an independent decode unit, fanned over the session's
+// worker pool until finishSlot merges the results.
 func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 	if locked != nil && len(locked) != s.k {
 		panic(fmt.Sprintf("bp: DecodeSlot locked length %d != K %d", len(locked), s.k))
 	}
-	// Fold newly locked tags into the graph and the cached gain tables
-	// before fanning out — a frozen tag's gain is −∞ and its fan-out
-	// entries are dead from here on (§6d).
+	// Deactivate newly locked tags and pin their gains at −∞ before
+	// fanning out: a frozen tag's fan-out entries are dead from here on
+	// (§6d), and no position state carries anything else about it — the
+	// residual already holds its set bits' taps, and a rebuild
+	// re-derives active tags only.
 	if locked != nil {
 		for i, l := range locked {
 			if l && !s.g.deactivated[i] {
 				s.g.DeactivateTag(i)
-				if !s.stateValid {
-					// The rebuild re-derives active tags only: pin the
-					// frozen gain here.
-					for p := 0; p < s.frameLen; p++ {
-						s.states[p].gain[i] = math.Inf(-1)
-					}
-				} else {
-					h := s.g.taps[i]
-					for p := 0; p < s.frameLen; p++ {
-						s.states[p].lockTag(i)
-						// Fold the frozen tag into the locked-base
-						// residual of every absorbed row it touches.
-						if s.posBits[p*s.k+i] {
-							s.foldLocked(s.lockedBase[p], i, h)
-						}
-					}
+				for p := 0; p < s.frameLen; p++ {
+					s.states[p].lockTag(i)
 				}
 			}
 		}
@@ -1261,16 +1235,16 @@ func gramRule(ka, nnz int) bool { return ka <= gramMaxKa && ka*ka < nnz }
 // hard-mode entries are integer counts), in O(Σ_rows colliders²).
 //
 // Why it suffices: with m_a = h_a where a's bit is set and 0 elsewhere,
-// a restart's residual over the active rows is r = base − W·m, so its
-// S-sums are S = Wᴴr = B − N·m with B = Wᴴ·base, a flip of tag a moves
-// S by −N_{·a}·δ, and ‖r‖² = E0 − Re(mᴴ(B + S)) with E0 = ‖base‖² over
-// the active rows. The matched-filter outputs B and the Gram N are a
-// sufficient statistic for the bit decision, so once a position has
-// projected its locked base (B, E0: rebuildPosition's sweeps, or
-// gramProject) each restart costs O(Ka²) instead of a residual rebuild
-// and descent over every active row. The descent is the row path's to
-// the flip: same gain formula, same (gain desc, index asc) scan, same
-// eps and flip cap; only float association differs.
+// a pass's residual over the active rows is r = base − W·m, base being y
+// minus the locked set-bit taps, so its S-sums are S = Wᴴr = B − N·m
+// with B = Wᴴ·base, a flip of tag a moves S by −N_{·a}·δ, and
+// ‖r‖² = ‖base‖² − Re(mᴴ(B + S)). The matched-filter outputs B and the
+// Gram N are a sufficient statistic for the bit decision, so once a
+// position has recovered B from its own S-sums (gramProject, B = S + N·m
+// at its current bits) each restart costs O(Ka²) instead of a residual
+// rebuild and descent over every active row. The descent is the row
+// path's to the flip: same gain formula, same (gain desc, index asc)
+// scan, same eps and flip cap; only float association differs.
 func (s *Session) prepareGram() {
 	g := &s.g
 	act := g.activeTags
@@ -1383,8 +1357,10 @@ func randomBitsInto(src *prng.Source, b bits.Vector, active []int) {
 
 // decodePosition runs one position's full per-slot decode: state
 // catch-up, pass-0 descent, random restarts, margin and ambiguity
-// bookkeeping. All mutations are confined to position p's stripes and
-// the caller's workerState.
+// bookkeeping. Every restart starts from the position's own state after
+// pass 0 (or after the last adoption), so no other per-position array
+// is kept. All mutations are confined to position p's stripes and the
+// caller's workerState.
 func (s *Session) decodePosition(p int, ws *workerState) {
 	g := &s.g
 	st := &s.states[p]
@@ -1394,23 +1370,12 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 	if !s.stateValid {
 		s.rebuildPosition(p, st, ws, myBits, locked)
 	} else {
-		// O(colliders) per pending row: absorb what AppendSlot added
-		// into both the descent state and the locked-base residual. A
+		// O(colliders) per pending row: absorb what AppendSlot added. A
 		// row born with every collider already locked is frozen on
 		// arrival, and no pass scores it.
 		for len(st.residual) < g.L {
 			row := len(st.residual)
-			obs := s.ys[p][row]
-			lb := obs
-			if locked != nil {
-				for _, i := range g.rowCols[row] {
-					if locked[i] && myBits[i] {
-						lb -= g.taps[i]
-					}
-				}
-			}
-			s.lockedBase[p] = append(s.lockedBase[p], lb)
-			st.appendRow(g, row, obs, myBits, locked)
+			st.appendRow(g, row, s.ys[p][row], myBits, locked)
 		}
 	}
 	cFlips := uint64(st.descend(g, myBits, locked, s.eps))
@@ -1420,9 +1385,9 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 	// Every per-pass step below walks the active tags and rows only. A
 	// pass block's locked entries are never written or read: a locked
 	// tag's restart bit is its locked value by definition, the builder
-	// takes locked contributions from the locked base, the descent and
-	// the ambiguity sweep never touch a locked tag, and adoption copies
-	// back active bits alone.
+	// carries locked contributions over in the position's residual, the
+	// descent and the ambiguity sweep never touch a locked tag, and
+	// adoption copies back active bits alone.
 	active := g.activeTags
 	passes := 1 + s.restarts
 	allBits := ws.allBits[:passes*s.k]
@@ -1444,11 +1409,11 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 		for pass := 1; pass < passes; pass++ {
 			bhat := bits.Vector(allBits[pass*s.k : (pass+1)*s.k])
 			randomBitsInto(&ws.src, bhat, active)
-			// Build the restart's state from the locked-base residual
-			// in one fused sweep over the active rows only: unlocked
-			// contributions and live rows are all that remain.
+			// Build the restart's state from the position's in one fused
+			// sweep over the active rows: only the changed bits' taps
+			// move a residual entry.
 			rst.residual = rst.residual[:g.L]
-			rst.buildFromBase(g, s.lockedBase[p], bhat)
+			rst.buildFrom(g, st, myBits, bhat)
 			cFlips += uint64(rst.descend(g, bhat, locked, s.eps))
 			cRestarts++
 			errV := rst.normSqActive(g)
@@ -1485,17 +1450,18 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 // restartsGram runs position p's restart passes in Gram space (see
 // prepareGram) after its pass-0 descent, filling the pass blocks of
 // allBits and passErr. It returns the restarts' flips and the adopted
-// pass (0 when none beat pass 0). An adopted restart is materialized
-// into the position state from its final bits.
+// pass (0 when none beat pass 0). B comes from the position's state at
+// its pass-0 bits (gramProject), and every pass, pass 0 included, is
+// scored by gramError. An adopted restart is materialized into the
+// position state from the pre-adoption state and bits, and its bits are
+// written afterwards.
 func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr []float64) (flips uint64, bestPass int) {
 	g := &s.g
 	active := g.activeTags
+	st := &s.states[p]
 	myBits := bits.Vector(s.posBits[p*s.k : (p+1)*s.k])
 	ws.src.Reseed(prng.Mix3(s.curBase, uint64(s.curSlot), uint64(p)))
-	if s.stateValid {
-		// A rebuilding position projected its base in rebuildPosition.
-		ws.gramProject(s, s.lockedBase[p])
-	}
+	ws.gramProject(s, st, myBits)
 	// Pass 0 is scored in Gram form too, so adoption and the ambiguity
 	// gaps compare like with like: a restart that ends on the
 	// incumbent's bits scores exactly the incumbent's error and is never
@@ -1517,43 +1483,38 @@ func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr [
 	if bestPass == 0 {
 		return flips, 0
 	}
-	bhat := allBits[bestPass*s.k : (bestPass+1)*s.k]
+	bhat := bits.Vector(allBits[bestPass*s.k : (bestPass+1)*s.k])
+	rst := &ws.rst
+	rst.residual = rst.residual[:g.L]
+	rst.buildFrom(g, st, myBits, bhat)
+	st.copyActiveFrom(g, rst)
 	for _, i := range active {
 		myBits[i] = bhat[i]
 	}
-	rst := &ws.rst
-	rst.residual = rst.residual[:g.L]
-	rst.buildFromBase(g, s.lockedBase[p], myBits)
-	s.states[p].copyActiveFrom(g, rst)
 	return flips, bestPass
 }
 
 // rebuildPosition re-derives position p's cached state from its
 // observations and current bits when the session state is invalid (a
-// retap of a locked tag, a block fade, a grow, a window shrink): the
-// locked base and the residual on the rows their readers need, then
-// the active tags' S-sums and gains. Every build subtracts each
-// row's set-bit colliders in ascending tag order, so the floats do not
-// depend on the shape. With few active rows both builds sweep just
-// those rows, O(active nnz), whatever the number of joined tags.
+// retap, a block fade, a grow, a window shrink): the residual on the
+// rows its readers need, then the active tags' S-sums and gains
+// (rederive). Both residual builds subtract each row's set-bit
+// colliders in ascending tag order, so the floats do not depend on the
+// shape. With few active rows the build sweeps just those rows,
+// O(active nnz), whatever the number of joined tags.
 func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bits.Vector, locked []bool) {
 	g := &s.g
 	y := s.ys[p][:g.L]
-	lbp := s.lockedBase[p][:g.L]
-	s.lockedBase[p] = lbp
 	st.residual = st.residual[:g.L]
-	var e0 float64
 	if g.soft || 2*len(g.activeRows) > g.L-g.retired {
 		// Most live rows are active (few tags locked): the column-major
-		// builds walk only the set-bit columns, about half the entries a
+		// build walks only the set-bit columns, about half the entries a
 		// row sweep would. Soft down-weighting (heavy drift, few locks)
-		// keeps these weighted builders too.
-		e0 = s.lockedBaseByCols(lbp, y, b, locked)
+		// keeps this weighted builder too.
 		g.residualInto(st.residual, y, b)
 	} else {
 		// Few active rows (most tags locked): sweep just those rows, the
 		// residual with setTap[i] = h_i where b[i] is set, 0 elsewhere.
-		e0 = s.lockedBaseByRows(lbp, y, b, locked, ws.lockTap)
 		setTap := ws.setTap
 		for _, row := range g.activeRows {
 			for _, i := range g.rowCols[row] {
@@ -1565,72 +1526,7 @@ func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bi
 		}
 		g.subtractOnActiveRows(st.residual, y, setTap)
 	}
-	var proj []complex128
-	if s.gramOn {
-		ws.gE0 = e0
-		proj = ws.gB[:len(g.activeTags)]
-	}
-	st.rederive(g, b, locked, lbp, proj)
-}
-
-// lockedBaseByCols builds the locked base column by column over the
-// live rows — lbp = y, then every locked set-bit tag's tap off its rows
-// in ascending tag order (foldLocked) — and returns E0, the base's
-// energy over the active rows. O(live rows + locked set nnz): the
-// dense and soft shapes' builder.
-func (s *Session) lockedBaseByCols(lbp, y []complex128, b bits.Vector, locked []bool) float64 {
-	g := &s.g
-	copy(lbp[g.retired:], y[g.retired:])
-	if locked != nil {
-		for i, l := range locked {
-			if l && b[i] {
-				s.foldLocked(lbp, i, g.taps[i])
-			}
-		}
-	}
-	return sqNormOn(lbp, g.activeRows)
-}
-
-// lockedBaseByRows is the sparse (hard-mode) shape's builder: it sets
-// the locked base on the active rows alone, y minus lockTap (h_i for a
-// locked set-bit collider, 0 otherwise) over each row's colliders, and
-// sums E0 in the same sweep — O(active nnz). rowCols is ascending, the
-// order lockedBaseByCols's folds reach a row in, and subtracting +0 is
-// exact, so every active row and E0 are bitwise the column build's.
-func (s *Session) lockedBaseByRows(lbp, y []complex128, b bits.Vector, locked []bool, lockTap []complex128) float64 {
-	g := &s.g
-	for _, row := range g.activeRows {
-		for _, i := range g.rowCols[row] {
-			lockTap[i] = 0
-			if locked != nil && locked[i] && b[i] {
-				lockTap[i] = g.taps[i]
-			}
-		}
-	}
-	return g.subtractOnActiveRows(lbp, y, lockTap)
-}
-
-// foldLocked subtracts locked tag i's contribution h (weighted on its
-// soft-stale rows) from every absorbed row of lbp it transmits in.
-// colRows is ascending, so the rows past len(lbp) (appended, not yet
-// absorbed) are a suffix and the soft-stale rows a prefix: the weight
-// test leaves the per-row loops, as in residualInto.
-func (s *Session) foldLocked(lbp []complex128, i int, h complex128) {
-	g := &s.g
-	rows := g.colRows[i]
-	for len(rows) > 0 && rows[len(rows)-1] >= len(lbp) {
-		rows = rows[:len(rows)-1]
-	}
-	if g.soft {
-		cut, a := g.staleCut[i], complex(g.softAlpha[i], 0)
-		for len(rows) > 0 && rows[0] < cut {
-			lbp[rows[0]] -= a * h
-			rows = rows[1:]
-		}
-	}
-	for _, row := range rows {
-		lbp[row] -= h
-	}
+	st.rederive(g, b, locked)
 }
 
 // ConditionalMargin measures how much worse position p's observations

@@ -72,8 +72,8 @@ func TestSessionRetireTagKeepsStateConsistent(t *testing.T) {
 	s.RetireTag(5, slot-4)
 	settle("after RetireTag with a locked neighbor")
 
-	// Retire the locked tag itself: its contribution lives in the
-	// locked base, which the rebuild re-derives.
+	// Retire the locked tag itself: its contribution lives in every
+	// position's residual, which the rebuild re-derives.
 	if n := s.RetireTag(2, slot-2); n == 0 {
 		t.Fatal("locked-tag RetireTag removed nothing")
 	}

@@ -103,7 +103,7 @@ func dynamicGoldenSpecs() []struct {
 				},
 				Decode: scenario.DecodeSpec{MaxSlots: 400},
 			},
-			ms: 5.9812500000000002, lost: 0, rate: 1.0793650793650793, correct: 8, wrong: 0,
+			ms: 5.8656249999999996, lost: 0, rate: 1.1071428571428572, correct: 8, wrong: 0,
 		},
 	}
 }
