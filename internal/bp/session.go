@@ -3,6 +3,7 @@ package bp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,12 +13,14 @@ import (
 )
 
 // Session is the incremental cross-slot decoder state of one rateless
-// transfer: the decoding graph plus, for every bit position of the
-// frame, the cached residual, per-tag residual sums, gain table and
-// current joint decode. Where the naive loop rebuilt all of that from
-// scratch every slot — O(L·K·density) per position — a Session folds a
-// new collision row into each position in O(colliders) and lets the
-// descent continue from where the previous slot left it.
+// transfer: the decoding graph; the matched-filter outputs and
+// co-occurrence Gram, which depend on the rows and observations but not
+// on the taps; and, for every bit position of the frame, the per-tag
+// residual sums, gain table and current joint decode, with a residual
+// kept current where the row path reads it. Where the naive loop rebuilt
+// all of that from scratch every slot — O(L·K·density) per position — a
+// Session folds a new collision row into each position in O(colliders)
+// and lets the descent continue from where the previous slot left it.
 //
 // A Session also owns the transfer's parallelism: the frame's bit
 // positions are independent decode problems, so DecodeSlot fans them
@@ -50,20 +53,26 @@ type Session struct {
 	ys        [][]complex128
 	ysBacking []complex128
 
-	// states[p] is position p's cached descent state — the residual
-	// y_p − D·H·b_p and the active tags' S-sums, gains and flip signs at
-	// the position's current bits — and the one per-position array every
-	// pass starts from. Pass 0 continues its descent; a restart changes
-	// only active tags' bits, so it starts from the residual plus those
-	// bits' tap differences on the active rows, O(active nnz) on the row
-	// path (buildFrom), and from the S-sums on the Gram path, O(Ka²)
-	// (gramProject). The residual is maintained on the active rows only:
-	// a rebuild on the sparse shape writes nothing else (see
-	// rebuildPosition), and an entry left behind when its row froze is
-	// never read again (rows never reactivate). Residuals live in
-	// resBacking stripes, sums/gains/signs/dirty-lists in the flat blocks
-	// below.
+	// states[p] is position p's cached descent state — the active tags'
+	// S-sums, gains and flip signs at the position's current bits, and,
+	// unless resStale[p], the residual y_p − D·H·b_p on the active rows —
+	// and the one per-position array every pass starts from. A row-path
+	// pass 0 continues the descent on the residual; a row-path restart
+	// changes only active tags' bits, so it starts from the residual plus
+	// those bits' tap differences on the active rows, O(active nnz)
+	// (buildFrom). A Gram-path pass reads the matched-filter outputs
+	// instead (gramInput) and needs no residual at all: a position whose
+	// state is invalid on a Gram slot is decoded from its bits, gets its
+	// S-sums, signs and gains from S = B − N·m, and is marked resStale. A
+	// row-path reader (a row slot, PosError, ConditionalMargin) rebuilds
+	// a stale residual first (materialize). The residual is maintained on
+	// the active rows only: a rebuild on the sparse shape writes nothing
+	// else (see rebuildPosition), and an entry left behind when its row
+	// froze is never read again (rows never reactivate). Residuals live
+	// in resBacking stripes, sums/gains/signs/dirty-lists in the flat
+	// blocks below.
 	states         []descentState
+	resStale       []bool
 	resBacking     []complex128
 	sumBacking     []complex128
 	gainBacking    []float64
@@ -71,17 +80,40 @@ type Session struct {
 	dirtyBacking   []int
 	inDirtyBacking []bool
 
-	// Gram-space restarts, staged by prepareGram once per slot and only
+	// The matched-filter state, a sufficient statistic for every Gram
+	// pass. mf[p·kStride+i] is position p's matched-filter output for
+	// tag i, Σ over i's folded live rows r of w_ri·y_p[r]; cooc is the
+	// co-occurrence Gram over the same rows, cooc[a·kStride+b] =
+	// Σ_r w_ra·w_rb (w is the soft weight alphaAt, 1 in hard mode, where
+	// the entries are integer counts). Neither depends on the taps, so
+	// RetapAll and SetTaps touch neither. Rows [0, folded) have been
+	// folded in; only Gram slots read the state, so prepareGram folds the
+	// rows appended since (foldRows) and a transfer that never takes the
+	// Gram path never pays for it. Retire and RetireTag subtract a folded
+	// row's pairs with their current weights before the graph forgets
+	// them, and SoftRetireTag recounts the re-weighted tag. Both are laid
+	// out at the reserved tag cap's stride kStride = max(K, reservedK),
+	// so a Grow within the cap re-lays nothing: the new tags' entries are
+	// already zero.
+	mf      []complex128
+	cooc    []float64
+	kStride int
+	folded  int
+
+	// Gram-space passes, staged by prepareGram once per slot and only
 	// read by the position workers. gramOn reports that this slot's
 	// restarts run in Gram space (gramRule); gram is the active tags'
-	// Ka×Ka weighted Gram N_ab = Σ_rows w_ra·w_rb, indexed by rank in
+	// Ka×Ka weighted Gram N_ab, gathered from cooc and indexed by rank in
 	// activeTags; gramTap and gramWPow are the ranked tags' taps and
-	// |h|²·w constants, and gramRank[i] is active tag i's rank.
-	gramOn   bool
-	gram     []float64
-	gramTap  []complex128
-	gramWPow []float64
-	gramRank []int
+	// |h|²·w constants; gramLocked lists (ascending) the locked tags that
+	// share a live row with an active tag, the only locked tags whose
+	// taps enter B (gramInput).
+	gramOn     bool
+	gram       []float64
+	gramTap    []complex128
+	gramWPow   []float64
+	gramLocked []int
+	gramMark   []bool
 
 	// posBits[p·K+i] is tag i's bit at position p in the current joint
 	// decode — the init of the next slot's descent and the frame source
@@ -89,9 +121,8 @@ type Session struct {
 	posBits []bool
 	// ambiguous caches each position's post-decode restart-tie flags
 	// (active tags' entries only — a locked tag is never marked). Errors
-	// and margins need no cache: a position's score is its cached
-	// residual's norm over the active rows (normSqActive), and the merge
-	// reads margins straight off the per-position gain tables.
+	// and margins need no cache: the merge reads margins straight off the
+	// per-position gain tables, and PosError reads the residual.
 	ambiguous []bool
 
 	// wstates[w] is worker w's private restart workspace (serial decode
@@ -104,8 +135,9 @@ type Session struct {
 	// the graph. Only AppendSlot's rows, DecodeSlot's locks and Grow's
 	// empty columns are absorbed incrementally; every other model change
 	// (SetTaps, RetapAll, Retire, RetireTag, SoftRetireTag,
-	// InitPositions) invalidates, and the next DecodeSlot rebuilds every
-	// position.
+	// InitPositions) invalidates, and the next DecodeSlot re-derives
+	// every position: from the matched-filter state on a Gram slot, by a
+	// residual rebuild on a row slot.
 	stateValid bool
 	// retapIdx is RetapAll's changed-tag staging buffer.
 	retapIdx []int
@@ -183,7 +215,7 @@ type Session struct {
 // workerState is one worker's private descent workspace: a scratch
 // descentState each row-path restart is built into from the position's
 // state, the per-pass candidate block the ambiguity sweep revisits, the
-// sparse rebuild's masked taps and the Gram path's per-restart vectors.
+// sparse rebuild's masked taps and the Gram path's per-pass vectors.
 // All buffers are session-owned and reused across positions, slots and
 // transfers.
 type workerState struct {
@@ -201,17 +233,18 @@ type workerState struct {
 	dirtBack []int
 	inDirt   []bool
 
-	// Gram-space restart workspace, indexed by active-tag rank (see
+	// Gram-space workspace, indexed by active-tag rank (see
 	// Session.prepareGram): gB is the position's matched-filter output
-	// B = Wᴴ·(y − locked set-bit taps) (gramProject); gS, gGain, gSign,
-	// gBits and gMask are one restart's S = B − N·m, gains, flip signs,
-	// bits and masked taps m.
-	gB    []complex128
-	gS    []complex128
-	gGain []float64
-	gSign []float64
-	gBits []bool
-	gMask []complex128
+	// B = Wᴴ·(y − locked set-bit taps) (gramInput), lockSet the locked
+	// tags whose bit it sets; gS, gGain, gSign, gBits and gMask are one
+	// pass's S = B − N·m, gains, flip signs, bits and masked taps m.
+	gB      []complex128
+	lockSet []int
+	gS      []complex128
+	gGain   []float64
+	gSign   []float64
+	gBits   []bool
+	gMask   []complex128
 }
 
 // shape sizes the worker state for k tags, maxSlots symbols and the
@@ -236,6 +269,7 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 	w.passErr = growFloats(w.passErr, passes)
 	w.pin = growBools(w.pin, k)
 	w.gB = growComplex(w.gB, k)
+	w.lockSet = growInts(w.lockSet, k)
 	w.gS = growComplex(w.gS, k)
 	w.gGain = growFloats(w.gGain, k)
 	w.gSign = growFloats(w.gSign, k)
@@ -252,41 +286,64 @@ func (s *Session) shapeGram(k int) {
 	s.gram = growFloats(s.gram, ka*ka)
 	s.gramTap = growComplex(s.gramTap, ka)
 	s.gramWPow = growFloats(s.gramWPow, ka)
-	s.gramRank = growInts(s.gramRank, k)
+	s.gramLocked = growInts(s.gramLocked, k)[:0]
+	s.gramMark = growBools(s.gramMark, k)
+	clear(s.gramMark)
 }
 
-// gramProject sets gB to a position's matched-filter output B = Wᴴ·base
-// for every ranked active tag, where base is y minus the locked set-bit
-// taps, from the position's state st at its bits b: st's residual is
-// base − W·m with m_y = h_y on the set active bits, so B = S + N·m. It
-// starts from the S-sums and adds, for each set bit y in ascending rank,
-// N's column y times h_y — O(Ka²), whatever the row count.
-func (w *workerState) gramProject(s *Session, st *descentState, b bits.Vector) {
-	act := s.g.activeTags
-	ka := len(act)
-	n, h := s.gram, s.gramTap
-	B := w.gB[:ka]
-	for x, i := range act {
-		B[x] = st.sum[i]
+// shapeMatchedFilter lays the matched-filter state out for a transfer
+// of k tags and frameLen positions at stride max(k, reservedK) and
+// zeroes it. prevK is the outgoing transfer's tag count: when the
+// Gram's layout is kept, only its first prevK rows can hold a nonzero.
+func (s *Session) shapeMatchedFilter(prevK, k, frameLen int) {
+	stride := max(k, s.reservedK)
+	if stride == s.kStride && len(s.cooc) == stride*stride {
+		clear(s.cooc[:prevK*stride])
+	} else {
+		s.cooc = growFloats(s.cooc, stride*stride)
+		clear(s.cooc)
+		s.kStride = stride
 	}
-	for y, i := range act {
-		if !b[i] {
-			continue
+	s.mf = growComplex(s.mf, frameLen*stride)
+	clear(s.mf)
+	s.folded = 0
+}
+
+// gramInput sets gB to position p's matched-filter output over the
+// ranked active tags, from the session's matched-filter state at the
+// position's bits b: B_a = mf_a − Σ_l C_al·h_l over the locked tags l
+// whose bit b sets, summed in ascending l. Only locked bits enter, and
+// they never change within a slot, so B serves every pass of the
+// position; only the locked tags that share a row with an active tag
+// (gramLocked) can have C_al ≠ 0. O(Ka·locked), whatever the row
+// count.
+func (w *workerState) gramInput(s *Session, p int, b bits.Vector) {
+	g := &s.g
+	lk := w.lockSet[:0]
+	for _, l := range s.gramLocked {
+		if b[l] {
+			lk = append(lk, l)
 		}
-		hy := h[y]
-		col := n[y*ka : (y+1)*ka]
-		for x, c := range col {
-			B[x] += complex(c*real(hy), c*imag(hy))
+	}
+	stride := s.kStride
+	mf := s.mf[p*stride : p*stride+s.k]
+	for x, a := range g.activeTags {
+		v := mf[a]
+		row := s.cooc[a*stride : a*stride+s.k]
+		for _, l := range lk {
+			if c := row[l]; c != 0 {
+				h := g.taps[l]
+				v -= complex(c*real(h), c*imag(h))
+			}
 		}
+		w.gB[x] = v
 	}
 }
 
-// gramDescend runs one restart's descent in Gram space from the bits in
-// b (active entries), leaving the local optimum's bits there, and
-// returns the flip count. It is descentState.descend over S = B − N·m:
-// the same gains, scan order, eps and flip cap, with a flip of tag a
-// updating S along N's column a in O(Ka) instead of walking a's rows.
-func (w *workerState) gramDescend(s *Session, b bits.Vector, maxFlips int) int {
+// gramStart sets one pass's Gram state at the bits in b (active
+// entries): S = B − N·m with m_a = h_a on the set bits, the flip signs,
+// the gains and the ranked bits, in O(Ka²).
+func (w *workerState) gramStart(s *Session, b bits.Vector) {
 	act := s.g.activeTags
 	ka := len(act)
 	n, h, wp := s.gram, s.gramTap, s.gramWPow
@@ -309,6 +366,20 @@ func (w *workerState) gramDescend(s *Session, b bits.Vector, maxFlips int) int {
 	for y := range gain {
 		gain[y] = 2*(real(h[y])*real(S[y])+imag(h[y])*imag(S[y]))*sign[y] - wp[y]
 	}
+}
+
+// gramDescend runs one pass's descent in Gram space from the bits in b
+// (active entries), leaving the local optimum's bits there, and returns
+// the flip count. It is descentState.descend over S = B − N·m: the same
+// gains, scan order, eps and flip cap, with a flip of tag a updating S
+// along N's column a in O(Ka) instead of walking a's rows.
+func (w *workerState) gramDescend(s *Session, b bits.Vector, maxFlips int) int {
+	w.gramStart(s, b)
+	act := s.g.activeTags
+	ka := len(act)
+	n, h, wp := s.gram, s.gramTap, s.gramWPow
+	S, gain := w.gS[:ka], w.gGain[:ka]
+	sign, lb := w.gSign[:ka], w.gBits[:ka]
 	flips := 0
 	for flips < maxFlips {
 		best, bestG := -1, s.eps
@@ -338,6 +409,18 @@ func (w *workerState) gramDescend(s *Session, b bits.Vector, maxFlips int) int {
 		b[i] = lb[x]
 	}
 	return flips
+}
+
+// gramWrite installs the Gram state at bits b (active entries) as the
+// position state's S-sums, flip signs and gains — the same gain formula
+// as gainOf, on S = B − N·m. The residual is not touched.
+func (w *workerState) gramWrite(s *Session, st *descentState, b bits.Vector) {
+	w.gramStart(s, b)
+	for x, i := range s.g.activeTags {
+		st.sum[i] = w.gS[x]
+		st.bSign[i] = w.gSign[x]
+		st.gain[i] = w.gGain[x]
+	}
 }
 
 // gramError returns the active rows' ‖r‖² at bits b (active entries) in
@@ -416,6 +499,11 @@ func (s *Session) Reset() {
 	s.k, s.frameLen, s.maxSlots, s.restarts = 0, 0, 0, 0
 	s.ys = s.ys[:0]
 	s.states = s.states[:0]
+	s.resStale = s.resStale[:0]
+	// An empty matched-filter state: the next Begin zeroes cooc whole.
+	s.mf = s.mf[:0]
+	s.cooc = s.cooc[:0]
+	s.folded = 0
 	s.rowPower = s.rowPower[:0]
 	s.driftEnergy = s.driftEnergy[:0]
 	s.driftTotal, s.sigTotal = 0, 0
@@ -442,6 +530,7 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	if par != s.par {
 		s.Close()
 	}
+	s.shapeMatchedFilter(s.k, k, frameLen)
 	s.k, s.frameLen, s.maxSlots, s.par = k, frameLen, maxSlots, par
 	s.restarts = restarts
 	s.eps = 1e-12
@@ -462,6 +551,8 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	s.dirtyBacking = growInts(s.dirtyBacking, frameLen*k)
 	s.inDirtyBacking = growBools(s.inDirtyBacking, frameLen*k)
 	clear(s.inDirtyBacking)
+	s.resStale = growBools(s.resStale, frameLen)
+	clear(s.resStale)
 	if cap(s.states) < frameLen {
 		next := make([]descentState, frameLen, scratch.CeilPow2(frameLen))
 		s.states = next
@@ -571,6 +662,9 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 	s.inDirtyBacking = growBools(s.inDirtyBacking, frameLen*kCap)[:0]
 	s.posBits = growBools(s.posBits, frameLen*kCap)[:0]
 	s.ambiguous = growBools(s.ambiguous, frameLen*kCap)[:0]
+	s.mf = growComplex(s.mf, frameLen*kCap)[:0]
+	s.cooc = growFloats(s.cooc, kCap*kCap)[:0]
+	s.resStale = growBools(s.resStale, frameLen)[:0]
 	if cap(s.states) < frameLen {
 		s.states = make([]descentState, 0, scratch.CeilPow2(frameLen))
 	}
@@ -619,9 +713,10 @@ func (s *Session) InitPositions(est []bits.Vector) {
 }
 
 // SetTaps installs refined channel taps. The cached residuals and gains
-// were derived under the old taps, so the next DecodeSlot rebuilds every
-// position from its current bits — the price of decision-directed
-// channel tracking, paid only on slots that actually re-tap.
+// were derived under the old taps, so the next DecodeSlot re-derives
+// every position from its current bits — the price of decision-directed
+// channel tracking, paid only on slots that actually re-tap. The
+// matched-filter state does not depend on the taps and is untouched.
 func (s *Session) SetTaps(taps []complex128) {
 	s.g.SetTaps(taps)
 	s.stateValid = false
@@ -630,11 +725,12 @@ func (s *Session) SetTaps(taps []complex128) {
 // RetapAll installs new channel taps. A call that moves any tap banks
 // the move's drift (see DriftFraction and DriftFractionTag) and
 // invalidates the cached per-position state: the next DecodeSlot
-// rebuilds every position from its observations under the new taps,
-// and PosError and ConditionalMargin are invalid until then. A call
-// that moves no tap is a no-op and leaves the state valid. Call order
-// per slot is retap → append → decode → gates, as the transfer loops
-// do.
+// re-derives every position from its observations under the new taps
+// (from the matched-filter state, which a retap leaves untouched, on a
+// Gram slot), and PosError and ConditionalMargin are invalid until
+// then. A call that moves no tap is a no-op and leaves the state valid.
+// Call order per slot is retap → append → decode → gates, as the
+// transfer loops do.
 func (s *Session) RetapAll(taps []complex128) {
 	if len(taps) != s.k {
 		panic(fmt.Sprintf("bp: RetapAll got %d taps for %d tags", len(taps), s.k))
@@ -713,8 +809,10 @@ func restripe[T any](buf []T, frameLen, oldK, newK int) []T {
 // in every absorbed row), every per-position stripe is re-laid for the
 // larger K, and all cached residuals, S-sums, gains and locks of the
 // existing tags survive: the next DecodeSlot continues their descent
-// exactly where it left off. Growth is a rare event (an arrival burst),
-// so this path may allocate.
+// exactly where it left off. The matched-filter state is re-laid only
+// when K outgrows its stride (Reserve's tag cap); within it the new
+// tags' entries are already zero. Growth is a rare event (an arrival
+// burst), so this path may allocate.
 func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 	n := len(taps)
 	if n == 0 {
@@ -738,6 +836,17 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 	s.gainBacking = restripe(s.gainBacking, s.frameLen, oldK, k2)
 	s.bSignBacking = restripe(s.bSignBacking, s.frameLen, oldK, k2)
 	s.posBits = restripe(s.posBits, s.frameLen, oldK, k2)
+	if old := s.kStride; k2 > old {
+		cooc := make([]float64, k2*k2, scratch.CeilPow2(k2*k2))
+		for a := 0; a < oldK; a++ {
+			copy(cooc[a*k2:a*k2+oldK], s.cooc[a*old:a*old+oldK])
+		}
+		mf := make([]complex128, s.frameLen*k2, scratch.CeilPow2(s.frameLen*k2))
+		for p := 0; p < s.frameLen; p++ {
+			copy(mf[p*k2:p*k2+oldK], s.mf[p*old:p*old+oldK])
+		}
+		s.cooc, s.mf, s.kStride = cooc, mf, k2
+	}
 	s.ambiguous = growBools(s.ambiguous, s.frameLen*k2)
 	s.dirtyBacking = growInts(s.dirtyBacking, s.frameLen*k2)
 	s.inDirtyBacking = growBools(s.inDirtyBacking, s.frameLen*k2)
@@ -797,8 +906,9 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 
 // AppendSlot feeds the session one new collision slot: the
 // participation row and one observed symbol per bit position. The graph
-// grows by one row; each position's cached state absorbs the new
-// observation lazily at its next decode, in O(colliders).
+// grows by one row; each position's cached residual absorbs the new
+// observation lazily at its next row-path decode, in O(colliders), and
+// the matched-filter state at the next Gram slot (foldRows).
 func (s *Session) AppendSlot(row bits.Vector, obs []complex128) {
 	if len(obs) != s.frameLen {
 		panic(fmt.Sprintf("bp: AppendSlot got %d observations for frame length %d", len(obs), s.frameLen))
@@ -830,18 +940,140 @@ func (s *Session) AppendSlot(row bits.Vector, obs []complex128) {
 	}
 }
 
+// foldRows adds the live rows appended since the last fold to the
+// matched-filter state with their current weights: every collider a's
+// output gains w_ra·y_p[r] at every position, and the co-occurrence
+// Gram gains w_ra·w_rb for every collider pair, in O(frameLen·colliders
+// + colliders²) per row.
+func (s *Session) foldRows() {
+	g := &s.g
+	cooc, stride := s.cooc, s.kStride
+	for r := max(s.folded, g.retired); r < g.L; r++ {
+		cols := g.rowCols[r]
+		if !g.soft {
+			// Every weight is 1: the counts are exact and the outputs
+			// plain sums, with no per-entry weight lookup.
+			for _, a := range cols {
+				row := cooc[a*stride : a*stride+s.k]
+				for _, b := range cols {
+					row[b]++
+				}
+			}
+			for p := 0; p < s.frameLen; p++ {
+				y := s.ys[p][r]
+				mf := s.mf[p*stride : p*stride+s.k]
+				for _, i := range cols {
+					mf[i] += y
+				}
+			}
+			continue
+		}
+		for _, a := range cols {
+			wa := g.alphaAt(r, a)
+			row := cooc[a*stride : a*stride+s.k]
+			for _, b := range cols {
+				row[b] += wa * g.alphaAt(r, b)
+			}
+		}
+		for p := 0; p < s.frameLen; p++ {
+			y := s.ys[p][r]
+			mf := s.mf[p*stride : p*stride+s.k]
+			for _, i := range cols {
+				w := g.alphaAt(r, i)
+				mf[i] += complex(w*real(y), w*imag(y))
+			}
+		}
+	}
+	s.folded = g.L
+}
+
+// dropPairs subtracts folded row r's (tag, collider) pairs from the
+// matched-filter state with their current weights: for every listed tag
+// a, a's output loses w_ra·y_p[r] at every position and the Gram's row
+// and column a lose w_ra·w_rb for every collider b in the row. Listing
+// every collider drops the whole row; listing one tag drops just its
+// participation. Call it before the graph forgets the pairs.
+func (s *Session) dropPairs(r int, tags []int) {
+	g := &s.g
+	stride := s.kStride
+	whole := len(tags) == len(g.rowCols[r])
+	for _, a := range tags {
+		wa := g.alphaAt(r, a)
+		for _, b := range g.rowCols[r] {
+			c := wa * g.alphaAt(r, b)
+			s.cooc[a*stride+b] -= c
+			if !whole && b != a {
+				s.cooc[b*stride+a] -= c
+			}
+		}
+		for p := 0; p < s.frameLen; p++ {
+			y := s.ys[p][r]
+			s.mf[p*stride+a] -= complex(wa*real(y), wa*imag(y))
+		}
+	}
+}
+
+// snapRowless sets tag i's matched-filter outputs and its row and
+// column of the co-occurrence Gram to exact zero: the state of a tag
+// whose last live row is leaving. The subtractions that removed its
+// rows leave rounding dust in mf, and a rowless tag's S-sum is exactly
+// zero in the row path; left in place, the dust would surface as a gain
+// of order 1e-12, which the absolute flip threshold eps reads as
+// evidence. Same reason RetireRow snaps |h|²·w.
+func (s *Session) snapRowless(i int) {
+	stride := s.kStride
+	for j := 0; j < s.k; j++ {
+		s.cooc[i*stride+j] = 0
+		s.cooc[j*stride+i] = 0
+	}
+	for p := 0; p < s.frameLen; p++ {
+		s.mf[p*stride+i] = 0
+	}
+}
+
+// recountTag recomputes tag i's matched-filter outputs and its row and
+// column of the co-occurrence Gram from its folded live rows under the
+// current weights — after a soft re-weighting that touched all of them.
+func (s *Session) recountTag(i int) {
+	g := &s.g
+	stride := s.kStride
+	s.snapRowless(i)
+	rows := g.colRows[i]
+	for len(rows) > 0 && rows[len(rows)-1] >= s.folded {
+		rows = rows[:len(rows)-1]
+	}
+	for _, r := range rows {
+		wi := g.alphaAt(r, i)
+		for _, j := range g.rowCols[r] {
+			c := wi * g.alphaAt(r, j)
+			s.cooc[i*stride+j] += c
+			if j != i {
+				s.cooc[j*stride+i] += c
+			}
+		}
+	}
+	for p := 0; p < s.frameLen; p++ {
+		var v complex128
+		for _, r := range rows {
+			wi, y := g.alphaAt(r, i), s.ys[p][r]
+			v += complex(wi*real(y), wi*imag(y))
+		}
+		s.mf[p*stride+i] = v
+	}
+}
+
 // Retire drops every collision slot up to and including throughSlot
 // (1-based) from the decode — the symmetric inverse of Grow's and
 // AppendSlot's accretion, turning "the graph only grows" into "the
 // graph is a sliding window". Each retired row leaves the graph's
 // adjacency (Graph.RetireRow; indices never shift, so all cached
-// per-row state stays aligned) and takes its share of the drift
-// bookkeeping with it. A call that retires anything invalidates the
-// cached per-position state: the next DecodeSlot rebuilds every
-// position from the surviving rows' observations, and PosError and
-// ConditionalMargin are invalid until then. A call with nothing to
-// retire is a no-op and leaves the state valid. Call it between a
-// DecodeSlot and the next AppendSlot.
+// per-row state stays aligned) and takes its share of the matched-filter
+// state and the drift bookkeeping with it. A call that retires anything
+// invalidates the cached per-position state: the next DecodeSlot
+// re-derives every position from the surviving rows' observations, and
+// PosError and ConditionalMargin are invalid until then. A call with
+// nothing to retire is a no-op and leaves the state valid. Call it
+// between a DecodeSlot and the next AppendSlot.
 //
 // Returns the number of rows retired; retiring everything is legal
 // (the decoder then knows nothing and margins collapse to zero until
@@ -854,6 +1086,14 @@ func (s *Session) Retire(throughSlot int) int {
 		return 0
 	}
 	for r := lo; r < hi; r++ {
+		if r < s.folded {
+			s.dropPairs(r, g.rowCols[r])
+		}
+		for _, a := range g.rowCols[r] {
+			if len(g.colRows[a]) == 1 {
+				s.snapRowless(a)
+			}
+		}
 		if s.trackDrift {
 			s.driftTotal -= s.driftEnergy[r]
 			s.sigTotal -= s.rowPower[r]
@@ -890,16 +1130,17 @@ func (s *Session) Retired() int { return s.g.retired }
 // as evidence for its (stationary) neighbors, who would otherwise
 // discard good observations whenever any mover's coherence collapses.
 //
-// Each removed (row, tag) pair leaves the graph's adjacency
-// (Graph.RetireTagRows); a row whose last active collider was the
-// retired tag freezes exactly as when its last collider locks. A call
-// that removes any row invalidates the cached per-position state: the
-// next DecodeSlot rebuilds every position from the surviving model,
-// and PosError and ConditionalMargin are invalid until then. A call
-// that removes no row is a no-op and leaves the state valid. Removing
-// a tag's every row is legal: like a tag that just joined, its margins
-// collapse to zero until it participates again. Like Retire, call it
-// between a DecodeSlot and the next AppendSlot.
+// Each removed (row, tag) pair leaves the matched-filter state and the
+// graph's adjacency (Graph.RetireTagRows); a row whose last active
+// collider was the retired tag freezes exactly as when its last
+// collider locks. A call that removes any row invalidates the cached
+// per-position state: the next DecodeSlot re-derives every position
+// from the surviving model, and PosError and ConditionalMargin are
+// invalid until then. A call that removes no row is a no-op and leaves
+// the state valid. Removing a tag's every row is legal: like a tag that
+// just joined, its margins collapse to zero until it participates
+// again. Like Retire, call it between a DecodeSlot and the next
+// AppendSlot.
 //
 // Returns the number of rows the tag was removed from.
 func (s *Session) RetireTag(tag, throughSlot int) int {
@@ -915,7 +1156,16 @@ func (s *Session) RetireTag(tag, throughSlot int) int {
 	}
 	rows := append(s.retireRows[:0], cr[:n]...)
 	s.retireRows = rows[:0]
+	one := [1]int{tag}
+	for _, r := range rows {
+		if r < s.folded {
+			s.dropPairs(r, one[:])
+		}
+	}
 	g.RetireTagRows(tag, hi)
+	if len(g.colRows[tag]) == 0 {
+		s.snapRowless(tag)
+	}
 	if s.trackTagDrift {
 		// The ledger holds only the tag's in-window rows: rows soft
 		// aging already moved past the stale cut left it (and the
@@ -960,10 +1210,12 @@ func (s *Session) RetireTag(tag, throughSlot int) int {
 // tag's drift ledger exactly as a hard retire would, keeping the
 // margin gate's per-tag drift fraction an in-window quantity.
 //
-// The weight change touches every stale row of the tag at once, so the
-// cached descent state is invalidated wholesale and the next
-// DecodeSlot rebuilds — soft mode is for heavy-drift transfers whose
-// every slot rebuilds anyway (see PERFORMANCE.md's cost model).
+// The weight change touches every stale row of the tag at once: the
+// tag's matched-filter outputs and Gram row and column are recounted
+// from its live rows, and the cached descent state is invalidated
+// wholesale, so the next DecodeSlot re-derives it — soft mode is for
+// heavy-drift transfers whose every slot re-derives anyway (see
+// PERFORMANCE.md's cost model).
 // Returns the number of rows that newly went stale.
 func (s *Session) SoftRetireTag(tag, throughSlot int) int {
 	g := &s.g
@@ -981,6 +1233,7 @@ func (s *Session) SoftRetireTag(tag, throughSlot int) int {
 	if !changed {
 		return 0
 	}
+	s.recountTag(tag)
 	if drop > 0 {
 		led := s.tagLedger[tag]
 		for x := 0; x < drop; x++ {
@@ -1097,13 +1350,16 @@ func (s *Session) Ys() [][]complex128 { return s.ys }
 func (s *Session) PosBits(p int) []bool { return s.posBits[p*s.k : (p+1)*s.k] }
 
 // PosError returns ‖y − D·H·b‖² over the live rows at position p's
-// current decode: the active rows' energy every pass is scored by,
-// read off the cached residual, plus the frozen rows' (no active
-// collider) energy, recomputed here in O(frozen nnz). Valid from a
-// DecodeSlot until the next mutation: an AppendSlot, or a RetapAll,
-// Retire, RetireTag or SoftRetireTag that changes anything.
+// current decode: the active rows' energy the row path scores passes
+// by, read off the cached residual (materialized first if a Gram slot
+// left it stale), plus the frozen rows' (no active collider) energy,
+// recomputed here in O(frozen nnz). Valid from a DecodeSlot until the
+// next mutation: an AppendSlot, or a RetapAll, Retire, RetireTag or
+// SoftRetireTag that changes anything. Call it from the session's
+// owning goroutine.
 func (s *Session) PosError(p int) float64 {
 	g := &s.g
+	s.materialize(p)
 	b := s.PosBits(p)
 	e := s.states[p].normSqActive(g)
 	for row := g.retired; row < g.L; row++ {
@@ -1134,12 +1390,12 @@ type SlotJob struct {
 }
 
 // DecodeSlot decodes every bit position against the slot just appended:
-// pass 0 continues each position's cached descent (or rebuilds it when
-// taps changed), then the configured number of random re-initializations,
-// keeping the lowest-error candidate. base is the transfer's decode-PRNG
-// root; slot the 1-based slot index — every position derives stream
-// Mix3(base, slot, p), making the result independent of worker
-// scheduling.
+// pass 0 continues each position's cached descent (or re-derives it
+// when the model changed), then the configured number of random
+// re-initializations, keeping the lowest-error candidate. base is the
+// transfer's decode-PRNG root; slot the 1-based slot index — every
+// position derives stream Mix3(base, slot, p), making the result
+// independent of worker scheduling.
 //
 // minMargin[i] receives the minimum over positions of tag i's flip
 // margin (see marginOf); anyAmbiguous[i] reports whether any position's
@@ -1188,8 +1444,9 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 	// Deactivate newly locked tags and pin their gains at −∞ before
 	// fanning out: a frozen tag's fan-out entries are dead from here on
 	// (§6d), and no position state carries anything else about it — the
-	// residual already holds its set bits' taps, and a rebuild
-	// re-derives active tags only.
+	// residual already holds its set bits' taps, gramInput subtracts them
+	// from the matched-filter outputs, and a rebuild re-derives active
+	// tags only.
 	if locked != nil {
 		for i, l := range locked {
 			if l && !s.g.deactivated[i] {
@@ -1228,58 +1485,60 @@ const gramMaxKa = 64
 // and the floats each path produces depend only on the inputs.
 func gramRule(ka, nnz int) bool { return ka <= gramMaxKa && ka*ka < nnz }
 
-// prepareGram stages the Gram path's per-slot constants from the
-// active adjacency's CSR snapshot: the rank of every active tag, the
-// ranked taps and |h|²·w constants, and the weighted Gram
-// N_ab = Σ_rows w_ra·w_rb (w = 1, or α on a tag's soft-stale rows;
-// hard-mode entries are integer counts), in O(Σ_rows colliders²).
+// prepareGram stages the Gram path's per-slot constants: it folds the
+// rows appended since the last Gram slot into the matched-filter state
+// (foldRows), then gathers the ranked active tags' taps, |h|²·w
+// constants and weighted Gram N_ab = Σ_rows w_ra·w_rb from the
+// session's co-occurrence Gram in O(Ka²), and lists the locked tags
+// that share an active row (gramLocked) in O(active rows' colliders).
+// A row holding an active tag is an active row, so the live-row Gram
+// restricted to the active tags is the active rows' Gram; hard-mode
+// entries are integer counts, so the gather is exact.
 //
 // Why it suffices: with m_a = h_a where a's bit is set and 0 elsewhere,
 // a pass's residual over the active rows is r = base − W·m, base being y
 // minus the locked set-bit taps, so its S-sums are S = Wᴴr = B − N·m
 // with B = Wᴴ·base, a flip of tag a moves S by −N_{·a}·δ, and
 // ‖r‖² = ‖base‖² − Re(mᴴ(B + S)). The matched-filter outputs B and the
-// Gram N are a sufficient statistic for the bit decision, so once a
-// position has recovered B from its own S-sums (gramProject, B = S + N·m
-// at its current bits) each restart costs O(Ka²) instead of a residual
-// rebuild and descent over every active row. The descent is the row
-// path's to the flip: same gain formula, same (gain desc, index asc)
-// scan, same eps and flip cap; only float association differs.
+// Gram N are a sufficient statistic for the bit decision, and neither
+// depends on the taps: B is the session's matched-filter state less the
+// locked set bits' Gram columns (gramInput), so every pass costs O(Ka²)
+// and a position needs no residual rebuild after a retap. The descent is
+// the row path's to the flip: same gain formula, same (gain desc, index
+// asc) scan, same eps and flip cap; only float association differs.
 func (s *Session) prepareGram() {
+	s.foldRows()
 	g := &s.g
 	act := g.activeTags
 	ka := len(act)
 	s.gramTap = growComplex(s.gramTap, ka)
 	s.gramWPow = growFloats(s.gramWPow, ka)
-	s.gramRank = growInts(s.gramRank, g.K)
-	rank := s.gramRank
-	for x, i := range act {
-		rank[i] = x
-		s.gramTap[x] = g.taps[i]
-		s.gramWPow[x] = g.wPow[i]
-	}
 	n := growFloats(s.gram, ka*ka)
 	s.gram = n
-	clear(n)
-	for x, row := range g.activeRows {
-		ra := g.flatTags[g.flatStart[x]:g.flatStart[x+1]]
-		if !g.soft {
-			for _, a := range ra {
-				col := n[rank[a]*ka : (rank[a]+1)*ka]
-				for _, b := range ra {
-					col[rank[b]]++
-				}
-			}
-			continue
+	for x, a := range act {
+		s.gramTap[x] = g.taps[a]
+		s.gramWPow[x] = g.wPow[a]
+		src := s.cooc[a*s.kStride:]
+		dst := n[x*ka : (x+1)*ka]
+		for y, b := range act {
+			dst[y] = src[b]
 		}
-		for _, a := range ra {
-			wa := g.alphaAt(row, a)
-			col := n[rank[a]*ka : (rank[a]+1)*ka]
-			for _, b := range ra {
-				col[rank[b]] += wa * g.alphaAt(row, b)
+	}
+	mark := s.gramMark[:g.K]
+	lk := s.gramLocked[:0]
+	for _, row := range g.activeRows {
+		for _, l := range g.rowCols[row] {
+			if g.deactivated[l] && !mark[l] {
+				mark[l] = true
+				lk = append(lk, l)
 			}
 		}
 	}
+	slices.Sort(lk)
+	for _, l := range lk {
+		mark[l] = false
+	}
+	s.gramLocked = lk
 }
 
 // finishSlot completes DecodeSlot after the position fan-out: it marks
@@ -1357,19 +1616,39 @@ func randomBitsInto(src *prng.Source, b bits.Vector, active []int) {
 
 // decodePosition runs one position's full per-slot decode: state
 // catch-up, pass-0 descent, random restarts, margin and ambiguity
-// bookkeeping. Every restart starts from the position's own state after
-// pass 0 (or after the last adoption), so no other per-position array
-// is kept. All mutations are confined to position p's stripes and the
-// caller's workerState.
+// bookkeeping. All mutations are confined to position p's stripes and
+// the caller's workerState.
+//
+// A position whose cached state is valid continues on the row path:
+// its residual absorbs the new rows and pass 0 descends on it. An
+// invalid one (the model changed, or a Gram slot left its residual
+// stale) is re-derived by the slot's kind: a row slot rebuilds the
+// residual; a Gram slot runs pass 0 as a Gram descent from the
+// position's bits and builds no residual at all. Restarts then run on
+// the slot's path from the position's state after pass 0, and every
+// pass of a Gram slot is scored by gramError. An adopted restart is
+// installed the way the position's state is kept: through buildFrom
+// on a current residual, or as S = B − N·m, leaving the residual stale,
+// on a position decoded in Gram space.
 func (s *Session) decodePosition(p int, ws *workerState) {
 	g := &s.g
 	st := &s.states[p]
 	myBits := bits.Vector(s.posBits[p*s.k : (p+1)*s.k])
 	locked := s.curLocked
+	stale := !s.stateValid || s.resStale[p]
+	inGram := s.gramOn && stale
 
-	if !s.stateValid {
-		s.rebuildPosition(p, st, ws, myBits, locked)
+	var cFlips uint64
+	if s.gramOn {
+		ws.gramInput(s, p, myBits)
+	}
+	if inGram {
+		cFlips = uint64(ws.gramDescend(s, myBits, 64*(g.K+1)*(g.L+1)))
 	} else {
+		if stale {
+			s.rebuildPosition(p, st, ws, myBits, locked)
+			s.resStale[p] = false
+		}
 		// O(colliders) per pending row: absorb what AppendSlot added. A
 		// row born with every collider already locked is frozen on
 		// arrival, and no pass scores it.
@@ -1377,17 +1656,16 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 			row := len(st.residual)
 			st.appendRow(g, row, s.ys[p][row], myBits, locked)
 		}
+		cFlips = uint64(st.descend(g, myBits, locked, s.eps))
 	}
-	cFlips := uint64(st.descend(g, myBits, locked, s.eps))
 	cRestarts := uint64(0)
-	bestErr := st.normSqActive(g)
 
 	// Every per-pass step below walks the active tags and rows only. A
 	// pass block's locked entries are never written or read: a locked
 	// tag's restart bit is its locked value by definition, the builder
-	// carries locked contributions over in the position's residual, the
-	// descent and the ambiguity sweep never touch a locked tag, and
-	// adoption copies back active bits alone.
+	// carries locked contributions over in the position's residual (and
+	// gramInput in B), the descent and the ambiguity sweep never touch a
+	// locked tag, and adoption copies back active bits alone.
 	active := g.activeTags
 	passes := 1 + s.restarts
 	allBits := ws.allBits[:passes*s.k]
@@ -1395,15 +1673,35 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 	for _, i := range active {
 		allBits[i] = myBits[i]
 	}
-	passErr[0] = bestErr
 	bestPass := 0
 
 	if s.gramOn {
+		// Pass 0 is scored in Gram form too, so adoption and the ambiguity
+		// gaps compare like with like: a restart that ends on the
+		// incumbent's bits scores exactly the incumbent's error and is
+		// never adopted on rounding noise.
+		passErr[0] = ws.gramError(s, myBits)
 		var f uint64
 		f, bestPass = s.restartsGram(p, ws, allBits, passErr)
 		cFlips += f
 		cRestarts = uint64(s.restarts)
+		bhat := bits.Vector(allBits[bestPass*s.k : (bestPass+1)*s.k])
+		if !inGram && bestPass > 0 {
+			rst := &ws.rst
+			rst.residual = rst.residual[:g.L]
+			rst.buildFrom(g, st, myBits, bhat)
+			st.copyActiveFrom(g, rst)
+		}
+		for _, i := range active {
+			myBits[i] = bhat[i]
+		}
+		if inGram {
+			ws.gramWrite(s, st, myBits)
+			s.resStale[p] = true
+		}
 	} else if s.restarts > 0 {
+		bestErr := st.normSqActive(g)
+		passErr[0] = bestErr
 		ws.src.Reseed(prng.Mix3(s.curBase, uint64(s.curSlot), uint64(p)))
 		rst := &ws.rst
 		for pass := 1; pass < passes; pass++ {
@@ -1448,25 +1746,15 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 }
 
 // restartsGram runs position p's restart passes in Gram space (see
-// prepareGram) after its pass-0 descent, filling the pass blocks of
-// allBits and passErr. It returns the restarts' flips and the adopted
-// pass (0 when none beat pass 0). B comes from the position's state at
-// its pass-0 bits (gramProject), and every pass, pass 0 included, is
-// scored by gramError. An adopted restart is materialized into the
-// position state from the pre-adoption state and bits, and its bits are
-// written afterwards.
+// prepareGram) after its pass-0 descent, filling the pass blocks 1… of
+// allBits and passErr; passErr[0] holds pass 0's gramError. Each pass
+// descends from fresh random bits over the B staged by gramInput and is
+// scored by gramError. It returns the restarts' flips and the best pass
+// (0 when none beat pass 0); adoption is the caller's.
 func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr []float64) (flips uint64, bestPass int) {
 	g := &s.g
 	active := g.activeTags
-	st := &s.states[p]
-	myBits := bits.Vector(s.posBits[p*s.k : (p+1)*s.k])
 	ws.src.Reseed(prng.Mix3(s.curBase, uint64(s.curSlot), uint64(p)))
-	ws.gramProject(s, st, myBits)
-	// Pass 0 is scored in Gram form too, so adoption and the ambiguity
-	// gaps compare like with like: a restart that ends on the
-	// incumbent's bits scores exactly the incumbent's error and is never
-	// adopted on rounding noise.
-	passErr[0] = ws.gramError(s, myBits)
 	best := passErr[0]
 	maxFlips := 64 * (g.K + 1) * (g.L + 1)
 	for pass := 1; pass < len(passErr); pass++ {
@@ -1480,25 +1768,28 @@ func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr [
 			bestPass = pass
 		}
 	}
-	if bestPass == 0 {
-		return flips, 0
-	}
-	bhat := bits.Vector(allBits[bestPass*s.k : (bestPass+1)*s.k])
-	rst := &ws.rst
-	rst.residual = rst.residual[:g.L]
-	rst.buildFrom(g, st, myBits, bhat)
-	st.copyActiveFrom(g, rst)
-	for _, i := range active {
-		myBits[i] = bhat[i]
-	}
 	return flips, bestPass
 }
 
+// materialize rebuilds position p's residual when a Gram slot left it
+// stale — the on-demand catch-up of the row-path readers outside
+// DecodeSlot (PosError, ConditionalMargin), on the owner's goroutine.
+// The rebuild re-derives the S-sums and gains from the residual, so
+// later row-path passes read a consistent state.
+func (s *Session) materialize(p int) {
+	if !s.resStale[p] {
+		return
+	}
+	s.rebuildPosition(p, &s.states[p], &s.cond, s.PosBits(p), s.curLocked)
+	s.resStale[p] = false
+}
+
 // rebuildPosition re-derives position p's cached state from its
-// observations and current bits when the session state is invalid (a
-// retap, a block fade, a grow, a window shrink): the residual on the
-// rows its readers need, then the active tags' S-sums and gains
-// (rederive). Both residual builds subtract each row's set-bit
+// observations and current bits when the position's state is invalid
+// on a row slot (a retap, a block fade, a window shrink, or a residual
+// a Gram slot left stale) or a row-path reader materializes it: the
+// residual on the rows its readers need, then the active tags' S-sums
+// and gains (rederive). Both residual builds subtract each row's set-bit
 // colliders in ascending tag order, so the floats do not depend on the
 // shape. With few active rows the build sweeps just those rows,
 // O(active nnz), whatever the number of joined tags.
@@ -1546,13 +1837,16 @@ func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bi
 //
 // It reuses position p's cached residual, S-sums and gains, so the
 // outer loop's acceptance gate costs one O(w_i) flip plus the
-// re-descent rather than a from-scratch build per (position, tag). Both
-// errors are taken over the active rows: the frozen rows add the same
-// energy to each, so it cancels. It must be called from the session's
-// owning goroutine (it shares one workspace), after a DecodeSlot and
-// before the next state mutation (AppendSlot, Grow, or a RetapAll,
-// Retire, RetireTag or SoftRetireTag that changes anything) — the
-// cached state it reuses is only valid inside that window.
+// re-descent rather than a from-scratch build per (position, tag). A
+// residual a Gram slot left stale is materialized first, once per
+// position until its next decode; the gate runs only on tags whose
+// margins and CRC already pass, so this is rare. Both errors are taken
+// over the active rows: the frozen rows add the same energy to each, so
+// it cancels. It must be called from the session's owning goroutine (it
+// shares one workspace), after a DecodeSlot and before the next state
+// mutation (AppendSlot, Grow, or a RetapAll, Retire, RetireTag or
+// SoftRetireTag that changes anything) — the cached state it reuses is
+// only valid inside that window.
 func (s *Session) ConditionalMargin(p, i int, locked []bool) float64 {
 	g := &s.g
 	w := g.Degree(i)
@@ -1563,6 +1857,7 @@ func (s *Session) ConditionalMargin(p, i int, locked []bool) float64 {
 	if w == 0 || den == 0 {
 		return 0
 	}
+	s.materialize(p)
 	base := s.states[p].normSqActive(g)
 
 	st := &s.cond.rst

@@ -95,18 +95,21 @@ func decodeCompare(t *testing.T, a, b *Session, slot int, locked []bool, base ui
 // verifyTol is verifyState's relative tolerance.
 const verifyTol = 1e-9
 
-// verifyState recomputes every position's residual, unlocked S-sums
-// and gains from the session's observations, current bits and current
-// taps, and fails if the cached state disagrees beyond verifyTol. Call
-// it after a DecodeSlot (or after a mutation that changed nothing):
-// RetapAll, Retire and RetireTag invalidate the cached state, and only
-// the next decode rebuilds it. Retired rows and inactive rows (every
-// collider locked) are skipped: their cached residual entries are dead
-// by design. It also checks PosError against a from-scratch
-// ‖y − D·H·b‖² over the live rows and the armed drift bookkeeping
-// against a recount (verifyDrift). Exact equality is not required:
-// appended rows fold into the cached state in arrival order, a
-// different float association than the rebuild.
+// verifyState checks every position's cached state against a
+// from-scratch recompute from the session's observations, current bits
+// and current taps, failing on a disagreement beyond verifyTol. It runs
+// in the order the state is kept: first the unlocked tags' S-sums, flip
+// signs and gains, which a Gram slot writes without a residual; then it
+// materializes the residual and checks it, and PosError against a
+// from-scratch ‖y − D·H·b‖² over the live rows. Call it after a
+// DecodeSlot (or after a mutation that changed nothing): RetapAll,
+// Retire and RetireTag invalidate the cached state, and only the next
+// decode re-derives it. Retired rows and inactive rows (every collider
+// locked) are skipped: their cached residual entries are dead by
+// design. It also checks the armed drift bookkeeping against a recount
+// (verifyDrift). Exact equality is not required: appended rows fold
+// into the cached state in arrival order, a different float
+// association than the rebuild.
 func verifyState(t *testing.T, s *Session, locked []bool, what string) {
 	t.Helper()
 	if !s.stateValid {
@@ -116,21 +119,6 @@ func verifyState(t *testing.T, s *Session, locked []bool, what string) {
 	for p := 0; p < s.frameLen; p++ {
 		st := &s.states[p]
 		myBits := s.PosBits(p)
-		for row := g.retired; row < g.L; row++ {
-			if len(g.rowActive[row]) == 0 {
-				continue
-			}
-			want := s.ys[p][row]
-			for _, i := range g.rowCols[row] {
-				if myBits[i] {
-					want -= g.taps[i]
-				}
-			}
-			got := st.residual[row]
-			if !closeTo(real(got), real(want), verifyTol) || !closeTo(imag(got), imag(want), verifyTol) {
-				t.Fatalf("%s: position %d row %d residual %v, want %v", what, p, row, got, want)
-			}
-		}
 		for i := 0; i < s.k; i++ {
 			if locked[i] {
 				if !math.IsInf(st.gain[i], -1) {
@@ -140,15 +128,33 @@ func verifyState(t *testing.T, s *Session, locked []bool, what string) {
 			}
 			var sum complex128
 			for _, row := range g.colRows[i] {
-				sum += st.residual[row]
+				sum += scratchRow(s, p, row, myBits)
 			}
 			if !closeTo(real(st.sum[i]), real(sum), verifyTol) || !closeTo(imag(st.sum[i]), imag(sum), verifyTol) {
 				t.Fatalf("%s: position %d tag %d sum %v, want %v", what, p, i, st.sum[i], sum)
 			}
-			corr := g.tapRe[i]*real(st.sum[i]) + g.tapIm[i]*imag(st.sum[i])
-			want := 2*corr*st.bSign[i] - g.wPow[i]
+			sign := 1.0
+			if myBits[i] {
+				sign = -1
+			}
+			if st.bSign[i] != sign {
+				t.Fatalf("%s: position %d tag %d flip sign %v, want %v", what, p, i, st.bSign[i], sign)
+			}
+			corr := g.tapRe[i]*real(sum) + g.tapIm[i]*imag(sum)
+			want := 2*corr*sign - g.wPow[i]
 			if !closeTo(st.gain[i], want, verifyTol) {
 				t.Fatalf("%s: position %d tag %d gain %v, want %v", what, p, i, st.gain[i], want)
+			}
+		}
+		s.materialize(p)
+		for row := g.retired; row < g.L; row++ {
+			if len(g.rowActive[row]) == 0 {
+				continue
+			}
+			want := scratchRow(s, p, row, myBits)
+			got := st.residual[row]
+			if !closeTo(real(got), real(want), verifyTol) || !closeTo(imag(got), imag(want), verifyTol) {
+				t.Fatalf("%s: position %d row %d residual %v, want %v", what, p, row, got, want)
 			}
 		}
 		if got, want := s.PosError(p), scratchError(s, p); !closeTo(got, want, verifyTol) {

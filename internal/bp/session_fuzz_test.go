@@ -46,8 +46,8 @@ func newTestState(k, l int) *descentState {
 	return st
 }
 
-// checkBuildFrom builds a restart at bits b from position p's state
-// (buildFrom) and fails unless its residual matches a from-scratch
+// checkBuildFrom materializes position p's residual, builds a restart
+// at bits b from the position's state (buildFrom) and fails unless its residual matches a from-scratch
 // y − D·H·b on every active row within 1e-9, and every active tag's
 // S-sum and gain match the weighted sums of that scratch residual
 // within 1e-9. b must agree with the position's bits on every locked
@@ -55,6 +55,7 @@ func newTestState(k, l int) *descentState {
 func checkBuildFrom(t *testing.T, s *Session, p int, b bits.Vector, what string) {
 	t.Helper()
 	g := &s.g
+	s.materialize(p)
 	rst := newTestState(s.k, g.L)
 	rst.buildFrom(g, &s.states[p], s.PosBits(p), b)
 	want := make([]complex128, g.L)
@@ -81,16 +82,17 @@ func checkBuildFrom(t *testing.T, s *Session, p int, b bits.Vector, what string)
 	}
 }
 
-// TestSessionRestartStartsFromState pins the restart builders that
-// start from a position's own state. Random hard and soft sessions run
+// TestSessionRestartStartsFromState pins the pass inputs that start
+// from a position's own state. Random hard and soft sessions run
 // through locks, Retire, RetireTag (and SoftRetireTag in soft mode);
 // after every decoded slot, at every position:
-//   - buildFrom at random active bits matches a from-scratch
-//     y − D·H·b on every active row (and the S-sums and gains that
-//     residual implies) within 1e-9;
+//   - buildFrom at random active bits, from the materialized residual,
+//     matches a from-scratch y − D·H·b on every active row (and the
+//     S-sums and gains that residual implies) within 1e-9;
 //   - buildFrom at bits that differ from the position's only on tags
 //     with no rows is bitwise the position's residual;
-//   - gramProject's B matches Wᴴ(y − locked set-bit taps) within 1e-9.
+//   - gramInput's B, read from the matched-filter state, matches
+//     Wᴴ(y − locked set-bit taps) within 1e-9.
 func TestSessionRestartStartsFromState(t *testing.T) {
 	const (
 		frameLen = 4
@@ -166,7 +168,7 @@ func TestSessionRestartStartsFromState(t *testing.T) {
 						rowless++
 					}
 
-					ws.gramProject(s, st, pb)
+					ws.gramInput(s, p, pb)
 					lockedSet := make(bits.Vector, k)
 					for i := range lockedSet {
 						lockedSet[i] = locked[i] && pb[i]
@@ -181,7 +183,7 @@ func TestSessionRestartStartsFromState(t *testing.T) {
 							want += complex(g.alphaAt(row, i), 0) * lb[row]
 						}
 						if got := ws.gB[x]; !closeTo(real(got), real(want), 1e-9) || !closeTo(imag(got), imag(want), 1e-9) {
-							t.Fatalf("%s: position %d tag %d: gramProject B %v, want %v", what, p, i, got, want)
+							t.Fatalf("%s: position %d tag %d: gramInput B %v, want %v", what, p, i, got, want)
 						}
 					}
 					projections++
@@ -245,6 +247,7 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 			randomBitsInto(bitSrc, b, g.activeTags)
 			checkBuildFrom(t, s, p, b, "after a decode")
 		}
+		checkMatchedFilter(t, s, "after a decode")
 	}
 	for _, op := range ops {
 		arg := int(op >> 3)
@@ -298,10 +301,12 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 // Retire, RetireTag and RetapAll. It must never panic; after every
 // decode (not after each mutation, which leaves the cached state stale
 // until the decode rebuilds it) PosError must match a from-scratch
-// ‖y − D·H·b‖² within 1e-9 relative, and a restart built from each
+// ‖y − D·H·b‖² within 1e-9 relative, a restart built from each
 // position's state at random active bits must match a from-scratch
-// y − D·H·b on every active row (checkBuildFrom); and Parallelism 1
-// and 2 must emit identical margins, ambiguity flags, bits and errors.
+// y − D·H·b on every active row (checkBuildFrom), and the
+// matched-filter outputs and co-occurrence Gram must match a recount
+// over the live rows (checkMatchedFilter); and Parallelism 1 and 2 must
+// emit identical margins, ambiguity flags, bits and errors.
 func FuzzSessionSlot(f *testing.F) {
 	f.Add(uint8(8), uint8(3), uint64(1), []byte{0, 0, 0, 12, 0, 0, 0x24, 0, 0, 5, 0, 6, 0, 7, 0, 0xF, 0})
 	f.Add(uint8(11), uint8(4), uint64(42), []byte{0, 1, 2, 4, 12, 20, 28, 36, 0, 0, 0, 0, 0, 0x1E, 0, 0x35, 0, 0, 0x47, 0})

@@ -193,10 +193,11 @@ func TestSessionPerTagParallelismEquivalence(t *testing.T) {
 }
 
 // verifySoftState is verifyState's weight-aware sibling: it recomputes
-// every position's residual, S-sums and gains under the graph's soft
-// per-(row, tag) weights (stale rows of tag i carry α_i·h_i) and fails
-// on divergence — the white-box contract SoftRetireTag's rebuilds must
-// land on. Inactive rows' residual entries are dead by design, as in
+// every position's S-sums, flip signs and gains under the graph's soft
+// per-(row, tag) weights (stale rows of tag i carry α_i·h_i), then
+// materializes the residual and recomputes it, and fails on divergence
+// — the white-box contract SoftRetireTag's re-derivations must land on.
+// Inactive rows' residual entries are dead by design, as in
 // verifyState.
 func verifySoftState(t *testing.T, s *Session, locked []bool, tol float64, what string) {
 	t.Helper()
@@ -204,36 +205,36 @@ func verifySoftState(t *testing.T, s *Session, locked []bool, tol float64, what 
 	for p := 0; p < s.frameLen; p++ {
 		st := &s.states[p]
 		myBits := s.PosBits(p)
-		for row := g.retired; row < g.L; row++ {
-			if len(g.rowActive[row]) == 0 {
-				continue
-			}
-			want := s.ys[p][row]
-			for _, i := range g.rowCols[row] {
-				if myBits[i] {
-					want -= complex(g.alphaAt(row, i), 0) * g.taps[i]
-				}
-			}
-			got := st.residual[row]
-			if !closeTo(real(got), real(want), tol) || !closeTo(imag(got), imag(want), tol) {
-				t.Fatalf("%s: position %d row %d residual %v, want %v", what, p, row, got, want)
-			}
-		}
 		for i := 0; i < s.k; i++ {
 			if locked[i] {
 				continue
 			}
 			var sum complex128
 			for _, row := range g.colRows[i] {
-				sum += complex(g.alphaAt(row, i), 0) * st.residual[row]
+				sum += complex(g.alphaAt(row, i), 0) * scratchRow(s, p, row, myBits)
 			}
 			if !closeTo(real(st.sum[i]), real(sum), tol) || !closeTo(imag(st.sum[i]), imag(sum), tol) {
 				t.Fatalf("%s: position %d tag %d sum %v, want %v", what, p, i, st.sum[i], sum)
 			}
-			corr := g.tapRe[i]*real(st.sum[i]) + g.tapIm[i]*imag(st.sum[i])
-			want := 2*corr*st.bSign[i] - g.wPow[i]
-			if !closeTo(st.gain[i], want, tol) {
-				t.Fatalf("%s: position %d tag %d gain %v, want %v", what, p, i, st.gain[i], want)
+			sign := 1.0
+			if myBits[i] {
+				sign = -1
+			}
+			corr := g.tapRe[i]*real(sum) + g.tapIm[i]*imag(sum)
+			want := 2*corr*sign - g.wPow[i]
+			if st.bSign[i] != sign || !closeTo(st.gain[i], want, tol) {
+				t.Fatalf("%s: position %d tag %d sign %v gain %v, want %v and %v", what, p, i, st.bSign[i], st.gain[i], sign, want)
+			}
+		}
+		s.materialize(p)
+		for row := g.retired; row < g.L; row++ {
+			if len(g.rowActive[row]) == 0 {
+				continue
+			}
+			want := scratchRow(s, p, row, myBits)
+			got := st.residual[row]
+			if !closeTo(real(got), real(want), tol) || !closeTo(imag(got), imag(want), tol) {
+				t.Fatalf("%s: position %d row %d residual %v, want %v", what, p, row, got, want)
 			}
 		}
 	}
