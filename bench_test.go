@@ -293,25 +293,6 @@ func BenchmarkScenario_MixedMobility_K8(b *testing.B) {
 	})
 }
 
-// BenchmarkScenario_MixedMobilitySoft_K8 is the soft sibling: stale
-// rows down-weighted by the movers' banked drift ratio instead of
-// removed — every slot rebuilds the weighted model, the upper end of
-// the windowed cost spectrum (see PERFORMANCE.md).
-func BenchmarkScenario_MixedMobilitySoft_K8(b *testing.B) {
-	benchScenario(b, scenario.Spec{
-		Trials: 5, Seed: 2026,
-		Workload: scenario.WorkloadSpec{K: 8},
-		Channel: scenario.ChannelSpec{
-			Kind:      scenario.KindGaussMarkov,
-			PerTagRho: []float64{1, 1, 1, 1, 0.9, 0.9, 0.9, 0.9},
-			SNRLodB:   14, SNRHidB: 30,
-		},
-		Decode: scenario.DecodeSpec{
-			MaxSlots: 320, Window: scenario.WindowPerTag, WindowSoft: true,
-		},
-	})
-}
-
 func BenchmarkScenario_PopulationChurn(b *testing.B) {
 	benchScenario(b, scenario.Spec{
 		Trials: 5, Seed: 4242,

@@ -227,11 +227,7 @@ func checkScenario(path string) error {
 	case scenario.WindowFixed:
 		fmt.Printf("  window:     fixed, %d slots\n", spec.Decode.DecodeWindow)
 	case scenario.WindowPerTag:
-		mode := "hard retire"
-		if spec.Decode.WindowSoft {
-			mode = "soft down-weight"
-		}
-		fmt.Printf("  window:     per_tag (%s): %s\n", mode, perTagWindowSummary(spec))
+		fmt.Printf("  window:     per_tag (hard retire): %s\n", perTagWindowSummary(spec))
 	default:
 		fmt.Printf("  window:     none (whole-round decode)\n")
 	}

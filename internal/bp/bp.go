@@ -109,24 +109,6 @@ type Graph struct {
 	// reserves, after which the append paths stop touching the heap.
 	adjSlab []int
 	colSlab []int
-	// Soft stale-tap down-weighting — the per-tag coherence window's
-	// soft mode. Rows of tag i with index below staleCut[i] are "stale":
-	// older than the tag's coherence window, so the current tap h_i is a
-	// poor model of what the tag transmitted there. Instead of removing
-	// the tag from those rows (RetireTagRows, the hard mode), soft mode
-	// scales its tap in them by softAlpha[i] ∈ [0, 1] — a shrinkage of
-	// the stale contribution toward zero, sized by the drift the session
-	// banked against the tag (Session.SoftRetireTag derives α from the
-	// banked drift ratio). All weights are 1 until SetSoftCut arms the
-	// mode, and every kernel keeps its branch-free fast path when soft
-	// is off, so unwindowed decodes are byte-identical to before.
-	soft      bool
-	staleCut  []int
-	softAlpha []float64
-	// staleCnt[i] counts tag i's live stale rows (the colRows[i] prefix
-	// below staleCut[i]) — the bookkeeping behind the effective |h|²·w
-	// constant wPow[i] = |h_i|²·(α_i²·stale + fresh).
-	staleCnt []int
 	// taps[i] is tag i's channel coefficient h_i.
 	taps []complex128
 	// tapPower[i] caches |h_i|².
@@ -169,33 +151,10 @@ func (g *Graph) Reset(k int, taps []complex128) {
 	for i := 0; i < k; i++ {
 		g.activeTags = append(g.activeTags, i)
 	}
-	if cap(g.staleCut) < k {
-		g.staleCut = make([]int, k, scratch.CeilPow2(k))
-		g.softAlpha = make([]float64, k, scratch.CeilPow2(k))
-		g.staleCnt = make([]int, k, scratch.CeilPow2(k))
-	}
-	g.staleCut = g.staleCut[:k]
-	g.softAlpha = g.softAlpha[:k]
-	g.staleCnt = g.staleCnt[:k]
-	clear(g.staleCut)
-	clear(g.staleCnt)
-	for i := range g.softAlpha {
-		g.softAlpha[i] = 1
-	}
-	g.soft = false
 	g.K = k
 	g.L = 0
 	g.retired = 0
 	g.SetTaps(taps)
-}
-
-// alphaAt returns the model weight of tag i's tap in row r: softAlpha[i]
-// when the row is stale under the soft per-tag window, 1 otherwise.
-func (g *Graph) alphaAt(r, i int) float64 {
-	if r < g.staleCut[i] {
-		return g.softAlpha[i]
-	}
-	return 1
 }
 
 // SetTaps replaces the channel taps without touching the collision
@@ -217,21 +176,8 @@ func (g *Graph) SetTaps(taps []complex128) {
 	}
 	g.wPow = g.wPow[:0]
 	for i := range taps {
-		g.wPow = append(g.wPow, g.tapPower[i]*g.effWeight(i))
+		g.wPow = append(g.wPow, g.tapPower[i]*float64(len(g.colRows[i])))
 	}
-}
-
-// effWeight returns tag i's effective participation weight: the plain
-// degree w_i, or α_i²·stale + fresh under soft down-weighting. The
-// non-soft form is exactly float64(w_i), so existing decodes are
-// untouched.
-func (g *Graph) effWeight(i int) float64 {
-	w := len(g.colRows[i])
-	if !g.soft || g.staleCnt[i] == 0 {
-		return float64(w)
-	}
-	a := g.softAlpha[i]
-	return a*a*float64(g.staleCnt[i]) + float64(w-g.staleCnt[i])
 }
 
 // RetapTag installs a new tap for tag i, updating the derived caches
@@ -243,24 +189,20 @@ func (g *Graph) RetapTag(i int, h complex128) {
 	g.taps[i] = h
 	g.tapPower[i] = re*re + im*im
 	g.tapRe[i], g.tapIm[i] = re, im
-	g.wPow[i] = g.tapPower[i] * g.effWeight(i)
+	g.wPow[i] = g.tapPower[i] * float64(len(g.colRows[i]))
 }
 
 // ReserveTags grows the per-tag buffers' capacity for up to kCap tags
 // without changing K, so mid-transfer AddTags up to the cap allocate
 // nothing — the admission-time sizing behind Session.Reserve.
 func (g *Graph) ReserveTags(kCap int) {
-	if kCap <= cap(g.colRows) &&
-		kCap <= cap(g.deactivated) && kCap <= cap(g.staleCut) &&
+	if kCap <= cap(g.colRows) && kCap <= cap(g.deactivated) &&
 		kCap <= cap(g.taps) && kCap <= cap(g.activeTags) {
 		return
 	}
 	g.colRows = reserveCap(g.colRows, kCap)
 	g.deactivated = reserveCap(g.deactivated, kCap)
 	g.activeTags = reserveCap(g.activeTags, kCap)
-	g.staleCut = reserveCap(g.staleCut, kCap)
-	g.softAlpha = reserveCap(g.softAlpha, kCap)
-	g.staleCnt = reserveCap(g.staleCnt, kCap)
 	g.taps = reserveCap(g.taps, kCap)
 	g.tapPower = reserveCap(g.tapPower, kCap)
 	g.tapRe = reserveCap(g.tapRe, kCap)
@@ -292,9 +234,6 @@ func (g *Graph) AddTag(h complex128) {
 	}
 	g.deactivated = append(g.deactivated, false)
 	g.activeTags = append(g.activeTags, k)
-	g.staleCut = append(g.staleCut, 0)
-	g.softAlpha = append(g.softAlpha, 1)
-	g.staleCnt = append(g.staleCnt, 0)
 	re, im := real(h), imag(h)
 	g.taps = append(g.taps, h)
 	g.tapPower = append(g.tapPower, re*re+im*im)
@@ -375,16 +314,11 @@ func (g *Graph) RetireRow() {
 		}
 		copy(cr, cr[1:])
 		g.colRows[i] = cr[:len(cr)-1]
-		if r < g.staleCut[i] {
-			g.staleCnt[i]--
-		}
 		if len(cr) == 1 {
 			// Snap to exact zero: |h|²·w must vanish with the degree,
 			// and the incremental subtractions leave float dust that
 			// would poison the margin normalization −G/(|h|²·w).
 			g.wPow[i] = 0
-		} else if a := g.alphaAt(r, i); a != 1 {
-			g.wPow[i] -= g.tapPower[i] * a * a
 		} else {
 			g.wPow[i] -= g.tapPower[i]
 		}
@@ -455,18 +389,12 @@ func (g *Graph) RetireTagRows(i, throughRow int) int {
 				emptied = true
 			}
 		}
-		if r < g.staleCut[i] {
-			g.staleCnt[i]--
-		}
 	}
 	copy(cr, cr[n:])
 	g.colRows[i] = cr[:len(cr)-n]
-	if len(g.colRows[i]) == 0 {
-		// Snap, as in RetireRow: the margin normalization divides by this.
-		g.wPow[i] = 0
-	} else {
-		g.wPow[i] = g.tapPower[i] * g.effWeight(i)
-	}
+	// Re-derived, not decremented: at degree 0 this snaps to the exact
+	// zero the margin normalization divides by, as in RetireRow.
+	g.wPow[i] = g.tapPower[i] * float64(len(g.colRows[i]))
 	if emptied {
 		keep := g.activeRows[:0]
 		for _, row := range g.activeRows {
@@ -478,44 +406,6 @@ func (g *Graph) RetireTagRows(i, throughRow int) int {
 	}
 	return n
 }
-
-// SetSoftCut advances tag i's soft stale boundary to throughRow and
-// installs the down-weight alpha for its stale rows — the soft
-// alternative to RetireTagRows: the tag keeps participating in its old
-// rows, but at α·h_i instead of h_i. The effective |h|²·w constant is
-// re-derived; cached descent state must be rebuilt by the owner when
-// changed is reported (the weight change touches every stale row of
-// the tag). Returns the number of rows that newly became stale and
-// whether anything (boundary or live weight) actually changed; a call
-// that would only re-stamp an unused alpha is a no-op, leaving the
-// graph byte-identical.
-func (g *Graph) SetSoftCut(i, throughRow int, alpha float64) (newly int, changed bool) {
-	cut := min(throughRow, g.L)
-	if cut < g.staleCut[i] {
-		cut = g.staleCut[i]
-	}
-	for _, r := range g.colRows[i] {
-		if r >= cut {
-			break
-		}
-		if r >= g.staleCut[i] {
-			newly++
-		}
-	}
-	if newly == 0 && (g.staleCnt[i] == 0 || alpha == g.softAlpha[i]) {
-		return 0, false
-	}
-	g.soft = true
-	g.staleCut[i] = cut
-	g.softAlpha[i] = alpha
-	g.staleCnt[i] += newly
-	g.wPow[i] = g.tapPower[i] * g.effWeight(i)
-	return newly, true
-}
-
-// StaleRows returns the number of tag i's live rows currently under
-// soft down-weighting.
-func (g *Graph) StaleRows(i int) int { return g.staleCnt[i] }
 
 // popSpare hands back a retired row's adjacency backing, or nil.
 func (g *Graph) popSpare() []int {
@@ -677,22 +567,6 @@ func (g *Graph) Degree(i int) int { return len(g.colRows[i]) }
 // at a retired row's residual.
 func (g *Graph) residualInto(dst dsp.Vec, y dsp.Vec, b bits.Vector) dsp.Vec {
 	copy(dst[g.retired:], y[g.retired:])
-	if g.soft {
-		for i, on := range b {
-			if on {
-				h := g.taps[i]
-				cut, a := g.staleCut[i], complex(g.softAlpha[i], 0)
-				for _, row := range g.colRows[i] {
-					if row < cut {
-						dst[row] -= a * h
-					} else {
-						dst[row] -= h
-					}
-				}
-			}
-		}
-		return dst
-	}
 	for i, on := range b {
 		if on {
 			h := g.taps[i]
@@ -802,44 +676,18 @@ func (st *descentState) buildFrom(g *Graph, cur *descentState, curBits, b bits.V
 		st.bSign[i] = float64(1 - 2*bi)
 		st.sum[i] = 0
 	}
-	if g.soft {
-		// Weighted form: a stale row sees α_i·h_i of tag i and feeds
-		// α_i·r into the tag's S-sum. The extra compare per entry is
-		// paid only in soft mode; the classic path below stays
-		// branch-free.
-		for x, row := range g.activeRows {
-			r := cur.residual[row]
-			ra := g.flatTags[g.flatStart[x]:g.flatStart[x+1]]
-			for _, i := range ra {
-				if row < g.staleCut[i] {
-					r -= complex(g.softAlpha[i], 0) * st.maskTap[i]
-				} else {
-					r -= st.maskTap[i]
-				}
-			}
-			st.residual[row] = r
-			for _, i := range ra {
-				if row < g.staleCut[i] {
-					st.sum[i] += complex(g.softAlpha[i], 0) * r
-				} else {
-					st.sum[i] += r
-				}
-			}
+	for x, row := range g.activeRows {
+		r := cur.residual[row]
+		ra := g.flatTags[g.flatStart[x]:g.flatStart[x+1]]
+		// Branch-free: subtracting a zero masked tap is an exact no-op,
+		// and the candidate bits are random — a conditional here
+		// mispredicts half the time.
+		for _, i := range ra {
+			r -= st.maskTap[i]
 		}
-	} else {
-		for x, row := range g.activeRows {
-			r := cur.residual[row]
-			ra := g.flatTags[g.flatStart[x]:g.flatStart[x+1]]
-			// Branch-free: subtracting a zero masked tap is an exact
-			// no-op, and the candidate bits are random — a conditional
-			// here mispredicts half the time.
-			for _, i := range ra {
-				r -= st.maskTap[i]
-			}
-			st.residual[row] = r
-			for _, i := range ra {
-				st.sum[i] += r
-			}
+		st.residual[row] = r
+		for _, i := range ra {
+			st.sum[i] += r
 		}
 	}
 	for _, i := range g.activeTags {
@@ -901,19 +749,8 @@ func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool) {
 			continue
 		}
 		var s complex128
-		if g.soft && g.staleCnt[i] > 0 {
-			cut, a := g.staleCut[i], complex(g.softAlpha[i], 0)
-			for _, row := range g.colRows[i] {
-				if row < cut {
-					s += a * st.residual[row]
-				} else {
-					s += st.residual[row]
-				}
-			}
-		} else {
-			for _, row := range g.colRows[i] {
-				s += st.residual[row]
-			}
+		for _, row := range g.colRows[i] {
+			s += st.residual[row]
 		}
 		st.sum[i] = s
 		st.gain[i] = st.gainOf(g, i)
@@ -956,37 +793,14 @@ func (st *descentState) applyFlip(g *Graph, b bits.Vector, locked []bool, i int)
 	b[i] = !b[i]
 	st.bSign[i] = -st.bSign[i]
 	nd := 0
-	if g.soft {
-		cut := g.staleCut[i]
-		for _, row := range g.colRows[i] {
-			d := delta
-			if row < cut {
-				d *= complex(g.softAlpha[i], 0)
-			}
-			st.residual[row] -= d
-			for _, j := range g.rowActive[row] {
-				if row < g.staleCut[j] {
-					st.sum[j] -= complex(g.softAlpha[j], 0) * d
-				} else {
-					st.sum[j] -= d
-				}
-				if !st.inDirty[j] {
-					st.inDirty[j] = true
-					st.dirty[nd] = j
-					nd++
-				}
-			}
-		}
-	} else {
-		for _, row := range g.colRows[i] {
-			st.residual[row] -= delta
-			for _, j := range g.rowActive[row] {
-				st.sum[j] -= delta
-				if !st.inDirty[j] {
-					st.inDirty[j] = true
-					st.dirty[nd] = j
-					nd++
-				}
+	for _, row := range g.colRows[i] {
+		st.residual[row] -= delta
+		for _, j := range g.rowActive[row] {
+			st.sum[j] -= delta
+			if !st.inDirty[j] {
+				st.inDirty[j] = true
+				st.dirty[nd] = j
+				nd++
 			}
 		}
 	}
@@ -1081,7 +895,7 @@ func (g *Graph) markAmbiguousPruned(allBits []bool, passErr []float64, bestPass 
 //
 //	m_i = −G_i / (|h_i|²·w_i)
 //
-// where w_i is the tag's (effective) participation count. A confidently
+// where w_i is the tag's participation count. A confidently
 // decoded bit has m_i ≈ 1 — flipping it would add its full collision
 // energy back as error — while a bit the observations barely constrain
 // has m_i ≈ 0. Tags with w_i = 0 report 0: nothing has been observed

@@ -82,28 +82,27 @@ type Session struct {
 
 	// The matched-filter state, a sufficient statistic for every Gram
 	// pass. mf[p·kStride+i] is position p's matched-filter output for
-	// tag i, Σ over i's folded live rows r of w_ri·y_p[r]; cooc is the
-	// co-occurrence Gram over the same rows, cooc[a·kStride+b] =
-	// Σ_r w_ra·w_rb (w is the soft weight alphaAt, 1 in hard mode, where
-	// the entries are integer counts). Neither depends on the taps, so
-	// RetapAll and SetTaps touch neither. Rows [0, folded) have been
-	// folded in; only Gram slots read the state, so prepareGram folds the
-	// rows appended since (foldRows) and a transfer that never takes the
-	// Gram path never pays for it. Retire and RetireTag subtract a folded
-	// row's pairs with their current weights before the graph forgets
-	// them, and SoftRetireTag recounts the re-weighted tag. Both are laid
-	// out at the reserved tag cap's stride kStride = max(K, reservedK),
-	// so a Grow within the cap re-lays nothing: the new tags' entries are
-	// already zero.
+	// tag i, Σ over i's folded live rows r of y_p[r]; cooc is the
+	// co-occurrence Gram WᴴW over the same rows, cooc[a·kStride+b] =
+	// the number of those rows a and b share — an exact integer count,
+	// stored as int32 to halve the dense (tag cap)² table. Neither
+	// depends on the taps, so RetapAll and SetTaps touch neither. Rows
+	// [0, folded) have been folded in; only Gram slots read the state,
+	// so prepareGram folds the rows appended since (foldRows) and a
+	// transfer that never takes the Gram path never pays for it. Retire
+	// and RetireTag subtract a folded row's pairs before the graph
+	// forgets them. Both are laid out at the reserved tag cap's stride
+	// kStride = max(K, reservedK), so a Grow within the cap re-lays
+	// nothing: the new tags' entries are already zero.
 	mf      []complex128
-	cooc    []float64
+	cooc    []int32
 	kStride int
 	folded  int
 
 	// Gram-space passes, staged by prepareGram once per slot and only
 	// read by the position workers. gramOn reports that this slot's
 	// restarts run in Gram space (gramRule); gram is the active tags'
-	// Ka×Ka weighted Gram N_ab, gathered from cooc and indexed by rank in
+	// Ka×Ka Gram N_ab, gathered from cooc and indexed by rank in
 	// activeTags; gramTap and gramWPow are the ranked tags' taps and
 	// |h|²·w constants; gramLocked lists (ascending) the locked tags that
 	// share a live row with an active tag, the only locked tags whose
@@ -134,10 +133,10 @@ type Session struct {
 	// stateValid reports whether the cached per-position states match
 	// the graph. Only AppendSlot's rows, DecodeSlot's locks and Grow's
 	// empty columns are absorbed incrementally; every other model change
-	// (SetTaps, RetapAll, Retire, RetireTag, SoftRetireTag,
-	// InitPositions) invalidates, and the next DecodeSlot re-derives
-	// every position: from the matched-filter state on a Gram slot, by a
-	// residual rebuild on a row slot.
+	// (SetTaps, RetapAll, Retire, RetireTag, InitPositions) invalidates,
+	// and the next DecodeSlot re-derives every position: from the
+	// matched-filter state on a Gram slot, by a residual rebuild on a row
+	// slot.
 	stateValid bool
 	// retapIdx is RetapAll's changed-tag staging buffer.
 	retapIdx []int
@@ -167,23 +166,23 @@ type Session struct {
 	// input, armed by TrackTagDrift. tagCum[i] is the cumulative model
 	// error RetapAll has banked against tag i (|Δh_i|²/2 summed over
 	// move events, monotone within a transfer). tagLedger[i] interleaves,
-	// per live in-window row of tag i (aligned with the graph's
-	// colRows[i] minus any soft-stale prefix), the value of tagCum[i]
-	// when the row absorbed the tag and the absorb-time signal energy
-	// |h_i|²/2; tagSnapSum and tagSig are their running sums. Tag i's
-	// banked in-window drift is then tagCum[i]·rows − tagSnapSum[i] —
-	// O(1) to serve, O(1) per retap to maintain (where the pooled
-	// per-row banking walks the tag's whole adjacency).
+	// per live row of tag i (aligned with the graph's colRows[i]), the
+	// value of tagCum[i] when the row absorbed the tag and the
+	// absorb-time signal energy |h_i|²/2; tagSnapSum and tagSig are their
+	// running sums. Tag i's banked in-window drift is then
+	// tagCum[i]·rows − tagSnapSum[i] — O(1) to serve, O(1) per retap to
+	// maintain (where the pooled per-row banking walks the tag's whole
+	// adjacency).
 	trackTagDrift bool
 	tagCum        []float64
 	tagSnapSum    []float64
 	tagSig        []float64
 	tagLedger     [][]float64
-	// orphan[r] is the unexplained signal energy hard tag-retirement
-	// left in live row r: when RetireTag removes a mover from a row,
-	// the mover's transmission stays in the observation with nothing
-	// modeling it — noise from every survivor's point of view.
-	// tagOrphan[i] sums orphan over tag i's live in-window rows, so
+	// orphan[r] is the unexplained signal energy tag retirement left in
+	// live row r: when RetireTag removes a mover from a row, the mover's
+	// transmission stays in the observation with nothing modeling it —
+	// noise from every survivor's point of view.
+	// tagOrphan[i] sums orphan over tag i's live rows, so
 	// DriftFractionTag can charge each tag for the pollution it
 	// actually decodes against, not just its own banked drift.
 	orphan    []float64
@@ -300,7 +299,7 @@ func (s *Session) shapeMatchedFilter(prevK, k, frameLen int) {
 	if stride == s.kStride && len(s.cooc) == stride*stride {
 		clear(s.cooc[:prevK*stride])
 	} else {
-		s.cooc = growFloats(s.cooc, stride*stride)
+		s.cooc = growInt32s(s.cooc, stride*stride)
 		clear(s.cooc)
 		s.kStride = stride
 	}
@@ -331,7 +330,7 @@ func (w *workerState) gramInput(s *Session, p int, b bits.Vector) {
 		v := mf[a]
 		row := s.cooc[a*stride : a*stride+s.k]
 		for _, l := range lk {
-			if c := row[l]; c != 0 {
+			if c := float64(row[l]); c != 0 {
 				h := g.taps[l]
 				v -= complex(c*real(h), c*imag(h))
 			}
@@ -663,7 +662,7 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 	s.posBits = growBools(s.posBits, frameLen*kCap)[:0]
 	s.ambiguous = growBools(s.ambiguous, frameLen*kCap)[:0]
 	s.mf = growComplex(s.mf, frameLen*kCap)[:0]
-	s.cooc = growFloats(s.cooc, kCap*kCap)[:0]
+	s.cooc = growInt32s(s.cooc, kCap*kCap)[:0]
 	s.resStale = growBools(s.resStale, frameLen)[:0]
 	if cap(s.states) < frameLen {
 		s.states = make([]descentState, 0, scratch.CeilPow2(frameLen))
@@ -837,7 +836,7 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 	s.bSignBacking = restripe(s.bSignBacking, s.frameLen, oldK, k2)
 	s.posBits = restripe(s.posBits, s.frameLen, oldK, k2)
 	if old := s.kStride; k2 > old {
-		cooc := make([]float64, k2*k2, scratch.CeilPow2(k2*k2))
+		cooc := make([]int32, k2*k2, scratch.CeilPow2(k2*k2))
 		for a := 0; a < oldK; a++ {
 			copy(cooc[a*k2:a*k2+oldK], s.cooc[a*old:a*old+oldK])
 		}
@@ -941,46 +940,25 @@ func (s *Session) AppendSlot(row bits.Vector, obs []complex128) {
 }
 
 // foldRows adds the live rows appended since the last fold to the
-// matched-filter state with their current weights: every collider a's
-// output gains w_ra·y_p[r] at every position, and the co-occurrence
-// Gram gains w_ra·w_rb for every collider pair, in O(frameLen·colliders
-// + colliders²) per row.
+// matched-filter state: every collider's output gains y_p[r] at every
+// position, and the co-occurrence Gram counts every collider pair once,
+// in O(frameLen·colliders + colliders²) per row.
 func (s *Session) foldRows() {
 	g := &s.g
 	cooc, stride := s.cooc, s.kStride
 	for r := max(s.folded, g.retired); r < g.L; r++ {
 		cols := g.rowCols[r]
-		if !g.soft {
-			// Every weight is 1: the counts are exact and the outputs
-			// plain sums, with no per-entry weight lookup.
-			for _, a := range cols {
-				row := cooc[a*stride : a*stride+s.k]
-				for _, b := range cols {
-					row[b]++
-				}
-			}
-			for p := 0; p < s.frameLen; p++ {
-				y := s.ys[p][r]
-				mf := s.mf[p*stride : p*stride+s.k]
-				for _, i := range cols {
-					mf[i] += y
-				}
-			}
-			continue
-		}
 		for _, a := range cols {
-			wa := g.alphaAt(r, a)
 			row := cooc[a*stride : a*stride+s.k]
 			for _, b := range cols {
-				row[b] += wa * g.alphaAt(r, b)
+				row[b]++
 			}
 		}
 		for p := 0; p < s.frameLen; p++ {
 			y := s.ys[p][r]
 			mf := s.mf[p*stride : p*stride+s.k]
 			for _, i := range cols {
-				w := g.alphaAt(r, i)
-				mf[i] += complex(w*real(y), w*imag(y))
+				mf[i] += y
 			}
 		}
 	}
@@ -988,77 +966,40 @@ func (s *Session) foldRows() {
 }
 
 // dropPairs subtracts folded row r's (tag, collider) pairs from the
-// matched-filter state with their current weights: for every listed tag
-// a, a's output loses w_ra·y_p[r] at every position and the Gram's row
-// and column a lose w_ra·w_rb for every collider b in the row. Listing
-// every collider drops the whole row; listing one tag drops just its
-// participation. Call it before the graph forgets the pairs.
+// matched-filter state: for every listed tag a, a's output loses y_p[r]
+// at every position and the Gram's row and column a lose one count per
+// collider b in the row. Listing every collider drops the whole row;
+// listing one tag drops just its participation. Call it before the
+// graph forgets the pairs.
 func (s *Session) dropPairs(r int, tags []int) {
 	g := &s.g
 	stride := s.kStride
 	whole := len(tags) == len(g.rowCols[r])
 	for _, a := range tags {
-		wa := g.alphaAt(r, a)
 		for _, b := range g.rowCols[r] {
-			c := wa * g.alphaAt(r, b)
-			s.cooc[a*stride+b] -= c
+			s.cooc[a*stride+b]--
 			if !whole && b != a {
-				s.cooc[b*stride+a] -= c
+				s.cooc[b*stride+a]--
 			}
 		}
 		for p := 0; p < s.frameLen; p++ {
-			y := s.ys[p][r]
-			s.mf[p*stride+a] -= complex(wa*real(y), wa*imag(y))
+			s.mf[p*stride+a] -= s.ys[p][r]
 		}
 	}
 }
 
-// snapRowless sets tag i's matched-filter outputs and its row and
-// column of the co-occurrence Gram to exact zero: the state of a tag
-// whose last live row is leaving. The subtractions that removed its
-// rows leave rounding dust in mf, and a rowless tag's S-sum is exactly
-// zero in the row path; left in place, the dust would surface as a gain
-// of order 1e-12, which the absolute flip threshold eps reads as
-// evidence. Same reason RetireRow snaps |h|²·w.
+// snapRowless sets tag i's matched-filter outputs to exact zero: the
+// state of a tag whose last live row is leaving. The subtractions that
+// removed its rows leave rounding dust in mf, and a rowless tag's S-sum
+// is exactly zero in the row path; left in place, the dust would
+// surface as a gain of order 1e-12, which the absolute flip threshold
+// eps reads as evidence. Same reason RetireRow snaps |h|²·w. Its row and
+// column of the co-occurrence Gram need no snap: the integer counts
+// reach exact zero with its last row.
 func (s *Session) snapRowless(i int) {
 	stride := s.kStride
-	for j := 0; j < s.k; j++ {
-		s.cooc[i*stride+j] = 0
-		s.cooc[j*stride+i] = 0
-	}
 	for p := 0; p < s.frameLen; p++ {
 		s.mf[p*stride+i] = 0
-	}
-}
-
-// recountTag recomputes tag i's matched-filter outputs and its row and
-// column of the co-occurrence Gram from its folded live rows under the
-// current weights — after a soft re-weighting that touched all of them.
-func (s *Session) recountTag(i int) {
-	g := &s.g
-	stride := s.kStride
-	s.snapRowless(i)
-	rows := g.colRows[i]
-	for len(rows) > 0 && rows[len(rows)-1] >= s.folded {
-		rows = rows[:len(rows)-1]
-	}
-	for _, r := range rows {
-		wi := g.alphaAt(r, i)
-		for _, j := range g.rowCols[r] {
-			c := wi * g.alphaAt(r, j)
-			s.cooc[i*stride+j] += c
-			if j != i {
-				s.cooc[j*stride+i] += c
-			}
-		}
-	}
-	for p := 0; p < s.frameLen; p++ {
-		var v complex128
-		for _, r := range rows {
-			wi, y := g.alphaAt(r, i), s.ys[p][r]
-			v += complex(wi*real(y), wi*imag(y))
-		}
-		s.mf[p*stride+i] = v
 	}
 }
 
@@ -1100,12 +1041,8 @@ func (s *Session) Retire(throughSlot int) int {
 		}
 		if s.trackTagDrift {
 			// The retiring row heads every surviving collider's ledger
-			// (rows retire oldest-first, per tag and globally alike) —
-			// unless soft aging already dropped it from the ledger.
+			// (rows retire oldest-first, per tag and globally alike).
 			for _, i := range g.rowCols[r] {
-				if r < g.staleCut[i] {
-					continue
-				}
 				led := s.tagLedger[i]
 				s.tagSnapSum[i] -= led[0]
 				s.tagSig[i] -= led[1]
@@ -1167,102 +1104,28 @@ func (s *Session) RetireTag(tag, throughSlot int) int {
 		s.snapRowless(tag)
 	}
 	if s.trackTagDrift {
-		// The ledger holds only the tag's in-window rows: rows soft
-		// aging already moved past the stale cut left it (and the
-		// orphan sum) back then, so only the fresh removals pop
-		// entries here — same guard as the global Retire's pop.
+		// The removed rows head the tag's ledger, which holds one entry
+		// pair per live row.
 		led := s.tagLedger[tag]
-		x := 0
-		for _, row := range rows {
-			if row < g.staleCut[tag] {
-				continue
-			}
+		for x, row := range rows {
 			s.tagSnapSum[tag] -= led[2*x]
 			s.tagSig[tag] -= led[2*x+1]
 			// The removed pair's signal stays in the observation with
 			// nothing modeling it: bank it as orphan energy against the
-			// row, charged to every survivor still decoding the row
-			// in-window — their residuals carry it as noise from here on.
+			// row, charged to every survivor still decoding the row —
+			// their residuals carry it as noise from here on.
 			s.tagOrphan[tag] -= s.orphan[row]
 			e := led[2*x+1]
 			s.orphan[row] += e
 			for _, j := range g.rowCols[row] {
-				if row >= g.staleCut[j] {
-					s.tagOrphan[j] += e
-				}
+				s.tagOrphan[j] += e
 			}
-			x++
 		}
-		copy(led, led[2*x:])
-		s.tagLedger[tag] = led[:len(led)-2*x]
+		copy(led, led[2*n:])
+		s.tagLedger[tag] = led[:len(led)-2*n]
 	}
 	s.stateValid = false
 	return n
-}
-
-// SoftRetireTag ages tag's collision slots up to and including
-// throughSlot out of its coherence window softly: instead of removing
-// the tag from those rows (RetireTag's hard edge), their taps are
-// down-weighted to α·h by the tag's banked drift ratio — α =
-// 1/(1 + DriftFractionTag(tag)) at the moment the rows go stale — so a
-// mover's old evidence fades in proportion to how far the channel has
-// been observed to move (Graph.SetSoftCut). The aged rows leave the
-// tag's drift ledger exactly as a hard retire would, keeping the
-// margin gate's per-tag drift fraction an in-window quantity.
-//
-// The weight change touches every stale row of the tag at once: the
-// tag's matched-filter outputs and Gram row and column are recounted
-// from its live rows, and the cached descent state is invalidated
-// wholesale, so the next DecodeSlot re-derives it — soft mode is for
-// heavy-drift transfers whose every slot re-derives anyway (see
-// PERFORMANCE.md's cost model).
-// Returns the number of rows that newly went stale.
-func (s *Session) SoftRetireTag(tag, throughSlot int) int {
-	g := &s.g
-	hi := min(throughSlot, g.L)
-	alpha := s.softAlphaFor(tag)
-	drop := 0
-	if s.trackTagDrift {
-		cr := g.colRows[tag]
-		for x := g.staleCnt[tag]; x < len(cr) && cr[x] < hi; x++ {
-			s.tagOrphan[tag] -= s.orphan[cr[x]]
-			drop++
-		}
-	}
-	n, changed := g.SetSoftCut(tag, hi, alpha)
-	if !changed {
-		return 0
-	}
-	s.recountTag(tag)
-	if drop > 0 {
-		led := s.tagLedger[tag]
-		for x := 0; x < drop; x++ {
-			s.tagSnapSum[tag] -= led[2*x]
-			s.tagSig[tag] -= led[2*x+1]
-		}
-		copy(led, led[2*drop:])
-		s.tagLedger[tag] = led[:len(led)-2*drop]
-	}
-	s.stateValid = false
-	return n
-}
-
-// softAlphaFor derives the soft down-weight for tag's stale rows from
-// its banked drift ratio: the tag's LIFETIME banked drift (tagCum —
-// never reclaimed, unlike the in-window ledger) against the mean
-// absorb-time row energy. The lifetime ratio grows as long as the
-// channel keeps moving, so the weight of old evidence keeps decaying
-// across successive SoftRetireTag calls — a single in-window ratio
-// would pin ancient rows at the window-boundary weight forever, and
-// rows fifty slots past coherence would keep half their vote on taps
-// they know nothing about.
-func (s *Session) softAlphaFor(tag int) float64 {
-	n := len(s.tagLedger[tag]) / 2
-	if n == 0 || s.tagSig[tag] <= 0 || s.tagCum[tag] <= 0 {
-		return 1
-	}
-	meanRowSig := s.tagSig[tag] / float64(n)
-	return 1 / (1 + s.tagCum[tag]/meanRowSig)
 }
 
 // TrackTagDrift arms (or disarms) the per-tag drift ledgers behind
@@ -1286,12 +1149,11 @@ func (s *Session) TrackTagDrift(on bool) {
 // as a fraction of its live in-window rows' absorb-time signal energy
 // — the per-tag analogue of DriftFraction, and the per-tag margin
 // gate's deflator. Two terms: the drift RetapAll banked against the
-// tag's own tap (|Δh_i|²/2 per move, reclaimed by RetireTag and
-// SoftRetireTag as rows age out), plus the orphan energy hard
-// retirement of OTHER tags left unmodeled in rows the tag still
-// decodes — a parked tag among hard-windowed movers is clean of drift
-// but polluted by their orphans, and its honest margins deflate
-// accordingly.
+// tag's own tap (|Δh_i|²/2 per move, reclaimed by Retire and RetireTag
+// as rows age out), plus the orphan energy the retirement of OTHER tags
+// left unmodeled in rows the tag still decodes — a parked tag among
+// windowed movers is clean of drift but polluted by their orphans, and
+// its honest margins deflate accordingly.
 func (s *Session) DriftFractionTag(i int) float64 {
 	n := len(s.tagLedger[i]) / 2
 	if n == 0 || s.tagSig[i] <= 0 {
@@ -1307,10 +1169,6 @@ func (s *Session) DriftFractionTag(i int) float64 {
 	}
 	return bad / s.tagSig[i]
 }
-
-// StaleRows returns the number of tag i's live rows currently under
-// soft down-weighting.
-func (s *Session) StaleRows(i int) int { return s.g.StaleRows(i) }
 
 // TrackDrift arms (or disarms) the model-error accounting behind
 // DriftFraction. Begin resets it off; a windowed transfer turns it on
@@ -1354,9 +1212,8 @@ func (s *Session) PosBits(p int) []bool { return s.posBits[p*s.k : (p+1)*s.k] }
 // by, read off the cached residual (materialized first if a Gram slot
 // left it stale), plus the frozen rows' (no active collider) energy,
 // recomputed here in O(frozen nnz). Valid from a DecodeSlot until the
-// next mutation: an AppendSlot, or a RetapAll, Retire, RetireTag or
-// SoftRetireTag that changes anything. Call it from the session's
-// owning goroutine.
+// next mutation: an AppendSlot, or a RetapAll, Retire or RetireTag that
+// changes anything. Call it from the session's owning goroutine.
 func (s *Session) PosError(p int) float64 {
 	g := &s.g
 	s.materialize(p)
@@ -1369,7 +1226,7 @@ func (s *Session) PosError(p int) float64 {
 		x := s.ys[p][row]
 		for _, i := range g.rowCols[row] {
 			if b[i] {
-				x -= complex(g.alphaAt(row, i), 0) * g.taps[i]
+				x -= g.taps[i]
 			}
 		}
 		e += real(x)*real(x) + imag(x)*imag(x)
@@ -1488,12 +1345,12 @@ func gramRule(ka, nnz int) bool { return ka <= gramMaxKa && ka*ka < nnz }
 // prepareGram stages the Gram path's per-slot constants: it folds the
 // rows appended since the last Gram slot into the matched-filter state
 // (foldRows), then gathers the ranked active tags' taps, |h|²·w
-// constants and weighted Gram N_ab = Σ_rows w_ra·w_rb from the
-// session's co-occurrence Gram in O(Ka²), and lists the locked tags
-// that share an active row (gramLocked) in O(active rows' colliders).
-// A row holding an active tag is an active row, so the live-row Gram
-// restricted to the active tags is the active rows' Gram; hard-mode
-// entries are integer counts, so the gather is exact.
+// constants and Gram N_ab (the rows a and b share) from the session's
+// co-occurrence counts in O(Ka²), and lists the locked tags that share
+// an active row (gramLocked) in O(active rows' colliders). A row
+// holding an active tag is an active row, so the live-row Gram
+// restricted to the active tags is the active rows' Gram; its entries
+// are integer counts, so the gather is exact.
 //
 // Why it suffices: with m_a = h_a where a's bit is set and 0 elsewhere,
 // a pass's residual over the active rows is r = base − W·m, base being y
@@ -1521,7 +1378,7 @@ func (s *Session) prepareGram() {
 		src := s.cooc[a*s.kStride:]
 		dst := n[x*ka : (x+1)*ka]
 		for y, b := range act {
-			dst[y] = src[b]
+			dst[y] = float64(src[b])
 		}
 	}
 	mark := s.gramMark[:g.K]
@@ -1797,11 +1654,10 @@ func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bi
 	g := &s.g
 	y := s.ys[p][:g.L]
 	st.residual = st.residual[:g.L]
-	if g.soft || 2*len(g.activeRows) > g.L-g.retired {
+	if 2*len(g.activeRows) > g.L-g.retired {
 		// Most live rows are active (few tags locked): the column-major
 		// build walks only the set-bit columns, about half the entries a
-		// row sweep would. Soft down-weighting (heavy drift, few locks)
-		// keeps this weighted builder too.
+		// row sweep would.
 		g.residualInto(st.residual, y, b)
 	} else {
 		// Few active rows (most tags locked): sweep just those rows, the
@@ -1844,16 +1700,13 @@ func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bi
 // over the active rows: the frozen rows add the same energy to each, so
 // it cancels. It must be called from the session's owning goroutine (it
 // shares one workspace), after a DecodeSlot and before the next state
-// mutation (AppendSlot, Grow, or a RetapAll, Retire, RetireTag or
-// SoftRetireTag that changes anything) — the cached state it reuses is
-// only valid inside that window.
+// mutation (AppendSlot, Grow, or a RetapAll, Retire or RetireTag that
+// changes anything) — the cached state it reuses is only valid inside
+// that window.
 func (s *Session) ConditionalMargin(p, i int, locked []bool) float64 {
 	g := &s.g
 	w := g.Degree(i)
 	den := g.tapPower[i] * float64(w)
-	if g.soft {
-		den = g.tapPower[i] * g.effWeight(i)
-	}
 	if w == 0 || den == 0 {
 		return 0
 	}
@@ -1895,6 +1748,13 @@ func growComplex(buf []complex128, n int) []complex128 {
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n, scratch.CeilPow2(n))
+	}
+	return buf[:n]
+}
+
+func growInt32s(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n, scratch.CeilPow2(n))
 	}
 	return buf[:n]
 }

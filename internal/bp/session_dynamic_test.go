@@ -195,7 +195,7 @@ func verifyDrift(t *testing.T, s *Session, what string) {
 		return
 	}
 	for i := 0; i < s.k; i++ {
-		rows := g.colRows[i][g.staleCnt[i]:]
+		rows := g.colRows[i]
 		led := s.tagLedger[i]
 		if len(led) != 2*len(rows) {
 			t.Fatalf("%s: tag %d ledger holds %d rows, want %d", what, i, len(led)/2, len(rows))
@@ -221,7 +221,7 @@ func verifyDrift(t *testing.T, s *Session, what string) {
 }
 
 // scratchError is ‖y − D·H·b‖² over the live rows at position p's
-// current bits, from the observations and taps alone (hard mode).
+// current bits, from the observations and taps alone.
 func scratchError(s *Session, p int) float64 {
 	g := &s.g
 	b := s.PosBits(p)

@@ -17,16 +17,15 @@ func bitsEqual(a, b complex128) bool {
 		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
-// scratchRow is y − Σ α·h_i at one row of position p over the row's
+// scratchRow is y − Σ h_i at one row of position p over the row's
 // colliders i with b[i] set, from the observations and taps alone,
-// subtracting in ascending tag order with each collider's soft weight
-// (1 on a hard graph).
+// subtracting in ascending tag order.
 func scratchRow(s *Session, p, row int, b bits.Vector) complex128 {
 	g := &s.g
 	x := s.ys[p][row]
 	for _, i := range g.rowCols[row] {
 		if b[i] {
-			x -= complex(g.alphaAt(row, i), 0) * g.taps[i]
+			x -= g.taps[i]
 		}
 	}
 	return x
@@ -49,7 +48,7 @@ func newTestState(k, l int) *descentState {
 // checkBuildFrom materializes position p's residual, builds a restart
 // at bits b from the position's state (buildFrom) and fails unless its residual matches a from-scratch
 // y − D·H·b on every active row within 1e-9, and every active tag's
-// S-sum and gain match the weighted sums of that scratch residual
+// S-sum and gain match the sums of that scratch residual
 // within 1e-9. b must agree with the position's bits on every locked
 // tag.
 func checkBuildFrom(t *testing.T, s *Session, p int, b bits.Vector, what string) {
@@ -69,7 +68,7 @@ func checkBuildFrom(t *testing.T, s *Session, p int, b bits.Vector, what string)
 	for _, i := range g.activeTags {
 		var sum complex128
 		for _, row := range g.colRows[i] {
-			sum += complex(g.alphaAt(row, i), 0) * want[row]
+			sum += want[row]
 		}
 		sign := 1.0
 		if b[i] {
@@ -83,9 +82,9 @@ func checkBuildFrom(t *testing.T, s *Session, p int, b bits.Vector, what string)
 }
 
 // TestSessionRestartStartsFromState pins the pass inputs that start
-// from a position's own state. Random hard and soft sessions run
-// through locks, Retire, RetireTag (and SoftRetireTag in soft mode);
-// after every decoded slot, at every position:
+// from a position's own state. Random sessions run through locks,
+// retaps, Retire and RetireTag; after every decoded slot, at every
+// position:
 //   - buildFrom at random active bits, from the materialized residual,
 //     matches a from-scratch y − D·H·b on every active row (and the
 //     S-sums and gains that residual implies) within 1e-9;
@@ -101,119 +100,107 @@ func TestSessionRestartStartsFromState(t *testing.T) {
 		window   = 14
 		base     = 0x5747
 	)
-	var builds, rowless, projections, weighted int
-	for mode, soft := range []bool{false, true} {
-		for trial := 0; trial < 8; trial++ {
-			seed := uint64(100*mode + trial)
-			src := prng.NewSource(0x5747 + seed)
-			k := 5 + src.IntN(8)
-			taps := randomTaps(k, src)
-			rows, obss := scriptSlots(k, frameLen, slots, 0xB1D0+seed)
-			mover := k - 1
+	var builds, rowless, projections int
+	for trial := 0; trial < 8; trial++ {
+		seed := uint64(trial)
+		src := prng.NewSource(0x5747 + seed)
+		k := 5 + src.IntN(8)
+		taps := randomTaps(k, src)
+		rows, obss := scriptSlots(k, frameLen, slots, 0xB1D0+seed)
+		mover := k - 1
 
-			s := NewSession()
-			s.Begin(k, frameLen, slots, 1, restarts, taps)
-			s.TrackTagDrift(true)
-			s.InitPositions(randomEstimates(k, frameLen, src))
-			g := &s.g
-			ws := &s.wstates[0]
-			locked := make([]bool, k)
-			nLocked := 0
-			minMargin := make([]float64, k)
-			ambiguous := make([]bool, k)
-			cur := append([]complex128(nil), taps...)
-			b := make(bits.Vector, k)
-			bitSrc := prng.NewSource(0xB175 + seed)
-			for slot := 1; slot <= slots; slot++ {
-				// The mover drifts, so SoftRetireTag's weight falls below 1.
-				if (soft && slot%2 == 0) || slot%7 == 0 {
-					cur[mover] *= complex(0.99, 0.03)
-					s.RetapAll(cur)
-				}
-				s.AppendSlot(rows[slot-1], obss[slot-1])
-				s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
-				what := fmt.Sprintf("soft=%v trial %d slot %d", soft, trial, slot)
-				for _, i := range g.activeTags {
-					if g.staleCnt[i] > 0 && g.softAlpha[i] < 1 {
-						weighted++
-						break
-					}
-				}
-				s.prepareGram()
-				for p := 0; p < frameLen; p++ {
-					st := &s.states[p]
-					pb := s.PosBits(p)
-
-					copy(b, pb)
-					randomBitsInto(bitSrc, b, g.activeTags)
-					checkBuildFrom(t, s, p, b, what)
-					builds++
-
-					copy(b, pb)
-					flipped := false
-					for _, i := range g.activeTags {
-						if g.Degree(i) == 0 {
-							b[i] = !b[i]
-							flipped = true
-						}
-					}
-					rst := newTestState(k, g.L)
-					rst.buildFrom(g, st, pb, b)
-					for _, row := range g.activeRows {
-						if !bitsEqual(rst.residual[row], st.residual[row]) {
-							t.Fatalf("%s: position %d row %d: build at the position's bits gave %v, residual %v", what, p, row, rst.residual[row], st.residual[row])
-						}
-					}
-					if flipped {
-						rowless++
-					}
-
-					ws.gramInput(s, p, pb)
-					lockedSet := make(bits.Vector, k)
-					for i := range lockedSet {
-						lockedSet[i] = locked[i] && pb[i]
-					}
-					lb := make([]complex128, g.L)
-					for _, row := range g.activeRows {
-						lb[row] = scratchRow(s, p, row, lockedSet)
-					}
-					for x, i := range g.activeTags {
-						var want complex128
-						for _, row := range g.colRows[i] {
-							want += complex(g.alphaAt(row, i), 0) * lb[row]
-						}
-						if got := ws.gB[x]; !closeTo(real(got), real(want), 1e-9) || !closeTo(imag(got), imag(want), 1e-9) {
-							t.Fatalf("%s: position %d tag %d: gramInput B %v, want %v", what, p, i, got, want)
-						}
-					}
-					projections++
-				}
-
-				if i := src.IntN(k); slot > 4 && nLocked < k/2 && !locked[i] && src.Bernoulli(0.3) {
-					locked[i] = true
-					nLocked++
-				}
-				if slot > window && slot%4 == 0 {
-					s.Retire(slot - window)
-				}
-				if slot > 6 && slot%3 == 0 {
-					s.RetireTag(src.IntN(k), slot-6)
-				}
-				if slot%5 == 0 {
-					// Leaves the tag with no rows until it transmits again.
-					s.RetireTag(src.IntN(k), slot)
-				}
-				if soft && slot > 8 {
-					s.SoftRetireTag(mover, slot-4)
-				}
+		s := NewSession()
+		s.Begin(k, frameLen, slots, 1, restarts, taps)
+		s.TrackTagDrift(true)
+		s.InitPositions(randomEstimates(k, frameLen, src))
+		g := &s.g
+		ws := &s.wstates[0]
+		locked := make([]bool, k)
+		nLocked := 0
+		minMargin := make([]float64, k)
+		ambiguous := make([]bool, k)
+		cur := append([]complex128(nil), taps...)
+		b := make(bits.Vector, k)
+		bitSrc := prng.NewSource(0xB175 + seed)
+		for slot := 1; slot <= slots; slot++ {
+			if slot%7 == 0 {
+				cur[mover] *= complex(0.99, 0.03)
+				s.RetapAll(cur)
 			}
-			s.Close()
+			s.AppendSlot(rows[slot-1], obss[slot-1])
+			s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
+			what := fmt.Sprintf("trial %d slot %d", trial, slot)
+			s.prepareGram()
+			for p := 0; p < frameLen; p++ {
+				st := &s.states[p]
+				pb := s.PosBits(p)
+
+				copy(b, pb)
+				randomBitsInto(bitSrc, b, g.activeTags)
+				checkBuildFrom(t, s, p, b, what)
+				builds++
+
+				copy(b, pb)
+				flipped := false
+				for _, i := range g.activeTags {
+					if g.Degree(i) == 0 {
+						b[i] = !b[i]
+						flipped = true
+					}
+				}
+				rst := newTestState(k, g.L)
+				rst.buildFrom(g, st, pb, b)
+				for _, row := range g.activeRows {
+					if !bitsEqual(rst.residual[row], st.residual[row]) {
+						t.Fatalf("%s: position %d row %d: build at the position's bits gave %v, residual %v", what, p, row, rst.residual[row], st.residual[row])
+					}
+				}
+				if flipped {
+					rowless++
+				}
+
+				ws.gramInput(s, p, pb)
+				lockedSet := make(bits.Vector, k)
+				for i := range lockedSet {
+					lockedSet[i] = locked[i] && pb[i]
+				}
+				lb := make([]complex128, g.L)
+				for _, row := range g.activeRows {
+					lb[row] = scratchRow(s, p, row, lockedSet)
+				}
+				for x, i := range g.activeTags {
+					var want complex128
+					for _, row := range g.colRows[i] {
+						want += lb[row]
+					}
+					if got := ws.gB[x]; !closeTo(real(got), real(want), 1e-9) || !closeTo(imag(got), imag(want), 1e-9) {
+						t.Fatalf("%s: position %d tag %d: gramInput B %v, want %v", what, p, i, got, want)
+					}
+				}
+				projections++
+			}
+
+			if i := src.IntN(k); slot > 4 && nLocked < k/2 && !locked[i] && src.Bernoulli(0.3) {
+				locked[i] = true
+				nLocked++
+			}
+			if slot > window && slot%4 == 0 {
+				s.Retire(slot - window)
+			}
+			if slot > 6 && slot%3 == 0 {
+				s.RetireTag(src.IntN(k), slot-6)
+			}
+			if slot%5 == 0 {
+				// Leaves the tag with no rows until it transmits again.
+				s.RetireTag(src.IntN(k), slot)
+			}
 		}
+		s.Close()
 	}
-	if rowless == 0 || weighted == 0 {
-		t.Fatalf("%d positions had an active tag without rows and %d slots an active soft weight below 1, want both", rowless, weighted)
+	if rowless == 0 {
+		t.Fatal("no position had an active tag without rows")
 	}
-	t.Logf("%d random builds, %d with rowless tags flipped, %d projections checked, %d soft-weighted slots", builds, rowless, projections, weighted)
+	t.Logf("%d random builds, %d with rowless tags flipped, %d projections checked", builds, rowless, projections)
 }
 
 // fuzzSession replays one fuzz op script on a fresh session at the

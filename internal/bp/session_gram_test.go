@@ -11,10 +11,10 @@ import (
 // TestSessionGramRestartMatchesRowRestart pins the Gram path's restart
 // (prepareGram, gramInput, gramDescend, gramError) against the row
 // path's (buildFrom + descend + normSqActive), with the position's
-// residual materialized for the row side. Random sessions in hard
-// and soft mode run through locks, a global Retire and RetireTag
-// (SoftRetireTag in soft mode); after every decoded slot, every
-// position descends from a batch of random restart inits both ways.
+// residual materialized for the row side. Random sessions run
+// through locks, a global Retire and RetireTag; after every decoded
+// slot, every position descends from a batch of random restart inits
+// both ways.
 // The two must end on the same bits after the same number of flips,
 // and each pass's error minus the position's incumbent error must
 // agree to 1e-9 relative (gramError drops the position's constant
@@ -28,91 +28,82 @@ func TestSessionGramRestartMatchesRowRestart(t *testing.T) {
 		inits    = 6
 		base     = 0x6A3
 	)
-	var gramSlots, rowSlots [2]int // by mode: hard, soft
-	var compared int
-	for mode, soft := range []bool{false, true} {
-		for trial := 0; trial < 12; trial++ {
-			src := prng.NewSource(0x6A30 + uint64(100*mode+trial))
-			k := 4 + src.IntN(7)
-			q := 0.15 + 0.35*src.Float64()
-			taps := randomTaps(k, src)
-			msgs := randomEstimates(k, frameLen, src)
-			est := randomEstimates(k, frameLen, src)
-			nLock := k / 2
-			for i := 0; i < nLock; i++ {
-				est[i] = msgs[i]
-			}
-			mover := k - 1
+	var gramSlots, rowSlots, compared int
+	for trial := 0; trial < 12; trial++ {
+		src := prng.NewSource(0x6A30 + uint64(trial))
+		k := 4 + src.IntN(7)
+		q := 0.15 + 0.35*src.Float64()
+		taps := randomTaps(k, src)
+		msgs := randomEstimates(k, frameLen, src)
+		est := randomEstimates(k, frameLen, src)
+		nLock := k / 2
+		for i := 0; i < nLock; i++ {
+			est[i] = msgs[i]
+		}
+		mover := k - 1
 
-			s := NewSession()
-			s.Begin(k, frameLen, slots+1, 1, restarts, taps)
-			s.TrackTagDrift(true)
-			s.InitPositions(est)
-			locked := make([]bool, k)
-			minMargin := make([]float64, k)
-			ambiguous := make([]bool, k)
-			cur := append([]complex128(nil), taps...)
-			initSrc := prng.NewSource(0x1417 + uint64(trial))
-			for slot := 1; slot <= slots; slot++ {
-				cur[mover] *= complex(0.995, 0.02)
-				if slot%9 == 0 {
-					// Move half the taps: RetapAll falls back to a rebuild.
-					for i := 0; i < k; i += 2 {
-						cur[i] *= complex(0.999, 0.01)
-					}
-				}
-				s.RetapAll(cur)
-				row := make(bits.Vector, k)
-				for i := range row {
-					row[i] = src.Bernoulli(q)
-				}
-				obs := make([]complex128, frameLen)
-				for p := range obs {
-					y := 0.2 * src.ComplexNorm()
-					for i, on := range row {
-						if on && msgs[i][p] {
-							y += cur[i]
-						}
-					}
-					obs[p] = y
-				}
-				s.AppendSlot(row, obs)
-				s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
-				if s.gramOn {
-					gramSlots[mode]++
-				} else {
-					rowSlots[mode]++
-				}
-				compared += checkGramMatchesRow(t, s, initSrc, inits)
-				if t.Failed() {
-					t.Fatalf("soft=%v trial %d k %d: diverged at slot %d", soft, trial, k, slot)
-				}
-
-				switch {
-				case slot == 10:
-					for i := 0; i < nLock; i++ {
-						locked[i] = true
-					}
-				case slot > window && slot%3 == 0:
-					s.Retire(slot - window)
-				}
-				if slot > window/2 {
-					if soft {
-						s.SoftRetireTag(mover, slot-window/2)
-					} else {
-						s.RetireTag(mover, slot-window/2)
-					}
+		s := NewSession()
+		s.Begin(k, frameLen, slots+1, 1, restarts, taps)
+		s.TrackTagDrift(true)
+		s.InitPositions(est)
+		locked := make([]bool, k)
+		minMargin := make([]float64, k)
+		ambiguous := make([]bool, k)
+		cur := append([]complex128(nil), taps...)
+		initSrc := prng.NewSource(0x1417 + uint64(trial))
+		for slot := 1; slot <= slots; slot++ {
+			cur[mover] *= complex(0.995, 0.02)
+			if slot%9 == 0 {
+				// Move half the taps: RetapAll falls back to a rebuild.
+				for i := 0; i < k; i += 2 {
+					cur[i] *= complex(0.999, 0.01)
 				}
 			}
-			s.Close()
+			s.RetapAll(cur)
+			row := make(bits.Vector, k)
+			for i := range row {
+				row[i] = src.Bernoulli(q)
+			}
+			obs := make([]complex128, frameLen)
+			for p := range obs {
+				y := 0.2 * src.ComplexNorm()
+				for i, on := range row {
+					if on && msgs[i][p] {
+						y += cur[i]
+					}
+				}
+				obs[p] = y
+			}
+			s.AppendSlot(row, obs)
+			s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
+			if s.gramOn {
+				gramSlots++
+			} else {
+				rowSlots++
+			}
+			compared += checkGramMatchesRow(t, s, initSrc, inits)
+			if t.Failed() {
+				t.Fatalf("trial %d k %d: diverged at slot %d", trial, k, slot)
+			}
+
+			switch {
+			case slot == 10:
+				for i := 0; i < nLock; i++ {
+					locked[i] = true
+				}
+			case slot > window && slot%3 == 0:
+				s.Retire(slot - window)
+			}
+			if slot > window/2 {
+				s.RetireTag(mover, slot-window/2)
+			}
 		}
+		s.Close()
 	}
-	for mode, name := range []string{"hard", "soft"} {
-		if gramSlots[mode] == 0 || rowSlots[mode] == 0 {
-			t.Fatalf("%s mode: shape rule picked the Gram path on %d slots and the row path on %d, want both", name, gramSlots[mode], rowSlots[mode])
-		}
+	if gramSlots == 0 || rowSlots == 0 {
+		t.Fatalf("shape rule picked the Gram path on %d slots and the row path on %d, want both", gramSlots, rowSlots)
 	}
-	t.Logf("%d restarts compared; Gram path on %v slots, row path on %v (hard, soft)", compared, gramSlots, rowSlots)
+	t.Logf("%d restarts compared; Gram path on %d slots, row path on %d", compared, gramSlots, rowSlots)
 }
 
 // checkGramMatchesRow stages the Gram constants for the graph the last
@@ -167,9 +158,9 @@ func checkGramMatchesRow(t *testing.T, s *Session, src *prng.Source, n int) int 
 
 // checkMatchedFilter folds the pending rows into s's matched-filter
 // state and fails unless it matches a from-scratch recount over the
-// live rows under the current weights: every position's mf within 1e-9
-// relative, and the co-occurrence Gram exactly in hard mode and within
-// 1e-12 in soft mode. A tag with no live rows must hold an exact zero,
+// live rows: every position's mf within 1e-9 relative, and the
+// co-occurrence counts exactly. A tag with no live rows must hold an
+// exact zero,
 // as its row-path S-sum does: rounding dust there would read as a gain
 // against the absolute flip threshold. Entries past K within the stride
 // must be zero, so a Grow within the cap finds its new rows and columns
@@ -182,17 +173,16 @@ func checkMatchedFilter(t *testing.T, s *Session, what string) {
 	if stride < k || len(s.cooc) < stride*stride {
 		t.Fatalf("%s: Gram stride %d over %d entries for K %d", what, stride, len(s.cooc), k)
 	}
-	want := make([]float64, stride*stride)
+	want := make([]int32, stride*stride)
 	for r := g.retired; r < g.L; r++ {
 		for _, a := range g.rowCols[r] {
 			for _, b := range g.rowCols[r] {
-				want[a*stride+b] += g.alphaAt(r, a) * g.alphaAt(r, b)
+				want[a*stride+b]++
 			}
 		}
 	}
 	for x, w := range want {
-		got := s.cooc[x]
-		if (!g.soft && got != w) || (g.soft && !closeTo(got, w, 1e-12)) {
+		if got := s.cooc[x]; got != w {
 			t.Fatalf("%s: Gram entry (%d, %d) = %v, recount %v", what, x/stride, x%stride, got, w)
 		}
 	}
@@ -205,7 +195,7 @@ func checkMatchedFilter(t *testing.T, s *Session, what string) {
 		for i := 0; i < k; i++ {
 			var w complex128
 			for _, r := range g.colRows[i] {
-				w += complex(g.alphaAt(r, i), 0) * s.ys[p][r]
+				w += s.ys[p][r]
 			}
 			got := s.mf[p*stride+i]
 			if len(g.colRows[i]) == 0 && got != 0 {
@@ -218,9 +208,9 @@ func checkMatchedFilter(t *testing.T, s *Session, what string) {
 	}
 }
 
-// TestSessionMatchedFilterState drives hard and soft sessions through
-// random interleavings of AppendSlot, DecodeSlot with CRC locks,
-// Retire, RetireTag, SoftRetireTag (soft mode), Grow (within and past
+// TestSessionMatchedFilterState drives sessions through random
+// interleavings of AppendSlot, DecodeSlot with CRC locks, Retire,
+// RetireTag, Grow (within and past
 // the reserved tag cap) and RetapAll, and after most steps checks the
 // matched-filter state against a from-scratch recount
 // (checkMatchedFilter). Skipped checks leave rows unfolded, so the
@@ -232,56 +222,52 @@ func TestSessionMatchedFilterState(t *testing.T) {
 		steps    = 160
 	)
 	var checks, grownPastCap int
-	for mode, soft := range []bool{false, true} {
-		for trial := 0; trial < 6; trial++ {
-			src := prng.NewSource(0x3F00 + uint64(100*mode+trial))
-			k0 := 3 + src.IntN(5)
-			taps := randomTaps(k0, src)
-			s := NewSession()
-			s.Reserve(k0+2, frameLen, maxSlots, 2)
-			s.Begin(k0, frameLen, maxSlots, 1, 2, taps)
-			s.TrackTagDrift(true)
-			s.InitPositions(randomEstimates(k0, frameLen, src))
-			drv := &sessionDriver{k: k0, frameLen: frameLen, src: src.Fork(1)}
-			locked := make([]bool, k0)
-			for step := 0; step < steps; step++ {
-				g := &s.g
-				k := s.k
-				switch op := src.IntN(10); {
-				case op < 4 && g.L < maxSlots:
-					row, obs := drv.slot()
-					s.AppendSlot(row, obs)
-					s.DecodeSlot(g.L, locked, 0x3F0, make([]float64, k), make([]bool, k))
-				case op == 4 && g.L > 0:
-					s.Retire(g.retired + 1 + src.IntN(3))
-				case op == 5 && g.L > 0:
-					s.RetireTag(src.IntN(k), 1+src.IntN(g.L))
-				case op == 6 && soft && g.L > 0:
-					s.SoftRetireTag(src.IntN(k), 1+src.IntN(g.L))
-				case op == 7 && k < 12:
-					n := 1 + src.IntN(2)
-					if k+n > s.kStride {
-						grownPastCap++
-					}
-					s.Grow(randomTaps(n, src), randomEstimates(n, frameLen, src))
-					drv.k = s.k
-					locked = append(locked, make([]bool, n)...)
-				case op == 8:
-					next := append([]complex128(nil), g.taps...)
-					next[src.IntN(k)] *= complex(0.98, 0.05)
-					s.RetapAll(next)
-				case op == 9:
-					if i := src.IntN(k); src.Bernoulli(0.3) {
-						locked[i] = true
-					}
+	for trial := 0; trial < 6; trial++ {
+		src := prng.NewSource(0x3F00 + uint64(trial))
+		k0 := 3 + src.IntN(5)
+		taps := randomTaps(k0, src)
+		s := NewSession()
+		s.Reserve(k0+2, frameLen, maxSlots, 2)
+		s.Begin(k0, frameLen, maxSlots, 1, 2, taps)
+		s.TrackTagDrift(true)
+		s.InitPositions(randomEstimates(k0, frameLen, src))
+		drv := &sessionDriver{k: k0, frameLen: frameLen, src: src.Fork(1)}
+		locked := make([]bool, k0)
+		for step := 0; step < steps; step++ {
+			g := &s.g
+			k := s.k
+			switch op := src.IntN(10); {
+			case op < 4 && g.L < maxSlots:
+				row, obs := drv.slot()
+				s.AppendSlot(row, obs)
+				s.DecodeSlot(g.L, locked, 0x3F0, make([]float64, k), make([]bool, k))
+			case op == 4 && g.L > 0:
+				s.Retire(g.retired + 1 + src.IntN(3))
+			case op == 5 && g.L > 0:
+				s.RetireTag(src.IntN(k), 1+src.IntN(g.L))
+			case op == 7 && k < 12:
+				n := 1 + src.IntN(2)
+				if k+n > s.kStride {
+					grownPastCap++
 				}
-				if src.Bernoulli(0.6) {
-					checkMatchedFilter(t, s, fmt.Sprintf("soft=%v trial %d step %d", soft, trial, step))
-					checks++
+				s.Grow(randomTaps(n, src), randomEstimates(n, frameLen, src))
+				drv.k = s.k
+				locked = append(locked, make([]bool, n)...)
+			case op == 8:
+				next := append([]complex128(nil), g.taps...)
+				next[src.IntN(k)] *= complex(0.98, 0.05)
+				s.RetapAll(next)
+			case op == 9:
+				if i := src.IntN(k); src.Bernoulli(0.3) {
+					locked[i] = true
 				}
 			}
-			s.Close()
+			if src.Bernoulli(0.6) {
+				checkMatchedFilter(t, s, fmt.Sprintf("trial %d step %d", trial, step))
+				checks++
+			}
 		}
+		s.Close()
 	}
 	if grownPastCap == 0 {
 		t.Fatal("no Grow outgrew the reserved tag cap")
@@ -292,8 +278,8 @@ func TestSessionMatchedFilterState(t *testing.T) {
 // TestSessionGramPassZeroMatchesRowPassZero pins the Gram pass 0 an
 // invalid position runs on a Gram slot (gramInput + gramDescend from
 // the position's bits) against the row pass 0 it replaces (a residual
-// rebuild + descend). Random hard and soft sessions decode through
-// locks, retires and retaps; after every retap, before the decode, at
+// rebuild + descend). Random sessions decode through locks, retires
+// and retaps; after every retap, before the decode, at
 // every position both pass 0s start from the position's bits and must
 // end on the same bits after the same number of flips. The problems
 // are continuous random draws, so no gain ties within rounding.
@@ -304,68 +290,62 @@ func TestSessionGramPassZeroMatchesRowPassZero(t *testing.T) {
 		base     = 0x9A55
 	)
 	var compared, flipped int
-	for mode, soft := range []bool{false, true} {
-		for trial := 0; trial < 8; trial++ {
-			src := prng.NewSource(0x9A50 + uint64(100*mode+trial))
-			k := 5 + src.IntN(8)
-			taps := randomTaps(k, src)
-			rows, obss := scriptSlots(k, frameLen, slots, 0x9A51+uint64(100*mode+trial))
-			s := NewSession()
-			s.Begin(k, frameLen, slots, 1, 2, taps)
-			s.TrackTagDrift(true)
-			s.InitPositions(randomEstimates(k, frameLen, src))
-			g := &s.g
-			ws := &s.wstates[0]
-			locked := make([]bool, k)
-			cur := append([]complex128(nil), taps...)
-			rb := make(bits.Vector, k)
-			gb := make(bits.Vector, k)
-			for slot := 1; slot <= slots; slot++ {
-				cur[slot%k] *= complex(0.99, 0.04)
-				s.RetapAll(cur)
-				s.AppendSlot(rows[slot-1], obss[slot-1])
-				s.prepareSlot(slot, locked, base)
-				if !s.gramOn {
-					s.prepareGram()
+	for trial := 0; trial < 8; trial++ {
+		src := prng.NewSource(0x9A50 + uint64(trial))
+		k := 5 + src.IntN(8)
+		taps := randomTaps(k, src)
+		rows, obss := scriptSlots(k, frameLen, slots, 0x9A51+uint64(trial))
+		s := NewSession()
+		s.Begin(k, frameLen, slots, 1, 2, taps)
+		s.TrackTagDrift(true)
+		s.InitPositions(randomEstimates(k, frameLen, src))
+		g := &s.g
+		ws := &s.wstates[0]
+		locked := make([]bool, k)
+		cur := append([]complex128(nil), taps...)
+		rb := make(bits.Vector, k)
+		gb := make(bits.Vector, k)
+		for slot := 1; slot <= slots; slot++ {
+			cur[slot%k] *= complex(0.99, 0.04)
+			s.RetapAll(cur)
+			s.AppendSlot(rows[slot-1], obss[slot-1])
+			s.prepareSlot(slot, locked, base)
+			if !s.gramOn {
+				s.prepareGram()
+			}
+			for p := 0; p < frameLen; p++ {
+				copy(rb, s.PosBits(p))
+				copy(gb, rb)
+				rst := newTestState(k, g.L)
+				s.rebuildPosition(p, rst, ws, rb, locked)
+				rf := rst.descend(g, rb, locked, s.eps)
+				ws.gramInput(s, p, gb)
+				gf := ws.gramDescend(s, gb, 64*(g.K+1)*(g.L+1))
+				if rf != gf {
+					t.Fatalf("trial %d slot %d position %d: row pass 0 took %d flips, Gram pass 0 %d", trial, slot, p, rf, gf)
 				}
-				for p := 0; p < frameLen; p++ {
-					copy(rb, s.PosBits(p))
-					copy(gb, rb)
-					rst := newTestState(k, g.L)
-					s.rebuildPosition(p, rst, ws, rb, locked)
-					rf := rst.descend(g, rb, locked, s.eps)
-					ws.gramInput(s, p, gb)
-					gf := ws.gramDescend(s, gb, 64*(g.K+1)*(g.L+1))
-					if rf != gf {
-						t.Fatalf("soft=%v trial %d slot %d position %d: row pass 0 took %d flips, Gram pass 0 %d", soft, trial, slot, p, rf, gf)
-					}
-					for _, i := range g.activeTags {
-						if rb[i] != gb[i] {
-							t.Fatalf("soft=%v trial %d slot %d position %d: pass 0s ended with tag %d = %v (row), %v (Gram)", soft, trial, slot, p, i, rb[i], gb[i])
-						}
-					}
-					compared++
-					if rf > 0 {
-						flipped++
+				for _, i := range g.activeTags {
+					if rb[i] != gb[i] {
+						t.Fatalf("trial %d slot %d position %d: pass 0s ended with tag %d = %v (row), %v (Gram)", trial, slot, p, i, rb[i], gb[i])
 					}
 				}
-				s.DecodeSlot(slot, locked, base, make([]float64, k), make([]bool, k))
-				if i := src.IntN(k); slot > 5 && !locked[i] && src.Bernoulli(0.2) {
-					locked[i] = true
-				}
-				if slot > 12 && slot%3 == 0 {
-					s.Retire(slot - 12)
-				}
-				if slot > 6 && slot%4 == 0 {
-					if soft {
-						s.SoftRetireTag(src.IntN(k), slot-4)
-					} else {
-						s.RetireTag(src.IntN(k), slot-4)
-					}
+				compared++
+				if rf > 0 {
+					flipped++
 				}
 			}
-			s.Close()
+			s.DecodeSlot(slot, locked, base, make([]float64, k), make([]bool, k))
+			if i := src.IntN(k); slot > 5 && !locked[i] && src.Bernoulli(0.2) {
+				locked[i] = true
+			}
+			if slot > 12 && slot%3 == 0 {
+				s.Retire(slot - 12)
+			}
+			if slot > 6 && slot%4 == 0 {
+				s.RetireTag(src.IntN(k), slot-4)
+			}
 		}
+		s.Close()
 	}
 	if flipped == 0 {
 		t.Fatal("no pass 0 flipped a bit")

@@ -1,7 +1,6 @@
 package bp
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/prng"
@@ -42,9 +41,28 @@ func TestSessionRetireTagKeepsStateConsistent(t *testing.T) {
 		verifyState(t, s, locked, what)
 	}
 
-	// Age two distinct tags out on different clocks.
-	if n := s.RetireTag(0, 4); n == 0 {
+	// Age two distinct tags out on different clocks. The first removal
+	// pops exactly its rows' ledger entries and leaves every other tag's
+	// rows and ledger untouched.
+	degBefore := make([]int, k0)
+	ledBefore := make([]int, k0)
+	for i := range degBefore {
+		degBefore[i] = s.Degree(i)
+		ledBefore[i] = len(s.tagLedger[i])
+	}
+	n := s.RetireTag(0, 4)
+	if n == 0 {
 		t.Fatal("RetireTag(0, 4) removed nothing — the script never collided tag 0 early, repick the seed")
+	}
+	for i := range degBefore {
+		wantDeg, wantLed := degBefore[i], ledBefore[i]
+		if i == 0 {
+			wantDeg, wantLed = wantDeg-n, wantLed-2*n
+		}
+		if s.Degree(i) != wantDeg || len(s.tagLedger[i]) != wantLed {
+			t.Fatalf("tag %d: degree %d and ledger %d after RetireTag(0, 4) of %d rows, want %d and %d",
+				i, s.Degree(i), len(s.tagLedger[i]), n, wantDeg, wantLed)
+		}
 	}
 	settle("after first RetireTag")
 	s.RetireTag(3, 6)
@@ -190,155 +208,6 @@ func TestSessionPerTagParallelismEquivalence(t *testing.T) {
 			}
 		}
 	}
-}
-
-// verifySoftState is verifyState's weight-aware sibling: it recomputes
-// every position's S-sums, flip signs and gains under the graph's soft
-// per-(row, tag) weights (stale rows of tag i carry α_i·h_i), then
-// materializes the residual and recomputes it, and fails on divergence
-// — the white-box contract SoftRetireTag's re-derivations must land on.
-// Inactive rows' residual entries are dead by design, as in
-// verifyState.
-func verifySoftState(t *testing.T, s *Session, locked []bool, tol float64, what string) {
-	t.Helper()
-	g := &s.g
-	for p := 0; p < s.frameLen; p++ {
-		st := &s.states[p]
-		myBits := s.PosBits(p)
-		for i := 0; i < s.k; i++ {
-			if locked[i] {
-				continue
-			}
-			var sum complex128
-			for _, row := range g.colRows[i] {
-				sum += complex(g.alphaAt(row, i), 0) * scratchRow(s, p, row, myBits)
-			}
-			if !closeTo(real(st.sum[i]), real(sum), tol) || !closeTo(imag(st.sum[i]), imag(sum), tol) {
-				t.Fatalf("%s: position %d tag %d sum %v, want %v", what, p, i, st.sum[i], sum)
-			}
-			sign := 1.0
-			if myBits[i] {
-				sign = -1
-			}
-			corr := g.tapRe[i]*real(sum) + g.tapIm[i]*imag(sum)
-			want := 2*corr*sign - g.wPow[i]
-			if st.bSign[i] != sign || !closeTo(st.gain[i], want, tol) {
-				t.Fatalf("%s: position %d tag %d sign %v gain %v, want %v and %v", what, p, i, st.bSign[i], st.gain[i], sign, want)
-			}
-		}
-		s.materialize(p)
-		for row := g.retired; row < g.L; row++ {
-			if len(g.rowActive[row]) == 0 {
-				continue
-			}
-			want := scratchRow(s, p, row, myBits)
-			got := st.residual[row]
-			if !closeTo(real(got), real(want), tol) || !closeTo(imag(got), imag(want), tol) {
-				t.Fatalf("%s: position %d row %d residual %v, want %v", what, p, row, got, want)
-			}
-		}
-	}
-}
-
-// TestSessionSoftWeightStateConsistent drives the soft per-tag mode:
-// SoftRetireTag down-weights stale rows instead of removing them, the
-// effective |h|²·w constants shrink to α²·stale + fresh, and every
-// rebuild must land on the weighted model exactly. Also pins the decay
-// property the mode rests on: with drift banked against the mover, its
-// α strictly decreases as more drift accumulates.
-func TestSessionSoftWeightStateConsistent(t *testing.T) {
-	const (
-		k        = 6
-		frameLen = 6
-		maxSlots = 32
-		window   = 5
-		mover    = 1
-		base     = 0xA17A
-	)
-	src := prng.NewSource(0xF1E)
-	taps := randomTaps(k, src)
-	est := randomEstimates(k, frameLen, src)
-	rows, obss := scriptSlots(k, frameLen, maxSlots, 0x50F7)
-
-	s := NewSession()
-	defer s.Close()
-	s.Begin(k, frameLen, maxSlots, 1, 2, taps)
-	s.TrackTagDrift(true)
-	s.InitPositions(est)
-	locked := make([]bool, k)
-
-	cur := append([]complex128(nil), taps...)
-	lastAlpha, aged := 1.0, false
-	slot := 1
-	for ; slot <= 16; slot++ {
-		// The mover drifts every slot; everyone else is parked.
-		cur[mover] *= complex(0.995, 0.02)
-		s.RetapAll(cur)
-		s.AppendSlot(rows[slot-1], obss[slot-1])
-		minMargin := make([]float64, k)
-		ambiguous := make([]bool, k)
-		s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
-		if slot > window {
-			n := s.SoftRetireTag(mover, slot-window)
-			aged = aged || n > 0
-			if !aged {
-				continue // the mover missed the earliest slots entirely
-			}
-			if s.stateValid {
-				t.Fatalf("slot %d: SoftRetireTag left the cached state valid", slot)
-			}
-			alpha := s.g.softAlpha[mover]
-			if alpha >= lastAlpha {
-				t.Fatalf("slot %d: soft alpha %v did not decay below %v as drift accumulated", slot, alpha, lastAlpha)
-			}
-			if alpha <= 0 {
-				t.Fatalf("slot %d: soft alpha %v outside (0, 1)", slot, alpha)
-			}
-			lastAlpha = alpha
-			if s.StaleRows(mover) == 0 {
-				t.Fatalf("slot %d: no stale rows after SoftRetireTag", slot)
-			}
-		}
-	}
-	if !aged {
-		t.Fatal("the mover never aged a row — repick the script seed")
-	}
-	// One more decode to rebuild, then verify the weighted model.
-	minMargin := make([]float64, k)
-	ambiguous := make([]bool, k)
-	s.AppendSlot(rows[slot-1], obss[slot-1])
-	s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
-	verifySoftState(t, s, locked, 1e-9, "after soft aging")
-
-	// Parked tags must be untouched by the mover's soft aging.
-	for i := 0; i < k; i++ {
-		if i != mover && s.StaleRows(i) != 0 {
-			t.Fatalf("parked tag %d has %d stale rows", i, s.StaleRows(i))
-		}
-	}
-
-	// Mixing modes on one tag is legal: a hard RetireTag spanning the
-	// soft-aged prefix must pop only the fresh rows' ledger entries
-	// (the stale ones left the ledger when they went stale) and leave
-	// the drift accounting consistent.
-	stale := s.StaleRows(mover)
-	freshBefore := len(s.tagLedger[mover]) / 2
-	n := s.RetireTag(mover, slot-2)
-	if n <= stale {
-		t.Fatalf("hard retire across the stale prefix removed %d rows, want > the %d stale ones", n, stale)
-	}
-	if got := len(s.tagLedger[mover]) / 2; got != freshBefore-(n-stale) {
-		t.Fatalf("ledger holds %d rows after mixed retire, want %d", got, freshBefore-(n-stale))
-	}
-	if s.StaleRows(mover) != 0 {
-		t.Fatalf("stale rows survived a hard retire past the cut: %d", s.StaleRows(mover))
-	}
-	if f := s.DriftFractionTag(mover); f < 0 || math.IsNaN(f) {
-		t.Fatalf("drift fraction %v after mixed retire", f)
-	}
-	slot++
-	driveSlots(t, s, rows, obss, slot, 2, locked, base)
-	verifySoftState(t, s, locked, 1e-9, "after mixed soft+hard retire")
 }
 
 // TestSessionPerTagSteadyStateAllocationFree extends the allocation

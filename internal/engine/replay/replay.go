@@ -173,7 +173,7 @@ func newTrialState(spec scenario.Spec, trial int) (*trialState, error) {
 	case scenario.WindowFixed:
 		pol = ratedapt.FixedWindow(spec.Decode.DecodeWindow)
 	case scenario.WindowPerTag:
-		pol = ratedapt.PerTagWindow(spec.Decode.WindowSoft)
+		pol = ratedapt.PerTagWindow(false)
 	}
 	win := pol.EffectiveSlots(proc.CoherenceSlots(), maxSlots)
 	var wins []int
@@ -207,7 +207,6 @@ func newTrialState(spec scenario.Spec, trial int) (*trialState, error) {
 		Restarts:      uint16(spec.Decode.Restarts),
 		WindowSlots:   uint32(win),
 		ConfirmWindow: uint32(confirmWin),
-		WindowSoft:    spec.Decode.WindowSoft,
 		RosterCap:     uint32(kTot),
 		Seeds:         seeds[:k0],
 		Taps:          dm.Taps[:k0],

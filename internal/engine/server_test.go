@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -261,6 +262,56 @@ func TestBusyRejectedOverWire(t *testing.T) {
 	if _, ok := rep.(*wire.Closed); !ok {
 		t.Fatalf("close reply %T, want Closed", rep)
 	}
+}
+
+// TestWindowSoftOpenRejectedOverWire pins the removed soft per-tag
+// mode on the wire: the Open frame still carries its WindowSoft byte,
+// and an Open that sets it gets a typed Error, not a session. The
+// rejection must leave nothing behind: with room for one session, a
+// valid Open on the same connection still succeeds, and once it closes
+// no session or pooled resource is left in flight.
+func TestWindowSoftOpenRejectedOverWire(t *testing.T) {
+	leaktest.Check(t)
+	m, _, addr := startWireServer(t, engine.Config{Workers: 1, MaxSessions: 1}, engine.ServerConfig{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+
+	soft := minOpen(5)
+	soft.WindowSoft = true
+	if err := wire.WriteFrame(conn, soft); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := rep.(*wire.Error); !ok || e.Code != wire.CodeGeneric || !strings.Contains(e.Msg, "WindowSoft was removed") {
+		t.Fatalf("soft open reply %+v, want a generic Error naming WindowSoft", rep)
+	}
+	if s := m.Snapshot(); s.SessionsOpened != 0 || s.ResourcesInFlight != 0 {
+		t.Fatalf("rejected open left %d sessions opened and %d resources in flight", s.SessionsOpened, s.ResourcesInFlight)
+	}
+
+	sid, _ := openSession(t, conn, 6)
+	if err := wire.WriteFrame(conn, &wire.Close{SessionID: sid}); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = wire.ReadFrame(conn); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rep.(*wire.Closed); !ok {
+		t.Fatalf("close reply %T, want Closed", rep)
+	}
+	conn.Close()
+	waitCounter(t, func() int64 { return m.Snapshot().ResourcesInFlight }, 0)
+	waitCounter(t, func() int64 {
+		s := m.Snapshot()
+		return s.SessionsOpened - s.SessionsClosed
+	}, 0)
 }
 
 func TestPanicIsolationOverWire(t *testing.T) {

@@ -60,7 +60,9 @@ type Frame interface {
 // resolution happens exactly once, client-side. DecodeSeed seeds the
 // daemon's decode source; a client that mirrors a batch run transmits
 // the fork seed of its setup stream so both sides draw identical
-// estimate and decode-base streams.
+// estimate and decode-base streams. WindowSoft is the removed soft
+// per-tag mode's flag: its byte stays so the frame layout is unchanged,
+// and the daemon rejects an Open that sets it.
 type Open struct {
 	Version         uint16
 	Salt            uint64

@@ -206,10 +206,10 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 	// the coherence time — runs untouched. A PerTag policy instead
 	// resolves one window per roster tag from that tag's own coherence
 	// time: parked tags keep their whole history while movers forget on
-	// their own clocks (bp.Session.RetireTag / SoftRetireTag). The
-	// stream takes windows pre-resolved, so the resolution — and the
-	// roster-wide confirm distance — happens here, over the FULL roster
-	// including tags that have not arrived yet.
+	// their own clocks (bp.Session.RetireTag). The stream takes windows
+	// pre-resolved, so the resolution — and the roster-wide confirm
+	// distance — happens here, over the FULL roster including tags that
+	// have not arrived yet.
 	win := cfg.Window.EffectiveSlots(decoder.CoherenceSlots(), maxSlots)
 	var wins []int
 	confirmWin := 0
@@ -248,7 +248,6 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 		MaxSlots:        maxSlots,
 		WindowSlots:     win,
 		WindowTag:       winTag0,
-		WindowSoft:      cfg.Window.SoftWeight,
 		ConfirmWindow:   confirmWin,
 		Seeds:           seeds,
 		Taps:            dm.Taps[:k0],

@@ -2,6 +2,7 @@ package ratedapt
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bits"
@@ -96,31 +97,6 @@ func TestTransferDynamicPerTagWindow(t *testing.T) {
 	}
 }
 
-// TestTransferDynamicPerTagSoftWeight is the soft sibling: stale rows
-// are down-weighted rather than removed, the retirement counters count
-// the aged rows, and every verified payload is correct.
-func TestTransferDynamicPerTagSoftWeight(t *testing.T) {
-	const k = 8
-	cfg, roster, proc := perTagTestRoster(k, 0x50F7)
-	cfg.Window = PerTagWindow(true)
-	res, err := TransferDynamic(cfg, roster, proc, proc, prng.NewSource(3), prng.NewSource(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	aged := 0
-	for i := k / 2; i < k; i++ {
-		aged += res.RowsRetiredTag[i]
-	}
-	if res.SlotsUsed > 3*MinAutoWindow && aged == 0 {
-		t.Fatalf("soft mode aged no rows over %d slots", res.SlotsUsed)
-	}
-	for i, ok := range res.Verified {
-		if ok && !bits.PayloadOf(res.Frames[i], cfg.CRC).Equal(roster[i].Message) {
-			t.Errorf("tag %d delivered a wrong payload under the soft per-tag window", i)
-		}
-	}
-}
-
 // TestTransferDynamicPerTagStaticFallsBack pins the degenerate end: a
 // per-tag policy over a static process resolves to no windows and the
 // transfer is byte-identical to the unwindowed decode, reported
@@ -145,4 +121,38 @@ func TestTransferDynamicPerTagStaticFallsBack(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("per-tag policy on a static process diverged from the unwindowed decode:\nplain:   %+v\nper-tag: %+v", a, b)
 	}
+}
+
+// TestWindowSoftRejected pins the removed soft per-tag mode's two
+// surviving inputs: OpenStream refuses a config with WindowSoft set
+// (the same config without it opens), and PerTagWindow(true) panics.
+func TestWindowSoftRejected(t *testing.T) {
+	cfg := StreamConfig{
+		MessageBits: 16,
+		MaxSlots:    64,
+		WindowTag:   []int{8, 0},
+		Seeds:       []uint64{1, 2},
+		Taps:        []complex128{1, 1i},
+		DecodeSrc:   prng.NewSource(9),
+		WindowSoft:  true,
+	}
+	if st, err := OpenStream(cfg); err == nil {
+		st.Close()
+		t.Fatal("OpenStream accepted WindowSoft")
+	} else if !strings.Contains(err.Error(), "WindowSoft was removed") {
+		t.Fatalf("OpenStream error %q does not say WindowSoft was removed", err)
+	}
+	cfg.WindowSoft = false
+	st, err := OpenStream(cfg)
+	if err != nil {
+		t.Fatalf("the same config without WindowSoft: %v", err)
+	}
+	st.Close()
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PerTagWindow(true) did not panic")
+		}
+	}()
+	PerTagWindow(true)
 }

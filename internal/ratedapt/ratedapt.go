@@ -258,11 +258,6 @@ type gatePolicy struct {
 	// rows they share — so the classic weak-tag path it would otherwise
 	// keep is exactly the 1-in-32 CRC loophole the deflation reopens.
 	winTag []int
-	// softOverlap marks the soft per-tag mode, where aged rows are
-	// down-weighted rather than removed: every tag's confirmation
-	// passes then share evidence, so the conditional-margin bar stays
-	// at full height for all (see thrFor).
-	softOverlap bool
 }
 
 // confirmCap bounds the per-tag double-confirmation distance. The
@@ -314,10 +309,9 @@ func (gp *gatePolicy) thrFor(sess *bp.Session, i int) (thr, condThr float64) {
 	}
 	d := 1 + 2*f
 	condThr = gp.condThr / d
-	if gp.winTag[i] == 0 || gp.softOverlap {
-		// Overlapping confirmation evidence — a never-windowed tag's
-		// rows are never retired, and under soft aging every tag's
-		// stale rows persist across passes — so the conditional
+	if gp.winTag[i] == 0 {
+		// A never-windowed tag's rows are never retired, so its
+		// confirmation passes share evidence, and the conditional
 		// re-decode, the one probe that sees coordinated multi-bit
 		// coincidences, is the only real protection: keep that bar at
 		// full height. Pollution inflates BOTH sides of the conditional
@@ -462,8 +456,7 @@ func (cfg *Config) acceptSlot(sess *bp.Session, slot, k, frameLen int, gs *gateS
 func (cfg *Config) gatesWith(sess *bp.Session, win int, wins []int, maxWin int) gatePolicy {
 	thr := cfg.marginThreshold()
 	if wins != nil {
-		return gatePolicy{thr: thr, condThr: thr / 2, confirmWindow: maxWin, winTag: wins,
-			softOverlap: cfg.Window.SoftWeight}
+		return gatePolicy{thr: thr, condThr: thr / 2, confirmWindow: maxWin, winTag: wins}
 	}
 	if win <= 0 {
 		return gatePolicy{thr: thr, condThr: thr / 2}
@@ -531,9 +524,8 @@ type Result struct {
 	// tag's resolved window (0 = that tag never windows); nil otherwise.
 	WindowSlotsTag []int
 	// RowsRetiredTag, under a per-tag window policy, counts per roster
-	// tag the collision rows that aged out of that tag's window —
-	// hard-removed from the tag's adjacency, or soft down-weighted;
-	// nil otherwise.
+	// tag the collision rows that aged out of that tag's window and
+	// left its adjacency; nil otherwise.
 	RowsRetiredTag []int
 }
 

@@ -178,8 +178,9 @@ type StreamConfig struct {
 	// never windows; non-nil even if all zero keeps per-tag gating on —
 	// arrivals may window). Arrivals carry their own windows.
 	WindowTag []int
-	// WindowSoft selects soft down-weighting over hard removal for
-	// per-tag aging (WindowPolicy.SoftWeight).
+	// WindowSoft is the removed soft per-tag down-weighting mode's
+	// flag, kept so callers and the wire Open frame keep their layout:
+	// OpenStream rejects true.
 	WindowSoft bool
 	// ConfirmWindow is the double-confirmation distance for
 	// never-windowed tags under a per-tag policy: the roster's largest
@@ -242,6 +243,9 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 	if cfg.DecodeSrc == nil {
 		return nil, fmt.Errorf("ratedapt: OpenStream needs a DecodeSrc")
 	}
+	if cfg.WindowSoft {
+		return nil, fmt.Errorf("ratedapt: WindowSoft was removed; per-tag windows always retire stale rows")
+	}
 
 	cap0 := max(cfg.RosterCap, k0)
 	st := &Stream{
@@ -253,7 +257,6 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 			MinDegreeForCRC: cfg.MinDegreeForCRC,
 			MarginThreshold: cfg.MarginThreshold,
 			Parallelism:     cfg.Parallelism,
-			Window:          WindowPolicy{SoftWeight: cfg.WindowSoft},
 			SilenceDecoded:  cfg.silenceDecoded,
 		},
 		sc:       cfg.Scratch,
@@ -542,7 +545,7 @@ func (st *Stream) FinishIngest() (StepResult, error) {
 
 	retired := slideWindow(st.sess, st.win, st.slot)
 	if st.wins != nil {
-		retired += st.cfg.slideTagWindows(st.sess, st.wins, st.nJ, st.slot, st.rowsRetiredTag)
+		retired += slideTagWindows(st.sess, st.wins, st.nJ, st.slot, st.rowsRetiredTag)
 	}
 	st.rowsRetired += retired
 

@@ -38,12 +38,6 @@ type WindowPolicy struct {
 	// channel every tag is coherent forever, so it resolves to no
 	// window, like Auto.
 	PerTag bool
-	// SoftWeight, with PerTag, down-weights a mover's stale rows by its
-	// banked drift ratio instead of removing them
-	// (bp.Session.SoftRetireTag): old evidence fades smoothly instead
-	// of vanishing at a hard edge. Every slot rebuilds the cached
-	// decode state under it — see PERFORMANCE.md's cost model.
-	SoftWeight bool
 }
 
 // MinAutoWindow floors the Auto-derived window length. Below ~8 slots
@@ -63,10 +57,17 @@ func FixedWindow(w int) WindowPolicy { return WindowPolicy{Slots: w} }
 func AutoWindow() WindowPolicy { return WindowPolicy{Auto: true} }
 
 // PerTagWindow returns the per-tag coherence-derived policy: each tag
-// ages out of the decode on its own channel's clock. soft selects
-// drift-ratio down-weighting instead of hard removal for stale rows.
+// ages out of the decode on its own channel's clock, its stale rows
+// removed (bp.Session.RetireTag). The soft parameter is what remains of
+// the removed soft down-weighting mode: it stays so existing callers
+// that pass a spec's WindowSoft flag keep compiling, and it must be
+// false — scenario.Validate and OpenStream reject the flag before any
+// policy is built, so true here is a caller bug.
 func PerTagWindow(soft bool) WindowPolicy {
-	return WindowPolicy{PerTag: true, SoftWeight: soft}
+	if soft {
+		panic("ratedapt: soft per-tag windows were removed; stale rows are always retired")
+	}
+	return WindowPolicy{PerTag: true}
 }
 
 // resolve returns the effective window length against a channel whose
@@ -153,25 +154,19 @@ func ResolveTagWindows(proc channel.Process, maxSlots, k int) []int {
 	return WindowPolicy{PerTag: true}.resolveTags(proc, maxSlots, k)
 }
 
-// slideTagWindows ages each tag's rows out of its own window after the
-// given slot's decode and gates — hard removal or soft down-weighting
-// per the policy — accumulating per-tag counts into retiredTag and
-// returning the total. Locked tags age out too: a verified mover's
-// stale contribution is model error for its neighbors all the same.
-func (cfg *Config) slideTagWindows(sess *bp.Session, wins []int, nJoined, slot int, retiredTag []int) int {
+// slideTagWindows retires each tag's rows that age out of its own
+// window after the given slot's decode and gates, accumulating per-tag
+// counts into retiredTag and returning the total. Locked tags age out
+// too: a verified mover's stale contribution is model error for its
+// neighbors all the same.
+func slideTagWindows(sess *bp.Session, wins []int, nJoined, slot int, retiredTag []int) int {
 	total := 0
 	for i := 0; i < nJoined; i++ {
 		w := wins[i]
 		if w <= 0 || slot <= w {
 			continue
 		}
-		var n int
-		if cfg.Window.SoftWeight {
-			n = sess.SoftRetireTag(i, slot-w)
-		} else {
-			n = sess.RetireTag(i, slot-w)
-		}
-		if n > 0 {
+		if n := sess.RetireTag(i, slot-w); n > 0 {
 			retiredTag[i] += n
 			total += n
 		}

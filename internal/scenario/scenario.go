@@ -62,8 +62,7 @@ const (
 	// WindowPerTag derives one window per roster tag from that tag's
 	// own coherence time — the heterogeneous-mobility policy: parked
 	// tags keep their whole history while movers forget on their own
-	// clocks. Pair with WindowSoft to down-weight stale rows instead
-	// of removing them.
+	// clocks.
 	WindowPerTag = "per_tag"
 )
 
@@ -217,8 +216,9 @@ type DecodeSpec struct {
 	// DecodeWindow is the fixed window length in collision slots;
 	// setting it without Window implies "fixed".
 	DecodeWindow int `json:"decode_window,omitempty"`
-	// WindowSoft, with Window "per_tag", down-weights a mover's stale
-	// rows by its banked drift ratio instead of removing them.
+	// WindowSoft is the removed soft per-tag down-weighting mode's key.
+	// It still parses, so an old spec gets Validate's explanation
+	// instead of an unknown-field error, but true is rejected.
 	WindowSoft bool `json:"window_soft,omitempty"`
 }
 
@@ -265,8 +265,8 @@ func (d DecodeSpec) Validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown window %q (want none, fixed, auto or per_tag)", d.Window)
 	}
-	if d.WindowSoft && d.Window != WindowPerTag {
-		return fmt.Errorf("scenario: window_soft only applies to window \"per_tag\" (got window %q)", d.Window)
+	if d.WindowSoft {
+		return fmt.Errorf("scenario: window_soft was removed: per_tag windows always retire a tag's stale rows (drop the key)")
 	}
 	return nil
 }

@@ -201,24 +201,15 @@ func TestNewProcess(t *testing.T) {
 }
 
 // TestParsePerTagWindow pins the per-tag window spec surface: a valid
-// per_tag spec (with and without the soft flag) parses, and every
-// inconsistent combination fails loudly.
+// per_tag spec parses, and every inconsistent combination fails loudly.
 func TestParsePerTagWindow(t *testing.T) {
 	s, err := Parse([]byte(`{"k": 4, "trials": 2, "window": "per_tag",
 		"channel": {"kind": "gauss-markov", "per_tag_rho": [1, 1, 0.9, 0.9]}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Decode.Window != WindowPerTag || s.Decode.WindowSoft {
-		t.Fatalf("parsed to window=%q soft=%v", s.Decode.Window, s.Decode.WindowSoft)
-	}
-	s, err = Parse([]byte(`{"k": 4, "trials": 2, "window": "per_tag", "window_soft": true,
-		"channel": {"kind": "block-fading", "block_len": 16}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Decode.WindowSoft {
-		t.Fatal("window_soft did not parse")
+	if s.Decode.Window != WindowPerTag {
+		t.Fatalf("parsed to window=%q", s.Decode.Window)
 	}
 
 	bad := []string{
@@ -227,14 +218,32 @@ func TestParsePerTagWindow(t *testing.T) {
 		// per_tag derives its windows; an explicit length conflicts.
 		`{"k": 4, "trials": 2, "window": "per_tag", "decode_window": 8,
 			"channel": {"kind": "gauss-markov", "rho": 0.9}}`,
-		// window_soft only applies to per_tag.
-		`{"k": 4, "trials": 2, "window": "auto", "window_soft": true,
-			"channel": {"kind": "gauss-markov", "rho": 0.9}}`,
-		`{"k": 4, "trials": 2, "window_soft": true}`,
 	}
 	for _, spec := range bad {
 		if _, err := Parse([]byte(spec)); err == nil {
 			t.Errorf("spec %s validated, want an error", spec)
+		}
+	}
+}
+
+// TestParseRejectsWindowSoft pins the removed soft per-tag mode: a v1
+// and a v2 spec that set window_soft both fail Parse with an error that
+// says the key was removed, whatever window they pair it with.
+func TestParseRejectsWindowSoft(t *testing.T) {
+	for _, raw := range []string{
+		`{"k": 4, "trials": 2, "window": "per_tag", "window_soft": true,
+			"channel": {"kind": "block-fading", "block_len": 16}}`,
+		`{"k": 4, "trials": 2, "window": "auto", "window_soft": true,
+			"channel": {"kind": "gauss-markov", "rho": 0.9}}`,
+		`{"k": 4, "trials": 2, "window_soft": true}`,
+		`{"version": 2, "trials": 2, "workload": {"k": 4},
+			"channel": {"kind": "gauss-markov", "per_tag_rho": [1, 1, 0.9, 0.9]},
+			"decode": {"window": "per_tag", "window_soft": true}}`,
+	} {
+		if _, err := Parse([]byte(raw)); err == nil {
+			t.Errorf("Parse accepted window_soft: %s", raw)
+		} else if !strings.Contains(err.Error(), "window_soft was removed") {
+			t.Errorf("Parse(%s): error %q does not say window_soft was removed", raw, err)
 		}
 	}
 }

@@ -103,36 +103,6 @@ func TestMixedMobilityPerTagBeatsGlobalAuto(t *testing.T) {
 	}
 }
 
-// TestScenarioMixedMobilitySoftWeight exercises the soft per-tag mode
-// end to end: down-weighted stale rows instead of hard removal must
-// still deliver with zero wrong payloads, deterministically at any
-// parallelism. (Soft trades a little delivery against hard removal for
-// a smoother evidence decay; the hard mode is the golden.)
-func TestScenarioMixedMobilitySoftWeight(t *testing.T) {
-	var first *ScenarioOutcome
-	for _, par := range []int{1, 4} {
-		spec := mixedMobilitySpec()
-		spec.Decode.WindowSoft = true
-		spec.Decode.Parallelism = par
-		out, err := Run(spec)
-		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
-		}
-		b := out.Schemes[0]
-		if b.WrongPayload != 0 {
-			t.Fatalf("par=%d: soft per-tag decode accepted %d wrong payloads", par, b.WrongPayload)
-		}
-		if b.DeliveredCorrect.Mean <= 0 {
-			t.Fatalf("par=%d: soft per-tag decode delivered nothing", par)
-		}
-		if first == nil {
-			first = out
-		} else if !reflect.DeepEqual(first.Schemes, out.Schemes) {
-			t.Fatal("soft mixed-mobility outcome depends on parallelism")
-		}
-	}
-}
-
 // TestGoldenMixedMobilitySpecFile pins that the committed example spec
 // is the golden workload: examples/scenarios/mixed-mobility.json parsed
 // from disk must equal mixedMobilitySpec after defaults.

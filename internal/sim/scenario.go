@@ -55,8 +55,7 @@ type BuzzTrial struct {
 	WindowSlots int
 	RowsRetired int
 	// RowsRetiredPerTag, under a per-tag window, counts per roster tag
-	// the rows that aged out of that tag's own window (hard-removed or
-	// soft down-weighted); nil otherwise.
+	// the rows that aged out of that tag's own window; nil otherwise.
 	RowsRetiredPerTag []int
 }
 
@@ -227,7 +226,7 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 		case scenario.WindowFixed:
 			rcfg.Window = ratedapt.FixedWindow(spec.Decode.DecodeWindow)
 		case scenario.WindowPerTag:
-			rcfg.Window = ratedapt.PerTagWindow(spec.Decode.WindowSoft)
+			rcfg.Window = ratedapt.PerTagWindow(false)
 		}
 		// A static spec is the degenerate stream — a frozen channel and
 		// an event-free roster — and reproduces the classic experiments

@@ -12,7 +12,7 @@
 # Fig. 10 data-phase comparisons, the scenario-engine paths (block
 # fading, Gauss–Markov drift, population churn), the coherence-
 # windowed fast-mobility path, the per-tag-windowed mixed-mobility
-# paths (hard retire and soft down-weight), the warehouse sweep-probe
+# path, the warehouse sweep-probe
 # path (BenchmarkWarehouseSweepProbe: streaming arrivals + finite
 # dwell + analytic re-identification; its allocs/op and live-heap
 # metrics back the PR-10 memory model in PERFORMANCE.md). CI reruns the
@@ -25,7 +25,7 @@ cd "$(dirname "$0")/.."
 STAGE="${1:-after}"
 COUNT="${2:-5}"
 OUT="BENCH_PR10.json"
-BENCHES='BenchmarkHeadline_Overall$|BenchmarkFig10_TransferTime_K16$|BenchmarkFig10_TransferTime_K8$|BenchmarkScenario_BlockFading_K8$|BenchmarkScenario_GaussMarkov_K8$|BenchmarkScenario_FastMobility_K8$|BenchmarkScenario_MixedMobility_K8$|BenchmarkScenario_MixedMobilitySoft_K8$|BenchmarkScenario_PopulationChurn$|BenchmarkWarehouseSweepProbe$'
+BENCHES='BenchmarkHeadline_Overall$|BenchmarkFig10_TransferTime_K16$|BenchmarkFig10_TransferTime_K8$|BenchmarkScenario_BlockFading_K8$|BenchmarkScenario_GaussMarkov_K8$|BenchmarkScenario_FastMobility_K8$|BenchmarkScenario_MixedMobility_K8$|BenchmarkScenario_PopulationChurn$|BenchmarkWarehouseSweepProbe$'
 
 go test -run '^$' -bench "$BENCHES" -benchmem -count="$COUNT" -timeout 60m . |
     go run ./scripts/benchjson -out "$OUT" -stage "$STAGE"
