@@ -63,9 +63,12 @@ type Session struct {
 	// (buildFrom). A Gram-path pass reads the matched-filter outputs
 	// instead (gramInput) and needs no residual at all: a position whose
 	// state is invalid on a Gram slot is decoded from its bits, gets its
-	// S-sums, signs and gains from S = B − N·m, and is marked resStale. A
-	// row-path reader (a row slot, PosError, ConditionalMargin) rebuilds
-	// a stale residual first (materialize). The residual is maintained on
+	// S-sums, signs and gains from S = B − N·m, and is marked resStale.
+	// Only row slots (their decode and acceptance gate) and PosError read
+	// the residual: a row slot's decode rebuilds a stale one, so none is
+	// stale after a row slot, and PosError rebuilds it on demand
+	// (materialize); a Gram slot's gate reads the matched-filter state
+	// (ConditionalMargin). The residual is maintained on
 	// the active rows only: a rebuild on the sparse shape writes nothing
 	// else (see rebuildPosition), and an entry left behind when its row
 	// froze is never read again (rows never reactivate). Residuals live
@@ -100,7 +103,8 @@ type Session struct {
 	folded  int
 
 	// Gram-space passes, staged by prepareGram once per slot and only
-	// read by the position workers. gramOn reports that this slot's
+	// read by the position workers and the slot's acceptance gate
+	// (ConditionalMargin). gramOn reports that this slot's
 	// restarts run in Gram space (gramRule); gram is the active tags'
 	// Ka×Ka Gram N_ab, gathered from cooc and indexed by rank in
 	// activeTags; gramTap and gramWPow are the ranked tags' taps and
@@ -236,7 +240,8 @@ type workerState struct {
 	// Session.prepareGram): gB is the position's matched-filter output
 	// B = Wᴴ·(y − locked set-bit taps) (gramInput), lockSet the locked
 	// tags whose bit it sets; gS, gGain, gSign, gBits and gMask are one
-	// pass's S = B − N·m, gains, flip signs, bits and masked taps m.
+	// pass's S = B − N·m, gains, flip signs, bits and masked taps m;
+	// gPins lists the ranks a gate descent holds fixed.
 	gB      []complex128
 	lockSet []int
 	gS      []complex128
@@ -244,6 +249,7 @@ type workerState struct {
 	gSign   []float64
 	gBits   []bool
 	gMask   []complex128
+	gPins   []int
 }
 
 // shape sizes the worker state for k tags, maxSlots symbols and the
@@ -274,6 +280,7 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 	w.gSign = growFloats(w.gSign, k)
 	w.gBits = growBools(w.gBits, k)
 	w.gMask = growComplex(w.gMask, k)
+	w.gPins = growInts(w.gPins, k)
 }
 
 // shapeGram sizes the session's Gram buffers for a transfer of k tags,
@@ -371,14 +378,19 @@ func (w *workerState) gramStart(s *Session, b bits.Vector) {
 // (active entries), leaving the local optimum's bits there, and returns
 // the flip count. It is descentState.descend over S = B − N·m: the same
 // gains, scan order, eps and flip cap, with a flip of tag a updating S
-// along N's column a in O(Ka) instead of walking a's rows.
-func (w *workerState) gramDescend(s *Session, b bits.Vector, maxFlips int) int {
+// along N's column a in O(Ka) instead of walking a's rows. The ranks in
+// pins never flip: their gains are held at −∞ (the decode passes nil;
+// the acceptance gate pins its forced bit and the caller's locks).
+func (w *workerState) gramDescend(s *Session, b bits.Vector, maxFlips int, pins []int) int {
 	w.gramStart(s, b)
 	act := s.g.activeTags
 	ka := len(act)
 	n, h, wp := s.gram, s.gramTap, s.gramWPow
 	S, gain := w.gS[:ka], w.gGain[:ka]
 	sign, lb := w.gSign[:ka], w.gBits[:ka]
+	for _, x := range pins {
+		gain[x] = math.Inf(-1)
+	}
 	flips := 0
 	for flips < maxFlips {
 		best, bestG := -1, s.eps
@@ -401,6 +413,9 @@ func (w *workerState) gramDescend(s *Session, b bits.Vector, maxFlips int) int {
 		for y, c := range col {
 			S[y] -= complex(c*real(d), c*imag(d))
 			gain[y] = 2*(real(h[y])*real(S[y])+imag(h[y])*imag(S[y]))*sign[y] - wp[y]
+		}
+		for _, x := range pins {
+			gain[x] = math.Inf(-1)
 		}
 		flips++
 	}
@@ -1293,7 +1308,9 @@ func (s *Session) DecodeSlot(slot int, locked []bool, base uint64, minMargin []f
 // fan-out context (slot, locked set, PRNG base, tie threshold,
 // active-row snapshot, Gram constants) is staged. After it, every
 // position is an independent decode unit, fanned over the session's
-// worker pool until finishSlot merges the results.
+// worker pool until finishSlot merges the results. The Gram constants
+// outlive the fan-out: a Gram slot's acceptance gate re-descends on
+// them, so no position's residual is rebuilt for it.
 func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 	if locked != nil && len(locked) != s.k {
 		panic(fmt.Sprintf("bp: DecodeSlot locked length %d != K %d", len(locked), s.k))
@@ -1500,7 +1517,7 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 		ws.gramInput(s, p, myBits)
 	}
 	if inGram {
-		cFlips = uint64(ws.gramDescend(s, myBits, 64*(g.K+1)*(g.L+1)))
+		cFlips = uint64(ws.gramDescend(s, myBits, 64*(g.K+1)*(g.L+1), nil))
 	} else {
 		if stale {
 			s.rebuildPosition(p, st, ws, myBits, locked)
@@ -1617,7 +1634,7 @@ func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr [
 	for pass := 1; pass < len(passErr); pass++ {
 		bhat := bits.Vector(allBits[pass*s.k : (pass+1)*s.k])
 		randomBitsInto(&ws.src, bhat, active)
-		flips += uint64(ws.gramDescend(s, bhat, maxFlips))
+		flips += uint64(ws.gramDescend(s, bhat, maxFlips, nil))
 		errV := ws.gramError(s, bhat)
 		passErr[pass] = errV
 		if errV < best {
@@ -1629,8 +1646,8 @@ func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr [
 }
 
 // materialize rebuilds position p's residual when a Gram slot left it
-// stale — the on-demand catch-up of the row-path readers outside
-// DecodeSlot (PosError, ConditionalMargin), on the owner's goroutine.
+// stale — PosError's on-demand catch-up, on the owner's goroutine (the
+// acceptance gate reads a Gram slot in Gram space and never needs it).
 // The rebuild re-derives the S-sums and gains from the residual, so
 // later row-path passes read a consistent state.
 func (s *Session) materialize(p int) {
@@ -1644,7 +1661,7 @@ func (s *Session) materialize(p int) {
 // rebuildPosition re-derives position p's cached state from its
 // observations and current bits when the position's state is invalid
 // on a row slot (a retap, a block fade, a window shrink, or a residual
-// a Gram slot left stale) or a row-path reader materializes it: the
+// a Gram slot left stale) or PosError materializes it: the
 // residual on the rows its readers need, then the active tags' S-sums
 // and gains (rederive). Both residual builds subtract each row's set-bit
 // colliders in ascending tag order, so the floats do not depend on the
@@ -1689,20 +1706,21 @@ func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bi
 // few slots. A conditional margin near zero says the flipped world
 // explains the data almost as well: the bit is ambiguous no matter how
 // confident the single-flip margin looks. Tags with no observations
-// report 0.
+// report 0. Tag i must be unlocked at the last DecodeSlot; locked marks
+// the tags held fixed beside it, which may include tags locked since.
 //
-// It reuses position p's cached residual, S-sums and gains, so the
-// outer loop's acceptance gate costs one O(w_i) flip plus the
-// re-descent rather than a from-scratch build per (position, tag). A
-// residual a Gram slot left stale is materialized first, once per
-// position until its next decode; the gate runs only on tags whose
-// margins and CRC already pass, so this is rare. Both errors are taken
-// over the active rows: the frozen rows add the same energy to each, so
-// it cancels. It must be called from the session's owning goroutine (it
-// shares one workspace), after a DecodeSlot and before the next state
-// mutation (AppendSlot, Grow, or a RetapAll, Retire or RetireTag that
-// changes anything) — the cached state it reuses is only valid inside
-// that window.
+// The re-descent runs on the path the last DecodeSlot took (gramRule).
+// On a Gram slot it runs in Gram space from the matched-filter state
+// (conditionalMarginGram), so a residual that slot left stale is never
+// rebuilt; on a row slot it reuses position p's residual, S-sums and
+// gains (conditionalMarginRows), which that slot's decode left current.
+// Either way the gate costs a re-descent from the position's own state
+// rather than a from-scratch build per (position, tag), and leaves that
+// state as it found it. It must be called from the session's owning
+// goroutine (it shares one workspace), after a DecodeSlot and before
+// the next state mutation (AppendSlot, Grow, or a RetapAll, Retire or
+// RetireTag that changes anything) — the cached state it reuses is only
+// valid inside that window.
 func (s *Session) ConditionalMargin(p, i int, locked []bool) float64 {
 	g := &s.g
 	w := g.Degree(i)
@@ -1710,7 +1728,18 @@ func (s *Session) ConditionalMargin(p, i int, locked []bool) float64 {
 	if w == 0 || den == 0 {
 		return 0
 	}
-	s.materialize(p)
+	if s.gramOn {
+		return s.conditionalMarginGram(p, i, locked) / den
+	}
+	return s.conditionalMarginRows(p, i, locked) / den
+}
+
+// conditionalMarginRows is ConditionalMargin's error difference on the
+// row path, from position p's current residual. Both errors are taken
+// over the active rows: the frozen rows add the same energy to each, so
+// it cancels.
+func (s *Session) conditionalMarginRows(p, i int, locked []bool) float64 {
+	g := &s.g
 	base := s.states[p].normSqActive(g)
 
 	st := &s.cond.rst
@@ -1731,8 +1760,32 @@ func (s *Session) ConditionalMargin(p, i int, locked []bool) float64 {
 	st.applyFlip(g, bhat, pin, i)
 	st.lockTag(i)
 	st.descend(g, bhat, pin, s.eps)
-	errV := st.normSqActive(g)
-	return (errV - base) / den
+	return st.normSqActive(g) - base
+}
+
+// conditionalMarginGram is ConditionalMargin's error difference in Gram
+// space (see prepareGram), from the slot's staged Gram and the
+// matched-filter state alone: B at the position's bits (gramInput), the
+// base error at them, then a Gram descent from those bits with bit i
+// flipped, tag i and every active tag locked marks pinned. gramError
+// drops the same constant from both errors, so the difference is the
+// row path's. O(Ka² + Ka·locked) plus the descent's O(Ka) per flip; it
+// writes only the gate workspace, never the position's state.
+func (s *Session) conditionalMarginGram(p, i int, locked []bool) float64 {
+	ws := &s.cond
+	b := bits.Vector(ws.allBits[:s.k])
+	copy(b, s.PosBits(p))
+	ws.gramInput(s, p, b)
+	base := ws.gramError(s, b)
+	pins := ws.gPins[:0]
+	for x, j := range s.g.activeTags {
+		if j == i || (locked != nil && locked[j]) {
+			pins = append(pins, x)
+		}
+	}
+	b[i] = !b[i]
+	ws.gramDescend(s, b, 64*(s.g.K+1)*(s.g.L+1), pins)
+	return ws.gramError(s, b) - base
 }
 
 // growComplex and friends resize a session-owned buffer to length n,

@@ -226,6 +226,13 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 	bitSrc := prng.NewSource(seed ^ 0xB175)
 	b := make(bits.Vector, k)
 	check := func() {
+		if s.gramOn {
+			// Ahead of PosError, which materializes every residual: the
+			// Gram side must read the positions this slot left stale.
+			if checkGateGramMatchesRows(t, s, locked); t.Failed() {
+				t.FailNow()
+			}
+		}
 		for p := 0; p < frameLen; p++ {
 			if got, want := s.PosError(p), scratchError(s, p); !closeTo(got, want, 1e-9) {
 				t.Fatalf("position %d error %v, want %v", p, got, want)
@@ -292,8 +299,11 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 // position's state at random active bits must match a from-scratch
 // y − D·H·b on every active row (checkBuildFrom), and the
 // matched-filter outputs and co-occurrence Gram must match a recount
-// over the live rows (checkMatchedFilter); and Parallelism 1 and 2 must
-// emit identical margins, ambiguity flags, bits and errors.
+// over the live rows (checkMatchedFilter), and on a Gram slot the
+// acceptance gate's Gram and row paths must agree on every unlocked
+// tag's conditional margin and bits (checkGateGramMatchesRows); and
+// Parallelism 1 and 2 must emit identical margins, ambiguity flags,
+// bits and errors.
 func FuzzSessionSlot(f *testing.F) {
 	f.Add(uint8(8), uint8(3), uint64(1), []byte{0, 0, 0, 12, 0, 0, 0x24, 0, 0, 5, 0, 6, 0, 7, 0, 0xF, 0})
 	f.Add(uint8(11), uint8(4), uint64(42), []byte{0, 1, 2, 4, 12, 20, 28, 36, 0, 0, 0, 0, 0, 0x1E, 0, 0x35, 0, 0, 0x47, 0})

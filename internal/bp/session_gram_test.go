@@ -130,7 +130,7 @@ func checkGramMatchesRow(t *testing.T, s *Session, src *prng.Source, n int) int 
 			copy(gb, s.PosBits(p))
 			randomBitsInto(src, gb, g.activeTags)
 			copy(rb, gb)
-			gf := ws.gramDescend(s, gb, maxFlips)
+			gf := ws.gramDescend(s, gb, maxFlips, nil)
 			ge := ws.gramError(s, gb) - gInc
 			rst := &ws.rst
 			rst.residual = rst.residual[:g.L]
@@ -320,7 +320,7 @@ func TestSessionGramPassZeroMatchesRowPassZero(t *testing.T) {
 				s.rebuildPosition(p, rst, ws, rb, locked)
 				rf := rst.descend(g, rb, locked, s.eps)
 				ws.gramInput(s, p, gb)
-				gf := ws.gramDescend(s, gb, 64*(g.K+1)*(g.L+1))
+				gf := ws.gramDescend(s, gb, 64*(g.K+1)*(g.L+1), nil)
 				if rf != gf {
 					t.Fatalf("trial %d slot %d position %d: row pass 0 took %d flips, Gram pass 0 %d", trial, slot, p, rf, gf)
 				}

@@ -351,11 +351,16 @@ func (gp *gatePolicy) thrFor(sess *bp.Session, i int) (thr, condThr float64) {
 func (cfg *Config) acceptSlot(sess *bp.Session, slot, k, frameLen int, gs *gateState,
 	minMargin []float64, ambiguous []bool, gp gatePolicy, onAccept func(i int)) int {
 
-	for p := 0; p < frameLen; p++ {
-		pb := sess.PosBits(p)
-		for i := 0; i < k; i++ {
-			if !gs.locked[i] && bool(gs.estimates[i][p]) != pb[i] {
-				gs.estimates[i][p] = pb[i]
+	// Only unlocked tags' bits can change, and each (tag, position)
+	// update is independent, so the refresh walks unlocked tags only.
+	for i := 0; i < k; i++ {
+		if gs.locked[i] {
+			continue
+		}
+		est := gs.estimates[i]
+		for p := 0; p < frameLen; p++ {
+			if b := sess.PosBits(p)[i]; bool(est[p]) != b {
+				est[p] = b
 				gs.frameChanged[i] = true
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bits"
+	"repro/internal/bp"
 	"repro/internal/channel"
 	"repro/internal/prng"
 	"repro/internal/scratch"
@@ -86,17 +87,24 @@ func TestTransferSampledScratchMatchesHeap(t *testing.T) {
 }
 
 // TestTransferSteadyStateAllocBound pins the whole-transfer allocation
-// budget on a warm arena. A transfer still heap-allocates its escaping
-// Result (frames, progress, verification state) and the trial's PRNG
-// sources, but the per-slot decode loop itself must stay out of the
-// allocator: the budget below is ~2 allocations per tag plus a fixed
-// overhead, orders of magnitude under the thousands of allocations per
-// transfer the pre-arena decoder performed.
+// budget on a warm arena and a warm session. A transfer still
+// heap-allocates its escaping Result (frames, progress, verification
+// state) and the trial's PRNG sources, but the per-slot decode loop
+// itself must stay out of the allocator: the budget below is ~2
+// allocations per tag plus a fixed overhead, orders of magnitude under
+// the thousands of allocations per transfer the pre-arena decoder
+// performed. The session is caller-owned, as the simulator's trial
+// workers own theirs: a pooled one would make the count depend on
+// sync.Pool, which under the race detector drops a random share of Puts,
+// so a dropped session re-allocated every buffer and the count wandered
+// over the budget from run to run.
 func TestTransferSteadyStateAllocBound(t *testing.T) {
 	const k = 6
 	cfg, msgs, ch := scratchTestSetup(k, 0xCAFE)
 	sc := scratch.New()
 	cfg.Scratch = sc
+	cfg.Session = bp.NewSession()
+	defer cfg.Session.Close()
 	run := func() {
 		if _, err := Transfer(cfg, msgs, ch, prng.NewSource(1), prng.NewSource(2)); err != nil {
 			t.Fatal(err)
