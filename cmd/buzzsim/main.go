@@ -77,8 +77,8 @@ func cmdRun(args []string) int {
 	repeat := fs.Int("repeat", 1, "run the scenario this many times, iterating the seed")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the full run to this file (go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
+	paths := parseInterspersed(fs, args)
+	if len(paths) != 1 {
 		fmt.Fprintln(os.Stderr, "buzzsim: usage: buzzsim run <spec.json> [-repeat N] [-cpuprofile f] [-memprofile f]")
 		return 2
 	}
@@ -87,7 +87,7 @@ func cmdRun(args []string) int {
 		return 2
 	}
 	return withProfiles(*cpuProfile, *memProfile, func() error {
-		return runScenario(fs.Arg(0), *repeat)
+		return runScenario(paths[0], *repeat)
 	})
 }
 
@@ -110,12 +110,12 @@ func cmdCheck(args []string) int {
 func cmdSweep(args []string) int {
 	fs := flag.NewFlagSet("buzzsim sweep", flag.ExitOnError)
 	seed := fs.Uint64("seed", 0, "override the spec's seed (0 keeps the spec's own)")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
+	paths := parseInterspersed(fs, args)
+	if len(paths) != 1 {
 		fmt.Fprintln(os.Stderr, "buzzsim: usage: buzzsim sweep <spec.json> [-seed N]")
 		return 2
 	}
-	spec, err := scenario.Load(fs.Arg(0))
+	spec, err := scenario.Load(paths[0])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "buzzsim: %v\n", err)
 		return 1
@@ -130,6 +130,27 @@ func cmdSweep(args []string) int {
 	}
 	fmt.Print(rep.Render())
 	return 0
+}
+
+// parseInterspersed parses args with fs, accepting flags both before
+// and after the positional arguments (the flag package alone stops at
+// the first non-flag), and returns the positional arguments in order.
+// A bare "--" ends flag parsing as usual: everything after it is
+// positional.
+func parseInterspersed(fs *flag.FlagSet, args []string) []string {
+	var pos []string
+	for {
+		fs.Parse(args)
+		rest := fs.Args()
+		if len(rest) == 0 {
+			return pos
+		}
+		if len(rest) < len(args) && args[len(args)-len(rest)-1] == "--" {
+			return append(pos, rest...)
+		}
+		pos = append(pos, rest[0])
+		args = rest[1:]
+	}
 }
 
 // sessionMain is the subcommand-free interface: one ad-hoc session

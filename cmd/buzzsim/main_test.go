@@ -199,3 +199,42 @@ func TestSubcommandSweep(t *testing.T) {
 		t.Fatalf("sweep with no spec path: exit %d, stderr %q", code, stderr)
 	}
 }
+
+// TestSubcommandFlagOrder pins that `run` and `sweep` take their flags
+// on either side of the spec path, as their usage lines print them:
+// both orders give byte-identical output, and a second path is still a
+// usage error (exit 2), whichever side of the flags it stands.
+func TestSubcommandFlagOrder(t *testing.T) {
+	runSpec := writeSpec(t, `{"k": 2, "trials": 1, "seed": 7}`)
+	sweepSpec := writeSpec(t, sweepTestSpec)
+	for _, tc := range []struct {
+		cmd, path, flag, value string
+	}{
+		{"run", runSpec, "-repeat", "2"},
+		{"sweep", sweepSpec, "-seed", "777"},
+	} {
+		code, before, stderr := runBuzzsimFull(t, tc.cmd, tc.flag, tc.value, tc.path)
+		if code != 0 {
+			t.Fatalf("%s %s %s <spec>: exit %d, stderr %q", tc.cmd, tc.flag, tc.value, code, stderr)
+		}
+		code, after, stderr := runBuzzsimFull(t, tc.cmd, tc.path, tc.flag, tc.value)
+		if code != 0 {
+			t.Fatalf("%s <spec> %s %s: exit %d, stderr %q", tc.cmd, tc.flag, tc.value, code, stderr)
+		}
+		if before != after {
+			t.Fatalf("%s: flags before and after the spec path differ:\nbefore:\n%s\nafter:\n%s", tc.cmd, before, after)
+		}
+		for _, args := range [][]string{
+			{tc.cmd, tc.path, tc.flag, tc.value, tc.path},
+			{tc.cmd, tc.path, tc.path, tc.flag, tc.value},
+			{tc.cmd, tc.flag, tc.value, tc.path, "--", tc.path},
+		} {
+			if code, stderr := runBuzzsim(t, args...); code != 2 || !strings.Contains(stderr, "usage") {
+				t.Fatalf("buzzsim %v: exit %d, stderr %q; want exit 2 with usage", args, code, stderr)
+			}
+		}
+	}
+	if code, stdout, _ := runBuzzsimFull(t, "run", runSpec, "-repeat", "2"); code != 0 || strings.Count(stdout, "scenario ") != 2 {
+		t.Fatalf("run <spec> -repeat 2: exit %d, %d scenario headers, want 2:\n%s", code, strings.Count(stdout, "scenario "), stdout)
+	}
+}

@@ -169,3 +169,83 @@ func TestSessionLockGrowSteadyStateAllocationFree(t *testing.T) {
 		t.Fatalf("measured cycles neither grew nor locked: K %d, %d active", k, len(s.g.activeTags))
 	}
 }
+
+// warmGramSession returns a session whose next DecodeSlot runs on the
+// Gram path with locked tags sharing its active rows, and a cycle that
+// moves every tap (RetapAll invalidates every position, so each is
+// re-derived in Gram space from the matched-filter state, with the
+// locked tags' columns entering B) and decodes one slot.
+func warmGramSession(t *testing.T) (s *Session, locked []bool, cycle func()) {
+	t.Helper()
+	const (
+		k        = 10
+		frameLen = 8
+		l        = 40
+		restarts = 2
+		base     = 0x6A5
+	)
+	src := prng.NewSource(0x6A50)
+	taps := randomTaps(k, src)
+	rows, obss := scriptSlots(k, frameLen, l, 0x6A51)
+	s = NewSession()
+	t.Cleanup(s.Close)
+	s.Begin(k, frameLen, l, 1, restarts, taps)
+	s.InitPositions(randomEstimates(k, frameLen, src))
+	for i := range rows {
+		s.AppendSlot(rows[i], obss[i])
+	}
+	locked = make([]bool, k)
+	locked[1], locked[4] = true, true
+	minMargin := make([]float64, k)
+	ambiguous := make([]bool, k)
+	cur := append([]complex128(nil), taps...)
+	slot := l
+	cycle = func() {
+		for i := range cur {
+			cur[i] *= complex(0.9999, 0.001)
+		}
+		s.RetapAll(cur)
+		s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
+		slot++
+	}
+	cycle()
+	if !s.gramOn || len(s.gramLocked) == 0 {
+		t.Fatalf("slot ran on the Gram path %v with %d locked tags in active rows, want the Gram path with some", s.gramOn, len(s.gramLocked))
+	}
+	lockedSet := 0
+	for p := 0; p < frameLen; p++ {
+		for _, l := range s.gramLocked {
+			if s.PosBits(p)[l] {
+				lockedSet++
+			}
+		}
+	}
+	if lockedSet == 0 || s.g.deactivated[2] || s.Degree(2) == 0 {
+		t.Fatalf("%d locked set bits enter B; tag 2 locked %v, degree %d: want some, an unlocked tag with rows", lockedSet, s.g.deactivated[2], s.Degree(2))
+	}
+	return s, locked, cycle
+}
+
+// TestGramSlotDecodeAllocationFree pins a warm Gram slot, locked
+// columns and all, to zero heap allocations.
+func TestGramSlotDecodeAllocationFree(t *testing.T) {
+	_, _, cycle := warmGramSession(t)
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("warm Gram slot allocates %v times per slot, want 0", allocs)
+	}
+}
+
+// TestConditionalMarginGramAllocationFree covers the acceptance gate on
+// a Gram slot (conditionalMarginGram): after a warm DecodeSlot, every
+// position's gate score for an unlocked tag runs allocation-free.
+func TestConditionalMarginGramAllocationFree(t *testing.T) {
+	s, locked, _ := warmGramSession(t)
+	gate := func() {
+		for p := 0; p < s.frameLen; p++ {
+			s.ConditionalMargin(p, 2, locked)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, gate); allocs != 0 {
+		t.Fatalf("Gram-path ConditionalMargin allocates %v times per sweep, want 0", allocs)
+	}
+}

@@ -105,18 +105,22 @@ type Session struct {
 	// Gram-space passes, staged by prepareGram once per slot and only
 	// read by the position workers and the slot's acceptance gate
 	// (ConditionalMargin). gramOn reports that this slot's
-	// restarts run in Gram space (gramRule); gram is the active tags'
-	// Ka×Ka Gram N_ab, gathered from cooc and indexed by rank in
-	// activeTags; gramTap and gramWPow are the ranked tags' taps and
-	// |h|²·w constants; gramLocked lists (ascending) the locked tags that
-	// share a live row with an active tag, the only locked tags whose
-	// taps enter B (gramInput).
-	gramOn     bool
-	gram       []float64
-	gramTap    []complex128
-	gramWPow   []float64
-	gramLocked []int
-	gramMark   []bool
+	// restarts run in Gram space (gramRule). Ranks index activeTags:
+	// gramNH[x·Ka+y] = N_xy·h_x, the active tags' Ka×Ka Gram (gathered
+	// from cooc) scaled by the row rank's tap, which is every product a
+	// Gram pass subtracts; gramTap and gramWPow are the ranked tags' taps
+	// and |h|²·w constants. gramLocked lists (ascending) the locked tags
+	// that share a live row with an active tag, the only locked tags
+	// whose taps enter B (gramInput); gramLockCol[j·Ka+x] = N_{x,l}·h_l
+	// for l = gramLocked[j], and gramLockNZ marks its nonzero counts.
+	gramOn      bool
+	gramNH      []complex128
+	gramTap     []complex128
+	gramWPow    []float64
+	gramLocked  []int
+	gramMark    []bool
+	gramLockCol []complex128
+	gramLockNZ  []bool
 
 	// posBits[p·K+i] is tag i's bit at position p in the current joint
 	// decode — the init of the next slot's descent and the frame source
@@ -238,18 +242,19 @@ type workerState struct {
 
 	// Gram-space workspace, indexed by active-tag rank (see
 	// Session.prepareGram): gB is the position's matched-filter output
-	// B = Wᴴ·(y − locked set-bit taps) (gramInput), lockSet the locked
-	// tags whose bit it sets; gS, gGain, gSign, gBits and gMask are one
-	// pass's S = B − N·m, gains, flip signs, bits and masked taps m;
-	// gPins lists the ranks a gate descent holds fixed.
+	// B = Wᴴ·(y − locked set-bit taps) (gramInput); gS, gGain, gSign and
+	// gBits are one pass's S = B − N·m, gains, flip signs and bits; gSet
+	// lists the ranks gramError sums over; gPins lists the ranks a gate
+	// descent holds fixed; passKey[q] is pass q's final active bits, bit
+	// x for rank x, which fits since Ka ≤ gramMaxKa = 64 (restartsGram).
 	gB      []complex128
-	lockSet []int
 	gS      []complex128
 	gGain   []float64
 	gSign   []float64
 	gBits   []bool
-	gMask   []complex128
+	gSet    []int
 	gPins   []int
+	passKey []uint64
 }
 
 // shape sizes the worker state for k tags, maxSlots symbols and the
@@ -274,22 +279,22 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 	w.passErr = growFloats(w.passErr, passes)
 	w.pin = growBools(w.pin, k)
 	w.gB = growComplex(w.gB, k)
-	w.lockSet = growInts(w.lockSet, k)
 	w.gS = growComplex(w.gS, k)
 	w.gGain = growFloats(w.gGain, k)
 	w.gSign = growFloats(w.gSign, k)
 	w.gBits = growBools(w.gBits, k)
-	w.gMask = growComplex(w.gMask, k)
+	w.gSet = growInts(w.gSet, k)
 	w.gPins = growInts(w.gPins, k)
+	w.passKey = growUint64s(w.passKey, passes)
 }
 
 // shapeGram sizes the session's Gram buffers for a transfer of k tags,
 // reusing capacity: gramRule admits at most min(k, gramMaxKa) active
-// tags, so a reserved session's prepareGram re-slices without
-// allocating.
+// tags, so a reserved session's prepareGram re-slices the Gram table
+// without allocating.
 func (s *Session) shapeGram(k int) {
 	ka := min(k, gramMaxKa)
-	s.gram = growFloats(s.gram, ka*ka)
+	s.gramNH = growComplex(s.gramNH, ka*ka)
 	s.gramTap = growComplex(s.gramTap, ka)
 	s.gramWPow = growFloats(s.gramWPow, ka)
 	s.gramLocked = growInts(s.gramLocked, k)[:0]
@@ -318,41 +323,41 @@ func (s *Session) shapeMatchedFilter(prevK, k, frameLen int) {
 // gramInput sets gB to position p's matched-filter output over the
 // ranked active tags, from the session's matched-filter state at the
 // position's bits b: B_a = mf_a − Σ_l C_al·h_l over the locked tags l
-// whose bit b sets, summed in ascending l. Only locked bits enter, and
-// they never change within a slot, so B serves every pass of the
-// position; only the locked tags that share a row with an active tag
-// (gramLocked) can have C_al ≠ 0. O(Ka·locked), whatever the row
-// count.
+// whose bit b sets, summed in ascending l and skipping zero counts.
+// Only locked bits enter, and they never change within a slot, so B
+// serves every pass of the position; only the locked tags that share a
+// row with an active tag (gramLocked) can have C_al ≠ 0, and
+// prepareGram has staged their C_al·h_l columns. O(Ka·locked), whatever
+// the row count.
 func (w *workerState) gramInput(s *Session, p int, b bits.Vector) {
-	g := &s.g
-	lk := w.lockSet[:0]
-	for _, l := range s.gramLocked {
-		if b[l] {
-			lk = append(lk, l)
-		}
+	act := s.g.activeTags
+	ka := len(act)
+	B := w.gB[:ka]
+	mf := s.mf[p*s.kStride : p*s.kStride+s.k]
+	for x, a := range act {
+		B[x] = mf[a]
 	}
-	stride := s.kStride
-	mf := s.mf[p*stride : p*stride+s.k]
-	for x, a := range g.activeTags {
-		v := mf[a]
-		row := s.cooc[a*stride : a*stride+s.k]
-		for _, l := range lk {
-			if c := float64(row[l]); c != 0 {
-				h := g.taps[l]
-				v -= complex(c*real(h), c*imag(h))
+	for j, l := range s.gramLocked {
+		if !b[l] {
+			continue
+		}
+		nz := s.gramLockNZ[j*ka : (j+1)*ka]
+		for x, v := range s.gramLockCol[j*ka : (j+1)*ka] {
+			if nz[x] {
+				B[x] -= v
 			}
 		}
-		w.gB[x] = v
 	}
 }
 
 // gramStart sets one pass's Gram state at the bits in b (active
-// entries): S = B − N·m with m_a = h_a on the set bits, the flip signs,
-// the gains and the ranked bits, in O(Ka²).
+// entries): S = B − N·m with m_a = h_a on the set bits (gramNH's rows
+// of the set ranks), the flip signs, the gains and the ranked bits, in
+// O(Ka²).
 func (w *workerState) gramStart(s *Session, b bits.Vector) {
 	act := s.g.activeTags
 	ka := len(act)
-	n, h, wp := s.gram, s.gramTap, s.gramWPow
+	nh, h, wp := s.gramNH, s.gramTap, s.gramWPow
 	S, gain := w.gS[:ka], w.gGain[:ka]
 	sign, lb := w.gSign[:ka], w.gBits[:ka]
 	copy(S, w.gB[:ka])
@@ -363,10 +368,8 @@ func (w *workerState) gramStart(s *Session, b bits.Vector) {
 			continue
 		}
 		sign[x] = -1
-		hx := h[x]
-		col := n[x*ka : (x+1)*ka]
-		for y, c := range col {
-			S[y] -= complex(c*real(hx), c*imag(hx))
+		for y, v := range nh[x*ka : (x+1)*ka] {
+			S[y] -= v
 		}
 	}
 	for y := range gain {
@@ -377,47 +380,51 @@ func (w *workerState) gramStart(s *Session, b bits.Vector) {
 // gramDescend runs one pass's descent in Gram space from the bits in b
 // (active entries), leaving the local optimum's bits there, and returns
 // the flip count. It is descentState.descend over S = B − N·m: the same
-// gains, scan order, eps and flip cap, with a flip of tag a updating S
-// along N's column a in O(Ka) instead of walking a's rows. The ranks in
+// gains, scan order, eps and flip cap, with a flip of rank x moving S
+// by gramNH's row x (subtracted when the bit is set, added when it is
+// cleared) in O(Ka) instead of walking x's rows, and the next flip's
+// argmax taken in the same loop that refreshes the gains. The ranks in
 // pins never flip: their gains are held at −∞ (the decode passes nil;
-// the acceptance gate pins its forced bit and the caller's locks).
+// the acceptance gate pins its forced bit and the caller's locks), so a
+// pinned descent rescans after the hold.
 func (w *workerState) gramDescend(s *Session, b bits.Vector, maxFlips int, pins []int) int {
 	w.gramStart(s, b)
 	act := s.g.activeTags
 	ka := len(act)
-	n, h, wp := s.gram, s.gramTap, s.gramWPow
+	nh, h, wp := s.gramNH, s.gramTap, s.gramWPow
 	S, gain := w.gS[:ka], w.gGain[:ka]
 	sign, lb := w.gSign[:ka], w.gBits[:ka]
 	for _, x := range pins {
 		gain[x] = math.Inf(-1)
 	}
+	best := argmaxAbove(gain, s.eps)
 	flips := 0
-	for flips < maxFlips {
-		best, bestG := -1, s.eps
-		for y, gv := range gain {
+	for ; flips < maxFlips && best >= 0; flips++ {
+		set := !lb[best]
+		lb[best] = set
+		sign[best] = -sign[best]
+		row := nh[best*ka : (best+1)*ka]
+		best = -1
+		bestG := s.eps
+		for y, v := range row {
+			if set {
+				S[y] -= v
+			} else {
+				S[y] += v
+			}
+			gv := 2*(real(h[y])*real(S[y])+imag(h[y])*imag(S[y]))*sign[y] - wp[y]
+			gain[y] = gv
 			if gv > bestG {
 				bestG = gv
 				best = y
 			}
 		}
-		if best < 0 {
-			break
+		if len(pins) > 0 {
+			for _, x := range pins {
+				gain[x] = math.Inf(-1)
+			}
+			best = argmaxAbove(gain, s.eps)
 		}
-		d := h[best]
-		if lb[best] {
-			d = -d
-		}
-		lb[best] = !lb[best]
-		sign[best] = -sign[best]
-		col := n[best*ka : (best+1)*ka]
-		for y, c := range col {
-			S[y] -= complex(c*real(d), c*imag(d))
-			gain[y] = 2*(real(h[y])*real(S[y])+imag(h[y])*imag(S[y]))*sign[y] - wp[y]
-		}
-		for _, x := range pins {
-			gain[x] = math.Inf(-1)
-		}
-		flips++
 	}
 	for x, i := range act {
 		b[i] = lb[x]
@@ -425,11 +432,24 @@ func (w *workerState) gramDescend(s *Session, b bits.Vector, maxFlips int, pins 
 	return flips
 }
 
-// gramWrite installs the Gram state at bits b (active entries) as the
-// position state's S-sums, flip signs and gains — the same gain formula
-// as gainOf, on S = B − N·m. The residual is not touched.
-func (w *workerState) gramWrite(s *Session, st *descentState, b bits.Vector) {
-	w.gramStart(s, b)
+// argmaxAbove returns the first index of the largest gain above eps,
+// or −1 when none is: the descent's (gain desc, index asc) scan.
+func argmaxAbove(gain []float64, eps float64) int {
+	best, bestG := -1, eps
+	for y, gv := range gain {
+		if gv > bestG {
+			bestG = gv
+			best = y
+		}
+	}
+	return best
+}
+
+// gramInstall installs the workspace's Gram state (gramStart's, or a
+// descent's) as the position state's S-sums, flip signs and gains — the
+// same gain formula as gainOf, on S = B − N·m. The residual is not
+// touched.
+func (w *workerState) gramInstall(s *Session, st *descentState) {
 	for x, i := range s.g.activeTags {
 		st.sum[i] = w.gS[x]
 		st.bSign[i] = w.gSign[x]
@@ -439,33 +459,34 @@ func (w *workerState) gramWrite(s *Session, st *descentState, b bits.Vector) {
 
 // gramError returns the active rows' ‖r‖² at bits b (active entries) in
 // Gram form, less the constant E0 = ‖base‖² over the active rows:
-// −Re(mᴴ(2B − N·m)). Every reader compares errors within one position
-// (adoption, the ambiguity gaps), where E0 cancels. It is evaluated
-// from the bits alone, in a fixed order, so two passes that end on the
-// same bits score exactly the same.
+// −Re(mᴴ(2B − N·m)), summed over the set ranks in ascending order: an
+// unset rank's terms are exact zeros, and so are a set rank's whose tap
+// is exactly zero (adding a zero never changes the sum, which is never
+// −0), so neither changes a bit of the result. Every reader compares
+// errors within one position (adoption, the ambiguity gaps), where E0
+// cancels. It is a pure function of the bits, evaluated in a fixed
+// order, so two passes that end on the same bits score exactly the
+// same. The counts are symmetric integers, so gramNH[y·Ka+x] = N_xy·h_y
+// exactly.
 func (w *workerState) gramError(s *Session, b bits.Vector) float64 {
 	act := s.g.activeTags
 	ka := len(act)
-	n, h := s.gram, s.gramTap
-	m := w.gMask[:ka]
+	nh, h := s.gramNH, s.gramTap
+	set, n := w.gSet[:ka], 0
 	for x, i := range act {
+		set[n] = x
 		if b[i] {
-			m[x] = h[x]
-		} else {
-			m[x] = 0
+			n++
 		}
 	}
+	set = set[:n]
 	acc := 0.0
-	for x, mx := range m {
-		if mx == 0 {
-			continue
-		}
+	for _, x := range set {
 		t := 2 * w.gB[x]
-		col := n[x*ka : (x+1)*ka]
-		for y, c := range col {
-			t -= complex(c*real(m[y]), c*imag(m[y]))
+		for _, y := range set {
+			t -= nh[y*ka+x]
 		}
-		acc += real(mx)*real(t) + imag(mx)*imag(t)
+		acc += real(h[x])*real(t) + imag(h[x])*imag(t)
 	}
 	return -acc
 }
@@ -1344,8 +1365,11 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 }
 
 // gramMaxKa caps the active tag count of a Gram-path slot. Begin and
-// Reserve size the Gram storage for min(K, gramMaxKa)² entries up front
-// (shapeGram), so a reserved session never allocates in prepareGram.
+// Reserve size the Gram table for min(K, gramMaxKa)² entries up front
+// (shapeGram); the locked-column table grows in prepareGram to the
+// largest Ka × (locked tags sharing an active row) the session has met
+// and keeps that capacity, so sizing it up front at a reserved tag cap
+// would cost most sessions far more than they use.
 const gramMaxKa = 64
 
 // gramRule reports whether a slot with ka active tags over nnz active
@@ -1363,11 +1387,14 @@ func gramRule(ka, nnz int) bool { return ka <= gramMaxKa && ka*ka < nnz }
 // rows appended since the last Gram slot into the matched-filter state
 // (foldRows), then gathers the ranked active tags' taps, |h|²·w
 // constants and Gram N_ab (the rows a and b share) from the session's
-// co-occurrence counts in O(Ka²), and lists the locked tags that share
-// an active row (gramLocked) in O(active rows' colliders). A row
-// holding an active tag is an active row, so the live-row Gram
-// restricted to the active tags is the active rows' Gram; its entries
-// are integer counts, so the gather is exact.
+// co-occurrence counts, each row scaled by its rank's tap (gramNH), in
+// O(Ka²); it lists the locked tags that share an active row
+// (gramLocked) in O(active rows' colliders) and stages their columns
+// N_al·h_l (gramLockCol) in O(Ka·locked). A row holding an active tag
+// is an active row, so the live-row Gram restricted to the active tags
+// is the active rows' Gram; its entries are integer counts, so the
+// gather is exact, and every product a pass subtracts is formed once
+// per slot, as the passes formed it.
 //
 // Why it suffices: with m_a = h_a where a's bit is set and 0 elsewhere,
 // a pass's residual over the active rows is r = base − W·m, base being y
@@ -1387,16 +1414,13 @@ func (s *Session) prepareGram() {
 	ka := len(act)
 	s.gramTap = growComplex(s.gramTap, ka)
 	s.gramWPow = growFloats(s.gramWPow, ka)
-	n := growFloats(s.gram, ka*ka)
-	s.gram = n
+	nh := growComplex(s.gramNH, ka*ka)
+	s.gramNH = nh
 	for x, a := range act {
-		s.gramTap[x] = g.taps[a]
+		h := g.taps[a]
+		s.gramTap[x] = h
 		s.gramWPow[x] = g.wPow[a]
-		src := s.cooc[a*s.kStride:]
-		dst := n[x*ka : (x+1)*ka]
-		for y, b := range act {
-			dst[y] = float64(src[b])
-		}
+		gramColumn(nh[x*ka:(x+1)*ka], nil, s.cooc[a*s.kStride:], act, h)
 	}
 	mark := s.gramMark[:g.K]
 	lk := s.gramLocked[:0]
@@ -1413,6 +1437,25 @@ func (s *Session) prepareGram() {
 		mark[l] = false
 	}
 	s.gramLocked = lk
+	s.gramLockCol = growComplex(s.gramLockCol, len(lk)*ka)
+	s.gramLockNZ = growBools(s.gramLockNZ, len(lk)*ka)
+	for j, l := range lk {
+		gramColumn(s.gramLockCol[j*ka:(j+1)*ka], s.gramLockNZ[j*ka:(j+1)*ka], s.cooc[l*s.kStride:], act, g.taps[l])
+	}
+}
+
+// gramColumn sets dst[x] = c·h, componentwise, with c the count
+// counts[act[x]], and nz[x] (when nz is not nil) to whether c is
+// nonzero: one row of gramNH, or one locked tag's gramLockCol column
+// (the counts are symmetric, so a row of cooc serves as its column).
+func gramColumn(dst []complex128, nz []bool, counts []int32, act []int, h complex128) {
+	for x, a := range act {
+		c := float64(counts[a])
+		dst[x] = complex(c*real(h), c*imag(h))
+		if nz != nil {
+			nz[x] = c != 0
+		}
+	}
 }
 
 // finishSlot completes DecodeSlot after the position fan-out: it marks
@@ -1516,8 +1559,17 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 	if s.gramOn {
 		ws.gramInput(s, p, myBits)
 	}
+	// installed reports that the position state already holds the Gram
+	// state at its bits: a flip-free pass 0 ends on gramStart's state at
+	// the position's bits, exactly what a re-derive would compute, so it
+	// is installed before the restarts reuse the workspace.
+	installed := false
 	if inGram {
 		cFlips = uint64(ws.gramDescend(s, myBits, 64*(g.K+1)*(g.L+1), nil))
+		if cFlips == 0 {
+			ws.gramInstall(s, st)
+			installed = true
+		}
 	} else {
 		if stale {
 			s.rebuildPosition(p, st, ws, myBits, locked)
@@ -1570,7 +1622,10 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 			myBits[i] = bhat[i]
 		}
 		if inGram {
-			ws.gramWrite(s, st, myBits)
+			if !installed || bestPass > 0 {
+				ws.gramStart(s, myBits)
+				ws.gramInstall(s, st)
+			}
 			s.resStale[p] = true
 		}
 	} else if s.restarts > 0 {
@@ -1623,11 +1678,21 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 // prepareGram) after its pass-0 descent, filling the pass blocks 1… of
 // allBits and passErr; passErr[0] holds pass 0's gramError. Each pass
 // descends from fresh random bits over the B staged by gramInput and is
-// scored by gramError. It returns the restarts' flips and the best pass
-// (0 when none beat pass 0); adoption is the caller's.
+// scored by gramError, once per distinct final bit pattern: gramError
+// is a pure function of the bits, so a pass that ends where an earlier
+// one did (most restarts end on pass 0's bits) takes that pass's error.
+// It returns the restarts' flips and the best pass (0 when none beat
+// pass 0); adoption is the caller's.
 func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr []float64) (flips uint64, bestPass int) {
 	g := &s.g
 	active := g.activeTags
+	keys := ws.passKey[:len(passErr)]
+	keys[0] = 0
+	for x, i := range active {
+		if allBits[i] {
+			keys[0] |= 1 << uint(x)
+		}
+	}
 	ws.src.Reseed(prng.Mix3(s.curBase, uint64(s.curSlot), uint64(p)))
 	best := passErr[0]
 	maxFlips := 64 * (g.K + 1) * (g.L + 1)
@@ -1635,7 +1700,20 @@ func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr [
 		bhat := bits.Vector(allBits[pass*s.k : (pass+1)*s.k])
 		randomBitsInto(&ws.src, bhat, active)
 		flips += uint64(ws.gramDescend(s, bhat, maxFlips, nil))
-		errV := ws.gramError(s, bhat)
+		key := uint64(0)
+		for x, v := range ws.gBits[:len(active)] {
+			if v {
+				key |= 1 << uint(x)
+			}
+		}
+		keys[pass] = key
+		q := slices.Index(keys[:pass], key)
+		var errV float64
+		if q >= 0 {
+			errV = passErr[q]
+		} else {
+			errV = ws.gramError(s, bhat)
+		}
 		passErr[pass] = errV
 		if errV < best {
 			best = errV
@@ -1801,6 +1879,13 @@ func growComplex(buf []complex128, n int) []complex128 {
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n, scratch.CeilPow2(n))
+	}
+	return buf[:n]
+}
+
+func growUint64s(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n, scratch.CeilPow2(n))
 	}
 	return buf[:n]
 }

@@ -267,7 +267,20 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 			}
 			row, obs := drv.slot()
 			s.AppendSlot(row, obs)
-			s.DecodeSlot(g.L, locked, seed, minMargin, ambiguous)
+			if par == 1 {
+				// DecodeSlot's serial schedule, checking each position's
+				// restarts while the worker holds them: every pass's
+				// recorded error, reused or not, is gramError of its
+				// final bits.
+				decodeSlotChecked(s, g.L, locked, seed, minMargin, ambiguous, func(p int, ws *workerState) {
+					s.cond.gramInput(s, p, s.PosBits(p))
+					if bad := passErrsMatch(s, ws, func(b bits.Vector) float64 { return s.cond.gramError(s, b) }); bad >= 0 {
+						t.Fatalf("position %d pass %d: recorded error %v is not gramError of its bits", p, bad, ws.passErr[bad])
+					}
+				})
+			} else {
+				s.DecodeSlot(g.L, locked, seed, minMargin, ambiguous)
+			}
 			check()
 			out = append(out, minMargin...)
 			for i, a := range ambiguous {
@@ -301,9 +314,11 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 // matched-filter outputs and co-occurrence Gram must match a recount
 // over the live rows (checkMatchedFilter), and on a Gram slot the
 // acceptance gate's Gram and row paths must agree on every unlocked
-// tag's conditional margin and bits (checkGateGramMatchesRows); and
-// Parallelism 1 and 2 must emit identical margins, ambiguity flags,
-// bits and errors.
+// tag's conditional margin and bits (checkGateGramMatchesRows), and
+// each restart's recorded error must equal gramError of its final bits
+// (checked on the serial replay, which runs DecodeSlot's serial
+// schedule through decodeSlotChecked); and Parallelism 1 and 2 must
+// emit identical margins, ambiguity flags, bits and errors.
 func FuzzSessionSlot(f *testing.F) {
 	f.Add(uint8(8), uint8(3), uint64(1), []byte{0, 0, 0, 12, 0, 0, 0x24, 0, 0, 5, 0, 6, 0, 7, 0, 0xF, 0})
 	f.Add(uint8(11), uint8(4), uint64(42), []byte{0, 1, 2, 4, 12, 20, 28, 36, 0, 0, 0, 0, 0, 0x1E, 0, 0x35, 0, 0, 0x47, 0})
