@@ -226,12 +226,88 @@ func warmGramSession(t *testing.T) (s *Session, locked []bool, cycle func()) {
 	return s, locked, cycle
 }
 
-// TestGramSlotDecodeAllocationFree pins a warm Gram slot, locked
-// columns and all, to zero heap allocations.
+// gramThenRowCycle returns a cycle that runs one short transfer on a
+// session warmed by a first run of it: a Gram slot, then a row slot
+// with nothing but a new row and new locks between them. The Gram slot
+// keeps no row state, so the row slot rebuilds every position. Four
+// heavy tags sit in most rows and six light tags in few; locking the
+// heavy ones for the second slot leaves the light ones active over too
+// few rows for the Gram (gramRule), which is what flips the slot's kind.
+func gramThenRowCycle(t *testing.T) func() {
+	t.Helper()
+	const (
+		k        = 10
+		heavy    = 4
+		frameLen = 8
+		l        = 40
+		restarts = 2
+		base     = 0x6A6
+	)
+	src := prng.NewSource(0x6A60)
+	taps := randomTaps(k, src)
+	est := randomEstimates(k, frameLen, src)
+	rows := make([]bits.Vector, l+1)
+	obss := make([][]complex128, l+1)
+	for r := range rows {
+		rows[r] = make(bits.Vector, k)
+		for i := range rows[r] {
+			q := 0.1
+			if i < heavy {
+				q = 0.9
+			}
+			rows[r][i] = src.Bernoulli(q)
+		}
+		rows[r][r%heavy] = true
+		obss[r] = make([]complex128, frameLen)
+		for p := range obss[r] {
+			obss[r][p] = src.ComplexNorm()
+		}
+	}
+	s := NewSession()
+	t.Cleanup(s.Close)
+	unlocked := make([]bool, k)
+	locked := make([]bool, k)
+	for i := 0; i < heavy; i++ {
+		locked[i] = true
+	}
+	minMargin := make([]float64, k)
+	ambiguous := make([]bool, k)
+	var kinds [2]bool
+	cycle := func() {
+		s.Begin(k, frameLen, l+1, 1, restarts, taps)
+		s.InitPositions(est)
+		for r := 0; r < l; r++ {
+			s.AppendSlot(rows[r], obss[r])
+		}
+		s.DecodeSlot(l, unlocked, base, minMargin, ambiguous)
+		kinds[0] = s.gramOn
+		s.AppendSlot(rows[l], obss[l])
+		s.DecodeSlot(l+1, locked, base, minMargin, ambiguous)
+		kinds[1] = s.gramOn
+	}
+	cycle()
+	if !kinds[0] || kinds[1] || !s.stateValid {
+		t.Fatalf("slots ran on the Gram path %v, then %v (row state current %v); want a Gram slot, then a row slot that leaves it current", kinds[0], kinds[1], s.stateValid)
+	}
+	return cycle
+}
+
+// TestGramSlotDecodeAllocationFree pins to zero heap allocations a warm
+// Gram slot, locked columns and all, and a row slot right after a Gram
+// slot, which rebuilds every position's row state.
 func TestGramSlotDecodeAllocationFree(t *testing.T) {
-	_, _, cycle := warmGramSession(t)
-	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-		t.Fatalf("warm Gram slot allocates %v times per slot, want 0", allocs)
+	_, _, gram := warmGramSession(t)
+	inputs := []struct {
+		name  string
+		cycle func()
+	}{
+		{"gram-slot", gram},
+		{"row-slot-after-gram-slot", gramThenRowCycle(t)},
+	}
+	for _, in := range inputs {
+		if allocs := testing.AllocsPerRun(50, in.cycle); allocs != 0 {
+			t.Errorf("%s: warm cycle allocates %v times, want 0", in.name, allocs)
+		}
 	}
 }
 

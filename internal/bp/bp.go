@@ -647,9 +647,7 @@ func (st *descentState) gainOf(g *Graph, i int) float64 {
 // where b sets a bit curBits clears, −h_i where it clears one curBits
 // sets, and 0 elsewhere. Each row's entry is finished and immediately
 // scattered into the S-sums of the row's active tags. It starts every
-// restart pass on the row path, and on the Gram path (see
-// Session.prepareGram) it materializes the one restart a position
-// adopts, from that pass's final bits.
+// restart pass on the row path.
 //
 // Callers must guarantee that the graph's deactivated set equals the
 // locked set (the Session maintains exactly that invariant), that b and

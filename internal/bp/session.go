@@ -15,9 +15,9 @@ import (
 // Session is the incremental cross-slot decoder state of one rateless
 // transfer: the decoding graph; the matched-filter outputs and
 // co-occurrence Gram, which depend on the rows and observations but not
-// on the taps; and, for every bit position of the frame, the per-tag
-// residual sums, gain table and current joint decode, with a residual
-// kept current where the row path reads it. Where the naive loop rebuilt
+// on the taps; and, for every bit position of the frame, the current
+// joint decode and gain table, with the residual and per-tag residual
+// sums the row path descends on. Where the naive loop rebuilt
 // all of that from scratch every slot — O(L·K·density) per position — a
 // Session folds a new collision row into each position in O(colliders)
 // and lets the descent continue from where the previous slot left it.
@@ -53,29 +53,24 @@ type Session struct {
 	ys        [][]complex128
 	ysBacking []complex128
 
-	// states[p] is position p's cached descent state — the active tags'
-	// S-sums, gains and flip signs at the position's current bits, and,
-	// unless resStale[p], the residual y_p − D·H·b_p on the active rows —
-	// and the one per-position array every pass starts from. A row-path
-	// pass 0 continues the descent on the residual; a row-path restart
-	// changes only active tags' bits, so it starts from the residual plus
-	// those bits' tap differences on the active rows, O(active nnz)
-	// (buildFrom). A Gram-path pass reads the matched-filter outputs
-	// instead (gramInput) and needs no residual at all: a position whose
-	// state is invalid on a Gram slot is decoded from its bits, gets its
-	// S-sums, signs and gains from S = B − N·m, and is marked resStale.
-	// Only row slots (their decode and acceptance gate) and PosError read
-	// the residual: a row slot's decode rebuilds a stale one, so none is
-	// stale after a row slot, and PosError rebuilds it on demand
-	// (materialize); a Gram slot's gate reads the matched-filter state
-	// (ConditionalMargin). The residual is maintained on
-	// the active rows only: a rebuild on the sparse shape writes nothing
-	// else (see rebuildPosition), and an entry left behind when its row
-	// froze is never read again (rows never reactivate). Residuals live
-	// in resBacking stripes, sums/gains/signs/dirty-lists in the flat
-	// blocks below.
+	// states[p] is position p's cached descent state. The slot's kind
+	// (gramRule) decides what it holds after the decode. A row slot
+	// keeps the row state: the residual y_p − D·H·b_p on the active
+	// rows, the active tags' S-sums, flip signs and gains, all at the
+	// position's bits. A Gram slot decodes every position from the
+	// matched-filter state and writes only the active tags' gains, the
+	// one entry finishSlot's margin merge reads. The row state is
+	// therefore current exactly when stateValid is set (see there). A
+	// row-path pass 0 continues the descent on a current residual; a
+	// row-path restart changes only active tags' bits, so it starts from
+	// the residual plus those bits' tap differences on the active rows,
+	// O(active nnz) (buildFrom). The residual is maintained on the active
+	// rows only: a rebuild on the sparse shape writes nothing else (see
+	// rebuildPosition), and an entry left behind when its row froze is
+	// never read again (rows never reactivate). Residuals live in
+	// resBacking stripes, sums/gains/signs/dirty-lists in the flat blocks
+	// below.
 	states         []descentState
-	resStale       []bool
 	resBacking     []complex128
 	sumBacking     []complex128
 	gainBacking    []float64
@@ -129,22 +124,22 @@ type Session struct {
 	// ambiguous caches each position's post-decode restart-tie flags
 	// (active tags' entries only — a locked tag is never marked). Errors
 	// and margins need no cache: the merge reads margins straight off the
-	// per-position gain tables, and PosError reads the residual.
+	// per-position gain tables, and PosError reads or builds the residual.
 	ambiguous []bool
 
 	// wstates[w] is worker w's private restart workspace (serial decode
-	// uses wstates[0]); cond is the ConditionalMargin workspace, used
-	// only from the caller's goroutine.
+	// uses wstates[0]); cond is the workspace of ConditionalMargin and
+	// PosError, used only from the caller's goroutine.
 	wstates []workerState
 	cond    workerState
 
-	// stateValid reports whether the cached per-position states match
-	// the graph. Only AppendSlot's rows, DecodeSlot's locks and Grow's
+	// stateValid reports whether the per-position row state matches the
+	// graph. A row slot's decode sets it and a Gram slot's clears it
+	// (finishSlot). Only AppendSlot's rows, DecodeSlot's locks and Grow's
 	// empty columns are absorbed incrementally; every other model change
-	// (SetTaps, RetapAll, Retire, RetireTag, InitPositions) invalidates,
-	// and the next DecodeSlot re-derives every position: from the
-	// matched-filter state on a Gram slot, by a residual rebuild on a row
-	// slot.
+	// (SetTaps, RetapAll, Retire, RetireTag, InitPositions) clears it.
+	// A row slot rebuilds every position's row state when it is clear; a
+	// Gram slot never reads it.
 	stateValid bool
 	// retapIdx is RetapAll's changed-tag staging buffer.
 	retapIdx []int
@@ -445,14 +440,12 @@ func argmaxAbove(gain []float64, eps float64) int {
 	return best
 }
 
-// gramInstall installs the workspace's Gram state (gramStart's, or a
-// descent's) as the position state's S-sums, flip signs and gains — the
-// same gain formula as gainOf, on S = B − N·m. The residual is not
-// touched.
+// gramInstall installs the workspace's gains (gramStart's, or a
+// descent's) as the position state's — the same gain formula as gainOf,
+// on S = B − N·m. Gains are all a Gram slot keeps: finishSlot's margin
+// merge is their only reader, and a row slot rebuilds the rest.
 func (w *workerState) gramInstall(s *Session, st *descentState) {
 	for x, i := range s.g.activeTags {
-		st.sum[i] = w.gS[x]
-		st.bSign[i] = w.gSign[x]
 		st.gain[i] = w.gGain[x]
 	}
 }
@@ -534,7 +527,6 @@ func (s *Session) Reset() {
 	s.k, s.frameLen, s.maxSlots, s.restarts = 0, 0, 0, 0
 	s.ys = s.ys[:0]
 	s.states = s.states[:0]
-	s.resStale = s.resStale[:0]
 	// An empty matched-filter state: the next Begin zeroes cooc whole.
 	s.mf = s.mf[:0]
 	s.cooc = s.cooc[:0]
@@ -586,8 +578,6 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	s.dirtyBacking = growInts(s.dirtyBacking, frameLen*k)
 	s.inDirtyBacking = growBools(s.inDirtyBacking, frameLen*k)
 	clear(s.inDirtyBacking)
-	s.resStale = growBools(s.resStale, frameLen)
-	clear(s.resStale)
 	if cap(s.states) < frameLen {
 		next := make([]descentState, frameLen, scratch.CeilPow2(frameLen))
 		s.states = next
@@ -699,7 +689,6 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 	s.ambiguous = growBools(s.ambiguous, frameLen*kCap)[:0]
 	s.mf = growComplex(s.mf, frameLen*kCap)[:0]
 	s.cooc = growInt32s(s.cooc, kCap*kCap)[:0]
-	s.resStale = growBools(s.resStale, frameLen)[:0]
 	if cap(s.states) < frameLen {
 		s.states = make([]descentState, 0, scratch.CeilPow2(frameLen))
 	}
@@ -1245,16 +1234,24 @@ func (s *Session) PosBits(p int) []bool { return s.posBits[p*s.k : (p+1)*s.k] }
 
 // PosError returns ‖y − D·H·b‖² over the live rows at position p's
 // current decode: the active rows' energy the row path scores passes
-// by, read off the cached residual (materialized first if a Gram slot
-// left it stale), plus the frozen rows' (no active collider) energy,
-// recomputed here in O(frozen nnz). Valid from a DecodeSlot until the
-// next mutation: an AppendSlot, or a RetapAll, Retire or RetireTag that
-// changes anything. Call it from the session's owning goroutine.
+// by, plus the frozen rows' (no active collider) energy, recomputed
+// here in O(frozen nnz). The active rows' energy is read off the
+// position's residual when the row state is current (after a row
+// slot), and otherwise built from the position's bits in the
+// ConditionalMargin workspace. It is a pure read: it writes no position
+// state, so calling it never changes a later decode. Valid from a
+// DecodeSlot until the next mutation: an AppendSlot, or a RetapAll,
+// Retire or RetireTag that changes anything. Call it from the session's
+// owning goroutine.
 func (s *Session) PosError(p int) float64 {
 	g := &s.g
-	s.materialize(p)
 	b := s.PosBits(p)
-	e := s.states[p].normSqActive(g)
+	st := &s.states[p]
+	if !s.stateValid {
+		st = &s.cond.rst
+		s.rebuildPosition(p, st, &s.cond, b, s.curLocked)
+	}
+	e := st.normSqActive(g)
 	for row := g.retired; row < g.L; row++ {
 		if len(g.rowActive[row]) > 0 {
 			continue
@@ -1459,10 +1456,11 @@ func gramColumn(dst []complex128, nz []bool, counts []int32, act []int, h comple
 }
 
 // finishSlot completes DecodeSlot after the position fan-out: it marks
-// the cached state valid and merges the per-position results into the
-// caller's margin and ambiguity outputs.
+// the row state current after a row slot (a Gram slot leaves none) and
+// merges the per-position results into the caller's margin and
+// ambiguity outputs.
 func (s *Session) finishSlot(minMargin []float64, anyAmbiguous []bool) {
-	s.stateValid = true
+	s.stateValid = !s.gramOn
 
 	// Deterministic merge of the per-position results, in position
 	// order, after the barrier: min/max and OR are order-independent,
@@ -1531,49 +1529,39 @@ func randomBitsInto(src *prng.Source, b bits.Vector, active []int) {
 	}
 }
 
-// decodePosition runs one position's full per-slot decode: state
-// catch-up, pass-0 descent, random restarts, margin and ambiguity
-// bookkeeping. All mutations are confined to position p's stripes and
-// the caller's workerState.
+// decodePosition runs one position's full per-slot decode: pass-0
+// descent, random restarts, margin and ambiguity bookkeeping. All
+// mutations are confined to position p's stripes and the caller's
+// workerState.
 //
-// A position whose cached state is valid continues on the row path:
-// its residual absorbs the new rows and pass 0 descends on it. An
-// invalid one (the model changed, or a Gram slot left its residual
-// stale) is re-derived by the slot's kind: a row slot rebuilds the
-// residual; a Gram slot runs pass 0 as a Gram descent from the
-// position's bits and builds no residual at all. Restarts then run on
-// the slot's path from the position's state after pass 0, and every
-// pass of a Gram slot is scored by gramError. An adopted restart is
-// installed the way the position's state is kept: through buildFrom
-// on a current residual, or as S = B − N·m, leaving the residual stale,
-// on a position decoded in Gram space.
+// The slot's kind decides the representation of every position. On a
+// Gram slot every pass runs from the matched-filter state: pass 0
+// descends in Gram space from the position's bits, the restarts run
+// through restartsGram, every pass is scored by gramError, and the
+// adopted pass's gains are installed (gramInstall). On a row slot the
+// position's row state is rebuilt when it is not current (stateValid),
+// absorbs the rows appended since, and pass 0 continues the descent on
+// it; each restart is built from it (buildFrom), and an adopted one is
+// copied back.
 func (s *Session) decodePosition(p int, ws *workerState) {
 	g := &s.g
 	st := &s.states[p]
 	myBits := bits.Vector(s.posBits[p*s.k : (p+1)*s.k])
 	locked := s.curLocked
-	stale := !s.stateValid || s.resStale[p]
-	inGram := s.gramOn && stale
 
 	var cFlips uint64
 	if s.gramOn {
 		ws.gramInput(s, p, myBits)
-	}
-	// installed reports that the position state already holds the Gram
-	// state at its bits: a flip-free pass 0 ends on gramStart's state at
-	// the position's bits, exactly what a re-derive would compute, so it
-	// is installed before the restarts reuse the workspace.
-	installed := false
-	if inGram {
 		cFlips = uint64(ws.gramDescend(s, myBits, 64*(g.K+1)*(g.L+1), nil))
+		// A flip-free pass 0 ends on gramStart's state at the position's
+		// bits, exactly what a re-derive would compute: install its gains
+		// before the restarts reuse the workspace.
 		if cFlips == 0 {
 			ws.gramInstall(s, st)
-			installed = true
 		}
 	} else {
-		if stale {
+		if !s.stateValid {
 			s.rebuildPosition(p, st, ws, myBits, locked)
-			s.resStale[p] = false
 		}
 		// O(colliders) per pending row: absorb what AppendSlot added. A
 		// row born with every collider already locked is frozen on
@@ -1584,7 +1572,6 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 		}
 		cFlips = uint64(st.descend(g, myBits, locked, s.eps))
 	}
-	cRestarts := uint64(0)
 
 	// Every per-pass step below walks the active tags and rows only. A
 	// pass block's locked entries are never written or read: a locked
@@ -1609,25 +1596,16 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 		passErr[0] = ws.gramError(s, myBits)
 		var f uint64
 		f, bestPass = s.restartsGram(p, ws, allBits, passErr)
-		cFlips += f
-		cRestarts = uint64(s.restarts)
-		bhat := bits.Vector(allBits[bestPass*s.k : (bestPass+1)*s.k])
-		if !inGram && bestPass > 0 {
-			rst := &ws.rst
-			rst.residual = rst.residual[:g.L]
-			rst.buildFrom(g, st, myBits, bhat)
-			st.copyActiveFrom(g, rst)
-		}
-		for _, i := range active {
-			myBits[i] = bhat[i]
-		}
-		if inGram {
-			if !installed || bestPass > 0 {
-				ws.gramStart(s, myBits)
-				ws.gramInstall(s, st)
+		if cFlips > 0 || bestPass > 0 {
+			// Re-derive the adopted pass's gains from its bits.
+			bhat := allBits[bestPass*s.k : (bestPass+1)*s.k]
+			for _, i := range active {
+				myBits[i] = bhat[i]
 			}
-			s.resStale[p] = true
+			ws.gramStart(s, myBits)
+			ws.gramInstall(s, st)
 		}
+		cFlips += f
 	} else if s.restarts > 0 {
 		bestErr := st.normSqActive(g)
 		passErr[0] = bestErr
@@ -1642,7 +1620,6 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 			rst.residual = rst.residual[:g.L]
 			rst.buildFrom(g, st, myBits, bhat)
 			cFlips += uint64(rst.descend(g, bhat, locked, s.eps))
-			cRestarts++
 			errV := rst.normSqActive(g)
 			passErr[pass] = errV
 			if errV < bestErr {
@@ -1655,9 +1632,10 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 			}
 		}
 	}
+	// Both paths run every restart pass; none ends early.
 	s.costDescent.Add(1)
-	if cRestarts > 0 {
-		s.costRestarts.Add(cRestarts)
+	if s.restarts > 0 {
+		s.costRestarts.Add(uint64(s.restarts))
 	}
 	if cFlips > 0 {
 		s.costFlips.Add(cFlips)
@@ -1723,25 +1701,12 @@ func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr [
 	return flips, bestPass
 }
 
-// materialize rebuilds position p's residual when a Gram slot left it
-// stale — PosError's on-demand catch-up, on the owner's goroutine (the
-// acceptance gate reads a Gram slot in Gram space and never needs it).
-// The rebuild re-derives the S-sums and gains from the residual, so
-// later row-path passes read a consistent state.
-func (s *Session) materialize(p int) {
-	if !s.resStale[p] {
-		return
-	}
-	s.rebuildPosition(p, &s.states[p], &s.cond, s.PosBits(p), s.curLocked)
-	s.resStale[p] = false
-}
-
-// rebuildPosition re-derives position p's cached state from its
-// observations and current bits when the position's state is invalid
-// on a row slot (a retap, a block fade, a window shrink, or a residual
-// a Gram slot left stale) or PosError materializes it: the
-// residual on the rows its readers need, then the active tags' S-sums
-// and gains (rederive). Both residual builds subtract each row's set-bit
+// rebuildPosition derives a row state for position p into st from the
+// position's observations and the bits b: on a row slot whose row state
+// is not current (after a retap, a block fade, a window shrink or a Gram
+// slot), and for PosError into its workspace. It builds the residual on
+// the rows its readers need, then the active tags' S-sums and gains
+// (rederive). Both residual builds subtract each row's set-bit
 // colliders in ascending tag order, so the floats do not depend on the
 // shape. With few active rows the build sweeps just those rows,
 // O(active nnz), whatever the number of joined tags.
@@ -1789,9 +1754,9 @@ func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bi
 //
 // The re-descent runs on the path the last DecodeSlot took (gramRule).
 // On a Gram slot it runs in Gram space from the matched-filter state
-// (conditionalMarginGram), so a residual that slot left stale is never
-// rebuilt; on a row slot it reuses position p's residual, S-sums and
-// gains (conditionalMarginRows), which that slot's decode left current.
+// (conditionalMarginGram), which is all that slot keeps; on a row slot
+// it reuses position p's residual, S-sums and gains
+// (conditionalMarginRows), which that slot's decode left current.
 // Either way the gate costs a re-descent from the position's own state
 // rather than a from-scratch build per (position, tag), and leaves that
 // state as it found it. It must be called from the session's owning

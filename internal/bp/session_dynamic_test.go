@@ -97,23 +97,28 @@ const verifyTol = 1e-9
 
 // verifyState checks every position's cached state against a
 // from-scratch recompute from the session's observations, current bits
-// and current taps, failing on a disagreement beyond verifyTol. It runs
-// in the order the state is kept: first the unlocked tags' S-sums, flip
-// signs and gains, which a Gram slot writes without a residual; then it
-// materializes the residual and checks it, and PosError against a
-// from-scratch ‖y − D·H·b‖² over the live rows. Call it after a
-// DecodeSlot (or after a mutation that changed nothing): RetapAll,
-// Retire and RetireTag invalidate the cached state, and only the next
-// decode re-derives it. Retired rows and inactive rows (every collider
-// locked) are skipped: their cached residual entries are dead by
-// design. It also checks the armed drift bookkeeping against a recount
-// (verifyDrift). Exact equality is not required: appended rows fold
-// into the cached state in arrival order, a different float
-// association than the rebuild.
+// and current taps, failing on a disagreement beyond verifyTol. What it
+// checks follows the last slot's kind. After a row slot, the row state
+// must be current: the unlocked tags' S-sums, flip signs and gains, the
+// residual, and PosError against a from-scratch ‖y − D·H·b‖² over the
+// live rows. After a Gram slot, which keeps gains only, the unlocked
+// tags' gains and PosError. Every locked tag's gain must be −∞ either
+// way. Call it after a DecodeSlot (or after a mutation that changed
+// nothing): RetapAll, Retire and RetireTag invalidate the cached state,
+// and only the next decode re-derives it. Retired rows and inactive rows
+// (every collider locked) are skipped: their cached residual entries
+// are dead by design. It also checks the armed drift bookkeeping
+// against a recount (verifyDrift). Exact equality is not required:
+// appended rows fold into the cached state in arrival order, a
+// different float association than the rebuild.
 func verifyState(t *testing.T, s *Session, locked []bool, what string) {
 	t.Helper()
-	if !s.stateValid {
-		t.Fatalf("%s: cached state is invalid; verify after the next DecodeSlot", what)
+	rows := !s.gramOn
+	if rows && !s.stateValid {
+		t.Fatalf("%s: row state is not current after a row slot; verify after the next DecodeSlot", what)
+	}
+	if !rows && s.stateValid {
+		t.Fatalf("%s: row state marked current after a Gram slot", what)
 	}
 	g := &s.g
 	for p := 0; p < s.frameLen; p++ {
@@ -130,24 +135,26 @@ func verifyState(t *testing.T, s *Session, locked []bool, what string) {
 			for _, row := range g.colRows[i] {
 				sum += scratchRow(s, p, row, myBits)
 			}
-			if !closeTo(real(st.sum[i]), real(sum), verifyTol) || !closeTo(imag(st.sum[i]), imag(sum), verifyTol) {
-				t.Fatalf("%s: position %d tag %d sum %v, want %v", what, p, i, st.sum[i], sum)
-			}
 			sign := 1.0
 			if myBits[i] {
 				sign = -1
-			}
-			if st.bSign[i] != sign {
-				t.Fatalf("%s: position %d tag %d flip sign %v, want %v", what, p, i, st.bSign[i], sign)
 			}
 			corr := g.tapRe[i]*real(sum) + g.tapIm[i]*imag(sum)
 			want := 2*corr*sign - g.wPow[i]
 			if !closeTo(st.gain[i], want, verifyTol) {
 				t.Fatalf("%s: position %d tag %d gain %v, want %v", what, p, i, st.gain[i], want)
 			}
+			if !rows {
+				continue
+			}
+			if !closeTo(real(st.sum[i]), real(sum), verifyTol) || !closeTo(imag(st.sum[i]), imag(sum), verifyTol) {
+				t.Fatalf("%s: position %d tag %d sum %v, want %v", what, p, i, st.sum[i], sum)
+			}
+			if st.bSign[i] != sign {
+				t.Fatalf("%s: position %d tag %d flip sign %v, want %v", what, p, i, st.bSign[i], sign)
+			}
 		}
-		s.materialize(p)
-		for row := g.retired; row < g.L; row++ {
+		for row := g.retired; rows && row < g.L; row++ {
 			if len(g.rowActive[row]) == 0 {
 				continue
 			}

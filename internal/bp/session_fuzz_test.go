@@ -45,16 +45,28 @@ func newTestState(k, l int) *descentState {
 	return st
 }
 
-// checkBuildFrom materializes position p's residual, builds a restart
-// at bits b from the position's state (buildFrom) and fails unless its residual matches a from-scratch
+// rebuildRowState rebuilds position p's row state (residual, S-sums,
+// flip signs and gains) from its bits when the last slot was a Gram
+// slot, which keeps none: the row side of the tests that compare the
+// two representations at one position. After a Gram slot the next row
+// slot rebuilds every position anyway, so no later decode reads what
+// this writes.
+func rebuildRowState(s *Session, p int) {
+	if !s.stateValid {
+		s.rebuildPosition(p, &s.states[p], &s.cond, s.PosBits(p), s.curLocked)
+	}
+}
+
+// checkBuildFrom rebuilds position p's row state if a Gram slot left
+// none (rebuildRowState), builds a restart at bits b from it
+// (buildFrom) and fails unless its residual matches a from-scratch
 // y − D·H·b on every active row within 1e-9, and every active tag's
-// S-sum and gain match the sums of that scratch residual
-// within 1e-9. b must agree with the position's bits on every locked
-// tag.
+// S-sum and gain match the sums of that scratch residual within 1e-9.
+// b must agree with the position's bits on every locked tag.
 func checkBuildFrom(t *testing.T, s *Session, p int, b bits.Vector, what string) {
 	t.Helper()
 	g := &s.g
-	s.materialize(p)
+	rebuildRowState(s, p)
 	rst := newTestState(s.k, g.L)
 	rst.buildFrom(g, &s.states[p], s.PosBits(p), b)
 	want := make([]complex128, g.L)
@@ -85,7 +97,7 @@ func checkBuildFrom(t *testing.T, s *Session, p int, b bits.Vector, what string)
 // from a position's own state. Random sessions run through locks,
 // retaps, Retire and RetireTag; after every decoded slot, at every
 // position:
-//   - buildFrom at random active bits, from the materialized residual,
+//   - buildFrom at random active bits, from the position's row state,
 //     matches a from-scratch y − D·H·b on every active row (and the
 //     S-sums and gains that residual implies) within 1e-9;
 //   - buildFrom at bits that differ from the position's only on tags
@@ -207,7 +219,10 @@ func TestSessionRestartStartsFromState(t *testing.T) {
 // given parallelism, checking the state contract after every decode
 // (a mutation leaves PosError stale until the next decode rebuilds),
 // and returns everything the decode emitted (margins, ambiguity flags,
-// bits, full errors) in order.
+// bits, full errors) in order. Above Parallelism 1 it also calls
+// PosError at every position after every op, mutations included, and
+// discards the values: the serial replay makes no such calls, so the
+// two replays' outputs agree only if PosError is a pure read.
 func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int) []float64 {
 	t.Helper()
 	src := prng.NewSource(seed)
@@ -299,6 +314,11 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 				out = append(out, s.PosError(p))
 			}
 		}
+		if par > 1 {
+			for p := 0; p < frameLen; p++ {
+				s.PosError(p)
+			}
+		}
 	}
 	return out
 }
@@ -318,7 +338,8 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 // each restart's recorded error must equal gramError of its final bits
 // (checked on the serial replay, which runs DecodeSlot's serial
 // schedule through decodeSlotChecked); and Parallelism 1 and 2 must
-// emit identical margins, ambiguity flags, bits and errors.
+// emit identical margins, ambiguity flags, bits and errors, though only
+// the parallel replay calls PosError after every op (observer purity).
 func FuzzSessionSlot(f *testing.F) {
 	f.Add(uint8(8), uint8(3), uint64(1), []byte{0, 0, 0, 12, 0, 0, 0x24, 0, 0, 5, 0, 6, 0, 7, 0, 0xF, 0})
 	f.Add(uint8(11), uint8(4), uint64(42), []byte{0, 1, 2, 4, 12, 20, 28, 36, 0, 0, 0, 0, 0, 0x1E, 0, 0x35, 0, 0, 0x47, 0})

@@ -98,7 +98,8 @@ func driveGateSessions(t *testing.T, trials int, seed uint64, after func(s *Sess
 // checkGateGramMatchesRows scores ConditionalMargin on a Gram slot both
 // ways at every position, for every unlocked tag with observations:
 // in Gram space (conditionalMarginGram), then on the row path
-// (conditionalMarginRows) after materializing the position's residual.
+// (conditionalMarginRows) on the position's rebuilt row state
+// (rebuildRowState).
 // Each tag is scored twice: with the decode's locked set, and with one
 // more unlocked tag pinned through locked, as when the gate loop locked
 // it earlier in the same slot. The two margins must agree within 1e-9
@@ -150,7 +151,7 @@ func checkGateGramMatchesRows(t *testing.T, s *Session, locked []bool) int {
 				copy(gramB[(2*x+n)*k:], b)
 			}
 		}
-		s.materialize(p)
+		rebuildRowState(s, p)
 		for x, i := range tags {
 			for n := 0; n < 2; n++ {
 				pins := pinSet(x, n)
@@ -193,34 +194,35 @@ func TestSessionConditionalMarginGramMatchesRows(t *testing.T) {
 // TestSessionConditionalMarginGramLeavesState pins that the gate reads
 // a Gram slot without writing the session: after every Gram slot's
 // DecodeSlot, scoring every (position, unlocked tag) pair through
-// ConditionalMargin leaves every resStale flag, posBits, every
+// ConditionalMargin leaves the row-state flag, posBits, every
 // position's gains and the decode-cost counters bitwise as they were,
 // and scoring them again returns bitwise the same margins. It also pins
-// the invariant that lets the row path skip materialize: after a row
-// slot's DecodeSlot no position's residual is stale, including the
-// positions a Gram slot just before left stale.
+// the one flag's rule: a Gram slot leaves the row state not current,
+// and a row slot leaves it current, including a row slot right after a
+// Gram slot, which rebuilds every position.
 func TestSessionConditionalMarginGramLeavesState(t *testing.T) {
-	var scored, stale, caughtUp int
-	staleBefore := false
+	var scored, caughtUp int
+	afterGram := false
 	var last *Session
 	gramSlots, _ := driveGateSessions(t, 12, 0x6A80, func(s *Session, locked []bool) {
 		if s != last {
-			last, staleBefore = s, false
+			last, afterGram = s, false
 		}
 		if !s.gramOn {
-			for p, st := range s.resStale[:s.frameLen] {
-				if st {
-					t.Errorf("position %d: residual stale after a row slot", p)
-				}
+			if !s.stateValid {
+				t.Errorf("row state not current after a row slot")
 			}
-			if staleBefore {
+			if afterGram {
 				caughtUp++
 			}
-			staleBefore = false
+			afterGram = false
 			return
 		}
+		if s.stateValid {
+			t.Errorf("row state marked current after a Gram slot")
+		}
+		afterGram = true
 		s.TakeDecodeCost()
-		staleWas := append([]bool(nil), s.resStale[:s.frameLen]...)
 		bitsWas := append([]bool(nil), s.posBits[:s.frameLen*s.k]...)
 		gainWas := make([][]float64, s.frameLen)
 		for p := range gainWas {
@@ -246,15 +248,11 @@ func TestSessionConditionalMarginGramLeavesState(t *testing.T) {
 				}
 			}
 		}
-		for p, was := range staleWas {
-			if s.resStale[p] != was {
-				t.Errorf("position %d: resStale %v after the gate, %v before", p, s.resStale[p], was)
-			}
-			if was {
-				stale++
-				staleBefore = true
-			}
-			for i, gv := range gainWas[p] {
+		if s.stateValid {
+			t.Errorf("the gate marked the row state current")
+		}
+		for p, gains := range gainWas {
+			for i, gv := range gains {
 				if math.Float64bits(s.states[p].gain[i]) != math.Float64bits(gv) {
 					t.Errorf("position %d tag %d: gain %v after the gate, %v before", p, i, s.states[p].gain[i], gv)
 				}
@@ -269,8 +267,136 @@ func TestSessionConditionalMarginGramLeavesState(t *testing.T) {
 			t.Errorf("gate added decode cost %+v", c)
 		}
 	})
-	if gramSlots == 0 || scored == 0 || stale == 0 || caughtUp == 0 {
-		t.Fatalf("%d Gram slots, %d margins scored, %d stale residuals seen, %d row slots after them; want all > 0", gramSlots, scored, stale, caughtUp)
+	if gramSlots == 0 || scored == 0 || caughtUp == 0 {
+		t.Fatalf("%d Gram slots, %d margins scored, %d row slots right after a Gram slot; want all > 0", gramSlots, scored, caughtUp)
 	}
-	t.Logf("%d margins scored twice on %d Gram slots, %d stale residuals left stale, %d row slots caught them up", scored, gramSlots, stale, caughtUp)
+	t.Logf("%d margins scored twice on %d Gram slots, %d row slots right after a Gram slot", scored, gramSlots, caughtUp)
+}
+
+// TestSessionObserversNeverChangeDecode pins that PosError and
+// ConditionalMargin are pure reads. Twin sessions decode the same
+// script, which mixes Gram and row slots with retaps, CRC locks, Retire
+// and RetireTag. After every slot one twin calls PosError at every
+// position and ConditionalMargin at every (position, unlocked tag); the
+// other never does. Every slot's margins, ambiguity flags, per-position
+// bits and DecodeCost must be bitwise equal between the twins. The
+// script must reach a row slot right after a Gram slot and a row slot
+// that continues from a current row state.
+func TestSessionObserversNeverChangeDecode(t *testing.T) {
+	const (
+		frameLen = 5
+		restarts = 2
+		slots    = 48
+		window   = 16
+		base     = 0x0B5
+	)
+	var gramSlots, rowSlots, afterGram, continued, observed int
+	for trial := 0; trial < 10; trial++ {
+		src := prng.NewSource(0x0B50 + uint64(trial))
+		k := 5 + src.IntN(6)
+		taps := randomTaps(k, src)
+		msgs := randomEstimates(k, frameLen, src)
+		est := randomEstimates(k, frameLen, src)
+		var twins [2]*Session
+		var margins [2][]float64
+		var amb [2][]bool
+		for x := range twins {
+			s := NewSession()
+			defer s.Close()
+			s.Begin(k, frameLen, slots, 1, restarts, taps)
+			s.TrackTagDrift(true)
+			s.InitPositions(est)
+			twins[x] = s
+			margins[x] = make([]float64, k)
+			amb[x] = make([]bool, k)
+		}
+		obsv, twin := twins[0], twins[1]
+		locked := make([]bool, k)
+		cur := append([]complex128(nil), taps...)
+		prevGram := false
+		for slot := 1; slot <= slots; slot++ {
+			if slot%7 == 0 {
+				cur[src.IntN(k)] *= complex(0.99, 0.03)
+				for _, s := range twins {
+					s.RetapAll(cur)
+				}
+			}
+			q := 0.15 + 0.5*src.Float64()
+			row := make(bits.Vector, k)
+			for i := range row {
+				row[i] = src.Bernoulli(q)
+			}
+			obs := make([]complex128, frameLen)
+			for p := range obs {
+				y := 0.3 * src.ComplexNorm()
+				for i, on := range row {
+					if on && msgs[i][p] {
+						y += cur[i]
+					}
+				}
+				obs[p] = y
+			}
+			valid := obsv.stateValid
+			for x, s := range twins {
+				s.AppendSlot(row, obs)
+				s.DecodeSlot(slot, locked, base, margins[x], amb[x])
+			}
+			for i := 0; i < k; i++ {
+				if math.Float64bits(margins[0][i]) != math.Float64bits(margins[1][i]) || amb[0][i] != amb[1][i] {
+					t.Fatalf("trial %d slot %d tag %d: observed twin (%v, %v), unobserved (%v, %v)", trial, slot, i, margins[0][i], amb[0][i], margins[1][i], amb[1][i])
+				}
+			}
+			for x, b := range obsv.posBits[:frameLen*k] {
+				if b != twin.posBits[x] {
+					t.Fatalf("trial %d slot %d: position %d tag %d bit differs between the twins", trial, slot, x/k, x%k)
+				}
+			}
+			if a, b := obsv.TakeDecodeCost(), twin.TakeDecodeCost(); a != b {
+				t.Fatalf("trial %d slot %d: observed twin's decode cost %+v, unobserved %+v", trial, slot, a, b)
+			}
+			if obsv.gramOn {
+				gramSlots++
+			} else {
+				rowSlots++
+				if prevGram {
+					afterGram++
+				}
+				if valid {
+					continued++
+				}
+			}
+			prevGram = obsv.gramOn
+
+			for p := 0; p < frameLen; p++ {
+				obsv.PosError(p)
+				for i := 0; i < k; i++ {
+					if !locked[i] {
+						obsv.ConditionalMargin(p, i, locked)
+						observed++
+					}
+				}
+			}
+
+			switch {
+			case slot == 12:
+				for i := 0; i < k/3; i++ {
+					locked[i] = true
+				}
+			case slot > window && slot%4 == 0:
+				for _, s := range twins {
+					s.Retire(slot - window)
+				}
+			}
+			if slot > 8 && slot%5 == 0 {
+				tag := src.IntN(k)
+				for _, s := range twins {
+					s.RetireTag(tag, slot-4)
+				}
+			}
+		}
+	}
+	if gramSlots == 0 || afterGram == 0 || continued == 0 {
+		t.Fatalf("%d Gram slots, %d row slots right after a Gram slot, %d row slots continuing a current row state; want all > 0", gramSlots, afterGram, continued)
+	}
+	t.Logf("%d Gram and %d row slots (%d right after a Gram slot, %d continuing), %d gate scores observed", gramSlots, rowSlots, afterGram, continued, observed)
 }

@@ -10,8 +10,8 @@ import (
 
 // TestSessionGramRestartMatchesRowRestart pins the Gram path's restart
 // (prepareGram, gramInput, gramDescend, gramError) against the row
-// path's (buildFrom + descend + normSqActive), with the position's
-// residual materialized for the row side. Random sessions run
+// path's (buildFrom + descend + normSqActive), with the position's row
+// state rebuilt for the row side after a Gram slot (rebuildRowState). Random sessions run
 // through locks, a global Retire and RetireTag; after every decoded
 // slot, every position descends from a batch of random restart inits
 // both ways.
@@ -121,7 +121,7 @@ func checkGramMatchesRow(t *testing.T, s *Session, src *prng.Source, n int) int 
 	gb := make(bits.Vector, s.k)
 	rb := make(bits.Vector, s.k)
 	for p := 0; p < s.frameLen; p++ {
-		s.materialize(p)
+		rebuildRowState(s, p)
 		st := &s.states[p]
 		cur := bits.Vector(s.PosBits(p))
 		ws.gramInput(s, p, cur)

@@ -30,7 +30,9 @@ type RosterTag struct {
 	// departure (the same upper layer that schedules the inventory
 	// round reports it) and retires the tag: its current estimate is
 	// frozen out of the decode fan-out, and its message — unless
-	// already verified — counts as lost.
+	// already verified — counts as lost. The departing tags must be a
+	// roster prefix in nondecreasing DepartSlot order (first in, first
+	// out), the tags that stay forming the suffix.
 	DepartSlot int
 }
 
@@ -144,6 +146,7 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 	kTot := len(roster)
 	msgLen := len(roster[0].Message)
 	k0 := 0
+	stays, prevDep := false, 0 // saw a tag that never departs; last departure
 	for i := range roster {
 		rt := &roster[i]
 		if len(rt.Message) != msgLen {
@@ -156,6 +159,17 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 		}
 		if rt.DepartSlot > 0 && rt.DepartSlot <= rt.Arrive() {
 			return nil, fmt.Errorf("ratedapt: roster tag %d departs at slot %d but only arrives at %d", i, rt.DepartSlot, rt.Arrive())
+		}
+		// Departures retire a roster prefix in nondecreasing DepartSlot
+		// order, the never-departing tags forming the suffix: the shape
+		// every scenario roster has (FIFO retirement, constant dwell),
+		// and the one the slot loop's departure cursor walks.
+		if d := rt.DepartSlot; d == 0 {
+			stays = true
+		} else if stays || d < prevDep {
+			return nil, fmt.Errorf("ratedapt: roster departures not a prefix in slot order (tag %d departs at slot %d)", i, d)
+		} else {
+			prevDep = d
 		}
 		if rt.Arrive() == 1 {
 			k0++
@@ -171,31 +185,6 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 	maxSlots := cfg.MaxSlots
 	if maxSlots <= 0 {
 		maxSlots = 40 * kTot
-	}
-
-	// Departure shape: every roster the scenario layer builds (FIFO
-	// retirement, constant dwell) departs a roster prefix in
-	// nondecreasing DepartSlot order, with the never-departing tags —
-	// if any — forming the suffix. When that holds, the loop retires
-	// tags through an O(1)-amortized cursor instead of rescanning the
-	// arrived roster every slot (the scan is O(N) per slot — quadratic
-	// over a round — which a warehouse roster cannot afford). A
-	// caller-built roster that violates the shape falls back to the
-	// scan; behavior is identical either way since Stream departures
-	// are idempotent.
-	depFIFO := true
-	prevDep := 0
-	stays := false // saw a tag that never departs
-	for i := range roster {
-		if d := roster[i].DepartSlot; d > 0 {
-			if stays || d < prevDep {
-				depFIFO = false
-				break
-			}
-			prevDep = d
-		} else {
-			stays = true
-		}
 	}
 
 	// Coherence window: Auto resolves against the decoder process's
@@ -313,21 +302,11 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 				res.ReidentBitSlots += cfg.OnArrival(slot, arriving)
 			}
 		}
-		if depFIFO {
-			// FIFO rosters retire a prefix: each tag is listed exactly once,
-			// the slot its departure fires. (The scan below instead re-lists
-			// every past departure; the stream skips those idempotently, so
-			// the two shapes decode identically.)
-			for nextDep < nextArr && roster[nextDep].DepartSlot > 0 && slot >= roster[nextDep].DepartSlot {
-				ev.Departs = append(ev.Departs, nextDep)
-				nextDep++
-			}
-		} else {
-			for i := 0; i < nextArr; i++ {
-				if roster[i].DepartSlot > 0 && slot >= roster[i].DepartSlot {
-					ev.Departs = append(ev.Departs, i)
-				}
-			}
+		// Departures retire a roster prefix (checked above), so a cursor
+		// lists each tag once, the slot its departure fires.
+		for nextDep < nextArr && roster[nextDep].DepartSlot > 0 && slot >= roster[nextDep].DepartSlot {
+			ev.Departs = append(ev.Departs, nextDep)
+			nextDep++
 		}
 
 		// --- Channel drift: fold the slot's decoder taps in. ---

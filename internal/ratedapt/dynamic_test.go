@@ -202,4 +202,16 @@ func TestTransferDynamicValidation(t *testing.T) {
 	if _, err := TransferDynamic(cfg, early, proc, proc, prng.NewSource(1), prng.NewSource(2)); err == nil {
 		t.Error("empty initial population accepted")
 	}
+	// Departures must retire a roster prefix in slot order: a departing
+	// tag behind one that stays, or one that departs before the tag
+	// ahead of it, is rejected.
+	for name, departs := range map[string][]int{"after-a-stayer": {0, 9}, "out-of-order": {9, 7}} {
+		unfifo := append([]RosterTag(nil), roster...)
+		for i, d := range departs {
+			unfifo[i].DepartSlot = d
+		}
+		if _, err := TransferDynamic(cfg, unfifo, proc, proc, prng.NewSource(1), prng.NewSource(2)); err == nil {
+			t.Errorf("%s: roster whose departures are not a prefix in slot order accepted", name)
+		}
+	}
 }
