@@ -214,9 +214,8 @@ func BenchmarkHeadline_Overall(b *testing.B) {
 // --- Scenario engine ----------------------------------------------------------------
 
 // benchScenario runs one declarative workload per iteration, stepping
-// the seed; the scenario-engine paths these cover (block fading,
-// Gauss–Markov retap, population churn with session growth) are the
-// series BENCH_PR3.json records and CI gates.
+// the seed; these cover the scenario-engine paths (block fading,
+// Gauss–Markov retap, population churn with session growth).
 func benchScenario(b *testing.B, spec scenario.Spec) {
 	b.ReportAllocs()
 	var lost, rate float64
@@ -260,8 +259,7 @@ func BenchmarkScenario_GaussMarkov_K8(b *testing.B) {
 // path end to end: Gauss–Markov drift at ρ = 0.9 with the auto window
 // — per-slot RetapAll rebuilds plus per-slot Session.Retire. Transfers
 // in this regime legitimately run long (margins are drift-limited), so
-// the bench is expected to sit well above the slow-drift scenarios;
-// benchguard gates it with a looser tolerance.
+// the bench is expected to sit well above the slow-drift scenarios.
 func BenchmarkScenario_FastMobility_K8(b *testing.B) {
 	benchScenario(b, scenario.Spec{
 		Trials: 5, Seed: 2026,
@@ -278,8 +276,7 @@ func BenchmarkScenario_FastMobility_K8(b *testing.B) {
 // path end to end: half the roster parked (ρ = 1), half moving at
 // ρ = 0.9, each mover retiring its own rows (Session.RetireTag) while
 // the parked tags keep their whole history. Like fast-mobility, the
-// drift-limited transfers legitimately run long; benchguard gates it
-// with a looser tolerance.
+// drift-limited transfers legitimately run long.
 func BenchmarkScenario_MixedMobility_K8(b *testing.B) {
 	benchScenario(b, scenario.Spec{
 		Trials: 5, Seed: 2026,

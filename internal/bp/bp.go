@@ -210,6 +210,16 @@ func (g *Graph) ReserveTags(kCap int) {
 	g.wPow = reserveCap(g.wPow, kCap)
 }
 
+// grow resizes a session-owned buffer to length n, reusing capacity
+// with power-of-two headroom. Contents are not preserved; callers
+// re-derive them.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, scratch.CeilPow2(n))
+	}
+	return buf[:n]
+}
+
 // reserveCap grows buf's capacity to at least n, preserving contents
 // and length.
 func reserveCap[T any](buf []T, n int) []T {

@@ -107,8 +107,8 @@ func (o *oneShot) decode(pr problem, init bits.Vector, locked []bool, restarts i
 	for r, row := range pr.rows {
 		o.s.AppendSlot(row, pr.y[r:r+1])
 	}
-	o.margins = growFloats(o.margins, k)
-	o.ambiguous = growBools(o.ambiguous, k)
+	o.margins = grow(o.margins, k)
+	o.ambiguous = grow(o.ambiguous, k)
 	o.s.DecodeSlot(len(pr.rows), locked, base, o.margins, o.ambiguous)
 	o.flips = o.s.TakeDecodeCost().Flips
 }

@@ -255,14 +255,14 @@ type workerState struct {
 // shape sizes the worker state for k tags, maxSlots symbols and the
 // given pass count, reusing capacity.
 func (w *workerState) shape(k, maxSlots, passes int) {
-	w.resBack = growComplex(w.resBack, maxSlots)
-	w.sumBack = growComplex(w.sumBack, k)
-	w.gainBack = growFloats(w.gainBack, k)
-	w.signBack = growFloats(w.signBack, k)
-	w.maskBack = growComplex(w.maskBack, k)
-	w.setTap = growComplex(w.setTap, k)
-	w.dirtBack = growInts(w.dirtBack, k)
-	w.inDirt = growBools(w.inDirt, k)
+	w.resBack = grow(w.resBack, maxSlots)
+	w.sumBack = grow(w.sumBack, k)
+	w.gainBack = grow(w.gainBack, k)
+	w.signBack = grow(w.signBack, k)
+	w.maskBack = grow(w.maskBack, k)
+	w.setTap = grow(w.setTap, k)
+	w.dirtBack = grow(w.dirtBack, k)
+	w.inDirt = grow(w.inDirt, k)
 	clear(w.inDirt)
 	w.rst.residual = w.resBack[:0:maxSlots]
 	w.rst.sum = w.sumBack
@@ -270,17 +270,17 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 	w.rst.bSign = w.signBack
 	w.rst.maskTap = w.maskBack
 	w.rst.allocDirty(w.dirtBack, w.inDirt)
-	w.allBits = growBools(w.allBits, passes*k)
-	w.passErr = growFloats(w.passErr, passes)
-	w.pin = growBools(w.pin, k)
-	w.gB = growComplex(w.gB, k)
-	w.gS = growComplex(w.gS, k)
-	w.gGain = growFloats(w.gGain, k)
-	w.gSign = growFloats(w.gSign, k)
-	w.gBits = growBools(w.gBits, k)
-	w.gSet = growInts(w.gSet, k)
-	w.gPins = growInts(w.gPins, k)
-	w.passKey = growUint64s(w.passKey, passes)
+	w.allBits = grow(w.allBits, passes*k)
+	w.passErr = grow(w.passErr, passes)
+	w.pin = grow(w.pin, k)
+	w.gB = grow(w.gB, k)
+	w.gS = grow(w.gS, k)
+	w.gGain = grow(w.gGain, k)
+	w.gSign = grow(w.gSign, k)
+	w.gBits = grow(w.gBits, k)
+	w.gSet = grow(w.gSet, k)
+	w.gPins = grow(w.gPins, k)
+	w.passKey = grow(w.passKey, passes)
 }
 
 // shapeGram sizes the session's Gram buffers for a transfer of k tags,
@@ -289,11 +289,11 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 // without allocating.
 func (s *Session) shapeGram(k int) {
 	ka := min(k, gramMaxKa)
-	s.gramNH = growComplex(s.gramNH, ka*ka)
-	s.gramTap = growComplex(s.gramTap, ka)
-	s.gramWPow = growFloats(s.gramWPow, ka)
-	s.gramLocked = growInts(s.gramLocked, k)[:0]
-	s.gramMark = growBools(s.gramMark, k)
+	s.gramNH = grow(s.gramNH, ka*ka)
+	s.gramTap = grow(s.gramTap, ka)
+	s.gramWPow = grow(s.gramWPow, ka)
+	s.gramLocked = grow(s.gramLocked, k)[:0]
+	s.gramMark = grow(s.gramMark, k)
 	clear(s.gramMark)
 }
 
@@ -306,11 +306,11 @@ func (s *Session) shapeMatchedFilter(prevK, k, frameLen int) {
 	if stride == s.kStride && len(s.cooc) == stride*stride {
 		clear(s.cooc[:prevK*stride])
 	} else {
-		s.cooc = growInt32s(s.cooc, stride*stride)
+		s.cooc = grow(s.cooc, stride*stride)
 		clear(s.cooc)
 		s.kStride = stride
 	}
-	s.mf = growComplex(s.mf, frameLen*stride)
+	s.mf = grow(s.mf, frameLen*stride)
 	clear(s.mf)
 	s.folded = 0
 }
@@ -569,14 +569,14 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	}
 	s.g.ReserveAdjacency(adjK, maxSlots)
 
-	s.ysBacking = growComplex(s.ysBacking, frameLen*maxSlots)
-	s.ys = growSlices(s.ys, frameLen)
-	s.resBacking = growComplex(s.resBacking, frameLen*maxSlots)
-	s.sumBacking = growComplex(s.sumBacking, frameLen*k)
-	s.gainBacking = growFloats(s.gainBacking, frameLen*k)
-	s.bSignBacking = growFloats(s.bSignBacking, frameLen*k)
-	s.dirtyBacking = growInts(s.dirtyBacking, frameLen*k)
-	s.inDirtyBacking = growBools(s.inDirtyBacking, frameLen*k)
+	s.ysBacking = grow(s.ysBacking, frameLen*maxSlots)
+	s.ys = grow(s.ys, frameLen)
+	s.resBacking = grow(s.resBacking, frameLen*maxSlots)
+	s.sumBacking = grow(s.sumBacking, frameLen*k)
+	s.gainBacking = grow(s.gainBacking, frameLen*k)
+	s.bSignBacking = grow(s.bSignBacking, frameLen*k)
+	s.dirtyBacking = grow(s.dirtyBacking, frameLen*k)
+	s.inDirtyBacking = grow(s.inDirtyBacking, frameLen*k)
 	clear(s.inDirtyBacking)
 	if cap(s.states) < frameLen {
 		next := make([]descentState, frameLen, scratch.CeilPow2(frameLen))
@@ -592,19 +592,19 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 		st.bSign = s.bSignBacking[p*k : (p+1)*k]
 		st.allocDirty(s.dirtyBacking[p*k:(p+1)*k], s.inDirtyBacking[p*k:(p+1)*k])
 	}
-	s.posBits = growBools(s.posBits, frameLen*k)
-	s.ambiguous = growBools(s.ambiguous, frameLen*k)
-	s.rowPower = growFloats(s.rowPower, maxSlots)[:0]
-	s.driftEnergy = growFloats(s.driftEnergy, maxSlots)[:0]
+	s.posBits = grow(s.posBits, frameLen*k)
+	s.ambiguous = grow(s.ambiguous, frameLen*k)
+	s.rowPower = grow(s.rowPower, maxSlots)[:0]
+	s.driftEnergy = grow(s.driftEnergy, maxSlots)[:0]
 	s.driftTotal, s.sigTotal = 0, 0
 	s.trackDrift = false
-	s.retireRows = growInts(s.retireRows, maxSlots)[:0]
+	s.retireRows = grow(s.retireRows, maxSlots)[:0]
 	s.trackTagDrift = false
-	s.tagCum = growFloats(s.tagCum, k)
+	s.tagCum = grow(s.tagCum, k)
 	clear(s.tagCum)
-	s.tagSnapSum = growFloats(s.tagSnapSum, k)
+	s.tagSnapSum = grow(s.tagSnapSum, k)
 	clear(s.tagSnapSum)
-	s.tagSig = growFloats(s.tagSig, k)
+	s.tagSig = grow(s.tagSig, k)
 	clear(s.tagSig)
 	if cap(s.tagLedger) < k {
 		next := make([][]float64, k, scratch.CeilPow2(k))
@@ -615,8 +615,8 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	for i := range s.tagLedger {
 		s.tagLedger[i] = s.tagLedger[i][:0]
 	}
-	s.orphan = growFloats(s.orphan, maxSlots)[:0]
-	s.tagOrphan = growFloats(s.tagOrphan, k)
+	s.orphan = grow(s.orphan, maxSlots)[:0]
+	s.tagOrphan = grow(s.tagOrphan, k)
 	clear(s.tagOrphan)
 	if cap(s.wstates) < par {
 		s.wstates = make([]workerState, par)
@@ -677,29 +677,29 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 	s.g.ReserveAdjacency(kCap, maxSlots)
 	s.reservedK = kCap
 	ysN := frameLen * maxSlots
-	s.ysBacking = growComplex(s.ysBacking, ysN)[:0]
-	s.resBacking = growComplex(s.resBacking, ysN)[:0]
-	s.ys = growSlices(s.ys, frameLen)[:0]
-	s.sumBacking = growComplex(s.sumBacking, frameLen*kCap)[:0]
-	s.gainBacking = growFloats(s.gainBacking, frameLen*kCap)[:0]
-	s.bSignBacking = growFloats(s.bSignBacking, frameLen*kCap)[:0]
-	s.dirtyBacking = growInts(s.dirtyBacking, frameLen*kCap)[:0]
-	s.inDirtyBacking = growBools(s.inDirtyBacking, frameLen*kCap)[:0]
-	s.posBits = growBools(s.posBits, frameLen*kCap)[:0]
-	s.ambiguous = growBools(s.ambiguous, frameLen*kCap)[:0]
-	s.mf = growComplex(s.mf, frameLen*kCap)[:0]
-	s.cooc = growInt32s(s.cooc, kCap*kCap)[:0]
+	s.ysBacking = grow(s.ysBacking, ysN)[:0]
+	s.resBacking = grow(s.resBacking, ysN)[:0]
+	s.ys = grow(s.ys, frameLen)[:0]
+	s.sumBacking = grow(s.sumBacking, frameLen*kCap)[:0]
+	s.gainBacking = grow(s.gainBacking, frameLen*kCap)[:0]
+	s.bSignBacking = grow(s.bSignBacking, frameLen*kCap)[:0]
+	s.dirtyBacking = grow(s.dirtyBacking, frameLen*kCap)[:0]
+	s.inDirtyBacking = grow(s.inDirtyBacking, frameLen*kCap)[:0]
+	s.posBits = grow(s.posBits, frameLen*kCap)[:0]
+	s.ambiguous = grow(s.ambiguous, frameLen*kCap)[:0]
+	s.mf = grow(s.mf, frameLen*kCap)[:0]
+	s.cooc = grow(s.cooc, kCap*kCap)[:0]
 	if cap(s.states) < frameLen {
 		s.states = make([]descentState, 0, scratch.CeilPow2(frameLen))
 	}
-	s.retireRows = growInts(s.retireRows, maxSlots)[:0]
-	s.rowPower = growFloats(s.rowPower, maxSlots)[:0]
-	s.driftEnergy = growFloats(s.driftEnergy, maxSlots)[:0]
-	s.orphan = growFloats(s.orphan, maxSlots)[:0]
-	s.tagCum = growFloats(s.tagCum, kCap)[:0]
-	s.tagSnapSum = growFloats(s.tagSnapSum, kCap)[:0]
-	s.tagSig = growFloats(s.tagSig, kCap)[:0]
-	s.tagOrphan = growFloats(s.tagOrphan, kCap)[:0]
+	s.retireRows = grow(s.retireRows, maxSlots)[:0]
+	s.rowPower = grow(s.rowPower, maxSlots)[:0]
+	s.driftEnergy = grow(s.driftEnergy, maxSlots)[:0]
+	s.orphan = grow(s.orphan, maxSlots)[:0]
+	s.tagCum = grow(s.tagCum, kCap)[:0]
+	s.tagSnapSum = grow(s.tagSnapSum, kCap)[:0]
+	s.tagSig = grow(s.tagSig, kCap)[:0]
+	s.tagOrphan = grow(s.tagOrphan, kCap)[:0]
 	if cap(s.tagLedger) < kCap {
 		next := make([][]float64, len(s.tagLedger), scratch.CeilPow2(kCap))
 		copy(next, s.tagLedger)
@@ -871,9 +871,9 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 		}
 		s.cooc, s.mf, s.kStride = cooc, mf, k2
 	}
-	s.ambiguous = growBools(s.ambiguous, s.frameLen*k2)
-	s.dirtyBacking = growInts(s.dirtyBacking, s.frameLen*k2)
-	s.inDirtyBacking = growBools(s.inDirtyBacking, s.frameLen*k2)
+	s.ambiguous = grow(s.ambiguous, s.frameLen*k2)
+	s.dirtyBacking = grow(s.dirtyBacking, s.frameLen*k2)
+	s.inDirtyBacking = grow(s.inDirtyBacking, s.frameLen*k2)
 	clear(s.inDirtyBacking)
 	growTagFloats := func(buf []float64) []float64 {
 		if cap(buf) < k2 {
@@ -1409,9 +1409,9 @@ func (s *Session) prepareGram() {
 	g := &s.g
 	act := g.activeTags
 	ka := len(act)
-	s.gramTap = growComplex(s.gramTap, ka)
-	s.gramWPow = growFloats(s.gramWPow, ka)
-	nh := growComplex(s.gramNH, ka*ka)
+	s.gramTap = grow(s.gramTap, ka)
+	s.gramWPow = grow(s.gramWPow, ka)
+	nh := grow(s.gramNH, ka*ka)
 	s.gramNH = nh
 	for x, a := range act {
 		h := g.taps[a]
@@ -1434,8 +1434,8 @@ func (s *Session) prepareGram() {
 		mark[l] = false
 	}
 	s.gramLocked = lk
-	s.gramLockCol = growComplex(s.gramLockCol, len(lk)*ka)
-	s.gramLockNZ = growBools(s.gramLockNZ, len(lk)*ka)
+	s.gramLockCol = grow(s.gramLockCol, len(lk)*ka)
+	s.gramLockNZ = grow(s.gramLockNZ, len(lk)*ka)
 	for j, l := range lk {
 		gramColumn(s.gramLockCol[j*ka:(j+1)*ka], s.gramLockNZ[j*ka:(j+1)*ka], s.cooc[l*s.kStride:], act, g.taps[l])
 	}
@@ -1829,56 +1829,4 @@ func (s *Session) conditionalMarginGram(p, i int, locked []bool) float64 {
 	b[i] = !b[i]
 	ws.gramDescend(s, b, 64*(s.g.K+1)*(s.g.L+1), pins)
 	return ws.gramError(s, b) - base
-}
-
-// growComplex and friends resize a session-owned buffer to length n,
-// reusing capacity with power-of-two headroom. Contents are not
-// preserved; callers re-derive them.
-func growComplex(buf []complex128, n int) []complex128 {
-	if cap(buf) < n {
-		return make([]complex128, n, scratch.CeilPow2(n))
-	}
-	return buf[:n]
-}
-
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n, scratch.CeilPow2(n))
-	}
-	return buf[:n]
-}
-
-func growUint64s(buf []uint64, n int) []uint64 {
-	if cap(buf) < n {
-		return make([]uint64, n, scratch.CeilPow2(n))
-	}
-	return buf[:n]
-}
-
-func growInt32s(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n, scratch.CeilPow2(n))
-	}
-	return buf[:n]
-}
-
-func growBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n, scratch.CeilPow2(n))
-	}
-	return buf[:n]
-}
-
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n, scratch.CeilPow2(n))
-	}
-	return buf[:n]
-}
-
-func growSlices(buf [][]complex128, n int) [][]complex128 {
-	if cap(buf) < n {
-		return make([][]complex128, n, scratch.CeilPow2(n))
-	}
-	return buf[:n]
 }

@@ -54,19 +54,13 @@ type Stream struct {
 	wins       []int // per-tag windows over joined tags; nil = global/classic
 	confirmWin int
 
-	// Per-tag state in join order; all grow together on arrival.
+	// Per-tag state in join order; all grow together on arrival. The
+	// acceptance gates' share is the embedded gateState.
+	gateState
 	seeds          []uint64
-	estimates      []bits.Vector
-	locked         []bool
 	verified       []bool
 	departed       []bool
 	retired        []bool
-	decodedAt      []int
-	frames         []bits.Vector
-	candidates     []*pendingFrame
-	frameChanged   []bool
-	frameOK        []bool
-	crcValid       []bool
 	participation  []int
 	rowsRetiredTag []int
 
@@ -265,18 +259,20 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 		nJ:       k0,
 		density:  participationDensity(cfg.Density, k0),
 
+		gateState: gateState{
+			estimates:    make([]bits.Vector, k0, cap0),
+			locked:       make([]bool, k0, cap0),
+			decodedAt:    make([]int, k0, cap0),
+			candidates:   make([]*pendingFrame, k0, cap0),
+			frameChanged: make([]bool, k0, cap0),
+			frameOK:      make([]bool, k0, cap0),
+			crcValid:     make([]bool, k0, cap0),
+			frames:       make([]bits.Vector, k0, cap0),
+		},
 		seeds:          append(make([]uint64, 0, cap0), cfg.Seeds...),
-		estimates:      make([]bits.Vector, k0, cap0),
-		locked:         make([]bool, k0, cap0),
 		verified:       make([]bool, k0, cap0),
 		departed:       make([]bool, k0, cap0),
 		retired:        make([]bool, k0, cap0),
-		decodedAt:      make([]int, k0, cap0),
-		frames:         make([]bits.Vector, k0, cap0),
-		candidates:     make([]*pendingFrame, k0, cap0),
-		frameChanged:   make([]bool, k0, cap0),
-		frameOK:        make([]bool, k0, cap0),
-		crcValid:       make([]bool, k0, cap0),
 		participation:  make([]int, k0, cap0),
 		rowsRetiredTag: make([]int, k0, cap0),
 	}
@@ -522,20 +518,9 @@ func (st *Stream) FinishIngest() (StepResult, error) {
 	minMargin, ambiguous := st.stageMargin, st.stageAmb
 	st.stageMargin, st.stageAmb = nil, nil
 
-	// Acceptance gates (see acceptSlot); the slice headers are restaged
-	// each slot because arrivals may have regrown the backing arrays.
-	gs := gateState{
-		estimates:    st.estimates,
-		locked:       st.locked,
-		decodedAt:    st.decodedAt,
-		candidates:   st.candidates,
-		frameChanged: st.frameChanged,
-		frameOK:      st.frameOK,
-		crcValid:     st.crcValid,
-		frames:       st.frames,
-	}
+	// Acceptance gates (see acceptSlot).
 	st.accepted = st.accepted[:0]
-	newly := st.cfg.acceptSlot(st.sess, st.slot, st.nJ, st.frameLen, &gs, minMargin, ambiguous,
+	newly := st.cfg.acceptSlot(st.sess, st.slot, st.nJ, st.frameLen, &st.gateState, minMargin, ambiguous,
 		st.cfg.gatesWith(st.sess, st.win, st.wins, st.confirmWin), func(i int) {
 			st.verified[i] = true
 			st.nResolved++
