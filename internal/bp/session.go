@@ -116,6 +116,10 @@ type Session struct {
 	gramMark    []bool
 	gramLockCol []complex128
 	gramLockNZ  []bool
+	// gramErr[p] is position p's adopted pass error on a Gram slot
+	// (decodePosition): gramError at the position's decoded bits, the
+	// acceptance gate's base error (conditionalMarginGram).
+	gramErr []float64
 
 	// posBits[p·K+i] is tag i's bit at position p in the current joint
 	// decode — the init of the next slot's descent and the frame source
@@ -594,6 +598,7 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	}
 	s.posBits = grow(s.posBits, frameLen*k)
 	s.ambiguous = grow(s.ambiguous, frameLen*k)
+	s.gramErr = grow(s.gramErr, frameLen)
 	s.rowPower = grow(s.rowPower, maxSlots)[:0]
 	s.driftEnergy = grow(s.driftEnergy, maxSlots)[:0]
 	s.driftTotal, s.sigTotal = 0, 0
@@ -687,6 +692,7 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 	s.inDirtyBacking = grow(s.inDirtyBacking, frameLen*kCap)[:0]
 	s.posBits = grow(s.posBits, frameLen*kCap)[:0]
 	s.ambiguous = grow(s.ambiguous, frameLen*kCap)[:0]
+	s.gramErr = grow(s.gramErr, frameLen)[:0]
 	s.mf = grow(s.mf, frameLen*kCap)[:0]
 	s.cooc = grow(s.cooc, kCap*kCap)[:0]
 	if cap(s.states) < frameLen {
@@ -1605,6 +1611,7 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 			ws.gramStart(s, myBits)
 			ws.gramInstall(s, st)
 		}
+		s.gramErr[p] = passErr[bestPass]
 		cFlips += f
 	} else if s.restarts > 0 {
 		bestErr := st.normSqActive(g)
@@ -1808,18 +1815,21 @@ func (s *Session) conditionalMarginRows(p, i int, locked []bool) float64 {
 
 // conditionalMarginGram is ConditionalMargin's error difference in Gram
 // space (see prepareGram), from the slot's staged Gram and the
-// matched-filter state alone: B at the position's bits (gramInput), the
-// base error at them, then a Gram descent from those bits with bit i
-// flipped, tag i and every active tag locked marks pinned. gramError
-// drops the same constant from both errors, so the difference is the
-// row path's. O(Ka² + Ka·locked) plus the descent's O(Ka) per flip; it
-// writes only the gate workspace, never the position's state.
+// matched-filter state alone: B at the position's bits (gramInput), then
+// a Gram descent from those bits with bit i flipped, tag i and every
+// active tag locked marks pinned. The base error is the decode's: the
+// adopted pass's gramError (gramErr), which is gramError at the
+// position's bits under the same B, bit for bit, since gramError is a
+// pure function of the active bits and B depends only on locked bits
+// that do not change within a slot. gramError drops the same constant
+// from both errors, so the difference is the row path's.
+// O(Ka² + Ka·locked) plus the descent's O(Ka) per flip; it writes only
+// the gate workspace, never the position's state.
 func (s *Session) conditionalMarginGram(p, i int, locked []bool) float64 {
 	ws := &s.cond
 	b := bits.Vector(ws.allBits[:s.k])
 	copy(b, s.PosBits(p))
 	ws.gramInput(s, p, b)
-	base := ws.gramError(s, b)
 	pins := ws.gPins[:0]
 	for x, j := range s.g.activeTags {
 		if j == i || (locked != nil && locked[j]) {
@@ -1828,5 +1838,5 @@ func (s *Session) conditionalMarginGram(p, i int, locked []bool) float64 {
 	}
 	b[i] = !b[i]
 	ws.gramDescend(s, b, 64*(s.g.K+1)*(s.g.L+1), pins)
-	return ws.gramError(s, b) - base
+	return ws.gramError(s, b) - s.gramErr[p]
 }

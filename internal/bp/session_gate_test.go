@@ -400,3 +400,69 @@ func TestSessionObserversNeverChangeDecode(t *testing.T) {
 	}
 	t.Logf("%d Gram and %d row slots (%d right after a Gram slot, %d continuing), %d gate scores observed", gramSlots, rowSlots, afterGram, continued, observed)
 }
+
+// refConditionalMarginGram is conditionalMarginGram as it was before it
+// took its base error from the decode: it recomputes B and the base
+// gramError at the position's bits for every call.
+func refConditionalMarginGram(s *Session, p, i int, locked []bool) float64 {
+	ws := &s.cond
+	b := bits.Vector(ws.allBits[:s.k])
+	copy(b, s.PosBits(p))
+	ws.gramInput(s, p, b)
+	base := ws.gramError(s, b)
+	pins := ws.gPins[:0]
+	for x, j := range s.g.activeTags {
+		if j == i || (locked != nil && locked[j]) {
+			pins = append(pins, x)
+		}
+	}
+	b[i] = !b[i]
+	ws.gramDescend(s, b, 64*(s.g.K+1)*(s.g.L+1), pins)
+	return ws.gramError(s, b) - base
+}
+
+// TestSessionGateBaseIsDecodeError pins that the Gram gate's base error,
+// taken from the decode's adopted pass (gramErr), is the gramError the
+// gate used to recompute at the position's bits, bit for bit, and that
+// every gate margin equals refConditionalMarginGram's bitwise: with the
+// decode's locked set and with one more unlocked tag pinned, after
+// every Gram slot of random sessions.
+func TestSessionGateBaseIsDecodeError(t *testing.T) {
+	compared := 0
+	gramSlots, _ := driveGateSessions(t, 16, 0x6A71, func(s *Session, locked []bool) {
+		if !s.gramOn {
+			return
+		}
+		extra := make([]bool, s.k)
+		for p := 0; p < s.frameLen; p++ {
+			b := bits.Vector(append([]bool(nil), s.PosBits(p)...))
+			s.cond.gramInput(s, p, b)
+			if got, want := s.gramErr[p], s.cond.gramError(s, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("position %d: decode's error %v, gramError at the position's bits %v", p, got, want)
+				return
+			}
+			act := s.g.activeTags
+			for x, i := range act {
+				if s.g.Degree(i) == 0 {
+					continue
+				}
+				copy(extra, locked)
+				extra[act[(x+1)%len(act)]] = true
+				extra[i] = false
+				for _, pins := range [][]bool{locked, extra} {
+					got := s.conditionalMarginGram(p, i, pins)
+					want := refConditionalMarginGram(s, p, i, pins)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("position %d tag %d: gate error difference %v, reference %v", p, i, got, want)
+						return
+					}
+					compared++
+				}
+			}
+		}
+	})
+	if gramSlots == 0 || compared == 0 {
+		t.Fatalf("%d Gram slots, %d gate scores compared, want both > 0", gramSlots, compared)
+	}
+	t.Logf("%d gate scores compared on %d Gram slots", compared, gramSlots)
+}

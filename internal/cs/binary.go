@@ -56,48 +56,123 @@ func (m *BinaryMat) ColWeight(c int) int {
 }
 
 // gramRowInto sets g[c] = popcount(col(a) AND col(c)) for every column
-// c: column a's row of the integer Gram matrix AᵀA.
+// c: column a's row of the integer Gram matrix AᵀA. Columns of one to
+// four words, every stage-C shape up to 256 rows, run a loop unrolled to
+// their word count; the counts are integers, so every shape's result is
+// exact.
 func (m *BinaryMat) gramRowInto(g []float64, a int) {
 	ca := m.Col(a)
 	g = g[:m.Cols]
-	for c := range g {
-		cb := m.Bits[c*m.Words:][:len(ca)]
-		n := 0
-		for w, word := range ca {
-			n += mbits.OnesCount64(word & cb[w])
+	bs := m.Bits[:m.Cols*m.Words]
+	switch len(ca) {
+	case 1:
+		a0 := ca[0]
+		for c := range g {
+			g[c] = float64(mbits.OnesCount64(a0 & bs[c]))
 		}
-		g[c] = float64(n)
+	case 2:
+		a0, a1 := ca[0], ca[1]
+		for c := range g {
+			cb := bs[2*c:][:2]
+			g[c] = float64(mbits.OnesCount64(a0&cb[0]) + mbits.OnesCount64(a1&cb[1]))
+		}
+	case 3:
+		a0, a1, a2 := ca[0], ca[1], ca[2]
+		for c := range g {
+			cb := bs[3*c:][:3]
+			g[c] = float64(mbits.OnesCount64(a0&cb[0]) + mbits.OnesCount64(a1&cb[1]) +
+				mbits.OnesCount64(a2&cb[2]))
+		}
+	case 4:
+		a0, a1, a2, a3 := ca[0], ca[1], ca[2], ca[3]
+		for c := range g {
+			cb := bs[4*c:][:4]
+			g[c] = float64(mbits.OnesCount64(a0&cb[0]) + mbits.OnesCount64(a1&cb[1]) +
+				mbits.OnesCount64(a2&cb[2]) + mbits.OnesCount64(a3&cb[3]))
+		}
+	default:
+		for c := range g {
+			cb := bs[c*m.Words:][:len(ca)]
+			n := 0
+			for w, word := range ca {
+				n += mbits.OnesCount64(word & cb[w])
+			}
+			g[c] = float64(n)
+		}
 	}
 }
 
 // dotY returns Σ_{r: col(c)[r]=1} y[r] — the column's correlation with
-// y (the column is real 0/1, so no conjugation is involved).
+// y (the column is real 0/1, so no conjugation is involved), summed in
+// ascending row order from +0.
 func (m *BinaryMat) dotY(c int, y dsp.Vec) complex128 {
 	var s complex128
-	col := m.Col(c)
-	for w, word := range col {
-		base := w * 64
+	for w, word := range m.Col(c) {
+		yw := y[w*64:]
 		for word != 0 {
-			b := mbits.TrailingZeros64(word)
-			s += y[base+b]
+			s += yw[mbits.TrailingZeros64(word)]
 			word &= word - 1
 		}
 	}
 	return s
 }
 
+// atyInto sets aty[c] = dotY(c, y) for every column c, two columns at a
+// time (dotY2), bit for bit dotY's.
+func (m *BinaryMat) atyInto(aty, y dsp.Vec) {
+	aty = aty[:m.Cols]
+	c := 0
+	for ; c+2 <= len(aty); c += 2 {
+		aty[c], aty[c+1] = m.dotY2(c, y)
+	}
+	if c < len(aty) {
+		aty[c] = m.dotY(c, y)
+	}
+}
+
+// dotY2 returns dotY(c) and dotY(c+1) as two independent add chains
+// interleaved over the set bits, so neither waits on the other's adds;
+// each column still sums its rows in ascending order from +0, so both
+// results are dotY's, bit for bit.
+func (m *BinaryMat) dotY2(c int, y dsp.Vec) (s0, s1 complex128) {
+	c0 := m.Col(c)
+	c1 := m.Col(c + 1)[:len(c0)]
+	for w, w0 := range c0 {
+		w1 := c1[w]
+		yw := y[w*64:]
+		for w0 != 0 && w1 != 0 {
+			s0 += yw[mbits.TrailingZeros64(w0)]
+			s1 += yw[mbits.TrailingZeros64(w1)]
+			w0 &= w0 - 1
+			w1 &= w1 - 1
+		}
+		for ; w0 != 0; w0 &= w0 - 1 {
+			s0 += yw[mbits.TrailingZeros64(w0)]
+		}
+		for ; w1 != 0; w1 &= w1 - 1 {
+			s1 += yw[mbits.TrailingZeros64(w1)]
+		}
+	}
+	return s0, s1
+}
+
 // OMPBits runs Orthogonal Matching Pursuit on y = A·z for a binary A,
 // solving each growing least-squares subproblem through the normal
 // equations G·x = Bᴴy with an incrementally-updated Cholesky factor of
 // the integer Gram matrix G = BᴴB. Setup costs O(cols·words) popcounts
-// for the column weights and one add per set bit of A for Aᴴy. With s
-// atoms in the support, a pursuit iteration costs O(cols·words)
-// popcounts for the new atom's Gram row, O(cols·s) multiply-adds for
-// the score refresh (contiguous passes over the Gram rows, see
-// refreshScores), O(cols) for the scoring and O(s²) for the triangular
-// solves; over a whole pursuit the refresh's O(cols·s²) dominates. No
-// dense matrix is assembled, no Householder QR runs and no residual
-// vector exists at all (its norm comes from ‖y‖² − 2Re(xᴴBᴴy) + xᴴGx).
+// for the column weights and one add per set bit of A for Aᴴy (two
+// columns at a time, atyInto). With s atoms in the support, a pursuit
+// iteration costs O(cols·words) popcounts for the new atom's Gram row
+// (gramRowInto), O(cols·s) multiply-adds for the score refresh
+// (contiguous passes over the Gram rows, see refreshScores), O(cols)
+// for the scoring, one division per candidate, and O(s²) for the
+// triangular solves. At stage C's shape (about 100 rows, 500
+// candidates, 15 iterations) no one part dominates: the refresh's
+// O(cols·s²) and the Aᴴy setup take about 30% of the pursuit each, and
+// the scoring and the new atoms (Gram rows and factor updates) about a
+// sixth each. No dense matrix is assembled, no Householder QR runs and
+// no residual vector exists at all (its norm comes from
+// ‖y‖² − 2Re(xᴴBᴴy) + xᴴGx).
 //
 // Options mean the same as for OMP. The recovered supports match the
 // dense solver's; coefficients agree to least-squares accuracy (the
@@ -134,17 +209,19 @@ func OMPBits(a *BinaryMat, y dsp.Vec, opts OMPOptions) (*Result, error) {
 	aty := dsp.Vec(sc.Complex(a.Cols))
 	for c := 0; c < a.Cols; c++ {
 		weight[c] = a.ColWeight(c)
-		if weight[c] > 0 {
-			aty[c] = a.dotY(c, y)
-		}
 	}
+	a.atyInto(aty, y)
 
 	// Support state. Column index −1 denotes the DC (all-ones) atom.
 	support := sc.Int(dim)[:0]
 	inSupport := sc.Bool(a.Cols)
 	// gcols[j][c] = <col_c, B_j> for every candidate column c — the
-	// cross-Gram row of support atom j, used by the score refresh.
-	gcols := sc.Float(dim * a.Cols)
+	// cross-Gram row of support atom j, used by the score refresh. Each
+	// row is drawn when its atom is tried, so a pursuit zeroes no rows
+	// beyond the atoms it tries; the row list lives on the stack up to
+	// 64 atoms.
+	var gcolsBuf [64][]float64
+	gcols := gcolsBuf[:0]
 	// chol is the lower-triangular Cholesky factor of G, row-major;
 	// bty and x are the projected RHS and the current solution.
 	chol := sc.Float(dim * dim)
@@ -159,10 +236,9 @@ func OMPBits(a *BinaryMat, y dsp.Vec, opts OMPOptions) (*Result, error) {
 		s := len(support)
 		// New Gram column against the existing support and the
 		// candidate pool.
-		var g []float64
+		g := sc.Float(a.Cols)
 		var diag float64
 		var rhs complex128
-		g = gcols[s*a.Cols : (s+1)*a.Cols]
 		if col < 0 {
 			for c := 0; c < a.Cols; c++ {
 				g[c] = float64(weight[c])
@@ -209,6 +285,7 @@ func OMPBits(a *BinaryMat, y dsp.Vec, opts OMPOptions) (*Result, error) {
 		chol[s*dim+s] = math.Sqrt(d)
 		bty[s] = rhs
 		support = append(support, col)
+		gcols = append(gcols, g)
 		return true
 	}
 
@@ -329,7 +406,7 @@ func OMPBits(a *BinaryMat, y dsp.Vec, opts OMPOptions) (*Result, error) {
 // the ones a per-candidate loop over the support computes, bit for bit
 // (a real Gram entry g times x is g·re(x), g·im(x); the complex product
 // differs from that only in the sign of an exact zero).
-func refreshScores(zr, zi []float64, aty dsp.Vec, gcols []float64, x dsp.Vec) {
+func refreshScores(zr, zi []float64, aty dsp.Vec, gcols [][]float64, x dsp.Vec) {
 	n := len(zr)
 	zi = zi[:n]
 	aty = aty[:n]
@@ -338,10 +415,10 @@ func refreshScores(zr, zi []float64, aty dsp.Vec, gcols []float64, x dsp.Vec) {
 	}
 	j := 0
 	for ; j+4 <= len(x); j += 4 {
-		g0 := gcols[j*n:][:n]
-		g1 := gcols[(j+1)*n:][:n]
-		g2 := gcols[(j+2)*n:][:n]
-		g3 := gcols[(j+3)*n:][:n]
+		g0 := gcols[j][:n]
+		g1 := gcols[j+1][:n]
+		g2 := gcols[j+2][:n]
+		g3 := gcols[j+3][:n]
 		x0r, x0i := real(x[j]), imag(x[j])
 		x1r, x1i := real(x[j+1]), imag(x[j+1])
 		x2r, x2i := real(x[j+2]), imag(x[j+2])
@@ -360,7 +437,7 @@ func refreshScores(zr, zi []float64, aty dsp.Vec, gcols []float64, x dsp.Vec) {
 		}
 	}
 	for ; j < len(x); j++ {
-		g0 := gcols[j*n:][:n]
+		g0 := gcols[j][:n]
 		x0r, x0i := real(x[j]), imag(x[j])
 		for c := range zr {
 			zr[c] -= g0[c] * x0r

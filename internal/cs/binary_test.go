@@ -163,9 +163,10 @@ func BenchmarkOMPBits_StageC(b *testing.B) {
 }
 
 // FuzzOMPBits drives OMPBits over arbitrary binary matrices — empty,
-// duplicate and all-ones columns included — and arbitrary bounded
-// observations, checking its output invariants and that an arena-backed
-// run equals a heap-backed one.
+// duplicate and all-ones columns included, 1 to 320 rows, so one to five
+// words per column — and arbitrary bounded observations, checking its
+// output invariants and that an arena-backed run equals a heap-backed
+// one.
 func FuzzOMPBits(f *testing.F) {
 	f.Add(uint64(1), uint8(96), uint8(200), uint8(17), uint8(128), true, []byte(nil))
 	f.Add(uint64(2), uint8(8), uint8(3), uint8(5), uint8(255), false, []byte{1, 2, 3})
@@ -173,7 +174,7 @@ func FuzzOMPBits(f *testing.F) {
 	f.Add(uint64(4), uint8(40), uint8(60), uint8(30), uint8(20), true, []byte{127, 128, 0, 255})
 	f.Fuzz(func(t *testing.T, seed uint64, rows, cols, sparsity, density uint8, dc bool, ys []byte) {
 		src := prng.NewSource(seed)
-		m := 1 + int(rows)%128
+		m := 1 + int(rows)*319/255
 		n := 1 + int(cols)
 		k := 1 + src.IntN(8)
 		bm, _, y := binaryProblem(src, m, n, k, float64(density)/255, 1, 0.1)

@@ -35,6 +35,25 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
+// sessionOutputs runs one golden-sweep session and returns the outputs
+// the digest hashes, in its order.
+func sessionOutputs(t testing.TB, gc goldenCase, cfg Config) []uint64 {
+	src := prng.NewSource(prng.Mix3(gc.seed, uint64(gc.k), math.Float64bits(gc.loDB)))
+	ids := activeSet(src, gc.k)
+	ch := channel.NewFromSNRBand(gc.k, gc.loDB, gc.hiDB, src)
+	cfg.Salt = src.Uint64()
+	res, err := Run(cfg, ids, ch, src.Fork(1))
+	if err != nil {
+		t.Errorf("seed %d k %d: %v", gc.seed, gc.k, err)
+		return nil
+	}
+	out := []uint64{uint64(res.TotalSlots), uint64(res.KEstimate), uint64(res.Steps), uint64(len(res.Identified))}
+	for _, id := range res.Identified {
+		out = append(out, id.TempID, math.Float64bits(real(id.Tap)), math.Float64bits(imag(id.Tap)))
+	}
+	return out
+}
+
 // identifyDigest runs every golden case through Run, drawing buffers
 // from sc (nil: the heap), and hashes the outputs: TotalSlots,
 // KEstimate, Steps and each identified tag's TempID with the exact bits
@@ -42,26 +61,10 @@ func goldenCases() []goldenCase {
 func identifyDigest(t testing.TB, sc *scratch.Scratch) string {
 	h := sha256.New()
 	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
 	for _, gc := range goldenCases() {
-		src := prng.NewSource(prng.Mix3(gc.seed, uint64(gc.k), math.Float64bits(gc.loDB)))
-		ids := activeSet(src, gc.k)
-		ch := channel.NewFromSNRBand(gc.k, gc.loDB, gc.hiDB, src)
-		res, err := Run(Config{Salt: src.Uint64(), Scratch: sc}, ids, ch, src.Fork(1))
-		if err != nil {
-			t.Fatalf("seed %d k %d band [%g, %g]: %v", gc.seed, gc.k, gc.loDB, gc.hiDB, err)
-		}
-		put(uint64(res.TotalSlots))
-		put(uint64(res.KEstimate))
-		put(uint64(res.Steps))
-		put(uint64(len(res.Identified)))
-		for _, id := range res.Identified {
-			put(id.TempID)
-			put(math.Float64bits(real(id.Tap)))
-			put(math.Float64bits(imag(id.Tap)))
+		for _, v := range sessionOutputs(t, gc, Config{Scratch: sc}) {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -205,20 +205,6 @@ func PatternBit(tempID, salt uint64, m int) bool {
 	return PatternWord(PatternSeed(tempID, salt), m/64)>>(uint(m)%64)&1 == 1
 }
 
-// nextCandidate steps through the K grid the likelihood scan evaluates:
-// every integer up to 64, then 2% multiplicative steps — K only needs to
-// be right to within a few percent for the id-space sizing.
-func nextCandidate(k int) int {
-	if k < 64 {
-		return k + 1
-	}
-	next := k + k/50
-	if next == k {
-		next = k + 1
-	}
-	return next
-}
-
 // Run executes a full identification session. activeIDs are the global
 // ids of the K tags that have data; ch supplies their channel taps
 // (index-aligned with activeIDs) and the noise floor. noiseSrc drives
@@ -251,16 +237,15 @@ func Run(cfg Config, activeIDs []uint64, ch *channel.Model, noiseSrc *prng.Sourc
 	//
 	//	log L(K) = Σ_j [ e_j·K·ln(1−p_j) + (s−e_j)·ln(1−(1−p_j)^K) ]
 	//
-	// maximized by a scan over integer K. Two extra steps past the
-	// threshold crossing sharpen the likelihood at no meaningful cost.
+	// maximized by a scan over a grid of about 550 K values. Each step
+	// adds its row of per-candidate terms, computed once per process,
+	// into the likelihoods as it completes: two multiply-adds per
+	// candidate and step, no logarithm (see kestimate.go). Two extra
+	// steps past the threshold crossing sharpen the likelihood at no
+	// meaningful cost.
 	s := cfg.slotsPerStep()
 	threshold := cfg.emptyThreshold()
-	type stepObs struct {
-		p     float64
-		logQ  float64 // ln(1−p), hoisted for the likelihood scan
-		empty int
-	}
-	var observations []stepObs
+	ll := sc.Float(len(kCandidates))
 	stepSeeds := sc.Uint64(k)
 	extra := 0
 	for step := 1; step <= cfg.maxSteps(); step++ {
@@ -284,7 +269,7 @@ func Run(cfg Config, activeIDs []uint64, ch *channel.Model, noiseSrc *prng.Sourc
 		}
 		res.KEstSlots += s
 		res.Steps = step
-		observations = append(observations, stepObs{p: p, logQ: math.Log1p(-p), empty: empty})
+		addStep(ll, step, s, empty)
 		if float64(empty)/float64(s) >= threshold {
 			extra++
 		}
@@ -292,44 +277,7 @@ func Run(cfg Config, activeIDs []uint64, ch *channel.Model, noiseSrc *prng.Sourc
 			break
 		}
 	}
-	// pEmpty is clamped to [pFloor, pCeil] (the log guards of the direct
-	// form); the clamps' logs are constants of the scan.
-	const pFloor, pCeil = 1e-300, 1 - 1e-12
-	logFloor, logCeil := math.Log(pFloor), math.Log(pCeil)
-	kHat := 1
-	bestLL := math.Inf(-1)
-	for kCand := 1; kCand <= 1<<20; kCand = nextCandidate(kCand) {
-		ll := 0.0
-		for _, o := range observations {
-			// pEmpty = (1−p)^K = exp(K·ln(1−p)). Below K·ln(1−p) = −691
-			// it is under e^−691 < pFloor, so the floor applies without
-			// evaluating exp.
-			logP := float64(kCand) * o.logQ
-			pEmpty := 0.0
-			if logP >= -691 {
-				pEmpty = math.Exp(logP)
-			}
-			if pEmpty < pFloor {
-				pEmpty, logP = pFloor, logFloor
-			}
-			if pEmpty > pCeil {
-				pEmpty, logP = pCeil, logCeil
-			}
-			// The busy-slot term is exactly ±0 when the step had no busy
-			// slot or when 1−pEmpty rounds to 1 (ln 1 = 0). Skipping it
-			// can change only the sign of a zero t, which ll absorbs: ll
-			// starts at +0, so it is never −0.
-			t := float64(o.empty) * logP
-			if q := 1 - pEmpty; q != 1 && s != o.empty {
-				t += float64(s-o.empty) * math.Log(q)
-			}
-			ll += t
-		}
-		if ll > bestLL {
-			bestLL = ll
-			kHat = kCand
-		}
-	}
+	kHat, _ := kEstimate(ll)
 	res.KEstimate = kHat
 
 	// ---- Stage B: bucket elimination. ----
@@ -340,13 +288,14 @@ func Run(cfg Config, activeIDs []uint64, ch *channel.Model, noiseSrc *prng.Sourc
 	res.IDSpace = idSpace
 	res.BucketSlots = nBuckets
 
-	tempIDs := make([]uint64, k)
+	tempIDs := sc.Uint64(k)
 	tagBucket := sc.Int(k)
 	for i, id := range activeIDs {
 		tempIDs[i] = TempIDFor(id, cfg.Salt, idSpace)
 		tagBucket[i] = int(tempIDs[i]) / a
 	}
 	occupied := sc.Bool(nBuckets)
+	nOccupied := 0
 	for b := 0; b < nBuckets; b++ {
 		for i := range tempIDs {
 			active[i] = tagBucket[i] == b
@@ -354,15 +303,14 @@ func Run(cfg Config, activeIDs []uint64, ch *channel.Model, noiseSrc *prng.Sourc
 		y := ch.Symbol(active, noiseSrc)
 		if real(y)*real(y)+imag(y)*imag(y) > detect {
 			occupied[b] = true
+			nOccupied++
 		}
 	}
-	var candidates []uint64
-	nOccupied := 0
+	candidates := sc.Uint64(nOccupied * a)[:0]
 	for b, occ := range occupied {
 		if !occ {
 			continue
 		}
-		nOccupied++
 		for j := 0; j < a; j++ {
 			candidates = append(candidates, uint64(b*a+j))
 		}

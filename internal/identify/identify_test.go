@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/prng"
+	"repro/internal/scratch"
 )
 
 // activeSet draws k distinct "global ids" from a huge population — the
@@ -269,6 +270,40 @@ func BenchmarkRunK16(b *testing.B) {
 	}
 }
 
+// BenchmarkRunHeadlineBand times twelve warm identification sessions
+// on one reused arena, the way the simulator calls Run: K = 4..15 at
+// the headline SNR band (14–30 dB).
+func BenchmarkRunHeadlineBand(b *testing.B) {
+	sc := scratch.New()
+	type session struct {
+		ids  []uint64
+		ch   *channel.Model
+		salt uint64
+		seed uint64
+	}
+	var sessions []session
+	for k := 4; k < 16; k++ {
+		src := prng.NewSource(prng.Mix3(0, uint64(k), math.Float64bits(14)))
+		ids := activeSet(src, k)
+		ch := channel.NewFromSNRBand(k, 14, 30, src)
+		sessions = append(sessions, session{ids: ids, ch: ch, salt: src.Uint64(), seed: src.Uint64()})
+	}
+	run := func() {
+		for _, s := range sessions {
+			if _, err := Run(Config{Salt: s.salt, Scratch: sc}, s.ids, s.ch, prng.NewSource(s.seed)); err != nil {
+				b.Fatal(err)
+			}
+			sc.Reset()
+		}
+	}
+	run() // warm the arena and the stage-A rows
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 func TestRunWithRetriesCompletes(t *testing.T) {
 	src := prng.NewSource(61)
 	complete := 0
@@ -306,5 +341,29 @@ func TestRunWithRetriesValidation(t *testing.T) {
 	ch := channel.NewUniform(1, 20, src)
 	if _, err := RunWithRetries(Config{}, []uint64{1}, ch, src, 0); err == nil {
 		t.Fatal("expected maxRounds validation error")
+	}
+}
+
+// TestRunSteadyStateAllocBound pins a warm session's allocations on a
+// reused arena at K = 16: every working buffer of the three stages,
+// stage B's candidate and temporary-id lists included, comes from the
+// arena, so only the escaping results touch the heap — the Result and
+// its Identified list, the pursuit's Result with its support and
+// coefficient lists, and the pattern matrix's header (18 allocations at
+// this session).
+func TestRunSteadyStateAllocBound(t *testing.T) {
+	src := prng.NewSource(16)
+	ids := activeSet(src, 16)
+	ch := channel.NewFromSNRBand(16, 14, 30, src)
+	sc := scratch.New()
+	run := func() {
+		if _, err := Run(Config{Salt: 9, Scratch: sc}, ids, ch, prng.NewSource(3)); err != nil {
+			t.Fatal(err)
+		}
+		sc.Reset()
+	}
+	run() // warm the arena and the stage-A rows
+	if allocs := testing.AllocsPerRun(10, run); allocs > 20 {
+		t.Fatalf("warm Run allocates %v times, budget 20", allocs)
 	}
 }
