@@ -9,22 +9,17 @@
 //
 // The paper solves the L1 program of Eq. 6 with a Matlab interior-point
 // solver (CVX). That machinery is neither available in Go's stdlib nor
-// necessary at these problem sizes, so this package provides two
-// dependency-free solvers (the substitution is documented in DESIGN.md):
-//
-//   - OMP — Orthogonal Matching Pursuit, a greedy solver that picks the
-//     column best correlated with the residual and re-solves least
-//     squares on the growing support. Deterministic, fast, and exact for
-//     the sparsity levels stage B leaves behind.
-//   - ISTA — Iterative Soft-Thresholding, a proximal-gradient solver for
-//     the Lagrangian form of the same L1 program. Kept as a second,
-//     independent decoding path; the ablation bench compares the two.
+// necessary at these problem sizes, so this package solves it greedily
+// with Orthogonal Matching Pursuit: pick the column best correlated with
+// the residual and re-solve least squares on the growing support.
+// Deterministic, fast, and exact for the sparsity levels stage B leaves
+// behind. Identification runs OMPBits, the binary-column form
+// (binary.go); OMP over a dense matrix is its test reference.
 package cs
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/cmplx"
 
 	"repro/internal/dsp"
@@ -243,132 +238,4 @@ func sortSupport(r *Result) {
 		r.Support[j+1] = s
 		r.Coeffs[j+1] = c
 	}
-}
-
-// ISTAOptions tunes the iterative soft-thresholding solver.
-type ISTAOptions struct {
-	// Lambda is the L1 regularization weight. Larger values produce
-	// sparser solutions.
-	Lambda float64
-	// MaxIterations bounds the gradient steps (default 500).
-	MaxIterations int
-	// Tol stops iteration when the solution moves less than Tol in L2
-	// between steps (default 1e-7).
-	Tol float64
-	// MinCoeffMag prunes entries below this magnitude from the reported
-	// support (default: Lambda).
-	MinCoeffMag float64
-}
-
-// ISTA solves min_z ½‖A·z − y‖² + λ‖z‖₁ by proximal gradient descent
-// with a step size derived from a power-iteration estimate of ‖A‖².
-func ISTA(a *dsp.Mat, y dsp.Vec, opts ISTAOptions) (*Result, error) {
-	if len(y) != a.Rows {
-		return nil, fmt.Errorf("cs: ISTA rhs length %d != rows %d", len(y), a.Rows)
-	}
-	if opts.Lambda <= 0 {
-		return nil, fmt.Errorf("cs: ISTA requires positive Lambda, got %v", opts.Lambda)
-	}
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = 500
-	}
-	tol := opts.Tol
-	if tol == 0 {
-		tol = 1e-7
-	}
-	minMag := opts.MinCoeffMag
-	if minMag == 0 {
-		minMag = opts.Lambda
-	}
-
-	lip := operatorNormSq(a)
-	if lip == 0 {
-		return &Result{}, nil
-	}
-	step := 1 / lip
-
-	z := dsp.NewVec(a.Cols)
-	iters := 0
-	for ; iters < maxIter; iters++ {
-		// Gradient of the smooth part: Aᴴ(Az − y).
-		grad := a.ConjTransposeMulVec(a.MulVec(z).Sub(y))
-		moved := 0.0
-		for c := range z {
-			next := softThreshold(z[c]-complex(step, 0)*grad[c], opts.Lambda*step)
-			d := next - z[c]
-			moved += real(d)*real(d) + imag(d)*imag(d)
-			z[c] = next
-		}
-		if math.Sqrt(moved) < tol {
-			iters++
-			break
-		}
-	}
-
-	res := &Result{Iterations: iters}
-	for c := range z {
-		if cmplx.Abs(z[c]) >= minMag {
-			res.Support = append(res.Support, c)
-			res.Coeffs = append(res.Coeffs, z[c])
-		}
-	}
-	// Debias: re-solve least squares on the detected support so the
-	// reported coefficients are unshrunk channel estimates.
-	if len(res.Support) > 0 && len(res.Support) <= a.Rows {
-		sub := a.SubMatCols(res.Support)
-		if x, err := dsp.LeastSquares(sub, y); err == nil {
-			res.Coeffs = x
-			res.Residual = dsp.Residual(sub, x, y).Norm()
-		} else {
-			res.Residual = y.Sub(a.MulVec(res.Dense(a.Cols))).Norm()
-		}
-	} else {
-		res.Residual = y.Sub(a.MulVec(res.Dense(a.Cols))).Norm()
-	}
-	return res, nil
-}
-
-// softThreshold shrinks a complex value toward zero by t, preserving
-// phase — the proximal operator of the complex L1 norm.
-func softThreshold(v complex128, t float64) complex128 {
-	m := cmplx.Abs(v)
-	if m <= t {
-		return 0
-	}
-	return v * complex((m-t)/m, 0)
-}
-
-// operatorNormSq estimates ‖A‖² (largest singular value squared) with a
-// few rounds of power iteration on AᴴA.
-func operatorNormSq(a *dsp.Mat) float64 {
-	if a.Cols == 0 || a.Rows == 0 {
-		return 0
-	}
-	v := dsp.NewVec(a.Cols)
-	for i := range v {
-		// Deterministic, non-degenerate start vector.
-		v[i] = complex(1+float64(i%7)/7, 0)
-	}
-	// Normalize the start vector, then iterate v ← AᴴA·v / ‖AᴴA·v‖.
-	// With v unit-norm, ‖AᴴA·v‖ converges to the largest eigenvalue of
-	// AᴴA, which is ‖A‖².
-	n0 := v.Norm()
-	for i := range v {
-		v[i] /= complex(n0, 0)
-	}
-	var lambda float64
-	for iter := 0; iter < 30; iter++ {
-		w := a.ConjTransposeMulVec(a.MulVec(v))
-		n := w.Norm()
-		if n == 0 {
-			return 0
-		}
-		lambda = n
-		for i := range w {
-			w[i] /= complex(n, 0)
-		}
-		v = w
-	}
-	return lambda * 1.05 // 5% safety margin keeps the step size valid
 }

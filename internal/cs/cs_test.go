@@ -155,98 +155,15 @@ func TestResultDense(t *testing.T) {
 	}
 }
 
-func TestISTARecoversSupportNoiseless(t *testing.T) {
-	src := prng.NewSource(4)
-	hits := 0
-	const trials = 20
-	for trial := 0; trial < trials; trial++ {
-		k := 3
-		a, y, support, _ := sparseProblem(src, 50, 40, k, 0)
-		res, err := ISTA(a, y, ISTAOptions{Lambda: 0.05, MaxIterations: 3000, MinCoeffMag: 0.25})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if supportsEqual(res.Support, support) {
-			hits++
-		}
-	}
-	if hits < trials*7/10 {
-		t.Fatalf("ISTA support recovery rate %d/%d too low", hits, trials)
-	}
-}
-
-func TestISTADebiasedCoefficients(t *testing.T) {
-	src := prng.NewSource(5)
-	a, y, support, truth := sparseProblem(src, 60, 30, 3, 0)
-	res, err := ISTA(a, y, ISTAOptions{Lambda: 0.05, MaxIterations: 3000, MinCoeffMag: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !supportsEqual(res.Support, support) {
-		t.Skipf("support not recovered this seed: %v vs %v", res.Support, support)
-	}
-	dense := res.Dense(30)
-	for _, c := range support {
-		if cmplx.Abs(dense[c]-truth[c]) > 1e-6 {
-			t.Fatalf("debiasing failed at %d: %v vs %v", c, dense[c], truth[c])
-		}
-	}
-}
-
-func TestISTAParameterValidation(t *testing.T) {
-	a := dsp.NewMat(4, 4)
-	if _, err := ISTA(a, dsp.NewVec(3), ISTAOptions{Lambda: 0.1}); err == nil {
-		t.Fatal("expected rhs mismatch error")
-	}
-	if _, err := ISTA(a, dsp.NewVec(4), ISTAOptions{}); err == nil {
-		t.Fatal("expected Lambda error")
-	}
-}
-
-func TestSoftThreshold(t *testing.T) {
-	if softThreshold(complex(0.5, 0), 1) != 0 {
-		t.Fatal("small values must shrink to zero")
-	}
-	v := softThreshold(complex(3, 4), 1) // magnitude 5 -> 4, phase kept
-	if math.Abs(cmplx.Abs(v)-4) > 1e-12 {
-		t.Fatalf("magnitude after threshold %v, want 4", cmplx.Abs(v))
-	}
-	if math.Abs(cmplx.Phase(v)-cmplx.Phase(complex(3, 4))) > 1e-12 {
-		t.Fatal("phase must be preserved")
-	}
-}
-
-func TestOperatorNormSqUpperBoundsColumns(t *testing.T) {
-	src := prng.NewSource(6)
-	a := dsp.NewMat(20, 10)
-	for i := range a.Data {
-		a.Data[i] = src.ComplexNorm()
-	}
-	est := operatorNormSq(a)
-	// ‖A‖² must dominate every column's squared norm.
-	for c := 0; c < a.Cols; c++ {
-		if n := a.Col(c).NormSq(); n > est {
-			t.Fatalf("operator norm estimate %f below column norm %f", est, n)
-		}
-	}
-}
-
-func TestOMPAndISTAAgreeOnCleanProblem(t *testing.T) {
+func TestOMPRecoversCleanProblemWithDCAtom(t *testing.T) {
 	src := prng.NewSource(7)
 	a, y, support, _ := sparseProblem(src, 60, 30, 3, 0)
 	omp, err := OMP(a, y, OMPOptions{MaxSparsity: 6, MinCoeffMag: 0.2, DCAtom: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ista, err := ISTA(a, y, ISTAOptions{Lambda: 0.05, MaxIterations: 3000, MinCoeffMag: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !supportsEqual(omp.Support, support) {
 		t.Fatalf("OMP missed: %v vs %v", omp.Support, support)
-	}
-	if !supportsEqual(ista.Support, support) {
-		t.Skipf("ISTA missed this seed: %v vs %v", ista.Support, support)
 	}
 }
 
@@ -256,17 +173,6 @@ func BenchmarkOMP_K8_A80(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := OMP(a, y, OMPOptions{MaxSparsity: 12, ResidualTol: 0.05, MinCoeffMag: 0.2}); err != nil && err != ErrNoConvergence {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkISTA_K8_A80(b *testing.B) {
-	src := prng.NewSource(9)
-	a, y, _, _ := sparseProblem(src, 60, 80, 8, 0.02)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ISTA(a, y, ISTAOptions{Lambda: 0.05, MaxIterations: 800}); err != nil {
 			b.Fatal(err)
 		}
 	}

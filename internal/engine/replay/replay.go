@@ -1,11 +1,12 @@
 // Package replay is the wire protocol's reference client: it plays the
 // tag/air side of a scenario trial against a buzzd daemon, frame by
-// frame, reproducing sim.Run's per-trial randomness exactly.
-// The daemon only ever sees observations — like a real reader front end
-// — while this client draws the messages, channels and noise from the
-// trial's setup stream in the simulator's exact order, so the payload
-// decisions coming back over the socket must be byte-identical to a
-// batch run of the same spec and seed. The engine conformance test
+// frame. The daemon only ever sees observations — like a real reader
+// front end — while this client draws the trial with
+// scenario.Spec.Trial, resolves its windows with the spec's
+// WindowPolicy and walks its roster with ratedapt.RosterWalk: the
+// derivation and walk sim.Run's in-process slot loop uses. The payload
+// decisions coming back over the socket are therefore byte-identical to
+// a batch run of the same spec and seed; the engine conformance test
 // holds every example scenario to that.
 //
 // Trial synthesis is split from transport: a trialState advances the
@@ -24,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/bits"
-	"repro/internal/channel"
 	"repro/internal/engine/wire"
 	"repro/internal/prng"
 	"repro/internal/ratedapt"
@@ -70,20 +70,11 @@ func (t *TrialResult) Payloads(crc bits.CRCKind) []bits.Vector {
 // per-slot (decisions overwritten on refeed, summed only at the end),
 // so re-applying a refeed's replies cannot double-count anything.
 type trialState struct {
-	spec     scenario.Spec
-	trial    int
+	tr       scenario.Trial
 	crc      bits.CRCKind
 	kTot     int
 	maxSlots int
-	k0       int
-	windows  []scenario.Window
-	msgs     []bits.Vector
 	frames   []bits.Vector
-	seeds    []uint64
-	salt     uint64
-	proc     channel.Process
-	noiseSrc *prng.Source
-	wins     []int
 	open     *wire.Open
 	frameLen int
 	// strictTruth makes the client reject a Decisions reply whose
@@ -94,16 +85,13 @@ type trialState struct {
 	strictTruth bool
 
 	// --- synthesis mirror; advances once per slot. ---
-	departed    []bool
-	firstDepart []int // slot a tag departed at; 0 = never
-	row         []bool
-	obs         []complex128
-	activeIdx   []int
-	bitIdx      []int
-	tagPow      []float64
-	density     float64
-	powStale    bool
-	nextArr     int
+	walk      ratedapt.RosterWalk
+	row       []bool
+	obs       []complex128
+	activeIdx []int
+	bitIdx    []int
+	tagPow    []float64
+	density   float64
 
 	// --- transcript; index = slot-1, rewritten freely on refeed. ---
 	sent    []sentSlot
@@ -119,194 +107,123 @@ type sentSlot struct {
 	nextArr int
 }
 
-// newTrialState performs the trial's setup draws — messages, initial
-// taps, participation seeds, session salt, process seed, then the noise
-// fork and the decode fork — draw for draw as in the simulator.
+// newTrialState draws the trial with scenario.Spec.Trial and resolves
+// its coherence windows with the spec's WindowPolicy — the derivation
+// sim.Run makes, so both ends of the wire hold the same trial.
 func newTrialState(spec scenario.Spec, trial int) (*trialState, error) {
-	// Arrival-process workloads resolve here, exactly as the batch
-	// engine resolves them at the top of sim.Run: the streamed
-	// schedule is a pure function of (spec, seed), so both ends of the
-	// wire derive the same roster without exchanging it.
 	crc, err := spec.CRCKind()
 	if err != nil {
 		return nil, err
 	}
+	// The roster is a pure function of the spec, so both ends of the
+	// wire derive it without exchanging it.
 	rost, err := spec.ResolveRoster()
 	if err != nil {
 		return nil, err
 	}
-	windows := rost.Windows
-	kTot := len(windows)
+	kTot := len(rost.Windows)
 	maxSlots := spec.Decode.MaxSlots
 	if kTot < 1 || maxSlots < 1 {
 		return nil, fmt.Errorf("replay: spec needs defaults applied (k=%d, max_slots=%d)", kTot, maxSlots)
 	}
-
-	setup := prng.NewSource(prng.Mix2(spec.Seed, uint64(trial)))
-	msgs := make([]bits.Vector, kTot)
-	for i := range msgs {
-		msgs[i] = bits.Random(setup, spec.Workload.MessageBits)
+	tr := spec.Trial(rost, trial, nil)
+	// The client owns the channel model, so window resolution happens
+	// here and travels in the Open frame.
+	win, wins, confirm := spec.Decode.WindowPolicy().Resolve(tr.Process, maxSlots, kTot)
+	walk, err := ratedapt.NewRosterWalk(tr.Tags, wins)
+	if err != nil {
+		return nil, err
 	}
-	ch := channel.NewFromSNRBand(kTot, spec.Channel.SNRLodB, spec.Channel.SNRHidB, setup)
-	ch.AGCNoiseFraction = spec.Channel.AGCNoiseFraction
-	seeds := make([]uint64, kTot)
-	for i := range seeds {
-		seeds[i] = setup.Uint64()
-	}
-	salt := setup.Uint64()
-	var procSeed uint64
-	if spec.Dynamic() {
-		procSeed = setup.Uint64()
-	}
-	proc := spec.NewProcessRoster(ch, procSeed, rost.Rho)
-	noiseSrc := setup.Fork(1)
-	// The decode stream lives daemon-side; hand it the fork seed the
-	// batch engine would have used so both ends draw identically.
-	decodeSeed := prng.Mix2(setup.Uint64(), 2)
-
-	// Window resolution happens client-side (the client owns the
-	// channel model), exactly as TransferDynamic resolves it.
-	var pol ratedapt.WindowPolicy
-	switch spec.Decode.Window {
-	case scenario.WindowAuto:
-		pol = ratedapt.AutoWindow()
-	case scenario.WindowFixed:
-		pol = ratedapt.FixedWindow(spec.Decode.DecodeWindow)
-	case scenario.WindowPerTag:
-		pol = ratedapt.PerTagWindow(false)
-	}
-	win := pol.EffectiveSlots(proc.CoherenceSlots(), maxSlots)
-	var wins []int
-	confirmWin := 0
-	if spec.Decode.Window == scenario.WindowPerTag {
-		wins = ratedapt.ResolveTagWindows(proc, maxSlots, kTot)
-		for _, w := range wins {
-			confirmWin = max(confirmWin, w)
-		}
-	}
-
-	k0 := 0
-	for i := range windows {
-		if windows[i].ArriveSlot <= 1 {
-			k0++
-		}
-	}
+	k0 := walk.Initial()
 	frames := make([]bits.Vector, kTot)
 	for i := range frames {
-		frames[i] = bits.Message{Payload: msgs[i], Kind: crc}.Frame()
+		frames[i] = bits.Message{Payload: tr.Messages[i], Kind: crc}.Frame()
 	}
 
-	dm := proc.ModelAt(1)
+	seeds := make([]uint64, k0)
+	for i := range seeds {
+		seeds[i] = tr.Tags[i].Seed
+	}
+	dm := tr.Process.ModelAt(1)
 	open := &wire.Open{
 		Version:       wire.ProtocolVersion,
-		Salt:          salt,
-		DecodeSeed:    decodeSeed,
+		Salt:          tr.Salt,
+		DecodeSeed:    tr.DecodeSeed,
 		CRC:           uint8(crc),
 		MessageBits:   uint16(spec.Workload.MessageBits),
 		MaxSlots:      uint32(maxSlots),
 		Restarts:      uint16(spec.Decode.Restarts),
 		WindowSlots:   uint32(win),
-		ConfirmWindow: uint32(confirmWin),
+		ConfirmWindow: uint32(confirm),
 		RosterCap:     uint32(kTot),
-		Seeds:         seeds[:k0],
+		Seeds:         seeds,
 		Taps:          dm.Taps[:k0],
 	}
 	if wins != nil {
 		open.WindowTag = make([]uint32, k0)
-		for i := 0; i < k0; i++ {
+		for i := range open.WindowTag {
 			open.WindowTag[i] = uint32(wins[i])
 		}
 	}
 
+	tagPow := make([]float64, kTot)
+	for i, h := range dm.Taps[:k0] {
+		tagPow[i] = real(h)*real(h) + imag(h)*imag(h)
+	}
 	frameLen := spec.Workload.MessageBits + crc.Width()
 	return &trialState{
-		spec:        spec,
-		trial:       trial,
-		crc:         crc,
-		kTot:        kTot,
-		maxSlots:    maxSlots,
-		k0:          k0,
-		windows:     windows,
-		msgs:        msgs,
-		frames:      frames,
-		seeds:       seeds,
-		salt:        salt,
-		proc:        proc,
-		noiseSrc:    noiseSrc,
-		wins:        wins,
-		open:        open,
-		frameLen:    frameLen,
-		departed:    make([]bool, kTot),
-		firstDepart: make([]int, kTot),
-		row:         make([]bool, kTot),
-		obs:         make([]complex128, frameLen),
-		activeIdx:   make([]int, kTot),
-		bitIdx:      make([]int, kTot),
-		tagPow:      make([]float64, kTot),
-		density:     ratedapt.ParticipationDensity(0, k0),
-		powStale:    true,
-		nextArr:     k0,
+		tr:        tr,
+		crc:       crc,
+		kTot:      kTot,
+		maxSlots:  maxSlots,
+		frames:    frames,
+		open:      open,
+		frameLen:  frameLen,
+		walk:      walk,
+		row:       make([]bool, kTot),
+		obs:       make([]complex128, frameLen),
+		activeIdx: make([]int, kTot),
+		bitIdx:    make([]int, kTot),
+		tagPow:    tagPow,
+		density:   ratedapt.ParticipationDensity(0, k0),
 	}, nil
 }
 
-// synthSlot advances the tag-side mirror one slot — arrivals,
-// departures, the participation draw, the air — and returns a
-// self-contained Slot frame (all buffers copied, SessionID unset) safe
-// to cache and resend verbatim.
+// synthSlot advances the tag-side mirror one slot — the roster walk's
+// arrivals and departures, the participation draw, the air — and
+// returns a self-contained Slot frame (all buffers copied, SessionID
+// unset) safe to cache and resend verbatim. Each departure is listed
+// once, at the slot it fires.
 func (st *trialState) synthSlot(slot int) *wire.Slot {
 	sf := &wire.Slot{}
-	m := st.proc.ModelAt(slot)
-	popChanged := false
-	for st.nextArr < st.kTot && arriveSlot(st.windows[st.nextArr]) <= slot {
-		w := uint32(0)
-		if st.wins != nil {
-			w = uint32(st.wins[st.nextArr])
-		}
-		sf.Arrivals = append(sf.Arrivals, wire.Arrival{
-			Seed:   st.seeds[st.nextArr],
-			Tap:    m.Taps[st.nextArr],
-			Window: w,
-		})
-		st.nextArr++
-		st.powStale = true
-		popChanged = true
+	ev := st.walk.Next(slot, st.tr.Process)
+	for _, a := range ev.Arrivals {
+		sf.Arrivals = append(sf.Arrivals, wire.Arrival{Seed: a.Seed, Tap: a.Tap, Window: uint32(a.Window)})
 	}
-	for i := 0; i < st.nextArr; i++ {
-		if st.windows[i].DepartSlot > 0 && slot >= st.windows[i].DepartSlot {
-			sf.Departs = append(sf.Departs, uint32(i))
-			if !st.departed[i] {
-				st.departed[i] = true
-				st.firstDepart[i] = slot
-				popChanged = true
-			}
-		}
+	for _, i := range ev.Departs {
+		sf.Departs = append(sf.Departs, uint32(i))
 	}
-	if popChanged {
-		present := 0
-		for i := 0; i < st.nextArr; i++ {
-			if !st.departed[i] {
-				present++
-			}
-		}
-		st.density = ratedapt.ParticipationDensity(0, present)
+	if ev.Retap != nil {
+		sf.Retap = append([]complex128(nil), ev.Retap...)
 	}
-	if !st.proc.Static() {
-		sf.Retap = append([]complex128(nil), m.Taps[:st.nextArr]...)
+	n, gone := st.walk.Arrived(), st.walk.Departed()
+	if len(ev.Arrivals) > 0 || len(ev.Departs) > 0 {
+		st.density = ratedapt.ParticipationDensity(0, n-gone)
 	}
 
 	// Tag side: who transmits this slot (the tags' shared participation
-	// rule), and what the reader's antenna receives.
-	for i := 0; i < st.nextArr; i++ {
-		st.row[i] = !st.departed[i] && ratedapt.Participates(st.seeds[i], st.salt, slot, st.density)
+	// rule; the departed tags are the roster prefix [0, gone)), and what
+	// the reader's antenna receives.
+	for i := 0; i < n; i++ {
+		st.row[i] = i >= gone && ratedapt.Participates(st.tr.Tags[i].Seed, st.tr.Salt, slot, st.density)
 	}
-	if st.powStale || !st.proc.Static() {
-		for i := 0; i < st.nextArr; i++ {
-			h := m.Taps[i]
+	m := st.tr.Process.ModelAt(slot)
+	if len(ev.Arrivals) > 0 || !st.tr.Process.Static() {
+		for i, h := range m.Taps[:n] {
 			st.tagPow[i] = real(h)*real(h) + imag(h)*imag(h)
 		}
-		st.powStale = false
 	}
-	ratedapt.SynthAir(m, st.frames, st.row[:st.nextArr], st.obs, st.activeIdx, st.bitIdx, st.tagPow, st.noiseSrc)
+	ratedapt.SynthAir(m, st.frames, st.row[:n], st.obs, st.activeIdx, st.bitIdx, st.tagPow, st.tr.Noise)
 	sf.Obs = append([]complex128(nil), st.obs...)
 	return sf
 }
@@ -405,7 +322,7 @@ func (st *trialState) run(rw io.ReadWriter) error {
 		slot := len(st.sent) + 1
 		sf := st.synthSlot(slot)
 		sf.SessionID = sid
-		st.sent = append(st.sent, sentSlot{frame: sf, nextArr: st.nextArr})
+		st.sent = append(st.sent, sentSlot{frame: sf, nextArr: st.walk.Arrived()})
 		st.dec = append(st.dec, nil)
 		rep, err := exchange(rw, sf)
 		if err != nil {
@@ -433,22 +350,22 @@ func (st *trialState) run(rw io.ReadWriter) error {
 	return nil
 }
 
-// result folds the transcript into a TrialResult: decisions are
-// re-walked in slot order, so a tag counts as retired exactly when it
-// departed before any slot accepted it — the same rule the lockstep
-// loop used to apply inline — and RowsRetired is a sum over per-slot
-// values, immune to refeed double-counting.
+// result folds the transcript into a TrialResult: sent frames and
+// decisions are re-walked in slot order, so a tag counts as retired
+// exactly when its departure frame precedes any slot that accepted it,
+// and RowsRetired is a sum over per-slot values, immune to refeed
+// double-counting.
 func (st *trialState) result() *TrialResult {
 	res := &TrialResult{
 		Verified: make([]bool, st.kTot),
 		Frames:   make([]bits.Vector, st.kTot),
 		Retired:  make([]bool, st.kTot),
-		Messages: st.msgs,
+		Messages: st.tr.Messages,
 	}
 	slots := len(st.sent)
 	for s := 1; s <= slots; s++ {
-		for i := 0; i < st.kTot; i++ {
-			if st.firstDepart[i] == s && !res.Verified[i] {
+		for _, i := range st.sent[s-1].frame.Departs {
+			if !res.Verified[i] {
 				res.Retired[i] = true
 			}
 		}
@@ -653,13 +570,6 @@ func FetchStats(rw io.ReadWriter) (*wire.StatsReply, error) {
 		return nil, replyError("stats", rep)
 	}
 	return st, nil
-}
-
-func arriveSlot(w scenario.Window) int {
-	if w.ArriveSlot < 1 {
-		return 1
-	}
-	return w.ArriveSlot
 }
 
 func replyError(ctx string, rep wire.Frame) error {

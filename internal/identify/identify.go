@@ -278,6 +278,13 @@ func Run(cfg Config, activeIDs []uint64, ch *channel.Model, noiseSrc *prng.Sourc
 		}
 	}
 	kHat, _ := kEstimate(ll)
+	if kHat == kCandidates[len(kCandidates)-1] {
+		// The likelihood still rises at the grid's top: no step saw
+		// enough empty slots to bound K (every slot busy — interference,
+		// or a detection threshold under the noise floor). Stages B and C
+		// sized from this K̂ would list ~10⁷ buckets and ~10¹³ candidates.
+		return nil, fmt.Errorf("identify: stage A found no upper bound on K in %d steps (K̂ saturated at %d)", res.Steps, kHat)
+	}
 	res.KEstimate = kHat
 
 	// ---- Stage B: bucket elimination. ----

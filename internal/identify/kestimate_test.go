@@ -3,6 +3,7 @@ package identify
 import (
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -220,5 +221,31 @@ func TestRunConcurrentMatchesSerial(t *testing.T) {
 				t.Fatalf("goroutine %d, session %d (%+v): outputs %v, serial %v", w, n, cases[n], got[w][n], want[n])
 			}
 		}
+	}
+}
+
+// TestRunRejectsSaturatedKEstimate pins the all-busy failure: with a
+// detection threshold far under the noise floor every slot reads busy,
+// so no stage-A step bounds K. The scan alone then puts K̂ at the top
+// of the candidate grid — what stages B and C used to be sized from
+// (10⁷ buckets) — and Run must return an error instead.
+func TestRunRejectsSaturatedKEstimate(t *testing.T) {
+	ll := make([]float64, len(kCandidates))
+	for step := 1; step <= 48; step++ {
+		addStep(ll, step, 8, 0)
+	}
+	if kHat, _ := kEstimate(ll); kHat != 1035833 {
+		t.Fatalf("48 all-busy steps give K̂ %d, want the grid's top 1035833", kHat)
+	}
+
+	src := prng.NewSource(11)
+	ids := activeSet(src, 4)
+	ch := channel.NewFromSNRBand(4, 14, 30, src)
+	res, err := Run(Config{Salt: 1, DetectFactor: 1e-12}, ids, ch, src.Fork(1))
+	if err == nil {
+		t.Fatalf("all-busy stage A returned K̂ %d and %d candidates, want an error", res.KEstimate, res.Candidates)
+	}
+	if !strings.Contains(err.Error(), "saturated") {
+		t.Fatalf("error %q does not name the saturated estimate", err)
 	}
 }

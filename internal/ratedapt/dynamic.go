@@ -47,6 +47,105 @@ func (r *RosterTag) Arrive() int {
 	return r.ArriveSlot
 }
 
+// RosterWalk is a validated roster's per-slot event cursor: the one
+// place the data phase turns presence windows into SlotEvents. runRound
+// drives a Stream with it in process, and the wire replay client drives
+// it to build its slot frames, so both ends see the same arrivals,
+// departures and retaps. Departures retire a roster prefix (validated
+// by NewRosterWalk), so the departed tags are always roster[:Departed()]
+// and presence is Arrived() − Departed().
+type RosterWalk struct {
+	roster            []RosterTag
+	wins              []int
+	initial           int
+	arrived, departed int
+	ev                SlotEvents
+}
+
+// NewRosterWalk validates roster and opens its walk. The roster must
+// hold equal-length messages, be ordered by arrival, have at least one
+// tag present at slot 1, and depart each tag after it arrives, the
+// departing tags forming a prefix in nondecreasing DepartSlot order.
+// wins, when non-nil, are the per-tag windows arrivals carry
+// (WindowPolicy.Resolve).
+func NewRosterWalk(roster []RosterTag, wins []int) (RosterWalk, error) {
+	k0 := 0
+	stays, prevDep := false, 0 // saw a tag that never departs; last departure
+	for i := range roster {
+		rt := &roster[i]
+		if len(rt.Message) != len(roster[0].Message) {
+			return RosterWalk{}, fmt.Errorf("ratedapt: message %d has %d bits, others %d — equal lengths required (§6 footnote 5)",
+				i, len(rt.Message), len(roster[0].Message))
+		}
+		if i > 0 && rt.Arrive() < roster[i-1].Arrive() {
+			return RosterWalk{}, fmt.Errorf("ratedapt: roster not ordered by arrival (tag %d arrives at %d after tag %d at %d)",
+				i, rt.Arrive(), i-1, roster[i-1].Arrive())
+		}
+		if rt.DepartSlot > 0 && rt.DepartSlot <= rt.Arrive() {
+			return RosterWalk{}, fmt.Errorf("ratedapt: roster tag %d departs at slot %d but only arrives at %d", i, rt.DepartSlot, rt.Arrive())
+		}
+		// Departures retire a roster prefix in nondecreasing DepartSlot
+		// order, the never-departing tags forming the suffix: the shape
+		// every scenario roster has (FIFO retirement, constant dwell),
+		// and the one the departure cursor walks.
+		if d := rt.DepartSlot; d == 0 {
+			stays = true
+		} else if stays || d < prevDep {
+			return RosterWalk{}, fmt.Errorf("ratedapt: roster departures not a prefix in slot order (tag %d departs at slot %d)", i, d)
+		} else {
+			prevDep = d
+		}
+		if rt.Arrive() == 1 {
+			k0++
+		}
+	}
+	if k0 == 0 {
+		return RosterWalk{}, fmt.Errorf("ratedapt: at least one roster tag must be present at slot 1")
+	}
+	return RosterWalk{roster: roster, wins: wins, initial: k0, arrived: k0}, nil
+}
+
+// Initial returns how many roster tags are present at slot 1: the
+// stream's opening population, which Next never reports as arrivals.
+func (w *RosterWalk) Initial() int { return w.initial }
+
+// Arrived returns how many roster tags have joined so far.
+func (w *RosterWalk) Arrived() int { return w.arrived }
+
+// Departed returns how many roster tags have departed so far.
+func (w *RosterWalk) Departed() int { return w.departed }
+
+// Next returns the given slot's events: the tags arriving at it, with
+// their taps from proc, each departure once at the slot it fires, and,
+// when proc drifts, the slot's taps for every joined tag. Slots must be
+// walked in order from 1. The events alias the walk's buffers and
+// proc's model, valid until the next call.
+func (w *RosterWalk) Next(slot int, proc channel.Process) SlotEvents {
+	ev := &w.ev
+	ev.Arrivals = ev.Arrivals[:0]
+	ev.Departs = ev.Departs[:0]
+	ev.Retap = nil
+	if w.arrived < len(w.roster) && w.roster[w.arrived].Arrive() <= slot {
+		m := proc.ModelAt(slot)
+		for w.arrived < len(w.roster) && w.roster[w.arrived].Arrive() <= slot {
+			a := StreamArrival{Seed: w.roster[w.arrived].Seed, Tap: m.Taps[w.arrived]}
+			if w.wins != nil {
+				a.Window = w.wins[w.arrived]
+			}
+			ev.Arrivals = append(ev.Arrivals, a)
+			w.arrived++
+		}
+	}
+	for w.departed < w.arrived && w.roster[w.departed].DepartSlot > 0 && slot >= w.roster[w.departed].DepartSlot {
+		ev.Departs = append(ev.Departs, w.departed)
+		w.departed++
+	}
+	if !proc.Static() {
+		ev.Retap = proc.ModelAt(slot).Taps[:w.arrived]
+	}
+	return *ev
+}
+
 // DynamicResult is a Result plus population accounting. Per-tag slices
 // are in roster order.
 type DynamicResult struct {
@@ -144,49 +243,10 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 	newAir func(frames []bits.Vector) airFunc) (*DynamicResult, error) {
 
 	kTot := len(roster)
-	msgLen := len(roster[0].Message)
-	k0 := 0
-	stays, prevDep := false, 0 // saw a tag that never departs; last departure
-	for i := range roster {
-		rt := &roster[i]
-		if len(rt.Message) != msgLen {
-			return nil, fmt.Errorf("ratedapt: message %d has %d bits, others %d — equal lengths required (§6 footnote 5)",
-				i, len(rt.Message), msgLen)
-		}
-		if i > 0 && rt.Arrive() < roster[i-1].Arrive() {
-			return nil, fmt.Errorf("ratedapt: roster not ordered by arrival (tag %d arrives at %d after tag %d at %d)",
-				i, rt.Arrive(), i-1, roster[i-1].Arrive())
-		}
-		if rt.DepartSlot > 0 && rt.DepartSlot <= rt.Arrive() {
-			return nil, fmt.Errorf("ratedapt: roster tag %d departs at slot %d but only arrives at %d", i, rt.DepartSlot, rt.Arrive())
-		}
-		// Departures retire a roster prefix in nondecreasing DepartSlot
-		// order, the never-departing tags forming the suffix: the shape
-		// every scenario roster has (FIFO retirement, constant dwell),
-		// and the one the slot loop's departure cursor walks.
-		if d := rt.DepartSlot; d == 0 {
-			stays = true
-		} else if stays || d < prevDep {
-			return nil, fmt.Errorf("ratedapt: roster departures not a prefix in slot order (tag %d departs at slot %d)", i, d)
-		} else {
-			prevDep = d
-		}
-		if rt.Arrive() == 1 {
-			k0++
-		}
-	}
-	if k0 == 0 {
-		return nil, fmt.Errorf("ratedapt: at least one roster tag must be present at slot 1")
-	}
-	frames := make([]bits.Vector, kTot)
-	for i := range roster {
-		frames[i] = bits.Message{Payload: roster[i].Message, Kind: cfg.CRC}.Frame()
-	}
 	maxSlots := cfg.MaxSlots
 	if maxSlots <= 0 {
 		maxSlots = 40 * kTot
 	}
-
 	// Coherence window: Auto resolves against the decoder process's
 	// own coherence time — a fast Gauss–Markov roster gets a short
 	// window, block fading gets the block, a static process none, and
@@ -195,18 +255,17 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 	// the coherence time — runs untouched. A PerTag policy instead
 	// resolves one window per roster tag from that tag's own coherence
 	// time: parked tags keep their whole history while movers forget on
-	// their own clocks (bp.Session.RetireTag). The stream takes windows
-	// pre-resolved, so the resolution — and the roster-wide confirm
-	// distance — happens here, over the FULL roster including tags that
-	// have not arrived yet.
-	win := cfg.Window.EffectiveSlots(decoder.CoherenceSlots(), maxSlots)
-	var wins []int
-	confirmWin := 0
-	if cfg.Window.PerTag {
-		wins = cfg.Window.resolveTags(decoder, maxSlots, kTot)
-		for _, w := range wins {
-			confirmWin = max(confirmWin, w)
-		}
+	// their own clocks (bp.Session.RetireTag).
+	win, wins, confirmWin := cfg.Window.Resolve(decoder, maxSlots, kTot)
+	walk, err := NewRosterWalk(roster, wins)
+	if err != nil {
+		return nil, err
+	}
+	k0 := walk.Initial()
+	msgLen := len(roster[0].Message)
+	frames := make([]bits.Vector, kTot)
+	for i := range roster {
+		frames[i] = bits.Message{Payload: roster[i].Message, Kind: cfg.CRC}.Frame()
 	}
 
 	// The air stays outside the stream: the decode core only ever sees
@@ -275,44 +334,16 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 	if cfg.DiesAtSlot != nil {
 		alive = sc.Bool(kTot)
 	}
-	var ev SlotEvents
 	arriving := make([]int, 0, kTot-k0)
-	nextArr, nextDep := k0, 0 // next roster index awaiting arrival / departure
-	for slot := 1; slot <= maxSlots && !(nextArr == kTot && st.Done()); slot++ {
-		// --- Population events. ---
-		ev.Arrivals = ev.Arrivals[:0]
-		ev.Departs = ev.Departs[:0]
-		ev.Retap = nil
-		if nextArr < kTot && roster[nextArr].Arrive() <= slot {
-			first := nextArr
-			dm = decoder.ModelAt(slot)
-			for nextArr < kTot && roster[nextArr].Arrive() <= slot {
-				w := 0
-				if wins != nil {
-					w = wins[nextArr]
-				}
-				ev.Arrivals = append(ev.Arrivals, StreamArrival{Seed: roster[nextArr].Seed, Tap: dm.Taps[nextArr], Window: w})
-				nextArr++
+	for slot := 1; slot <= maxSlots && !(walk.Arrived() == kTot && st.Done()); slot++ {
+		// --- Population events and channel drift. ---
+		ev := walk.Next(slot, decoder)
+		if n := len(ev.Arrivals); n > 0 && cfg.OnArrival != nil {
+			arriving = arriving[:0]
+			for i := walk.Arrived() - n; i < walk.Arrived(); i++ {
+				arriving = append(arriving, i)
 			}
-			if cfg.OnArrival != nil {
-				arriving = arriving[:0]
-				for i := first; i < nextArr; i++ {
-					arriving = append(arriving, i)
-				}
-				res.ReidentBitSlots += cfg.OnArrival(slot, arriving)
-			}
-		}
-		// Departures retire a roster prefix (checked above), so a cursor
-		// lists each tag once, the slot its departure fires.
-		for nextDep < nextArr && roster[nextDep].DepartSlot > 0 && slot >= roster[nextDep].DepartSlot {
-			ev.Departs = append(ev.Departs, nextDep)
-			nextDep++
-		}
-
-		// --- Channel drift: fold the slot's decoder taps in. ---
-		if !decoder.Static() {
-			dm = decoder.ModelAt(slot)
-			ev.Retap = dm.Taps[:nextArr]
+			res.ReidentBitSlots += cfg.OnArrival(slot, arriving)
 		}
 
 		// --- Tag side: the row comes back from the stream (the reader's

@@ -13,9 +13,10 @@ import (
 // rateless round, driven one collision slot at a time by an external
 // owner. Every in-process transfer (Transfer, TransferEstimated,
 // TransferSampled, TransferDynamic) is one driver — runRound walks a
-// roster and synthesizes the air in-process; the engine package's
-// SessionManager is the other (slots arrive over buzzd's wire protocol
-// from a live reader). Everything on this type is
+// roster (RosterWalk) and synthesizes the air in-process; the engine
+// package's SessionManager is the other (slots arrive over buzzd's wire
+// protocol from a live reader, or from the replay client, which walks
+// the same RosterWalk). Everything on this type is
 // reader-reconstructible state — seeds, taps, estimates, gates — never
 // the true payloads: a Stream decodes what the air delivers, exactly as
 // a physical reader would.
@@ -108,8 +109,9 @@ type SlotEvents struct {
 	// not from the wire.
 	Arrivals []StreamArrival
 	// Departs lists join-order indices of tags whose radios are gone
-	// from this slot on. Already-departed indices are ignored, so a
-	// driver may re-report departures every slot.
+	// from this slot on. RosterWalk lists each departure once, at the
+	// slot it fires; already-departed indices are ignored, so a driver
+	// that re-reports departures stays correct.
 	Departs []int
 	// Retap, when non-nil, supplies this slot's decoder taps for every
 	// joined tag (post-arrival count): the channel-drift fold-in
@@ -138,10 +140,11 @@ type StepResult struct {
 }
 
 // StreamConfig parameterizes OpenStream. The coherence windows arrive
-// pre-resolved (WindowPolicy.EffectiveSlots / ResolveTagWindows): a
-// stream has no channel process to consult — over the wire the client
-// owns the channel model, in-process TransferDynamic resolves against
-// the decoder process — so resolution happens exactly once, driver-side.
+// pre-resolved (WindowPolicy.Resolve): a stream has no channel process
+// to consult — over the wire the client owns the channel model,
+// in-process runRound resolves against the decoder process, and both
+// call the same Resolve — so resolution happens exactly once,
+// driver-side.
 type StreamConfig struct {
 	// SessionSalt, CRC, Density, Restarts, MinDegreeForCRC,
 	// MarginThreshold and Parallelism mean exactly what they mean on

@@ -97,14 +97,31 @@ func (w WindowPolicy) resolve(coherenceSlots int) int {
 // with the given coherence time and slot budget — resolve plus the
 // can-never-outgrow clamp: a window the transfer can never outgrow would
 // never retire a row, and its double-confirmation gate could never fire
-// a second pass. Exported for stream drivers (runRound and the wire
-// replay client), which resolve windows before opening a Stream.
+// a second pass.
 func (w WindowPolicy) EffectiveSlots(coherenceSlots, maxSlots int) int {
 	win := w.resolve(coherenceSlots)
 	if win >= maxSlots {
 		win = 0
 	}
 	return win
+}
+
+// Resolve resolves the policy against the decoder process for a k-tag
+// roster at the given slot budget: the global window (0 = none), under
+// PerTag the per-tag windows (nil when no tag windows), and the confirm
+// distance, the longest per-tag window. A Stream takes its windows
+// pre-resolved, so every driver (runRound, the wire replay client)
+// resolves here, over the full roster including tags that have not
+// arrived yet.
+func (w WindowPolicy) Resolve(proc channel.Process, maxSlots, k int) (win int, wins []int, confirm int) {
+	win = w.EffectiveSlots(proc.CoherenceSlots(), maxSlots)
+	if w.PerTag {
+		wins = w.resolveTags(proc, maxSlots, k)
+		for _, v := range wins {
+			confirm = max(confirm, v)
+		}
+	}
+	return win, wins, confirm
 }
 
 // slideWindow retires the rows that age out of a win-slot window after

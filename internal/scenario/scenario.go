@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"repro/internal/bits"
-	"repro/internal/channel"
 )
 
 // Channel process kinds.
@@ -147,7 +146,7 @@ type PopulationEvent struct {
 // WorkloadSpec is the "workload" section: who is in the field and when.
 // A fixed roster is K initial tags plus an explicit Population
 // schedule; an open-ended workload replaces the schedule with an
-// arrival process (Arrivals) that Materialize expands deterministically.
+// arrival process (Arrivals) that ResolveRoster streams deterministically.
 type WorkloadSpec struct {
 	// K is the initial tag population (present from slot 1; the
 	// dynamic engine needs at least one tag on the air at slot 1).
@@ -481,6 +480,12 @@ type Window struct {
 	DepartSlot int
 }
 
+// Arrive returns the effective arrival slot: ArriveSlot clamped up to 1
+// ("present from the start"), as ratedapt.RosterTag.Arrive clamps it.
+func (w Window) Arrive() int {
+	return max(w.ArriveSlot, 1)
+}
+
 // PresenceWindows resolves the population schedule into per-roster-tag
 // presence windows: the K initial tags first (arriving at slot 1), then
 // every scheduled arrival in event order. Departures retire the
@@ -529,15 +534,6 @@ func (s Spec) PresenceWindows() ([]Window, error) {
 		}
 	}
 	return windows, nil
-}
-
-// NewProcess builds the spec's channel process over the full roster.
-// init is the trial's initial model (one tap per roster tag, drawn from
-// the spec's SNR band); seed feeds the process's addressable
-// randomness. Static and Gauss–Markov specs start from init; block
-// fading redraws from the same SNR band every block.
-func (s Spec) NewProcess(init *channel.Model, seed uint64) channel.Process {
-	return s.NewProcessRoster(init, seed, s.Channel.PerTagRho)
 }
 
 // Validate checks the spec for structural errors: each section's own

@@ -181,16 +181,16 @@ func TestPresenceWindows(t *testing.T) {
 func TestNewProcess(t *testing.T) {
 	init := channel.NewFromSNRBand(3, 14, 30, prng.NewSource(1))
 	s := Spec{Trials: 1, Workload: WorkloadSpec{K: 3}}.WithDefaults()
-	if _, ok := s.NewProcess(init, 5).(*channel.StaticProcess); !ok {
+	if _, ok := s.NewProcessRoster(init, 5, s.Channel.PerTagRho).(*channel.StaticProcess); !ok {
 		t.Error("static spec did not build a StaticProcess")
 	}
 	s.Channel.Kind, s.Channel.BlockLen = KindBlockFading, 4
-	if _, ok := s.NewProcess(init, 5).(*channel.BlockFading); !ok {
+	if _, ok := s.NewProcessRoster(init, 5, s.Channel.PerTagRho).(*channel.BlockFading); !ok {
 		t.Error("block spec did not build a BlockFading")
 	}
 	s.Channel.Kind, s.Channel.BlockLen = KindGaussMarkov, 0
 	s.Channel.PerTagRho = []float64{0.9, 1, 0.99}
-	gm, ok := s.NewProcess(init, 5).(*channel.GaussMarkov)
+	gm, ok := s.NewProcessRoster(init, 5, s.Channel.PerTagRho).(*channel.GaussMarkov)
 	if !ok {
 		t.Fatal("gauss-markov spec did not build a GaussMarkov")
 	}

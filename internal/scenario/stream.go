@@ -1,13 +1,12 @@
-// Streaming roster resolution: the bounded-memory counterpart of
-// Materialize. An ArrivalStream walks an arrival-process workload one
-// roster tag at a time — the same addressable prng.Mix3 draws, in the
-// same order, as Materialize's eager expansion — so warehouse-scale
-// specs (50k+ offered tags) resolve their presence windows in a single
-// O(N) pass with O(1) generator state, instead of building the per-slot
-// delta map, sorted event schedule and quadratic FIFO departure scan
-// the materializing path pays. Small-N equivalence with Materialize is
-// pinned byte-for-byte by TestStreamMatchesMaterializedWindows over
-// every example spec.
+// Streaming roster resolution. An ArrivalStream walks an
+// arrival-process workload one roster tag at a time, with O(1)
+// generator state, so warehouse-scale specs (50k+ offered tags) resolve
+// their presence windows in a single O(N) pass. The eager alternative —
+// a per-slot delta map, a sorted event schedule and a quadratic FIFO
+// departure scan — survives only as the test reference
+// (materialize_test.go): TestStreamMatchesMaterialized* pin the stream
+// byte-for-byte against it, with the same addressable prng.Mix3 draws
+// in the same order, over every example spec.
 package scenario
 
 import (
@@ -43,8 +42,7 @@ type ArrivalStream struct {
 }
 
 // ArrivalStream opens a streaming view of the spec's arrival process.
-// It requires defaults applied (max_slots set) and an arrivals block,
-// mirroring Materialize's preconditions.
+// It requires defaults applied (max_slots set) and an arrivals block.
 func (s Spec) ArrivalStream() (*ArrivalStream, error) {
 	a := s.Workload.Arrivals
 	if a == nil {
@@ -73,8 +71,8 @@ func (s Spec) ArrivalStream() (*ArrivalStream, error) {
 // the roster is exhausted. Initial tags arrive at slot 1; arrivals land
 // on their process schedule, truncated at the first slot beyond
 // max_slots (all four processes are nondecreasing in arrival index, so
-// truncation is final). Departures follow the dwell rule Materialize
-// applies: a tag present from slot t leaves at t+dwell when that falls
+// truncation is final). Departures follow the constant-dwell rule: a
+// tag present from slot t leaves at t+dwell when that falls
 // inside the round, and stays to the end otherwise.
 func (st *ArrivalStream) Next() (Window, bool) {
 	if st.done {
@@ -179,11 +177,11 @@ func (s Spec) ResolveRoster() (Roster, error) {
 }
 
 // NewProcessRoster builds the spec's channel process over a resolved
-// roster: rho carries the per-tag mobility from ResolveRoster (nil for
-// a uniform channel). NewProcess delegates here with the channel
-// section's own per_tag_rho; the scenario engine passes the streamed
-// roster's instead, so arrival-process specs never round-trip through
-// a materialized spec copy.
+// roster. init is the trial's initial model (one tap per roster tag,
+// drawn from the spec's SNR band); seed feeds the process's addressable
+// randomness; rho carries the per-tag mobility from ResolveRoster (nil
+// for a uniform channel). Static and Gauss–Markov specs start from
+// init; block fading redraws from the same SNR band every block.
 func (s Spec) NewProcessRoster(init *channel.Model, seed uint64, rho []float64) channel.Process {
 	switch s.Channel.Kind {
 	case KindBlockFading:

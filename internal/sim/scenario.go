@@ -140,9 +140,10 @@ type trialLatency struct {
 
 // Run executes a declarative scenario spec: Trials independent draws of
 // messages, channels and (for dynamic specs) tap processes and
-// population churn, streamed across the trial worker pool. Every trial
-// runs ratedapt.TransferDynamic, and a static Spec reproduces
-// CompareDataPhase bit for bit. Arrival-process workloads stream their
+// population churn, streamed across the trial worker pool. Each trial is
+// drawn by scenario.Spec.Trial, the derivation the wire replay client
+// shares. Every trial runs ratedapt.TransferDynamic, and a static Spec
+// reproduces CompareDataPhase bit for bit. Arrival-process workloads stream their
 // roster once, up front. Results are deterministic in (Spec, options)
 // at any parallelism.
 func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
@@ -170,7 +171,6 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 	windows := rost.Windows
 	kTot := len(windows)
 	frameLen := spec.Workload.MessageBits + crc.Width()
-	dynamic := spec.Dynamic()
 	runTDMA := spec.HasScheme(scenario.SchemeTDMA)
 	runCDMA := spec.HasScheme(scenario.SchemeCDMA)
 
@@ -184,7 +184,7 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 
 	costs := make([]bp.DecodeCost, spec.Trials)
 
-	err = forEachTrial(spec.Trials, spec.Seed, func(trial int, setup *prng.Source, res trialResources) error {
+	err = forEachTrial(spec.Trials, spec.Seed, func(trial int, _ *prng.Source, res trialResources) error {
 		var msgs []bits.Vector
 		if cfg.messages != nil {
 			msgs = cfg.messages(trial)
@@ -196,61 +196,31 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 					return fmt.Errorf("sim: options message %d has %d bits, spec says %d", i, len(m), spec.Workload.MessageBits)
 				}
 			}
-		} else {
-			msgs = make([]bits.Vector, kTot)
-			for i := range msgs {
-				msgs[i] = bits.Random(setup, spec.Workload.MessageBits)
-			}
 		}
-		ch := channel.NewFromSNRBand(kTot, spec.Channel.SNRLodB, spec.Channel.SNRHidB, setup)
-		ch.AGCNoiseFraction = spec.Channel.AGCNoiseFraction
-		seeds := tagSeeds(kTot, setup)
-		salt := setup.Uint64()
+		tr := spec.Trial(rost, trial, msgs)
+		msgs = tr.Messages
 		par := res.Parallelism
 		if spec.Decode.Parallelism > 0 {
 			par = spec.Decode.Parallelism
 		}
 
 		rcfg := ratedapt.Config{
-			SessionSalt: salt,
+			SessionSalt: tr.Salt,
 			CRC:         crc,
 			Restarts:    spec.Decode.Restarts,
 			MaxSlots:    spec.Decode.MaxSlots,
+			Window:      spec.Decode.WindowPolicy(),
 			Scratch:     res.Scratch,
 			Session:     res.Session,
 			Parallelism: par,
-		}
-		switch spec.Decode.Window {
-		case scenario.WindowAuto:
-			rcfg.Window = ratedapt.AutoWindow()
-		case scenario.WindowFixed:
-			rcfg.Window = ratedapt.FixedWindow(spec.Decode.DecodeWindow)
-		case scenario.WindowPerTag:
-			rcfg.Window = ratedapt.PerTagWindow(false)
-		}
-		// A static spec is the degenerate stream — a frozen channel and
-		// an event-free roster — and reproduces the classic experiments
-		// byte for byte; only dynamic specs draw a process seed.
-		var proc channel.Process = channel.NewStatic(ch)
-		if dynamic {
-			proc = spec.NewProcessRoster(ch, setup.Uint64(), rost.Rho)
-		}
-		roster := make([]ratedapt.RosterTag, kTot)
-		for i := range roster {
-			roster[i] = ratedapt.RosterTag{
-				Seed:       seeds[i],
-				Message:    msgs[i],
-				ArriveSlot: windows[i].ArriveSlot,
-				DepartSlot: windows[i].DepartSlot,
-			}
 		}
 		var identErr error
 		if a := spec.Workload.Arrivals; a != nil && a.Reident == scenario.ReidentAnalytic {
 			rcfg.OnArrival = analyticReidentifier(windows)
 		} else {
-			rcfg.OnArrival = reidentifier(roster, proc, salt, res.Scratch, &identErr)
+			rcfg.OnArrival = reidentifier(tr.Tags, tr.Process, tr.Salt, res.Scratch, &identErr)
 		}
-		rb, err := ratedapt.TransferDynamic(rcfg, roster, proc, proc, setup.Fork(1), setup.Fork(2))
+		rb, err := ratedapt.TransferDynamic(rcfg, tr.Tags, tr.Process, tr.Process, tr.Noise, prng.NewSource(tr.DecodeSeed))
 		if err != nil {
 			return err
 		}
@@ -287,7 +257,7 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 		}
 
 		if runTDMA {
-			rt, err := tdma.Run(tdma.Config{CRC: crc, UseMiller: true}, msgs, ch, setup.Fork(3))
+			rt, err := tdma.Run(tdma.Config{CRC: crc, UseMiller: true}, msgs, tr.Channel, tr.Setup.Fork(3))
 			if err != nil {
 				return err
 			}
@@ -298,7 +268,7 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 			scoreFrames(r, rt.Verified, rt.Frames, msgs, crc, nil)
 		}
 		if runCDMA {
-			rc, err := cdma.Run(cdma.Config{CRC: crc}, msgs, ch, setup.Fork(4))
+			rc, err := cdma.Run(cdma.Config{CRC: crc}, msgs, tr.Channel, tr.Setup.Fork(4))
 			if err != nil {
 				return err
 			}
@@ -373,11 +343,7 @@ func latencySamples(verified []bool, decodedAt []int, windows []scenario.Window)
 			continue
 		}
 		tl.delivered++
-		arrive := windows[i].ArriveSlot
-		if arrive < 1 {
-			arrive = 1
-		}
-		tl.completion.Add(float64(decodedAt[i] - arrive + 1))
+		tl.completion.Add(float64(decodedAt[i] - windows[i].Arrive() + 1))
 		if s := float64(decodedAt[i]); s < tl.first {
 			tl.first = s
 		}
@@ -419,14 +385,7 @@ func scoreFrames(r *scenarioRow, verified []bool, frames []bits.Vector, msgs []b
 func analyticReidentifier(windows []scenario.Window) func(slot int, arriving []int) int {
 	arrived, departed := 0, 0
 	return func(slot int, arriving []int) int {
-		for arrived < len(windows) {
-			a := windows[arrived].ArriveSlot
-			if a < 1 {
-				a = 1
-			}
-			if a > slot {
-				break
-			}
+		for arrived < len(windows) && windows[arrived].Arrive() <= slot {
 			arrived++
 		}
 		for departed < len(windows) && windows[departed].DepartSlot > 0 && windows[departed].DepartSlot <= slot {
