@@ -134,7 +134,7 @@ func newTrialState(spec scenario.Spec, trial int) (*trialState, error) {
 	if err != nil {
 		return nil, err
 	}
-	k0 := walk.Initial()
+	k0 := walk.Arrived()
 	frames := make([]bits.Vector, kTot)
 	for i := range frames {
 		frames[i] = bits.Message{Payload: tr.Messages[i], Kind: crc}.Frame()
@@ -166,10 +166,6 @@ func newTrialState(spec scenario.Spec, trial int) (*trialState, error) {
 		}
 	}
 
-	tagPow := make([]float64, kTot)
-	for i, h := range dm.Taps[:k0] {
-		tagPow[i] = real(h)*real(h) + imag(h)*imag(h)
-	}
 	frameLen := spec.Workload.MessageBits + crc.Width()
 	return &trialState{
 		tr:        tr,
@@ -184,7 +180,7 @@ func newTrialState(spec scenario.Spec, trial int) (*trialState, error) {
 		obs:       make([]complex128, frameLen),
 		activeIdx: make([]int, kTot),
 		bitIdx:    make([]int, kTot),
-		tagPow:    tagPow,
+		tagPow:    make([]float64, kTot),
 		density:   ratedapt.ParticipationDensity(0, k0),
 	}, nil
 }
@@ -218,7 +214,7 @@ func (st *trialState) synthSlot(slot int) *wire.Slot {
 		st.row[i] = i >= gone && ratedapt.Participates(st.tr.Tags[i].Seed, st.tr.Salt, slot, st.density)
 	}
 	m := st.tr.Process.ModelAt(slot)
-	if len(ev.Arrivals) > 0 || !st.tr.Process.Static() {
+	if slot == 1 || len(ev.Arrivals) > 0 || !st.tr.Process.Static() {
 		for i, h := range m.Taps[:n] {
 			st.tagPow[i] = real(h)*real(h) + imag(h)*imag(h)
 		}

@@ -57,7 +57,6 @@ func (r *RosterTag) Arrive() int {
 type RosterWalk struct {
 	roster            []RosterTag
 	wins              []int
-	initial           int
 	arrived, departed int
 	ev                SlotEvents
 }
@@ -102,14 +101,12 @@ func NewRosterWalk(roster []RosterTag, wins []int) (RosterWalk, error) {
 	if k0 == 0 {
 		return RosterWalk{}, fmt.Errorf("ratedapt: at least one roster tag must be present at slot 1")
 	}
-	return RosterWalk{roster: roster, wins: wins, initial: k0, arrived: k0}, nil
+	return RosterWalk{roster: roster, wins: wins, arrived: k0}, nil
 }
 
-// Initial returns how many roster tags are present at slot 1: the
-// stream's opening population, which Next never reports as arrivals.
-func (w *RosterWalk) Initial() int { return w.initial }
-
-// Arrived returns how many roster tags have joined so far.
+// Arrived returns how many roster tags have joined so far. Before the
+// first Next it is the slot-1 population the stream opens with, which
+// Next never reports as arrivals.
 func (w *RosterWalk) Arrived() int { return w.arrived }
 
 // Departed returns how many roster tags have departed so far.
@@ -261,7 +258,7 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 	if err != nil {
 		return nil, err
 	}
-	k0 := walk.Initial()
+	k0 := walk.Arrived()
 	msgLen := len(roster[0].Message)
 	frames := make([]bits.Vector, kTot)
 	for i := range roster {

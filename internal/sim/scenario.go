@@ -140,12 +140,12 @@ type trialLatency struct {
 
 // Run executes a declarative scenario spec: Trials independent draws of
 // messages, channels and (for dynamic specs) tap processes and
-// population churn, streamed across the trial worker pool. Each trial is
-// drawn by scenario.Spec.Trial, the derivation the wire replay client
-// shares. Every trial runs ratedapt.TransferDynamic, and a static Spec
-// reproduces CompareDataPhase bit for bit. Arrival-process workloads stream their
-// roster once, up front. Results are deterministic in (Spec, options)
-// at any parallelism.
+// population churn, streamed across the trial worker pool. Each trial
+// is drawn by scenario.Spec.Trial, the derivation the wire replay
+// client shares. Every trial runs ratedapt.TransferDynamic, and a
+// static Spec reproduces CompareDataPhase bit for bit. Arrival-process
+// workloads stream their roster once, up front. Results are
+// deterministic in (Spec, options) at any parallelism.
 func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 	var cfg runConfig
 	for _, o := range options {
