@@ -121,6 +121,24 @@ type Session struct {
 	// acceptance gate's base error (conditionalMarginGram).
 	gramErr []float64
 
+	// The restart certificate's per-slot tables (see certify), staged by
+	// prepareCert over the active ranks on every slot that has restarts:
+	// certK[x·Ka+y] = k_xy = 2·N_xy·Re(conj(h_x)·h_y), the pairwise
+	// coupling of ranks x and y, zero on the diagonal; certA[x] = Σ_y
+	// |k_xy|; certH[x] = ‖h_x‖₁ = |Re h_x| + |Im h_x|; certR[x] = Σ_y
+	// N_xy·‖h_y‖₁; and certOmega = Σ_x ‖h_x‖₁·certR[x], which is Σ over
+	// the active rows of (Σ_{active i in the row} ‖h_i‖₁)².
+	certK     []float64
+	certA     []float64
+	certH     []float64
+	certR     []float64
+	certOmega float64
+	// fullFan runs the restart fan at every position, certified or not;
+	// the certificate is still evaluated and reported (workerState's
+	// certified). Only tests set it: the reference side of the tests that
+	// check what a certified position's skipped fan would have done.
+	fullFan bool
+
 	// posBits[p·K+i] is tag i's bit at position p in the current joint
 	// decode — the init of the next slot's descent and the frame source
 	// for the outer loop's CRC checks.
@@ -254,6 +272,13 @@ type workerState struct {
 	gSet    []int
 	gPins   []int
 	passKey []uint64
+
+	// passes is the number of passes the last decoded position ran, whose
+	// blocks allBits and passErr hold: 1 when its restarts were skipped,
+	// 1 + restarts otherwise. certified reports whether its certificate
+	// held.
+	passes    int
+	certified bool
 }
 
 // shape sizes the worker state for k tags, maxSlots symbols and the
@@ -290,7 +315,8 @@ func (w *workerState) shape(k, maxSlots, passes int) {
 // shapeGram sizes the session's Gram buffers for a transfer of k tags,
 // reusing capacity: gramRule admits at most min(k, gramMaxKa) active
 // tags, so a reserved session's prepareGram re-slices the Gram table
-// without allocating.
+// without allocating. The certificate's tables get the same size; a row
+// slot with more active tags grows them once (prepareCert).
 func (s *Session) shapeGram(k int) {
 	ka := min(k, gramMaxKa)
 	s.gramNH = grow(s.gramNH, ka*ka)
@@ -299,6 +325,10 @@ func (s *Session) shapeGram(k int) {
 	s.gramLocked = grow(s.gramLocked, k)[:0]
 	s.gramMark = grow(s.gramMark, k)
 	clear(s.gramMark)
+	s.certK = grow(s.certK, ka*ka)
+	s.certA = grow(s.certA, ka)
+	s.certH = grow(s.certH, ka)
+	s.certR = grow(s.certR, ka)
 }
 
 // shapeMatchedFilter lays the matched-filter state out for a transfer
@@ -639,10 +669,11 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 }
 
 // DecodeCost is a per-phase breakdown of descent work: pass-0 descents
-// (one per position per decoded slot), random restart passes, and total
-// bit flips across both. It is the observable behind the restart
-// wall-clock floor — restart passes dominate when RestartPasses/
-// DescentPasses approaches the configured restart count.
+// (one per position per decoded slot), the random restart passes that
+// ran, and total bit flips across both. A position whose restart
+// certificate holds (see certify) runs none of its restarts, and they
+// are not counted; so RestartPasses/DescentPasses is the configured
+// restart count times the share of positions left uncertified.
 type DecodeCost struct {
 	DescentPasses uint64 `json:"descent_passes"`
 	RestartPasses uint64 `json:"restart_passes"`
@@ -1306,7 +1337,16 @@ type SlotJob struct {
 // and expose the tie. A position marks tag i when another pass ended
 // with an error less than 0.15·|h_i|²·w_i above the best pass's yet
 // disagrees on bit i — a gap well below the |h_i|²·w_i an honest
-// single-bit error would create (see markAmbiguousPruned).
+// single-bit error would create (see markAmbiguousPruned). The restarts
+// run only where they could find such a pass: a position whose pass-0
+// optimum carries a certificate (certify), a proof from its flip
+// margins and the slot's pairwise tag couplings that every other bit
+// pattern scores worse by more than every disagreeing tag's tie
+// threshold, skips them. No restart could be adopted there or mark a
+// tag, so on a Gram slot the outputs are bitwise those of the full
+// fan; on a row slot the skip also drops the adoptions of restarts that
+// end on pass 0's bits, or differ from them only on tags with no rows,
+// whose residual norm came out an ulp lower.
 func (s *Session) DecodeSlot(slot int, locked []bool, base uint64, minMargin []float64, anyAmbiguous []bool) {
 	if len(minMargin) != s.k || len(anyAmbiguous) != s.k {
 		panic(fmt.Sprintf("bp: DecodeSlot outputs have lengths %d and %d, want K %d", len(minMargin), len(anyAmbiguous), s.k))
@@ -1365,6 +1405,142 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 	if s.gramOn {
 		s.prepareGram()
 	}
+	if s.restarts > 0 {
+		s.prepareCert()
+	}
+}
+
+// prepareCert stages the restart certificate's per-slot tables (see the
+// Session fields certK…certOmega) from the co-occurrence counts, in
+// O(Ka²): on a row slot it first folds the rows appended since the last
+// fold (foldRows), so the counts are current. The counts are exact
+// integers over the live rows, and a row holding an active tag is an
+// active row, so N_xy is the number of active rows x and y share.
+func (s *Session) prepareCert() {
+	s.foldRows()
+	g := &s.g
+	act := g.activeTags
+	ka := len(act)
+	s.certK = grow(s.certK, ka*ka)
+	s.certA = grow(s.certA, ka)
+	s.certH = grow(s.certH, ka)
+	s.certR = grow(s.certR, ka)
+	K, A, H, R := s.certK, s.certA, s.certH, s.certR
+	for x, a := range act {
+		H[x] = math.Abs(g.tapRe[a]) + math.Abs(g.tapIm[a])
+		R[x] = float64(s.cooc[a*s.kStride+a]) * H[x]
+		A[x] = 0
+		K[x*ka+x] = 0
+	}
+	// k_xy = k_yx bit for bit (the same products, summed in the same
+	// order), so each pair is formed once.
+	for x, a := range act {
+		counts := s.cooc[a*s.kStride:]
+		ar, ai := g.tapRe[a], g.tapIm[a]
+		for y := x + 1; y < ka; y++ {
+			b := act[y]
+			n := float64(counts[b])
+			k := 2 * n * (ar*g.tapRe[b] + ai*g.tapIm[b])
+			K[x*ka+y], K[y*ka+x] = k, k
+			A[x] += math.Abs(k)
+			A[y] += math.Abs(k)
+			R[x] += n * H[y]
+			R[y] += n * H[x]
+		}
+	}
+	omega := 0.0
+	for x := range act {
+		omega += H[x] * R[x]
+	}
+	s.certOmega = omega
+}
+
+// certSlack is the certificate's rounding slack relative to the
+// position's magnitude scale: δ = certSlack·Λ (see certify).
+const certSlack = 0x1p-24
+
+// certify reports whether position p's pass-0 optimum b* is certified:
+// whether provably no restart could end on a bit pattern that the fan
+// would adopt over b*, or that would mark a tag ambiguous. gain and sign
+// hold b*'s flip gains and flip signs by active rank; lambda is the
+// position's magnitude scale Λ (below).
+//
+// The math. Let E be the error the fan compares: the residual norm over
+// the active rows on a row slot, gramError on a Gram slot (the same
+// quadratic less a constant). Over the active ranks x, let
+// m_x = −gain_x = E(b*⊕{x}) − E(b*), σ_x = +1 when b*_x is clear and −1
+// when set, and k_xy = 2·N_xy·Re(conj(h_x)·h_y). Flipping a set T of
+// bits changes the error by
+//
+//	ΔE(T) = Σ_{x∈T} m_x + Σ_{x<y∈T} σ_x·σ_y·k_xy ≥ Σ_{x∈T} (m_x − ½·P_x),
+//
+// with P_x = Σ_{y≠x} max(0, −σ_x·σ_y·k_xy): every negative pair term is
+// at least −max(0, ·), and each pair appears in both its tags' P. The
+// position is certified when every active x with rows and a nonzero tap
+// satisfies m_x − ½·P_x ≥ θ_x = 0.15·|h_x|²·w_x + δ. Then a pattern that
+// differs from b* on such a tag i scores at least θ_i above b*: it is
+// not adopted, and its gap is not below i's tie threshold 0.15·|h_i|²·w_i,
+// so it marks nothing. A tag with no rows or a zero tap has m_x = 0 and
+// k_xy = 0 exactly, so it adds nothing and is skipped; on a Gram slot a
+// pattern that differs from b* only on such tags scores exactly b*'s
+// error (gramError adds exact zeros for them), so it is neither adopted
+// nor a tie. Evaluation runs cheapest first: fail when m_x < θ_x, pass
+// when m_x − ½·A_x ≥ θ_x with A_x = Σ_y |k_xy| ≥ P_x (staged per slot),
+// and only otherwise sum the signed row P_x, O(Ka).
+//
+// Rounding. Every float the argument reads is an exact quantity plus
+// rounding: the gains (their S-sums, and |h|²·w, which the graph updates
+// incrementally), the couplings and their sums, the threshold products,
+// and the two pass errors a fan comparison subtracts. Each such error is
+// at most n·u·c·Λ, where u = 2⁻⁵³, n counts the roundings behind the
+// value and Λ bounds every magnitude involved, with c ≤ 4:
+//   - on a Gram slot Λ = Σ_x ‖h_x‖₁·(2‖B_x‖₁ + Σ_y N_xy‖h_y‖₁), which
+//     bounds the sum of the absolute terms of gramError at every bit
+//     pattern, of every gain and of every Σ_y |k_xy|;
+//   - on a row slot Λ = E(b*) + Ω, Ω = Σ over the active rows of
+//     (Σ_i ‖h_i‖₁)²: every pattern's residual norm is at most 2Λ, and so
+//     are every gain's terms and every Σ_y |k_xy|.
+//
+// A Gram slot forms everything from the matched-filter state in O(Ka)
+// roundings per value (gramError: 2Ka+2 per term, after Higham's
+// summation bound with |Re a·Re b| + |Im a·Im b| ≤ |a||b|), plus |h|²·w's
+// updates since its last re-derivation; a row slot adds the residual
+// entries' and S-sums' updates since the last rebuild (a few per flip
+// and row of the transfer) and normSqActive's L. The certificate needs
+// δ above the sum of: both errors' of a comparison, one gain's, one P's,
+// the threshold's and its own comparison's, in all at most 16·n·u·Λ.
+// δ = 2⁻²⁴·Λ = 2²⁹·u·Λ covers that for n up to 2²⁵ roundings, far
+// beyond any transfer's count, yet it decides fewer than one
+// certificate in 10⁵ on the example specs. A NaN anywhere fails the
+// certificate.
+func (s *Session) certify(gain, sign []float64, lambda float64) bool {
+	g := &s.g
+	act := g.activeTags
+	ka := len(act)
+	delta := certSlack * lambda
+	for x, a := range act {
+		if len(g.colRows[a]) == 0 || g.taps[a] == 0 {
+			continue
+		}
+		m := -gain[x]
+		th := 0.15*g.wPow[a] + delta
+		if !(m >= th) {
+			return false
+		}
+		if m-0.5*s.certA[x] >= th {
+			continue
+		}
+		sx, P := sign[x], 0.0
+		for y, k := range s.certK[x*ka : (x+1)*ka] {
+			if v := -sx * sign[y] * k; v > 0 {
+				P += v
+			}
+		}
+		if !(m-0.5*P >= th) {
+			return false
+		}
+	}
+	return true
 }
 
 // gramMaxKa caps the active tag count of a Gram-path slot. Begin and
@@ -1536,19 +1712,20 @@ func randomBitsInto(src *prng.Source, b bits.Vector, active []int) {
 }
 
 // decodePosition runs one position's full per-slot decode: pass-0
-// descent, random restarts, margin and ambiguity bookkeeping. All
-// mutations are confined to position p's stripes and the caller's
-// workerState.
+// descent, the restart certificate, the random restarts it does not
+// rule out, margin and ambiguity bookkeeping. All mutations are
+// confined to position p's stripes and the caller's workerState.
 //
 // The slot's kind decides the representation of every position. On a
 // Gram slot every pass runs from the matched-filter state: pass 0
-// descends in Gram space from the position's bits, the restarts run
-// through restartsGram, every pass is scored by gramError, and the
-// adopted pass's gains are installed (gramInstall). On a row slot the
-// position's row state is rebuilt when it is not current (stateValid),
-// absorbs the rows appended since, and pass 0 continues the descent on
-// it; each restart is built from it (buildFrom), and an adopted one is
-// copied back.
+// descends in Gram space from the position's bits and its gains are
+// installed (gramInstall), the restarts run through restartsGram, every
+// pass is scored by gramError, and an adopted restart's gains replace
+// pass 0's. On a row slot the position's row state is rebuilt when it is
+// not current (stateValid), absorbs the rows appended since, and pass 0
+// continues the descent on it; each restart is built from it
+// (buildFrom), and an adopted one is copied back. Either way the
+// restarts run only when pass 0's optimum is not certified (certify).
 func (s *Session) decodePosition(p int, ws *workerState) {
 	g := &s.g
 	st := &s.states[p]
@@ -1560,11 +1737,13 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 		ws.gramInput(s, p, myBits)
 		cFlips = uint64(ws.gramDescend(s, myBits, 64*(g.K+1)*(g.L+1), nil))
 		// A flip-free pass 0 ends on gramStart's state at the position's
-		// bits, exactly what a re-derive would compute: install its gains
-		// before the restarts reuse the workspace.
-		if cFlips == 0 {
-			ws.gramInstall(s, st)
+		// bits, exactly what a re-derive computes; after a flip, re-derive
+		// it. Those are the gains the certificate reads and the ones the
+		// position keeps unless a restart is adopted.
+		if cFlips > 0 {
+			ws.gramStart(s, myBits)
 		}
+		ws.gramInstall(s, st)
 	} else {
 		if !s.stateValid {
 			s.rebuildPosition(p, st, ws, myBits, locked)
@@ -1586,23 +1765,42 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 	// gramInput in B), the descent and the ambiguity sweep never touch a
 	// locked tag, and adoption copies back active bits alone.
 	active := g.activeTags
-	passes := 1 + s.restarts
-	allBits := ws.allBits[:passes*s.k]
-	passErr := ws.passErr[:passes]
+	passes := 1
+	allBits := ws.allBits[:(1+s.restarts)*s.k]
+	passErr := ws.passErr[:1+s.restarts]
 	for _, i := range active {
 		allBits[i] = myBits[i]
 	}
 	bestPass := 0
-
-	if s.gramOn {
-		// Pass 0 is scored in Gram form too, so adoption and the ambiguity
-		// gaps compare like with like: a restart that ends on the
+	ws.certified = false
+	if s.restarts > 0 {
+		// Pass 0 is scored in Gram form on a Gram slot, so adoption and the
+		// ambiguity gaps compare like with like: a restart that ends on the
 		// incumbent's bits scores exactly the incumbent's error and is
 		// never adopted on rounding noise.
-		passErr[0] = ws.gramError(s, myBits)
-		var f uint64
-		f, bestPass = s.restartsGram(p, ws, allBits, passErr)
-		if cFlips > 0 || bestPass > 0 {
+		var lambda float64
+		gain, sign := ws.gGain[:len(active)], ws.gSign[:len(active)]
+		if s.gramOn {
+			passErr[0] = ws.gramError(s, myBits)
+			lambda = s.certOmega
+			for x, v := range ws.gB[:len(active)] {
+				lambda += 2 * s.certH[x] * (math.Abs(real(v)) + math.Abs(imag(v)))
+			}
+		} else {
+			passErr[0] = st.normSqActive(g)
+			lambda = passErr[0] + s.certOmega
+			for x, i := range active {
+				gain[x], sign[x] = st.gain[i], st.bSign[i]
+			}
+		}
+		ws.certified = s.certify(gain, sign, lambda)
+		if !ws.certified || s.fullFan {
+			passes += s.restarts
+		}
+	}
+	if passes > 1 && s.gramOn {
+		f, best := s.restartsGram(p, ws, allBits, passErr)
+		if bestPass = best; bestPass > 0 {
 			// Re-derive the adopted pass's gains from its bits.
 			bhat := allBits[bestPass*s.k : (bestPass+1)*s.k]
 			for _, i := range active {
@@ -1611,11 +1809,9 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 			ws.gramStart(s, myBits)
 			ws.gramInstall(s, st)
 		}
-		s.gramErr[p] = passErr[bestPass]
 		cFlips += f
-	} else if s.restarts > 0 {
-		bestErr := st.normSqActive(g)
-		passErr[0] = bestErr
+	} else if passes > 1 {
+		bestErr := passErr[0]
 		ws.src.Reseed(prng.Mix3(s.curBase, uint64(s.curSlot), uint64(p)))
 		rst := &ws.rst
 		for pass := 1; pass < passes; pass++ {
@@ -1639,10 +1835,13 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 			}
 		}
 	}
-	// Both paths run every restart pass; none ends early.
+	if s.gramOn {
+		s.gramErr[p] = passErr[bestPass]
+	}
+	ws.passes = passes
 	s.costDescent.Add(1)
-	if s.restarts > 0 {
-		s.costRestarts.Add(uint64(s.restarts))
+	if passes > 1 {
+		s.costRestarts.Add(uint64(passes - 1))
 	}
 	if cFlips > 0 {
 		s.costFlips.Add(cFlips)
@@ -1656,7 +1855,7 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 	for _, i := range active {
 		arow[i] = false
 	}
-	g.markAmbiguousPruned(allBits, passErr, bestPass, myBits, arow, s.curThresh)
+	g.markAmbiguousPruned(allBits[:passes*s.k], passErr[:passes], bestPass, myBits, arow, s.curThresh)
 }
 
 // restartsGram runs position p's restart passes in Gram space (see

@@ -233,6 +233,16 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 	defer s.Close()
 	s.Begin(k, frameLen, len(ops)+1, par, 2, taps)
 	s.InitPositions(est)
+	// The serial replay decodes beside a full-fan twin (fanTwin), which
+	// receives every mutation too.
+	var tw *fanTwin
+	each := func(f func(*Session)) { f(s) }
+	if par == 1 {
+		tw = newFanTwin(k, frameLen, len(ops)+1, 2, taps)
+		defer tw.ref.Close()
+		tw.ref.InitPositions(est)
+		each = func(f func(*Session)) { f(s); f(tw.ref) }
+	}
 	g := &s.g
 	locked := make([]bool, k)
 	minMargin := make([]float64, k)
@@ -264,9 +274,11 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 		case 4:
 			locked[arg%k] = true
 		case 5:
-			s.Retire(1 + arg%(g.L+1))
+			through := 1 + arg%(g.L+1)
+			each(func(x *Session) { x.Retire(through) })
 		case 6:
-			s.RetireTag(arg%k, 1+arg%(g.L+1))
+			through := 1 + arg%(g.L+1)
+			each(func(x *Session) { x.RetireTag(arg%k, through) })
 		case 7:
 			// Moves every third tap, or every tap when arg is odd.
 			next := append([]complex128(nil), g.taps...)
@@ -275,19 +287,22 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 					next[i] *= complex(1+0.01*float64(arg%5), 0.005)
 				}
 			}
-			s.RetapAll(next)
+			each(func(x *Session) { x.RetapAll(next) })
 		default:
 			if g.L == s.maxSlots {
 				continue
 			}
 			row, obs := drv.slot()
-			s.AppendSlot(row, obs)
+			each(func(x *Session) { x.AppendSlot(row, obs) })
 			if par == 1 {
-				// DecodeSlot's serial schedule, checking each position's
-				// restarts while the worker holds them: every pass's
-				// recorded error, reused or not, is gramError of its
-				// final bits.
-				decodeSlotChecked(s, g.L, locked, seed, minMargin, ambiguous, func(p int, ws *workerState) {
+				// DecodeSlot's serial schedule beside the full-fan twin,
+				// checking each Gram position's passes while the worker
+				// holds them: every recorded error, reused or not, is
+				// gramError of its final bits.
+				tw.decode(t, s, g.L, locked, seed, minMargin, ambiguous, func(p int, ws *workerState) {
+					if !s.gramOn {
+						return
+					}
 					s.cond.gramInput(s, p, s.PosBits(p))
 					if bad := passErrsMatch(s, ws, func(b bits.Vector) float64 { return s.cond.gramError(s, b) }); bad >= 0 {
 						t.Fatalf("position %d pass %d: recorded error %v is not gramError of its bits", p, bad, ws.passErr[bad])
@@ -335,9 +350,12 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 // over the live rows (checkMatchedFilter), and on a Gram slot the
 // acceptance gate's Gram and row paths must agree on every unlocked
 // tag's conditional margin and bits (checkGateGramMatchesRows), and
-// each restart's recorded error must equal gramError of its final bits
+// each pass's recorded error must equal gramError of its final bits
 // (checked on the serial replay, which runs DecodeSlot's serial
-// schedule through decodeSlotChecked); and Parallelism 1 and 2 must
+// schedule through decodeSlotChecked); the serial replay also decodes
+// beside a full-fan twin, which must confirm every certified position
+// (fanTwin: bitwise equal outputs on a Gram slot; on a row slot no
+// adoption that flips a covered tag and no mark); and Parallelism 1 and 2 must
 // emit identical margins, ambiguity flags, bits and errors, though only
 // the parallel replay calls PosError after every op (observer purity).
 func FuzzSessionSlot(f *testing.F) {

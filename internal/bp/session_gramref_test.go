@@ -169,25 +169,25 @@ func (r *refGram) error(s *Session, b bits.Vector) float64 {
 }
 
 // decodeSlotChecked is DecodeSlot's serial schedule with a hook after
-// each position's decode on a Gram slot, while the worker still holds
-// that position's passes (allBits, passErr) and B.
+// each position's decode, while the worker still holds that position's
+// passes (allBits and passErr, ws.passes of them), its certificate and,
+// on a Gram slot, its B.
 func decodeSlotChecked(s *Session, slot int, locked []bool, base uint64, minMargin []float64, ambiguous []bool, check func(p int, ws *workerState)) {
 	s.prepareSlot(slot, locked, base)
 	ws := &s.wstates[0]
 	for p := 0; p < s.frameLen; p++ {
 		s.decodePosition(p, ws)
-		if s.gramOn {
-			check(p, ws)
-		}
+		check(p, ws)
 	}
 	s.finishSlot(minMargin, ambiguous)
 }
 
 // passErrsMatch reports the first pass of the position ws just decoded
 // whose recorded error differs, bitwise, from errOf at that pass's bits,
-// or −1 when every pass's matches.
+// or −1 when every pass's matches. Only the passes the position ran
+// are recorded: pass 0 alone when its certificate skipped the restarts.
 func passErrsMatch(s *Session, ws *workerState, errOf func(bits.Vector) float64) int {
-	for q := 0; q <= s.restarts; q++ {
+	for q := 0; q < ws.passes; q++ {
 		b := bits.Vector(ws.allBits[q*s.k : (q+1)*s.k])
 		if math.Float64bits(ws.passErr[q]) != math.Float64bits(errOf(b)) {
 			return q
@@ -202,12 +202,17 @@ func passErrsMatch(s *Session, ws *workerState, errOf func(bits.Vector) float64)
 // Retire, RetireTag and RetapAll, some to a tap of exactly zero. On
 // every Gram slot, for every position:
 //   - the decode's B, every recorded pass error (a restart that ends on
-//     an earlier pass's bits reuses that pass's error) and the installed
-//     gains must equal the reference's at the same bits;
+//     an earlier pass's bits reuses that pass's error; a certified
+//     position records pass 0's alone) and the installed gains must
+//     equal the reference's at the same bits;
 //   - from random bits, with no pins and with a forced bit plus random
 //     pins (the acceptance gate's descent), the start state, the
 //     descent's S, gains, signs, bits and flips, and the error at the
 //     end must equal the reference's.
+//
+// A full-fan twin (fanTwin) checks the positions whose certificate
+// skipped the restarts; the test fails unless some positions were
+// certified and some ran the fan.
 func TestSessionGramKernelsMatchReference(t *testing.T) {
 	const (
 		frameLen = 6
@@ -217,7 +222,7 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 		inits    = 4
 		base     = 0x25A
 	)
-	var gramSlots, passes, descents, reused, lockedB, zeroTaps int
+	var gramSlots, passes, descents, reused, lockedB, zeroTaps, certified, fanned int
 	for trial := 0; trial < 10; trial++ {
 		src := prng.NewSource(0x25A0 + uint64(trial))
 		k := 4 + src.IntN(9)
@@ -232,6 +237,8 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 		s := NewSession()
 		s.Begin(k, frameLen, slots+1, 1, restarts, taps)
 		s.InitPositions(est)
+		tw := newFanTwin(k, frameLen, slots+1, restarts, taps)
+		tw.ref.InitPositions(est)
 		locked := make([]bool, k)
 		minMargin := make([]float64, k)
 		ambiguous := make([]bool, k)
@@ -255,7 +262,7 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 			if bad := passErrsMatch(s, ws, func(b bits.Vector) float64 { return ref.error(s, b) }); bad >= 0 {
 				t.Fatalf("position %d pass %d: recorded error %v, reference %v", p, bad, ws.passErr[bad], ref.error(s, ws.allBits[bad*k:(bad+1)*k]))
 			}
-			for pass := 1; pass <= restarts; pass++ {
+			for pass := 1; pass < ws.passes; pass++ {
 				same := true
 				for _, i := range s.g.activeTags {
 					same = same && ws.allBits[pass*k+i] == ws.allBits[i]
@@ -264,7 +271,7 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 					reused++
 				}
 			}
-			passes += 1 + restarts
+			passes += ws.passes
 			st := &s.states[p]
 			ref.start(s, pb)
 			for x, i := range s.g.activeTags {
@@ -287,6 +294,7 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 					cur[k-1] = complex(math.Copysign(0, -1), 0)
 				}
 				s.RetapAll(cur)
+				tw.ref.RetapAll(cur)
 			}
 			row := make(bits.Vector, k)
 			for i := range row {
@@ -303,8 +311,12 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 				obs[p] = y
 			}
 			s.AppendSlot(row, obs)
+			tw.ref.AppendSlot(row, obs)
 			ref = refGram{}
-			decodeSlotChecked(s, slot, locked, base, minMargin, ambiguous, func(p int, ws *workerState) {
+			tw.decode(t, s, slot, locked, base, minMargin, ambiguous, func(p int, ws *workerState) {
+				if !s.gramOn {
+					return
+				}
 				if ref.n == nil {
 					ref.prepare(s)
 				}
@@ -319,16 +331,22 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 				locked[slot/7-1] = true
 			case slot > window && slot%3 == 0:
 				s.Retire(slot - window)
+				tw.ref.Retire(slot - window)
 			case slot%5 == 0:
-				s.RetireTag(src.IntN(k), slot-window/2)
+				i := src.IntN(k)
+				s.RetireTag(i, slot-window/2)
+				tw.ref.RetireTag(i, slot-window/2)
 			}
 		}
 		s.Close()
+		tw.ref.Close()
+		certified += tw.gramCert
+		fanned += tw.gramFan
 	}
-	if gramSlots < 20 || reused == 0 || lockedB == 0 || zeroTaps == 0 {
-		t.Fatalf("%d Gram slots, %d restarts ending on pass 0's bits, %d positions with a locked set bit in B, %d with a set zero-tap bit; want at least 20, 1, 1 and 1", gramSlots, reused, lockedB, zeroTaps)
+	if gramSlots < 20 || reused == 0 || lockedB == 0 || zeroTaps == 0 || certified == 0 || fanned == 0 {
+		t.Fatalf("%d Gram slots, %d restarts ending on pass 0's bits, %d positions with a locked set bit in B, %d with a set zero-tap bit, %d certified, %d ran the fan; want at least 20 and 1, 1, 1, 1, 1", gramSlots, reused, lockedB, zeroTaps, certified, fanned)
 	}
-	t.Logf("%d Gram slots: %d decode passes (%d restarts ending on pass 0's bits; %d positions with a locked set bit in B, %d with a set zero-tap bit) and %d descents matched the reference", gramSlots, passes, reused, lockedB, zeroTaps, descents)
+	t.Logf("%d Gram slots: %d decode passes (%d restarts ending on pass 0's bits; %d positions with a locked set bit in B, %d with a set zero-tap bit; %d positions certified, %d ran the fan) and %d descents matched the reference", gramSlots, passes, reused, lockedB, zeroTaps, certified, fanned, descents)
 }
 
 // checkGramKernels runs the session's Gram kernels and the reference

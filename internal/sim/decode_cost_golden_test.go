@@ -53,19 +53,22 @@ func warehouseShape(t *testing.T, seed uint64) scenario.Spec {
 // deterministic integers, so a change that moves decode effort fails
 // here exactly rather than hiding inside a timing tolerance; a
 // performance-only change to the decoder must leave every row as is.
+// The restart certificate (bp's certify) moved RestartPasses and Flips
+// only: it skips the restarts of certified positions and leaves every
+// outcome digest as it was.
 func TestGoldenDecodeCost(t *testing.T) {
 	golden := map[string]struct {
 		digest string
 		cost   bp.DecodeCost
 	}{
-		"block-fading.json":      {"055d62e4e5ed7016", bp.DecodeCost{DescentPasses: 5365, RestartPasses: 10730, Flips: 27011}},
-		"conveyor.json":          {"6784a9194762a4d6", bp.DecodeCost{DescentPasses: 31524, RestartPasses: 63048, Flips: 112601}},
-		"dock-door.json":         {"de0015f77c8b4734", bp.DecodeCost{DescentPasses: 8066, RestartPasses: 16132, Flips: 6302}},
-		"fast-mobility.json":     {"122bc348aa6dc8cf", bp.DecodeCost{DescentPasses: 284160, RestartPasses: 568320, Flips: 1871203}},
-		"mixed-mobility.json":    {"186177a573606762", bp.DecodeCost{DescentPasses: 284160, RestartPasses: 568320, Flips: 1271349}},
-		"mobility.json":          {"f29efa6f913ba503", bp.DecodeCost{DescentPasses: 532800, RestartPasses: 1065600, Flips: 2694127}},
-		"warehouse-shape/555001": {"665c3bc73077397d", bp.DecodeCost{DescentPasses: 12864, RestartPasses: 25728, Flips: 30192}},
-		"warehouse-shape/655001": {"e09c6d9e0fe60735", bp.DecodeCost{DescentPasses: 16608, RestartPasses: 33216, Flips: 19223}},
+		"block-fading.json":      {"055d62e4e5ed7016", bp.DecodeCost{DescentPasses: 5365, RestartPasses: 7336, Flips: 24211}},
+		"conveyor.json":          {"6784a9194762a4d6", bp.DecodeCost{DescentPasses: 31524, RestartPasses: 34228, Flips: 76625}},
+		"dock-door.json":         {"de0015f77c8b4734", bp.DecodeCost{DescentPasses: 8066, RestartPasses: 742, Flips: 1832}},
+		"fast-mobility.json":     {"122bc348aa6dc8cf", bp.DecodeCost{DescentPasses: 284160, RestartPasses: 494214, Flips: 1687288}},
+		"mixed-mobility.json":    {"186177a573606762", bp.DecodeCost{DescentPasses: 284160, RestartPasses: 369038, Flips: 995612}},
+		"mobility.json":          {"f29efa6f913ba503", bp.DecodeCost{DescentPasses: 532800, RestartPasses: 908404, Flips: 2385578}},
+		"warehouse-shape/555001": {"665c3bc73077397d", bp.DecodeCost{DescentPasses: 12864, RestartPasses: 3862, Flips: 10148}},
+		"warehouse-shape/655001": {"e09c6d9e0fe60735", bp.DecodeCost{DescentPasses: 16608, RestartPasses: 1746, Flips: 5205}},
 	}
 	type run struct {
 		name string
@@ -127,12 +130,12 @@ func TestGoldenLargeK(t *testing.T) {
 		{
 			"per-tag",
 			`{"k": 80, "trials": 1, "seed": 2026, "channel": {"kind": "gauss-markov", "rho": 0.95}, "window": "per_tag", "max_slots": 200}`,
-			"c3266c08ca5a2a1b", bp.DecodeCost{DescentPasses: 7400, RestartPasses: 14800, Flips: 325445},
+			"c3266c08ca5a2a1b", bp.DecodeCost{DescentPasses: 7400, RestartPasses: 14796, Flips: 325435},
 		},
 		{
 			"auto",
 			`{"k": 80, "trials": 1, "seed": 2026, "channel": {"kind": "gauss-markov", "rho": 0.99}, "window": "auto", "max_slots": 200}`,
-			"b5b8d1165e52dcec", bp.DecodeCost{DescentPasses: 7400, RestartPasses: 14800, Flips: 532688},
+			"b5b8d1165e52dcec", bp.DecodeCost{DescentPasses: 7400, RestartPasses: 14794, Flips: 532663},
 		},
 	}
 	for _, g := range golden {
