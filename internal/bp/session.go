@@ -123,13 +123,18 @@ type Session struct {
 
 	// The restart certificate's per-slot tables (see certify), staged by
 	// prepareCert over the active ranks on every slot that has restarts:
-	// certK[x·Ka+y] = k_xy = 2·N_xy·Re(conj(h_x)·h_y), the pairwise
-	// coupling of ranks x and y, zero on the diagonal; certA[x] = Σ_y
-	// |k_xy|; certH[x] = ‖h_x‖₁ = |Re h_x| + |Im h_x|; certR[x] = Σ_y
-	// N_xy·‖h_y‖₁; and certOmega = Σ_x ‖h_x‖₁·certR[x], which is Σ over
-	// the active rows of (Σ_{active i in the row} ‖h_i‖₁)².
+	// certCov lists (ascending) the ranks the certificate covers, those
+	// with live rows and a nonzero tap; certK[x·Ka+y] = k_xy =
+	// 2·N_xy·Re(conj(h_x)·h_y), the pairwise coupling of ranks x and y,
+	// zero on the diagonal; certA[x] = Σ_y |k_xy|; certTie[x] =
+	// 0.15·|h_x|²·w_x, x's tie threshold; certH[x] = ‖h_x‖₁ =
+	// |Re h_x| + |Im h_x|; certR[x] = Σ_y N_xy·‖h_y‖₁; and certOmega =
+	// Σ_x ‖h_x‖₁·certR[x], which is Σ over the active rows of
+	// (Σ_{active i in the row} ‖h_i‖₁)².
+	certCov   []int
 	certK     []float64
 	certA     []float64
+	certTie   []float64
 	certH     []float64
 	certR     []float64
 	certOmega float64
@@ -325,8 +330,10 @@ func (s *Session) shapeGram(k int) {
 	s.gramLocked = grow(s.gramLocked, k)[:0]
 	s.gramMark = grow(s.gramMark, k)
 	clear(s.gramMark)
+	s.certCov = grow(s.certCov, ka)[:0]
 	s.certK = grow(s.certK, ka*ka)
 	s.certA = grow(s.certA, ka)
+	s.certTie = grow(s.certTie, ka)
 	s.certH = grow(s.certH, ka)
 	s.certR = grow(s.certR, ka)
 }
@@ -1421,12 +1428,18 @@ func (s *Session) prepareCert() {
 	g := &s.g
 	act := g.activeTags
 	ka := len(act)
+	cov := grow(s.certCov, ka)[:0]
 	s.certK = grow(s.certK, ka*ka)
 	s.certA = grow(s.certA, ka)
+	s.certTie = grow(s.certTie, ka)
 	s.certH = grow(s.certH, ka)
 	s.certR = grow(s.certR, ka)
 	K, A, H, R := s.certK, s.certA, s.certH, s.certR
 	for x, a := range act {
+		if len(g.colRows[a]) > 0 && g.taps[a] != 0 {
+			cov = append(cov, x)
+		}
+		s.certTie[x] = 0.15 * g.wPow[a]
 		H[x] = math.Abs(g.tapRe[a]) + math.Abs(g.tapIm[a])
 		R[x] = float64(s.cooc[a*s.kStride+a]) * H[x]
 		A[x] = 0
@@ -1453,6 +1466,7 @@ func (s *Session) prepareCert() {
 		omega += H[x] * R[x]
 	}
 	s.certOmega = omega
+	s.certCov = cov
 }
 
 // certSlack is the certificate's rounding slack relative to the
@@ -1484,9 +1498,10 @@ const certSlack = 0x1p-24
 // k_xy = 0 exactly, so it adds nothing and is skipped; on a Gram slot a
 // pattern that differs from b* only on such tags scores exactly b*'s
 // error (gramError adds exact zeros for them), so it is neither adopted
-// nor a tie. Evaluation runs cheapest first: fail when m_x < θ_x, pass
-// when m_x − ½·A_x ≥ θ_x with A_x = Σ_y |k_xy| ≥ P_x (staged per slot),
-// and only otherwise sum the signed row P_x, O(Ka).
+// nor a tie. Evaluation runs cheapest first: one sweep fails when some
+// m_x < θ_x; then each tag passes when m_x − ½·A_x ≥ θ_x, with
+// A_x = Σ_y |k_xy| ≥ P_x staged per slot, and only otherwise sums its
+// signed row P_x, O(Ka).
 //
 // Rounding. Every float the argument reads is an exact quantity plus
 // rounding: the gains (their S-sums, and |h|²·w, which the graph updates
@@ -1514,27 +1529,21 @@ const certSlack = 0x1p-24
 // certificate in 10⁵ on the example specs. A NaN anywhere fails the
 // certificate.
 func (s *Session) certify(gain, sign []float64, lambda float64) bool {
-	g := &s.g
-	act := g.activeTags
-	ka := len(act)
+	ka := len(s.g.activeTags)
 	delta := certSlack * lambda
-	for x, a := range act {
-		if len(g.colRows[a]) == 0 || g.taps[a] == 0 {
-			continue
-		}
-		m := -gain[x]
-		th := 0.15*g.wPow[a] + delta
-		if !(m >= th) {
+	for _, x := range s.certCov {
+		if !(-gain[x] >= s.certTie[x]+delta) {
 			return false
 		}
+	}
+	for _, x := range s.certCov {
+		m, th := -gain[x], s.certTie[x]+delta
 		if m-0.5*s.certA[x] >= th {
 			continue
 		}
 		sx, P := sign[x], 0.0
 		for y, k := range s.certK[x*ka : (x+1)*ka] {
-			if v := -sx * sign[y] * k; v > 0 {
-				P += v
-			}
+			P += max(0, -sx*sign[y]*k)
 		}
 		if !(m-0.5*P >= th) {
 			return false
