@@ -156,6 +156,49 @@ func (m *BinaryMat) dotY2(c int, y dsp.Vec) (s0, s1 complex128) {
 	return s0, s1
 }
 
+// skipBelow is 1 − 2u (u = 2⁻⁵³), exactly representable: bestAtom's
+// prefilter factor.
+const skipBelow = 1 - 0x1p-52
+
+// bestAtom is OMPBits' atom selection: the candidate column most
+// correlated with the residual, scored by |z_c|²/weight_c (the square of
+// the normalized correlation |z_c|/√weight_c, so the same argmax up to
+// rounding, without a hypot or a square root per candidate), the first
+// of the largest scores above 0; columns in the support or of weight 0
+// are not candidates. It returns −1 and 0 when no score is above 0.
+//
+// A candidate skips the division when q = |z_c|² ≤ fl(lim·w_c), where
+// lim = fl(bestScore·(1 − 2u)) is formed once per change of bestScore,
+// and lim = 0 while bestScore is below 2⁻¹⁰²¹ or above 2⁹⁹⁰. The skip is
+// exact: a weight is a row count, below 2³¹, so both products are normal
+// and finite (or lim = 0, when q ≤ 0 means q = 0); each rounds up by at
+// most a factor 1 + u, so q ≤ bestScore·w·(1 − 2u)(1 + u)² =
+// bestScore·w·(1 − 3u² − 2u³) < bestScore·w. Then q/w < bestScore, and
+// since bestScore is a float and rounding is monotone, the rounded
+// quotient is at most bestScore: it could not have won the strict
+// comparison. A NaN q is never skipped, as the plain loop never selects
+// it.
+func bestAtom(zr, zi []float64, weight []int, inSupport []bool) (best int, bestScore float64) {
+	best, lim := -1, 0.0
+	for c, w := range weight {
+		if inSupport[c] || w == 0 {
+			continue
+		}
+		q, wf := zr[c]*zr[c]+zi[c]*zi[c], float64(w)
+		if q <= lim*wf {
+			continue
+		}
+		if s := q / wf; s > bestScore {
+			bestScore, best = s, c
+			lim = 0
+			if s >= 0x1p-1021 && s <= 0x1p990 {
+				lim = s * skipBelow
+			}
+		}
+	}
+	return best, bestScore
+}
+
 // OMPBits runs Orthogonal Matching Pursuit on y = A·z for a binary A,
 // solving each growing least-squares subproblem through the normal
 // equations G·x = Bᴴy with an incrementally-updated Cholesky factor of
@@ -347,21 +390,7 @@ func OMPBits(a *BinaryMat, y dsp.Vec, opts OMPOptions) (*Result, error) {
 	for len(support)-dcAtoms < opts.MaxSparsity && len(support) < a.Rows {
 		iters++
 		refreshScores(zr, zi, aty, gcols, x[:len(support)])
-		// Atom selection: the candidate column most correlated with the
-		// residual, scored by |z_c|²/weight_c: the square of the
-		// normalized correlation |z_c|/√weight_c, so the same argmax up
-		// to rounding, without a hypot or a square root per candidate.
-		best, bestScore := -1, 0.0
-		for c := 0; c < a.Cols; c++ {
-			if inSupport[c] || weight[c] == 0 {
-				continue
-			}
-			s := (zr[c]*zr[c] + zi[c]*zi[c]) / float64(weight[c])
-			if s > bestScore {
-				bestScore = s
-				best = c
-			}
-		}
+		best, bestScore := bestAtom(zr, zi, weight, inSupport)
 		if best < 0 || bestScore < 1e-24 { // |z|/√w < 1e-12
 			break // nothing left to explain
 		}

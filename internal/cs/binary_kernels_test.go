@@ -100,3 +100,75 @@ func TestBinaryMatKernelsMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// refBestAtom is OMPBits' plain atom-selection loop: one division per
+// candidate, the first strictly largest score above 0.
+func refBestAtom(zr, zi []float64, weight []int, inSupport []bool) (int, float64) {
+	best, bestScore := -1, 0.0
+	for c := range weight {
+		if inSupport[c] || weight[c] == 0 {
+			continue
+		}
+		s := (zr[c]*zr[c] + zi[c]*zi[c]) / float64(weight[c])
+		if s > bestScore {
+			bestScore, best = s, c
+		}
+	}
+	return best, bestScore
+}
+
+// TestBestAtomMatchesPlainLoop pins bestAtom's division prefilter to the
+// plain loop, bitwise, on candidates whose scores sit at the prefilter's
+// boundary: each list repeats a score exactly, or one or two ulps off,
+// at other weights (|z|² = score·w rounded, then nudged by an ulp either
+// way), around zero, and around the 2⁻¹⁰²¹ and 2⁹⁹⁰ bounds where the
+// prefilter switches off.
+func TestBestAtomMatchesPlainLoop(t *testing.T) {
+	src := prng.NewSource(0xA70)
+	var selected int
+	for trial := 0; trial < 3000; trial++ {
+		n := 2 + src.IntN(40)
+		zr, zi := make([]float64, n), make([]float64, n)
+		weight, inSupport := make([]int, n), make([]bool, n)
+		scale := []float64{1, 0x1p-1021, 0x1p990, 1e-300, 1e300, 0}[trial%6]
+		target := scale * (0.5 + src.Float64())
+		for c := range weight {
+			weight[c] = src.IntN(9)
+			inSupport[c] = src.Bernoulli(0.1)
+			w := float64(max(weight[c], 1))
+			q := target * w
+			switch src.IntN(6) {
+			case 0:
+				q = math.Nextafter(q, 0)
+			case 1:
+				q = math.Nextafter(q, math.Inf(1))
+			case 2:
+				q = math.Nextafter(math.Nextafter(q, 0), 0)
+			case 3:
+				q *= 0.5 + src.Float64()
+			case 4:
+				q = 0
+			}
+			// q = zr² exactly when zr = √q rounds back; any rounding
+			// here only moves the candidate, which both loops see alike.
+			zr[c] = math.Sqrt(q)
+			if src.Bernoulli(0.3) {
+				zr[c], zi[c] = zr[c]*math.Sqrt(0.5), zr[c]*math.Sqrt(0.5)
+			}
+		}
+		if trial%50 == 0 {
+			zr[0] = math.NaN()
+		}
+		gb, gs := bestAtom(zr, zi, weight, inSupport)
+		wb, ws := refBestAtom(zr, zi, weight, inSupport)
+		if gb != wb || math.Float64bits(gs) != math.Float64bits(ws) {
+			t.Fatalf("trial %d: bestAtom (%d, %v), plain loop (%d, %v)", trial, gb, gs, wb, ws)
+		}
+		if gb >= 0 {
+			selected++
+		}
+	}
+	if selected == 0 {
+		t.Fatal("no trial selected an atom")
+	}
+}

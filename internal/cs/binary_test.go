@@ -33,7 +33,7 @@ func binaryProblem(src *prng.Source, rows, cols, k int, density, mag, sigma floa
 	for _, c := range src.Perm(cols)[:k] {
 		truth[c] = cmplx.Rect(mag*(1+src.Float64()), 2*math.Pi*src.Float64())
 	}
-	y := dense.MulVec(truth)
+	y := dense.MulVecInto(dsp.NewVec(dense.Rows), truth)
 	for i := range y {
 		y[i] += src.ComplexNorm() * complex(sigma, 0)
 	}

@@ -30,7 +30,7 @@ func sparseProblem(src *prng.Source, rows, cols, k int, noiseSigma float64) (*ds
 		phase := 2 * math.Pi * src.Float64()
 		truth[c] = cmplx.Rect(mag, phase)
 	}
-	y := a.MulVec(truth)
+	y := a.MulVecInto(dsp.NewVec(a.Rows), truth)
 	if noiseSigma > 0 {
 		for i := range y {
 			y[i] += src.ComplexNorm() * complex(noiseSigma, 0)

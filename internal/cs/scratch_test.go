@@ -23,7 +23,7 @@ func scratchProblem(seed uint64, rows, cols, k int) (*dsp.Mat, dsp.Vec) {
 	for _, c := range src.Perm(cols)[:k] {
 		truth[c] = complex(0.5+src.Float64(), src.Float64())
 	}
-	y := a.MulVec(truth)
+	y := a.MulVecInto(dsp.NewVec(a.Rows), truth)
 	for i := range y {
 		y[i] += src.ComplexNorm() * complex(0.05, 0)
 	}
