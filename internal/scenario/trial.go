@@ -39,6 +39,13 @@ type Trial struct {
 	Setup *prng.Source
 }
 
+// TrialSource returns the setup stream of trial number trial under
+// seed, prng.Mix2(seed, trial): the one per-trial seed rule of every
+// trial set (Spec.Trial's draws, sim.RunIdentification's).
+func TrialSource(seed uint64, trial int) *prng.Source {
+	return prng.NewSource(prng.Mix2(seed, uint64(trial)))
+}
+
 // Trial makes trial number trial's setup draws over rost, in order:
 // messages (skipped when msgs is non-nil; msgs must then hold one
 // payload per roster tag), the SNR-band channel, the participation
@@ -46,7 +53,7 @@ type Trial struct {
 // noise fork and the decode seed. The draws are a pure function of
 // (spec, roster, trial, msgs). The spec must have defaults applied.
 func (s Spec) Trial(rost Roster, trial int, msgs []bits.Vector) Trial {
-	setup := prng.NewSource(prng.Mix2(s.Seed, uint64(trial)))
+	setup := TrialSource(s.Seed, trial)
 	k := len(rost.Windows)
 	if msgs == nil {
 		msgs = make([]bits.Vector, k)

@@ -114,15 +114,15 @@ var batchEngine = engine.New(engine.Config{})
 
 // forEachTrial runs the trial body for indices [0, trials) across the
 // batch engine's bounded worker pool. Each trial derives its own
-// deterministic source from (seed, trial), so results are independent
-// of scheduling order; the body writes into per-trial slots, never
-// shared state. Every worker owns pooled engine Resources (one scratch
+// deterministic streams from its index (scenario.TrialSource), so
+// results are independent of scheduling order; the body writes into
+// per-trial slots, never shared state. Every worker owns pooled engine Resources (one scratch
 // arena, one decoder session), recycled between trials: the first trial
 // a worker runs warms them and later same-shaped trials allocate
 // nothing in the decode hot path.
-func forEachTrial(trials int, seed uint64, body func(trial int, setup *prng.Source, res trialResources) error) error {
+func forEachTrial(trials int, body func(trial int, res trialResources) error) error {
 	return batchEngine.RunBatch(trials, func(trial int, res *engine.Resources) error {
-		return body(trial, prng.NewSource(prng.Mix2(seed, uint64(trial))), trialResources{
+		return body(trial, trialResources{
 			Scratch:     res.Scratch,
 			Session:     res.Session,
 			Parallelism: res.Parallelism,
@@ -381,7 +381,8 @@ func RunIdentification(trials int, seed uint64, ks []int) ([]IdentificationOutco
 		k := k
 		type row struct{ buzzMs, fsaMs, fsakMs, btreeMs, identified float64 }
 		rows := make([]row, trials)
-		err := forEachTrial(trials, seed+uint64(k)*0x51F1, func(trial int, setup *prng.Source, res trialResources) error {
+		err := forEachTrial(trials, func(trial int, res trialResources) error {
+			setup := scenario.TrialSource(seed+uint64(k)*0x51F1, trial)
 			ch := profile.channel(k, setup)
 			ids := make([]uint64, k)
 			for i := range ids {
