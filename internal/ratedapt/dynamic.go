@@ -340,7 +340,7 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 			for i := walk.Arrived() - n; i < walk.Arrived(); i++ {
 				arriving = append(arriving, i)
 			}
-			res.ReidentBitSlots += cfg.OnArrival(slot, arriving)
+			res.ReidentBitSlots += cfg.OnArrival(slot, arriving, walk.Arrived()-walk.Departed())
 		}
 
 		// --- Tag side: the row comes back from the stream (the reader's

@@ -137,7 +137,7 @@ func TestTransferDynamicChurnDelivers(t *testing.T) {
 	}
 	proc := channel.NewGaussMarkov(ch, rho, 0xFADE^0x6A55)
 	reidents := 0
-	cfg.OnArrival = func(slot int, arriving []int) int {
+	cfg.OnArrival = func(slot int, arriving []int, present int) int {
 		reidents++
 		return 100 * len(arriving)
 	}

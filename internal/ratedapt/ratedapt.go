@@ -134,11 +134,13 @@ type Config struct {
 	Window WindowPolicy
 	// OnArrival, used only by TransferDynamic, is invoked once per slot
 	// that admits new roster tags, before their first collision slot,
-	// with the arriving roster indices. It returns the uplink bit-slot
-	// cost of the reader's re-identification burst (charged to
-	// DynamicResult.ReidentBitSlots); the scenario layer runs the actual
-	// identification protocol here. Nil charges nothing.
-	OnArrival func(slot int, arriving []int) int
+	// with the arriving roster indices and the present population: the
+	// tags joined so far less those departed, this slot's arrivals and
+	// departures included (RosterWalk's Arrived − Departed). It returns
+	// the uplink bit-slot cost of the reader's re-identification burst
+	// (charged to DynamicResult.ReidentBitSlots); the scenario layer
+	// runs the actual identification protocol here. Nil charges nothing.
+	OnArrival func(slot int, arriving []int, present int) int
 }
 
 // participationDensity derives the per-slot participation probability

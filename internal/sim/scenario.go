@@ -184,7 +184,7 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 
 	costs := make([]bp.DecodeCost, spec.Trials)
 
-	err = forEachTrial(spec.Trials, spec.Seed, func(trial int, _ *prng.Source, res trialResources) error {
+	err = forEachTrial(spec.Trials, func(trial int, res trialResources) error {
 		var msgs []bits.Vector
 		if cfg.messages != nil {
 			msgs = cfg.messages(trial)
@@ -216,7 +216,7 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 		}
 		var identErr error
 		if a := spec.Workload.Arrivals; a != nil && a.Reident == scenario.ReidentAnalytic {
-			rcfg.OnArrival = analyticReidentifier(windows)
+			rcfg.OnArrival = analyticReidentifier
 		} else {
 			rcfg.OnArrival = reidentifier(tr.Tags, tr.Process, tr.Salt, res.Scratch, &identErr)
 		}
@@ -372,27 +372,17 @@ func scoreFrames(r *scenarioRow, verified []bool, frames []bits.Vector, msgs []b
 	}
 }
 
-// analyticReidentifier builds the OnArrival hook for reident mode
+// analyticReidentifier is the OnArrival hook for reident mode
 // "analytic": instead of simulating a three-stage burst over the air,
 // it charges identify.ExpectedSlots for the population present at the
 // arrival slot — O(1) per burst against the simulated protocol's cost
 // (dominated by stage-C compressed sensing, which scales with the
 // present population and made simulated bursts the profile's 99.9%
-// at warehouse rosters). Presence is tracked with two cursors over the
-// FIFO windows, so a whole round's charges cost O(N) total. The hook
-// is a pure function of the slot sequence: deterministic at any
-// parallelism.
-func analyticReidentifier(windows []scenario.Window) func(slot int, arriving []int) int {
-	arrived, departed := 0, 0
-	return func(slot int, arriving []int) int {
-		for arrived < len(windows) && windows[arrived].Arrive() <= slot {
-			arrived++
-		}
-		for departed < len(windows) && windows[departed].DepartSlot > 0 && windows[departed].DepartSlot <= slot {
-			departed++
-		}
-		return identify.ExpectedSlots(arrived - departed)
-	}
+// at warehouse rosters). The transfer's roster walk supplies the
+// present count, so the hook is a pure function of it: deterministic
+// at any parallelism.
+func analyticReidentifier(_ int, _ []int, present int) int {
+	return identify.ExpectedSlots(present)
 }
 
 // reidentifier builds the OnArrival hook: a mid-round re-identification
@@ -400,8 +390,8 @@ func analyticReidentifier(windows []scenario.Window) func(slot int, arriving []i
 // three-stage protocol so the charged slot cost carries the actual
 // stage-A/B/C budget for the instantaneous population. Errors are
 // captured into errOut (the hook signature cannot return one).
-func reidentifier(roster []ratedapt.RosterTag, proc channel.Process, salt uint64, sc *scratch.Scratch, errOut *error) func(slot int, arriving []int) int {
-	return func(slot int, arriving []int) int {
+func reidentifier(roster []ratedapt.RosterTag, proc channel.Process, salt uint64, sc *scratch.Scratch, errOut *error) func(slot int, arriving []int, present int) int {
+	return func(slot int, _ []int, _ int) int {
 		if *errOut != nil {
 			return 0
 		}
