@@ -428,7 +428,7 @@ func BenchmarkAblation_CSSolver(b *testing.B) {
 	for _, c := range perm[:k] {
 		truth[c] = complex(0.5+src.Float64(), src.Float64())
 	}
-	y := a.MulVec(truth)
+	y := a.MulVecInto(dsp.NewVec(a.Rows), truth)
 	for i := range y {
 		y[i] += src.ComplexNorm() * complex(0.05, 0)
 	}

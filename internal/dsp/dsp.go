@@ -162,11 +162,6 @@ func (m *Mat) Clone() *Mat {
 	return out
 }
 
-// MulVec returns m·x.
-func (m *Mat) MulVec(x Vec) Vec {
-	return m.MulVecInto(make(Vec, m.Rows), x)
-}
-
 // MulVecInto computes m·x into dst (which must have length Rows) and
 // returns dst. The allocation-free form the hot path uses.
 func (m *Mat) MulVecInto(dst Vec, x Vec) Vec {
@@ -185,13 +180,6 @@ func (m *Mat) MulVecInto(dst Vec, x Vec) Vec {
 		dst[r] = s
 	}
 	return dst
-}
-
-// ConjTransposeMulVec returns mᴴ·x (conjugate transpose times x), the
-// correlation of every column with x. OMP's atom-selection step is exactly
-// this product.
-func (m *Mat) ConjTransposeMulVec(x Vec) Vec {
-	return m.ConjTransposeMulVecInto(make(Vec, m.Cols), x)
 }
 
 // ConjTransposeMulVecInto computes mᴴ·x into dst (which must have length
@@ -216,31 +204,15 @@ func (m *Mat) ConjTransposeMulVecInto(dst Vec, x Vec) Vec {
 	return dst
 }
 
-// SubMatCols returns the matrix restricted to the given columns, in the
-// given order. The CS decoder uses it to build A′ from surviving ids.
-func (m *Mat) SubMatCols(cols []int) *Mat {
-	out := NewMat(m.Rows, len(cols))
-	for r := 0; r < m.Rows; r++ {
-		for j, c := range cols {
-			out.Set(r, j, m.At(r, c))
-		}
-	}
-	return out
-}
-
-// LeastSquares solves min_x ‖A·x − y‖₂ for a full-column-rank A with
-// Rows ≥ Cols using Householder QR. It returns the minimizer. An error is
-// returned when the system is under-determined or numerically rank
-// deficient (a diagonal of R collapses below tol relative to the largest).
-func LeastSquares(a *Mat, y Vec) (Vec, error) {
-	return LeastSquaresScratch(a, y, nil)
-}
-
-// LeastSquaresScratch is LeastSquares with every working buffer — the QR
-// workspace, the rotated right-hand side, and the Householder vector —
-// drawn from sc. The returned solution also comes from sc and is valid
-// until the caller's next Release or Reset of sc. A nil sc falls back to
-// plain allocation (identical numerics either way).
+// LeastSquaresScratch solves min_x ‖A·x − y‖₂ for a full-column-rank A
+// with Rows ≥ Cols using Householder QR. It returns the minimizer. An
+// error is returned when the system is under-determined or numerically
+// rank deficient (a diagonal of R collapses below tol relative to the
+// largest). Every working buffer — the QR workspace, the rotated
+// right-hand side, and the Householder vector — is drawn from sc. The
+// returned solution also comes from sc and is valid until the caller's
+// next Release or Reset of sc. A nil sc falls back to plain allocation
+// (identical numerics either way).
 func LeastSquaresScratch(a *Mat, y Vec, sc *scratch.Scratch) (Vec, error) {
 	m, n := a.Rows, a.Cols
 	if len(y) != m {
@@ -339,11 +311,6 @@ func LeastSquaresScratch(a *Mat, y Vec, sc *scratch.Scratch) (Vec, error) {
 		x[i] = s / r.At(i, i)
 	}
 	return x, nil
-}
-
-// Residual returns y − A·x, the unexplained part of the observation.
-func Residual(a *Mat, x, y Vec) Vec {
-	return ResidualInto(make(Vec, a.Rows), a, x, y)
 }
 
 // ResidualInto computes y − A·x into dst (which must have length Rows)

@@ -129,20 +129,6 @@ func TestConjTransposeMulVecMatchesColumnDots(t *testing.T) {
 	}
 }
 
-func TestSubMatCols(t *testing.T) {
-	src := prng.NewSource(5)
-	m := randMat(src, 4, 6)
-	sub := m.SubMatCols([]int{5, 0, 2})
-	if sub.Rows != 4 || sub.Cols != 3 {
-		t.Fatalf("SubMatCols shape %dx%d", sub.Rows, sub.Cols)
-	}
-	for r := 0; r < 4; r++ {
-		if sub.At(r, 0) != m.At(r, 5) || sub.At(r, 1) != m.At(r, 0) || sub.At(r, 2) != m.At(r, 2) {
-			t.Fatal("SubMatCols mixed up columns")
-		}
-	}
-}
-
 func TestLeastSquaresRecoversExactSolution(t *testing.T) {
 	// If y = A·x exactly, least squares must recover x.
 	src := prng.NewSource(6)
