@@ -1445,8 +1445,8 @@ func (s *Session) prepareCert() {
 		A[x] = 0
 		K[x*ka+x] = 0
 	}
-	// k_xy = k_yx bit for bit (the same products, summed in the same
-	// order), so each pair is formed once.
+	// k is symmetric: each pair is formed once and stored in both
+	// places.
 	for x, a := range act {
 		counts := s.cooc[a*s.kStride:]
 		ar, ai := g.tapRe[a], g.tapIm[a]
@@ -1473,7 +1473,7 @@ func (s *Session) prepareCert() {
 // position's magnitude scale: δ = certSlack·Λ (see certify).
 const certSlack = 0x1p-24
 
-// certify reports whether position p's pass-0 optimum b* is certified:
+// certify reports whether a position's pass-0 optimum b* is certified:
 // whether provably no restart could end on a bit pattern that the fan
 // would adopt over b*, or that would mark a tag ambiguous. gain and sign
 // hold b*'s flip gains and flip signs by active rank; lambda is the

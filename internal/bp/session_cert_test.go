@@ -2,6 +2,7 @@ package bp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bits"
@@ -33,7 +34,7 @@ type fanTwin struct {
 	gramCert, gramFan, rowCert, rowFan int
 }
 
-// newFanTwin begins a reference session shaped like s's next Begin.
+// newFanTwin begins a full-fan reference session of the given shape.
 func newFanTwin(k, frameLen, maxSlots, restarts int, taps []complex128) *fanTwin {
 	ref := NewSession()
 	ref.Begin(k, frameLen, maxSlots, 1, restarts, taps)
@@ -55,7 +56,7 @@ func (tw *fanTwin) decode(t *testing.T, s *Session, slot int, locked []bool, bas
 	t.Helper()
 	ref := tw.ref
 	decodeSlotChecked(s, slot, locked, base, minMargin, ambiguous, func(p int, ws *workerState) {
-		if ran := ws.passes > 1; ran == ws.certified || ws.passes != 1 && ws.passes != 1+s.restarts {
+		if ws.certified != (ws.passes == 1) {
 			t.Fatalf("slot %d position %d: %d passes with certificate %v", slot, p, ws.passes, ws.certified)
 		}
 		switch {
@@ -160,7 +161,6 @@ func TestSessionCertifiedFanMatchesFullFan(t *testing.T) {
 		window   = 14
 		base     = 0xCE27
 	)
-	var tw *fanTwin
 	var tally [4]int
 	for trial := 0; trial < 12; trial++ {
 		src := prng.NewSource(0xCE270 + uint64(trial))
@@ -179,7 +179,7 @@ func TestSessionCertifiedFanMatchesFullFan(t *testing.T) {
 		s := NewSession()
 		s.Begin(k0, frameLen, slots+1, 1, restarts, taps[:k0])
 		s.InitPositions(est[:k0])
-		tw = newFanTwin(k0, frameLen, slots+1, restarts, taps[:k0])
+		tw := newFanTwin(k0, frameLen, slots+1, restarts, taps[:k0])
 		tw.ref.InitPositions(est[:k0])
 		each := func(f func(*Session)) { f(s); f(tw.ref) }
 		locked := make([]bool, k2)
@@ -234,18 +234,10 @@ func TestSessionCertifiedFanMatchesFullFan(t *testing.T) {
 			tally[x] += n
 		}
 	}
-	if slicesMin(tally[:]) == 0 {
+	if slices.Min(tally[:]) == 0 {
 		t.Fatalf("positions: Gram %d certified, %d ran the fan; row %d certified, %d ran the fan; want each above 0", tally[0], tally[1], tally[2], tally[3])
 	}
 	t.Logf("positions: Gram %d certified, %d ran the fan; row %d certified, %d ran the fan", tally[0], tally[1], tally[2], tally[3])
-}
-
-func slicesMin(v []int) int {
-	m := v[0]
-	for _, x := range v[1:] {
-		m = min(m, x)
-	}
-	return m
 }
 
 // TestCertifyThresholds pins certify's predicate at its boundaries on a
