@@ -120,7 +120,6 @@ func TestSessionLockGrowSteadyStateAllocationFree(t *testing.T) {
 	rows, obss := scriptSlots(kCap, frameLen, 64, 0x6A1)
 
 	s := NewSession()
-	defer s.Close()
 	s.Reserve(kCap, frameLen, maxSlots, restarts)
 	locked := make([]bool, kCap)
 	minMargin := make([]float64, kCap)
@@ -146,7 +145,7 @@ func TestSessionLockGrowSteadyStateAllocationFree(t *testing.T) {
 	}
 	begin := func() {
 		k = k0
-		s.Begin(k, frameLen, maxSlots, 1, restarts, taps[:k])
+		s.Begin(k, frameLen, maxSlots, restarts, taps[:k])
 		s.InitPositions(est[:k])
 		copy(cur, taps)
 		clear(locked)
@@ -189,7 +188,7 @@ func warmGramSession(t *testing.T) (s *Session, locked []bool, cycle func()) {
 	rows, obss := scriptSlots(k, frameLen, l, 0x6A51)
 	s = NewSession()
 	t.Cleanup(s.Close)
-	s.Begin(k, frameLen, l, 1, restarts, taps)
+	s.Begin(k, frameLen, l, restarts, taps)
 	s.InitPositions(randomEstimates(k, frameLen, src))
 	for i := range rows {
 		s.AppendSlot(rows[i], obss[i])
@@ -274,7 +273,7 @@ func gramThenRowCycle(t *testing.T) func() {
 	ambiguous := make([]bool, k)
 	var kinds [2]bool
 	cycle := func() {
-		s.Begin(k, frameLen, l+1, 1, restarts, taps)
+		s.Begin(k, frameLen, l+1, restarts, taps)
 		s.InitPositions(est)
 		for r := 0; r < l; r++ {
 			s.AppendSlot(rows[r], obss[r])

@@ -606,8 +606,7 @@ func (g *Graph) subtractOnActiveRows(dst, y, mask []complex128) {
 // descentState is the incremental working set of one bit-flipping search:
 // the residual, the per-tag residual row-sums S_i and the gain table
 // derived from them. Session persists one of these per bit position
-// across collision slots, and each worker keeps one more as its restart
-// workspace.
+// across collision slots, and keeps one more as its restart workspace.
 type descentState struct {
 	// residual is r = y − D·H·b for the state's current bits. A Session
 	// maintains only the active rows' entries: no reader looks at a row
@@ -856,43 +855,32 @@ func (st *descentState) descend(g *Graph, b bits.Vector, locked []bool, eps floa
 	return flips
 }
 
-// maxTieThreshold returns the largest tie threshold among the active
-// tags — the prune bound for the ambiguity sweep, which never marks a
-// deactivated tag. The Session hoists it to once per slot.
-func (g *Graph) maxTieThreshold() float64 {
-	maxThresh := 0.0
-	for _, i := range g.activeTags {
-		if t := 0.15 * g.wPow[i]; t > maxThresh {
-			maxThresh = t
-		}
-	}
-	return maxThresh
-}
-
 // markAmbiguousPruned runs the cross-pass tie sweep behind DecodeSlot's
-// anyAmbiguous: tag i is marked when a pass ending within 0.15·|h_i|²·w_i
-// of the best error disagrees with the best pass on bit i. maxThresh is
-// the prune bound (maxTieThreshold): a pass whose error gap exceeds
-// every tag's tie threshold cannot mark anything, so its bit sweep is
+// anyAmbiguous: tag i is marked when a pass ending within its tie
+// threshold 0.15·|h_i|²·w_i of the best error disagrees with the best
+// pass on bit i. tie holds the thresholds by active rank (the Session's
+// certTie, staged once per slot) and maxTie the largest of them, the
+// prune bound: a pass whose error gap exceeds every tag's tie
+// threshold cannot mark anything, so its bit sweep is
 // skipped entirely (most restarts end far from the optimum, leaving
 // only the interesting few), as is the best pass itself (its bits are
 // bestBits — nothing can differ). The sweep
 // visits the active tags only: a deactivated tag's bit is the same
 // locked value in every pass, so it can never differ either, and only
 // the active entries of allBits, bestBits and out are read or written.
-func (g *Graph) markAmbiguousPruned(allBits []bool, passErr []float64, bestPass int, bestBits bits.Vector, out []bool, maxThresh float64) {
+func (g *Graph) markAmbiguousPruned(allBits []bool, passErr []float64, bestPass int, bestBits bits.Vector, out []bool, tie []float64, maxTie float64) {
 	bestErr := passErr[bestPass]
 	for pass := 0; pass < len(passErr); pass++ {
 		if pass == bestPass {
 			continue
 		}
 		gap := passErr[pass] - bestErr
-		if gap >= maxThresh {
+		if gap >= maxTie {
 			continue
 		}
 		alt := allBits[pass*g.K : (pass+1)*g.K]
-		for _, i := range g.activeTags {
-			if alt[i] != bool(bestBits[i]) && gap < 0.15*g.wPow[i] {
+		for x, i := range g.activeTags {
+			if alt[i] != bool(bestBits[i]) && gap < tie[x] {
 				out[i] = true
 			}
 		}

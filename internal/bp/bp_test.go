@@ -87,7 +87,7 @@ func newOneShot() *oneShot { return &oneShot{s: NewSession()} }
 // re-initializations; base is the decode-PRNG root.
 func (o *oneShot) decode(pr problem, init bits.Vector, locked []bool, restarts int, base uint64) {
 	k := len(pr.taps)
-	o.s.Begin(k, 1, len(pr.rows), 1, restarts, pr.taps)
+	o.s.Begin(k, 1, len(pr.rows), restarts, pr.taps)
 	if cap(o.est) < k {
 		o.est = make([]bits.Vector, k)
 		for i := range o.est {
@@ -328,7 +328,7 @@ func TestDecodePanicsOnBadDimensions(t *testing.T) {
 	pr, _ := buildProblem(src, 4, 8, 0.5, 20, false)
 	fresh := func() *Session {
 		s := NewSession()
-		s.Begin(4, 2, 8, 1, 0, pr.taps)
+		s.Begin(4, 2, 8, 0, pr.taps)
 		return s
 	}
 	est := randomEstimates(4, 2, src)
@@ -337,7 +337,7 @@ func TestDecodePanicsOnBadDimensions(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"short obs":      func() { fresh().AppendSlot(pr.rows[0], obs[:1]) },
 		"short row":      func() { fresh().AppendSlot(pr.rows[0][:2], obs) },
-		"past maxSlots":  func() { s := NewSession(); s.Begin(4, 2, 0, 1, 0, pr.taps); s.AppendSlot(pr.rows[0], obs) },
+		"past maxSlots":  func() { s := NewSession(); s.Begin(4, 2, 0, 0, pr.taps); s.AppendSlot(pr.rows[0], obs) },
 		"few estimates":  func() { fresh().InitPositions(est[:2]) },
 		"short estimate": func() { fresh().InitPositions(randomEstimates(4, 1, src)) },
 		"short locked":   func() { s := fresh(); s.InitPositions(est); s.DecodeSlot(0, make([]bool, 2), 0, margins, amb) },

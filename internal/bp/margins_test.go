@@ -171,7 +171,7 @@ func TestMarginsPanicOnDimensionMismatch(t *testing.T) {
 	} {
 		func() {
 			s := NewSession()
-			s.Begin(2, 1, 2, 1, 0, []complex128{1, 1})
+			s.Begin(2, 1, 2, 0, []complex128{1, 1})
 			s.InitPositions([]bits.Vector{{true}, {false}})
 			s.AppendSlot(bits.Vector{true, true}, []complex128{1})
 			defer func() {

@@ -21,7 +21,7 @@ func TestResetRecycledSessionMatchesFresh(t *testing.T) {
 	{
 		src := prng.NewSource(0xD1147)
 		dk, dlen := k+3, frameLen+5
-		recycled.Begin(dk, dlen, maxSlots, 1, 2, randomTaps(dk, src))
+		recycled.Begin(dk, dlen, maxSlots, 2, randomTaps(dk, src))
 		recycled.TrackDrift(true)
 		recycled.InitPositions(randomEstimates(dk, dlen, src))
 		drv := &sessionDriver{k: dk, frameLen: dlen, src: src}
@@ -46,8 +46,8 @@ func TestResetRecycledSessionMatchesFresh(t *testing.T) {
 	est := randomEstimates(k, frameLen, src1)
 	est2 := randomEstimates(k, frameLen, src2)
 
-	fresh.Begin(k, frameLen, maxSlots, 1, 2, taps)
-	recycled.Begin(k, frameLen, maxSlots, 1, 2, taps)
+	fresh.Begin(k, frameLen, maxSlots, 2, taps)
+	recycled.Begin(k, frameLen, maxSlots, 2, taps)
 	fresh.InitPositions(est)
 	recycled.InitPositions(est2)
 
@@ -83,7 +83,7 @@ func TestResetRecycleZeroAllocs(t *testing.T) {
 	sess := &Session{}
 	cycle := func() {
 		sess.Reset()
-		sess.Begin(k, frameLen, maxSlots, 1, 1, taps)
+		sess.Begin(k, frameLen, maxSlots, 1, taps)
 		sess.InitPositions(est)
 		for s := 0; s < nSlots; s++ {
 			sess.AppendSlot(rows[s], obs[s])

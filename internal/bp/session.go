@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bits"
 	"repro/internal/prng"
@@ -22,21 +21,17 @@ import (
 // Session folds a new collision row into each position in O(colliders)
 // and lets the descent continue from where the previous slot left it.
 //
-// A Session also owns the transfer's parallelism: the frame's bit
-// positions are independent decode problems, so DecodeSlot fans them
-// out across a bounded pool of persistent workers. Determinism is by
-// construction, not by luck: every (slot, position) pair derives its
-// own PRNG stream via prng.Mix3 from a base drawn once per transfer, and
-// every mutation a worker performs is confined to its position's state
-// and its own worker arena, so the result is byte-identical no matter
-// how the scheduler interleaves workers — Parallelism 1 and
-// Parallelism N produce the same transfer.
+// The frame's bit positions are independent decode problems (§6c):
+// DecodeSlot decodes them in order on the caller's goroutine, and every
+// (slot, position) pair derives its own PRNG stream via prng.Mix3 from
+// a base drawn once per transfer. A session starts no goroutine; callers
+// with many cores run many sessions (a batch's trials, a daemon's
+// shards), one per core.
 //
 // Sessions are reusable: Begin re-shapes the state for a new transfer
 // while keeping every buffer's capacity, so a warm Session (see
 // GetSession) runs a steady-state transfer without touching the heap.
-// A Session is not safe for concurrent use by multiple transfers; the
-// worker pool it manages is internal.
+// A Session is not safe for concurrent use.
 type Session struct {
 	g Graph
 
@@ -98,7 +93,7 @@ type Session struct {
 	folded  int
 
 	// Gram-space passes, staged by prepareGram once per slot and only
-	// read by the position workers and the slot's acceptance gate
+	// read by the position decodes and the slot's acceptance gate
 	// (ConditionalMargin). gramOn reports that this slot's
 	// restarts run in Gram space (gramRule). Ranks index activeTags:
 	// gramNH[x·Ka+y] = N_xy·h_x, the active tags' Ka×Ka Gram (gathered
@@ -127,19 +122,22 @@ type Session struct {
 	// with live rows and a nonzero tap; certK[x·Ka+y] = k_xy =
 	// 2·N_xy·Re(conj(h_x)·h_y), the pairwise coupling of ranks x and y,
 	// zero on the diagonal; certA[x] = Σ_y |k_xy|; certTie[x] =
-	// 0.15·|h_x|²·w_x, x's tie threshold; certH[x] = ‖h_x‖₁ =
+	// 0.15·|h_x|²·w_x, x's tie threshold, which the ambiguity sweep
+	// (markAmbiguousPruned) reads too, and certTieMax the largest of
+	// them, its prune bound; certH[x] = ‖h_x‖₁ =
 	// |Re h_x| + |Im h_x|; certR[x] = Σ_y N_xy·‖h_y‖₁; and certOmega =
 	// Σ_x ‖h_x‖₁·certR[x], which is Σ over the active rows of
 	// (Σ_{active i in the row} ‖h_i‖₁)².
-	certCov   []int
-	certK     []float64
-	certA     []float64
-	certTie   []float64
-	certH     []float64
-	certR     []float64
-	certOmega float64
+	certCov    []int
+	certK      []float64
+	certA      []float64
+	certTie    []float64
+	certTieMax float64
+	certH      []float64
+	certR      []float64
+	certOmega  float64
 	// fullFan runs the restart fan at every position, certified or not;
-	// the certificate is still evaluated and reported (workerState's
+	// the certificate is still evaluated and reported (workspace's
 	// certified). Only tests set it: the reference side of the tests that
 	// check what a certified position's skipped fan would have done.
 	fullFan bool
@@ -154,11 +152,10 @@ type Session struct {
 	// per-position gain tables, and PosError reads or builds the residual.
 	ambiguous []bool
 
-	// wstates[w] is worker w's private restart workspace (serial decode
-	// uses wstates[0]); cond is the workspace of ConditionalMargin and
-	// PosError, used only from the caller's goroutine.
-	wstates []workerState
-	cond    workerState
+	// ws is the position decode's restart workspace; cond is the
+	// workspace of ConditionalMargin and PosError.
+	ws   workspace
+	cond workspace
 
 	// stateValid reports whether the per-position row state matches the
 	// graph. A row slot's decode sets it and a Gram slot's clears it
@@ -218,36 +215,25 @@ type Session struct {
 	orphan    []float64
 	tagOrphan []float64
 
-	// Per-DecodeSlot fan-out context, read-only while workers run.
+	// Per-DecodeSlot context, staged by prepareSlot for the position
+	// decodes.
 	curSlot   int
 	curLocked []bool
 	curBase   uint64
-	curThresh float64
 
-	// Per-phase decode cost, cumulative since the last TakeDecodeCost.
-	// Position workers accumulate locally and publish once per position
-	// with atomic adds; integer sums commute, so the totals are exact at
-	// any parallelism or batch schedule. ConditionalMargin's gate
-	// descents are excluded — these count the decode itself.
-	costDescent  atomic.Uint64
-	costRestarts atomic.Uint64
-	costFlips    atomic.Uint64
-
-	// Worker pool: par is the requested width; workers are started
-	// lazily on the first parallel DecodeSlot and live until Close.
-	par     int
-	posCh   chan int
-	wg      sync.WaitGroup
-	started bool
+	// cost is the per-phase decode cost since the last TakeDecodeCost.
+	// ConditionalMargin's gate descents are excluded — it counts the
+	// decode itself.
+	cost DecodeCost
 }
 
-// workerState is one worker's private descent workspace: a scratch
-// descentState each row-path restart is built into from the position's
-// state, the per-pass candidate block the ambiguity sweep revisits, the
-// sparse rebuild's masked taps and the Gram path's per-pass vectors.
-// All buffers are session-owned and reused across positions, slots and
+// workspace is the scratch of a position decode: a descentState each
+// row-path restart is built into from the position's state, the
+// per-pass candidate block the ambiguity sweep revisits, the sparse
+// rebuild's masked taps and the Gram path's per-pass vectors. All
+// buffers are session-owned and reused across positions, slots and
 // transfers.
-type workerState struct {
+type workspace struct {
 	rst      descentState
 	src      prng.Source
 	allBits  []bool
@@ -286,9 +272,9 @@ type workerState struct {
 	certified bool
 }
 
-// shape sizes the worker state for k tags, maxSlots symbols and the
+// shape sizes the workspace for k tags, maxSlots symbols and the
 // given pass count, reusing capacity.
-func (w *workerState) shape(k, maxSlots, passes int) {
+func (w *workspace) shape(k, maxSlots, passes int) {
 	w.resBack = grow(w.resBack, maxSlots)
 	w.sumBack = grow(w.sumBack, k)
 	w.gainBack = grow(w.gainBack, k)
@@ -365,7 +351,7 @@ func (s *Session) shapeMatchedFilter(prevK, k, frameLen int) {
 // row with an active tag (gramLocked) can have C_al ≠ 0, and
 // prepareGram has staged their C_al·h_l columns. O(Ka·locked), whatever
 // the row count.
-func (w *workerState) gramInput(s *Session, p int, b bits.Vector) {
+func (w *workspace) gramInput(s *Session, p int, b bits.Vector) {
 	act := s.g.activeTags
 	ka := len(act)
 	B := w.gB[:ka]
@@ -390,7 +376,7 @@ func (w *workerState) gramInput(s *Session, p int, b bits.Vector) {
 // entries): S = B − N·m with m_a = h_a on the set bits (gramNH's rows
 // of the set ranks), the flip signs, the gains and the ranked bits, in
 // O(Ka²).
-func (w *workerState) gramStart(s *Session, b bits.Vector) {
+func (w *workspace) gramStart(s *Session, b bits.Vector) {
 	act := s.g.activeTags
 	ka := len(act)
 	nh, h, wp := s.gramNH, s.gramTap, s.gramWPow
@@ -423,7 +409,7 @@ func (w *workerState) gramStart(s *Session, b bits.Vector) {
 // pins never flip: their gains are held at −∞ (the decode passes nil;
 // the acceptance gate pins its forced bit and the caller's locks), so a
 // pinned descent rescans after the hold.
-func (w *workerState) gramDescend(s *Session, b bits.Vector, maxFlips int, pins []int) int {
+func (w *workspace) gramDescend(s *Session, b bits.Vector, maxFlips int, pins []int) int {
 	w.gramStart(s, b)
 	act := s.g.activeTags
 	ka := len(act)
@@ -485,7 +471,7 @@ func argmaxAbove(gain []float64, eps float64) int {
 // descent's) as the position state's — the same gain formula as gainOf,
 // on S = B − N·m. Gains are all a Gram slot keeps: finishSlot's margin
 // merge is their only reader, and a row slot rebuilds the rest.
-func (w *workerState) gramInstall(s *Session, st *descentState) {
+func (w *workspace) gramInstall(s *Session, st *descentState) {
 	for x, i := range s.g.activeTags {
 		st.gain[i] = w.gGain[x]
 	}
@@ -502,7 +488,7 @@ func (w *workerState) gramInstall(s *Session, st *descentState) {
 // order, so two passes that end on the same bits score exactly the
 // same. The counts are symmetric integers, so gramNH[y·Ka+x] = N_xy·h_y
 // exactly.
-func (w *workerState) gramError(s *Session, b bits.Vector) float64 {
+func (w *workspace) gramError(s *Session, b bits.Vector) float64 {
 	act := s.g.activeTags
 	ka := len(act)
 	nh, h := s.gramNH, s.gramTap
@@ -535,34 +521,28 @@ var sessionPool = sync.Pool{New: func() any { return NewSession() }}
 // scratch.Get.
 func GetSession() *Session { return sessionPool.Get().(*Session) }
 
-// PutSession stops s's workers and returns it to the pool. The caller
-// must not use s afterwards.
+// PutSession returns s to the pool. The caller must not use s
+// afterwards.
 func PutSession(s *Session) {
 	if s == nil {
 		return
 	}
-	s.Close()
 	sessionPool.Put(s)
 }
 
-// Close stops the session's worker goroutines, if any are running. The
-// session remains usable — the next parallel DecodeSlot restarts them.
-func (s *Session) Close() {
-	if s.started {
-		close(s.posCh)
-		s.started = false
-	}
-}
+// Close does nothing: a session holds no goroutine or other resource to
+// release. It remains for callers written when sessions ran a position
+// worker pool.
+func (s *Session) Close() {}
 
 // Reset returns the session to the empty pre-Begin state while keeping
-// every buffer's capacity AND the worker pool — the recycling entry
-// point for session pools (engine.Manager), where PutSession's worker
-// teardown would throw the warmth away. A Reset session carries no
-// decoder state, taps or graph rows from its previous transfer (so a
-// pooled session cannot leak one reader's state into the next), and a
-// following same-shaped Begin allocates nothing: recycled sessions
-// decode byte-identically to fresh ones, pinned by the pool-reuse
-// regression tests.
+// every buffer's capacity — the recycling entry point for session pools
+// (engine.SessionManager). A Reset session carries no decoder state,
+// taps or graph rows from its previous transfer (so a pooled session
+// cannot leak one reader's state into the next), and a following
+// same-shaped Begin allocates nothing: recycled sessions decode
+// byte-identically to fresh ones, pinned by the pool-reuse regression
+// tests.
 func (s *Session) Reset() {
 	s.g.Reset(0, nil)
 	s.k, s.frameLen, s.maxSlots, s.restarts = 0, 0, 0, 0
@@ -580,26 +560,17 @@ func (s *Session) Reset() {
 	s.retireRows = s.retireRows[:0]
 	s.stateValid = false
 	s.curLocked = nil
-	s.costDescent.Store(0)
-	s.costRestarts.Store(0)
-	s.costFlips.Store(0)
+	s.cost = DecodeCost{}
 }
 
 // Begin shapes the session for a transfer of k tags, frameLen bit
 // positions and at most maxSlots collision slots, decoding with the
-// given taps, restarts random re-initializations per position per slot,
-// and par-way position fan-out (par ≤ 1 decodes inline on the caller's
-// goroutine). Buffer capacities survive from earlier transfers; a
+// given taps and restarts random re-initializations per position per
+// slot. Buffer capacities survive from earlier transfers; a
 // same-shaped Begin allocates nothing.
-func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex128) {
-	if par < 1 {
-		par = 1
-	}
-	if par != s.par {
-		s.Close()
-	}
+func (s *Session) Begin(k, frameLen, maxSlots, restarts int, taps []complex128) {
 	s.shapeMatchedFilter(s.k, k, frameLen)
-	s.k, s.frameLen, s.maxSlots, s.par = k, frameLen, maxSlots, par
+	s.k, s.frameLen, s.maxSlots = k, frameLen, maxSlots
 	s.restarts = restarts
 	s.eps = 1e-12
 	s.g.Reset(k, taps)
@@ -660,19 +631,11 @@ func (s *Session) Begin(k, frameLen, maxSlots, par, restarts int, taps []complex
 	s.orphan = grow(s.orphan, maxSlots)[:0]
 	s.tagOrphan = grow(s.tagOrphan, k)
 	clear(s.tagOrphan)
-	if cap(s.wstates) < par {
-		s.wstates = make([]workerState, par)
-	}
-	s.wstates = s.wstates[:par]
-	for w := range s.wstates {
-		s.wstates[w].shape(k, maxSlots, 1+restarts)
-	}
+	s.ws.shape(k, maxSlots, 1+restarts)
 	s.cond.shape(k, maxSlots, 1)
 	s.shapeGram(k)
 	s.stateValid = false
-	s.costDescent.Store(0)
-	s.costRestarts.Store(0)
-	s.costFlips.Store(0)
+	s.cost = DecodeCost{}
 }
 
 // DecodeCost is a per-phase breakdown of descent work: pass-0 descents
@@ -698,11 +661,9 @@ func (c *DecodeCost) Add(o DecodeCost) {
 // call (or Begin/Reset) and resets the counters. Safe to call between
 // slots; not concurrently with a running DecodeSlot.
 func (s *Session) TakeDecodeCost() DecodeCost {
-	return DecodeCost{
-		DescentPasses: s.costDescent.Swap(0),
-		RestartPasses: s.costRestarts.Swap(0),
-		Flips:         s.costFlips.Swap(0),
-	}
+	c := s.cost
+	s.cost = DecodeCost{}
+	return c
 }
 
 // Reserve pre-sizes every buffer for a transfer of up to kCap tags,
@@ -749,15 +710,7 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 		copy(next, s.tagLedger)
 		s.tagLedger = next
 	}
-	if len(s.wstates) == 0 {
-		if cap(s.wstates) < 1 {
-			s.wstates = make([]workerState, 1)
-		}
-		s.wstates = s.wstates[:1]
-	}
-	for w := range s.wstates {
-		s.wstates[w].shape(kCap, maxSlots, 1+restarts)
-	}
+	s.ws.shape(kCap, maxSlots, 1+restarts)
 	s.cond.shape(kCap, maxSlots, 1)
 	s.shapeGram(kCap)
 }
@@ -965,9 +918,7 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 			st.gain[i] = st.gainOf(&s.g, i)
 		}
 	}
-	for w := range s.wstates {
-		s.wstates[w].shape(k2, s.maxSlots, 1+s.restarts)
-	}
+	s.ws.shape(k2, s.maxSlots, 1+s.restarts)
 	s.cond.shape(k2, s.maxSlots, 1)
 	s.shapeGram(k2)
 }
@@ -1328,8 +1279,7 @@ type SlotJob struct {
 // when the model changed), then the configured number of random
 // re-initializations, keeping the lowest-error candidate. base is the
 // transfer's decode-PRNG root; slot the 1-based slot index — every
-// position derives stream Mix3(base, slot, p), making the result
-// independent of worker scheduling.
+// position derives stream Mix3(base, slot, p).
 //
 // minMargin[i] receives the minimum over positions of tag i's flip
 // margin (see marginOf); anyAmbiguous[i] reports whether any position's
@@ -1359,39 +1309,30 @@ func (s *Session) DecodeSlot(slot int, locked []bool, base uint64, minMargin []f
 		panic(fmt.Sprintf("bp: DecodeSlot outputs have lengths %d and %d, want K %d", len(minMargin), len(anyAmbiguous), s.k))
 	}
 	s.prepareSlot(slot, locked, base)
-	if s.par > 1 {
-		s.ensureWorkers()
-		s.wg.Add(s.frameLen)
-		for p := 0; p < s.frameLen; p++ {
-			s.posCh <- p
-		}
-		s.wg.Wait()
-	} else {
-		for p := 0; p < s.frameLen; p++ {
-			s.decodePosition(p, &s.wstates[0])
-		}
+	for p := 0; p < s.frameLen; p++ {
+		s.decodePosition(p)
 	}
 	s.finishSlot(minMargin, anyAmbiguous)
 }
 
-// prepareSlot runs DecodeSlot's serial preamble: newly locked tags
-// leave the graph's fan-out and the gain tables, and the per-slot
-// fan-out context (slot, locked set, PRNG base, tie threshold,
-// active-row snapshot, Gram constants) is staged. After it, every
-// position is an independent decode unit, fanned over the session's
-// worker pool until finishSlot merges the results. The Gram constants
-// outlive the fan-out: a Gram slot's acceptance gate re-descends on
-// them, so no position's residual is rebuilt for it.
+// prepareSlot runs DecodeSlot's preamble: newly locked tags leave the
+// graph's fan-out and the gain tables, and the per-slot context (slot,
+// locked set, PRNG base, active-row snapshot, Gram constants, the
+// certificate's tables and tie thresholds) is staged. After it, every
+// position is an independent decode unit until finishSlot merges the
+// results. The Gram constants outlive the position decodes: a Gram
+// slot's acceptance gate re-descends on them, so no position's residual
+// is rebuilt for it.
 func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 	if locked != nil && len(locked) != s.k {
 		panic(fmt.Sprintf("bp: DecodeSlot locked length %d != K %d", len(locked), s.k))
 	}
-	// Deactivate newly locked tags and pin their gains at −∞ before
-	// fanning out: a frozen tag's fan-out entries are dead from here on
-	// (§6d), and no position state carries anything else about it — the
-	// residual already holds its set bits' taps, gramInput subtracts them
-	// from the matched-filter outputs, and a rebuild re-derives active
-	// tags only.
+	// Deactivate newly locked tags and pin their gains at −∞ before the
+	// position decodes: a frozen tag's fan-out entries are dead from here
+	// on (§6d), and no position state carries anything else about it —
+	// the residual already holds its set bits' taps, gramInput subtracts
+	// them from the matched-filter outputs, and a rebuild re-derives
+	// active tags only.
 	if locked != nil {
 		for i, l := range locked {
 			if l && !s.g.deactivated[i] {
@@ -1406,7 +1347,6 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 	s.curSlot = slot
 	s.curLocked = locked
 	s.curBase = base
-	s.curThresh = s.g.maxTieThreshold()
 	s.g.SnapshotActive()
 	s.gramOn = s.restarts > 0 && gramRule(len(s.g.activeTags), len(s.g.flatTags))
 	if s.gramOn {
@@ -1435,11 +1375,15 @@ func (s *Session) prepareCert() {
 	s.certH = grow(s.certH, ka)
 	s.certR = grow(s.certR, ka)
 	K, A, H, R := s.certK, s.certA, s.certH, s.certR
+	tieMax := 0.0
 	for x, a := range act {
 		if len(g.colRows[a]) > 0 && g.taps[a] != 0 {
 			cov = append(cov, x)
 		}
 		s.certTie[x] = 0.15 * g.wPow[a]
+		if s.certTie[x] > tieMax {
+			tieMax = s.certTie[x]
+		}
 		H[x] = math.Abs(g.tapRe[a]) + math.Abs(g.tapIm[a])
 		R[x] = float64(s.cooc[a*s.kStride+a]) * H[x]
 		A[x] = 0
@@ -1467,6 +1411,7 @@ func (s *Session) prepareCert() {
 	}
 	s.certOmega = omega
 	s.certCov = cov
+	s.certTieMax = tieMax
 }
 
 // certSlack is the certificate's rounding slack relative to the
@@ -1567,8 +1512,8 @@ const gramMaxKa = 64
 // saves nothing per restart and the position still pays its
 // projection (a slot with one unlocked tag in one row, common on a
 // dock door, decodes faster on the row path). The rule reads the
-// graph's shape alone, so the path taken never depends on parallelism,
-// and the floats each path produces depend only on the inputs.
+// graph's shape alone, and the floats each path produces depend only on
+// the inputs.
 func gramRule(ka, nnz int) bool { return ka <= gramMaxKa && ka*ka < nnz }
 
 // prepareGram stages the Gram path's per-slot constants: it folds the
@@ -1646,20 +1591,18 @@ func gramColumn(dst []complex128, nz []bool, counts []int32, act []int, h comple
 	}
 }
 
-// finishSlot completes DecodeSlot after the position fan-out: it marks
+// finishSlot completes DecodeSlot after the position decodes: it marks
 // the row state current after a row slot (a Gram slot leaves none) and
 // merges the per-position results into the caller's margin and
 // ambiguity outputs.
 func (s *Session) finishSlot(minMargin []float64, anyAmbiguous []bool) {
 	s.stateValid = !s.gramOn
 
-	// Deterministic merge of the per-position results, in position
-	// order, after the barrier: min/max and OR are order-independent,
-	// but keeping the merge single-threaded makes that fact irrelevant.
-	// The flip margin is m_i(p) = −gain_i(p)/(|h_i|²·w_i) with a
-	// p-independent denominator, so the minimum margin is one division
-	// from the maximum gain — the per-position margin rows of the naive
-	// loop disappear entirely. Only the active tags are merged: a locked
+	// Merge of the per-position results, in position order. The flip
+	// margin is m_i(p) = −gain_i(p)/(|h_i|²·w_i) with a p-independent
+	// denominator, so the minimum margin is one division from the maximum
+	// gain — the per-position margin rows of the naive loop disappear
+	// entirely. Only the active tags are merged: a locked
 	// tag's gain is −∞ at every position and the ambiguity sweep never
 	// marks it, so its staged −∞ and false are already the merge result.
 	for i := 0; i < s.k; i++ {
@@ -1684,24 +1627,6 @@ func (s *Session) finishSlot(minMargin []float64, anyAmbiguous []bool) {
 	}
 }
 
-// ensureWorkers starts the persistent position workers, each bound to
-// its private workerState. The pool is torn down by Close/PutSession.
-func (s *Session) ensureWorkers() {
-	if s.started {
-		return
-	}
-	s.posCh = make(chan int)
-	for w := 0; w < s.par; w++ {
-		go func(ch chan int, ws *workerState) {
-			for p := range ch {
-				s.decodePosition(p, ws)
-				s.wg.Done()
-			}
-		}(s.posCh, &s.wstates[w])
-	}
-	s.started = true
-}
-
 // randomBitsInto draws fair bits for a restart init, packing 64 draws
 // per PRNG word (the restart inits are the decode loop's only bulk
 // randomness; one splitmix step per tag would dominate the fill). Tag
@@ -1722,8 +1647,8 @@ func randomBitsInto(src *prng.Source, b bits.Vector, active []int) {
 
 // decodePosition runs one position's full per-slot decode: pass-0
 // descent, the restart certificate, the random restarts it does not
-// rule out, margin and ambiguity bookkeeping. All mutations are
-// confined to position p's stripes and the caller's workerState.
+// rule out, margin and ambiguity bookkeeping. It writes position p's
+// stripes, the session's workspace and the decode cost.
 //
 // The slot's kind decides the representation of every position. On a
 // Gram slot every pass runs from the matched-filter state: pass 0
@@ -1735,8 +1660,9 @@ func randomBitsInto(src *prng.Source, b bits.Vector, active []int) {
 // continues the descent on it; each restart is built from it
 // (buildFrom), and an adopted one is copied back. Either way the
 // restarts run only when pass 0's optimum is not certified (certify).
-func (s *Session) decodePosition(p int, ws *workerState) {
+func (s *Session) decodePosition(p int) {
 	g := &s.g
+	ws := &s.ws
 	st := &s.states[p]
 	myBits := bits.Vector(s.posBits[p*s.k : (p+1)*s.k])
 	locked := s.curLocked
@@ -1848,13 +1774,9 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 		s.gramErr[p] = passErr[bestPass]
 	}
 	ws.passes = passes
-	s.costDescent.Add(1)
-	if passes > 1 {
-		s.costRestarts.Add(uint64(passes - 1))
-	}
-	if cFlips > 0 {
-		s.costFlips.Add(cFlips)
-	}
+	s.cost.DescentPasses++
+	s.cost.RestartPasses += uint64(passes - 1)
+	s.cost.Flips += cFlips
 
 	// Margins are not materialized here: the adopted state's gain table
 	// is exactly the fresh-margin formula's input, and DecodeSlot's
@@ -1864,7 +1786,7 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 	for _, i := range active {
 		arow[i] = false
 	}
-	g.markAmbiguousPruned(allBits[:passes*s.k], passErr[:passes], bestPass, myBits, arow, s.curThresh)
+	g.markAmbiguousPruned(allBits[:passes*s.k], passErr[:passes], bestPass, myBits, arow, s.certTie, s.certTieMax)
 }
 
 // restartsGram runs position p's restart passes in Gram space (see
@@ -1876,7 +1798,7 @@ func (s *Session) decodePosition(p int, ws *workerState) {
 // one did (most restarts end on pass 0's bits) takes that pass's error.
 // It returns the restarts' flips and the best pass (0 when none beat
 // pass 0); adoption is the caller's.
-func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr []float64) (flips uint64, bestPass int) {
+func (s *Session) restartsGram(p int, ws *workspace, allBits []bool, passErr []float64) (flips uint64, bestPass int) {
 	g := &s.g
 	active := g.activeTags
 	keys := ws.passKey[:len(passErr)]
@@ -1925,7 +1847,7 @@ func (s *Session) restartsGram(p int, ws *workerState, allBits []bool, passErr [
 // colliders in ascending tag order, so the floats do not depend on the
 // shape. With few active rows the build sweeps just those rows,
 // O(active nnz), whatever the number of joined tags.
-func (s *Session) rebuildPosition(p int, st *descentState, ws *workerState, b bits.Vector, locked []bool) {
+func (s *Session) rebuildPosition(p int, st *descentState, ws *workspace, b bits.Vector, locked []bool) {
 	g := &s.g
 	y := s.ys[p][:g.L]
 	st.residual = st.residual[:g.L]

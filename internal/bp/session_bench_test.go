@@ -64,7 +64,6 @@ func BenchmarkDecodeSlotWarehouseShape(b *testing.B) {
 	}
 
 	s := NewSession()
-	defer s.Close()
 	s.Reserve(k, frameLen, maxSlots, restarts)
 	minMargin := make([]float64, k)
 	ambiguous := make([]bool, k)
@@ -83,7 +82,7 @@ func BenchmarkDecodeSlotWarehouseShape(b *testing.B) {
 		slot++
 	}
 	begin := func() {
-		s.Begin(k, frameLen, maxSlots, 1, restarts, taps)
+		s.Begin(k, frameLen, maxSlots, restarts, taps)
 		s.InitPositions(est)
 		copy(cur, taps)
 		slot = 1
@@ -156,7 +155,6 @@ func BenchmarkDecodeSlotMobilityShape(b *testing.B) {
 	}
 
 	s := NewSession()
-	defer s.Close()
 	s.Reserve(k, frameLen, maxSlots, restarts)
 	minMargin := make([]float64, k)
 	ambiguous := make([]bool, k)
@@ -175,7 +173,7 @@ func BenchmarkDecodeSlotMobilityShape(b *testing.B) {
 		slot++
 	}
 	begin := func() {
-		s.Begin(k, frameLen, maxSlots, 1, restarts, taps)
+		s.Begin(k, frameLen, maxSlots, restarts, taps)
 		s.InitPositions(est)
 		copy(cur, taps)
 		slot = 1
@@ -242,7 +240,6 @@ func BenchmarkDecodeSlotLargeK(b *testing.B) {
 	}
 
 	s := NewSession()
-	defer s.Close()
 	s.Reserve(k, frameLen, maxSlots, restarts)
 	minMargin := make([]float64, k)
 	ambiguous := make([]bool, k)
@@ -263,7 +260,7 @@ func BenchmarkDecodeSlotLargeK(b *testing.B) {
 		slot++
 	}
 	begin := func() {
-		s.Begin(k, frameLen, maxSlots, 1, restarts, taps)
+		s.Begin(k, frameLen, maxSlots, restarts, taps)
 		s.InitPositions(est)
 		copy(cur, taps)
 		slot = 1

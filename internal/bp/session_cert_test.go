@@ -37,7 +37,7 @@ type fanTwin struct {
 // newFanTwin begins a full-fan reference session of the given shape.
 func newFanTwin(k, frameLen, maxSlots, restarts int, taps []complex128) *fanTwin {
 	ref := NewSession()
-	ref.Begin(k, frameLen, maxSlots, 1, restarts, taps)
+	ref.Begin(k, frameLen, maxSlots, restarts, taps)
 	ref.fullFan = true
 	return &fanTwin{ref: ref}
 }
@@ -48,14 +48,14 @@ func covered(s *Session, i int) bool {
 	return len(s.g.colRows[i]) > 0 && s.g.taps[i] != 0
 }
 
-// decode decodes slot on s through DecodeSlot's serial schedule
+// decode decodes slot on s through DecodeSlot's schedule
 // (decodeSlotChecked, calling check, when not nil, after each
 // position), then on the reference, and checks the two as the type's
 // comment describes.
-func (tw *fanTwin) decode(t *testing.T, s *Session, slot int, locked []bool, base uint64, minMargin []float64, ambiguous []bool, check func(p int, ws *workerState)) {
+func (tw *fanTwin) decode(t *testing.T, s *Session, slot int, locked []bool, base uint64, minMargin []float64, ambiguous []bool, check func(p int, ws *workspace)) {
 	t.Helper()
 	ref := tw.ref
-	decodeSlotChecked(s, slot, locked, base, minMargin, ambiguous, func(p int, ws *workerState) {
+	decodeSlotChecked(s, slot, locked, base, minMargin, ambiguous, func(p int, ws *workspace) {
 		if ws.certified != (ws.passes == 1) {
 			t.Fatalf("slot %d position %d: %d passes with certificate %v", slot, p, ws.passes, ws.certified)
 		}
@@ -75,7 +75,7 @@ func (tw *fanTwin) decode(t *testing.T, s *Session, slot int, locked []bool, bas
 	})
 	k := s.k
 	refMargin, refAmb := make([]float64, k), make([]bool, k)
-	decodeSlotChecked(ref, slot, locked, base, refMargin, refAmb, func(p int, ws *workerState) {
+	decodeSlotChecked(ref, slot, locked, base, refMargin, refAmb, func(p int, ws *workspace) {
 		if ref.gramOn || !ws.certified {
 			return
 		}
@@ -177,7 +177,7 @@ func TestSessionCertifiedFanMatchesFullFan(t *testing.T) {
 			est[i] = msgs[i]
 		}
 		s := NewSession()
-		s.Begin(k0, frameLen, slots+1, 1, restarts, taps[:k0])
+		s.Begin(k0, frameLen, slots+1, restarts, taps[:k0])
 		s.InitPositions(est[:k0])
 		tw := newFanTwin(k0, frameLen, slots+1, restarts, taps[:k0])
 		tw.ref.InitPositions(est[:k0])
@@ -228,8 +228,6 @@ func TestSessionCertifiedFanMatchesFullFan(t *testing.T) {
 				each(func(x *Session) { x.RetireTag(i, through) })
 			}
 		}
-		s.Close()
-		tw.ref.Close()
 		for x, n := range []int{tw.gramCert, tw.gramFan, tw.rowCert, tw.rowFan} {
 			tally[x] += n
 		}
@@ -249,7 +247,7 @@ func TestSessionCertifiedFanMatchesFullFan(t *testing.T) {
 // slack δ flips one of them.
 func TestCertifyThresholds(t *testing.T) {
 	s := NewSession()
-	s.Begin(4, 1, 2, 1, 2, []complex128{1, 0.5, 0.5, 2})
+	s.Begin(4, 1, 2, 2, []complex128{1, 0.5, 0.5, 2})
 	s.AppendSlot(bits.Vector{true, true, true, false}, []complex128{0})
 	s.prepareSlot(1, nil, 0)
 	if s.certK[0*4+1] != 1 || s.certK[1*4+2] != 0.5 || s.certA[0] != 2 || s.g.wPow[1] != 0.25 {
@@ -303,7 +301,7 @@ func TestCertifySkipsRowlessAndZeroTaps(t *testing.T) {
 		{[]complex128{1, 1e-170}, bits.Vector{true, true}, false},
 	} {
 		s := NewSession()
-		s.Begin(2, 1, 2, 1, 2, c.taps)
+		s.Begin(2, 1, 2, 2, c.taps)
 		s.AppendSlot(c.row, []complex128{0})
 		s.prepareSlot(1, nil, 0)
 		if got := s.certify([]float64{-1, 0}, []float64{1, 1}, 1); got != c.want {

@@ -335,8 +335,7 @@ func TestSessionMutationsInvalidate(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewSession()
-			defer s.Close()
-			s.Begin(k, frameLen, maxSlots, 1, 2, taps)
+			s.Begin(k, frameLen, maxSlots, 2, taps)
 			s.TrackDrift(true)
 			s.TrackTagDrift(true)
 			s.InitPositions(est)
@@ -390,8 +389,7 @@ func TestSessionRetapAllKeepsStateConsistent(t *testing.T) {
 	drv := &sessionDriver{k: k, frameLen: frameLen, src: src}
 
 	s := NewSession()
-	defer s.Close()
-	s.Begin(k, frameLen, maxSlots, 1, restarts, taps)
+	s.Begin(k, frameLen, maxSlots, restarts, taps)
 	s.TrackDrift(true)
 	s.TrackTagDrift(true)
 	s.InitPositions(est)
@@ -473,8 +471,7 @@ func retapAllMostlyLocked(t *testing.T, unlocked, restarts int, sparse bool) {
 	est := randomEstimates(k, frameLen, src)
 	rows, obss := scriptSlots(k, frameLen, maxSlots, 0xAC71)
 	s := NewSession()
-	defer s.Close()
-	s.Begin(k, frameLen, maxSlots, 1, restarts, taps)
+	s.Begin(k, frameLen, maxSlots, restarts, taps)
 	s.InitPositions(est)
 
 	locked := make([]bool, k)
@@ -559,12 +556,10 @@ func growMatchesFresh(t *testing.T, k0, kNew int, lockEarly []int, wantInactive 
 	}
 
 	grown := NewSession()
-	defer grown.Close()
-	grown.Begin(k0, frameLen, maxSlots, 1, 0, taps[:k0])
+	grown.Begin(k0, frameLen, maxSlots, 0, taps[:k0])
 	grown.InitPositions(est[:k0])
 	fresh := NewSession()
-	defer fresh.Close()
-	fresh.Begin(k2, frameLen, maxSlots, 1, 0, taps)
+	fresh.Begin(k2, frameLen, maxSlots, 0, taps)
 	fresh.InitPositions(est)
 
 	locked := make([]bool, k2)
@@ -626,12 +621,12 @@ func growMatchesFresh(t *testing.T, k0, kNew int, lockEarly []int, wantInactive 
 // taps move a little every slot, so each of those slots rebuilds every
 // position. A SHA-256 over every slot's margins, ambiguity flags,
 // per-position bits and per-position errors (float bit patterns) must
-// match the pinned digest at Parallelism 1 and 2. With the restart
-// certificate, slots 1–3 keep the full fan's bits on every tag with
-// rows, flags and errors to an ulp; the full fan had adopted restarts
-// that differ only on tags with no rows yet, by a residual norm an ulp
-// lower. The lock of tags 20–69 after slot 3 freezes those bits, so the
-// transfer diverges from slot 4 on.
+// match the pinned digest. With the restart certificate, slots 1–3 keep
+// the full fan's bits on every tag with rows, flags and errors to an
+// ulp; the full fan had adopted restarts that differ only on tags with
+// no rows yet, by a residual norm an ulp lower. The lock of tags 20–69
+// after slot 3 freezes those bits, so the transfer diverges from slot 4
+// on.
 func TestGoldenLargeKDecode(t *testing.T) {
 	const (
 		k0       = 70
@@ -647,54 +642,51 @@ func TestGoldenLargeKDecode(t *testing.T) {
 	est := randomEstimates(k2, frameLen, src)
 	rows, obss := scriptSlots(k2, frameLen, maxSlots, 0xC08)
 
-	for _, par := range []int{1, 2} {
-		s := NewSession()
-		s.Begin(k0, frameLen, maxSlots, par, 2, taps[:k0])
-		s.InitPositions(est[:k0])
-		locked := make([]bool, k2)
-		cur := append([]complex128(nil), taps...)
-		h := sha256.New()
-		word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
-		flag := func(b bool) {
-			if b {
-				h.Write([]byte{1})
-			} else {
-				h.Write([]byte{0})
+	s := NewSession()
+	s.Begin(k0, frameLen, maxSlots, 2, taps[:k0])
+	s.InitPositions(est[:k0])
+	locked := make([]bool, k2)
+	cur := append([]complex128(nil), taps...)
+	h := sha256.New()
+	word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	flag := func(b bool) {
+		if b {
+			h.Write([]byte{1})
+		} else {
+			h.Write([]byte{0})
+		}
+	}
+	for slot := 1; slot <= maxSlots; slot++ {
+		if slot == 7 {
+			s.Grow(taps[k0:], est[k0:])
+		}
+		k := s.k
+		if slot >= 9 {
+			for i := 0; i < 3; i++ {
+				cur[i] *= complex(0.999, 0.01)
+			}
+			s.RetapAll(cur[:k])
+		}
+		margins, amb := make([]float64, k), make([]bool, k)
+		s.AppendSlot(rows[slot-1][:k], obss[slot-1])
+		s.DecodeSlot(slot, locked[:k], base, margins, amb)
+		for i := 0; i < k; i++ {
+			word(math.Float64bits(margins[i]))
+			flag(amb[i])
+		}
+		for p := 0; p < frameLen; p++ {
+			for _, b := range s.PosBits(p) {
+				flag(b)
+			}
+			word(math.Float64bits(s.PosError(p)))
+		}
+		if slot == 3 {
+			for i := 20; i < k0; i++ {
+				locked[i] = true
 			}
 		}
-		for slot := 1; slot <= maxSlots; slot++ {
-			if slot == 7 {
-				s.Grow(taps[k0:], est[k0:])
-			}
-			k := s.k
-			if slot >= 9 {
-				for i := 0; i < 3; i++ {
-					cur[i] *= complex(0.999, 0.01)
-				}
-				s.RetapAll(cur[:k])
-			}
-			margins, amb := make([]float64, k), make([]bool, k)
-			s.AppendSlot(rows[slot-1][:k], obss[slot-1])
-			s.DecodeSlot(slot, locked[:k], base, margins, amb)
-			for i := 0; i < k; i++ {
-				word(math.Float64bits(margins[i]))
-				flag(amb[i])
-			}
-			for p := 0; p < frameLen; p++ {
-				for _, b := range s.PosBits(p) {
-					flag(b)
-				}
-				word(math.Float64bits(s.PosError(p)))
-			}
-			if slot == 3 {
-				for i := 20; i < k0; i++ {
-					locked[i] = true
-				}
-			}
-		}
-		s.Close()
-		if got := hex.EncodeToString(h.Sum(nil)); got != golden {
-			t.Errorf("par=%d: digest %s, golden %s", par, got, golden)
-		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Errorf("digest %s, golden %s", got, golden)
 	}
 }

@@ -122,11 +122,11 @@ func TestSessionRestartStartsFromState(t *testing.T) {
 		mover := k - 1
 
 		s := NewSession()
-		s.Begin(k, frameLen, slots, 1, restarts, taps)
+		s.Begin(k, frameLen, slots, restarts, taps)
 		s.TrackTagDrift(true)
 		s.InitPositions(randomEstimates(k, frameLen, src))
 		g := &s.g
-		ws := &s.wstates[0]
+		ws := &s.ws
 		locked := make([]bool, k)
 		nLocked := 0
 		minMargin := make([]float64, k)
@@ -207,7 +207,6 @@ func TestSessionRestartStartsFromState(t *testing.T) {
 				s.RetireTag(src.IntN(k), slot)
 			}
 		}
-		s.Close()
 	}
 	if rowless == 0 {
 		t.Fatal("no position had an active tag without rows")
@@ -215,31 +214,28 @@ func TestSessionRestartStartsFromState(t *testing.T) {
 	t.Logf("%d random builds, %d with rowless tags flipped, %d projections checked", builds, rowless, projections)
 }
 
-// fuzzSession replays one fuzz op script on a fresh session at the
-// given parallelism, checking the state contract after every decode
-// (a mutation leaves PosError stale until the next decode rebuilds),
-// and returns everything the decode emitted (margins, ambiguity flags,
-// bits, full errors) in order. Above Parallelism 1 it also calls
-// PosError at every position after every op, mutations included, and
-// discards the values: the serial replay makes no such calls, so the
-// two replays' outputs agree only if PosError is a pure read.
-func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int) []float64 {
+// fuzzSession replays one fuzz op script on a fresh session, checking
+// the state contract after every decode (a mutation leaves PosError
+// stale until the next decode rebuilds), and returns everything the
+// decode emitted (margins, ambiguity flags, bits, full errors) in
+// order. Without observer it decodes beside a full-fan twin (fanTwin),
+// which receives every mutation too. With observer it decodes alone and
+// also calls PosError at every position after every op, mutations
+// included, discarding the values: the twin replay makes no such calls,
+// so the two replays' outputs agree only if PosError is a pure read.
+func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, observer bool) []float64 {
 	t.Helper()
 	src := prng.NewSource(seed)
 	taps := randomTaps(k, src)
 	est := randomEstimates(k, frameLen, src)
 	drv := &sessionDriver{k: k, frameLen: frameLen, src: src.Fork(1)}
 	s := NewSession()
-	defer s.Close()
-	s.Begin(k, frameLen, len(ops)+1, par, 2, taps)
+	s.Begin(k, frameLen, len(ops)+1, 2, taps)
 	s.InitPositions(est)
-	// The serial replay decodes beside a full-fan twin (fanTwin), which
-	// receives every mutation too.
 	var tw *fanTwin
 	each := func(f func(*Session)) { f(s) }
-	if par == 1 {
+	if !observer {
 		tw = newFanTwin(k, frameLen, len(ops)+1, 2, taps)
-		defer tw.ref.Close()
 		tw.ref.InitPositions(est)
 		each = func(f func(*Session)) { f(s); f(tw.ref) }
 	}
@@ -294,12 +290,12 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 			}
 			row, obs := drv.slot()
 			each(func(x *Session) { x.AppendSlot(row, obs) })
-			if par == 1 {
-				// DecodeSlot's serial schedule beside the full-fan twin,
-				// checking each Gram position's passes while the worker
-				// holds them: every recorded error, reused or not, is
-				// gramError of its final bits.
-				tw.decode(t, s, g.L, locked, seed, minMargin, ambiguous, func(p int, ws *workerState) {
+			if !observer {
+				// DecodeSlot's schedule beside the full-fan twin, checking
+				// each Gram position's passes while the workspace holds
+				// them: every recorded error, reused or not, is gramError
+				// of its final bits.
+				tw.decode(t, s, g.L, locked, seed, minMargin, ambiguous, func(p int, ws *workspace) {
 					if !s.gramOn {
 						return
 					}
@@ -329,7 +325,7 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 				out = append(out, s.PosError(p))
 			}
 		}
-		if par > 1 {
+		if observer {
 			for p := 0; p < frameLen; p++ {
 				s.PosError(p)
 			}
@@ -351,13 +347,13 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, par int
 // acceptance gate's Gram and row paths must agree on every unlocked
 // tag's conditional margin and bits (checkGateGramMatchesRows), and
 // each pass's recorded error must equal gramError of its final bits
-// (checked on the serial replay, which runs DecodeSlot's serial
-// schedule through decodeSlotChecked); the serial replay also decodes
-// beside a full-fan twin, which must confirm every certified position
-// (fanTwin: bitwise equal outputs on a Gram slot; on a row slot no
-// adoption that flips a covered tag and no mark); and Parallelism 1 and 2 must
-// emit identical margins, ambiguity flags, bits and errors, though only
-// the parallel replay calls PosError after every op (observer purity).
+// (checked on the twin replay, which runs DecodeSlot's schedule through
+// decodeSlotChecked); the twin replay decodes beside a full-fan twin,
+// which must confirm every certified position (fanTwin: bitwise equal
+// outputs on a Gram slot; on a row slot no adoption that flips a
+// covered tag and no mark); and an observer replay of the same script
+// must emit bitwise the same margins, ambiguity flags, bits and errors,
+// though only it calls PosError after every op (observer purity).
 func FuzzSessionSlot(f *testing.F) {
 	f.Add(uint8(8), uint8(3), uint64(1), []byte{0, 0, 0, 12, 0, 0, 0x24, 0, 0, 5, 0, 6, 0, 7, 0, 0xF, 0})
 	f.Add(uint8(11), uint8(4), uint64(42), []byte{0, 1, 2, 4, 12, 20, 28, 36, 0, 0, 0, 0, 0, 0x1E, 0, 0x35, 0, 0, 0x47, 0})
@@ -371,14 +367,14 @@ func FuzzSessionSlot(f *testing.F) {
 		if len(ops) > 48 {
 			ops = ops[:48]
 		}
-		serial := fuzzSession(t, k, frameLen, seed, ops, 1)
-		parallel := fuzzSession(t, k, frameLen, seed, ops, 2)
-		if len(serial) != len(parallel) {
-			t.Fatalf("Parallelism 1 emitted %d values, Parallelism 2 %d", len(serial), len(parallel))
+		twin := fuzzSession(t, k, frameLen, seed, ops, false)
+		observed := fuzzSession(t, k, frameLen, seed, ops, true)
+		if len(twin) != len(observed) {
+			t.Fatalf("twin replay emitted %d values, observer replay %d", len(twin), len(observed))
 		}
-		for x := range serial {
-			if math.Float64bits(serial[x]) != math.Float64bits(parallel[x]) {
-				t.Fatalf("value %d: Parallelism 1 %v, Parallelism 2 %v", x, serial[x], parallel[x])
+		for x := range twin {
+			if math.Float64bits(twin[x]) != math.Float64bits(observed[x]) {
+				t.Fatalf("value %d: twin replay %v, observer replay %v", x, twin[x], observed[x])
 			}
 		}
 	})

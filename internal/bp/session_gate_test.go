@@ -37,7 +37,7 @@ func driveGateSessions(t *testing.T, trials int, seed uint64, after func(s *Sess
 		mover := k - 1
 
 		s := NewSession()
-		s.Begin(k, frameLen, slots+1, 1, restarts, taps)
+		s.Begin(k, frameLen, slots+1, restarts, taps)
 		s.TrackTagDrift(true)
 		s.InitPositions(est)
 		locked := make([]bool, k)
@@ -90,7 +90,6 @@ func driveGateSessions(t *testing.T, trials int, seed uint64, after func(s *Sess
 				s.RetireTag(mover, slot-window/2)
 			}
 		}
-		s.Close()
 	}
 	return gramSlots, rowSlots
 }
@@ -302,8 +301,7 @@ func TestSessionObserversNeverChangeDecode(t *testing.T) {
 		var amb [2][]bool
 		for x := range twins {
 			s := NewSession()
-			defer s.Close()
-			s.Begin(k, frameLen, slots, 1, restarts, taps)
+			s.Begin(k, frameLen, slots, restarts, taps)
 			s.TrackTagDrift(true)
 			s.InitPositions(est)
 			twins[x] = s

@@ -43,7 +43,7 @@ func TestSessionGramRestartMatchesRowRestart(t *testing.T) {
 		mover := k - 1
 
 		s := NewSession()
-		s.Begin(k, frameLen, slots+1, 1, restarts, taps)
+		s.Begin(k, frameLen, slots+1, restarts, taps)
 		s.TrackTagDrift(true)
 		s.InitPositions(est)
 		locked := make([]bool, k)
@@ -98,7 +98,6 @@ func TestSessionGramRestartMatchesRowRestart(t *testing.T) {
 				s.RetireTag(mover, slot-window/2)
 			}
 		}
-		s.Close()
 	}
 	if gramSlots == 0 || rowSlots == 0 {
 		t.Fatalf("shape rule picked the Gram path on %d slots and the row path on %d, want both", gramSlots, rowSlots)
@@ -116,7 +115,7 @@ func checkGramMatchesRow(t *testing.T, s *Session, src *prng.Source, n int) int 
 	t.Helper()
 	g := &s.g
 	s.prepareGram()
-	ws := &s.wstates[0]
+	ws := &s.ws
 	maxFlips := 64 * (g.K + 1) * (g.L + 1)
 	gb := make(bits.Vector, s.k)
 	rb := make(bits.Vector, s.k)
@@ -228,7 +227,7 @@ func TestSessionMatchedFilterState(t *testing.T) {
 		taps := randomTaps(k0, src)
 		s := NewSession()
 		s.Reserve(k0+2, frameLen, maxSlots, 2)
-		s.Begin(k0, frameLen, maxSlots, 1, 2, taps)
+		s.Begin(k0, frameLen, maxSlots, 2, taps)
 		s.TrackTagDrift(true)
 		s.InitPositions(randomEstimates(k0, frameLen, src))
 		drv := &sessionDriver{k: k0, frameLen: frameLen, src: src.Fork(1)}
@@ -267,7 +266,6 @@ func TestSessionMatchedFilterState(t *testing.T) {
 				checks++
 			}
 		}
-		s.Close()
 	}
 	if grownPastCap == 0 {
 		t.Fatal("no Grow outgrew the reserved tag cap")
@@ -296,11 +294,11 @@ func TestSessionGramPassZeroMatchesRowPassZero(t *testing.T) {
 		taps := randomTaps(k, src)
 		rows, obss := scriptSlots(k, frameLen, slots, 0x9A51+uint64(trial))
 		s := NewSession()
-		s.Begin(k, frameLen, slots, 1, 2, taps)
+		s.Begin(k, frameLen, slots, 2, taps)
 		s.TrackTagDrift(true)
 		s.InitPositions(randomEstimates(k, frameLen, src))
 		g := &s.g
-		ws := &s.wstates[0]
+		ws := &s.ws
 		locked := make([]bool, k)
 		cur := append([]complex128(nil), taps...)
 		rb := make(bits.Vector, k)
@@ -345,7 +343,6 @@ func TestSessionGramPassZeroMatchesRowPassZero(t *testing.T) {
 				s.RetireTag(src.IntN(k), slot-4)
 			}
 		}
-		s.Close()
 	}
 	if flipped == 0 {
 		t.Fatal("no pass 0 flipped a bit")

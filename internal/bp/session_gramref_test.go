@@ -168,15 +168,15 @@ func (r *refGram) error(s *Session, b bits.Vector) float64 {
 	return -acc
 }
 
-// decodeSlotChecked is DecodeSlot's serial schedule with a hook after
-// each position's decode, while the worker still holds that position's
+// decodeSlotChecked is DecodeSlot with a hook after each position's
+// decode, while the session's workspace still holds that position's
 // passes (allBits and passErr, ws.passes of them), its certificate and,
 // on a Gram slot, its B.
-func decodeSlotChecked(s *Session, slot int, locked []bool, base uint64, minMargin []float64, ambiguous []bool, check func(p int, ws *workerState)) {
+func decodeSlotChecked(s *Session, slot int, locked []bool, base uint64, minMargin []float64, ambiguous []bool, check func(p int, ws *workspace)) {
 	s.prepareSlot(slot, locked, base)
-	ws := &s.wstates[0]
+	ws := &s.ws
 	for p := 0; p < s.frameLen; p++ {
-		s.decodePosition(p, ws)
+		s.decodePosition(p)
 		check(p, ws)
 	}
 	s.finishSlot(minMargin, ambiguous)
@@ -186,7 +186,7 @@ func decodeSlotChecked(s *Session, slot int, locked []bool, base uint64, minMarg
 // whose recorded error differs, bitwise, from errOf at that pass's bits,
 // or −1 when every pass's matches. Only the passes the position ran
 // are recorded: pass 0 alone when its certificate skipped the restarts.
-func passErrsMatch(s *Session, ws *workerState, errOf func(bits.Vector) float64) int {
+func passErrsMatch(s *Session, ws *workspace, errOf func(bits.Vector) float64) int {
 	for q := 0; q < ws.passes; q++ {
 		b := bits.Vector(ws.allBits[q*s.k : (q+1)*s.k])
 		if math.Float64bits(ws.passErr[q]) != math.Float64bits(errOf(b)) {
@@ -235,7 +235,7 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 			est[i] = msgs[i]
 		}
 		s := NewSession()
-		s.Begin(k, frameLen, slots+1, 1, restarts, taps)
+		s.Begin(k, frameLen, slots+1, restarts, taps)
 		s.InitPositions(est)
 		tw := newFanTwin(k, frameLen, slots+1, restarts, taps)
 		tw.ref.InitPositions(est)
@@ -245,7 +245,7 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 		cur := append([]complex128(nil), taps...)
 		var ref refGram
 		b := make(bits.Vector, k)
-		check := func(p int, ws *workerState) {
+		check := func(p int, ws *workspace) {
 			pb := bits.Vector(s.PosBits(p))
 			ref.input(s, p, pb)
 			if slices.ContainsFunc(s.gramLocked, func(l int) bool { return pb[l] }) {
@@ -313,7 +313,7 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 			s.AppendSlot(row, obs)
 			tw.ref.AppendSlot(row, obs)
 			ref = refGram{}
-			tw.decode(t, s, slot, locked, base, minMargin, ambiguous, func(p int, ws *workerState) {
+			tw.decode(t, s, slot, locked, base, minMargin, ambiguous, func(p int, ws *workspace) {
 				if !s.gramOn {
 					return
 				}
@@ -338,8 +338,6 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 				tw.ref.RetireTag(i, slot-window/2)
 			}
 		}
-		s.Close()
-		tw.ref.Close()
 		certified += tw.gramCert
 		fanned += tw.gramFan
 	}
@@ -400,7 +398,7 @@ func checkGramKernels(t *testing.T, s *Session, ref *refGram, src *prng.Source, 
 
 // gramStateMatches fails unless the workspace's S, gains, signs and
 // ranked bits equal the reference's bitwise.
-func gramStateMatches(t *testing.T, ws *workerState, ref *refGram, ka int, what string, p int) {
+func gramStateMatches(t *testing.T, ws *workspace, ref *refGram, ka int, what string, p int) {
 	t.Helper()
 	for x := 0; x < ka; x++ {
 		if !bitsEqual(ws.gS[x], ref.S[x]) || math.Float64bits(ws.gGain[x]) != math.Float64bits(ref.gain[x]) ||

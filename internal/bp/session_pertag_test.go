@@ -28,8 +28,7 @@ func TestSessionRetireTagKeepsStateConsistent(t *testing.T) {
 	rows, obss := scriptSlots(k2, frameLen, maxSlots, 0xAB1E)
 
 	s := NewSession()
-	defer s.Close()
-	s.Begin(k0, frameLen, maxSlots, 1, 2, taps[:k0])
+	s.Begin(k0, frameLen, maxSlots, 2, taps[:k0])
 	s.TrackTagDrift(true) // exercise the armed per-tag ledgers throughout
 	s.InitPositions(est[:k0])
 	locked := make([]bool, k2)
@@ -127,8 +126,7 @@ func TestSessionRetireTagAllRows(t *testing.T) {
 	rows, obss := scriptSlots(k, frameLen, maxSlots, 0xD06)
 
 	s := NewSession()
-	defer s.Close()
-	s.Begin(k, frameLen, maxSlots, 1, 1, taps)
+	s.Begin(k, frameLen, maxSlots, 1, taps)
 	s.TrackTagDrift(true)
 	s.InitPositions(est)
 	locked := make([]bool, k)
@@ -158,58 +156,6 @@ func TestSessionRetireTagAllRows(t *testing.T) {
 	verifyState(t, s, locked, "after the tag re-accumulates evidence")
 }
 
-// TestSessionPerTagParallelismEquivalence pins that per-tag-windowed
-// decoding is byte-identical at any position fan-out: a scripted
-// two-mover RetireTag schedule at Parallelism 1 and 4 must agree bit
-// for bit, exactly like the global-window and unwindowed sessions.
-// After every decode the serial session's state and per-tag drift
-// ledgers must also match a from-scratch recompute.
-func TestSessionPerTagParallelismEquivalence(t *testing.T) {
-	const (
-		k        = 9
-		frameLen = 8
-		maxSlots = 40
-		base     = 0xE77
-	)
-	src := prng.NewSource(0xB0B)
-	taps := randomTaps(k, src)
-	est := randomEstimates(k, frameLen, src)
-	rows, obss := scriptSlots(k, frameLen, maxSlots, 0x5EED5)
-
-	mk := func(par int) *Session {
-		s := NewSession()
-		s.Begin(k, frameLen, maxSlots, par, 2, taps)
-		s.TrackTagDrift(true)
-		s.InitPositions(est)
-		return s
-	}
-	serial, parallel := mk(1), mk(4)
-	defer serial.Close()
-	defer parallel.Close()
-
-	movers := map[int]int{0: 7, 6: 9}
-	locked := make([]bool, k)
-	for slot := 1; slot <= 22; slot++ {
-		serial.AppendSlot(rows[slot-1], obss[slot-1])
-		parallel.AppendSlot(rows[slot-1], obss[slot-1])
-		decodeCompare(t, serial, parallel, slot, locked, base, k, frameLen)
-		verifyState(t, serial, locked, "after a decode")
-		if slot == 6 {
-			locked[3] = true
-		}
-		for tag, w := range movers {
-			if slot <= w {
-				continue
-			}
-			ns := serial.RetireTag(tag, slot-w)
-			np := parallel.RetireTag(tag, slot-w)
-			if ns != np {
-				t.Fatalf("slot %d tag %d: retired %d vs %d rows across parallelism", slot, tag, ns, np)
-			}
-		}
-	}
-}
-
 // TestSessionPerTagSteadyStateAllocationFree extends the allocation
 // regression to the per-tag window: on a WARM session — one that has
 // already run a transfer of this shape, so every row's adjacency
@@ -235,7 +181,6 @@ func TestSessionPerTagSteadyStateAllocationFree(t *testing.T) {
 	rows, obss := scriptSlots(k, frameLen, 32, 0xBEAD)
 
 	s := NewSession()
-	defer s.Close()
 	locked := make([]bool, k)
 	minMargin := make([]float64, k)
 	ambiguous := make([]bool, k)
@@ -254,7 +199,7 @@ func TestSessionPerTagSteadyStateAllocationFree(t *testing.T) {
 		slot++
 	}
 	begin := func() {
-		s.Begin(k, frameLen, maxSlots, 1, 2, taps)
+		s.Begin(k, frameLen, maxSlots, 2, taps)
 		s.TrackTagDrift(true)
 		s.InitPositions(est)
 		copy(cur, taps)

@@ -56,8 +56,7 @@ func TestSessionRetireKeepsStateConsistent(t *testing.T) {
 	rows, obss := scriptSlots(k2, frameLen, maxSlots, 0xFEED5)
 
 	s := NewSession()
-	defer s.Close()
-	s.Begin(k0, frameLen, maxSlots, 1, 2, taps[:k0])
+	s.Begin(k0, frameLen, maxSlots, 2, taps[:k0])
 	s.TrackDrift(true) // exercise the armed drift accounting throughout
 	s.InitPositions(est[:k0])
 	locked := make([]bool, k2)
@@ -153,8 +152,7 @@ func retireSlidingWindow(t *testing.T, k int, lock []int, wantInactive bool) {
 	rows, obss := scriptSlots(k, frameLen, maxSlots, 0xC0FF)
 
 	s := NewSession()
-	defer s.Close()
-	s.Begin(k, frameLen, maxSlots, 1, 2, taps)
+	s.Begin(k, frameLen, maxSlots, 2, taps)
 	s.TrackDrift(true)
 	s.InitPositions(est)
 
@@ -199,8 +197,7 @@ func TestSessionRetireAllRows(t *testing.T) {
 	rows, obss := scriptSlots(k, frameLen, maxSlots, 0xD1CE)
 
 	s := NewSession()
-	defer s.Close()
-	s.Begin(k, frameLen, maxSlots, 1, 1, taps)
+	s.Begin(k, frameLen, maxSlots, 1, taps)
 	s.InitPositions(est)
 	locked := make([]bool, k)
 	slot := driveSlots(t, s, rows, obss, 1, 5, locked, base)
@@ -235,55 +232,6 @@ func TestSessionRetireAllRows(t *testing.T) {
 	verifyState(t, s, locked, "after refilling the window")
 }
 
-// TestSessionRetireParallelismEquivalence pins that windowed decoding
-// is byte-identical at any position fan-out, exactly like the
-// unwindowed session: a scripted retire-every-slot window at
-// Parallelism 1 and 4 must agree bit for bit. The CI race matrix runs
-// this under -race at GOMAXPROCS ∈ {1, 4}.
-func TestSessionRetireParallelismEquivalence(t *testing.T) {
-	const (
-		k        = 9
-		frameLen = 8
-		maxSlots = 40
-		window   = 7
-		base     = 0x9A7
-	)
-	src := prng.NewSource(0xE0E1)
-	taps := randomTaps(k, src)
-	est := randomEstimates(k, frameLen, src)
-	rows, obss := scriptSlots(k, frameLen, maxSlots, 0xBEE5)
-
-	mk := func(par int) *Session {
-		s := NewSession()
-		s.Begin(k, frameLen, maxSlots, par, 2, taps)
-		s.InitPositions(est)
-		return s
-	}
-	serial, parallel := mk(1), mk(4)
-	defer serial.Close()
-	defer parallel.Close()
-
-	locked := make([]bool, k)
-	for slot := 1; slot <= 20; slot++ {
-		serial.AppendSlot(rows[slot-1], obss[slot-1])
-		parallel.AppendSlot(rows[slot-1], obss[slot-1])
-		decodeCompare(t, serial, parallel, slot, locked, base, k, frameLen)
-		if slot == 6 {
-			locked[4] = true
-		}
-		if slot > window {
-			ns := serial.Retire(slot - window)
-			np := parallel.Retire(slot - window)
-			if ns != np {
-				t.Fatalf("slot %d: retired %d vs %d rows across parallelism", slot, ns, np)
-			}
-		}
-	}
-	if serial.Retired() != parallel.Retired() {
-		t.Fatalf("retired totals diverged: %d vs %d", serial.Retired(), parallel.Retired())
-	}
-}
-
 // TestSessionWindowSteadyStateAllocationFree extends the PR-1/PR-2
 // allocation regression to the windowed decoder: one steady-state slot
 // cycle — AppendSlot, DecodeSlot, Retire — on a warm session must not
@@ -305,8 +253,7 @@ func TestSessionWindowSteadyStateAllocationFree(t *testing.T) {
 	rows, obss := scriptSlots(k, frameLen, 32, 0xF00D)
 
 	s := NewSession()
-	defer s.Close()
-	s.Begin(k, frameLen, maxSlots, 1, 2, taps)
+	s.Begin(k, frameLen, maxSlots, 2, taps)
 	s.TrackDrift(true) // the armed accounting must be alloc-free too
 	s.InitPositions(est)
 	locked := make([]bool, k)

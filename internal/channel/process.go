@@ -18,7 +18,7 @@
 // Every process derives its randomness from addressable prng.Mix3
 // streams keyed by (seed, slot/block, tag), so the taps in effect at a
 // given slot are a pure function of the seed — independent of query
-// order, decoder parallelism, and of which tags have joined the round.
+// order and of which tags have joined the round.
 package channel
 
 import (

@@ -76,11 +76,6 @@ func (c Config) shardQueue() int {
 type Resources struct {
 	Scratch *scratch.Scratch
 	Session *bp.Session
-	// Parallelism is the nested per-trial decode budget RunBatch grants
-	// each worker (cores left after the trial fan-out claims its
-	// share). Streaming sessions always run 1 — the shards are the
-	// parallelism.
-	Parallelism int
 }
 
 // Stats is the manager's live counter block. All fields are atomics:
@@ -217,49 +212,33 @@ func (m *SessionManager) getResources() *Resources {
 }
 
 // putResources recycles a worker's pair. Reset (not realloc) keeps every
-// buffer's capacity; Close tears the session's worker goroutines down
-// so a pair dropped by the sync.Pool's GC cannot strand them (streaming
-// sessions run Parallelism 1 and never start any, so the warm recycle
-// path is unaffected).
+// buffer's capacity.
 func (m *SessionManager) putResources(r *Resources) {
 	r.Scratch.Reset()
 	r.Session.Reset()
-	r.Session.Close()
-	r.Parallelism = 0
 	m.stats.ResourcesInFlight.Add(-1)
 	m.pool.Put(r)
 }
 
 // dropResources retires a pair whose session survived a decode panic:
 // its internal state cannot be trusted, so it must never re-enter the
-// pool — the next session allocates fresh. Even the Reset/Close calls
-// are suspect here, so they run under their own recover.
-func (m *SessionManager) dropResources(r *Resources) {
+// pool — the next session allocates fresh.
+func (m *SessionManager) dropResources() {
 	m.stats.ResourcesInFlight.Add(-1)
-	defer func() { recover() }()
-	r.Session.Close()
 }
 
 // RunBatch fans body out over a worker pool — the re-parented
 // sim.forEachTrial. Worker count is min(Workers, trials); each worker
 // draws pooled Resources, runs trials off a shared queue, and resets
-// the scratch arena between trials. The nested budget
-// (Resources.Parallelism) splits the cores across the fan-out exactly
-// as the simulator always did, so existing goldens are byte-identical
-// at any width. The first body error (lowest trial index) is returned.
+// the scratch arena between trials. Each trial decodes on its worker's
+// goroutine, so the trial workers are the batch's only parallelism, and
+// every trial's outputs are the same at any worker count. The first
+// body error (lowest trial index) is returned.
 func (m *SessionManager) RunBatch(trials int, body func(trial int, res *Resources) error) error {
 	if trials <= 0 {
 		return nil
 	}
-	procs := m.cfg.workers()
-	workers := min(procs, trials)
-	if workers < 1 {
-		workers = 1
-	}
-	inner := procs / workers
-	if inner < 1 {
-		inner = 1
-	}
+	workers := min(m.cfg.workers(), trials)
 	var wg sync.WaitGroup
 	errs := make([]error, trials)
 	next := make(chan int)
@@ -269,7 +248,6 @@ func (m *SessionManager) RunBatch(trials int, body func(trial int, res *Resource
 			defer wg.Done()
 			res := m.getResources()
 			defer m.putResources(res)
-			res.Parallelism = inner
 			for trial := range next {
 				errs[trial] = body(trial, res)
 				res.Scratch.Reset()
@@ -481,15 +459,15 @@ var ErrDecodePanic = fmt.Errorf("engine: decode panicked")
 // slot's decode job and may panic to exercise the isolation path.
 var testHookDecodePanic atomic.Value // of func(sessionID uint64, slot int)
 
-// Open starts a streaming session on pooled resources. cfg's Scratch,
-// Session and Parallelism fields are owned by the manager and must be
-// zero. Events arrive at sink from the session's shard worker, in slot
-// order; sink must be non-blocking and return false when it cannot
-// accept (which sheds the session). The returned session must be
-// Closed, even after errors.
+// Open starts a streaming session on pooled resources. cfg's Scratch
+// and Session fields are owned by the manager and must be nil. Events
+// arrive at sink from the session's shard worker, in slot order; sink
+// must be non-blocking and return false when it cannot accept (which
+// sheds the session). The returned session must be Closed, even after
+// errors.
 func (m *SessionManager) Open(cfg ratedapt.StreamConfig, sink func(Event) bool) (*LiveSession, error) {
-	if cfg.Scratch != nil || cfg.Session != nil || cfg.Parallelism != 0 {
-		return nil, fmt.Errorf("engine: Open owns Scratch/Session/Parallelism; leave them zero")
+	if cfg.Scratch != nil || cfg.Session != nil {
+		return nil, fmt.Errorf("engine: Open owns Scratch/Session; leave them nil")
 	}
 	m.mu.Lock()
 	if m.closed || m.draining {
@@ -510,7 +488,6 @@ func (m *SessionManager) Open(cfg ratedapt.StreamConfig, sink func(Event) bool) 
 
 	res := m.getResources()
 	cfg.Scratch, cfg.Session = res.Scratch, res.Session
-	cfg.Parallelism = 1 // shards are the parallelism
 	st, err := ratedapt.OpenStream(cfg)
 	if err != nil {
 		m.putResources(res)
@@ -596,7 +573,7 @@ func (l *LiveSession) Close() {
 				return true
 			}()
 			if l.poisoned || !clean {
-				l.m.dropResources(l.res)
+				l.m.dropResources()
 			} else {
 				l.m.putResources(l.res)
 			}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine/leaktest"
 	"repro/internal/prng"
 	"repro/internal/ratedapt"
+	"repro/internal/scratch"
 )
 
 // streamCfg builds a minimal one-tag streaming config.
@@ -175,9 +176,14 @@ func TestOpenRejectsOwnedResources(t *testing.T) {
 	m := engine.New(engine.Config{Workers: 1})
 	defer m.Close()
 	cfg := streamCfg(5)
+	cfg.Scratch = scratch.New()
+	if _, err := m.Open(cfg, func(engine.Event) bool { return true }); err == nil {
+		t.Fatal("open accepted a caller-supplied Scratch")
+	}
+	cfg = streamCfg(5)
 	cfg.Parallelism = 2
 	if _, err := m.Open(cfg, func(engine.Event) bool { return true }); err == nil {
-		t.Fatal("open accepted a caller-supplied Parallelism")
+		t.Fatal("open accepted Parallelism 2")
 	}
 }
 
@@ -187,7 +193,7 @@ func TestRunBatchCountsTrials(t *testing.T) {
 	defer m.Close()
 	var n sync.Map
 	err := m.RunBatch(9, func(trial int, res *engine.Resources) error {
-		if res.Scratch == nil || res.Session == nil || res.Parallelism < 1 {
+		if res.Scratch == nil || res.Session == nil {
 			t.Errorf("trial %d: incomplete resources %+v", trial, res)
 		}
 		n.Store(trial, true)

@@ -354,12 +354,49 @@ func errorCode(err error) uint8 {
 	}
 }
 
+// maxOpenCells bounds the decoder state one Open may reserve. A session
+// sizes its largest tables by products of the Open's dimensions, the
+// tag cap being the larger of RosterCap and the initial tag count:
+// frame length × MaxSlots (observations and residuals), frame length ×
+// tag cap (per-position tag state), tag cap² (the co-occurrence Gram)
+// and (1 + Restarts) × tag cap (the restart pass blocks). handleOpen
+// refuses an Open whose product exceeds 2²⁴ cells before anything is
+// allocated, which keeps each table at or under 256 MiB. The largest example
+// spec, warehouse.json (558-tag cap, 2,400 slots, 48-bit frames), needs
+// at most 311,364 (its Gram).
+const maxOpenCells = 1 << 24
+
+// openTooLarge describes the first of o's table sizes (see
+// maxOpenCells) that exceeds the bound, or returns "" when none does.
+// Every factor is below 2³², so no product overflows a uint64.
+func openTooLarge(o *wire.Open) string {
+	frameLen := uint64(o.MessageBits) + uint64(bits.CRCKind(o.CRC).Width())
+	tags := max(uint64(o.RosterCap), uint64(len(o.Seeds)))
+	for _, t := range []struct {
+		name  string
+		cells uint64
+	}{
+		{"frame length × max slots", frameLen * uint64(o.MaxSlots)},
+		{"frame length × tag cap", frameLen * tags},
+		{"tag cap²", tags * tags},
+		{"passes × tag cap", (1 + uint64(o.Restarts)) * tags},
+	} {
+		if t.cells > maxOpenCells {
+			return fmt.Sprintf("open too large: %s is %d cells, limit %d", t.name, t.cells, maxOpenCells)
+		}
+	}
+	return ""
+}
+
 func (c *serverConn) handleOpen(o *wire.Open) bool {
 	if o.Version != wire.ProtocolVersion {
 		return c.reply(&wire.Error{Msg: fmt.Sprintf("protocol version %d, want %d", o.Version, wire.ProtocolVersion)})
 	}
 	if o.CRC > uint8(bits.CRC16) {
 		return c.reply(&wire.Error{Msg: fmt.Sprintf("unknown CRC kind %d", o.CRC)})
+	}
+	if msg := openTooLarge(o); msg != "" {
+		return c.reply(&wire.Error{Msg: msg})
 	}
 	cfg := ratedapt.StreamConfig{
 		SessionSalt:     o.Salt,

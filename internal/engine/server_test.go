@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -301,6 +302,67 @@ func TestWindowSoftOpenRejectedOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep, err = wire.ReadFrame(conn); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rep.(*wire.Closed); !ok {
+		t.Fatalf("close reply %T, want Closed", rep)
+	}
+	conn.Close()
+	waitCounter(t, func() int64 { return m.Snapshot().ResourcesInFlight }, 0)
+	waitCounter(t, func() int64 {
+		s := m.Snapshot()
+		return s.SessionsOpened - s.SessionsClosed
+	}, 0)
+}
+
+// TestOversizedOpenRejectedOverWire pins the Open size bound: an Open
+// whose roster cap, slot budget or restart count would size the
+// decoder's tables past the bound is answered with a generic Error
+// before anything is allocated, the connection keeps serving, and a
+// following valid Open on it succeeds.
+func TestOversizedOpenRejectedOverWire(t *testing.T) {
+	leaktest.Check(t)
+	m, _, addr := startWireServer(t, engine.Config{Workers: 1, MaxSessions: 1}, engine.ServerConfig{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+
+	for _, tc := range []struct {
+		name string
+		set  func(o *wire.Open)
+	}{
+		{"roster cap", func(o *wire.Open) { o.RosterCap = math.MaxUint32 }},
+		{"max slots", func(o *wire.Open) { o.MaxSlots = math.MaxUint32 }},
+		{"both", func(o *wire.Open) { o.RosterCap, o.MaxSlots = math.MaxUint32, math.MaxUint32 }},
+		{"restarts", func(o *wire.Open) { o.RosterCap, o.Restarts = 1024, math.MaxUint16 }},
+		{"message bits", func(o *wire.Open) { o.MessageBits, o.MaxSlots = math.MaxUint16, 4096 }},
+	} {
+		o := minOpen(5)
+		tc.set(o)
+		if err := wire.WriteFrame(conn, o); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if e, ok := rep.(*wire.Error); !ok || e.Code != wire.CodeGeneric || !strings.Contains(e.Msg, "open too large") {
+			t.Fatalf("%s: reply %+v, want a generic Error saying the open is too large", tc.name, rep)
+		}
+	}
+	if s := m.Snapshot(); s.SessionsOpened != 0 || s.ResourcesInFlight != 0 {
+		t.Fatalf("rejected opens left %d sessions opened and %d resources in flight", s.SessionsOpened, s.ResourcesInFlight)
+	}
+
+	sid, _ := openSession(t, conn, 6)
+	if err := wire.WriteFrame(conn, &wire.Close{SessionID: sid}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := wire.ReadFrame(conn)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := rep.(*wire.Closed); !ok {

@@ -288,7 +288,6 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 		Restarts:        cfg.Restarts,
 		MinDegreeForCRC: cfg.MinDegreeForCRC,
 		MarginThreshold: cfg.MarginThreshold,
-		Parallelism:     cfg.Parallelism,
 		MessageBits:     msgLen,
 		MaxSlots:        maxSlots,
 		WindowSlots:     win,

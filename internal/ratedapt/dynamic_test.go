@@ -80,37 +80,31 @@ func dynamicChurnSetup(k int, seed uint64) (Config, []RosterTag, channel.Process
 	return cfg, roster, proc
 }
 
-// TestTransferDynamicParallelEquivalence extends the PR-2 determinism
-// contract to the scenario engine: arrivals, departures and
-// Gauss–Markov channel drift decoded at Parallelism 1 and 4 must
-// produce byte-identical DynamicResults.
-func TestTransferDynamicParallelEquivalence(t *testing.T) {
+// TestTransferDynamicOwnSessionMatchesPooled pins that a caller-owned
+// session decodes a dynamic transfer (arrivals, departures and
+// Gauss–Markov channel drift) byte-identically to a pooled one.
+func TestTransferDynamicOwnSessionMatchesPooled(t *testing.T) {
 	for _, k := range []int{4, 9} {
 		cfg, roster, _ := dynamicChurnSetup(k, 0xC4A7+uint64(k))
 
-		serialProc := func() channel.Process {
+		proc := func() channel.Process {
 			_, _, p := dynamicChurnSetup(k, 0xC4A7+uint64(k))
 			return p
 		}
 
-		serial := cfg
-		serial.Parallelism = 1
-		a, err := TransferDynamic(serial, roster, serialProc(), serialProc(), prng.NewSource(1), prng.NewSource(2))
+		a, err := TransferDynamic(cfg, roster, proc(), proc(), prng.NewSource(1), prng.NewSource(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		parallel := cfg
-		parallel.Parallelism = 4
-		sess := bp.NewSession()
-		defer sess.Close()
-		parallel.Session = sess
-		b, err := TransferDynamic(parallel, roster, serialProc(), serialProc(), prng.NewSource(1), prng.NewSource(2))
+		own := cfg
+		own.Session = bp.NewSession()
+		b, err := TransferDynamic(own, roster, proc(), proc(), prng.NewSource(1), prng.NewSource(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("K=%d: parallel dynamic transfer diverged from serial:\nserial:   %+v\nparallel: %+v", k, a, b)
+			t.Fatalf("K=%d: own-session dynamic transfer diverged from pooled:\npooled: %+v\nown:    %+v", k, a, b)
 		}
 	}
 }

@@ -123,6 +123,28 @@ func TestTransferDynamicPerTagStaticFallsBack(t *testing.T) {
 	}
 }
 
+// TestParallelismAboveOneRejected pins the removed position fan-out's
+// surviving input: OpenStream opens at StreamConfig.Parallelism 0 and 1
+// and refuses any other value.
+func TestParallelismAboveOneRejected(t *testing.T) {
+	for _, par := range []int{-1, 0, 1, 2, 4} {
+		st, err := OpenStream(StreamConfig{
+			MessageBits: 16,
+			MaxSlots:    64,
+			Seeds:       []uint64{1, 2},
+			Taps:        []complex128{1, 1i},
+			DecodeSrc:   prng.NewSource(9),
+			Parallelism: par,
+		})
+		if err == nil {
+			st.Close()
+		}
+		if open := par == 0 || par == 1; (err == nil) != open {
+			t.Errorf("Parallelism %d: error %v, want open %v", par, err, open)
+		}
+	}
+}
+
 // TestWindowSoftRejected pins the removed soft per-tag mode's two
 // surviving inputs: OpenStream refuses a config with WindowSoft set
 // (the same config without it opens), and PerTagWindow(true) panics.

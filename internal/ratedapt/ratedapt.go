@@ -20,7 +20,6 @@ package ratedapt
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/bits"
 	"repro/internal/bp"
@@ -114,20 +113,11 @@ type Config struct {
 	// bit-identical with and without a Scratch.
 	Scratch *scratch.Scratch
 	// Session, when non-nil, supplies the transfer's incremental decoder
-	// state (graph, per-position residual/gain caches, worker pool) from
-	// a long-lived bp.Session instead of a pooled one. The simulator
-	// hands each trial worker one Session so buffers and workers warm
-	// across trials. Results are identical with and without it.
+	// state (graph, per-position residual/gain caches) from a long-lived
+	// bp.Session instead of a pooled one. The simulator hands each trial
+	// worker one Session so its buffers warm across trials. Results are
+	// identical with and without it.
 	Session *bp.Session
-	// Parallelism bounds the number of bit positions decoded
-	// concurrently within each slot. 0 defaults to runtime.GOMAXPROCS
-	// (every hardware thread); 1 decodes inline on the calling
-	// goroutine. Results are byte-identical at every setting: each
-	// (slot, position) pair owns a PRNG stream derived with prng.Mix3,
-	// so scheduling cannot reorder randomness. Callers that fan out at
-	// a coarser grain (sim.forEachTrial's trial workers) pass their
-	// per-trial budget explicitly.
-	Parallelism int
 	// Window bounds the collision history the decoder explains — the
 	// coherence-windowed decode for fast-fading channels. The zero
 	// value keeps the classic whole-round decoder; see WindowPolicy.
@@ -167,16 +157,6 @@ func (c *Config) minDegree() int {
 		return c.MinDegreeForCRC
 	}
 	return 1
-}
-
-// parallelism resolves the per-slot position fan-out: an explicit
-// setting wins; otherwise every hardware thread. Results are
-// byte-identical at any value, so the default can chase wall clock.
-func (c *Config) parallelism() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (c *Config) marginThreshold() float64 {

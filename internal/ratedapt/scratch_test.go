@@ -104,7 +104,6 @@ func TestTransferSteadyStateAllocBound(t *testing.T) {
 	sc := scratch.New()
 	cfg.Scratch = sc
 	cfg.Session = bp.NewSession()
-	defer cfg.Session.Close()
 	run := func() {
 		if _, err := Transfer(cfg, msgs, ch, prng.NewSource(1), prng.NewSource(2)); err != nil {
 			t.Fatal(err)
@@ -115,5 +114,29 @@ func TestTransferSteadyStateAllocBound(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, run)
 	if budget := float64(40 + 4*k); allocs > budget {
 		t.Fatalf("steady-state transfer allocates %v times, budget %v", allocs, budget)
+	}
+}
+
+// TestTransferSameSeedDeterminism runs the same configuration twice —
+// second time on the warm session and arena of the first — and demands
+// byte-identical results: reuse must be invisible.
+func TestTransferSameSeedDeterminism(t *testing.T) {
+	cfg, msgs, ch := scratchTestSetup(8, 0xDE7)
+	sess := bp.NewSession()
+	sc := scratch.New()
+	cfg.Session = sess
+	cfg.Scratch = sc
+
+	a, err := Transfer(cfg, msgs, ch, prng.NewSource(7), prng.NewSource(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Reset()
+	b, err := Transfer(cfg, msgs, ch, prng.NewSource(7), prng.NewSource(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same-seed transfer not reproducible:\nfirst:  %+v\nsecond: %+v", a, b)
 	}
 }

@@ -33,7 +33,7 @@ import (
 // per-(slot, position) decode base — and from the addressable arrival
 // streams derived from that base. Two Streams opened with equal configs
 // and fed equal events and observations produce byte-identical
-// decisions at any Parallelism; the engine-conformance goldens pin
+// decisions; the engine-conformance goldens pin
 // TransferDynamic against a wire-driven replay on exactly this
 // property.
 type Stream struct {
@@ -146,17 +146,21 @@ type StepResult struct {
 // call the same Resolve — so resolution happens exactly once,
 // driver-side.
 type StreamConfig struct {
-	// SessionSalt, CRC, Density, Restarts, MinDegreeForCRC,
-	// MarginThreshold and Parallelism mean exactly what they mean on
-	// Config; Density is the explicit override (0 = derive from the
-	// live population, re-tuned as it churns).
+	// SessionSalt, CRC, Density, Restarts, MinDegreeForCRC and
+	// MarginThreshold mean exactly what they mean on Config; Density is
+	// the explicit override (0 = derive from the live population,
+	// re-tuned as it churns).
 	SessionSalt     uint64
 	CRC             bits.CRCKind
 	Density         float64
 	Restarts        int
 	MinDegreeForCRC int
 	MarginThreshold float64
-	Parallelism     int
+	// Parallelism is the removed per-slot position fan-out's width,
+	// kept so existing callers compile: a session decodes its positions
+	// in order on the caller's goroutine, and OpenStream rejects any
+	// value other than 0 or 1.
+	Parallelism int
 
 	// MessageBits is the payload length; the frame length adds the CRC
 	// width. All tags in a session share one frame length (§6).
@@ -243,6 +247,9 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 	if cfg.WindowSoft {
 		return nil, fmt.Errorf("ratedapt: WindowSoft was removed; per-tag windows always retire stale rows")
 	}
+	if cfg.Parallelism != 0 && cfg.Parallelism != 1 {
+		return nil, fmt.Errorf("ratedapt: Parallelism %d: the position fan-out was removed; positions decode serially (0 or 1)", cfg.Parallelism)
+	}
 
 	cap0 := max(cfg.RosterCap, k0)
 	st := &Stream{
@@ -253,7 +260,6 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 			Restarts:        cfg.Restarts,
 			MinDegreeForCRC: cfg.MinDegreeForCRC,
 			MarginThreshold: cfg.MarginThreshold,
-			Parallelism:     cfg.Parallelism,
 			SilenceDecoded:  cfg.silenceDecoded,
 		},
 		sc:       cfg.Scratch,
@@ -292,7 +298,7 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 		// no allocator, keeping the warm per-slot path 0 allocs/op.
 		st.sess.Reserve(cap0, st.frameLen, st.maxSlots, cfg.Restarts)
 	}
-	st.sess.Begin(k0, st.frameLen, st.maxSlots, st.cfg.parallelism(), cfg.Restarts, cfg.Taps)
+	st.sess.Begin(k0, st.frameLen, st.maxSlots, cfg.Restarts, cfg.Taps)
 	// Windows arrive resolved; only the budget clamp is re-applied here
 	// (a window the round can never outgrow is no window — see
 	// WindowPolicy.EffectiveSlots), so a mis-sized wire value degrades

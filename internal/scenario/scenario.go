@@ -203,9 +203,6 @@ type DecodeSpec struct {
 	Restarts int `json:"restarts,omitempty"`
 	// MaxSlots caps the rateless round; 0 means 40 per roster tag.
 	MaxSlots int `json:"max_slots,omitempty"`
-	// Parallelism overrides the per-trial position-decode fan-out; 0
-	// lets the trial runner budget GOMAXPROCS itself.
-	Parallelism int `json:"parallelism,omitempty"`
 	// Window selects the decoder's coherence-window policy: "" or
 	// "none" (classic unbounded decode), "auto" (derive the window
 	// from the channel process's coherence time — the fast-mobility
@@ -238,8 +235,8 @@ func (d DecodeSpec) Validate() error {
 	if _, err := d.CRCKind(); err != nil {
 		return err
 	}
-	if d.Restarts < 0 || d.MaxSlots < 1 || d.Parallelism < 0 {
-		return fmt.Errorf("scenario: negative or zero budget (restarts %d, max_slots %d, parallelism %d)", d.Restarts, d.MaxSlots, d.Parallelism)
+	if d.Restarts < 0 || d.MaxSlots < 1 {
+		return fmt.Errorf("scenario: negative or zero budget (restarts %d, max_slots %d)", d.Restarts, d.MaxSlots)
 	}
 	switch d.Window {
 	case "", WindowNone:

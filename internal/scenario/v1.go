@@ -33,7 +33,6 @@ type specV1 struct {
 	CRC              string            `json:"crc,omitempty"`
 	Restarts         int               `json:"restarts,omitempty"`
 	MaxSlots         int               `json:"max_slots,omitempty"`
-	Parallelism      int               `json:"parallelism,omitempty"`
 	Channel          channelSpecV1     `json:"channel,omitempty"`
 	Window           string            `json:"window,omitempty"`
 	DecodeWindow     int               `json:"decode_window,omitempty"`
@@ -71,7 +70,6 @@ func (v specV1) upgrade() Spec {
 			CRC:          v.CRC,
 			Restarts:     v.Restarts,
 			MaxSlots:     v.MaxSlots,
-			Parallelism:  v.Parallelism,
 			Window:       v.Window,
 			DecodeWindow: v.DecodeWindow,
 			WindowSoft:   v.WindowSoft,

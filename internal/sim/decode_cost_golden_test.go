@@ -117,10 +117,11 @@ func TestGoldenDecodeCost(t *testing.T) {
 
 // TestGoldenLargeK pins two Gauss–Markov transfers of 80 tags, past the
 // paper's K ≤ 16, the way TestGoldenDecodeCost pins the example specs:
-// outcome digest and exact DecodeCost, at Parallelism 1 and 4. The
-// per-tag window drives RetireTag and RetapAll every slot; the auto
-// window at ρ 0.99 drives Retire. Each of them invalidates the session,
-// so both transfers rebuild on nearly every slot.
+// outcome digest and exact DecodeCost, at GOMAXPROCS 1 and 4 (the
+// subtests' par). The per-tag window drives RetireTag and RetapAll
+// every slot; the auto window at ρ 0.99 drives Retire. Each of them
+// invalidates the session, so both transfers rebuild on nearly every
+// slot.
 func TestGoldenLargeK(t *testing.T) {
 	golden := []struct {
 		name, spec string
@@ -145,8 +146,9 @@ func TestGoldenLargeK(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				spec.Decode.Parallelism = par
+				restore := setProcs(par)
 				out, err := Run(spec, WithTrialDetail())
+				restore()
 				if err != nil {
 					t.Fatal(err)
 				}

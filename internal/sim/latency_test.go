@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -75,30 +74,23 @@ func latencyDeterminismSpec() scenario.Spec {
 	}
 }
 
-// TestLatencyReportDeterministic runs the same arrivals workload at
-// decode parallelism 1 and 4 and under GOMAXPROCS 1 and 4: the report
-// (and its rendered string) must be byte-identical in every
-// configuration, because the samples are flattened in trial order, not
-// completion order.
+// TestLatencyReportDeterministic runs the same arrivals workload under
+// GOMAXPROCS 1 and 4: the report (and its rendered string) must be
+// byte-identical in both, because the samples are flattened in trial
+// order, not completion order.
 func TestLatencyReportDeterministic(t *testing.T) {
 	var reports []*LatencyReport
 	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		for _, par := range []int{1, 4} {
-			spec := latencyDeterminismSpec()
-			spec.Decode.Parallelism = par
-			out, err := Run(spec)
-			if err != nil {
-				runtime.GOMAXPROCS(prev)
-				t.Fatalf("GOMAXPROCS=%d parallelism=%d: %v", procs, par, err)
-			}
-			if out.Latency == nil {
-				runtime.GOMAXPROCS(prev)
-				t.Fatalf("GOMAXPROCS=%d parallelism=%d: no latency report", procs, par)
-			}
-			reports = append(reports, out.Latency)
+		restore := setProcs(procs)
+		out, err := Run(latencyDeterminismSpec())
+		restore()
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		runtime.GOMAXPROCS(prev)
+		if out.Latency == nil {
+			t.Fatalf("GOMAXPROCS=%d: no latency report", procs)
+		}
+		reports = append(reports, out.Latency)
 	}
 	for i := 1; i < len(reports); i++ {
 		if !reflect.DeepEqual(reports[0], reports[i]) {

@@ -40,39 +40,39 @@ func TestGoldenMixedMobilityPerTag(t *testing.T) {
 		wantWrong   = 0
 	)
 	var first *ScenarioOutcome
-	for _, par := range []int{1, 4} {
-		spec := mixedMobilitySpec()
-		spec.Decode.Parallelism = par
-		out, err := Run(spec, WithTrialDetail())
+	for _, procs := range []int{1, 4} {
+		restore := setProcs(procs)
+		out, err := Run(mixedMobilitySpec(), WithTrialDetail())
+		restore()
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		b := out.Schemes[0]
 		if b.TransferMillis.Mean != wantMs || b.Undecoded.Mean != wantLost ||
 			b.BitsPerSymbol.Mean != wantRate || b.DeliveredCorrect.Mean != wantCorrect ||
 			b.WrongPayload != wantWrong {
-			t.Fatalf("par=%d: got ms=%.17g lost=%.17g rate=%.17g correct=%.17g wrong=%d, golden ms=%.17g lost=%.17g rate=%.17g correct=%.17g wrong=%d",
-				par, b.TransferMillis.Mean, b.Undecoded.Mean, b.BitsPerSymbol.Mean, b.DeliveredCorrect.Mean, b.WrongPayload,
+			t.Fatalf("GOMAXPROCS=%d: got ms=%.17g lost=%.17g rate=%.17g correct=%.17g wrong=%d, golden ms=%.17g lost=%.17g rate=%.17g correct=%.17g wrong=%d",
+				procs, b.TransferMillis.Mean, b.Undecoded.Mean, b.BitsPerSymbol.Mean, b.DeliveredCorrect.Mean, b.WrongPayload,
 				wantMs, wantLost, wantRate, wantCorrect, wantWrong)
 		}
 		for ti, tr := range out.Trials {
 			if len(tr.RowsRetiredPerTag) != 8 {
-				t.Fatalf("par=%d trial %d: RowsRetiredPerTag has %d entries, want 8", par, ti, len(tr.RowsRetiredPerTag))
+				t.Fatalf("GOMAXPROCS=%d trial %d: RowsRetiredPerTag has %d entries, want 8", procs, ti, len(tr.RowsRetiredPerTag))
 			}
 			for i, n := range tr.RowsRetiredPerTag {
 				parked := i < 4
 				if parked && n != 0 {
-					t.Fatalf("par=%d trial %d: parked tag %d retired %d rows, want 0", par, ti, i, n)
+					t.Fatalf("GOMAXPROCS=%d trial %d: parked tag %d retired %d rows, want 0", procs, ti, i, n)
 				}
 				if !parked && n == 0 {
-					t.Fatalf("par=%d trial %d: mover %d retired no rows over %d slots", par, ti, i, tr.SlotsUsed)
+					t.Fatalf("GOMAXPROCS=%d trial %d: mover %d retired no rows over %d slots", procs, ti, i, tr.SlotsUsed)
 				}
 			}
 		}
 		if first == nil {
 			first = out
 		} else if !reflect.DeepEqual(first.Schemes, out.Schemes) {
-			t.Fatal("mixed-mobility outcome depends on parallelism")
+			t.Fatal("mixed-mobility outcome depends on GOMAXPROCS")
 		}
 	}
 }

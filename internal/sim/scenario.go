@@ -22,6 +22,7 @@ import (
 	"repro/internal/bits"
 	"repro/internal/bp"
 	"repro/internal/channel"
+	"repro/internal/engine"
 	"repro/internal/epc"
 	"repro/internal/identify"
 	"repro/internal/prng"
@@ -184,7 +185,7 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 
 	costs := make([]bp.DecodeCost, spec.Trials)
 
-	err = forEachTrial(spec.Trials, func(trial int, res trialResources) error {
+	err = forEachTrial(spec.Trials, func(trial int, res *engine.Resources) error {
 		var msgs []bits.Vector
 		if cfg.messages != nil {
 			msgs = cfg.messages(trial)
@@ -199,10 +200,6 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 		}
 		tr := spec.Trial(rost, trial, msgs)
 		msgs = tr.Messages
-		par := res.Parallelism
-		if spec.Decode.Parallelism > 0 {
-			par = spec.Decode.Parallelism
-		}
 
 		rcfg := ratedapt.Config{
 			SessionSalt: tr.Salt,
@@ -212,7 +209,6 @@ func Run(spec scenario.Spec, options ...Option) (*ScenarioOutcome, error) {
 			Window:      spec.Decode.WindowPolicy(),
 			Scratch:     res.Scratch,
 			Session:     res.Session,
-			Parallelism: par,
 		}
 		var identErr error
 		if a := spec.Workload.Arrivals; a != nil && a.Reident == scenario.ReidentAnalytic {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/bits"
@@ -108,32 +109,40 @@ func dynamicGoldenSpecs() []struct {
 	}
 }
 
+// setProcs sets GOMAXPROCS to n and returns a func that restores the
+// previous value. The goldens run at 1 and 4 to pin that a batch's
+// outputs do not depend on the trial pool's width or schedule.
+func setProcs(n int) (restore func()) {
+	prev := runtime.GOMAXPROCS(n)
+	return func() { runtime.GOMAXPROCS(prev) }
+}
+
 // TestGoldenScenarioDynamics pins the dynamic scenario goldens and
-// proves they are independent of the position-decode parallelism: the
-// same spec decoded inline and with a 4-way fan-out must agree on every
-// aggregate, and on the pinned constants.
+// proves they are independent of the trial pool's width: the same spec
+// run at GOMAXPROCS 1 and 4 must agree on every aggregate, and on the
+// pinned constants.
 func TestGoldenScenarioDynamics(t *testing.T) {
 	for _, tc := range dynamicGoldenSpecs() {
 		var first *ScenarioOutcome
-		for _, par := range []int{1, 4} {
-			spec := tc.spec
-			spec.Decode.Parallelism = par
-			out, err := Run(spec)
+		for _, procs := range []int{1, 4} {
+			restore := setProcs(procs)
+			out, err := Run(tc.spec)
+			restore()
 			if err != nil {
-				t.Fatalf("%s par=%d: %v", tc.name, par, err)
+				t.Fatalf("%s GOMAXPROCS=%d: %v", tc.name, procs, err)
 			}
 			b := out.Schemes[0]
 			if b.TransferMillis.Mean != tc.ms || b.Undecoded.Mean != tc.lost ||
 				b.BitsPerSymbol.Mean != tc.rate || b.DeliveredCorrect.Mean != tc.correct ||
 				b.WrongPayload != tc.wrong {
-				t.Fatalf("%s par=%d: got ms=%.17g lost=%.17g rate=%.17g correct=%.17g wrong=%d, golden ms=%.17g lost=%.17g rate=%.17g correct=%.17g wrong=%d",
-					tc.name, par, b.TransferMillis.Mean, b.Undecoded.Mean, b.BitsPerSymbol.Mean, b.DeliveredCorrect.Mean, b.WrongPayload,
+				t.Fatalf("%s GOMAXPROCS=%d: got ms=%.17g lost=%.17g rate=%.17g correct=%.17g wrong=%d, golden ms=%.17g lost=%.17g rate=%.17g correct=%.17g wrong=%d",
+					tc.name, procs, b.TransferMillis.Mean, b.Undecoded.Mean, b.BitsPerSymbol.Mean, b.DeliveredCorrect.Mean, b.WrongPayload,
 					tc.ms, tc.lost, tc.rate, tc.correct, tc.wrong)
 			}
 			if first == nil {
 				first = out
 			} else if !reflect.DeepEqual(first.Schemes, out.Schemes) {
-				t.Fatalf("%s: outcome depends on parallelism", tc.name)
+				t.Fatalf("%s: outcome depends on GOMAXPROCS", tc.name)
 			}
 		}
 	}

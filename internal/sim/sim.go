@@ -13,7 +13,6 @@ import (
 	"repro/internal/baseline/fsa"
 	"repro/internal/baseline/tdma"
 	"repro/internal/bits"
-	"repro/internal/bp"
 	"repro/internal/channel"
 	"repro/internal/energy"
 	"repro/internal/engine"
@@ -87,29 +86,11 @@ func frameMillis(bitSlots int) float64 {
 	return epc.UplinkMicros(float64(bitSlots)) / 1000
 }
 
-// trialResources is what forEachTrial equips each trial body with: a
-// per-worker scratch arena and decoder session (warm across the
-// worker's trials), plus the nested-parallelism budget the body should
-// pass to ratedapt.Config.Parallelism.
-type trialResources struct {
-	Scratch *scratch.Scratch
-	Session *bp.Session
-	// Parallelism is the per-trial inner worker budget: the cores left
-	// over after the trial-level fan-out claims its share. Results are
-	// byte-identical at every value (the decoder's per-(slot, position)
-	// PRNG streams make the fan-out deterministic); the budget only
-	// decides how much hardware each trial may use.
-	Parallelism int
-}
-
 // batchEngine is the process-wide session manager every simulation
 // trial runs on: the simulator is one client of the engine package (the
-// buzzd daemon is the other), so the resource pooling, parallelism
-// budgeting and counters live in exactly one place. The engine
-// reproduces the historical worker math — min(GOMAXPROCS, trials)
-// trial workers, the leftover cores as each trial's inner
-// position-decode budget — so every pinned golden is byte-identical to
-// the pre-engine trial pool.
+// buzzd daemon is the other), so the resource pooling, worker count and
+// counters live in exactly one place: min(GOMAXPROCS, trials) trial
+// workers, each decoding its trials on its own goroutine.
 var batchEngine = engine.New(engine.Config{})
 
 // forEachTrial runs the trial body for indices [0, trials) across the
@@ -120,14 +101,8 @@ var batchEngine = engine.New(engine.Config{})
 // arena, one decoder session), recycled between trials: the first trial
 // a worker runs warms them and later same-shaped trials allocate
 // nothing in the decode hot path.
-func forEachTrial(trials int, body func(trial int, res trialResources) error) error {
-	return batchEngine.RunBatch(trials, func(trial int, res *engine.Resources) error {
-		return body(trial, trialResources{
-			Scratch:     res.Scratch,
-			Session:     res.Session,
-			Parallelism: res.Parallelism,
-		})
-	})
+func forEachTrial(trials int, body func(trial int, res *engine.Resources) error) error {
+	return batchEngine.RunBatch(trials, body)
 }
 
 // SchemeOutcome aggregates one scheme's behaviour over a trial set.
@@ -381,7 +356,7 @@ func RunIdentification(trials int, seed uint64, ks []int) ([]IdentificationOutco
 		k := k
 		type row struct{ buzzMs, fsaMs, fsakMs, btreeMs, identified float64 }
 		rows := make([]row, trials)
-		err := forEachTrial(trials, func(trial int, res trialResources) error {
+		err := forEachTrial(trials, func(trial int, res *engine.Resources) error {
 			setup := scenario.TrialSource(seed+uint64(k)*0x51F1, trial)
 			ch := profile.channel(k, setup)
 			ids := make([]uint64, k)

@@ -38,33 +38,33 @@ func TestGoldenFastMobilityWindowed(t *testing.T) {
 		wantWindow  = 8
 	)
 	var first *ScenarioOutcome
-	for _, par := range []int{1, 4} {
-		spec := fastMobilitySpec()
-		spec.Decode.Parallelism = par
-		out, err := Run(spec, WithTrialDetail())
+	for _, procs := range []int{1, 4} {
+		restore := setProcs(procs)
+		out, err := Run(fastMobilitySpec(), WithTrialDetail())
+		restore()
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		b := out.Schemes[0]
 		if b.TransferMillis.Mean != wantMs || b.Undecoded.Mean != wantLost ||
 			b.BitsPerSymbol.Mean != wantRate || b.DeliveredCorrect.Mean != wantCorrect ||
 			b.WrongPayload != wantWrong {
-			t.Fatalf("par=%d: got ms=%.17g lost=%.17g rate=%.17g correct=%.17g wrong=%d, golden ms=%.17g lost=%.17g rate=%.17g correct=%.17g wrong=%d",
-				par, b.TransferMillis.Mean, b.Undecoded.Mean, b.BitsPerSymbol.Mean, b.DeliveredCorrect.Mean, b.WrongPayload,
+			t.Fatalf("GOMAXPROCS=%d: got ms=%.17g lost=%.17g rate=%.17g correct=%.17g wrong=%d, golden ms=%.17g lost=%.17g rate=%.17g correct=%.17g wrong=%d",
+				procs, b.TransferMillis.Mean, b.Undecoded.Mean, b.BitsPerSymbol.Mean, b.DeliveredCorrect.Mean, b.WrongPayload,
 				wantMs, wantLost, wantRate, wantCorrect, wantWrong)
 		}
 		for ti, tr := range out.Trials {
 			if tr.WindowSlots != wantWindow {
-				t.Fatalf("par=%d trial %d: window %d slots, want %d", par, ti, tr.WindowSlots, wantWindow)
+				t.Fatalf("GOMAXPROCS=%d trial %d: window %d slots, want %d", procs, ti, tr.WindowSlots, wantWindow)
 			}
 			if tr.RowsRetired == 0 {
-				t.Fatalf("par=%d trial %d: no rows retired under an %d-slot window over %d slots", par, ti, wantWindow, tr.SlotsUsed)
+				t.Fatalf("GOMAXPROCS=%d trial %d: no rows retired under an %d-slot window over %d slots", procs, ti, wantWindow, tr.SlotsUsed)
 			}
 		}
 		if first == nil {
 			first = out
 		} else if !reflect.DeepEqual(first.Schemes, out.Schemes) {
-			t.Fatal("fast-mobility outcome depends on parallelism")
+			t.Fatal("fast-mobility outcome depends on GOMAXPROCS")
 		}
 	}
 }
