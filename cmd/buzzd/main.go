@@ -10,7 +10,7 @@
 //	buzzd [-listen :4117] [-unix /run/buzzd.sock] [-http :8117]
 //	      [-workers N] [-max-sessions N] [-drain-timeout 30s]
 //	      [-idle-timeout 0] [-read-timeout 0] [-write-timeout 0]
-//	      [-malformed-budget 3]
+//	      [-malformed-budget 3] [-cpuprofile buzzd.prof]
 //
 // The daemon serves the binary protocol on TCP (-listen) and/or a unix
 // socket (-unix), and introspection over HTTP (-http): GET /statsz for
@@ -25,7 +25,9 @@
 // live sessions (excess Opens get a typed Busy error); and
 // -malformed-budget is how many well-framed-but-undecodable frames a
 // connection may send before being dropped. Every refusal moves a
-// per-reason counter on /statsz and /debug/vars.
+// per-reason counter on /statsz and /debug/vars. -cpuprofile writes a
+// CPU profile of the whole run, daemon or client, to the named file
+// when it exits (go tool pprof); it is off by default.
 //
 // Client mode replays a scenario spec against a running daemon and
 // reports what came back — the loopback smoke check:
@@ -51,6 +53,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -77,25 +80,47 @@ func main() {
 	replayPath := flag.String("replay", "", "client mode: scenario spec to replay against -connect")
 	retries := flag.Int("retries", 5, "client mode: connection attempts per trial (reconnect with backoff + jitter)")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "client mode: per-frame-exchange deadline (0 = none)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the full run to this file (go tool pprof)")
 	flag.Parse()
 
-	if *connect != "" || *replayPath != "" {
-		if err := runClient(*connect, *replayPath, *retries, *ioTimeout); err != nil {
-			fmt.Fprintln(os.Stderr, "buzzd:", err)
-			os.Exit(1)
+	if err := withCPUProfile(*cpuProfile, func() error {
+		if *connect != "" || *replayPath != "" {
+			return runClient(*connect, *replayPath, *retries, *ioTimeout)
 		}
-		return
-	}
-	scfg := engine.ServerConfig{
-		IdleTimeout:     *idleTimeout,
-		ReadTimeout:     *readTimeout,
-		WriteTimeout:    *writeTimeout,
-		MalformedBudget: *malformedBudget,
-	}
-	if err := runDaemon(*listen, *unixPath, *httpAddr, *workers, *maxSessions, *drainTimeout, scfg); err != nil {
+		scfg := engine.ServerConfig{
+			IdleTimeout:     *idleTimeout,
+			ReadTimeout:     *readTimeout,
+			WriteTimeout:    *writeTimeout,
+			MalformedBudget: *malformedBudget,
+		}
+		return runDaemon(*listen, *unixPath, *httpAddr, *workers, *maxSessions, *drainTimeout, scfg)
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "buzzd:", err)
 		os.Exit(1)
 	}
+}
+
+// withCPUProfile runs work under a CPU profile written to path, or
+// plainly when path is empty; the profile is stopped and flushed before
+// it returns, whatever work returned.
+func withCPUProfile(path string, work func() error) error {
+	if path == "" {
+		return work()
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("-cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("-cpuprofile: %w", err)
+	}
+	runErr := work()
+	pprof.StopCPUProfile()
+	if err := f.Close(); err != nil && runErr == nil {
+		runErr = fmt.Errorf("-cpuprofile: %w", err)
+	}
+	return runErr
 }
 
 func runDaemon(listen, unixPath, httpAddr string, workers, maxSessions int, drainTimeout time.Duration, scfg engine.ServerConfig) error {

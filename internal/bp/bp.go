@@ -117,6 +117,10 @@ type Graph struct {
 	// taps of the correlation kernels: Re(conj(h)·s) = Re(h)·Re(s) +
 	// Im(h)·Im(s), two real multiplies instead of a complex one.
 	tapRe, tapIm []float64
+	// setTap[i] = {0, h_i} is tag i's term in a row's residual, indexed by
+	// its bit: the sparse residual build (subtractOnActiveRows) selects it
+	// without a branch, and subtracting the +0 of a clear bit is exact.
+	setTap [][2]complex128
 	// wPow[i] caches |h_i|²·w_i — the gain formula's constant term,
 	// updated as rows append so gainOf is pure arithmetic on loads.
 	wPow []float64
@@ -168,11 +172,13 @@ func (g *Graph) SetTaps(taps []complex128) {
 	g.tapPower = g.tapPower[:0]
 	g.tapRe = g.tapRe[:0]
 	g.tapIm = g.tapIm[:0]
+	g.setTap = g.setTap[:0]
 	for _, h := range taps {
 		re, im := real(h), imag(h)
 		g.tapPower = append(g.tapPower, re*re+im*im)
 		g.tapRe = append(g.tapRe, re)
 		g.tapIm = append(g.tapIm, im)
+		g.setTap = append(g.setTap, [2]complex128{0, h})
 	}
 	g.wPow = g.wPow[:0]
 	for i := range taps {
@@ -189,6 +195,7 @@ func (g *Graph) RetapTag(i int, h complex128) {
 	g.taps[i] = h
 	g.tapPower[i] = re*re + im*im
 	g.tapRe[i], g.tapIm[i] = re, im
+	g.setTap[i][1] = h
 	g.wPow[i] = g.tapPower[i] * float64(len(g.colRows[i]))
 }
 
@@ -207,6 +214,7 @@ func (g *Graph) ReserveTags(kCap int) {
 	g.tapPower = reserveCap(g.tapPower, kCap)
 	g.tapRe = reserveCap(g.tapRe, kCap)
 	g.tapIm = reserveCap(g.tapIm, kCap)
+	g.setTap = reserveCap(g.setTap, kCap)
 	g.wPow = reserveCap(g.wPow, kCap)
 }
 
@@ -249,6 +257,7 @@ func (g *Graph) AddTag(h complex128) {
 	g.tapPower = append(g.tapPower, re*re+im*im)
 	g.tapRe = append(g.tapRe, re)
 	g.tapIm = append(g.tapIm, im)
+	g.setTap = append(g.setTap, [2]complex128{0, h})
 	g.wPow = append(g.wPow, 0)
 	g.K = k + 1
 }
@@ -588,19 +597,29 @@ func (g *Graph) residualInto(dst dsp.Vec, y dsp.Vec, b bits.Vector) dsp.Vec {
 	return dst
 }
 
-// subtractOnActiveRows sets dst[row] = y[row] − Σ_{i ∈ row} mask[i] on
-// every active row, subtracting in ascending tag order — the sparse
-// shape's row-major residual build, where mask is a tap masked to the
-// set-bit colliders (subtracting a zero is exact, and the loop carries
-// no branch on the bits).
-func (g *Graph) subtractOnActiveRows(dst, y, mask []complex128) {
+// subtractOnActiveRows sets dst[row] = y[row] − Σ_{i ∈ row, b[i]} h_i
+// on every active row, subtracting in ascending tag order — the sparse
+// shape's row-major residual build. Each collider's term is setTap[i]
+// selected by its bit, so a clear bit subtracts an exact +0 and the loop
+// carries no branch on the bits.
+func (g *Graph) subtractOnActiveRows(dst, y []complex128, b bits.Vector) {
 	for _, row := range g.activeRows {
 		x := y[row]
 		for _, i := range g.rowCols[row] {
-			x -= mask[i]
+			x -= g.setTap[i][bitIndex(b[i])]
 		}
 		dst[row] = x
 	}
+}
+
+// bitIndex returns 1 for a set bit and 0 for a clear one; the compiler
+// turns the select into a flag move, not a branch.
+func bitIndex(b bool) int {
+	var x int
+	if b {
+		x = 1
+	}
+	return x
 }
 
 // descentState is the incremental working set of one bit-flipping search:

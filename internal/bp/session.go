@@ -64,7 +64,9 @@ type Session struct {
 	// rebuildPosition), and an entry left behind when its row froze is
 	// never read again (rows never reactivate). Residuals live in
 	// resBacking stripes, sums/gains/signs/dirty-lists in the flat blocks
-	// below.
+	// below, one stripe per position at the matched-filter stride kStride
+	// (see there), so a Grow within the reserved tag cap writes only the
+	// new tags' entries.
 	states         []descentState
 	resBacking     []complex128
 	sumBacking     []complex128
@@ -85,8 +87,10 @@ type Session struct {
 	// transfer that never takes the Gram path never pays for it. Retire
 	// and RetireTag subtract a folded row's pairs before the graph
 	// forgets them. Both are laid out at the reserved tag cap's stride
-	// kStride = max(K, reservedK), so a Grow within the cap re-lays
-	// nothing: the new tags' entries are already zero.
+	// kStride = max(K, reservedK), as are the per-position stripes
+	// (states, posBits, ambiguous), so a Grow within the cap re-lays
+	// nothing: the new tags' matched-filter entries are already zero.
+	// Only a Grow past the cap re-lays every stripe (relayStripes).
 	mf      []complex128
 	cooc    []int32
 	kStride int
@@ -136,15 +140,23 @@ type Session struct {
 	certH      []float64
 	certR      []float64
 	certOmega  float64
+	// certLambda[p] is position p's magnitude scale Λ at its last decode
+	// (see certify), which the acceptance gate's certificate reuses for
+	// its slack (gateCertified); staged only on slots with restarts.
+	certLambda []float64
 	// fullFan runs the restart fan at every position, certified or not;
 	// the certificate is still evaluated and reported (workspace's
 	// certified). Only tests set it: the reference side of the tests that
 	// check what a certified position's skipped fan would have done.
 	fullFan bool
+	// noGateCert makes ConditionalMarginAtLeast run the gate's re-descent
+	// on every call, certified or not. Only tests set it: the reference
+	// side of the test that checks the gate certificate's decisions.
+	noGateCert bool
 
-	// posBits[p·K+i] is tag i's bit at position p in the current joint
-	// decode — the init of the next slot's descent and the frame source
-	// for the outer loop's CRC checks.
+	// posBits[p·kStride+i] is tag i's bit at position p in the current
+	// joint decode — the init of the next slot's descent and the frame
+	// source for the outer loop's CRC checks.
 	posBits []bool
 	// ambiguous caches each position's post-decode restart-tie flags
 	// (active tags' entries only — a locked tag is never marked). Errors
@@ -229,10 +241,9 @@ type Session struct {
 
 // workspace is the scratch of a position decode: a descentState each
 // row-path restart is built into from the position's state, the
-// per-pass candidate block the ambiguity sweep revisits, the sparse
-// rebuild's masked taps and the Gram path's per-pass vectors. All
-// buffers are session-owned and reused across positions, slots and
-// transfers.
+// per-pass candidate block the ambiguity sweep revisits and the Gram
+// path's per-pass vectors. All buffers are session-owned and reused
+// across positions, slots and transfers.
 type workspace struct {
 	rst      descentState
 	src      prng.Source
@@ -244,7 +255,6 @@ type workspace struct {
 	gainBack []float64
 	signBack []float64
 	maskBack []complex128
-	setTap   []complex128
 	dirtBack []int
 	inDirt   []bool
 
@@ -280,7 +290,6 @@ func (w *workspace) shape(k, maxSlots, passes int) {
 	w.gainBack = grow(w.gainBack, k)
 	w.signBack = grow(w.signBack, k)
 	w.maskBack = grow(w.maskBack, k)
-	w.setTap = grow(w.setTap, k)
 	w.dirtBack = grow(w.dirtBack, k)
 	w.inDirt = grow(w.inDirt, k)
 	clear(w.inDirt)
@@ -584,12 +593,6 @@ func (s *Session) Begin(k, frameLen, maxSlots, restarts int, taps []complex128) 
 	s.ysBacking = grow(s.ysBacking, frameLen*maxSlots)
 	s.ys = grow(s.ys, frameLen)
 	s.resBacking = grow(s.resBacking, frameLen*maxSlots)
-	s.sumBacking = grow(s.sumBacking, frameLen*k)
-	s.gainBacking = grow(s.gainBacking, frameLen*k)
-	s.bSignBacking = grow(s.bSignBacking, frameLen*k)
-	s.dirtyBacking = grow(s.dirtyBacking, frameLen*k)
-	s.inDirtyBacking = grow(s.inDirtyBacking, frameLen*k)
-	clear(s.inDirtyBacking)
 	if cap(s.states) < frameLen {
 		next := make([]descentState, frameLen, scratch.CeilPow2(frameLen))
 		s.states = next
@@ -597,16 +600,11 @@ func (s *Session) Begin(k, frameLen, maxSlots, restarts int, taps []complex128) 
 	s.states = s.states[:frameLen]
 	for p := 0; p < frameLen; p++ {
 		s.ys[p] = s.ysBacking[p*maxSlots : p*maxSlots : (p+1)*maxSlots]
-		st := &s.states[p]
-		st.residual = s.resBacking[p*maxSlots : p*maxSlots : (p+1)*maxSlots]
-		st.sum = s.sumBacking[p*k : (p+1)*k]
-		st.gain = s.gainBacking[p*k : (p+1)*k]
-		st.bSign = s.bSignBacking[p*k : (p+1)*k]
-		st.allocDirty(s.dirtyBacking[p*k:(p+1)*k], s.inDirtyBacking[p*k:(p+1)*k])
+		s.states[p].residual = s.resBacking[p*maxSlots : p*maxSlots : (p+1)*maxSlots]
 	}
-	s.posBits = grow(s.posBits, frameLen*k)
-	s.ambiguous = grow(s.ambiguous, frameLen*k)
+	s.layStripes()
 	s.gramErr = grow(s.gramErr, frameLen)
+	s.certLambda = grow(s.certLambda, frameLen)
 	s.rowPower = grow(s.rowPower, maxSlots)[:0]
 	s.driftEnergy = grow(s.driftEnergy, maxSlots)[:0]
 	s.driftTotal, s.sigTotal = 0, 0
@@ -692,6 +690,7 @@ func (s *Session) Reserve(kCap, frameLen, maxSlots, restarts int) {
 	s.posBits = grow(s.posBits, frameLen*kCap)[:0]
 	s.ambiguous = grow(s.ambiguous, frameLen*kCap)[:0]
 	s.gramErr = grow(s.gramErr, frameLen)[:0]
+	s.certLambda = grow(s.certLambda, frameLen)[:0]
 	s.mf = grow(s.mf, frameLen*kCap)[:0]
 	s.cooc = grow(s.cooc, kCap*kCap)[:0]
 	if cap(s.states) < frameLen {
@@ -727,7 +726,7 @@ func (s *Session) InitPositions(est []bits.Vector) {
 			panic(fmt.Sprintf("bp: estimate %d has %d bits, frame has %d", i, len(e), s.frameLen))
 		}
 		for p := 0; p < s.frameLen; p++ {
-			s.posBits[p*s.k+i] = bool(e[p])
+			s.posBits[p*s.kStride+i] = bool(e[p])
 		}
 	}
 	s.stateValid = false
@@ -801,15 +800,48 @@ func (s *Session) RetapAll(taps []complex128) {
 	s.stateValid = false
 }
 
-// restripe resizes a per-position striped backing from stride oldK to
-// stride newK, preserving each position's first oldK entries; the new
-// tail entries of each stripe are garbage the caller initializes.
-func restripe[T any](buf []T, frameLen, oldK, newK int) []T {
-	need := frameLen * newK
+// layStripes lays the per-position tag stripes out at stride kStride
+// for the session's frameLen and K: the S-sum, gain, flip-sign and
+// dirty-list backings, posBits and ambiguous, with each position's state
+// slices bound to its stripe (length K, capacity kStride). Contents are
+// not preserved; Begin re-derives them, and relayStripes carries them
+// over itself.
+func (s *Session) layStripes() {
+	n := s.frameLen * s.kStride
+	s.sumBacking = grow(s.sumBacking, n)
+	s.gainBacking = grow(s.gainBacking, n)
+	s.bSignBacking = grow(s.bSignBacking, n)
+	s.dirtyBacking = grow(s.dirtyBacking, n)
+	s.inDirtyBacking = grow(s.inDirtyBacking, n)
+	clear(s.inDirtyBacking)
+	s.posBits = grow(s.posBits, n)
+	s.ambiguous = grow(s.ambiguous, n)
+	s.bindStripes()
+}
+
+// bindStripes binds every position's state slices to its stripe of the
+// backings at stride kStride, with length K.
+func (s *Session) bindStripes() {
+	stride, k := s.kStride, s.k
+	for p := range s.states {
+		lo, hi := p*stride, (p+1)*stride
+		st := &s.states[p]
+		st.sum = s.sumBacking[lo : lo+k : hi]
+		st.gain = s.gainBacking[lo : lo+k : hi]
+		st.bSign = s.bSignBacking[lo : lo+k : hi]
+		st.allocDirty(s.dirtyBacking[lo:hi], s.inDirtyBacking[lo:hi])
+	}
+}
+
+// restripe re-lays a per-position striped backing from stride oldS to
+// stride newS ≥ oldS, preserving each stripe's first keep entries; the
+// rest of each new stripe is garbage the caller initializes.
+func restripe[T any](buf []T, frameLen, oldS, newS, keep int) []T {
+	need := frameLen * newS
 	if cap(buf) < need {
 		next := make([]T, need, scratch.CeilPow2(need))
 		for p := 0; p < frameLen; p++ {
-			copy(next[p*newK:p*newK+oldK], buf[p*oldK:(p+1)*oldK])
+			copy(next[p*newS:p*newS+keep], buf[p*oldS:p*oldS+keep])
 		}
 		return next
 	}
@@ -817,9 +849,39 @@ func restripe[T any](buf []T, frameLen, oldK, newK int) []T {
 	// In place: destination stripes sit at or above their sources, so a
 	// top-down walk never clobbers an uncopied source (copy is memmove).
 	for p := frameLen - 1; p >= 0; p-- {
-		copy(buf[p*newK:p*newK+oldK], buf[p*oldK:(p+1)*oldK])
+		copy(buf[p*newS:p*newS+keep], buf[p*oldS:p*oldS+keep])
 	}
 	return buf
+}
+
+// relayStripes moves every per-position stripe and the matched-filter
+// state from stride kStride to the wider newS, keeping the first K
+// entries of each: a Grow past the reserved tag cap. The new tags'
+// matched-filter entries are zero; their stripe entries are Grow's to
+// set.
+func (s *Session) relayStripes(newS int) {
+	old, k, fl := s.kStride, s.k, s.frameLen
+	s.sumBacking = restripe(s.sumBacking, fl, old, newS, k)
+	s.gainBacking = restripe(s.gainBacking, fl, old, newS, k)
+	s.bSignBacking = restripe(s.bSignBacking, fl, old, newS, k)
+	s.posBits = restripe(s.posBits, fl, old, newS, k)
+	// Ambiguity flags and dirty lists carry nothing across slots: every
+	// decode rewrites the active tags' flags, and the dirty marks are
+	// clear between flips.
+	s.ambiguous = grow(s.ambiguous, fl*newS)
+	s.dirtyBacking = grow(s.dirtyBacking, fl*newS)
+	s.inDirtyBacking = grow(s.inDirtyBacking, fl*newS)
+	clear(s.inDirtyBacking)
+	cooc := make([]int32, newS*newS, scratch.CeilPow2(newS*newS))
+	for a := 0; a < k; a++ {
+		copy(cooc[a*newS:a*newS+k], s.cooc[a*old:a*old+k])
+	}
+	mf := make([]complex128, fl*newS, scratch.CeilPow2(fl*newS))
+	for p := 0; p < fl; p++ {
+		copy(mf[p*newS:p*newS+k], s.mf[p*old:p*old+k])
+	}
+	s.cooc, s.mf, s.kStride = cooc, mf, newS
+	s.bindStripes()
 }
 
 // Grow admits tags into a mid-transfer session — the dynamic-population
@@ -827,13 +889,13 @@ func restripe[T any](buf []T, frameLen, oldK, newK int) []T {
 // restarting it. Each new tag gets the given decoder tap and initial
 // per-position bit estimates (est[j][p] = new tag j's starting bit at
 // position p). The graph gains empty active columns (the tag was silent
-// in every absorbed row), every per-position stripe is re-laid for the
-// larger K, and all cached residuals, S-sums, gains and locks of the
-// existing tags survive: the next DecodeSlot continues their descent
-// exactly where it left off. The matched-filter state is re-laid only
-// when K outgrows its stride (Reserve's tag cap); within it the new
-// tags' entries are already zero. Growth is a rare event (an arrival
-// burst), so this path may allocate.
+// in every absorbed row), and all cached residuals, S-sums, gains and
+// locks of the existing tags survive: the next DecodeSlot continues
+// their descent exactly where it left off. Within the stride kStride
+// (Reserve's tag cap) Grow writes only the new tags' entries and
+// allocates nothing; past it, every per-position stripe and the
+// matched-filter state are re-laid at the new K (relayStripes), which
+// may allocate.
 func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 	n := len(taps)
 	if n == 0 {
@@ -852,26 +914,9 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 	for _, h := range taps {
 		s.g.AddTag(h)
 	}
-
-	s.sumBacking = restripe(s.sumBacking, s.frameLen, oldK, k2)
-	s.gainBacking = restripe(s.gainBacking, s.frameLen, oldK, k2)
-	s.bSignBacking = restripe(s.bSignBacking, s.frameLen, oldK, k2)
-	s.posBits = restripe(s.posBits, s.frameLen, oldK, k2)
-	if old := s.kStride; k2 > old {
-		cooc := make([]int32, k2*k2, scratch.CeilPow2(k2*k2))
-		for a := 0; a < oldK; a++ {
-			copy(cooc[a*k2:a*k2+oldK], s.cooc[a*old:a*old+oldK])
-		}
-		mf := make([]complex128, s.frameLen*k2, scratch.CeilPow2(s.frameLen*k2))
-		for p := 0; p < s.frameLen; p++ {
-			copy(mf[p*k2:p*k2+oldK], s.mf[p*old:p*old+oldK])
-		}
-		s.cooc, s.mf, s.kStride = cooc, mf, k2
+	if k2 > s.kStride {
+		s.relayStripes(k2)
 	}
-	s.ambiguous = grow(s.ambiguous, s.frameLen*k2)
-	s.dirtyBacking = grow(s.dirtyBacking, s.frameLen*k2)
-	s.inDirtyBacking = grow(s.inDirtyBacking, s.frameLen*k2)
-	clear(s.inDirtyBacking)
 	growTagFloats := func(buf []float64) []float64 {
 		if cap(buf) < k2 {
 			next := make([]float64, k2, scratch.CeilPow2(k2))
@@ -897,16 +942,17 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 	}
 	s.k = k2
 
+	stride := s.kStride
 	for p := 0; p < s.frameLen; p++ {
 		st := &s.states[p]
-		st.sum = s.sumBacking[p*k2 : (p+1)*k2]
-		st.gain = s.gainBacking[p*k2 : (p+1)*k2]
-		st.bSign = s.bSignBacking[p*k2 : (p+1)*k2]
-		st.allocDirty(s.dirtyBacking[p*k2:(p+1)*k2], s.inDirtyBacking[p*k2:(p+1)*k2])
+		st.sum = st.sum[:k2]
+		st.gain = st.gain[:k2]
+		st.bSign = st.bSign[:k2]
+		pb := s.posBits[p*stride : p*stride+k2]
 		for j := range est {
 			i := oldK + j
 			bit := bool(est[j][p])
-			s.posBits[p*k2+i] = bit
+			pb[i] = bit
 			st.sum[i] = 0
 			if bit {
 				st.bSign[i] = -1
@@ -1225,7 +1271,9 @@ func (s *Session) Ys() [][]complex128 { return s.ys }
 
 // PosBits returns position p's current joint decode (one bit per tag),
 // aliasing the session's state: valid until the next DecodeSlot.
-func (s *Session) PosBits(p int) []bool { return s.posBits[p*s.k : (p+1)*s.k] }
+func (s *Session) PosBits(p int) []bool {
+	return s.posBits[p*s.kStride : p*s.kStride+s.k]
+}
 
 // PosError returns ‖y − D·H·b‖² over the live rows at position p's
 // current decode: the active rows' energy the row path scores passes
@@ -1244,7 +1292,7 @@ func (s *Session) PosError(p int) float64 {
 	st := &s.states[p]
 	if !s.stateValid {
 		st = &s.cond.rst
-		s.rebuildPosition(p, st, &s.cond, b, s.curLocked)
+		s.rebuildPosition(p, st, b, s.curLocked)
 	}
 	e := st.normSqActive(g)
 	for row := g.retired; row < g.L; row++ {
@@ -1612,7 +1660,7 @@ func (s *Session) finishSlot(minMargin []float64, anyAmbiguous []bool) {
 	active := s.g.activeTags
 	for p := 0; p < s.frameLen; p++ {
 		grow := s.states[p].gain
-		arow := s.ambiguous[p*s.k : (p+1)*s.k]
+		arow := s.ambiguous[p*s.kStride : p*s.kStride+s.k]
 		for _, i := range active {
 			if grow[i] > minMargin[i] {
 				minMargin[i] = grow[i]
@@ -1664,7 +1712,7 @@ func (s *Session) decodePosition(p int) {
 	g := &s.g
 	ws := &s.ws
 	st := &s.states[p]
-	myBits := bits.Vector(s.posBits[p*s.k : (p+1)*s.k])
+	myBits := bits.Vector(s.PosBits(p))
 	locked := s.curLocked
 
 	var cFlips uint64
@@ -1681,7 +1729,7 @@ func (s *Session) decodePosition(p int) {
 		ws.gramInstall(s, st)
 	} else {
 		if !s.stateValid {
-			s.rebuildPosition(p, st, ws, myBits, locked)
+			s.rebuildPosition(p, st, myBits, locked)
 		}
 		// O(colliders) per pending row: absorb what AppendSlot added. A
 		// row born with every collider already locked is frozen on
@@ -1728,6 +1776,7 @@ func (s *Session) decodePosition(p int) {
 				gain[x], sign[x] = st.gain[i], st.bSign[i]
 			}
 		}
+		s.certLambda[p] = lambda
 		ws.certified = s.certify(gain, sign, lambda)
 		if !ws.certified || s.fullFan {
 			passes += s.restarts
@@ -1782,7 +1831,7 @@ func (s *Session) decodePosition(p int) {
 	// is exactly the fresh-margin formula's input, and DecodeSlot's
 	// merge reads the gains directly. Locked tags' −∞ gains surface as
 	// +∞ margins; the outer loop never gates on a locked tag's margin.
-	arow := s.ambiguous[p*s.k : (p+1)*s.k]
+	arow := s.ambiguous[p*s.kStride : p*s.kStride+s.k]
 	for _, i := range active {
 		arow[i] = false
 	}
@@ -1847,7 +1896,7 @@ func (s *Session) restartsGram(p int, ws *workspace, allBits []bool, passErr []f
 // colliders in ascending tag order, so the floats do not depend on the
 // shape. With few active rows the build sweeps just those rows,
 // O(active nnz), whatever the number of joined tags.
-func (s *Session) rebuildPosition(p int, st *descentState, ws *workspace, b bits.Vector, locked []bool) {
+func (s *Session) rebuildPosition(p int, st *descentState, b bits.Vector, locked []bool) {
 	g := &s.g
 	y := s.ys[p][:g.L]
 	st.residual = st.residual[:g.L]
@@ -1857,18 +1906,8 @@ func (s *Session) rebuildPosition(p int, st *descentState, ws *workspace, b bits
 		// row sweep would.
 		g.residualInto(st.residual, y, b)
 	} else {
-		// Few active rows (most tags locked): sweep just those rows, the
-		// residual with setTap[i] = h_i where b[i] is set, 0 elsewhere.
-		setTap := ws.setTap
-		for _, row := range g.activeRows {
-			for _, i := range g.rowCols[row] {
-				setTap[i] = 0
-				if b[i] {
-					setTap[i] = g.taps[i]
-				}
-			}
-		}
-		g.subtractOnActiveRows(st.residual, y, setTap)
+		// Few active rows (most tags locked): sweep just those rows.
+		g.subtractOnActiveRows(st.residual, y, b)
 	}
 	st.rederive(g, b, locked)
 }
@@ -1914,6 +1953,59 @@ func (s *Session) ConditionalMargin(p, i int, locked []bool) float64 {
 	return s.conditionalMarginRows(p, i, locked) / den
 }
 
+// ConditionalMarginAtLeast reports whether ConditionalMargin(p, i,
+// locked) is at least thr — exactly !(ConditionalMargin(p, i, locked) <
+// thr), the acceptance gate's per-position test — and skips the
+// re-descent where a certificate proves the answer (gateCertified). A
+// failed certificate falls back to ConditionalMargin, so every decision
+// is bitwise the plain gate's. The same call window applies.
+func (s *Session) ConditionalMarginAtLeast(p, i int, locked []bool, thr float64) bool {
+	if !s.noGateCert && s.gateCertified(p, i, thr) {
+		return true
+	}
+	return !(s.ConditionalMargin(p, i, locked) < thr)
+}
+
+// gateCertified reports whether position p's conditional margin for tag
+// i provably clears thr, from the position's installed gains and the
+// slot's staged couplings alone (certify's tables): no copy, flip or
+// descent. Any bit pattern the gate's re-descent can end on differs
+// from the position's bits b* on a set T of active tags holding i, so
+// with m_x = −gain_x and A_x = Σ_y |k_xy| (see certify)
+//
+//	ΔE(T) ≥ Σ_{x∈T} (m_x − ½·A_x) ≥ m_i − ½·A_i + Σ_{x≠i} min(0, m_x − ½·A_x),
+//
+// and the margin is ΔE/(|h_i|²·w_i). The certificate holds when that
+// bound is at least thr·|h_i|²·w_i + δ, δ = certSlack·(Λ + |thr·|h_i|²·w_i|)
+// with the position's Λ from its decode (certLambda): the sum's terms
+// add at most a few Λ of magnitude, well inside certify's rounding
+// budget. It needs the slot's certificate tables, staged only on slots
+// with restarts; without them, for a tag without rows or a zero tap,
+// and on a NaN or infinity anywhere, it does not hold.
+func (s *Session) gateCertified(p, i int, thr float64) bool {
+	g := &s.g
+	w := g.Degree(i)
+	den := g.tapPower[i] * float64(w)
+	if s.restarts == 0 || w == 0 || den == 0 {
+		return false
+	}
+	act := g.activeTags
+	xi, ok := slices.BinarySearch(act, i)
+	if !ok {
+		return false
+	}
+	gain := s.states[p].gain
+	A := s.certA[:len(act)]
+	bound := -gain[i] - 0.5*A[xi]
+	for x, j := range act {
+		if x != xi {
+			bound += min(0, -gain[j]-0.5*A[x])
+		}
+	}
+	th := thr * den
+	return bound >= th+certSlack*(s.certLambda[p]+math.Abs(th)) && !math.IsInf(bound, 0)
+}
+
 // conditionalMarginRows is ConditionalMargin's error difference on the
 // row path, from position p's current residual. Both errors are taken
 // over the active rows: the frozen rows add the same energy to each, so
@@ -1926,7 +2018,7 @@ func (s *Session) conditionalMarginRows(p, i int, locked []bool) float64 {
 	st.residual = st.residual[:len(s.states[p].residual)]
 	st.copyActiveFrom(g, &s.states[p])
 	bhat := bits.Vector(s.cond.allBits[:s.k])
-	copy(bhat, s.posBits[p*s.k:(p+1)*s.k])
+	copy(bhat, s.PosBits(p))
 	pin := s.cond.pin
 	if locked != nil {
 		copy(pin, locked)

@@ -81,7 +81,7 @@ func (tw *fanTwin) decode(t *testing.T, s *Session, slot int, locked []bool, bas
 		}
 		pb := ref.PosBits(p)
 		for _, i := range ref.g.activeTags {
-			if ref.ambiguous[p*k+i] {
+			if ref.ambiguous[p*ref.kStride+i] {
 				t.Fatalf("slot %d position %d: certified, but the full fan marked tag %d", slot, p, i)
 			}
 			if covered(ref, i) && pb[i] != ws.allBits[i] {
@@ -94,7 +94,9 @@ func (tw *fanTwin) decode(t *testing.T, s *Session, slot int, locked []bool, bas
 	}
 	if !s.gramOn {
 		if !sameRowState(s, ref) {
-			copy(ref.posBits, s.posBits)
+			for p := 0; p < s.frameLen; p++ {
+				copy(ref.PosBits(p), s.PosBits(p))
+			}
 			ref.stateValid = false
 		}
 		return

@@ -53,7 +53,7 @@ func newTestState(k, l int) *descentState {
 // this writes.
 func rebuildRowState(s *Session, p int) {
 	if !s.stateValid {
-		s.rebuildPosition(p, &s.states[p], &s.cond, s.PosBits(p), s.curLocked)
+		s.rebuildPosition(p, &s.states[p], s.PosBits(p), s.curLocked)
 	}
 }
 
@@ -247,6 +247,11 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, observe
 	bitSrc := prng.NewSource(seed ^ 0xB175)
 	b := make(bits.Vector, k)
 	check := func() {
+		// First: the Gram-vs-row check below rebuilds row state over the
+		// gains a Gram slot installed, which the certificate reads.
+		if checkGateCertificate(t, s, locked, &gateTally{}); t.Failed() {
+			t.FailNow()
+		}
 		if s.gramOn {
 			// Ahead of PosError, which materializes every residual: the
 			// Gram side must read the positions this slot left stale.
@@ -345,7 +350,9 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, observe
 // matched-filter outputs and co-occurrence Gram must match a recount
 // over the live rows (checkMatchedFilter), and on a Gram slot the
 // acceptance gate's Gram and row paths must agree on every unlocked
-// tag's conditional margin and bits (checkGateGramMatchesRows), and
+// tag's conditional margin and bits (checkGateGramMatchesRows), the
+// certified acceptance gate must decide as the plain re-descent does
+// (checkGateCertificate), and
 // each pass's recorded error must equal gramError of its final bits
 // (checked on the twin replay, which runs DecodeSlot's schedule through
 // decodeSlotChecked); the twin replay decodes beside a full-fan twin,

@@ -222,7 +222,7 @@ func TestSessionConditionalMarginGramLeavesState(t *testing.T) {
 		}
 		afterGram = true
 		s.TakeDecodeCost()
-		bitsWas := append([]bool(nil), s.posBits[:s.frameLen*s.k]...)
+		bitsWas := append([]bool(nil), s.posBits[:s.frameLen*s.kStride]...)
 		gainWas := make([][]float64, s.frameLen)
 		for p := range gainWas {
 			gainWas[p] = append([]float64(nil), s.states[p].gain...)
@@ -344,9 +344,11 @@ func TestSessionObserversNeverChangeDecode(t *testing.T) {
 					t.Fatalf("trial %d slot %d tag %d: observed twin (%v, %v), unobserved (%v, %v)", trial, slot, i, margins[0][i], amb[0][i], margins[1][i], amb[1][i])
 				}
 			}
-			for x, b := range obsv.posBits[:frameLen*k] {
-				if b != twin.posBits[x] {
-					t.Fatalf("trial %d slot %d: position %d tag %d bit differs between the twins", trial, slot, x/k, x%k)
+			for p := 0; p < frameLen; p++ {
+				for i, b := range obsv.PosBits(p) {
+					if b != twin.PosBits(p)[i] {
+						t.Fatalf("trial %d slot %d: position %d tag %d bit differs between the twins", trial, slot, p, i)
+					}
 				}
 			}
 			if a, b := obsv.TakeDecodeCost(), twin.TakeDecodeCost(); a != b {

@@ -315,7 +315,7 @@ func TestSessionGramPassZeroMatchesRowPassZero(t *testing.T) {
 				copy(rb, s.PosBits(p))
 				copy(gb, rb)
 				rst := newTestState(k, g.L)
-				s.rebuildPosition(p, rst, ws, rb, locked)
+				s.rebuildPosition(p, rst, rb, locked)
 				rf := rst.descend(g, rb, locked, s.eps)
 				ws.gramInput(s, p, gb)
 				gf := ws.gramDescend(s, gb, 64*(g.K+1)*(g.L+1), nil)

@@ -142,8 +142,9 @@ func (b *BlockFading) ModelAt(slot int) *Model {
 	}
 	b.curBlock = blk
 	var src prng.Source
+	sb := prng.Mix2(b.seed, uint64(blk))
 	for i := range b.m.Taps {
-		src.Reseed(prng.Mix3(b.seed, uint64(blk), uint64(i)))
+		src.Reseed(prng.Mix3From(sb, uint64(i)))
 		snrDB := b.loDB + src.Float64()*(b.hiDB-b.loDB)
 		b.m.Taps[i] = tapForSNR(snrDB, b.m.NoisePower, &src)
 	}
@@ -233,8 +234,9 @@ func (g *GaussMarkov) CoherenceSlotsTag(tag int) int {
 func (g *GaussMarkov) ModelAt(slot int) *Model {
 	var src prng.Source
 	for t := g.curSlot + 1; t <= slot-1; t++ {
+		st := prng.Mix2(g.seed, uint64(t))
 		for i, h := range g.m.Taps {
-			src.Reseed(prng.Mix3(g.seed, uint64(t), uint64(i)))
+			src.Reseed(prng.Mix3From(st, uint64(i)))
 			g.m.Taps[i] = complex(g.rho[i], 0)*h + src.ComplexNorm()*complex(g.innov[i], 0)
 		}
 	}

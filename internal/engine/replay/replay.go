@@ -18,6 +18,7 @@
 package replay
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -262,6 +263,19 @@ func (st *trialState) checkDecisions(dec *wire.Decisions, sid uint64, slot int) 
 	return nil
 }
 
+// bufferedConn reads a connection through a bufio.Reader, so a reply
+// frame costs one read of the connection instead of two. It lives for
+// one trial on one connection: every exchange is one request and one
+// fully read reply, so no bytes are left buffered when it is dropped.
+type bufferedConn struct {
+	*bufio.Reader
+	io.Writer
+}
+
+func newBufferedConn(rw io.ReadWriter) bufferedConn {
+	return bufferedConn{bufio.NewReader(rw), rw}
+}
+
 // exchange writes one frame and reads its reply.
 func exchange(rw io.ReadWriter, f wire.Frame) (wire.Frame, error) {
 	if err := wire.WriteFrame(rw, f); err != nil {
@@ -385,7 +399,7 @@ func RunTrial(rw io.ReadWriter, spec scenario.Spec, trial int) (*TrialResult, er
 	if err != nil {
 		return nil, err
 	}
-	if err := st.run(rw); err != nil {
+	if err := st.run(newBufferedConn(rw)); err != nil {
 		return nil, err
 	}
 	return st.result(), nil
@@ -523,7 +537,7 @@ func (c *Client) RunTrial(spec scenario.Spec, trial int) (*TrialResult, error) {
 			}
 			c.conn = nc
 		}
-		err := st.run(ioConn{nc: c.conn, to: c.IOTimeout})
+		err := st.run(newBufferedConn(ioConn{nc: c.conn, to: c.IOTimeout}))
 		if err == nil {
 			return st.result(), nil
 		}

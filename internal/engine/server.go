@@ -263,6 +263,10 @@ type serverConn struct {
 type connSession struct {
 	ls   *LiveSession
 	done *sync.Once
+	// dims are the session's Open dimensions with its joined tag count
+	// (initial tags plus every admitted arrival), against which
+	// handleSlot bounds a Slot's arrivals.
+	dims tableDims
 }
 
 // writeLoop drains the outbox to the socket. On a write error it closes
@@ -361,29 +365,56 @@ func errorCode(err error) uint8 {
 // tag cap (per-position tag state), tag cap² (the co-occurrence Gram)
 // and (1 + Restarts) × tag cap (the restart pass blocks). handleOpen
 // refuses an Open whose product exceeds 2²⁴ cells before anything is
-// allocated, which keeps each table at or under 256 MiB. The largest example
-// spec, warehouse.json (558-tag cap, 2,400 slots, 48-bit frames), needs
-// at most 311,364 (its Gram).
+// allocated, which keeps each table at or under 256 MiB; handleSlot
+// refuses a Slot whose arrivals would take the tag count there. The
+// largest example spec, warehouse.json (558-tag cap, 2,400 slots,
+// 48-bit frames), needs at most 311,364 (its Gram).
 const maxOpenCells = 1 << 24
 
-// openTooLarge describes the first of o's table sizes (see
-// maxOpenCells) that exceeds the bound, or returns "" when none does.
-// Every factor is below 2³², so no product overflows a uint64.
-func openTooLarge(o *wire.Open) string {
-	frameLen := uint64(o.MessageBits) + uint64(bits.CRCKind(o.CRC).Width())
-	tags := max(uint64(o.RosterCap), uint64(len(o.Seeds)))
+// tableDims are the dimensions a session's decoder tables are sized
+// by: frame length, slot budget, restarts, roster cap and the number of
+// tags joined so far. The tag cap is the larger of the roster cap and
+// the joined count.
+type tableDims struct {
+	frameLen, maxSlots, restarts, rosterCap, joined uint64
+}
+
+func openDims(o *wire.Open) tableDims {
+	return tableDims{
+		frameLen:  uint64(o.MessageBits) + uint64(bits.CRCKind(o.CRC).Width()),
+		maxSlots:  uint64(o.MaxSlots),
+		restarts:  uint64(o.Restarts),
+		rosterCap: uint64(o.RosterCap),
+		joined:    uint64(len(o.Seeds)),
+	}
+}
+
+// tooLarge describes the first of d's table sizes (see maxOpenCells)
+// that exceeds the bound, or returns "" when none does. Every factor is
+// below 2³², so no product overflows a uint64.
+func (d tableDims) tooLarge() string {
+	tags := max(d.rosterCap, d.joined)
 	for _, t := range []struct {
 		name  string
 		cells uint64
 	}{
-		{"frame length × max slots", frameLen * uint64(o.MaxSlots)},
-		{"frame length × tag cap", frameLen * tags},
+		{"frame length × max slots", d.frameLen * d.maxSlots},
+		{"frame length × tag cap", d.frameLen * tags},
 		{"tag cap²", tags * tags},
-		{"passes × tag cap", (1 + uint64(o.Restarts)) * tags},
+		{"passes × tag cap", (1 + d.restarts) * tags},
 	} {
 		if t.cells > maxOpenCells {
-			return fmt.Sprintf("open too large: %s is %d cells, limit %d", t.name, t.cells, maxOpenCells)
+			return fmt.Sprintf("%s is %d cells, limit %d", t.name, t.cells, maxOpenCells)
 		}
+	}
+	return ""
+}
+
+// openTooLarge describes the first of o's table sizes that exceeds
+// maxOpenCells, or returns "" when none does.
+func openTooLarge(o *wire.Open) string {
+	if msg := openDims(o).tooLarge(); msg != "" {
+		return "open too large: " + msg
 	}
 	return ""
 }
@@ -429,7 +460,7 @@ func (c *serverConn) handleOpen(o *wire.Open) bool {
 		c.sessWG.Done()
 		return c.reply(&wire.Error{Code: errorCode(err), Msg: err.Error()})
 	}
-	c.sessions[ls.ID] = &connSession{ls: ls, done: done}
+	c.sessions[ls.ID] = &connSession{ls: ls, done: done, dims: openDims(o)}
 	return c.reply(&wire.Opened{SessionID: ls.ID, FrameLen: uint32(ls.FrameLen())})
 }
 
@@ -437,6 +468,15 @@ func (c *serverConn) handleSlot(f *wire.Slot) bool {
 	cs, ok := c.sessions[f.SessionID]
 	if !ok {
 		return c.reply(&wire.Error{SessionID: f.SessionID, Code: wire.CodeUnknownSession, Msg: "unknown session"})
+	}
+	// A Slot's arrivals grow the session's tag count, and with it the
+	// tables Open bounded: refuse a slot that would take them past
+	// maxOpenCells before anything is converted or grown. The session
+	// stays open and has not seen the slot.
+	dims := cs.dims
+	dims.joined += uint64(len(f.Arrivals))
+	if msg := dims.tooLarge(); msg != "" {
+		return c.reply(&wire.Error{SessionID: f.SessionID, Code: wire.CodeTooLarge, Msg: "slot too large: " + msg})
 	}
 	var ev ratedapt.SlotEvents
 	if len(f.Arrivals) > 0 {
@@ -459,6 +499,7 @@ func (c *serverConn) handleSlot(f *wire.Slot) bool {
 		cs.ls.Close()
 		return c.reply(&wire.Error{SessionID: f.SessionID, Code: errorCode(err), Msg: err.Error()})
 	}
+	cs.dims = dims
 	return true
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -374,6 +375,85 @@ func TestOversizedOpenRejectedOverWire(t *testing.T) {
 		s := m.Snapshot()
 		return s.SessionsOpened - s.SessionsClosed
 	}, 0)
+}
+
+// TestOversizedSlotRejectedOverWire sends a Slot of 100,000 arrivals
+// to a session opened with RosterCap 1: its tag count would take the
+// session's Gram past maxOpenCells, so the daemon must refuse the slot
+// with a TooLarge Error before converting or growing anything — the
+// exchange allocates little more than the frame itself — and keep
+// serving: the session takes a normal slot with one arrival next, and
+// a sibling session on another connection decodes and closes cleanly.
+func TestOversizedSlotRejectedOverWire(t *testing.T) {
+	leaktest.Check(t)
+	m, _, addr := startWireServer(t, engine.Config{Workers: 2}, engine.ServerConfig{})
+	conns := make([]net.Conn, 2)
+	for x := range conns {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetDeadline(time.Now().Add(30 * time.Second))
+		conns[x] = c
+	}
+	sid, frameLen := openSession(t, conns[0], 21)
+	sibling, _ := openSession(t, conns[1], 22)
+	exchange := func(conn net.Conn, f wire.Frame) wire.Frame {
+		t.Helper()
+		if err := wire.WriteFrame(conn, f); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	huge := &wire.Slot{SessionID: sid, Arrivals: make([]wire.Arrival, 100_000), Obs: make([]complex128, frameLen)}
+	for i := range huge.Arrivals {
+		huge.Arrivals[i] = wire.Arrival{Seed: uint64(1000 + i), Tap: 1}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep := exchange(conns[0], huge)
+	runtime.ReadMemStats(&after)
+	if e, ok := rep.(*wire.Error); !ok || e.Code != wire.CodeTooLarge || e.SessionID != sid || !strings.Contains(e.Msg, "tag cap²") {
+		t.Fatalf("oversized slot reply %+v, want a TooLarge Error for session %d naming the tag cap²", rep, sid)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
+		t.Fatalf("the refused slot's exchange allocated %d MiB, want at most 32", grew>>20)
+	}
+	huge = nil
+
+	rep = exchange(conns[0], &wire.Slot{SessionID: sid, Arrivals: []wire.Arrival{{Seed: 23, Tap: 1}}, Obs: make([]complex128, frameLen)})
+	if d, ok := rep.(*wire.Decisions); !ok || d.Slot != 1 {
+		t.Fatalf("next slot reply %+v, want Decisions for slot 1", rep)
+	}
+	rep = exchange(conns[1], &wire.Slot{SessionID: sibling, Obs: make([]complex128, frameLen)})
+	if _, ok := rep.(*wire.Decisions); !ok {
+		t.Fatalf("sibling slot reply %+v, want Decisions", rep)
+	}
+	for x, id := range []uint64{sid, sibling} {
+		if rep := exchange(conns[x], &wire.Close{SessionID: id}); !isClosed(rep) {
+			t.Fatalf("close reply %+v, want Closed", rep)
+		}
+	}
+	if s := m.Snapshot(); s.PanicsRecovered != 0 || s.SessionsShed != 0 {
+		t.Fatalf("%d panics recovered, %d sessions shed; want none", s.PanicsRecovered, s.SessionsShed)
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+	waitCounter(t, func() int64 { return m.Snapshot().ResourcesInFlight }, 0)
+}
+
+// isClosed reports whether f is a Closed frame.
+func isClosed(f wire.Frame) bool {
+	_, ok := f.(*wire.Closed)
+	return ok
 }
 
 func TestPanicIsolationOverWire(t *testing.T) {

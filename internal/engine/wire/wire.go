@@ -167,7 +167,10 @@ type StatsReply struct {
 // Error codes classify an Error frame so clients can decide a retry
 // policy without parsing message strings: Busy and Draining are
 // retry-later, Malformed burns the sender's error budget, Panic and
-// Shed mean the named session is dead but the connection survives.
+// Shed mean the named session is dead but the connection survives, and
+// TooLarge refuses a Slot whose arrivals would grow the named session's
+// tables past the daemon's per-session bound (the session stays open
+// and has not seen the slot).
 const (
 	CodeGeneric        uint8 = 0
 	CodeBusy           uint8 = 1
@@ -177,6 +180,7 @@ const (
 	CodeShed           uint8 = 5
 	CodeUnknownSession uint8 = 6
 	CodeProtocol       uint8 = 7
+	CodeTooLarge       uint8 = 8
 )
 
 // Error reports a failed request or a dead session (SessionID 0 =
@@ -644,14 +648,10 @@ var ErrMalformed = errors.New("wire: malformed frame")
 // io.ErrUnexpectedEOF. A frame that reads fully but fails to decode is
 // reported wrapped in ErrMalformed (framing preserved, see above).
 func ReadFrame(r io.Reader) (Frame, error) {
+	// One read for the whole header: io.ReadFull reports io.EOF only
+	// when no byte arrived, and io.ErrUnexpectedEOF for a short header.
 	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])

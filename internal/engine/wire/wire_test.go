@@ -203,6 +203,43 @@ func TestReadFrameTruncatedMidFrame(t *testing.T) {
 	}
 }
 
+// countingReader counts the Read calls that reach the wrapped reader.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReadFrameHeaderInOneRead pins ReadFrame's header read: a frame
+// costs two reads of its source (the five-byte header, then the
+// payload), a stream that ends before the first byte is a clean io.EOF,
+// and one that ends inside the header is io.ErrUnexpectedEOF.
+func TestReadFrameHeaderInOneRead(t *testing.T) {
+	full, err := Append(nil, &Close{SessionID: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := &countingReader{r: bytes.NewReader(full)}
+	if f, err := ReadFrame(cr); err != nil || f.(*Close).SessionID != 7 {
+		t.Fatalf("ReadFrame: %#v, %v", f, err)
+	}
+	if cr.reads != 2 {
+		t.Fatalf("ReadFrame issued %d reads for one frame, want 2", cr.reads)
+	}
+	if _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
+		t.Fatalf("empty stream: %v, want io.EOF", err)
+	}
+	for cut := 1; cut < 5; cut++ {
+		if _, err := ReadFrame(bytes.NewReader(full[:cut])); err != io.ErrUnexpectedEOF {
+			t.Fatalf("header cut after %d bytes: %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+}
+
 func TestBitVectorPacking(t *testing.T) {
 	// Exercise every length mod 8 including the empty vector.
 	for n := 0; n <= 17; n++ {

@@ -51,7 +51,13 @@ func Mix2(a, b uint64) uint64 {
 
 // Mix3 hashes a triple of 64-bit values into one.
 func Mix3(a, b, c uint64) uint64 {
-	return Mix64(Mix2(a, b) ^ (c*0xd6e8feb86659fd93 + 0x8febc6a3fca77bb9))
+	return Mix3From(Mix2(a, b), c)
+}
+
+// Mix3From finishes Mix3(a, b, c) from ab = Mix2(a, b): a loop over c
+// at a fixed (a, b) hashes the pair once, with bit-identical results.
+func Mix3From(ab, c uint64) uint64 {
+	return Mix64(ab ^ (c*0xd6e8feb86659fd93 + 0x8febc6a3fca77bb9))
 }
 
 // Uniform01 maps a 64-bit hash to a float64 uniform in [0, 1).

@@ -392,3 +392,19 @@ func TestGoldenVectors(t *testing.T) {
 		t.Fatal("mixers not deterministic")
 	}
 }
+
+// TestMix3FromFinishesMix3 pins Mix3From(Mix2(a, b), c) to Mix3's
+// defining formula, Mix64(Mix2(a, b) ^ (c·C + D)), written out here, over
+// a spread of inputs.
+func TestMix3FromFinishesMix3(t *testing.T) {
+	for a := uint64(0); a < 40; a++ {
+		b, c := Mix64(a), a*0x9e3779b97f4a7c15
+		want := Mix64(Mix2(a, b) ^ (c*0xd6e8feb86659fd93 + 0x8febc6a3fca77bb9))
+		if got := Mix3From(Mix2(a, b), c); got != want {
+			t.Fatalf("Mix3From(Mix2(%d, %d), %d) = %#x, want %#x", a, b, c, got, want)
+		}
+		if got := Mix3(a, b, c); got != want {
+			t.Fatalf("Mix3(%d, %d, %d) = %#x, want %#x", a, b, c, got, want)
+		}
+	}
+}

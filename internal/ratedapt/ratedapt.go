@@ -329,7 +329,10 @@ func (gp *gatePolicy) thrFor(sess *bp.Session, i int) (thr, condThr float64) {
 // forced opposite and the rest re-optimized, reusing the session's
 // cached residual and error per position. Single-flip margins cannot
 // see constellation near-coincidences where several tags' bits swap
-// together; this can (see bp.Session.ConditionalMargin).
+// together; this can (see bp.Session.ConditionalMargin). A position
+// whose installed gains already prove the margin clears the threshold
+// skips the re-descent (bp.Session.ConditionalMarginAtLeast), with the
+// same decision.
 func (cfg *Config) acceptSlot(sess *bp.Session, slot, k, frameLen int, gs *gateState,
 	minMargin []float64, ambiguous []bool, gp gatePolicy, onAccept func(i int)) int {
 
@@ -349,7 +352,7 @@ func (cfg *Config) acceptSlot(sess *bp.Session, slot, k, frameLen int, gs *gateS
 	}
 	condOK := func(i int, condThr float64) bool {
 		for p := 0; p < frameLen; p++ {
-			if sess.ConditionalMargin(p, i, gs.locked[:k]) < condThr {
+			if !sess.ConditionalMarginAtLeast(p, i, gs.locked[:k], condThr) {
 				return false
 			}
 		}
