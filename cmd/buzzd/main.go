@@ -8,16 +8,19 @@
 // Usage:
 //
 //	buzzd [-listen :4117] [-unix /run/buzzd.sock] [-http :8117]
-//	      [-workers N] [-max-sessions N] [-drain-timeout 30s]
+//	      [-max-sessions N] [-drain-timeout 30s]
 //	      [-idle-timeout 0] [-read-timeout 0] [-write-timeout 0]
 //	      [-malformed-budget 3] [-cpuprofile buzzd.prof]
 //
 // The daemon serves the binary protocol on TCP (-listen) and/or a unix
 // socket (-unix), and introspection over HTTP (-http): GET /statsz for
 // the live counters as JSON, GET /healthz for liveness (503 while
-// draining), and /debug/vars (expvar). On SIGINT/SIGTERM it stops
-// accepting, lets live sessions finish for up to -drain-timeout, then
-// force-closes what remains; a clean drain exits 0.
+// draining), and /debug/vars (expvar). Each connection's sessions
+// decode on that connection's reader goroutine, one slot at a time:
+// separate connections decode in parallel, sessions sharing one
+// connection in turn. On SIGINT/SIGTERM it stops accepting, lets live
+// sessions finish for up to -drain-timeout, then force-closes what
+// remains; a clean drain exits 0.
 //
 // The failure-model knobs: -idle-timeout drops a connection that starts
 // no frame in time, -read-timeout one that stalls mid-frame,
@@ -68,7 +71,6 @@ func main() {
 	listen := flag.String("listen", ":4117", "TCP address for the wire protocol (empty disables)")
 	unixPath := flag.String("unix", "", "unix socket path for the wire protocol (empty disables)")
 	httpAddr := flag.String("http", "", "HTTP introspection address: /statsz, /healthz, /debug/vars (empty disables)")
-	workers := flag.Int("workers", 0, "decode shard workers (0 = GOMAXPROCS)")
 	maxSessions := flag.Int("max-sessions", 0, "cap on concurrently live sessions (0 = unlimited; excess Opens get Busy)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for live sessions before force-closing")
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop a connection that starts no frame within this (0 = no bound)")
@@ -93,7 +95,7 @@ func main() {
 			WriteTimeout:    *writeTimeout,
 			MalformedBudget: *malformedBudget,
 		}
-		return runDaemon(*listen, *unixPath, *httpAddr, *workers, *maxSessions, *drainTimeout, scfg)
+		return runDaemon(*listen, *unixPath, *httpAddr, *maxSessions, *drainTimeout, scfg)
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "buzzd:", err)
 		os.Exit(1)
@@ -123,11 +125,11 @@ func withCPUProfile(path string, work func() error) error {
 	return runErr
 }
 
-func runDaemon(listen, unixPath, httpAddr string, workers, maxSessions int, drainTimeout time.Duration, scfg engine.ServerConfig) error {
+func runDaemon(listen, unixPath, httpAddr string, maxSessions int, drainTimeout time.Duration, scfg engine.ServerConfig) error {
 	if listen == "" && unixPath == "" {
 		return fmt.Errorf("nothing to serve: both -listen and -unix are empty")
 	}
-	m := engine.New(engine.Config{Workers: workers, MaxSessions: maxSessions})
+	m := engine.New(engine.Config{MaxSessions: maxSessions})
 	srv := engine.NewServer(m, scfg)
 
 	var draining bool

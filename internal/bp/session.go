@@ -26,7 +26,7 @@ import (
 // (slot, position) pair derives its own PRNG stream via prng.Mix3 from
 // a base drawn once per transfer. A session starts no goroutine; callers
 // with many cores run many sessions (a batch's trials, a daemon's
-// shards), one per core.
+// connections), one per goroutine.
 //
 // Sessions are reusable: Begin re-shapes the state for a new transfer
 // while keeping every buffer's capacity, so a warm Session (see

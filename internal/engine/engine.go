@@ -8,15 +8,16 @@
 // loopback daemon against the batch engine and require byte-identical
 // decisions.
 //
-// Architecture (the ndndpdk-svc shape): a fixed worker-per-core shard
-// pool owns all streaming decode work. A live session is pinned to one
-// shard — its slots are processed in arrival order with no further
-// locking — and owns pooled resources (a bp.Session recycled via
-// Session.Reset, a scratch arena) for its whole life. Backpressure is
-// per session: a bounded in-flight token bucket makes Feed block the
-// caller (ultimately the reader's TCP connection) when the session's
-// shard falls behind, and a sink that reports its outbox full marks the
-// session shed — the slow-reader policy — rather than let one stalled
+// Architecture: a live session decodes on its caller's goroutine — in
+// buzzd, the reader goroutine of the connection that opened it — one
+// slot per Feed, in arrival order, and owns pooled resources (a
+// bp.Session recycled via Session.Reset, a scratch arena) for its whole
+// life. The manager starts no goroutine for streaming work: separate
+// connections decode in parallel, sessions multiplexed on one
+// connection one after another. Feed returns once its slot is decoded,
+// so a slow decode stalls the caller's reads (and TCP pushes back on
+// the peer); a sink that reports its outbox full marks the session
+// shed — the slow-reader policy — rather than let one stalled
 // connection grow unbounded queues.
 package engine
 
@@ -36,14 +37,9 @@ import (
 
 // Config parameterizes a SessionManager.
 type Config struct {
-	// Workers is the shard count for streaming sessions and the trial
-	// fan-out width for batch runs; 0 = GOMAXPROCS.
+	// Workers is the trial fan-out width for batch runs (RunBatch); 0 =
+	// GOMAXPROCS. Streaming sessions decode on their callers' goroutines.
 	Workers int
-	// InboxSlots bounds each live session's in-flight slot count; Feed
-	// blocks past it. 0 = 4.
-	InboxSlots int
-	// ShardQueue bounds each shard's pending-job queue. 0 = 128.
-	ShardQueue int
 	// MaxSessions caps concurrently live streaming sessions; 0 = no cap.
 	MaxSessions int
 }
@@ -53,20 +49,6 @@ func (c Config) workers() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (c Config) inboxSlots() int {
-	if c.InboxSlots > 0 {
-		return c.InboxSlots
-	}
-	return 4
-}
-
-func (c Config) shardQueue() int {
-	if c.ShardQueue > 0 {
-		return c.ShardQueue
-	}
-	return 128
 }
 
 // Resources is one worker's pooled decode state: the scratch arena and
@@ -79,8 +61,8 @@ type Resources struct {
 }
 
 // Stats is the manager's live counter block. All fields are atomics:
-// shard workers bump them on the hot path, the introspection endpoint
-// snapshots them without coordination. The per-reason failure counters
+// decoding goroutines bump them on the hot path, the introspection
+// endpoint snapshots them without coordination. The per-reason failure counters
 // (shed, deadline, malformed, panic, busy-rejected) exist so failures
 // are observable from counters, not logs: every way a session or
 // connection can die moves exactly one of them.
@@ -146,7 +128,7 @@ type StatsSnapshot struct {
 }
 
 // SessionManager owns decode sessions: the pooled Resources behind
-// them, the shard workers that execute them, and the live counters. One
+// them, admission of streaming sessions, and the live counters. One
 // manager serves both the batch API (RunBatch) and the streaming API
 // (Open/Feed/Close); a process normally has one.
 type SessionManager struct {
@@ -155,18 +137,14 @@ type SessionManager struct {
 	stats Stats
 	start time.Time
 
-	mu        sync.Mutex
-	shards    []*shard
-	nextShard int
-	draining  bool
-	closed    bool
-	live      sync.WaitGroup
-	nLive     int
-	nextID    atomic.Uint64
+	mu       sync.Mutex
+	draining bool
+	live     sync.WaitGroup
+	nLive    int
+	nextID   atomic.Uint64
 }
 
-// New builds a SessionManager. Shard workers start lazily on the first
-// streaming Open; a batch-only manager never spawns them.
+// New builds a SessionManager.
 func New(cfg Config) *SessionManager {
 	return &SessionManager{cfg: cfg, start: time.Now()}
 }
@@ -268,102 +246,6 @@ func (m *SessionManager) RunBatch(trials int, body func(trial int, res *Resource
 	return nil
 }
 
-// shard is one streaming worker: a FIFO of session-pinned jobs.
-type shard struct {
-	jobs chan shardJob
-}
-
-// shardJob is one unit of shard work: either a bookkeeping closure
-// (Close's teardown, in FIFO position) or one streaming session's
-// Feed'd slot.
-type shardJob struct {
-	run func()
-	l   *LiveSession
-	ev  ratedapt.SlotEvents
-	obs []complex128
-}
-
-func (m *SessionManager) shardsLocked() []*shard {
-	if m.shards == nil {
-		n := m.cfg.workers()
-		m.shards = make([]*shard, n)
-		for i := range m.shards {
-			sh := &shard{jobs: make(chan shardJob, m.cfg.shardQueue())}
-			m.shards[i] = sh
-			go m.shardLoop(sh)
-		}
-	}
-	return m.shards
-}
-
-// shardLoop drains a shard's queue in FIFO order, one job at a time.
-func (m *SessionManager) shardLoop(sh *shard) {
-	for job := range sh.jobs {
-		if job.run != nil {
-			m.runShardFunc(job.run)
-			continue
-		}
-		m.runSlotJob(job)
-	}
-}
-
-// runShardFunc executes a bookkeeping job under the backstop recover:
-// session work isolates its own panics; this keeps the shard worker —
-// and every other session pinned to it — alive if bookkeeping outside
-// that isolation ever blows up.
-func (m *SessionManager) runShardFunc(job func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			m.stats.PanicsRecovered.Add(1)
-		}
-	}()
-	job()
-}
-
-// runSlotJob advances one session through one slot — stream advance,
-// append, decode, acceptance gates — and emits its event. The whole
-// slot runs under the session's panic isolation: a blow-up kills its
-// session (wire Error, counters, resources quarantined at Close) and
-// nothing else. The slot's inbox token returns however the job ends.
-func (m *SessionManager) runSlotJob(j shardJob) {
-	l := j.l
-	defer func() { <-l.tokens }()
-	defer func() {
-		if r := recover(); r != nil {
-			l.poisoned = true
-			m.stats.PanicsRecovered.Add(1)
-			l.fail(fmt.Errorf("%w: %v", ErrDecodePanic, r))
-		}
-	}()
-	if l.dead || l.shed.Load() {
-		return
-	}
-	if hook, _ := testHookDecodePanic.Load().(func(uint64, int)); hook != nil {
-		hook(l.ID, l.st.Slot()+1)
-	}
-	if _, err := l.st.Advance(j.ev); err != nil {
-		l.fail(err)
-		return
-	}
-	step, err := l.st.Ingest(j.obs)
-	if err != nil {
-		l.fail(err)
-		return
-	}
-	m.stats.SlotsIngested.Add(1)
-	m.stats.RowsRetired.Add(int64(step.RowsRetired))
-	m.stats.PayloadsAccepted.Add(int64(step.NewlyAccepted))
-	m.addDecodeCost(l.st.TakeDecodeCost())
-	out := Event{Kind: EventDecisions, SessionID: l.ID, Step: step}
-	if n := len(l.st.Accepted()); n > 0 {
-		out.Accepted = make([]AcceptedFrame, 0, n)
-		for _, tag := range l.st.Accepted() {
-			out.Accepted = append(out.Accepted, AcceptedFrame{Tag: tag, Frame: l.st.Frame(tag).Clone()})
-		}
-	}
-	l.emit(out)
-}
-
 // addDecodeCost folds one drained bp.DecodeCost block into the live
 // counters.
 func (m *SessionManager) addDecodeCost(c bp.DecodeCost) {
@@ -408,8 +290,9 @@ type SessionSummary struct {
 }
 
 // Event is what a streaming session emits to its sink, in slot order.
-// Sinks run on the session's shard worker: they must not block — return
-// false instead ("outbox full"), which sheds the session.
+// Sinks run inside Feed and Close, on the caller's goroutine: they must
+// not block — return false instead ("outbox full"), which sheds the
+// session.
 type Event struct {
 	Kind      EventKind
 	SessionID uint64
@@ -419,24 +302,22 @@ type Event struct {
 	Err       error
 }
 
-// LiveSession is one streaming decode session: a ratedapt.Stream pinned
-// to a shard, fed one slot at a time. Feed and Close may be called from
-// any single goroutine (the owning connection's reader); all decode
-// work happens on the shard.
+// LiveSession is one streaming decode session: a ratedapt.Stream fed
+// one slot at a time. Feed and Close may be called from any single
+// goroutine (the owning connection's reader), and all decode work
+// happens on it.
 type LiveSession struct {
 	ID uint64
 
-	m      *SessionManager
-	sh     *shard
-	st     *ratedapt.Stream
-	res    *Resources
-	tokens chan struct{}
-	sink   func(Event) bool
+	m    *SessionManager
+	st   *ratedapt.Stream
+	res  *Resources
+	sink func(Event) bool
 
-	shed      atomic.Bool
-	dead      bool // shard-worker-local: stop decoding after an error
-	poisoned  bool // shard-worker-local: died by panic; resources suspect
-	closeOnce sync.Once
+	shed     bool
+	dead     bool // stop decoding after an error
+	poisoned bool // died by panic; resources suspect
+	closed   bool
 }
 
 // ErrShed reports a session killed by the slow-reader policy.
@@ -456,13 +337,13 @@ var ErrDraining = fmt.Errorf("engine: manager is draining; no new sessions")
 var ErrDecodePanic = fmt.Errorf("engine: decode panicked")
 
 // testHookDecodePanic, when set (tests only), runs at the top of every
-// slot's decode job and may panic to exercise the isolation path.
+// slot's decode and may panic to exercise the isolation path.
 var testHookDecodePanic atomic.Value // of func(sessionID uint64, slot int)
 
 // Open starts a streaming session on pooled resources. cfg's Scratch
 // and Session fields are owned by the manager and must be nil. Events
-// arrive at sink from the session's shard worker, in slot order; sink
-// must be non-blocking and return false when it cannot accept (which
+// arrive at sink from Feed and Close, in slot order; sink must be
+// non-blocking and return false when it cannot accept (which
 // sheds the session). The returned session must be Closed, even after
 // errors.
 func (m *SessionManager) Open(cfg ratedapt.StreamConfig, sink func(Event) bool) (*LiveSession, error) {
@@ -470,7 +351,7 @@ func (m *SessionManager) Open(cfg ratedapt.StreamConfig, sink func(Event) bool) 
 		return nil, fmt.Errorf("engine: Open owns Scratch/Session; leave them nil")
 	}
 	m.mu.Lock()
-	if m.closed || m.draining {
+	if m.draining {
 		m.mu.Unlock()
 		return nil, ErrDraining
 	}
@@ -479,9 +360,6 @@ func (m *SessionManager) Open(cfg ratedapt.StreamConfig, sink func(Event) bool) 
 		m.stats.BusyRejected.Add(1)
 		return nil, fmt.Errorf("%w (cap %d)", ErrBusy, m.cfg.MaxSessions)
 	}
-	shards := m.shardsLocked()
-	sh := shards[m.nextShard%len(shards)]
-	m.nextShard++
 	m.nLive++
 	m.live.Add(1)
 	m.mu.Unlock()
@@ -500,92 +378,133 @@ func (m *SessionManager) Open(cfg ratedapt.StreamConfig, sink func(Event) bool) 
 	m.stats.SessionsOpened.Add(1)
 	m.stats.ActiveSessions.Add(1)
 	return &LiveSession{
-		ID:     m.nextID.Add(1),
-		m:      m,
-		sh:     sh,
-		st:     st,
-		res:    res,
-		tokens: make(chan struct{}, m.cfg.inboxSlots()),
-		sink:   sink,
+		ID:   m.nextID.Add(1),
+		m:    m,
+		st:   st,
+		res:  res,
+		sink: sink,
 	}, nil
 }
 
 // FrameLen returns the session's frame length (payload + CRC bits).
 func (l *LiveSession) FrameLen() int { return l.st.FrameLen() }
 
-// Feed submits one slot — population/channel events plus the received
-// observations — to the session's shard. It blocks when the session's
-// bounded inbox is full (per-session backpressure; the caller's read
-// loop stalls, and TCP pushes back on the reader). The slot's outcome
-// arrives at the sink as an EventDecisions. Feed transfers ownership of
-// ev's slices and obs to the engine; the caller must not reuse them.
+// Feed decodes one slot — population/channel events plus the received
+// observations — on the caller's goroutine: stream advance, append,
+// decode, acceptance gates, then the slot's EventDecisions to the sink.
+// The whole slot runs under the session's panic isolation: a blow-up
+// kills its session (wire Error, counters, resources quarantined at
+// Close) and nothing else. Feed returns ErrShed once the slow-reader
+// policy has shed the session; a slot that fails otherwise is reported
+// to the sink as an EventError. Feed transfers ownership of ev's slices
+// and obs to the engine; the caller must not reuse them.
 func (l *LiveSession) Feed(ev ratedapt.SlotEvents, obs []complex128) error {
-	if l.shed.Load() {
+	if l.shed {
 		return ErrShed
 	}
-	l.tokens <- struct{}{}
-	l.sh.jobs <- shardJob{l: l, ev: ev, obs: obs}
+	if l.dead {
+		return nil
+	}
+	m := l.m
+	defer func() {
+		if r := recover(); r != nil {
+			l.poisoned = true
+			m.stats.PanicsRecovered.Add(1)
+			l.fail(fmt.Errorf("%w: %v", ErrDecodePanic, r))
+		}
+	}()
+	if hook, _ := testHookDecodePanic.Load().(func(uint64, int)); hook != nil {
+		hook(l.ID, l.st.Slot()+1)
+	}
+	if _, err := l.st.Advance(ev); err != nil {
+		l.fail(err)
+		return nil
+	}
+	step, err := l.st.Ingest(obs)
+	if err != nil {
+		l.fail(err)
+		return nil
+	}
+	m.stats.SlotsIngested.Add(1)
+	m.stats.RowsRetired.Add(int64(step.RowsRetired))
+	m.stats.PayloadsAccepted.Add(int64(step.NewlyAccepted))
+	m.addDecodeCost(l.st.TakeDecodeCost())
+	out := Event{Kind: EventDecisions, SessionID: l.ID, Step: step}
+	if n := len(l.st.Accepted()); n > 0 {
+		out.Accepted = make([]AcceptedFrame, 0, n)
+		for _, tag := range l.st.Accepted() {
+			out.Accepted = append(out.Accepted, AcceptedFrame{Tag: tag, Frame: l.st.Frame(tag).Clone()})
+		}
+	}
+	l.emit(out)
 	return nil
 }
 
-// fail and emit run on the shard worker only.
 func (l *LiveSession) fail(err error) {
 	l.dead = true
 	l.emit(Event{Kind: EventError, SessionID: l.ID, Err: err})
 }
 
 func (l *LiveSession) emit(ev Event) {
-	if l.shed.Load() {
+	if l.shed {
 		return
 	}
 	if !l.sink(ev) {
-		l.shed.Store(true)
+		l.shed = true
 		l.m.stats.SessionsShed.Add(1)
 	}
 }
 
-// Close retires the session: remaining queued slots are processed (or
-// skipped if the session died), the final EventClosed is emitted, and
-// the resources return to the pool — unless the session was poisoned by
-// a panic, in which case they are discarded instead of recycled.
-// Idempotent; the caller must not Feed after Close.
+// Close retires the session on the caller's goroutine: the final
+// EventClosed reaches the sink before Close returns, and the resources
+// return to the pool — unless the session was poisoned by a panic, in
+// which case they are discarded instead of recycled. Idempotent; the
+// caller must not Feed after Close. A panic in the teardown is counted
+// and recovered, and the session's admission slot is released however
+// the teardown ends, so neither the caller nor Drain is stranded.
 func (l *LiveSession) Close() {
-	l.closeOnce.Do(func() {
-		l.sh.jobs <- shardJob{run: func() {
-			var summary SessionSummary
-			// Even the teardown reads are suspect after a panic: take
-			// the summary and close the stream under a recover, and
-			// treat a blow-up here as poisoning too.
-			clean := func() (ok bool) {
-				defer func() {
-					if r := recover(); r != nil {
-						l.m.stats.PanicsRecovered.Add(1)
-						ok = false
-					}
-				}()
-				summary = SessionSummary{
-					SlotsUsed:   l.st.Slot(),
-					Joined:      l.st.Joined(),
-					Accepted:    l.st.TotalAccepted(),
-					RowsRetired: l.st.RowsRetired(),
-				}
-				l.st.Close()
-				return true
-			}()
-			if l.poisoned || !clean {
-				l.m.dropResources()
-			} else {
-				l.m.putResources(l.res)
+	if l.closed {
+		return
+	}
+	l.closed = true
+	m := l.m
+	defer func() {
+		if r := recover(); r != nil {
+			m.stats.PanicsRecovered.Add(1)
+		}
+		m.mu.Lock()
+		m.nLive--
+		m.mu.Unlock()
+		m.live.Done()
+	}()
+	var summary SessionSummary
+	// Even the teardown reads are suspect after a panic: take the
+	// summary and close the stream under a recover, and treat a blow-up
+	// here as poisoning too.
+	clean := func() (ok bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				m.stats.PanicsRecovered.Add(1)
+				ok = false
 			}
-			l.m.stats.ActiveSessions.Add(-1)
-			l.m.stats.SessionsClosed.Add(1)
-			l.emit(Event{Kind: EventClosed, SessionID: l.ID, Summary: summary})
-			l.m.mu.Lock()
-			l.m.nLive--
-			l.m.mu.Unlock()
-			l.m.live.Done()
-		}}
-	})
+		}()
+		summary = SessionSummary{
+			SlotsUsed:   l.st.Slot(),
+			Joined:      l.st.Joined(),
+			Accepted:    l.st.TotalAccepted(),
+			RowsRetired: l.st.RowsRetired(),
+		}
+		l.st.Close()
+		return true
+	}()
+	if l.poisoned || !clean {
+		m.dropResources()
+	} else {
+		m.putResources(l.res)
+	}
+	m.stats.ActiveSessions.Add(-1)
+	m.stats.SessionsClosed.Add(1)
+	l.emit(Event{Kind: EventClosed, SessionID: l.ID, Summary: summary})
 }
 
 // Drain refuses new sessions and waits for the live ones to close —
@@ -608,19 +527,10 @@ func (m *SessionManager) Drain(ctx context.Context) error {
 	}
 }
 
-// Close shuts the shard workers down. Call after Drain; streaming APIs
-// must not be used afterwards (batch RunBatch stays usable — it owns
-// its own goroutines).
+// Close refuses every later Open. Call after Drain; batch RunBatch
+// stays usable — it owns its own goroutines.
 func (m *SessionManager) Close() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return
-	}
-	m.closed = true
 	m.draining = true
-	for _, sh := range m.shards {
-		close(sh.jobs)
-	}
-	m.shards = nil
+	m.mu.Unlock()
 }

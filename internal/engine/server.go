@@ -63,9 +63,10 @@ func (c ServerConfig) malformedBudget() int {
 
 // Server speaks the wire protocol on top of a SessionManager: one
 // reader goroutine per connection parses frames and drives the
-// manager's streaming API, one writer goroutine drains the bounded
-// reply outbox. A connection may multiplex any number of sessions,
-// keyed by the manager-assigned session ID returned in Opened.
+// manager's streaming API — each Slot decodes on it — and one writer
+// goroutine drains the bounded reply outbox. A connection may multiplex
+// any number of sessions, keyed by the manager-assigned session ID
+// returned in Opened; they decode one after another, in arrival order.
 type Server struct {
 	m   *SessionManager
 	cfg ServerConfig
@@ -201,12 +202,11 @@ func (s *Server) handle(nc net.Conn) {
 			break
 		}
 	}
-	// Retire every session still open; each final event fires its
-	// once-Done, so the wait below cannot hang.
+	// Retire every session still open; each Close has offered its
+	// Closed reply to the outbox by the time it returns.
 	for _, cs := range c.sessions {
 		cs.ls.Close()
 	}
-	c.sessWG.Wait()
 	close(c.outbox)
 	writerDone.Wait()
 	nc.Close()
@@ -230,9 +230,9 @@ func (r *frameReader) begin() {
 		r.nc.SetReadDeadline(time.Now().Add(r.idle))
 	case r.readTO > 0:
 		r.nc.SetReadDeadline(time.Now().Add(r.readTO))
-	default:
-		r.nc.SetReadDeadline(time.Time{})
 	}
+	// With neither bound set no deadline is ever armed, so there is
+	// none to clear.
 }
 
 func (r *frameReader) Read(p []byte) (int, error) {
@@ -255,14 +255,11 @@ type serverConn struct {
 	nc       net.Conn
 	outbox   chan []byte
 	sessions map[uint64]*connSession
-	sessWG   sync.WaitGroup
 }
 
-// connSession pairs a live session with the once-guard that releases
-// the connection's teardown wait (fired by EventClosed or by shed).
+// connSession is one live session of a connection.
 type connSession struct {
-	ls   *LiveSession
-	done *sync.Once
+	ls *LiveSession
 	// dims are the session's Open dimensions with its joined tag count
 	// (initial tags plus every admitted arrival), against which
 	// handleSlot bounds a Slot's arrivals.
@@ -270,8 +267,8 @@ type connSession struct {
 }
 
 // writeLoop drains the outbox to the socket. On a write error it closes
-// the socket (unblocking the reader) and keeps draining so shard-side
-// sinks and the reader never block on a dead connection. Each write is
+// the socket (unblocking the reader) and keeps draining so the reader's
+// replies and sinks never block on a dead connection. Each write is
 // bounded by the configured write deadline: a peer that stops reading
 // long enough to stall a write is dropped, not waited on.
 func (c *serverConn) writeLoop() {
@@ -453,14 +450,11 @@ func (c *serverConn) handleOpen(o *wire.Open) bool {
 		}
 	}
 
-	done := &sync.Once{}
-	c.sessWG.Add(1)
-	ls, err := c.s.m.Open(cfg, c.sink(done))
+	ls, err := c.s.m.Open(cfg, c.sink)
 	if err != nil {
-		c.sessWG.Done()
 		return c.reply(&wire.Error{Code: errorCode(err), Msg: err.Error()})
 	}
-	c.sessions[ls.ID] = &connSession{ls: ls, done: done, dims: openDims(o)}
+	c.sessions[ls.ID] = &connSession{ls: ls, dims: openDims(o)}
 	return c.reply(&wire.Opened{SessionID: ls.ID, FrameLen: uint32(ls.FrameLen())})
 }
 
@@ -504,51 +498,43 @@ func (c *serverConn) handleSlot(f *wire.Slot) bool {
 }
 
 // sink adapts engine events to wire frames for this connection. It runs
-// on the session's shard worker: the outbox send is non-blocking, and
-// returning false sheds the session. done releases the connection's
-// teardown wait exactly once — on the final EventClosed, or immediately
-// when the session sheds (its EventClosed would be swallowed).
-func (c *serverConn) sink(done *sync.Once) func(Event) bool {
-	return func(ev Event) bool {
-		var fr wire.Frame
-		switch ev.Kind {
-		case EventDecisions:
-			d := &wire.Decisions{
-				SessionID:     ev.SessionID,
-				Slot:          uint32(ev.Step.Slot),
-				Colliders:     uint32(ev.Step.Colliders),
-				TotalAccepted: uint32(ev.Step.TotalAccepted),
-				RowsRetired:   uint32(ev.Step.RowsRetired),
-				Done:          ev.Step.Done,
-			}
-			for _, a := range ev.Accepted {
-				d.Accepted = append(d.Accepted, wire.Decision{Tag: uint32(a.Tag), Frame: a.Frame})
-			}
-			fr = d
-		case EventError:
-			fr = &wire.Error{SessionID: ev.SessionID, Code: errorCode(ev.Err), Msg: ev.Err.Error()}
-		case EventClosed:
-			fr = &wire.Closed{
-				SessionID:   ev.SessionID,
-				SlotsUsed:   uint32(ev.Summary.SlotsUsed),
-				Joined:      uint32(ev.Summary.Joined),
-				Accepted:    uint32(ev.Summary.Accepted),
-				RowsRetired: uint64(ev.Summary.RowsRetired),
-			}
-		default:
-			return true
+// inside the session's Feed and Close, on the reader goroutine: the
+// outbox send is non-blocking, and returning false sheds the session.
+func (c *serverConn) sink(ev Event) bool {
+	var fr wire.Frame
+	switch ev.Kind {
+	case EventDecisions:
+		d := &wire.Decisions{
+			SessionID:     ev.SessionID,
+			Slot:          uint32(ev.Step.Slot),
+			Colliders:     uint32(ev.Step.Colliders),
+			TotalAccepted: uint32(ev.Step.TotalAccepted),
+			RowsRetired:   uint32(ev.Step.RowsRetired),
+			Done:          ev.Step.Done,
 		}
-		ok := true
-		if b, err := wire.Append(nil, fr); err == nil {
-			select {
-			case c.outbox <- b:
-			default:
-				ok = false
-			}
+		for _, a := range ev.Accepted {
+			d.Accepted = append(d.Accepted, wire.Decision{Tag: uint32(a.Tag), Frame: a.Frame})
 		}
-		if ev.Kind == EventClosed || !ok {
-			done.Do(c.sessWG.Done)
+		fr = d
+	case EventError:
+		fr = &wire.Error{SessionID: ev.SessionID, Code: errorCode(ev.Err), Msg: ev.Err.Error()}
+	case EventClosed:
+		fr = &wire.Closed{
+			SessionID:   ev.SessionID,
+			SlotsUsed:   uint32(ev.Summary.SlotsUsed),
+			Joined:      uint32(ev.Summary.Joined),
+			Accepted:    uint32(ev.Summary.Accepted),
+			RowsRetired: uint64(ev.Summary.RowsRetired),
 		}
-		return ok
+	default:
+		return true
 	}
+	if b, err := wire.Append(nil, fr); err == nil {
+		select {
+		case c.outbox <- b:
+		default:
+			return false
+		}
+	}
+	return true
 }
