@@ -20,6 +20,17 @@ import (
 // first.
 type Vector []bool
 
+// Index returns 1 for a set bit and 0 for a clear one, for indexing a
+// two-entry table or counting set bits without a branch: the compiler
+// turns the select into a flag move.
+func Index(b bool) int {
+	var x int
+	if b {
+		x = 1
+	}
+	return x
+}
+
 // FromUint64 unpacks the low width bits of v, MSB first.
 func FromUint64(v uint64, width int) Vector {
 	out := make(Vector, width)

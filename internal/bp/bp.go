@@ -118,8 +118,9 @@ type Graph struct {
 	// Im(h)·Im(s), two real multiplies instead of a complex one.
 	tapRe, tapIm []float64
 	// setTap[i] = {0, h_i} is tag i's term in a row's residual, indexed by
-	// its bit: the sparse residual build (subtractOnActiveRows) selects it
-	// without a branch, and subtracting the +0 of a clear bit is exact.
+	// its bit: the sparse residual build (subtractOnActiveRows) and
+	// appendRow select it without a branch, and subtracting the +0 of a
+	// clear bit is exact.
 	setTap [][2]complex128
 	// wPow[i] caches |h_i|²·w_i — the gain formula's constant term,
 	// updated as rows append so gainOf is pure arithmetic on loads.
@@ -606,20 +607,10 @@ func (g *Graph) subtractOnActiveRows(dst, y []complex128, b bits.Vector) {
 	for _, row := range g.activeRows {
 		x := y[row]
 		for _, i := range g.rowCols[row] {
-			x -= g.setTap[i][bitIndex(b[i])]
+			x -= g.setTap[i][bits.Index(b[i])]
 		}
 		dst[row] = x
 	}
-}
-
-// bitIndex returns 1 for a set bit and 0 for a clear one; the compiler
-// turns the select into a flag move, not a branch.
-func bitIndex(b bool) int {
-	var x int
-	if b {
-		x = 1
-	}
-	return x
 }
 
 // descentState is the incremental working set of one bit-flipping search:
@@ -690,14 +681,8 @@ func (st *descentState) buildFrom(g *Graph, cur *descentState, curBits, b bits.V
 		// d = b[i] − curBits[i] ∈ {−1, 0, +1} from integer selects, so
 		// the random candidate bits cost no branch; d·h is exactly ±h_i
 		// or a zero.
-		var bi, ci int
-		if b[i] {
-			bi = 1
-		}
-		if curBits[i] {
-			ci = 1
-		}
-		d, h := float64(bi-ci), g.taps[i]
+		bi := bits.Index(b[i])
+		d, h := float64(bi-bits.Index(curBits[i])), g.taps[i]
 		st.maskTap[i] = complex(d*real(h), d*imag(h))
 		st.bSign[i] = float64(1 - 2*bi)
 		st.sum[i] = 0
@@ -763,11 +748,7 @@ func (st *descentState) copyActiveFrom(g *Graph, src *descentState) {
 // where it is maintained.
 func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool) {
 	for _, i := range g.activeTags {
-		if b[i] {
-			st.bSign[i] = -1
-		} else {
-			st.bSign[i] = 1
-		}
+		st.bSign[i] = float64(1 - 2*bits.Index(b[i]))
 		if locked != nil && locked[i] {
 			// A locked tag's sum is dead state: its gain is pinned at
 			// −∞ and nothing ever reads S_i again.
@@ -785,14 +766,13 @@ func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool) {
 
 // appendRow folds collision row `row` into the state in O(colliders):
 // the new residual entry, the touched S-sums and gains. obs is the new
-// symbol's observation. Rows must be appended in order.
+// symbol's observation. Rows must be appended in order. Each collider's
+// term is setTap[i] selected by its bit, as in subtractOnActiveRows: a
+// clear bit subtracts an exact +0.
 func (st *descentState) appendRow(g *Graph, row int, obs complex128, b bits.Vector, locked []bool) {
 	r := obs
-	tags := g.rowCols[row]
-	for _, i := range tags {
-		if b[i] {
-			r -= g.taps[i]
-		}
+	for _, i := range g.rowCols[row] {
+		r -= g.setTap[i][bits.Index(b[i])]
 	}
 	st.residual = append(st.residual, r)
 	for _, i := range g.rowActive[row] {

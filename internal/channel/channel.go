@@ -90,30 +90,6 @@ func (m *Model) Symbol(active []bool, noise *prng.Source) complex128 {
 	return y
 }
 
-// SymbolSparsePow is Symbol with the active set given as an index list
-// instead of a dense flag vector and the active tags' total tap power
-// supplied by the caller: with the sparse collisions Buzz engineers (a
-// handful of colliders out of K), the rateless air synthesizer builds
-// the index list and accumulates the power sum in one pass per bit
-// position, and the superposition here iterates only the transmitting
-// tags. The signal sum follows Symbol's summation order and one noise
-// variate is consumed either way, but the AGC noise power is folded as
-// a single product of the pre-summed tap powers — a different float
-// association than SlotNoisePower's per-tag accumulation, so the two
-// entry points are statistically equivalent, NOT byte-identical. Do
-// not swap one for the other under pinned goldens.
-func (m *Model) SymbolSparsePow(activeIdx []int, tapPowerSum float64, noise *prng.Source) complex128 {
-	var y complex128
-	for _, i := range activeIdx {
-		y += m.Taps[i]
-	}
-	np := m.NoisePower + m.AGCNoiseFraction*tapPowerSum
-	if np > 0 {
-		y += noise.ComplexNorm() * complex(math.Sqrt(np), 0)
-	}
-	return y
-}
-
 // Noiseless returns the deterministic part of a collision symbol. The
 // belief-propagation decoder's error function compares observations
 // against exactly these superpositions.

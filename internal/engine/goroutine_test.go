@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"path/filepath"
@@ -264,5 +265,72 @@ func TestSustainedOverloadOverWire(t *testing.T) {
 	waitCounter(t, func() int64 { return m.Snapshot().ResourcesInFlight }, 0)
 	if s := m.Snapshot(); s.ActiveSessions != 0 || s.SessionsShed != 1 {
 		t.Fatalf("after teardown: %d sessions active, %d shed; want 0 and 1", s.ActiveSessions, s.SessionsShed)
+	}
+}
+
+// TestPipelinedClientNotShed writes slots back to back from one
+// goroutine while another reads every reply as fast as it arrives, at
+// the default outbox. The daemon decodes faster than its writer
+// goroutine drains, so the outbox fills; a client that reads every
+// reply is not a slow reader, and its session must get a Decisions
+// reply for every slot, in order, without being shed.
+func TestPipelinedClientNotShed(t *testing.T) {
+	const slots = 10000
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			leaktest.Check(t)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			m, _, addr := startWireServer(t, engine.Config{}, engine.ServerConfig{})
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(60 * time.Second))
+			open := minOpen(53)
+			open.MaxSlots = slots
+			if err := wire.WriteFrame(conn, open); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := wire.ReadFrame(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opened, ok := rep.(*wire.Opened)
+			if !ok {
+				t.Fatalf("open reply %+v, want Opened", rep)
+			}
+
+			written := make(chan error, 1)
+			go func() {
+				slot := &wire.Slot{SessionID: opened.SessionID, Obs: make([]complex128, opened.FrameLen)}
+				for n := 0; n < slots; n++ {
+					if err := wire.WriteFrame(conn, slot); err != nil {
+						written <- fmt.Errorf("slot %d: %w", n+1, err)
+						return
+					}
+				}
+				written <- nil
+			}()
+			for n := 1; n <= slots; n++ {
+				rep, err := wire.ReadFrame(conn)
+				if err != nil {
+					t.Fatalf("reply %d: %v", n, err)
+				}
+				d, ok := rep.(*wire.Decisions)
+				if !ok {
+					t.Fatalf("reply %d is %+v, want Decisions (shed counter %d)", n, rep, m.Snapshot().SessionsShed)
+				}
+				if d.Slot != uint32(n) {
+					t.Fatalf("reply %d is for slot %d", n, d.Slot)
+				}
+			}
+			if err := <-written; err != nil {
+				t.Fatal(err)
+			}
+			if s := m.Snapshot(); s.SessionsShed != 0 || s.SlotsIngested != slots {
+				t.Fatalf("%d sessions shed, %d slots ingested; want 0 and %d", s.SessionsShed, s.SlotsIngested, slots)
+			}
+		})
 	}
 }

@@ -90,7 +90,6 @@ type trialState struct {
 	row       []bool
 	obs       []complex128
 	activeIdx []int
-	bitIdx    []int
 	tagPow    []float64
 	density   float64
 
@@ -180,7 +179,6 @@ func newTrialState(spec scenario.Spec, trial int) (*trialState, error) {
 		row:       make([]bool, kTot),
 		obs:       make([]complex128, frameLen),
 		activeIdx: make([]int, kTot),
-		bitIdx:    make([]int, kTot),
 		tagPow:    make([]float64, kTot),
 		density:   ratedapt.ParticipationDensity(0, k0),
 	}, nil
@@ -220,7 +218,7 @@ func (st *trialState) synthSlot(slot int) *wire.Slot {
 			st.tagPow[i] = real(h)*real(h) + imag(h)*imag(h)
 		}
 	}
-	ratedapt.SynthAir(m, st.frames, st.row[:n], st.obs, st.activeIdx, st.bitIdx, st.tagPow, st.tr.Noise)
+	ratedapt.SynthAir(m, st.frames, st.row[:n], st.obs, st.activeIdx, nil, st.tagPow, st.tr.Noise)
 	sf.Obs = append([]complex128(nil), st.obs...)
 	return sf
 }

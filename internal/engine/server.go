@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bits"
@@ -16,10 +17,12 @@ import (
 
 // ServerConfig parameterizes the wire-protocol front end.
 type ServerConfig struct {
-	// OutboxFrames bounds each connection's pending reply queue. Decode
-	// events that find it full shed their session (the slow-reader
-	// policy); direct replies block the connection's reader instead,
-	// which is self-backpressure. 0 = 256.
+	// OutboxFrames bounds each connection's pending reply queue. A
+	// decode event that finds it full while the connection's reply
+	// write stays stalled sheds its session (the slow-reader policy; see
+	// sink); otherwise it, like a direct reply, blocks the connection's
+	// reader until the writer drains, which is self-backpressure.
+	// 0 = 256.
 	OutboxFrames int
 	// IdleTimeout bounds the gap between frames: a connection that
 	// starts no new frame within it is dropped (counted as a deadline
@@ -255,6 +258,9 @@ type serverConn struct {
 	nc       net.Conn
 	outbox   chan []byte
 	sessions map[uint64]*connSession
+	// writing is set while the writer goroutine is inside a socket
+	// write: the only place it can block other than an empty outbox.
+	writing atomic.Bool
 }
 
 // connSession is one live session of a connection.
@@ -279,7 +285,10 @@ func (c *serverConn) writeLoop() {
 			if wto > 0 {
 				c.nc.SetWriteDeadline(time.Now().Add(wto))
 			}
-			if _, werr = c.nc.Write(b); werr != nil {
+			c.writing.Store(true)
+			_, werr = c.nc.Write(b)
+			c.writing.Store(false)
+			if werr != nil {
 				var ne net.Error
 				if errors.As(werr, &ne) && ne.Timeout() {
 					c.s.m.stats.DeadlineDrops.Add(1)
@@ -497,9 +506,21 @@ func (c *serverConn) handleSlot(f *wire.Slot) bool {
 	return true
 }
 
+// slowReaderGrace is how long a decode event waits on a full outbox
+// while the writer goroutine is inside a socket write before its
+// session is shed: a peer that reads its replies lets the write finish
+// well within it, even when it shares a CPU with the daemon.
+const slowReaderGrace = 100 * time.Millisecond
+
 // sink adapts engine events to wire frames for this connection. It runs
-// inside the session's Feed and Close, on the reader goroutine: the
-// outbox send is non-blocking, and returning false sheds the session.
+// inside the session's Feed and Close, on the reader goroutine;
+// returning false sheds the session. A full outbox means a slow reader
+// only while the writer goroutine is inside a socket write that does
+// not finish within slowReaderGrace: a peer that does not read. When
+// the writer is not writing, it is about to drain — its next blocking
+// step is a receive from the non-empty outbox — so the send waits for
+// it. A client that pipelines slots and reads every reply may outrun
+// the writer but is never shed for it.
 func (c *serverConn) sink(ev Event) bool {
 	var fr wire.Frame
 	switch ev.Kind {
@@ -532,7 +553,18 @@ func (c *serverConn) sink(ev Event) bool {
 	if b, err := wire.Append(nil, fr); err == nil {
 		select {
 		case c.outbox <- b:
+			return true
 		default:
+		}
+		if !c.writing.Load() {
+			c.outbox <- b
+			return true
+		}
+		grace := time.NewTimer(slowReaderGrace)
+		defer grace.Stop()
+		select {
+		case c.outbox <- b:
+		case <-grace.C:
 			return false
 		}
 	}

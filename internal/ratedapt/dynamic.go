@@ -211,7 +211,7 @@ func processAir(proc channel.Process, noise *prng.Source, sc *scratch.Scratch) f
 	return func(frames []bits.Vector) airFunc {
 		k := len(frames)
 		obs := sc.Complex(len(frames[0]))
-		activeIdx, bitIdx, tagPow := sc.Int(k), sc.Int(k), sc.Float(k)
+		activeIdx, tagPow := sc.Int(k), sc.Float(k)
 		powN := 0
 		return func(slot int, active []bool) []complex128 {
 			m := proc.ModelAt(slot)
@@ -221,7 +221,7 @@ func processAir(proc channel.Process, noise *prng.Source, sc *scratch.Scratch) f
 				}
 				powN = n
 			}
-			sparseAir(m, frames, active, obs, activeIdx, bitIdx, tagPow, noise)
+			sparseAir(m, frames, active, obs, activeIdx, tagPow, noise)
 			return obs
 		}
 	}

@@ -20,6 +20,7 @@ package ratedapt
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bits"
 	"repro/internal/bp"
@@ -584,10 +585,10 @@ func staticRoster(seeds []uint64, messages []bits.Vector) ([]RosterTag, error) {
 // replay client plays the tag/air side of a streaming session (the
 // daemon only ever sees observations, like a real reader) and must
 // synthesize collision slots byte-identically to the in-process air.
-// Same contract as sparseAir below.
+// Same contract as sparseAir; bitIdx is unused (nil is fine).
 func SynthAir(m *channel.Model, frames []bits.Vector, active []bool, obs []complex128,
 	activeIdx, bitIdx []int, tagPow []float64, noise *prng.Source) {
-	sparseAir(m, frames, active, obs, activeIdx, bitIdx, tagPow, noise)
+	sparseAir(m, frames, active, obs, activeIdx, tagPow, noise)
 }
 
 // ParticipationDensity exposes participationDensity for stream drivers:
@@ -598,34 +599,43 @@ func ParticipationDensity(explicit float64, n int) float64 {
 }
 
 // sparseAir synthesizes one collision slot of received symbols:
-// obs[p] = the superposition of the taps of this slot's transmitting
-// tags whose frame bit p is 1, plus one AWGN sample — the index-staged
-// symbol-level air (processAir). The active set is staged as an index
-// list once per slot, so each position's superposition walks only the
-// few colliders instead of all K tags. activeIdx and bitIdx are caller-owned staging of at least
-// len(active) entries; tagPow[i] must hold |m.Taps[i]|² for every tag
-// that can be active.
+// obs[p] = Σ_{i active} b_i[p]·h_i plus one AWGN sample whenever the
+// noise power N₀ + AGCNoiseFraction·Σ_{i active} b_i[p]·|h_i|² is
+// positive, with no branch on a random bit. A block of positions at a
+// time (the power sums live on the stack), each collider walks its
+// frame and adds b·h_i and b·|h_i|² to every position. A clear bit adds
+// a zero, which is exact: a sum started at +0 is never −0, so each
+// position gets the bits of a sum over its set-bit colliders alone, in
+// ascending tag order, down to the sign of a zero. activeIdx is
+// caller-owned staging of at least len(active) entries; tagPow[i] must
+// hold |m.Taps[i]|² for every tag that can be active.
 func sparseAir(m *channel.Model, frames []bits.Vector, active []bool, obs []complex128,
-	activeIdx, bitIdx []int, tagPow []float64, noise *prng.Source) {
+	activeIdx []int, tagPow []float64, noise *prng.Source) {
 
 	na := 0
 	for i, on := range active {
-		if on {
-			activeIdx[na] = i
-			na++
-		}
+		activeIdx[na] = i
+		na += bits.Index(on)
 	}
-	for p := range obs {
-		nb := 0
-		pow := 0.0
+	var powBlock [64]float64
+	for p0 := 0; p0 < len(obs); p0 += len(powBlock) {
+		ys := obs[p0:min(p0+len(powBlock), len(obs))]
+		pows := powBlock[:len(ys)]
+		clear(ys)
+		clear(pows)
 		for _, i := range activeIdx[:na] {
-			if frames[i][p] {
-				bitIdx[nb] = i
-				pow += tagPow[i]
-				nb++
+			h, pw := m.Taps[i], tagPow[i]
+			for p, b := range frames[i][p0 : p0+len(ys)] {
+				s := float64(bits.Index(b))
+				ys[p] += complex(s*real(h), s*imag(h))
+				pows[p] += s * pw
 			}
 		}
-		obs[p] = m.SymbolSparsePow(bitIdx[:nb], pow, noise)
+		for p, pw := range pows {
+			if np := m.NoisePower + m.AGCNoiseFraction*pw; np > 0 {
+				ys[p] += noise.ComplexNorm() * complex(math.Sqrt(np), 0)
+			}
+		}
 	}
 }
 
