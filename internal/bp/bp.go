@@ -75,10 +75,31 @@ type Graph struct {
 	rowActive   [][]int
 	deactivated []bool
 	// activeTags lists (ascending) the tags not deactivated — the
-	// unlocked set every per-pass kernel walks instead of all K, since a
-	// locked tag's bits, sums and gain never change again. DeactivateTag
-	// removes, AddTag appends (a new tag has the largest index).
+	// unlocked set, since a locked tag's bits, sums and gain never change
+	// again. DeactivateTag removes, AddTag appends (a new tag has the
+	// largest index). The per-position kernels walk the slot's decode set
+	// (decodeTags) instead; the whole list feeds gramRule's Ka, the Gram
+	// kernels, the restart bits (randomBitsInto), the adoption copy and
+	// the rebuild (rederive).
 	activeTags []int
+	// decodeTags lists (ascending) the slot's decode set, the active tags
+	// every per-position kernel and rank-indexed table walks, and
+	// rowlessTags the active tags without live rows. SnapshotActive takes
+	// the decode set as the active tags with live rows (decodeTags then
+	// backs onto decodeBuf); a Gram slot, whose kernels rank the whole
+	// active list, widens it to activeTags. A tag without live rows has
+	// an S-sum, matched-filter output, couplings and |h|²·w of exactly
+	// zero, so its gain is ±0: it never flips, never moves
+	// another tag's sum, never blocks a certificate and is never marked
+	// ambiguous. It still changes an output in three places, which walk
+	// activeTags: gramRule's Ka, the restart bits and the adoption copy
+	// (an adopted restart replaces its bits). Its per-position state stays
+	// by value what a rebuild gives it (a zero S-sum, a zero gain and the
+	// flip sign of its bit; see Session.clearRowState), so it joins the
+	// decode set with a current state when it gains a row.
+	decodeTags  []int
+	rowlessTags []int
+	decodeBuf   []int
 	// activeRows lists (ascending) the rows whose rowActive is still
 	// non-empty — the only rows a restart build or re-descent can ever
 	// touch, and the only rows the Session scores. Rows whose every
@@ -565,8 +586,10 @@ func (g *Graph) DeactivateTag(i int) {
 }
 
 // SnapshotActive packs the active adjacency into the flat CSR the
-// restart builder streams. The Session calls it once per slot, after
-// the graph grew and locks folded in; it is O(active nnz).
+// restart builder streams and splits the active tags into the decode
+// set and the rowless rest (decodeTags, rowlessTags). The Session calls
+// it once per slot, after the graph grew and locks folded in; it is
+// O(active nnz + active tags).
 func (g *Graph) SnapshotActive() {
 	g.flatStart = g.flatStart[:0]
 	g.flatTags = g.flatTags[:0]
@@ -575,6 +598,15 @@ func (g *Graph) SnapshotActive() {
 		g.flatTags = append(g.flatTags, g.rowActive[row]...)
 	}
 	g.flatStart = append(g.flatStart, len(g.flatTags))
+	dec, rowless := g.decodeBuf[:0], g.rowlessTags[:0]
+	for _, i := range g.activeTags {
+		if len(g.colRows[i]) > 0 {
+			dec = append(dec, i)
+		} else {
+			rowless = append(rowless, i)
+		}
+	}
+	g.decodeBuf, g.decodeTags, g.rowlessTags = dec, dec, rowless
 }
 
 // Degree returns the participation count of tag i.
@@ -671,13 +703,14 @@ func (st *descentState) gainOf(g *Graph, i int) float64 {
 // Callers must guarantee that the graph's deactivated set equals the
 // locked set (the Session maintains exactly that invariant), that b and
 // curBits agree on every locked tag, and that st is not cur. Only the
-// active tags' entries and the active rows are written: a locked tag's
-// sum, sign and gain are never read again, and rows whose every
-// collider is locked keep whatever the residual buffer holds (no pass
-// scores them — see normSqActive). Cost is O(active tags + active nnz),
+// decode set's entries and the active rows are written: a locked tag's
+// sum, sign and gain are never read again, a rowless tag's are never
+// read by the descent (its gain is ±0), and rows whose every collider
+// is locked keep whatever the residual buffer holds (no pass scores
+// them — see normSqActive). Cost is O(decode set + active nnz),
 // independent of K.
 func (st *descentState) buildFrom(g *Graph, cur *descentState, curBits, b bits.Vector) {
-	for _, i := range g.activeTags {
+	for _, i := range g.decodeTags {
 		// d = b[i] − curBits[i] ∈ {−1, 0, +1} from integer selects, so
 		// the random candidate bits cost no branch; d·h is exactly ±h_i
 		// or a zero.
@@ -701,7 +734,7 @@ func (st *descentState) buildFrom(g *Graph, cur *descentState, curBits, b bits.V
 			st.sum[i] += r
 		}
 	}
-	for _, i := range g.activeTags {
+	for _, i := range g.decodeTags {
 		st.gain[i] = st.gainOf(g, i)
 	}
 }
@@ -726,14 +759,15 @@ func sqNormOn(v []complex128, rows []int) float64 {
 }
 
 // copyActiveFrom copies src's state into st, restricting the transfer
-// to the graph's active rows and active tags (the only entries src's
-// builder materialized; st's frozen entries stay valid).
+// to the graph's active rows and decode set (the only entries src's
+// builder materialized; st's frozen entries stay valid, and a rowless
+// tag's are the caller's to reset when its bit changes).
 func (st *descentState) copyActiveFrom(g *Graph, src *descentState) {
 	st.residual = st.residual[:len(src.residual)]
 	for _, row := range g.activeRows {
 		st.residual[row] = src.residual[row]
 	}
-	for _, i := range g.activeTags {
+	for _, i := range g.decodeTags {
 		st.sum[i] = src.sum[i]
 		st.gain[i] = src.gain[i]
 		st.bSign[i] = src.bSign[i]
@@ -745,7 +779,9 @@ func (st *descentState) copyActiveFrom(g *Graph, src *descentState) {
 // the graph's active tags only: a deactivated tag's entries are dead
 // state (the Session pins its gain at −∞ when it locks), and every row
 // an active tag touches is an active row, so the residual is read only
-// where it is maintained.
+// where it is maintained. Unlike the descent kernels it walks the
+// rowless tags too: the rebuild is where their state is re-derived
+// (their row loop is empty), exactly as resetRowless writes it.
 func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool) {
 	for _, i := range g.activeTags {
 		st.bSign[i] = float64(1 - 2*bits.Index(b[i]))
@@ -760,6 +796,20 @@ func (st *descentState) rederive(g *Graph, b bits.Vector, locked []bool) {
 			s += st.residual[row]
 		}
 		st.sum[i] = s
+		st.gain[i] = st.gainOf(g, i)
+	}
+}
+
+// resetRowless sets every rowless tag's entries to the state a rebuild
+// gives it at bits b (see rederive): a zero S-sum, the flip sign of its
+// bit and the gain gainOf derives from them, ±0 since |h|²·w is zero
+// (on a Gram slot, bitwise the gain gramInstall wrote). The restart
+// kernels walk the decode set only, so the decode calls it where a
+// rowless tag's bit changes: on adopting a restart.
+func (st *descentState) resetRowless(g *Graph, b bits.Vector) {
+	for _, i := range g.rowlessTags {
+		st.bSign[i] = float64(1 - 2*bits.Index(b[i]))
+		st.sum[i] = 0
 		st.gain[i] = st.gainOf(g, i)
 	}
 }
@@ -835,11 +885,12 @@ func (st *descentState) descend(g *Graph, b bits.Vector, locked []bool, eps floa
 	// behaviour.
 	maxFlips := 64 * (g.K + 1) * (g.L + 1)
 	for flips < maxFlips {
-		// Scan the active tags in ascending order, keeping the first
+		// Scan the decode set in ascending order, keeping the first
 		// strictly greater gain: the highest gain wins, ties go to the
-		// lower index. Locked tags (gain −∞) could never win.
+		// lower index. Locked tags (gain −∞) and rowless ones (gain ±0,
+		// below eps) could never win.
 		best, bestG := -1, eps
-		for _, i := range g.activeTags {
+		for _, i := range g.decodeTags {
 			if gv := st.gain[i]; gv > bestG {
 				bestG = gv
 				best = i
@@ -857,16 +908,16 @@ func (st *descentState) descend(g *Graph, b bits.Vector, locked []bool, eps floa
 // markAmbiguousPruned runs the cross-pass tie sweep behind DecodeSlot's
 // anyAmbiguous: tag i is marked when a pass ending within its tie
 // threshold 0.15·|h_i|²·w_i of the best error disagrees with the best
-// pass on bit i. tie holds the thresholds by active rank (the Session's
-// certTie, staged once per slot) and maxTie the largest of them, the
-// prune bound: a pass whose error gap exceeds every tag's tie
-// threshold cannot mark anything, so its bit sweep is
-// skipped entirely (most restarts end far from the optimum, leaving
-// only the interesting few), as is the best pass itself (its bits are
-// bestBits — nothing can differ). The sweep
-// visits the active tags only: a deactivated tag's bit is the same
-// locked value in every pass, so it can never differ either, and only
-// the active entries of allBits, bestBits and out are read or written.
+// pass on bit i. tie holds the thresholds by decode-set rank (the
+// Session's certTie, staged once per slot) and maxTie the largest of
+// them, the prune bound: a pass whose error gap exceeds every tag's tie
+// threshold cannot mark anything, so its bit sweep is skipped entirely
+// (most restarts end far from the optimum, leaving only the interesting
+// few), as is the best pass itself (its bits are bestBits — nothing can
+// differ). The sweep visits the decode set only: a deactivated tag's
+// bit is the same locked value in every pass, so it can never differ
+// either, and a rowless tag's threshold is 0, below every gap; only the
+// decode set's entries of allBits, bestBits and out are read or written.
 func (g *Graph) markAmbiguousPruned(allBits []bool, passErr []float64, bestPass int, bestBits bits.Vector, out []bool, tie []float64, maxTie float64) {
 	bestErr := passErr[bestPass]
 	for pass := 0; pass < len(passErr); pass++ {
@@ -878,7 +929,7 @@ func (g *Graph) markAmbiguousPruned(allBits []bool, passErr []float64, bestPass 
 			continue
 		}
 		alt := allBits[pass*g.K : (pass+1)*g.K]
-		for x, i := range g.activeTags {
+		for x, i := range g.decodeTags {
 			if alt[i] != bool(bestBits[i]) && gap < tie[x] {
 				out[i] = true
 			}

@@ -121,19 +121,22 @@ type Session struct {
 	gramErr []float64
 
 	// The restart certificate's per-slot tables (see certify), staged by
-	// prepareCert over the active ranks on every slot that has restarts:
+	// prepareCert over the decode set on every slot that has restarts:
 	// certCov lists (ascending) the ranks the certificate covers, those
-	// with live rows and a nonzero tap; certK[x·Ka+y] = k_xy =
-	// 2·N_xy·Re(conj(h_x)·h_y), the pairwise coupling of ranks x and y,
-	// zero on the diagonal; certA[x] = Σ_y |k_xy|; certTie[x] =
-	// 0.15·|h_x|²·w_x, x's tie threshold, which the ambiguity sweep
-	// (markAmbiguousPruned) reads too, and certTieMax the largest of
+	// with live rows and a nonzero tap; certA[x] = Σ_y |k_xy|, with
+	// k_xy = 2·N_xy·Re(conj(h_x)·h_y) the pairwise coupling of ranks x and
+	// y, zero on the diagonal; certK[x·Ka+y] = k_xy, a row of which
+	// couplingRow stages the first time a slot reads it (certKRow[x]
+	// reports it staged), since most slots need few rows or none;
+	// certTie[x] = 0.15·|h_x|²·w_x, x's tie threshold, which the ambiguity
+	// sweep (markAmbiguousPruned) reads too, and certTieMax the largest of
 	// them, its prune bound; certH[x] = ‖h_x‖₁ =
 	// |Re h_x| + |Im h_x|; certR[x] = Σ_y N_xy·‖h_y‖₁; and certOmega =
 	// Σ_x ‖h_x‖₁·certR[x], which is Σ over the active rows of
 	// (Σ_{active i in the row} ‖h_i‖₁)².
 	certCov    []int
 	certK      []float64
+	certKRow   []bool
 	certA      []float64
 	certTie    []float64
 	certTieMax float64
@@ -144,7 +147,8 @@ type Session struct {
 	// (see certify), which the acceptance gate's certificate reuses for
 	// its slack (gateCertified); staged only on slots with restarts.
 	certLambda []float64
-	// fullFan runs the restart fan at every position, certified or not;
+	// fullFan runs the restart fan at every position it decodes,
+	// certified or not (a slot with an empty decode set decodes none);
 	// the certificate is still evaluated and reported (workspace's
 	// certified). Only tests set it: the reference side of the tests that
 	// check what a certified position's skipped fan would have done.
@@ -153,6 +157,14 @@ type Session struct {
 	// on every call, certified or not. Only tests set it: the reference
 	// side of the test that checks the gate certificate's decisions.
 	noGateCert bool
+	// fullWalk makes every slot's decode set the whole active list, as a
+	// Gram slot's is, so the row path's kernels walk every unlocked tag
+	// and only a slot without active tags skips its positions. Only tests
+	// set it: the reference side of the decode-set twin.
+	fullWalk bool
+	// moved reports whether the last DecodeSlot changed any position's
+	// bits (DecodeMoved).
+	moved bool
 
 	// posBits[p·kStride+i] is tag i's bit at position p in the current
 	// joint decode — the init of the next slot's descent and the frame
@@ -315,8 +327,8 @@ func (w *workspace) shape(k, maxSlots, passes int) {
 // shapeGram sizes the session's Gram buffers for a transfer of k tags,
 // reusing capacity: gramRule admits at most min(k, gramMaxKa) active
 // tags, so a reserved session's prepareGram re-slices the Gram table
-// without allocating. The certificate's tables get the same size; a row
-// slot with more active tags grows them once (prepareCert).
+// without allocating. The certificate's per-rank tables get the same
+// size; a row slot with more active tags grows them once (prepareCert).
 func (s *Session) shapeGram(k int) {
 	ka := min(k, gramMaxKa)
 	s.gramNH = grow(s.gramNH, ka*ka)
@@ -327,6 +339,7 @@ func (s *Session) shapeGram(k int) {
 	clear(s.gramMark)
 	s.certCov = grow(s.certCov, ka)[:0]
 	s.certK = grow(s.certK, ka*ka)
+	s.certKRow = grow(s.certKRow, ka)
 	s.certA = grow(s.certA, ka)
 	s.certTie = grow(s.certTie, ka)
 	s.certH = grow(s.certH, ka)
@@ -632,6 +645,9 @@ func (s *Session) Begin(k, frameLen, maxSlots, restarts int, taps []complex128) 
 	s.ws.shape(k, maxSlots, 1+restarts)
 	s.cond.shape(k, maxSlots, 1)
 	s.shapeGram(k)
+	for i := 0; i < k; i++ {
+		s.clearRowState(i)
+	}
 	s.stateValid = false
 	s.cost = DecodeCost{}
 }
@@ -728,8 +744,29 @@ func (s *Session) InitPositions(est []bits.Vector) {
 		for p := 0; p < s.frameLen; p++ {
 			s.posBits[p*s.kStride+i] = bool(e[p])
 		}
+		if len(s.g.colRows[i]) == 0 && !s.g.deactivated[i] {
+			s.clearRowState(i)
+		}
 	}
 	s.stateValid = false
+}
+
+// clearRowState sets tag i's per-position row state to that of a tag
+// without live rows at its current bits: a zero S-sum, a zero gain and
+// the flip sign of its bit at every position, by value what a rebuild
+// derives for it (rederive's gain is ±0). No decode kernel writes a tag
+// outside the decode set, so a rowless tag's state is written where its
+// bits or rows change outside the kernels: Begin, InitPositions, its last
+// row leaving (snapRowless) and an adopted restart
+// (descentState.resetRowless). It is then current whenever the tag
+// gains a row, and a slot with an empty decode set needs no rebuild.
+func (s *Session) clearRowState(i int) {
+	for p := range s.states {
+		st := &s.states[p]
+		st.sum[i] = 0
+		st.gain[i] = 0
+		st.bSign[i] = float64(1 - 2*bits.Index(s.posBits[p*s.kStride+i]))
+	}
 }
 
 // SetTaps installs refined channel taps. The cached residuals and gains
@@ -1061,11 +1098,15 @@ func (s *Session) dropPairs(r int, tags []int) {
 // surface as a gain of order 1e-12, which the absolute flip threshold
 // eps reads as evidence. Same reason RetireRow snaps |h|²·w. Its row and
 // column of the co-occurrence Gram need no snap: the integer counts
-// reach exact zero with its last row.
+// reach exact zero with its last row. An unlocked tag's row state is
+// cleared too (clearRowState): the tag leaves the decode set.
 func (s *Session) snapRowless(i int) {
 	stride := s.kStride
 	for p := 0; p < s.frameLen; p++ {
 		s.mf[p*stride+i] = 0
+	}
+	if !s.g.deactivated[i] {
+		s.clearRowState(i)
 	}
 }
 
@@ -1352,25 +1393,45 @@ type SlotJob struct {
 // fan; on a row slot the skip also drops the adoptions of restarts that
 // end on pass 0's bits, or differ from them only on tags with no rows,
 // whose residual norm came out an ulp lower.
+//
+// Each position decodes only the decode set, the unlocked tags with live
+// rows (Graph.decodeTags): a tag without rows has nothing to decide, and
+// its margin is 0. A slot whose decode set is empty (no unlocked tag has
+// a row, so no row is active) decodes no position: every pass would end
+// where it started, and the certificate would hold with nothing to
+// cover. It counts its descent passes all the same.
 func (s *Session) DecodeSlot(slot int, locked []bool, base uint64, minMargin []float64, anyAmbiguous []bool) {
 	if len(minMargin) != s.k || len(anyAmbiguous) != s.k {
 		panic(fmt.Sprintf("bp: DecodeSlot outputs have lengths %d and %d, want K %d", len(minMargin), len(anyAmbiguous), s.k))
 	}
 	s.prepareSlot(slot, locked, base)
-	for p := 0; p < s.frameLen; p++ {
-		s.decodePosition(p)
+	if len(s.g.decodeTags) > 0 {
+		for p := 0; p < s.frameLen; p++ {
+			s.decodePosition(p)
+		}
+	} else {
+		// No row is active, so each position's decode would only rebuild
+		// or absorb frozen rows, which no pass reads again (the next
+		// decode absorbs them with the same entries), and rewrite the
+		// rowless tags' state, which is already current (clearRowState).
+		s.cost.DescentPasses += uint64(s.frameLen)
 	}
 	s.finishSlot(minMargin, anyAmbiguous)
 }
 
+// DecodeMoved reports whether the last DecodeSlot changed any
+// position's bits: a pass-0 flip, or an adopted restart. When it reports
+// false every PosBits is what it was before that decode.
+func (s *Session) DecodeMoved() bool { return s.moved }
+
 // prepareSlot runs DecodeSlot's preamble: newly locked tags leave the
 // graph's fan-out and the gain tables, and the per-slot context (slot,
-// locked set, PRNG base, active-row snapshot, Gram constants, the
-// certificate's tables and tie thresholds) is staged. After it, every
-// position is an independent decode unit until finishSlot merges the
-// results. The Gram constants outlive the position decodes: a Gram
-// slot's acceptance gate re-descends on them, so no position's residual
-// is rebuilt for it.
+// locked set, PRNG base, active-row snapshot and decode set, Gram
+// constants, the certificate's tables and tie thresholds) is staged.
+// After it, every position is an independent decode unit until
+// finishSlot merges the results. The Gram constants outlive the
+// position decodes: a Gram slot's acceptance gate re-descends on them,
+// so no position's residual is rebuilt for it.
 func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 	if locked != nil && len(locked) != s.k {
 		panic(fmt.Sprintf("bp: DecodeSlot locked length %d != K %d", len(locked), s.k))
@@ -1395,9 +1456,18 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 	s.curSlot = slot
 	s.curLocked = locked
 	s.curBase = base
-	s.g.SnapshotActive()
-	s.gramOn = s.restarts > 0 && gramRule(len(s.g.activeTags), len(s.g.flatTags))
+	s.moved = false
+	g := &s.g
+	g.SnapshotActive()
+	if s.fullWalk {
+		g.decodeTags, g.rowlessTags = g.activeTags, g.rowlessTags[:0]
+	}
+	s.gramOn = s.restarts > 0 && gramRule(len(g.activeTags), len(g.flatTags))
 	if s.gramOn {
+		// The Gram kernels rank every active tag. rowlessTags keeps the
+		// rowless ones, whose bits an adopted restart still moves
+		// (resetRowless).
+		g.decodeTags = g.activeTags
 		s.prepareGram()
 	}
 	if s.restarts > 0 {
@@ -1406,23 +1476,34 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 }
 
 // prepareCert stages the restart certificate's per-slot tables (see the
-// Session fields certK…certOmega) from the co-occurrence counts, in
-// O(Ka²): on a row slot it first folds the rows appended since the last
-// fold (foldRows), so the counts are current. The counts are exact
-// integers over the live rows, and a row holding an active tag is an
-// active row, so N_xy is the number of active rows x and y share.
+// Session fields certCov…certOmega) over the decode set from the
+// co-occurrence counts, in O(Ka²): on a row slot it first folds the rows
+// appended since the last fold (foldRows), so the counts are current.
+// The counts are exact integers over the live rows, and a row holding an
+// active tag is an active row, so N_xy is the number of active rows x
+// and y share. A slot with an empty decode set stages empty tables and
+// leaves its rows unfolded: their colliders are all locked, whose
+// matched-filter outputs no kernel reads again, and the exact integer
+// counts do not depend on when a row is folded.
 func (s *Session) prepareCert() {
-	s.foldRows()
 	g := &s.g
-	act := g.activeTags
+	act := g.decodeTags
 	ka := len(act)
+	if ka == 0 {
+		s.certCov = s.certCov[:0]
+		s.certTieMax, s.certOmega = 0, 0
+		return
+	}
+	s.foldRows()
 	cov := grow(s.certCov, ka)[:0]
 	s.certK = grow(s.certK, ka*ka)
+	s.certKRow = grow(s.certKRow, ka)
+	clear(s.certKRow)
 	s.certA = grow(s.certA, ka)
 	s.certTie = grow(s.certTie, ka)
 	s.certH = grow(s.certH, ka)
 	s.certR = grow(s.certR, ka)
-	K, A, H, R := s.certK, s.certA, s.certH, s.certR
+	A, H, R := s.certA, s.certH, s.certR
 	tieMax := 0.0
 	for x, a := range act {
 		if len(g.colRows[a]) > 0 && g.taps[a] != 0 {
@@ -1435,18 +1516,15 @@ func (s *Session) prepareCert() {
 		H[x] = math.Abs(g.tapRe[a]) + math.Abs(g.tapIm[a])
 		R[x] = float64(s.cooc[a*s.kStride+a]) * H[x]
 		A[x] = 0
-		K[x*ka+x] = 0
 	}
-	// k is symmetric: each pair is formed once and stored in both
-	// places.
+	// k is symmetric: each pair is formed once and counted for both.
 	for x, a := range act {
 		counts := s.cooc[a*s.kStride:]
 		ar, ai := g.tapRe[a], g.tapIm[a]
 		for y := x + 1; y < ka; y++ {
 			b := act[y]
 			n := float64(counts[b])
-			k := 2 * n * (ar*g.tapRe[b] + ai*g.tapIm[b])
-			K[x*ka+y], K[y*ka+x] = k, k
+			k := coupling(n, ar, ai, g.tapRe[b], g.tapIm[b])
 			A[x] += math.Abs(k)
 			A[y] += math.Abs(k)
 			R[x] += n * H[y]
@@ -1460,6 +1538,34 @@ func (s *Session) prepareCert() {
 	s.certOmega = omega
 	s.certCov = cov
 	s.certTieMax = tieMax
+}
+
+// coupling returns k = 2·n·Re(conj(h_a)·h_b) for a pair that shares n
+// active rows, from the two taps' parts: the one formula behind every
+// k_xy the certificate reads.
+func coupling(n, ar, ai, br, bi float64) float64 { return 2 * n * (ar*br + ai*bi) }
+
+// couplingRow returns row x of the slot's coupling table certK, k_xy for
+// every decode-set rank y, staging it on the slot's first read in O(Ka).
+// The counts are symmetric and the products commute, so k_xy and k_yx
+// are the same float, and each is the one prepareCert summed into certA.
+func (s *Session) couplingRow(x int) []float64 {
+	g := &s.g
+	act := g.decodeTags
+	ka := len(act)
+	row := s.certK[x*ka : (x+1)*ka]
+	if s.certKRow[x] {
+		return row
+	}
+	s.certKRow[x] = true
+	a := act[x]
+	counts := s.cooc[a*s.kStride:]
+	ar, ai := g.tapRe[a], g.tapIm[a]
+	for y, b := range act {
+		row[y] = coupling(float64(counts[b]), ar, ai, g.tapRe[b], g.tapIm[b])
+	}
+	row[x] = 0
+	return row
 }
 
 // certSlack is the certificate's rounding slack relative to the
@@ -1494,7 +1600,10 @@ const certSlack = 0x1p-24
 // nor a tie. Evaluation runs cheapest first: one sweep fails when some
 // m_x < θ_x; then each tag passes when m_x − ½·A_x ≥ θ_x, with
 // A_x = Σ_y |k_xy| ≥ P_x staged per slot, and only otherwise sums its
-// signed row P_x, O(Ka).
+// signed row P_x, O(Ka), over its row of couplings (couplingRow). A row
+// is formed once per slot, and only when some position reads it: most
+// positions fail the first sweep, and most tags that reach the second
+// pass on A_x.
 //
 // Rounding. Every float the argument reads is an exact quantity plus
 // rounding: the gains (their S-sums, and |h|²·w, which the graph updates
@@ -1522,7 +1631,6 @@ const certSlack = 0x1p-24
 // certificate in 10⁵ on the example specs. A NaN anywhere fails the
 // certificate.
 func (s *Session) certify(gain, sign []float64, lambda float64) bool {
-	ka := len(s.g.activeTags)
 	delta := certSlack * lambda
 	for _, x := range s.certCov {
 		if !(-gain[x] >= s.certTie[x]+delta) {
@@ -1535,7 +1643,7 @@ func (s *Session) certify(gain, sign []float64, lambda float64) bool {
 			continue
 		}
 		sx, P := sign[x], 0.0
-		for y, k := range s.certK[x*ka : (x+1)*ka] {
+		for y, k := range s.couplingRow(x) {
 			P += max(0, -sx*sign[y]*k)
 		}
 		if !(m-0.5*P >= th) {
@@ -1650,14 +1758,16 @@ func (s *Session) finishSlot(minMargin []float64, anyAmbiguous []bool) {
 	// margin is m_i(p) = −gain_i(p)/(|h_i|²·w_i) with a p-independent
 	// denominator, so the minimum margin is one division from the maximum
 	// gain — the per-position margin rows of the naive loop disappear
-	// entirely. Only the active tags are merged: a locked
-	// tag's gain is −∞ at every position and the ambiguity sweep never
-	// marks it, so its staged −∞ and false are already the merge result.
+	// entirely. Only the decode set is merged: a locked tag's gain is −∞
+	// at every position and the ambiguity sweep never marks it, so its
+	// staged −∞ and false are already the merge result; a rowless tag's
+	// margin is 0 whatever its gain (marginOf, |h|²·w = 0) and the sweep
+	// never marks it either.
 	for i := 0; i < s.k; i++ {
 		minMargin[i] = math.Inf(-1) // staging: max gain over positions
 		anyAmbiguous[i] = false
 	}
-	active := s.g.activeTags
+	active := s.g.decodeTags
 	for p := 0; p < s.frameLen; p++ {
 		grow := s.states[p].gain
 		arow := s.ambiguous[p*s.kStride : p*s.kStride+s.k]
@@ -1682,6 +1792,7 @@ func (s *Session) finishSlot(minMargin []float64, anyAmbiguous []bool) {
 // whatever the active set, so the stream's draw count depends on K
 // alone; only the active (ascending) tags' bits are written — a locked
 // tag's restart bit is its locked value, which no reader takes from b.
+// The rowless tags' bits are drawn too: an adopted restart carries them.
 func randomBitsInto(src *prng.Source, b bits.Vector, active []int) {
 	x := 0
 	for base := 0; base < len(b); base += 64 {
@@ -1746,12 +1857,16 @@ func (s *Session) decodePosition(p int) {
 	// tag's restart bit is its locked value by definition, the builder
 	// carries locked contributions over in the position's residual (and
 	// gramInput in B), the descent and the ambiguity sweep never touch a
-	// locked tag, and adoption copies back active bits alone.
-	active := g.activeTags
+	// locked tag, and adoption copies back active bits alone. The decode
+	// set's pass-0 bits are all the sweep and the Gram pass keys read.
+	active, dec := g.activeTags, g.decodeTags
+	if cFlips > 0 {
+		s.moved = true
+	}
 	passes := 1
 	allBits := ws.allBits[:(1+s.restarts)*s.k]
 	passErr := ws.passErr[:1+s.restarts]
-	for _, i := range active {
+	for _, i := range dec {
 		allBits[i] = myBits[i]
 	}
 	bestPass := 0
@@ -1762,17 +1877,17 @@ func (s *Session) decodePosition(p int) {
 		// incumbent's bits scores exactly the incumbent's error and is
 		// never adopted on rounding noise.
 		var lambda float64
-		gain, sign := ws.gGain[:len(active)], ws.gSign[:len(active)]
+		gain, sign := ws.gGain[:len(dec)], ws.gSign[:len(dec)]
 		if s.gramOn {
 			passErr[0] = ws.gramError(s, myBits)
 			lambda = s.certOmega
-			for x, v := range ws.gB[:len(active)] {
+			for x, v := range ws.gB[:len(dec)] {
 				lambda += 2 * s.certH[x] * (math.Abs(real(v)) + math.Abs(imag(v)))
 			}
 		} else {
 			passErr[0] = st.normSqActive(g)
 			lambda = passErr[0] + s.certOmega
-			for x, i := range active {
+			for x, i := range dec {
 				gain[x], sign[x] = st.gain[i], st.bSign[i]
 			}
 		}
@@ -1792,6 +1907,7 @@ func (s *Session) decodePosition(p int) {
 			}
 			ws.gramStart(s, myBits)
 			ws.gramInstall(s, st)
+			st.resetRowless(g, myBits)
 		}
 		cFlips += f
 	} else if passes > 1 {
@@ -1818,9 +1934,16 @@ func (s *Session) decodePosition(p int) {
 				}
 			}
 		}
+		if bestPass > 0 {
+			// The adopted restart drew the rowless tags' bits too.
+			st.resetRowless(g, myBits)
+		}
 	}
 	if s.gramOn {
 		s.gramErr[p] = passErr[bestPass]
+	}
+	if bestPass > 0 {
+		s.moved = true
 	}
 	ws.passes = passes
 	s.cost.DescentPasses++
@@ -1989,7 +2112,7 @@ func (s *Session) gateCertified(p, i int, thr float64) bool {
 	if s.restarts == 0 || w == 0 || den == 0 {
 		return false
 	}
-	act := g.activeTags
+	act := g.decodeTags
 	xi, ok := slices.BinarySearch(act, i)
 	if !ok {
 		return false

@@ -243,7 +243,8 @@ func TestSessionCertifiedFanMatchesFullFan(t *testing.T) {
 // TestCertifyThresholds pins certify's predicate at its boundaries on a
 // hand-built slot: tags 0, 1 and 2 share their one row with real taps
 // 1, 0.5 and 0.5, so k_01 = k_02 = 1, k_12 = 0.5 and |h|²·w is 1, 0.25
-// and 0.25; tag 3 has no rows. Each case sits within δ of one term of
+// and 0.25; tag 3 has no rows, so it is not in the slot's decode set and
+// the tables rank tags 0–2 (Ka = 3). Each case sits within δ of one term of
 // θ_x = 0.15·|h_x|²·w_x + δ or of m_x − ½·P_x, where the quick pass on
 // A_x cannot decide, so dropping the ½, the 0.15·|h|²·w term or the
 // slack δ flips one of them.
@@ -252,8 +253,8 @@ func TestCertifyThresholds(t *testing.T) {
 	s.Begin(4, 1, 2, 2, []complex128{1, 0.5, 0.5, 2})
 	s.AppendSlot(bits.Vector{true, true, true, false}, []complex128{0})
 	s.prepareSlot(1, nil, 0)
-	if s.certK[0*4+1] != 1 || s.certK[1*4+2] != 0.5 || s.certA[0] != 2 || s.g.wPow[1] != 0.25 {
-		t.Fatalf("staged k_01 %v, k_12 %v, A_0 %v, |h_1|²·w_1 %v; want 1, 0.5, 2, 0.25", s.certK[1], s.certK[6], s.certA[0], s.g.wPow[1])
+	if s.couplingRow(0)[1] != 1 || s.couplingRow(1)[2] != 0.5 || s.certA[0] != 2 || s.g.wPow[1] != 0.25 {
+		t.Fatalf("staged k_01 %v, k_12 %v, A_0 %v, |h_1|²·w_1 %v; want 1, 0.5, 2, 0.25", s.couplingRow(0)[1], s.couplingRow(1)[2], s.certA[0], s.g.wPow[1])
 	}
 	const lambda = 1.0
 	delta := certSlack * lambda

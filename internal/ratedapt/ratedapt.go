@@ -338,16 +338,21 @@ func (cfg *Config) acceptSlot(sess *bp.Session, slot, k, frameLen int, gs *gateS
 	minMargin []float64, ambiguous []bool, gp gatePolicy, onAccept func(i int)) int {
 
 	// Only unlocked tags' bits can change, and each (tag, position)
-	// update is independent, so the refresh walks unlocked tags only.
-	for i := 0; i < k; i++ {
-		if gs.locked[i] {
-			continue
-		}
-		est := gs.estimates[i]
-		for p := 0; p < frameLen; p++ {
-			if b := sess.PosBits(p)[i]; bool(est[p]) != b {
-				est[p] = b
-				gs.frameChanged[i] = true
+	// update is independent, so the refresh walks unlocked tags only. The
+	// estimates equal the session's bits after every refresh, and a new
+	// tag's from its Grow on, so a decode that moved no bit
+	// (DecodeMoved) leaves nothing to refresh.
+	if sess.DecodeMoved() {
+		for i := 0; i < k; i++ {
+			if gs.locked[i] {
+				continue
+			}
+			est := gs.estimates[i]
+			for p := 0; p < frameLen; p++ {
+				if b := sess.PosBits(p)[i]; bool(est[p]) != b {
+					est[p] = b
+					gs.frameChanged[i] = true
+				}
 			}
 		}
 	}
