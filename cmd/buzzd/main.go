@@ -15,22 +15,22 @@
 // The daemon serves the binary protocol on TCP (-listen) and/or a unix
 // socket (-unix), and introspection over HTTP (-http): GET /statsz for
 // the live counters as JSON, GET /healthz for liveness (503 while
-// draining), and /debug/vars (expvar). Each connection's sessions
-// decode on that connection's reader goroutine, one slot at a time:
-// separate connections decode in parallel, sessions sharing one
-// connection in turn. On SIGINT/SIGTERM it stops accepting, lets live
-// sessions finish for up to -drain-timeout, then force-closes what
-// remains; a clean drain exits 0.
+// draining), and /debug/vars (expvar). A connection is one goroutine
+// that reads, decodes and replies one slot at a time: separate
+// connections decode in parallel, sessions sharing one connection in
+// turn. On SIGINT/SIGTERM it stops accepting, lets live sessions finish
+// for up to -drain-timeout, then force-closes what remains; a clean
+// drain exits 0.
 //
 // The failure-model knobs: -idle-timeout drops a connection that starts
 // no frame in time, -read-timeout one that stalls mid-frame,
-// -write-timeout one that stops reading replies; -max-sessions bounds
-// live sessions (excess Opens get a typed Busy error); and
-// -malformed-budget is how many well-framed-but-undecodable frames a
-// connection may send before being dropped. Every refusal moves a
-// per-reason counter on /statsz and /debug/vars. -cpuprofile writes a
-// CPU profile of the whole run, daemon or client, to the named file
-// when it exits (go tool pprof); it is off by default.
+// -write-timeout one that stops reading replies (the one slow-reader
+// bound: without it such a peer stalls only its own connection);
+// -max-sessions bounds live sessions (excess Opens get a typed Busy
+// error); -malformed-budget is how many well-framed-but-undecodable
+// frames a connection may send before being dropped. Every refusal
+// moves a per-reason counter on /statsz and /debug/vars. -cpuprofile
+// writes a CPU profile of the whole run, daemon or client, on exit.
 //
 // Client mode replays a scenario spec against a running daemon and
 // reports what came back — the loopback smoke check:
@@ -75,7 +75,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for live sessions before force-closing")
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop a connection that starts no frame within this (0 = no bound)")
 	readTimeout := flag.Duration("read-timeout", 0, "drop a connection that stalls mid-frame for this long (0 = no bound)")
-	writeTimeout := flag.Duration("write-timeout", 0, "drop a connection whose reply write blocks this long (0 = no bound)")
+	writeTimeout := flag.Duration("write-timeout", 0, "drop a connection whose reply write blocks this long, the one slow-reader bound (0 = none: a peer that stops reading stalls only its own connection)")
 	malformedBudget := flag.Int("malformed-budget", engine.DefaultMalformedBudget,
 		"malformed-but-framed frames tolerated per connection before dropping it (negative = none)")
 	connect := flag.String("connect", "", "client mode: address of a running daemon")
@@ -207,8 +207,7 @@ func runDaemon(listen, unixPath, httpAddr string, maxSessions int, drainTimeout 
 		httpSrv.Close()
 	}
 	snap := m.Snapshot()
-	fmt.Printf("buzzd: drained — %d sessions served, %d slots, %d payloads, %d shed\n",
-		snap.SessionsClosed, snap.SlotsIngested, snap.PayloadsAccepted, snap.SessionsShed)
+	fmt.Printf("buzzd: drained — %d sessions served, %d slots, %d payloads\n", snap.SessionsClosed, snap.SlotsIngested, snap.PayloadsAccepted)
 	fmt.Printf("buzzd: failures — %d busy-rejected, %d deadline drops, %d malformed frames, %d panics recovered\n",
 		snap.BusyRejected, snap.DeadlineDrops, snap.MalformedFrames, snap.PanicsRecovered)
 	if drainErr != nil {
@@ -284,8 +283,7 @@ func runClient(addr, specPath string, retries int, ioTimeout time.Duration) erro
 	fmt.Printf("  delivered %d/%d payloads, %d wrong, %d retired by departure\n",
 		delivered, len(results)*kTot, wrong, retired)
 	if stats != nil {
-		fmt.Printf("  daemon: %d sessions open, %d opened, %d slots ingested, %d payloads, %d shed\n",
-			stats.ActiveSessions, stats.SessionsOpened, stats.SlotsIngested, stats.PayloadsAccepted, stats.SessionsShed)
+		fmt.Printf("  daemon: %d sessions open, %d opened, %d slots ingested, %d payloads\n", stats.ActiveSessions, stats.SessionsOpened, stats.SlotsIngested, stats.PayloadsAccepted)
 		fmt.Printf("  daemon failures: %d busy-rejected, %d deadline drops, %d malformed frames, %d panics recovered\n",
 			stats.BusyRejected, stats.DeadlineDrops, stats.MalformedFrames, stats.PanicsRecovered)
 	}

@@ -259,9 +259,9 @@ func TestChaosConformance(t *testing.T) {
 			if injected == 0 {
 				t.Errorf("seed %d injected no faults — chaos pass was vacuous; pick another seed", seed)
 			}
-			fmt.Printf("CHAOS|seed=%d|TOTAL|faults=%d|retries=%d|dials=%d|panics=%d|deadline_drops=%d|malformed=%d|busy=%d|shed=%d\n",
+			fmt.Printf("CHAOS|seed=%d|TOTAL|faults=%d|retries=%d|dials=%d|panics=%d|deadline_drops=%d|malformed=%d|busy=%d\n",
 				seed, injected, wide.retries, wide.dials, wide.panics,
-				wide.snap.DeadlineDrops, wide.snap.MalformedFrames, wide.snap.BusyRejected, wide.snap.SessionsShed)
+				wide.snap.DeadlineDrops, wide.snap.MalformedFrames, wide.snap.BusyRejected)
 
 			for name, d := range wide.digests {
 				if nd, ok := narrow.digests[name]; !ok || nd != d {

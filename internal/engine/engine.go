@@ -9,16 +9,16 @@
 // decisions.
 //
 // Architecture: a live session decodes on its caller's goroutine — in
-// buzzd, the reader goroutine of the connection that opened it — one
-// slot per Feed, in arrival order, and owns pooled resources (a
-// bp.Session recycled via Session.Reset, a scratch arena) for its whole
-// life. The manager starts no goroutine for streaming work: separate
-// connections decode in parallel, sessions multiplexed on one
-// connection one after another. Feed returns once its slot is decoded,
-// so a slow decode stalls the caller's reads (and TCP pushes back on
-// the peer); a sink that reports its outbox full marks the session
-// shed — the slow-reader policy — rather than let one stalled
-// connection grow unbounded queues.
+// buzzd, the goroutine of the connection that opened it — one slot per
+// Feed, in arrival order, and owns pooled resources (a bp.Session
+// recycled via Session.Reset, a scratch arena) for its whole life. The
+// manager starts no goroutine for streaming work: separate connections
+// decode in parallel, sessions multiplexed on one connection one after
+// another. Feed returns its slot's outcome and Close the session's
+// summary; the caller reports them. In buzzd the connection's goroutine
+// writes each reply itself before it reads the next frame, so a slow
+// decode or a peer that stops reading stalls that connection alone, and
+// TCP pushes back on the peer.
 package engine
 
 import (
@@ -63,21 +63,19 @@ type Resources struct {
 // Stats is the manager's live counter block. All fields are atomics:
 // decoding goroutines bump them on the hot path, the introspection
 // endpoint snapshots them without coordination. The per-reason failure counters
-// (shed, deadline, malformed, panic, busy-rejected) exist so failures
-// are observable from counters, not logs: every way a session or
+// (deadline, malformed, panic, busy-rejected) exist so failures are
+// observable from counters, not logs: every way a session or
 // connection can die moves exactly one of them.
 type Stats struct {
 	ActiveSessions   atomic.Int64
 	SessionsOpened   atomic.Int64
 	SessionsClosed   atomic.Int64
-	SessionsShed     atomic.Int64
 	SlotsIngested    atomic.Int64
 	RowsRetired      atomic.Int64
 	PayloadsAccepted atomic.Int64
 	TrialsRun        atomic.Int64
 	// BusyRejected counts Opens refused by admission control (the
-	// MaxSessions budget) — the caller was told Busy, nothing was
-	// accepted then shed.
+	// MaxSessions budget) — the caller was told Busy.
 	BusyRejected atomic.Int64
 	// DeadlineDrops counts connections the server killed for blowing a
 	// read/write deadline or idle timeout.
@@ -110,7 +108,6 @@ type StatsSnapshot struct {
 	ActiveSessions    int64   `json:"active_sessions"`
 	SessionsOpened    int64   `json:"sessions_opened"`
 	SessionsClosed    int64   `json:"sessions_closed"`
-	SessionsShed      int64   `json:"sessions_shed"`
 	SlotsIngested     int64   `json:"slots_ingested"`
 	RowsRetired       int64   `json:"rows_retired"`
 	PayloadsAccepted  int64   `json:"payloads_accepted"`
@@ -133,7 +130,6 @@ type StatsSnapshot struct {
 // (Open/Feed/Close); a process normally has one.
 type SessionManager struct {
 	cfg   Config
-	pool  sync.Pool // *Resources
 	stats Stats
 	start time.Time
 
@@ -160,7 +156,6 @@ func (m *SessionManager) Snapshot() StatsSnapshot {
 		ActiveSessions:    m.stats.ActiveSessions.Load(),
 		SessionsOpened:    m.stats.SessionsOpened.Load(),
 		SessionsClosed:    m.stats.SessionsClosed.Load(),
-		SessionsShed:      m.stats.SessionsShed.Load(),
 		SlotsIngested:     slots,
 		RowsRetired:       m.stats.RowsRetired.Load(),
 		PayloadsAccepted:  m.stats.PayloadsAccepted.Load(),
@@ -181,26 +176,25 @@ func (m *SessionManager) Snapshot() StatsSnapshot {
 	return snap
 }
 
+// getResources takes a scratch arena and a bp.Session, each from its
+// own pool.
 func (m *SessionManager) getResources() *Resources {
 	m.stats.ResourcesInFlight.Add(1)
-	if v := m.pool.Get(); v != nil {
-		return v.(*Resources)
-	}
 	return &Resources{Scratch: scratch.Get(), Session: bp.GetSession()}
 }
 
-// putResources recycles a worker's pair. Reset (not realloc) keeps every
-// buffer's capacity.
+// putResources returns each of a pair's resources to its pool. Reset
+// (not realloc) keeps every buffer's capacity.
 func (m *SessionManager) putResources(r *Resources) {
-	r.Scratch.Reset()
 	r.Session.Reset()
+	bp.PutSession(r.Session)
+	scratch.Put(r.Scratch)
 	m.stats.ResourcesInFlight.Add(-1)
-	m.pool.Put(r)
 }
 
 // dropResources retires a pair whose session survived a decode panic:
-// its internal state cannot be trusted, so it must never re-enter the
-// pool — the next session allocates fresh.
+// its internal state cannot be trusted, so neither resource re-enters
+// its pool — the next session takes fresh ones.
 func (m *SessionManager) dropResources() {
 	m.stats.ResourcesInFlight.Add(-1)
 }
@@ -260,25 +254,18 @@ func (m *SessionManager) addDecodeCost(c bp.DecodeCost) {
 	}
 }
 
-// EventKind tags a streaming session event.
-type EventKind uint8
-
-const (
-	// EventDecisions carries one ingested slot's outcome.
-	EventDecisions EventKind = iota + 1
-	// EventClosed is the session's final summary; nothing follows it.
-	EventClosed
-	// EventError reports a failed slot; the session is dead and will be
-	// closed by the manager (an EventClosed still follows).
-	EventError
-)
-
 // AcceptedFrame is one payload decision: the session-local tag index
-// (join order) and the accepted frame (payload + CRC bits), cloned out
-// of the decode state so the event owns it.
+// (join order) and the accepted frame (payload + CRC bits).
 type AcceptedFrame struct {
 	Tag   int
 	Frame bits.Vector
+}
+
+// SlotOutcome is one decoded slot: the stream's step and the frames
+// accepted in it.
+type SlotOutcome struct {
+	Step     ratedapt.StepResult
+	Accepted []AcceptedFrame
 }
 
 // SessionSummary is the closing state of a streaming session.
@@ -289,39 +276,21 @@ type SessionSummary struct {
 	RowsRetired int
 }
 
-// Event is what a streaming session emits to its sink, in slot order.
-// Sinks run inside Feed and Close, on the caller's goroutine: they must
-// not block — return false instead ("outbox full"), which sheds the
-// session.
-type Event struct {
-	Kind      EventKind
-	SessionID uint64
-	Step      ratedapt.StepResult
-	Accepted  []AcceptedFrame
-	Summary   SessionSummary
-	Err       error
-}
-
 // LiveSession is one streaming decode session: a ratedapt.Stream fed
 // one slot at a time. Feed and Close may be called from any single
-// goroutine (the owning connection's reader), and all decode work
-// happens on it.
+// goroutine (the owning connection's), and all decode work happens on
+// it.
 type LiveSession struct {
 	ID uint64
 
-	m    *SessionManager
-	st   *ratedapt.Stream
-	res  *Resources
-	sink func(Event) bool
+	m   *SessionManager
+	st  *ratedapt.Stream
+	res *Resources
 
-	shed     bool
-	dead     bool // stop decoding after an error
-	poisoned bool // died by panic; resources suspect
+	err      error // the failed slot's error; nothing decodes after it
+	poisoned bool  // died by panic; resources suspect
 	closed   bool
 }
-
-// ErrShed reports a session killed by the slow-reader policy.
-var ErrShed = fmt.Errorf("engine: session shed (slow reader)")
 
 // ErrBusy reports an Open refused by admission control: the live-session
 // budget (Config.MaxSessions) is spent. Retry with backoff.
@@ -341,12 +310,9 @@ var ErrDecodePanic = fmt.Errorf("engine: decode panicked")
 var testHookDecodePanic atomic.Value // of func(sessionID uint64, slot int)
 
 // Open starts a streaming session on pooled resources. cfg's Scratch
-// and Session fields are owned by the manager and must be nil. Events
-// arrive at sink from Feed and Close, in slot order; sink must be
-// non-blocking and return false when it cannot accept (which
-// sheds the session). The returned session must be Closed, even after
-// errors.
-func (m *SessionManager) Open(cfg ratedapt.StreamConfig, sink func(Event) bool) (*LiveSession, error) {
+// and Session fields are owned by the manager and must be nil. The
+// returned session must be Closed, even after errors.
+func (m *SessionManager) Open(cfg ratedapt.StreamConfig) (*LiveSession, error) {
 	if cfg.Scratch != nil || cfg.Session != nil {
 		return nil, fmt.Errorf("engine: Open owns Scratch/Session; leave them nil")
 	}
@@ -378,11 +344,10 @@ func (m *SessionManager) Open(cfg ratedapt.StreamConfig, sink func(Event) bool) 
 	m.stats.SessionsOpened.Add(1)
 	m.stats.ActiveSessions.Add(1)
 	return &LiveSession{
-		ID:   m.nextID.Add(1),
-		m:    m,
-		st:   st,
-		res:  res,
-		sink: sink,
+		ID:  m.nextID.Add(1),
+		m:   m,
+		st:  st,
+		res: res,
 	}, nil
 }
 
@@ -391,80 +356,61 @@ func (l *LiveSession) FrameLen() int { return l.st.FrameLen() }
 
 // Feed decodes one slot — population/channel events plus the received
 // observations — on the caller's goroutine: stream advance, append,
-// decode, acceptance gates, then the slot's EventDecisions to the sink.
+// decode, acceptance gates. It returns the slot's outcome, whose
+// accepted frames are the stream's own copies, valid until Close.
 // The whole slot runs under the session's panic isolation: a blow-up
-// kills its session (wire Error, counters, resources quarantined at
-// Close) and nothing else. Feed returns ErrShed once the slow-reader
-// policy has shed the session; a slot that fails otherwise is reported
-// to the sink as an EventError. Feed transfers ownership of ev's slices
-// and obs to the engine; the caller must not reuse them.
-func (l *LiveSession) Feed(ev ratedapt.SlotEvents, obs []complex128) error {
-	if l.shed {
-		return ErrShed
-	}
-	if l.dead {
-		return nil
+// kills its session (counters, resources quarantined at Close) and
+// nothing else. A slot that fails returns its error, and the session is
+// dead: every later Feed returns that error again without decoding.
+// Feed transfers ownership of ev's slices and obs to the engine; the
+// caller must not reuse them.
+func (l *LiveSession) Feed(ev ratedapt.SlotEvents, obs []complex128) (out SlotOutcome, err error) {
+	if l.err != nil {
+		return SlotOutcome{}, l.err
 	}
 	m := l.m
 	defer func() {
 		if r := recover(); r != nil {
 			l.poisoned = true
 			m.stats.PanicsRecovered.Add(1)
-			l.fail(fmt.Errorf("%w: %v", ErrDecodePanic, r))
+			out, err = SlotOutcome{}, fmt.Errorf("%w: %v", ErrDecodePanic, r)
 		}
+		l.err = err
 	}()
 	if hook, _ := testHookDecodePanic.Load().(func(uint64, int)); hook != nil {
 		hook(l.ID, l.st.Slot()+1)
 	}
 	if _, err := l.st.Advance(ev); err != nil {
-		l.fail(err)
-		return nil
+		return SlotOutcome{}, err
 	}
 	step, err := l.st.Ingest(obs)
 	if err != nil {
-		l.fail(err)
-		return nil
+		return SlotOutcome{}, err
 	}
 	m.stats.SlotsIngested.Add(1)
 	m.stats.RowsRetired.Add(int64(step.RowsRetired))
 	m.stats.PayloadsAccepted.Add(int64(step.NewlyAccepted))
 	m.addDecodeCost(l.st.TakeDecodeCost())
-	out := Event{Kind: EventDecisions, SessionID: l.ID, Step: step}
+	out = SlotOutcome{Step: step}
 	if n := len(l.st.Accepted()); n > 0 {
 		out.Accepted = make([]AcceptedFrame, 0, n)
 		for _, tag := range l.st.Accepted() {
-			out.Accepted = append(out.Accepted, AcceptedFrame{Tag: tag, Frame: l.st.Frame(tag).Clone()})
+			out.Accepted = append(out.Accepted, AcceptedFrame{Tag: tag, Frame: l.st.Frame(tag)})
 		}
 	}
-	l.emit(out)
-	return nil
+	return out, nil
 }
 
-func (l *LiveSession) fail(err error) {
-	l.dead = true
-	l.emit(Event{Kind: EventError, SessionID: l.ID, Err: err})
-}
-
-func (l *LiveSession) emit(ev Event) {
-	if l.shed {
-		return
-	}
-	if !l.sink(ev) {
-		l.shed = true
-		l.m.stats.SessionsShed.Add(1)
-	}
-}
-
-// Close retires the session on the caller's goroutine: the final
-// EventClosed reaches the sink before Close returns, and the resources
-// return to the pool — unless the session was poisoned by a panic, in
-// which case they are discarded instead of recycled. Idempotent; the
+// Close retires the session on the caller's goroutine and returns its
+// summary. The resources return to their pools — unless the session was
+// poisoned by a panic, in which case they are discarded instead of
+// recycled. Idempotent: a repeated Close returns the zero summary. The
 // caller must not Feed after Close. A panic in the teardown is counted
 // and recovered, and the session's admission slot is released however
 // the teardown ends, so neither the caller nor Drain is stranded.
-func (l *LiveSession) Close() {
+func (l *LiveSession) Close() (summary SessionSummary) {
 	if l.closed {
-		return
+		return SessionSummary{}
 	}
 	l.closed = true
 	m := l.m
@@ -477,7 +423,6 @@ func (l *LiveSession) Close() {
 		m.mu.Unlock()
 		m.live.Done()
 	}()
-	var summary SessionSummary
 	// Even the teardown reads are suspect after a panic: take the
 	// summary and close the stream under a recover, and treat a blow-up
 	// here as poisoning too.
@@ -504,7 +449,7 @@ func (l *LiveSession) Close() {
 	}
 	m.stats.ActiveSessions.Add(-1)
 	m.stats.SessionsClosed.Add(1)
-	l.emit(Event{Kind: EventClosed, SessionID: l.ID, Summary: summary})
+	return summary
 }
 
 // Drain refuses new sessions and waits for the live ones to close —

@@ -30,7 +30,7 @@ func feedSlots(t *testing.T, ls *engine.LiveSession, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		obs := make([]complex128, ls.FrameLen())
-		if err := ls.Feed(ratedapt.SlotEvents{}, obs); err != nil {
+		if _, err := ls.Feed(ratedapt.SlotEvents{}, obs); err != nil {
 			t.Fatalf("feed slot %d: %v", i, err)
 		}
 	}
@@ -41,37 +41,25 @@ func TestStreamingSessionLifecycle(t *testing.T) {
 	m := engine.New(engine.Config{Workers: 2})
 	defer m.Close()
 
-	var mu sync.Mutex
-	var events []engine.Event
-	sink := func(ev engine.Event) bool {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-		return true
-	}
-	ls, err := m.Open(streamCfg(7), sink)
+	ls, err := m.Open(streamCfg(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedSlots(t, ls, 5)
-	ls.Close()
-	if err := m.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) != 6 {
-		t.Fatalf("got %d events, want 5 decisions + 1 closed", len(events))
-	}
-	for i, ev := range events[:5] {
-		if ev.Kind != engine.EventDecisions || ev.Step.Slot != i+1 {
-			t.Fatalf("event %d: kind %d slot %d, want decisions for slot %d", i, ev.Kind, ev.Step.Slot, i+1)
+	for i := 0; i < 5; i++ {
+		out, err := ls.Feed(ratedapt.SlotEvents{}, make([]complex128, ls.FrameLen()))
+		if err != nil || out.Step.Slot != i+1 {
+			t.Fatalf("feed %d: slot %d, %v; want the outcome of slot %d", i, out.Step.Slot, err, i+1)
 		}
 	}
-	last := events[5]
-	if last.Kind != engine.EventClosed || last.Summary.SlotsUsed != 5 || last.Summary.Joined != 1 {
-		t.Fatalf("final event %+v, want closed summary with 5 slots, 1 tag", last)
+	sum := ls.Close()
+	if sum.SlotsUsed != 5 || sum.Joined != 1 {
+		t.Fatalf("closing summary %+v, want 5 slots, 1 tag", sum)
+	}
+	if again := ls.Close(); again != (engine.SessionSummary{}) {
+		t.Fatalf("repeated Close returned %+v, want the zero summary", again)
+	}
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 
 	snap := m.Snapshot()
@@ -83,41 +71,48 @@ func TestStreamingSessionLifecycle(t *testing.T) {
 	}
 }
 
-func TestSlowSinkShedsSession(t *testing.T) {
+// TestFailedSessionDecodesNothing pins a failed slot's contract:
+// Feed returns the failure, and every later Feed returns the same error
+// without decoding; the poisoned session's resources are discarded at
+// Close and its admission slot freed.
+func TestFailedSessionDecodesNothing(t *testing.T) {
 	defer leaktest.Check(t)()
-	m := engine.New(engine.Config{Workers: 1})
+	m := engine.New(engine.Config{Workers: 1, MaxSessions: 1})
 	defer m.Close()
-
-	ls, err := m.Open(streamCfg(9), func(engine.Event) bool { return false })
+	ls, err := m.Open(streamCfg(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first slot's event hits the refusing sink and sheds the
-	// session; subsequent feeds must surface ErrShed quickly.
-	obs := make([]complex128, ls.FrameLen())
-	if err := ls.Feed(ratedapt.SlotEvents{}, obs); err != nil {
-		t.Fatal(err)
+	engine.SetTestHookDecodePanic(func(sid uint64, slot int) {
+		if sid == ls.ID && slot == 2 {
+			panic("test: injected decode panic")
+		}
+	})
+	defer engine.SetTestHookDecodePanic(nil)
+	feedSlots(t, ls, 1)
+	_, first := ls.Feed(ratedapt.SlotEvents{}, make([]complex128, ls.FrameLen()))
+	if !errors.Is(first, engine.ErrDecodePanic) {
+		t.Fatalf("slot 2 returned %v, want ErrDecodePanic", first)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := ls.Feed(ratedapt.SlotEvents{}, make([]complex128, ls.FrameLen()))
-		if err == engine.ErrShed {
-			break
-		}
-		if err != nil {
-			t.Fatalf("unexpected feed error: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("session never shed")
+	for i := 0; i < 3; i++ {
+		if _, err := ls.Feed(ratedapt.SlotEvents{}, make([]complex128, ls.FrameLen())); err != first {
+			t.Fatalf("feed after the failure returned %v, want %v", err, first)
 		}
 	}
-	ls.Close()
-	if err := m.Drain(context.Background()); err != nil {
-		t.Fatal(err)
+	if s := m.Snapshot(); s.SlotsIngested != 1 || s.PanicsRecovered != 1 {
+		t.Fatalf("%d slots ingested, %d panics recovered; want 1 and 1", s.SlotsIngested, s.PanicsRecovered)
 	}
-	if shed := m.Snapshot().SessionsShed; shed != 1 {
-		t.Fatalf("shed counter %d, want 1", shed)
+	if sum := ls.Close(); sum.SlotsUsed != 1 {
+		t.Fatalf("closing summary %+v, want 1 slot used", sum)
 	}
+	if got := m.Snapshot().ResourcesInFlight; got != 0 {
+		t.Fatalf("%d resources in flight after Close, want 0", got)
+	}
+	ls2, err := m.Open(streamCfg(10))
+	if err != nil {
+		t.Fatalf("open after the failed session closed: %v", err)
+	}
+	ls2.Close()
 }
 
 func TestDrainRefusesNewSessions(t *testing.T) {
@@ -125,7 +120,7 @@ func TestDrainRefusesNewSessions(t *testing.T) {
 	m := engine.New(engine.Config{Workers: 1})
 	defer m.Close()
 
-	ls, err := m.Open(streamCfg(3), func(engine.Event) bool { return true })
+	ls, err := m.Open(streamCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +129,7 @@ func TestDrainRefusesNewSessions(t *testing.T) {
 	if err := m.Drain(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("drain with a live session: %v, want deadline exceeded", err)
 	}
-	if _, err := m.Open(streamCfg(4), func(engine.Event) bool { return true }); !errors.Is(err, engine.ErrDraining) {
+	if _, err := m.Open(streamCfg(4)); !errors.Is(err, engine.ErrDraining) {
 		t.Fatalf("open on a draining manager: %v, want ErrDraining", err)
 	}
 	ls.Close()
@@ -148,11 +143,11 @@ func TestSessionCap(t *testing.T) {
 	m := engine.New(engine.Config{Workers: 1, MaxSessions: 1})
 	defer m.Close()
 
-	ls, err := m.Open(streamCfg(1), func(engine.Event) bool { return true })
+	ls, err := m.Open(streamCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Open(streamCfg(2), func(engine.Event) bool { return true }); !errors.Is(err, engine.ErrBusy) {
+	if _, err := m.Open(streamCfg(2)); !errors.Is(err, engine.ErrBusy) {
 		t.Fatalf("second open past MaxSessions=1: %v, want ErrBusy", err)
 	}
 	if got := m.Snapshot().BusyRejected; got != 1 {
@@ -162,7 +157,7 @@ func TestSessionCap(t *testing.T) {
 	if err := m.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ls2, err := m.Open(streamCfg(3), func(engine.Event) bool { return true })
+	ls2, err := m.Open(streamCfg(3))
 	if err == nil {
 		// Drain left the manager refusing sessions; a fresh manager is
 		// the documented path after drain, so this open must fail.
@@ -177,12 +172,12 @@ func TestOpenRejectsOwnedResources(t *testing.T) {
 	defer m.Close()
 	cfg := streamCfg(5)
 	cfg.Scratch = scratch.New()
-	if _, err := m.Open(cfg, func(engine.Event) bool { return true }); err == nil {
+	if _, err := m.Open(cfg); err == nil {
 		t.Fatal("open accepted a caller-supplied Scratch")
 	}
 	cfg = streamCfg(5)
 	cfg.Parallelism = 2
-	if _, err := m.Open(cfg, func(engine.Event) bool { return true }); err == nil {
+	if _, err := m.Open(cfg); err == nil {
 		t.Fatal("open accepted Parallelism 2")
 	}
 }

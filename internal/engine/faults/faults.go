@@ -13,10 +13,6 @@
 // schedule is an independent, addressable stream. Reads pass through
 // untouched; whatever mangled bytes the peer was sent arrive exactly as
 // sent.
-//
-// Plan.Gate serves the non-transport injection points (an engine event
-// sink that refuses, an admission probe): a deterministic boolean
-// stream addressed the same way.
 package faults
 
 import (
@@ -143,26 +139,6 @@ func (p *Plan) Action(c, f uint64) Kind {
 		pick -= w
 	}
 	return Pass // unreachable
-}
-
-// Gate returns a deterministic boolean stream for non-transport
-// injection points: call i of stream id is false ("inject here") on the
-// Plan's usual schedule. The returned closure is not safe for
-// concurrent use.
-func (p *Plan) Gate(id uint64) func() bool {
-	var call uint64
-	return func() bool {
-		c := call
-		call++
-		if p.Deny <= 0 {
-			return true
-		}
-		if prng.Mix3(p.Seed, ^id, c)%uint64(p.Deny) != 0 {
-			return true
-		}
-		p.Counts[Drop].Add(1)
-		return false
-	}
 }
 
 // CountsSnapshot copies the per-kind injected-fault tallies.

@@ -271,42 +271,6 @@ func TestConnSameSeedSameBytes(t *testing.T) {
 	}
 }
 
-func TestGateDeterministic(t *testing.T) {
-	p := &Plan{Seed: 11, Deny: 5}
-	g1 := p.Gate(3)
-	g2 := p.Gate(3)
-	other := p.Gate(4)
-	same, diff, denies := true, false, 0
-	for i := 0; i < 200; i++ {
-		a, b, o := g1(), g2(), other()
-		if a != b {
-			same = false
-		}
-		if a != o {
-			diff = true
-		}
-		if !a {
-			denies++
-		}
-	}
-	if !same {
-		t.Fatal("same gate id diverged")
-	}
-	if !diff {
-		t.Fatal("distinct gate ids produced identical streams")
-	}
-	if denies == 0 {
-		t.Fatal("gate never denied at Deny=5 over 200 calls")
-	}
-	// Zero plan gate always allows.
-	zg := (&Plan{}).Gate(0)
-	for i := 0; i < 50; i++ {
-		if !zg() {
-			t.Fatal("zero-plan gate denied")
-		}
-	}
-}
-
 func TestListenerAssignsDistinctIDs(t *testing.T) {
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

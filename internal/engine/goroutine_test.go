@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"path/filepath"
 	"runtime"
@@ -18,11 +17,11 @@ import (
 )
 
 // engineGoroutines counts the live goroutines running package engine's
-// code, by role: a listener's Serve loop, a connection's reader
-// (Server.handle) and its writer (writeLoop). other counts every
-// remaining goroutine with an engine frame on its stack.
+// code, by role: a listener's Serve loop and a connection's loop
+// (Server.handle). other counts every remaining goroutine with an
+// engine frame on its stack.
 type engineGoroutines struct {
-	listeners, readers, writers, other int
+	listeners, conns, other int
 }
 
 func countEngineGoroutines() engineGoroutines {
@@ -45,10 +44,8 @@ func countEngineGoroutines() engineGoroutines {
 			return strings.Contains(g, "\n"+pkg+fn+"(")
 		}
 		switch {
-		case has("(*serverConn).writeLoop"):
-			c.writers++
 		case has("(*Server).handle"):
-			c.readers++
+			c.conns++
 		case has("(*Server).Serve"):
 			c.listeners++
 		case strings.Contains(g, "\n"+pkg):
@@ -76,8 +73,8 @@ func waitGoroutines(t *testing.T, want engineGoroutines, when string) {
 
 // TestGoroutinesPerConnection pins where streaming decode runs. Open,
 // Feed and Close run on their caller's goroutine and start none, and a
-// serving daemon runs one goroutine per listener plus exactly two per
-// connection, its reader and its writer, however many sessions it
+// serving daemon runs one goroutine per listener plus exactly one per
+// connection, which reads, decodes and writes, however many sessions it
 // decodes.
 func TestGoroutinesPerConnection(t *testing.T) {
 	leaktest.Check(t)
@@ -91,7 +88,7 @@ func TestGoroutinesPerConnection(t *testing.T) {
 			t.Fatalf("%s: engine goroutines %+v, want none", when, got)
 		}
 	}
-	ls, err := m.Open(streamCfg(7), func(engine.Event) bool { return true })
+	ls, err := m.Open(streamCfg(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +119,7 @@ func TestGoroutinesPerConnection(t *testing.T) {
 			}
 		}
 	}
-	waitGoroutines(t, engineGoroutines{listeners: 1, readers: 2, writers: 2}, "serving two connections")
+	waitGoroutines(t, engineGoroutines{listeners: 1, conns: 2}, "serving two connections")
 }
 
 // smallBuffers shrinks each accepted connection's send buffer, so a
@@ -137,23 +134,20 @@ func (l smallBuffers) Accept() (net.Conn, error) {
 	return nc, err
 }
 
-// TestSustainedOverloadOverWire feeds one session Slot frames and reads
-// no reply, from a writer goroutine whose every write has a deadline.
-// The connection's outbox is the daemon's only queue: once the unread
-// replies fill the socket buffers and then the outbox, the session is
-// shed and the reader stops reading, so the writer stalls with frames
-// still unread and the daemon's heap stays bounded. When the client
-// then drains its replies and hangs up, the connection tears down with
-// nothing left in flight.
-func TestSustainedOverloadOverWire(t *testing.T) {
-	leaktest.Check(t)
-	const (
-		outboxFrames = 4
-		maxFrames    = 4000
-		heapBound    = 16 << 20
-	)
-	m := engine.New(engine.Config{})
-	srv := engine.NewServer(m, engine.ServerConfig{OutboxFrames: outboxFrames})
+// floodingClient is a connection to a daemon on a unix socket with
+// small buffers (see smallBuffers), one session open on it, that
+// writes Slot frames and reads no reply.
+type floodingClient struct {
+	conn     *net.UnixConn
+	sid      uint64
+	frameLen uint32
+}
+
+// startFlooder serves m on a fresh unix socket with small buffers and
+// opens one session on a new client connection.
+func startFlooder(t *testing.T, m *engine.SessionManager, scfg engine.ServerConfig, maxSlots uint32) (*floodingClient, string) {
+	t.Helper()
+	srv := engine.NewServer(m, scfg)
 	// A unix socket: its send buffer alone bounds what one side can
 	// have queued to the other, with no window to renegotiate.
 	sock := filepath.Join(t.TempDir(), "buzzd.sock")
@@ -170,17 +164,16 @@ func TestSustainedOverloadOverWire(t *testing.T) {
 		}
 		m.Close()
 	})
-
 	nc, err := net.Dial("unix", sock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	conn := nc.(*net.UnixConn)
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	conn.SetWriteBuffer(4096)
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	open := minOpen(31)
-	open.MaxSlots = maxFrames + 1
+	open.MaxSlots = maxSlots
 	if err := wire.WriteFrame(conn, open); err != nil {
 		t.Fatal(err)
 	}
@@ -192,45 +185,52 @@ func TestSustainedOverloadOverWire(t *testing.T) {
 	if !ok {
 		t.Fatalf("open reply %+v, want Opened", rep)
 	}
-	sid := opened.SessionID
 	conn.SetDeadline(time.Time{})
+	return &floodingClient{conn: conn, sid: opened.SessionID, frameLen: opened.FrameLen}, sock
+}
+
+// flood writes up to n Slot frames, each under a one-second write
+// deadline, and returns how many it wrote and the error that stopped
+// it.
+func (c *floodingClient) flood(n int) (int, error) {
+	slot := &wire.Slot{SessionID: c.sid, Obs: make([]complex128, c.frameLen)}
+	for written := 0; written < n; written++ {
+		c.conn.SetWriteDeadline(time.Now().Add(time.Second))
+		if err := wire.WriteFrame(c.conn, slot); err != nil {
+			return written, err
+		}
+	}
+	return n, nil
+}
+
+// TestUnreadRepliesOverWire feeds one session Slot frames and reads no
+// reply, with no write timeout. The daemon writes each reply before it
+// reads the next frame, so once the unread replies fill the socket its
+// write blocks, it stops reading, and the client's writes back up and
+// time out: the stall stays on this connection, the daemon queues
+// nothing, and its heap stays bounded. When the client hangs up, the
+// blocked write fails and the connection tears down with nothing left
+// in flight.
+func TestUnreadRepliesOverWire(t *testing.T) {
+	leaktest.Check(t)
+	const (
+		maxFrames = 4000
+		heapBound = 16 << 20
+	)
+	m := engine.New(engine.Config{})
+	c, _ := startFlooder(t, m, engine.ServerConfig{}, maxFrames+1)
 
 	var before runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-
-	type flood struct {
-		written int
-		err     error
-	}
-	done := make(chan flood, 1)
-	go func() {
-		slot := &wire.Slot{SessionID: sid, Obs: make([]complex128, opened.FrameLen)}
-		var f flood
-		for f.written < maxFrames {
-			conn.SetWriteDeadline(time.Now().Add(time.Second))
-			if f.err = wire.WriteFrame(conn, slot); f.err != nil {
-				break
-			}
-			f.written++
-		}
-		done <- f
-	}()
-	var f flood
-	select {
-	case f = <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("the flooding writer neither finished nor stalled")
-	}
+	written, err := c.flood(maxFrames)
 	var ne net.Error
-	if f.written == maxFrames || !errors.As(f.err, &ne) || !ne.Timeout() {
-		t.Fatalf("writer stopped after %d of %d frames with %v, want a write timeout: the daemon never stopped reading", f.written, maxFrames, f.err)
+	if written == maxFrames || !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("writer stopped after %d of %d frames with %v, want a write timeout: the daemon never stopped reading", written, maxFrames, err)
 	}
-
-	waitCounter(t, func() int64 { return m.Snapshot().SessionsShed }, 1)
 	ingested := m.Snapshot().SlotsIngested
-	if ingested >= int64(f.written) {
-		t.Fatalf("daemon ingested %d slots of the %d written, want fewer", ingested, f.written)
+	if ingested >= int64(written) {
+		t.Fatalf("daemon ingested %d slots of the %d written, want fewer", ingested, written)
 	}
 	var during runtime.MemStats
 	runtime.GC()
@@ -239,41 +239,63 @@ func TestSustainedOverloadOverWire(t *testing.T) {
 	if grew > heapBound {
 		t.Fatalf("heap grew %d KiB under overload, want at most %d", grew>>10, heapBound>>10)
 	}
-	t.Logf("%d frames written, %d slots ingested, heap %+d KiB", f.written, ingested, grew>>10)
+	t.Logf("%d frames written, %d slots ingested, heap %+d KiB", written, ingested, grew>>10)
 
-	// Drain: hang up the write side and read every reply until the
-	// daemon, having read the rest, closes the connection.
-	conn.CloseWrite()
-	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	shedErrors := 0
-	for {
-		rep, err := wire.ReadFrame(conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				t.Fatalf("drain ended with %v, want the daemon's hang-up", err)
-			}
-			break
-		}
-		if e, ok := rep.(*wire.Error); ok && e.SessionID == sid && e.Code == wire.CodeShed {
-			shedErrors++
-		}
-	}
-	if shedErrors != 1 {
-		t.Fatalf("%d Shed errors for the session, want 1", shedErrors)
-	}
-	conn.Close()
+	c.conn.Close()
 	waitCounter(t, func() int64 { return m.Snapshot().ResourcesInFlight }, 0)
-	if s := m.Snapshot(); s.ActiveSessions != 0 || s.SessionsShed != 1 {
-		t.Fatalf("after teardown: %d sessions active, %d shed; want 0 and 1", s.ActiveSessions, s.SessionsShed)
+	waitCounter(t, func() int64 { return m.Snapshot().ActiveSessions }, 0)
+	if s := m.Snapshot(); s.DeadlineDrops != 0 || s.SessionsClosed != 1 {
+		t.Fatalf("after hang-up: %d deadline drops, %d sessions closed; want 0 and 1", s.DeadlineDrops, s.SessionsClosed)
+	}
+}
+
+// TestWriteTimeoutOverWire floods one session like
+// TestUnreadRepliesOverWire, with a write timeout set and a client that
+// stays connected. The daemon's blocked reply write trips the timeout
+// within a few timeouts: the connection is dropped as a deadline drop,
+// its session closes, and its admission slot frees up for a new Open
+// under MaxSessions 1.
+func TestWriteTimeoutOverWire(t *testing.T) {
+	leaktest.Check(t)
+	const writeTimeout = 200 * time.Millisecond
+	m := engine.New(engine.Config{MaxSessions: 1})
+	c, sock := startFlooder(t, m, engine.ServerConfig{WriteTimeout: writeTimeout}, 4001)
+
+	start := time.Now()
+	written, err := c.flood(4000)
+	if err == nil {
+		t.Fatalf("all %d frames written: the daemon never stopped reading", written)
+	}
+	waitCounter(t, func() int64 { return m.Snapshot().DeadlineDrops }, 1)
+	if took := time.Since(start); took > 5*writeTimeout {
+		t.Fatalf("the daemon dropped the connection %v after the flood began, want within %v", took, 5*writeTimeout)
+	}
+	waitCounter(t, func() int64 { return m.Snapshot().ActiveSessions }, 0)
+	waitCounter(t, func() int64 { return m.Snapshot().ResourcesInFlight }, 0)
+	t.Logf("%d frames written, %d slots ingested, dropped after %v", written, m.Snapshot().SlotsIngested, time.Since(start))
+
+	conn, err := net.Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	sid, _ := openSession(t, conn, 32)
+	if err := wire.WriteFrame(conn, &wire.Close{SessionID: sid}); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := wire.ReadFrame(conn); err != nil || !isClosed(rep) {
+		t.Fatalf("close reply %+v, %v; want Closed", rep, err)
+	}
+	if got := m.Snapshot().DeadlineDrops; got != 1 {
+		t.Fatalf("%d deadline drops, want 1", got)
 	}
 }
 
 // TestPipelinedClientNotShed writes slots back to back from one
-// goroutine while another reads every reply as fast as it arrives, at
-// the default outbox. The daemon decodes faster than its writer
-// goroutine drains, so the outbox fills; a client that reads every
-// reply is not a slow reader, and its session must get a Decisions
-// reply for every slot, in order, without being shed.
+// goroutine while another reads every reply as fast as it arrives. A
+// client that reads every reply is not a slow reader: its session must
+// get a Decisions reply for every slot, in order, and lose none.
 func TestPipelinedClientNotShed(t *testing.T) {
 	const slots = 10000
 	for _, procs := range []int{1, 2} {
@@ -319,7 +341,7 @@ func TestPipelinedClientNotShed(t *testing.T) {
 				}
 				d, ok := rep.(*wire.Decisions)
 				if !ok {
-					t.Fatalf("reply %d is %+v, want Decisions (shed counter %d)", n, rep, m.Snapshot().SessionsShed)
+					t.Fatalf("reply %d is %+v, want Decisions", n, rep)
 				}
 				if d.Slot != uint32(n) {
 					t.Fatalf("reply %d is for slot %d", n, d.Slot)
@@ -328,8 +350,8 @@ func TestPipelinedClientNotShed(t *testing.T) {
 			if err := <-written; err != nil {
 				t.Fatal(err)
 			}
-			if s := m.Snapshot(); s.SessionsShed != 0 || s.SlotsIngested != slots {
-				t.Fatalf("%d sessions shed, %d slots ingested; want 0 and %d", s.SessionsShed, s.SlotsIngested, slots)
+			if s := m.Snapshot(); s.SlotsIngested != slots || s.DeadlineDrops != 0 || s.ActiveSessions != 1 {
+				t.Fatalf("%d slots ingested, %d deadline drops, %d sessions active; want %d, 0 and 1", s.SlotsIngested, s.DeadlineDrops, s.ActiveSessions, slots)
 			}
 		})
 	}

@@ -178,7 +178,7 @@ func TestClientRetriesBusyDaemon(t *testing.T) {
 		Seeds:       []uint64{1},
 		Taps:        []complex128{1},
 		DecodeSrc:   prng.NewSource(1),
-	}, func(engine.Event) bool { return true })
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bits"
@@ -17,13 +16,6 @@ import (
 
 // ServerConfig parameterizes the wire-protocol front end.
 type ServerConfig struct {
-	// OutboxFrames bounds each connection's pending reply queue. A
-	// decode event that finds it full while the connection's reply
-	// write stays stalled sheds its session (the slow-reader policy; see
-	// sink); otherwise it, like a direct reply, blocks the connection's
-	// reader until the writer drains, which is self-backpressure.
-	// 0 = 256.
-	OutboxFrames int
 	// IdleTimeout bounds the gap between frames: a connection that
 	// starts no new frame within it is dropped (counted as a deadline
 	// drop). 0 = no idle bound.
@@ -32,9 +24,12 @@ type ServerConfig struct {
 	// arrived — a peer that stalls mid-frame cannot hold a session slot
 	// forever. 0 = no per-frame bound.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each write of the connection's reply stream.
-	// A peer that stops reading long enough to trip it is dropped
-	// (counted as a deadline drop). 0 = no bound.
+	// WriteTimeout bounds each reply write, and so is the one bound on
+	// a slow reader: a peer that stops reading stalls only its own
+	// connection, through TCP backpressure, and once a write blocks this
+	// long the connection is dropped (counted as a deadline drop) and
+	// its sessions close. 0 = no bound: the connection waits for its
+	// peer.
 	WriteTimeout time.Duration
 	// MalformedBudget is how many malformed-but-framed frames one
 	// connection may send (each answered with a Malformed error) before
@@ -47,13 +42,6 @@ type ServerConfig struct {
 // budget applied when ServerConfig.MalformedBudget is zero.
 const DefaultMalformedBudget = 3
 
-func (c ServerConfig) outboxFrames() int {
-	if c.OutboxFrames > 0 {
-		return c.OutboxFrames
-	}
-	return 256
-}
-
 func (c ServerConfig) malformedBudget() int {
 	if c.MalformedBudget == 0 {
 		return DefaultMalformedBudget
@@ -65,11 +53,11 @@ func (c ServerConfig) malformedBudget() int {
 }
 
 // Server speaks the wire protocol on top of a SessionManager: one
-// reader goroutine per connection parses frames and drives the
-// manager's streaming API — each Slot decodes on it — and one writer
-// goroutine drains the bounded reply outbox. A connection may multiplex
-// any number of sessions, keyed by the manager-assigned session ID
-// returned in Opened; they decode one after another, in arrival order.
+// goroutine per connection reads each frame, drives the manager's
+// streaming API — each Slot decodes on it — and writes the reply before
+// it reads the next frame. A connection may multiplex any number of
+// sessions, keyed by the manager-assigned session ID returned in
+// Opened; they decode one after another, in arrival order.
 type Server struct {
 	m   *SessionManager
 	cfg ServerConfig
@@ -160,23 +148,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// handle runs one connection's reader loop; it returns when the peer
-// hangs up, blows a deadline, exhausts its malformed-frame budget, or
-// breaks protocol, closing any sessions left open.
+// handle runs one connection's loop; it returns when the peer hangs
+// up, blows a deadline, exhausts its malformed-frame budget, breaks
+// protocol or a reply write fails, closing any sessions left open.
 func (s *Server) handle(nc net.Conn) {
 	c := &serverConn{
 		s:        s,
 		nc:       nc,
-		outbox:   make(chan []byte, s.cfg.outboxFrames()),
 		sessions: make(map[uint64]*connSession),
 	}
-	var writerDone sync.WaitGroup
-	writerDone.Add(1)
-	go func() {
-		defer writerDone.Done()
-		c.writeLoop()
-	}()
-
 	fr := &frameReader{nc: nc, idle: s.cfg.IdleTimeout, readTO: s.cfg.ReadTimeout}
 	budget := s.cfg.malformedBudget()
 	for {
@@ -205,13 +185,11 @@ func (s *Server) handle(nc net.Conn) {
 			break
 		}
 	}
-	// Retire every session still open; each Close has offered its
-	// Closed reply to the outbox by the time it returns.
+	// Retire every session still open, each with its Closed reply; after
+	// a failed write the socket is closed and these writes fail at once.
 	for _, cs := range c.sessions {
-		cs.ls.Close()
+		c.closeSession(cs)
 	}
-	close(c.outbox)
-	writerDone.Wait()
 	nc.Close()
 }
 
@@ -251,16 +229,13 @@ func (r *frameReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// serverConn is one client connection's state; only its reader
-// goroutine touches sessions.
+// serverConn is one client connection's state, touched only by its
+// goroutine.
 type serverConn struct {
 	s        *Server
 	nc       net.Conn
-	outbox   chan []byte
 	sessions map[uint64]*connSession
-	// writing is set while the writer goroutine is inside a socket
-	// write: the only place it can block other than an empty outbox.
-	writing atomic.Bool
+	out      []byte // the reply being written, reused
 }
 
 // connSession is one live session of a connection.
@@ -270,44 +245,44 @@ type connSession struct {
 	// (initial tags plus every admitted arrival), against which
 	// handleSlot bounds a Slot's arrivals.
 	dims tableDims
+	// failed is set once a slot fails: its Error was the reply, and
+	// later slots for the session get none.
+	failed bool
 }
 
-// writeLoop drains the outbox to the socket. On a write error it closes
-// the socket (unblocking the reader) and keeps draining so the reader's
-// replies and sinks never block on a dead connection. Each write is
-// bounded by the configured write deadline: a peer that stops reading
-// long enough to stall a write is dropped, not waited on.
-func (c *serverConn) writeLoop() {
-	wto := c.s.cfg.WriteTimeout
-	var werr error
-	for b := range c.outbox {
-		if werr == nil {
-			if wto > 0 {
-				c.nc.SetWriteDeadline(time.Now().Add(wto))
-			}
-			c.writing.Store(true)
-			_, werr = c.nc.Write(b)
-			c.writing.Store(false)
-			if werr != nil {
-				var ne net.Error
-				if errors.As(werr, &ne) && ne.Timeout() {
-					c.s.m.stats.DeadlineDrops.Add(1)
-				}
-				c.nc.Close()
-			}
-		}
-	}
-}
-
-// reply sends a direct (reader-initiated) reply; it blocks when the
-// outbox is full, stalling this connection's reads — self-backpressure.
+// reply writes one frame to the socket in a single Write, bounded by
+// the configured write timeout. A failed write closes the socket and
+// returns false, which ends the connection.
 func (c *serverConn) reply(f wire.Frame) bool {
-	b, err := wire.Append(nil, f)
+	b, err := wire.Append(c.out[:0], f)
 	if err != nil {
 		return false
 	}
-	c.outbox <- b
+	c.out = b
+	if wto := c.s.cfg.WriteTimeout; wto > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(wto))
+	}
+	if _, err := c.nc.Write(b); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			c.s.m.stats.DeadlineDrops.Add(1)
+		}
+		c.nc.Close()
+		return false
+	}
 	return true
+}
+
+// closeSession closes one session and writes its Closed reply.
+func (c *serverConn) closeSession(cs *connSession) bool {
+	sum := cs.ls.Close()
+	return c.reply(&wire.Closed{
+		SessionID:   cs.ls.ID,
+		SlotsUsed:   uint32(sum.SlotsUsed),
+		Joined:      uint32(sum.Joined),
+		Accepted:    uint32(sum.Accepted),
+		RowsRetired: uint64(sum.RowsRetired),
+	})
 }
 
 // dispatch handles one client frame; false drops the connection.
@@ -320,8 +295,7 @@ func (c *serverConn) dispatch(f wire.Frame) bool {
 	case *wire.Close:
 		if cs, ok := c.sessions[f.SessionID]; ok {
 			delete(c.sessions, f.SessionID)
-			cs.ls.Close()
-			return true
+			return c.closeSession(cs)
 		}
 		return c.reply(&wire.Error{SessionID: f.SessionID, Code: wire.CodeUnknownSession, Msg: "unknown session"})
 	case *wire.Stats:
@@ -330,7 +304,6 @@ func (c *serverConn) dispatch(f wire.Frame) bool {
 			ActiveSessions:   snap.ActiveSessions,
 			SessionsOpened:   snap.SessionsOpened,
 			SessionsClosed:   snap.SessionsClosed,
-			SessionsShed:     snap.SessionsShed,
 			SlotsIngested:    snap.SlotsIngested,
 			RowsRetired:      snap.RowsRetired,
 			PayloadsAccepted: snap.PayloadsAccepted,
@@ -355,8 +328,6 @@ func errorCode(err error) uint8 {
 		return wire.CodeBusy
 	case errors.Is(err, ErrDraining):
 		return wire.CodeDraining
-	case errors.Is(err, ErrShed):
-		return wire.CodeShed
 	case errors.Is(err, ErrDecodePanic):
 		return wire.CodePanic
 	default:
@@ -459,7 +430,7 @@ func (c *serverConn) handleOpen(o *wire.Open) bool {
 		}
 	}
 
-	ls, err := c.s.m.Open(cfg, c.sink)
+	ls, err := c.s.m.Open(cfg)
 	if err != nil {
 		return c.reply(&wire.Error{Code: errorCode(err), Msg: err.Error()})
 	}
@@ -481,6 +452,10 @@ func (c *serverConn) handleSlot(f *wire.Slot) bool {
 	if msg := dims.tooLarge(); msg != "" {
 		return c.reply(&wire.Error{SessionID: f.SessionID, Code: wire.CodeTooLarge, Msg: "slot too large: " + msg})
 	}
+	cs.dims = dims
+	if cs.failed {
+		return true
+	}
 	var ev ratedapt.SlotEvents
 	if len(f.Arrivals) > 0 {
 		ev.Arrivals = make([]ratedapt.StreamArrival, len(f.Arrivals))
@@ -495,78 +470,21 @@ func (c *serverConn) handleSlot(f *wire.Slot) bool {
 		}
 	}
 	ev.Retap = f.Retap
-	if err := cs.ls.Feed(ev, f.Obs); err != nil {
-		// ErrShed: the slow-reader policy already fired; tell the
-		// client and retire the session.
-		delete(c.sessions, f.SessionID)
-		cs.ls.Close()
+	out, err := cs.ls.Feed(ev, f.Obs)
+	if err != nil {
+		cs.failed = true
 		return c.reply(&wire.Error{SessionID: f.SessionID, Code: errorCode(err), Msg: err.Error()})
 	}
-	cs.dims = dims
-	return true
-}
-
-// slowReaderGrace is how long a decode event waits on a full outbox
-// while the writer goroutine is inside a socket write before its
-// session is shed: a peer that reads its replies lets the write finish
-// well within it, even when it shares a CPU with the daemon.
-const slowReaderGrace = 100 * time.Millisecond
-
-// sink adapts engine events to wire frames for this connection. It runs
-// inside the session's Feed and Close, on the reader goroutine;
-// returning false sheds the session. A full outbox means a slow reader
-// only while the writer goroutine is inside a socket write that does
-// not finish within slowReaderGrace: a peer that does not read. When
-// the writer is not writing, it is about to drain — its next blocking
-// step is a receive from the non-empty outbox — so the send waits for
-// it. A client that pipelines slots and reads every reply may outrun
-// the writer but is never shed for it.
-func (c *serverConn) sink(ev Event) bool {
-	var fr wire.Frame
-	switch ev.Kind {
-	case EventDecisions:
-		d := &wire.Decisions{
-			SessionID:     ev.SessionID,
-			Slot:          uint32(ev.Step.Slot),
-			Colliders:     uint32(ev.Step.Colliders),
-			TotalAccepted: uint32(ev.Step.TotalAccepted),
-			RowsRetired:   uint32(ev.Step.RowsRetired),
-			Done:          ev.Step.Done,
-		}
-		for _, a := range ev.Accepted {
-			d.Accepted = append(d.Accepted, wire.Decision{Tag: uint32(a.Tag), Frame: a.Frame})
-		}
-		fr = d
-	case EventError:
-		fr = &wire.Error{SessionID: ev.SessionID, Code: errorCode(ev.Err), Msg: ev.Err.Error()}
-	case EventClosed:
-		fr = &wire.Closed{
-			SessionID:   ev.SessionID,
-			SlotsUsed:   uint32(ev.Summary.SlotsUsed),
-			Joined:      uint32(ev.Summary.Joined),
-			Accepted:    uint32(ev.Summary.Accepted),
-			RowsRetired: uint64(ev.Summary.RowsRetired),
-		}
-	default:
-		return true
+	d := &wire.Decisions{
+		SessionID:     f.SessionID,
+		Slot:          uint32(out.Step.Slot),
+		Colliders:     uint32(out.Step.Colliders),
+		TotalAccepted: uint32(out.Step.TotalAccepted),
+		RowsRetired:   uint32(out.Step.RowsRetired),
+		Done:          out.Step.Done,
 	}
-	if b, err := wire.Append(nil, fr); err == nil {
-		select {
-		case c.outbox <- b:
-			return true
-		default:
-		}
-		if !c.writing.Load() {
-			c.outbox <- b
-			return true
-		}
-		grace := time.NewTimer(slowReaderGrace)
-		defer grace.Stop()
-		select {
-		case c.outbox <- b:
-		case <-grace.C:
-			return false
-		}
+	for _, a := range out.Accepted {
+		d.Accepted = append(d.Accepted, wire.Decision{Tag: uint32(a.Tag), Frame: a.Frame})
 	}
-	return true
+	return c.reply(d)
 }

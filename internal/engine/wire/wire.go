@@ -146,13 +146,15 @@ type Closed struct {
 }
 
 // StatsReply snapshots the daemon's live counters, including the
-// per-reason failure counters (shed, deadline, malformed, panic,
+// per-reason failure counters (deadline, malformed, panic,
 // busy-rejected) that make failures observable from counters rather
 // than logs.
 type StatsReply struct {
-	ActiveSessions   int64
-	SessionsOpened   int64
-	SessionsClosed   int64
+	ActiveSessions int64
+	SessionsOpened int64
+	SessionsClosed int64
+	// SessionsShed is no longer produced and always reads 0; retire it
+	// with the next protocol version.
 	SessionsShed     int64
 	SlotsIngested    int64
 	RowsRetired      int64
@@ -166,11 +168,12 @@ type StatsReply struct {
 
 // Error codes classify an Error frame so clients can decide a retry
 // policy without parsing message strings: Busy and Draining are
-// retry-later, Malformed burns the sender's error budget, Panic and
-// Shed mean the named session is dead but the connection survives, and
-// TooLarge refuses a Slot whose arrivals would grow the named session's
-// tables past the daemon's per-session bound (the session stays open
-// and has not seen the slot).
+// retry-later, Malformed burns the sender's error budget, Panic means
+// the named session is dead but the connection survives, and TooLarge
+// refuses a Slot whose arrivals would grow the named session's tables
+// past the daemon's per-session bound (the session stays open and has
+// not seen the slot). Shed is no longer produced; retire it with the
+// next protocol version.
 const (
 	CodeGeneric        uint8 = 0
 	CodeBusy           uint8 = 1
