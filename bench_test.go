@@ -257,7 +257,7 @@ func BenchmarkScenario_GaussMarkov_K8(b *testing.B) {
 
 // BenchmarkScenario_FastMobility_K8 is the coherence-windowed decode
 // path end to end: Gauss–Markov drift at ρ = 0.9 with the auto window
-// — per-slot RetapAll rebuilds plus per-slot Session.Retire. Transfers
+// — per-slot RetapTags rebuilds plus per-slot Session.Retire. Transfers
 // in this regime legitimately run long (margins are drift-limited), so
 // the bench is expected to sit well above the slow-drift scenarios.
 func BenchmarkScenario_FastMobility_K8(b *testing.B) {
@@ -365,6 +365,63 @@ func BenchmarkWarehouseSweepProbe(b *testing.B) {
 	b.ReportMetric(float64(offered), "offered")
 	b.ReportMetric(float64(delivered)/float64(offered), "delivered-frac")
 	b.ReportMetric(float64(wrong), "wrong-payloads")
+}
+
+// BenchmarkWarehouseRosterScaling runs one trial of
+// examples/scenarios/warehouse.json per op at 550, 1,100 and 2,200
+// arrivals, at the spec's arrival rate and dwell with the slot budget
+// scaled with the count, and reports the CPU cost per slot next to the
+// mean joined and present tag counts per slot. The present count stays
+// near rate × dwell while the joined count grows with the roster, so a
+// slot cycle that walks live tags keeps ns/slot flat apart from the
+// channel process, which still advances every tag not yet arrived
+// (channel.GaussMarkov.ModelAt; profile with -cpuprofile to split it
+// out).
+func BenchmarkWarehouseRosterScaling(b *testing.B) {
+	base, err := scenario.Load("examples/scenarios/warehouse.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{550, 1100, 2200} {
+		b.Run(fmt.Sprintf("arrivals=%d", n), func(b *testing.B) {
+			spec := base
+			a := *spec.Workload.Arrivals
+			a.Count = n
+			spec.Workload.Arrivals = &a
+			spec.Decode.MaxSlots = base.Decode.MaxSlots * n / base.Workload.Arrivals.Count
+			spec.Trials = 1
+			var slots, joined, present int
+			for i := 0; i < b.N; i++ {
+				spec.Seed = base.Seed + uint64(i)
+				out, err := sim.Run(spec, sim.WithTrialDetail())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				rost, err := spec.WithDefaults().ResolveRoster()
+				if err != nil {
+					b.Fatal(err)
+				}
+				l := out.Trials[0].SlotsUsed
+				slots += l
+				for _, w := range rost.Windows {
+					if w.Arrive() > l {
+						continue
+					}
+					joined += l - w.Arrive() + 1
+					end := l + 1
+					if w.DepartSlot > 0 {
+						end = min(end, w.DepartSlot)
+					}
+					present += max(0, end-w.Arrive())
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(slots), "ns/slot")
+			b.ReportMetric(float64(joined)/float64(slots), "joined/slot")
+			b.ReportMetric(float64(present)/float64(slots), "present/slot")
+		})
+	}
 }
 
 // --- Ablations ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package bp
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bits"
@@ -30,7 +31,7 @@ func randomProblem(src *prng.Source, k, l int) problem {
 }
 
 // TestPerSlotDecodePathAllocationFree pins the warm one-shot decode
-// round — Begin, InitPositions, one AppendSlot per row, an initialized
+// round — Begin, InitPositions, one AppendColliders per row, an initialized
 // multi-restart DecodeSlot with its margins — to zero heap allocations
 // once the session has seen the shape.
 func TestPerSlotDecodePathAllocationFree(t *testing.T) {
@@ -118,6 +119,7 @@ func TestSessionLockGrowSteadyStateAllocationFree(t *testing.T) {
 	taps := randomTaps(kCap, src)
 	est := randomEstimates(kCap, frameLen, src)
 	rows, obss := scriptSlots(kCap, frameLen, 64, 0x6A1)
+	cols, all := colsOfRows(rows), allTags(kCap)
 
 	s := NewSession()
 	s.Reserve(kCap, frameLen, maxSlots, restarts)
@@ -130,9 +132,10 @@ func TestSessionLockGrowSteadyStateAllocationFree(t *testing.T) {
 		for i := range cur[:k] {
 			cur[i] *= complex(0.9999, 0.001)
 		}
-		s.RetapAll(cur[:k])
+		s.RetapTags(cur[:k], all[:k])
 		i := (slot - 1) % len(rows)
-		s.AppendSlot(rows[i][:k], obss[i])
+		n, _ := slices.BinarySearch(cols[i], k) // the colliders among the first k tags
+		s.AppendColliders(cols[i][:n], obss[i])
 		s.DecodeSlot(slot, locked[:k], base, minMargin[:k], ambiguous[:k])
 		switch {
 		case slot%5 == 0 && k < kCap:
@@ -171,7 +174,7 @@ func TestSessionLockGrowSteadyStateAllocationFree(t *testing.T) {
 
 // warmGramSession returns a session whose next DecodeSlot runs on the
 // Gram path with locked tags sharing its active rows, and a cycle that
-// moves every tap (RetapAll invalidates every position, so each is
+// moves every tap (RetapTags invalidates every position, so each is
 // re-derived in Gram space from the matched-filter state, with the
 // locked tags' columns entering B) and decodes one slot.
 func warmGramSession(t *testing.T) (s *Session, locked []bool, cycle func()) {
@@ -191,19 +194,20 @@ func warmGramSession(t *testing.T) (s *Session, locked []bool, cycle func()) {
 	s.Begin(k, frameLen, l, restarts, taps)
 	s.InitPositions(randomEstimates(k, frameLen, src))
 	for i := range rows {
-		s.AppendSlot(rows[i], obss[i])
+		appendSlot(s, rows[i], obss[i])
 	}
 	locked = make([]bool, k)
 	locked[1], locked[4] = true, true
 	minMargin := make([]float64, k)
 	ambiguous := make([]bool, k)
 	cur := append([]complex128(nil), taps...)
+	all := allTags(k)
 	slot := l
 	cycle = func() {
 		for i := range cur {
 			cur[i] *= complex(0.9999, 0.001)
 		}
-		s.RetapAll(cur)
+		s.RetapTags(cur, all)
 		s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
 		slot++
 	}
@@ -262,6 +266,7 @@ func gramThenRowCycle(t *testing.T) func() {
 			obss[r][p] = src.ComplexNorm()
 		}
 	}
+	cols := colsOfRows(rows)
 	s := NewSession()
 	t.Cleanup(s.Close)
 	unlocked := make([]bool, k)
@@ -276,11 +281,11 @@ func gramThenRowCycle(t *testing.T) func() {
 		s.Begin(k, frameLen, l+1, restarts, taps)
 		s.InitPositions(est)
 		for r := 0; r < l; r++ {
-			s.AppendSlot(rows[r], obss[r])
+			s.AppendColliders(cols[r], obss[r])
 		}
 		s.DecodeSlot(l, unlocked, base, minMargin, ambiguous)
 		kinds[0] = s.gramOn
-		s.AppendSlot(rows[l], obss[l])
+		s.AppendColliders(cols[l], obss[l])
 		s.DecodeSlot(l+1, locked, base, minMargin, ambiguous)
 		kinds[1] = s.gramOn
 	}

@@ -115,7 +115,7 @@ func TestAppendRowAndRederiveMatchReference(t *testing.T) {
 			}
 		}
 		for row := 0; row < l; row++ {
-			g.AppendRow(bits.Random(src, k))
+			g.AppendRow(colsOf(bits.Random(src, k)))
 			obs := complex(src.NormFloat64(), src.NormFloat64())
 			if src.IntN(3) == 0 {
 				obs = zeroObs[src.IntN(len(zeroObs))]

@@ -107,6 +107,11 @@ type Graph struct {
 	// so their energy is the same for every pass of a position and never
 	// enters a comparison.
 	activeRows []int
+	// actDeg[i] counts tag i's live rows that are active. It changes
+	// where a row activates or deactivates: AppendRow, DeactivateTag,
+	// RetireRow and RetireTagRows. A locked tag with actDeg 0 lies on no
+	// row any kernel reads (see Session.Quiescent).
+	actDeg []int
 	// flatTags/flatStart are a CSR snapshot of the active adjacency,
 	// rebuilt by SnapshotActive once per slot: flatTags[flatStart[x] :
 	// flatStart[x+1]] are the active tags of activeRows[x], packed
@@ -173,6 +178,8 @@ func (g *Graph) Reset(k int, taps []complex128) {
 	}
 	g.deactivated = g.deactivated[:k]
 	clear(g.deactivated)
+	g.actDeg = grow(g.actDeg, k)
+	clear(g.actDeg)
 	g.activeTags = reserveCap(g.activeTags[:0], k)
 	for i := 0; i < k; i++ {
 		g.activeTags = append(g.activeTags, i)
@@ -210,7 +217,7 @@ func (g *Graph) SetTaps(taps []complex128) {
 
 // RetapTag installs a new tap for tag i, updating the derived caches
 // (|h|², hoisted conjugate parts, |h|²·w) in O(1). Cached descent
-// state derived under the old tap is stale afterwards: Session.RetapAll
+// state derived under the old tap is stale afterwards: Session.RetapTags
 // invalidates it, and the next DecodeSlot rebuilds.
 func (g *Graph) RetapTag(i int, h complex128) {
 	re, im := real(h), imag(h)
@@ -231,6 +238,7 @@ func (g *Graph) ReserveTags(kCap int) {
 	}
 	g.colRows = reserveCap(g.colRows, kCap)
 	g.deactivated = reserveCap(g.deactivated, kCap)
+	g.actDeg = reserveCap(g.actDeg, kCap)
 	g.activeTags = reserveCap(g.activeTags, kCap)
 	g.taps = reserveCap(g.taps, kCap)
 	g.tapPower = reserveCap(g.tapPower, kCap)
@@ -273,6 +281,7 @@ func (g *Graph) AddTag(h complex128) {
 		g.colRows = append(g.colRows, nil)
 	}
 	g.deactivated = append(g.deactivated, false)
+	g.actDeg = append(g.actDeg, 0)
 	g.activeTags = append(g.activeTags, k)
 	re, im := real(h), imag(h)
 	g.taps = append(g.taps, h)
@@ -284,14 +293,10 @@ func (g *Graph) AddTag(h complex128) {
 	g.K = k + 1
 }
 
-// AppendRow grows the graph by one collision row: row[i] reports whether
-// tag i participates in the new symbol. Cost is O(K) for the scan and
-// O(colliders) for the adjacency updates; storage is reused across
-// Reset cycles.
-func (g *Graph) AppendRow(row bits.Vector) {
-	if len(row) != g.K {
-		panic(fmt.Sprintf("bp: AppendRow length %d != K %d", len(row), g.K))
-	}
+// AppendRow grows the graph by one collision row whose colliders are
+// cols, ascending tag indices below K. Cost is O(colliders); storage is
+// reused across Reset cycles.
+func (g *Graph) AppendRow(cols []int) {
 	r := g.L
 	if r < cap(g.rowCols) {
 		g.rowCols = g.rowCols[:r+1]
@@ -313,20 +318,22 @@ func (g *Graph) AppendRow(row bits.Vector) {
 		ra = g.popSpare()
 	}
 	ra = ra[:0]
-	for i, on := range row {
-		if on {
-			rc = append(rc, i)
-			g.colRows[i] = append(g.colRows[i], r)
-			g.wPow[i] += g.tapPower[i]
-			if !g.deactivated[i] {
-				ra = append(ra, i)
-			}
+	for _, i := range cols {
+		if i < 0 || i >= g.K || (len(rc) > 0 && i <= rc[len(rc)-1]) {
+			panic(fmt.Sprintf("bp: AppendRow collider %d not ascending in [0, %d)", i, g.K))
+		}
+		rc = append(rc, i)
+		g.colRows[i] = append(g.colRows[i], r)
+		g.wPow[i] += g.tapPower[i]
+		if !g.deactivated[i] {
+			ra = append(ra, i)
 		}
 	}
 	g.rowCols[r] = rc
 	g.rowActive[r] = ra
 	if len(ra) > 0 {
 		g.activeRows = append(g.activeRows, r)
+		g.countActive(rc, 1)
 	}
 	g.L = r + 1
 }
@@ -365,6 +372,7 @@ func (g *Graph) RetireRow() {
 		}
 	}
 	if len(g.rowActive[r]) > 0 {
+		g.countActive(g.rowCols[r], -1)
 		// activeRows is ascending, so a live oldest row can only be
 		// its first entry.
 		if g.activeRows[0] != r {
@@ -409,6 +417,9 @@ func (g *Graph) RetireTagRows(i, throughRow int) int {
 	active := !g.deactivated[i]
 	emptied := false
 	for _, r := range cr[:n] {
+		if len(g.rowActive[r]) > 0 {
+			g.actDeg[i]--
+		}
 		rc := g.rowCols[r]
 		for x, j := range rc {
 			if j == i {
@@ -428,6 +439,7 @@ func (g *Graph) RetireTagRows(i, throughRow int) int {
 			}
 			if len(g.rowActive[r]) == 0 {
 				emptied = true
+				g.countActive(g.rowCols[r], -1)
 			}
 		}
 	}
@@ -525,7 +537,7 @@ func (g *Graph) ReserveAdjacency(kCap, n int) {
 	}
 	g.rowCols = rc[:0]
 	g.rowActive = ra[:0]
-	// Row indices never reach n (AppendSlot enforces the budget), so
+	// Row indices never reach n (AppendColliders enforces the budget), so
 	// every append finds its carved region in place and the spare pool
 	// is dead weight from here on.
 	g.spare = g.spare[:0]
@@ -571,6 +583,7 @@ func (g *Graph) DeactivateTag(i int) {
 		}
 		if len(g.rowActive[row]) == 0 {
 			emptied = true
+			g.countActive(g.rowCols[row], -1)
 		}
 	}
 	if emptied {
@@ -611,6 +624,14 @@ func (g *Graph) SnapshotActive() {
 
 // Degree returns the participation count of tag i.
 func (g *Graph) Degree(i int) int { return len(g.colRows[i]) }
+
+// countActive adds d to the active-row count of every tag in cols: a
+// row with colliders cols activated (d = 1) or deactivated (d = −1).
+func (g *Graph) countActive(cols []int, d int) {
+	for _, i := range cols {
+		g.actDeg[i] += d
+	}
+}
 
 // residualInto computes r = y − D·H·b into dst (length L) over the
 // live rows [retired, L) and returns dst — the column-major residual

@@ -66,7 +66,7 @@ func buildProblem(src *prng.Source, k, l int, p float64, snrDB float64, noisy bo
 }
 
 // oneShot runs a Session as a one-shot decoder: frame length 1, one
-// AppendSlot per row of the problem, then a single DecodeSlot at the
+// AppendColliders per row of the problem, then a single DecodeSlot at the
 // last slot. Bits and error are the session's position 0; margins,
 // ambiguity flags and the flip count are that DecodeSlot's outputs. A
 // oneShot reuses its Session and buffers, so a warm one decodes a
@@ -75,6 +75,7 @@ type oneShot struct {
 	s         *Session
 	est       []bits.Vector
 	src       prng.Source
+	cols      []int
 	margins   []float64
 	ambiguous []bool
 	flips     uint64
@@ -105,7 +106,8 @@ func (o *oneShot) decode(pr problem, init bits.Vector, locked []bool, restarts i
 	}
 	o.s.InitPositions(o.est)
 	for r, row := range pr.rows {
-		o.s.AppendSlot(row, pr.y[r:r+1])
+		o.cols = appendCols(o.cols[:0], row)
+		o.s.AppendColliders(o.cols, pr.y[r:r+1])
 	}
 	o.margins = grow(o.margins, k)
 	o.ambiguous = grow(o.ambiguous, k)
@@ -119,11 +121,51 @@ func (o *oneShot) decoded() bits.Vector { return bits.Vector(o.s.PosBits(0)) }
 // err returns ‖y − D·H·b̂‖² at the decoded bits.
 func (o *oneShot) err() float64 { return o.s.PosError(0) }
 
+// colsOf lists a participation row's colliders, the form
+// Graph.AppendRow and Session.AppendColliders take.
+func colsOf(row bits.Vector) []int { return appendCols(nil, row) }
+
+// appendCols appends row's colliders to dst.
+func appendCols(dst []int, row bits.Vector) []int {
+	for i, on := range row {
+		if on {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// appendSlot feeds s one slot given as a participation row.
+func appendSlot(s *Session, row bits.Vector, obs []complex128) {
+	s.AppendColliders(colsOf(row), obs)
+}
+
+// retapAll installs taps for every tag of s.
+func retapAll(s *Session, taps []complex128) { s.RetapTags(taps, allTags(len(taps))) }
+
+// allTags lists the tags 0..k−1.
+func allTags(k int) []int {
+	tags := make([]int, k)
+	for i := range tags {
+		tags[i] = i
+	}
+	return tags
+}
+
+// colsOfRows maps colsOf over rows.
+func colsOfRows(rows []bits.Vector) [][]int {
+	cols := make([][]int, len(rows))
+	for r, row := range rows {
+		cols[r] = colsOf(row)
+	}
+	return cols
+}
+
 func TestNewGraphAdjacency(t *testing.T) {
 	var g Graph
 	g.Reset(3, []complex128{1, 2, 3})
-	g.AppendRow(bits.Vector{true, false, true})
-	g.AppendRow(bits.Vector{false, true, false})
+	g.AppendRow([]int{0, 2})
+	g.AppendRow([]int{1})
 	if g.K != 3 || g.L != 2 {
 		t.Fatalf("graph dims %dx%d", g.K, g.L)
 	}
@@ -295,7 +337,7 @@ func TestDescendTieBreaksTowardLowerIndex(t *testing.T) {
 	var g Graph
 	g.Reset(k, taps)
 	for _, row := range rows {
-		g.AppendRow(row)
+		g.AppendRow(colsOf(row))
 	}
 	g.SnapshotActive()
 	st := descentState{
@@ -335,9 +377,9 @@ func TestDecodePanicsOnBadDimensions(t *testing.T) {
 	obs := []complex128{1, 2}
 	margins, amb := make([]float64, 4), make([]bool, 4)
 	for name, fn := range map[string]func(){
-		"short obs":      func() { fresh().AppendSlot(pr.rows[0], obs[:1]) },
-		"short row":      func() { fresh().AppendSlot(pr.rows[0][:2], obs) },
-		"past maxSlots":  func() { s := NewSession(); s.Begin(4, 2, 0, 0, pr.taps); s.AppendSlot(pr.rows[0], obs) },
+		"short obs":      func() { appendSlot(fresh(), pr.rows[0], obs[:1]) },
+		"short taps":     func() { retapAll(fresh(), pr.taps[:2]) },
+		"past maxSlots":  func() { s := NewSession(); s.Begin(4, 2, 0, 0, pr.taps); appendSlot(s, pr.rows[0], obs) },
 		"few estimates":  func() { fresh().InitPositions(est[:2]) },
 		"short estimate": func() { fresh().InitPositions(randomEstimates(4, 1, src)) },
 		"short locked":   func() { s := fresh(); s.InitPositions(est); s.DecodeSlot(0, make([]bool, 2), 0, margins, amb) },

@@ -173,7 +173,7 @@ func TestMarginsPanicOnDimensionMismatch(t *testing.T) {
 			s := NewSession()
 			s.Begin(2, 1, 2, 0, []complex128{1, 1})
 			s.InitPositions([]bits.Vector{{true}, {false}})
-			s.AppendSlot(bits.Vector{true, true}, []complex128{1})
+			appendSlot(s, bits.Vector{true, true}, []complex128{1})
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s: expected panic", name)

@@ -29,7 +29,7 @@ func TestResetRecycledSessionMatchesFresh(t *testing.T) {
 		mm, amb := make([]float64, dk), make([]bool, dk)
 		for slot := 1; slot <= 12; slot++ {
 			row, obs := drv.slot()
-			recycled.AppendSlot(row, obs)
+			appendSlot(recycled, row, obs)
 			recycled.DecodeSlot(slot, locked, 0xBA5E, mm, amb)
 			if slot > 6 {
 				recycled.Retire(slot - 6)
@@ -55,8 +55,8 @@ func TestResetRecycledSessionMatchesFresh(t *testing.T) {
 	locked := make([]bool, k)
 	for slot := 1; slot <= 20; slot++ {
 		row, obs := drv.slot()
-		fresh.AppendSlot(row, obs)
-		recycled.AppendSlot(row.Clone(), append([]complex128(nil), obs...))
+		appendSlot(fresh, row, obs)
+		appendSlot(recycled, row.Clone(), append([]complex128(nil), obs...))
 		decodeCompare(t, fresh, recycled, slot, locked, 0xF00D, k, frameLen)
 	}
 }
@@ -80,13 +80,14 @@ func TestResetRecycleZeroAllocs(t *testing.T) {
 	locked := make([]bool, k)
 	mm, amb := make([]float64, k), make([]bool, k)
 
+	cols := colsOfRows(rows)
 	sess := &Session{}
 	cycle := func() {
 		sess.Reset()
 		sess.Begin(k, frameLen, maxSlots, 1, taps)
 		sess.InitPositions(est)
 		for s := 0; s < nSlots; s++ {
-			sess.AppendSlot(rows[s], obs[s])
+			sess.AppendColliders(cols[s], obs[s])
 			sess.DecodeSlot(s+1, locked, 0xBEEF, mm, amb)
 		}
 	}

@@ -81,7 +81,7 @@ type Session struct {
 	// co-occurrence Gram WᴴW over the same rows, cooc[a·kStride+b] =
 	// the number of those rows a and b share — an exact integer count,
 	// stored as int32 to halve the dense (tag cap)² table. Neither
-	// depends on the taps, so RetapAll and SetTaps touch neither. Rows
+	// depends on the taps, so RetapTags and SetTaps touch neither. Rows
 	// [0, folded) have been folded in; only Gram slots read the state,
 	// so prepareGram folds the rows appended since (foldRows) and a
 	// transfer that never takes the Gram path never pays for it. Retire
@@ -183,19 +183,19 @@ type Session struct {
 
 	// stateValid reports whether the per-position row state matches the
 	// graph. A row slot's decode sets it and a Gram slot's clears it
-	// (finishSlot). Only AppendSlot's rows, DecodeSlot's locks and Grow's
+	// (finishSlot). Only AppendColliders' rows, DecodeSlot's locks and Grow's
 	// empty columns are absorbed incrementally; every other model change
-	// (SetTaps, RetapAll, Retire, RetireTag, InitPositions) clears it.
+	// (SetTaps, RetapTags, Retire, RetireTag, InitPositions) clears it.
 	// A row slot rebuilds every position's row state when it is clear; a
 	// Gram slot never reads it.
 	stateValid bool
-	// retapIdx is RetapAll's changed-tag staging buffer.
+	// retapIdx is RetapTags' changed-tag staging buffer.
 	retapIdx []int
 
 	// Coherence-window bookkeeping. rowPower[r] is the absorb-time
 	// signal energy of row r (Σ_{i∈row} |h_i|²/2 — the expected
 	// per-position contribution against fair bits); driftEnergy[r]
-	// accumulates the model error RetapAll folds into the row (|Δh_i|²/2
+	// accumulates the model error RetapTags folds into the row (|Δh_i|²/2
 	// per moved collider). driftTotal and sigTotal are their running
 	// sums over the live rows: Retire subtracts a retired row's share,
 	// and DriftFraction serves their ratio to the margin gate.
@@ -204,9 +204,9 @@ type Session struct {
 	driftTotal  float64
 	sigTotal    float64
 	// trackDrift arms the banking: an unwindowed transfer never reads
-	// DriftFraction, so AppendSlot, RetapAll and Retire all skip the
+	// DriftFraction, so AppendColliders, RetapTags and Retire all skip the
 	// accounting unless the owner called TrackDrift(true) after Begin
-	// (and before the first AppendSlot — toggling mid-transfer would
+	// (and before the first AppendColliders — toggling mid-transfer would
 	// desynchronize the per-row series from the graph).
 	trackDrift bool
 	// retireRows stages RetireTag's removed-row indices across the
@@ -215,7 +215,7 @@ type Session struct {
 
 	// Per-tag drift ledgers — the per-tag coherence window's margin-gate
 	// input, armed by TrackTagDrift. tagCum[i] is the cumulative model
-	// error RetapAll has banked against tag i (|Δh_i|²/2 summed over
+	// error RetapTags has banked against tag i (|Δh_i|²/2 summed over
 	// move events, monotone within a transfer). tagLedger[i] interleaves,
 	// per live row of tag i (aligned with the graph's colRows[i]), the
 	// value of tagCum[i] when the row absorbed the tag and the
@@ -779,22 +779,26 @@ func (s *Session) SetTaps(taps []complex128) {
 	s.stateValid = false
 }
 
-// RetapAll installs new channel taps. A call that moves any tap banks
-// the move's drift (see DriftFraction and DriftFractionTag) and
-// invalidates the cached per-position state: the next DecodeSlot
-// re-derives every position from its observations under the new taps
-// (from the matched-filter state, which a retap leaves untouched, on a
-// Gram slot), and PosError and ConditionalMargin are invalid until
-// then. A call that moves no tap is a no-op and leaves the state valid.
-// Call order per slot is retap → append → decode → gates, as the
-// transfer loops do.
-func (s *Session) RetapAll(taps []complex128) {
+// RetapTags installs new channel taps for the listed tags (ascending):
+// taps holds a tap for every tag, and only the listed tags' are
+// compared and installed, in O(listed). A driver lists the tags whose
+// taps can still be read; a quiescent tag (Quiescent) may keep the tap
+// it had, which changes no output. A call that moves any tap banks the
+// move's drift (see DriftFraction and DriftFractionTag) and invalidates
+// the cached per-position state: the next DecodeSlot re-derives every
+// position from its observations under the new taps (from the
+// matched-filter state, which a retap leaves untouched, on a Gram
+// slot), and PosError and ConditionalMargin are invalid until then. A
+// call that moves no tap is a no-op and leaves the state valid. Call
+// order per slot is retap → append → decode → gates, as the transfer
+// loops do.
+func (s *Session) RetapTags(taps []complex128, tags []int) {
 	if len(taps) != s.k {
-		panic(fmt.Sprintf("bp: RetapAll got %d taps for %d tags", len(taps), s.k))
+		panic(fmt.Sprintf("bp: RetapTags got %d taps for %d tags", len(taps), s.k))
 	}
 	changed := s.retapIdx[:0]
-	for i, h := range taps {
-		if h != s.g.taps[i] {
+	for _, i := range tags {
+		if taps[i] != s.g.taps[i] {
 			changed = append(changed, i)
 		}
 	}
@@ -1006,19 +1010,20 @@ func (s *Session) Grow(taps []complex128, est []bits.Vector) {
 	s.shapeGram(k2)
 }
 
-// AppendSlot feeds the session one new collision slot: the
-// participation row and one observed symbol per bit position. The graph
-// grows by one row; each position's cached residual absorbs the new
-// observation lazily at its next row-path decode, in O(colliders), and
-// the matched-filter state at the next Gram slot (foldRows).
-func (s *Session) AppendSlot(row bits.Vector, obs []complex128) {
+// AppendColliders feeds the session one new collision slot: its
+// colliders (ascending tag indices) and one observed symbol per bit
+// position. The graph grows by one row in O(colliders); each position's
+// cached residual absorbs the new observation lazily at its next
+// row-path decode, in O(colliders), and the matched-filter state at the
+// next Gram slot (foldRows).
+func (s *Session) AppendColliders(cols []int, obs []complex128) {
 	if len(obs) != s.frameLen {
-		panic(fmt.Sprintf("bp: AppendSlot got %d observations for frame length %d", len(obs), s.frameLen))
+		panic(fmt.Sprintf("bp: AppendColliders got %d observations for frame length %d", len(obs), s.frameLen))
 	}
 	if s.g.L >= s.maxSlots {
-		panic("bp: AppendSlot past the session's maxSlots")
+		panic("bp: AppendColliders past the session's maxSlots")
 	}
-	s.g.AppendRow(row)
+	s.g.AppendRow(cols)
 	if s.trackDrift {
 		rp := 0.0
 		for _, i := range s.g.rowCols[s.g.L-1] {
@@ -1112,7 +1117,7 @@ func (s *Session) snapRowless(i int) {
 
 // Retire drops every collision slot up to and including throughSlot
 // (1-based) from the decode — the symmetric inverse of Grow's and
-// AppendSlot's accretion, turning "the graph only grows" into "the
+// AppendColliders' accretion, turning "the graph only grows" into "the
 // graph is a sliding window". Each retired row leaves the graph's
 // adjacency (Graph.RetireRow; indices never shift, so all cached
 // per-row state stays aligned) and takes its share of the matched-filter
@@ -1121,7 +1126,7 @@ func (s *Session) snapRowless(i int) {
 // re-derives every position from the surviving rows' observations, and
 // PosError and ConditionalMargin are invalid until then. A call with
 // nothing to retire is a no-op and leaves the state valid. Call it
-// between a DecodeSlot and the next AppendSlot.
+// between a DecodeSlot and the next AppendColliders.
 //
 // Returns the number of rows retired; retiring everything is legal
 // (the decoder then knows nothing and margins collapse to zero until
@@ -1184,7 +1189,7 @@ func (s *Session) Retired() int { return s.g.retired }
 // the state valid. Removing a tag's every row is legal: like a tag that
 // just joined, its margins collapse to zero until it participates
 // again. Like Retire, call it between a DecodeSlot and the next
-// AppendSlot.
+// AppendColliders.
 //
 // Returns the number of rows the tag was removed from.
 func (s *Session) RetireTag(tag, throughSlot int) int {
@@ -1237,7 +1242,7 @@ func (s *Session) RetireTag(tag, throughSlot int) int {
 
 // TrackTagDrift arms (or disarms) the per-tag drift ledgers behind
 // DriftFractionTag — the per-tag analogue of TrackDrift, with the same
-// contract: toggle after Begin and before the first AppendSlot. Arming
+// contract: toggle after Begin and before the first AppendColliders. Arming
 // pre-sizes each tag's ledger for the transfer's slot budget (a
 // never-windowed tag's ledger grows for the whole round), so the
 // per-slot cycle stays allocation-free from the first transfer on.
@@ -1255,7 +1260,7 @@ func (s *Session) TrackTagDrift(on bool) {
 // DriftFractionTag estimates the model error tag i decodes against,
 // as a fraction of its live in-window rows' absorb-time signal energy
 // — the per-tag analogue of DriftFraction, and the per-tag margin
-// gate's deflator. Two terms: the drift RetapAll banked against the
+// gate's deflator. Two terms: the drift RetapTags banked against the
 // tag's own tap (|Δh_i|²/2 per move, reclaimed by Retire and RetireTag
 // as rows age out), plus the orphan energy the retirement of OTHER tags
 // left unmodeled in rows the tag still decodes — a parked tag among
@@ -1284,7 +1289,7 @@ func (s *Session) TrackDrift(on bool) { s.trackDrift = on }
 
 // DriftFraction estimates the accumulated channel-model error carried
 // by the live rows, as a fraction of their absorb-time signal energy:
-// RetapAll (when armed via TrackDrift) banks |Δh|²/2 per moved tap per
+// RetapTags (when armed via TrackDrift) banks |Δh|²/2 per moved tap per
 // absorbed row, Retire takes a retired row's share back out. The
 // rate-adaptation margin gate deflates its windowed acceptance
 // thresholds by 1/(1 + 2·DriftFraction()) — drift eats margin, so an
@@ -1301,6 +1306,47 @@ func (s *Session) DriftFraction() float64 {
 
 // Degree returns the participation count of tag i.
 func (s *Session) Degree(i int) int { return s.g.Degree(i) }
+
+// UnlockedTags lists (ascending) the tags the last DecodeSlot decoded as
+// unlocked: every tag not in its locked argument. A live view, valid
+// until the next DecodeSlot.
+func (s *Session) UnlockedTags() []int { return s.g.activeTags }
+
+// Quiescent reports whether no reader of the session looks at tag i's
+// tap again, provided the tag joins no new row (a departed tag): it is
+// locked (deactivated by a DecodeSlot), lies on no active row, and lies
+// on no live row at all while global drift banking is armed
+// (TrackDrift). O(1). A quiescent tag stays quiescent: a lock is
+// permanent, a row never reactivates and, with no new rows, the live
+// rows only retire. Its tap may then stay fixed (channel.Process.Freeze,
+// RetapTags) with every output unchanged.
+//
+// Why. These are every reader of a tap:
+//   - Residuals: the row path scores, descends and re-descends (the
+//     gates' ConditionalMargin) on the active rows only; a rebuild may
+//     also write frozen rows, whose entries nothing reads. Tag i lies on
+//     no active row.
+//   - The matched-filter input: gramInput subtracts the columns of the
+//     locked tags that share a live row with an active tag
+//     (gramLocked), and any row holding an active tag is active.
+//   - The restart certificate and the ambiguity sweep read the decode
+//     set's taps, all unlocked.
+//   - DriftFraction: RetapTags banks |Δh|²/2 on every live row of a moved
+//     tag; armed, the rule asks for no live row, so nothing is banked.
+//   - DriftFractionTag and the orphan ledger: a move banks into tag i's
+//     own tagCum, which only DriftFractionTag(i) reads, and the gates
+//     read it for unlocked tags only; the orphan ledger banks the
+//     absorb-time signal |h|²/2, fixed before the tag departed.
+//   - marginOf and wPow: a locked tag's margin is marginOf(i, −∞), +∞
+//     when |h_i|²·w_i > 0 and 0 when it is 0, which depends on the tap
+//     only through whether it is exactly zero.
+//   - PosError adds the frozen rows' energy, tag i's rows included. No
+//     production path calls it; the tests that do drive a Session
+//     directly, without freezing.
+func (s *Session) Quiescent(i int) bool {
+	g := &s.g
+	return g.deactivated[i] && g.actDeg[i] == 0 && (!s.trackDrift || len(g.colRows[i]) == 0)
+}
 
 // Slots returns the number of collision slots absorbed so far.
 func (s *Session) Slots() int { return s.g.L }
@@ -1324,7 +1370,7 @@ func (s *Session) PosBits(p int) []bool {
 // slot), and otherwise built from the position's bits in the
 // ConditionalMargin workspace. It is a pure read: it writes no position
 // state, so calling it never changes a later decode. Valid from a
-// DecodeSlot until the next mutation: an AppendSlot, or a RetapAll,
+// DecodeSlot until the next mutation: an AppendColliders, or a RetapTags,
 // Retire or RetireTag that changes anything. Call it from the session's
 // owning goroutine.
 func (s *Session) PosError(p int) float64 {
@@ -1441,14 +1487,18 @@ func (s *Session) prepareSlot(slot int, locked []bool, base uint64) {
 	// on (§6d), and no position state carries anything else about it —
 	// the residual already holds its set bits' taps, gramInput subtracts
 	// them from the matched-filter outputs, and a rebuild re-derives
-	// active tags only.
+	// active tags only. Only an active tag can be newly locked, so the
+	// scan walks the active list, which DeactivateTag shrinks in place.
 	if locked != nil {
-		for i, l := range locked {
-			if l && !s.g.deactivated[i] {
-				s.g.DeactivateTag(i)
-				for p := 0; p < s.frameLen; p++ {
-					s.states[p].lockTag(i)
-				}
+		for x := 0; x < len(s.g.activeTags); {
+			i := s.g.activeTags[x]
+			if !locked[i] {
+				x++
+				continue
+			}
+			s.g.DeactivateTag(i)
+			for p := 0; p < s.frameLen; p++ {
+				s.states[p].lockTag(i)
 			}
 		}
 	}
@@ -1754,20 +1804,27 @@ func gramColumn(dst []complex128, nz []bool, counts []int32, act []int, h comple
 func (s *Session) finishSlot(minMargin []float64, anyAmbiguous []bool) {
 	s.stateValid = !s.gramOn
 
-	// Merge of the per-position results, in position order. The flip
-	// margin is m_i(p) = −gain_i(p)/(|h_i|²·w_i) with a p-independent
-	// denominator, so the minimum margin is one division from the maximum
-	// gain — the per-position margin rows of the naive loop disappear
-	// entirely. Only the decode set is merged: a locked tag's gain is −∞
-	// at every position and the ambiguity sweep never marks it, so its
-	// staged −∞ and false are already the merge result; a rowless tag's
-	// margin is 0 whatever its gain (marginOf, |h|²·w = 0) and the sweep
+	// A tag outside the decode set takes its rest value: no ambiguity
+	// and margin marginOf(i, −∞), which is +∞ when |h_i|²·w_i > 0 and 0
+	// when it is 0 (it is never negative), written here for every tag
+	// without a division. A locked tag's gain is −∞ at every position
+	// and the ambiguity sweep never marks it, so that is its merge
+	// result; a rowless tag's margin is 0 whatever its gain and the sweep
 	// never marks it either.
-	for i := 0; i < s.k; i++ {
-		minMargin[i] = math.Inf(-1) // staging: max gain over positions
-		anyAmbiguous[i] = false
+	for i, w := range s.g.wPow[:s.k] {
+		minMargin[i] = restMargin(w)
 	}
+	clear(anyAmbiguous[:s.k])
+
+	// Merge of the per-position results over the decode set, in position
+	// order. The flip margin is m_i(p) = −gain_i(p)/(|h_i|²·w_i) with a
+	// p-independent denominator, so the minimum margin is one division
+	// from the maximum gain — the per-position margin rows of the naive
+	// loop disappear entirely.
 	active := s.g.decodeTags
+	for _, i := range active {
+		minMargin[i] = math.Inf(-1) // staging: max gain over positions
+	}
 	for p := 0; p < s.frameLen; p++ {
 		grow := s.states[p].gain
 		arow := s.ambiguous[p*s.kStride : p*s.kStride+s.k]
@@ -1780,9 +1837,18 @@ func (s *Session) finishSlot(minMargin []float64, anyAmbiguous []bool) {
 			}
 		}
 	}
-	for i := 0; i < s.k; i++ {
+	for _, i := range active {
 		minMargin[i] = s.g.marginOf(i, minMargin[i])
 	}
+}
+
+// restMargin is marginOf(i, −∞) for wPow[i] = w ≥ 0: +∞ when w > 0
+// and 0 when w = 0, selected without a branch (a tag's w has no pattern
+// the predictor could learn) and without a division.
+func restMargin(w float64) float64 {
+	b := math.Float64bits(w) << 1 // zero exactly when w is ±0
+	nz := (b | -b) >> 63          // 1 when w ≠ 0
+	return math.Float64frombits(-nz & math.Float64bits(math.Inf(1)))
 }
 
 // randomBitsInto draws fair bits for a restart init, packing 64 draws
@@ -1842,7 +1908,7 @@ func (s *Session) decodePosition(p int) {
 		if !s.stateValid {
 			s.rebuildPosition(p, st, myBits, locked)
 		}
-		// O(colliders) per pending row: absorb what AppendSlot added. A
+		// O(colliders) per pending row: absorb what AppendColliders added. A
 		// row born with every collider already locked is frozen on
 		// arrival, and no pass scores it.
 		for len(st.residual) < g.L {
@@ -2060,7 +2126,7 @@ func (s *Session) rebuildPosition(p int, st *descentState, b bits.Vector, locked
 // rather than a from-scratch build per (position, tag), and leaves that
 // state as it found it. It must be called from the session's owning
 // goroutine (it shares one workspace), after a DecodeSlot and before
-// the next state mutation (AppendSlot, Grow, or a RetapAll, Retire or
+// the next state mutation (AppendColliders, Grow, or a RetapTags, Retire or
 // RetireTag that changes anything) — the cached state it reuses is only
 // valid inside that window.
 func (s *Session) ConditionalMargin(p, i int, locked []bool) float64 {

@@ -11,7 +11,7 @@ import (
 // of the warehouse workload's average slot: 60 joined tags of which 57
 // are CRC-locked, a 150-row live window holding only a couple of rows
 // with an unlocked collider, frameLen 48 and 2 restarts. Every slot
-// moves every tap a little (RetapAll invalidates and the decode
+// moves every tap a little (RetapTags invalidates and the decode
 // rebuilds, as under the Gauss–Markov channel), appends a row of ~5
 // colliders, decodes and retires the row that left the window. A
 // transfer is re-begun every 250 timed slots; its 150-slot fill runs
@@ -63,6 +63,7 @@ func BenchmarkDecodeSlotWarehouseShape(b *testing.B) {
 		rows[r], obss[r] = row, obs
 	}
 
+	cols, all := colsOfRows(rows), allTags(k)
 	s := NewSession()
 	s.Reserve(k, frameLen, maxSlots, restarts)
 	minMargin := make([]float64, k)
@@ -73,8 +74,8 @@ func BenchmarkDecodeSlotWarehouseShape(b *testing.B) {
 		for i := range cur {
 			cur[i] *= complex(0.99999, 0.0001)
 		}
-		s.RetapAll(cur)
-		s.AppendSlot(rows[slot-1], obss[slot-1])
+		s.RetapTags(cur, all)
+		s.AppendColliders(cols[slot-1], obss[slot-1])
 		s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
 		if slot > window {
 			s.Retire(slot - window)
@@ -154,6 +155,7 @@ func BenchmarkDecodeSlotMobilityShape(b *testing.B) {
 		rows[r], obss[r] = row, obs
 	}
 
+	cols, all := colsOfRows(rows), allTags(k)
 	s := NewSession()
 	s.Reserve(k, frameLen, maxSlots, restarts)
 	minMargin := make([]float64, k)
@@ -164,8 +166,8 @@ func BenchmarkDecodeSlotMobilityShape(b *testing.B) {
 		for i := 0; i < k; i += 2 {
 			cur[i] *= complex(0.9999, 0.001)
 		}
-		s.RetapAll(cur)
-		s.AppendSlot(rows[slot-1], obss[slot-1])
+		s.RetapTags(cur, all)
+		s.AppendColliders(cols[slot-1], obss[slot-1])
 		s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
 		if slot > window {
 			s.Retire(slot - window)
@@ -239,6 +241,7 @@ func BenchmarkDecodeSlotLargeK(b *testing.B) {
 		rows[r], obss[r] = row, obs
 	}
 
+	cols, all := colsOfRows(rows), allTags(k)
 	s := NewSession()
 	s.Reserve(k, frameLen, maxSlots, restarts)
 	minMargin := make([]float64, k)
@@ -251,8 +254,8 @@ func BenchmarkDecodeSlotLargeK(b *testing.B) {
 			i := (slot*moved + x) % k
 			cur[i] *= complex(0.9999, 0.001)
 		}
-		s.RetapAll(cur)
-		s.AppendSlot(rows[slot-1], obss[slot-1])
+		s.RetapTags(cur, all)
+		s.AppendColliders(cols[slot-1], obss[slot-1])
 		s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
 		if slot > window {
 			s.Retire(slot - window)

@@ -151,7 +151,7 @@ func sameRowState(a, b *Session) bool {
 // TestSessionCertifiedFanMatchesFullFan is the certificate's twin test
 // (fanTwin) on random sessions that mix Gram and row slots and run
 // through Grow (latecomers without rows), CRC locks, Retire, RetireTag
-// and RetapAll, one trial in three moving a tap to exactly zero. The
+// and RetapTags, one trial in three moving a tap to exactly zero. The
 // observations carry the tags' messages, so most positions converge and
 // many certify. It fails unless both slot kinds had positions that
 // certified and positions that ran the fan.
@@ -202,7 +202,7 @@ func TestSessionCertifiedFanMatchesFullFan(t *testing.T) {
 				if trial%3 == 2 && slot >= slots/2 {
 					cur[k-1] = complex(math.Copysign(0, -1), 0)
 				}
-				each(func(x *Session) { x.RetapAll(cur[:k]) })
+				each(func(x *Session) { retapAll(x, cur[:k]) })
 			}
 			row := make(bits.Vector, k)
 			for i := range row {
@@ -218,7 +218,7 @@ func TestSessionCertifiedFanMatchesFullFan(t *testing.T) {
 				}
 				obs[p] = y
 			}
-			each(func(x *Session) { x.AppendSlot(row, obs) })
+			each(func(x *Session) { appendSlot(x, row, obs) })
 			tw.decode(t, s, slot, locked[:k], base, minMargin[:k], ambiguous[:k], nil)
 			switch {
 			case slot%7 == 0 && slot/7 <= nLock:
@@ -251,7 +251,7 @@ func TestSessionCertifiedFanMatchesFullFan(t *testing.T) {
 func TestCertifyThresholds(t *testing.T) {
 	s := NewSession()
 	s.Begin(4, 1, 2, 2, []complex128{1, 0.5, 0.5, 2})
-	s.AppendSlot(bits.Vector{true, true, true, false}, []complex128{0})
+	appendSlot(s, bits.Vector{true, true, true, false}, []complex128{0})
 	s.prepareSlot(1, nil, 0)
 	if s.couplingRow(0)[1] != 1 || s.couplingRow(1)[2] != 0.5 || s.certA[0] != 2 || s.g.wPow[1] != 0.25 {
 		t.Fatalf("staged k_01 %v, k_12 %v, A_0 %v, |h_1|²·w_1 %v; want 1, 0.5, 2, 0.25", s.couplingRow(0)[1], s.couplingRow(1)[2], s.certA[0], s.g.wPow[1])
@@ -305,7 +305,7 @@ func TestCertifySkipsRowlessAndZeroTaps(t *testing.T) {
 	} {
 		s := NewSession()
 		s.Begin(2, 1, 2, 2, c.taps)
-		s.AppendSlot(c.row, []complex128{0})
+		appendSlot(s, c.row, []complex128{0})
 		s.prepareSlot(1, nil, 0)
 		if got := s.certify([]float64{-1, 0}, []float64{1, 1}, 1); got != c.want {
 			t.Errorf("taps %v row %v: certify %v, want %v", c.taps, c.row, got, c.want)

@@ -27,6 +27,8 @@ type decodeSetTally struct {
 // decode:
 //   - the two sessions' margins, ambiguity flags, bits at every
 //     position, DecodeCost and DecodeMoved are bitwise equal;
+//   - every tag's active-row count is its number of live rows that are
+//     active;
 //   - the tested session's decode set is exactly the unlocked tags with
 //     live rows, in ascending order (every unlocked tag on a Gram slot),
 //     and its rowless list the unlocked tags without;
@@ -45,7 +47,8 @@ type decodeSetTally struct {
 // one or two tags (Grow); 4 locks a tag, or with an odd argument
 // re-initializes every position at random bits; 5 retires the window through a
 // row, or every row when the argument is odd; 6 retires one tag's rows,
-// all of them when the argument is odd; 7 moves taps (RetapAll).
+// all of them when the argument is odd; 7 moves taps (every tag retapped), tag 0's
+// to exactly zero when the argument is 31.
 func decodeSetTwin(t *testing.T, k0, frameLen int, seed uint64, ops []byte, tally *decodeSetTally) {
 	t.Helper()
 	const restarts = 2
@@ -129,8 +132,11 @@ func decodeSetTwin(t *testing.T, k0, frameLen int, seed uint64, ops []byte, tall
 					cur[i] *= complex(1+0.01*float64(arg%5), 0.005)
 				}
 			}
+			if arg == 31 {
+				cur[0] = 0
+			}
 			for _, x := range both {
-				x.RetapAll(cur[:k])
+				retapAll(x, cur[:k])
 			}
 		default:
 			if g.L == s.maxSlots {
@@ -157,7 +163,7 @@ func decodeSetTwin(t *testing.T, k0, frameLen int, seed uint64, ops []byte, tall
 				copy(before[p*k:(p+1)*k], s.PosBits(p))
 			}
 			for _, x := range both {
-				x.AppendSlot(row, obs)
+				appendSlot(x, row, obs)
 			}
 			s.DecodeSlot(g.L, locked[:k], seed, margin[:k], amb[:k])
 			ref.DecodeSlot(g.L, locked[:k], seed, refMargin[:k], refAmb[:k])
@@ -194,6 +200,17 @@ func checkDecodeSetTwin(t *testing.T, s, ref *Session, slot int, locked []bool, 
 	for i := 0; i < k; i++ {
 		if math.Float64bits(margin[i]) != math.Float64bits(refMargin[i]) || amb[i] != refAmb[i] {
 			t.Fatalf("slot %d tag %d: margin %v ambiguous %v, full walk %v %v", slot, i, margin[i], amb[i], refMargin[i], refAmb[i])
+		}
+	}
+	for i := 0; i < k; i++ {
+		n := 0
+		for _, r := range g.colRows[i] {
+			if len(g.rowActive[r]) > 0 {
+				n++
+			}
+		}
+		if g.actDeg[i] != n {
+			t.Fatalf("slot %d tag %d: active-row count %d, want %d", slot, i, g.actDeg[i], n)
 		}
 	}
 	if c, rc := s.TakeDecodeCost(), ref.TakeDecodeCost(); c != rc {
@@ -331,7 +348,7 @@ func TestDecodeSetGramAdoptionMovesRowlessBits(t *testing.T) {
 		}
 		for _, x := range both {
 			x.InitPositions(init)
-			x.AppendSlot([]bool{true, true, false}, obs)
+			appendSlot(x, []bool{true, true, false}, obs)
 		}
 		s.DecodeSlot(slot, locked, base, margin, amb)
 		ref.DecodeSlot(slot, locked, base, refMargin, refAmb)

@@ -104,7 +104,7 @@ const verifyTol = 1e-9
 // live rows. After a Gram slot, which keeps gains only, the unlocked
 // tags' gains and PosError. Every locked tag's gain must be −∞ either
 // way. Call it after a DecodeSlot (or after a mutation that changed
-// nothing): RetapAll, Retire and RetireTag invalidate the cached state,
+// nothing): RetapTags, Retire and RetireTag invalidate the cached state,
 // and only the next decode re-derives it. Retired rows and inactive rows
 // (every collider locked) are skipped: their cached residual entries
 // are dead by design. It also checks the armed drift bookkeeping
@@ -277,7 +277,7 @@ func stateWords(s *Session) []uint64 {
 }
 
 // TestSessionMutationsInvalidate pins the one update rule for the
-// session's model changes. On a warm, valid session, a RetapAll that
+// session's model changes. On a warm, valid session, a RetapTags that
 // moves one tap, a Retire of one row and a RetireTag of one row each
 // invalidate the cached state, and the next DecodeSlot rebuilds it
 // onto a from-scratch recompute. The same calls with nothing to change
@@ -310,12 +310,12 @@ func TestSessionMutationsInvalidate(t *testing.T) {
 		for i := 0; i < moved; i++ {
 			next[k-1-i] *= complex(1.01, 0.005)
 		}
-		s.RetapAll(next)
+		retapAll(s, next)
 	}
 	cases := []struct {
 		name string
 		// mutate applies the call under test and returns the count it
-		// reports (taps moved for RetapAll, rows for the retires).
+		// reports (taps moved for RetapTags, rows for the retires).
 		mutate  func(t *testing.T, s *Session, locked []bool) int
 		changes int
 	}{
@@ -371,7 +371,7 @@ func TestSessionMutationsInvalidate(t *testing.T) {
 	}
 }
 
-// TestSessionRetapAllKeepsStateConsistent drives RetapAll through each
+// TestSessionRetapAllKeepsStateConsistent drives RetapTags through each
 // kind of move — a minority of unlocked taps, a locked tag's tap, a
 // majority of taps — on a session with a mid-transfer lock. After each
 // retap the next DecodeSlot rebuilds, and its state must match a
@@ -401,7 +401,7 @@ func TestSessionRetapAllKeepsStateConsistent(t *testing.T) {
 	slot := 1
 	decode := func() {
 		row, obs := drv.slot()
-		s.AppendSlot(row, obs)
+		appendSlot(s, row, obs)
 		s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
 		slot++
 	}
@@ -416,7 +416,7 @@ func TestSessionRetapAllKeepsStateConsistent(t *testing.T) {
 	newTaps := append([]complex128(nil), taps...)
 	newTaps[0] *= complex(1.02, 0.01)
 	newTaps[5] *= complex(0.97, -0.02)
-	s.RetapAll(newTaps)
+	retapAll(s, newTaps)
 	decode()
 	verifyState(t, s, locked, "after a minority retap")
 
@@ -424,14 +424,14 @@ func TestSessionRetapAllKeepsStateConsistent(t *testing.T) {
 		decode()
 	}
 	newTaps[6] *= complex(0.99, 0.015)
-	s.RetapAll(newTaps)
+	retapAll(s, newTaps)
 	decode()
 	verifyState(t, s, locked, "after a retap on the warm state")
 
 	// A locked tag's tap moves: its contribution lives in the locked
 	// base, which the rebuild re-derives.
 	newTaps[3] *= complex(1.01, 0)
-	s.RetapAll(newTaps)
+	retapAll(s, newTaps)
 	decode()
 	verifyState(t, s, locked, "after a locked tag's retap")
 
@@ -439,7 +439,7 @@ func TestSessionRetapAllKeepsStateConsistent(t *testing.T) {
 	for i := range newTaps {
 		newTaps[i] *= complex(1.01, -0.005)
 	}
-	s.RetapAll(newTaps)
+	retapAll(s, newTaps)
 	decode()
 	verifyState(t, s, locked, "after a majority retap")
 
@@ -480,7 +480,7 @@ func retapAllMostlyLocked(t *testing.T, unlocked, restarts int, sparse bool) {
 	for slot <= 20 {
 		if slot > 6 {
 			cur[slot%unlocked] *= complex(1.01, 0.005)
-			s.RetapAll(cur)
+			retapAll(s, cur)
 		}
 		slot = driveSlots(t, s, rows, obss, slot, 1, locked, base)
 		verifyState(t, s, locked, fmt.Sprintf("slot %d", slot-1))
@@ -497,7 +497,7 @@ func retapAllMostlyLocked(t *testing.T, unlocked, restarts int, sparse bool) {
 	}
 
 	cur[k-1] *= complex(1.01, 0)
-	s.RetapAll(cur)
+	retapAll(s, cur)
 	driveSlots(t, s, rows, obss, slot, 1, locked, base)
 	verifyState(t, s, locked, "after a locked tag's retap with most tags locked")
 }
@@ -565,8 +565,8 @@ func growMatchesFresh(t *testing.T, k0, kNew int, lockEarly []int, wantInactive 
 	locked := make([]bool, k2)
 	const base = 0x9120
 	for s := 0; s < 4; s++ {
-		grown.AppendSlot(rows[s][:k0], obss[s])
-		fresh.AppendSlot(rows[s], obss[s])
+		appendSlot(grown, rows[s][:k0], obss[s])
+		appendSlot(fresh, rows[s], obss[s])
 		gm, fm := make([]float64, k0), make([]float64, k2)
 		ga, fa := make([]bool, k0), make([]bool, k2)
 		grown.DecodeSlot(s+1, locked[:k0], base, gm, ga)
@@ -596,8 +596,8 @@ func growMatchesFresh(t *testing.T, k0, kNew int, lockEarly []int, wantInactive 
 		t.Fatalf("slot counts diverged: %d vs %d", grown.Slots(), fresh.Slots())
 	}
 	for s := 4; s < 8; s++ {
-		grown.AppendSlot(rows[s], obss[s])
-		fresh.AppendSlot(rows[s], obss[s])
+		appendSlot(grown, rows[s], obss[s])
+		appendSlot(fresh, rows[s], obss[s])
 		decodeCompare(t, grown, fresh, s+1, locked, base, k2, frameLen)
 		if s == 5 {
 			locked[k0] = true // lock a latecomer too
@@ -665,10 +665,10 @@ func TestGoldenLargeKDecode(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				cur[i] *= complex(0.999, 0.01)
 			}
-			s.RetapAll(cur[:k])
+			retapAll(s, cur[:k])
 		}
 		margins, amb := make([]float64, k), make([]bool, k)
-		s.AppendSlot(rows[slot-1][:k], obss[slot-1])
+		appendSlot(s, rows[slot-1][:k], obss[slot-1])
 		s.DecodeSlot(slot, locked[:k], base, margins, amb)
 		for i := 0; i < k; i++ {
 			word(math.Float64bits(margins[i]))

@@ -137,9 +137,9 @@ func TestSessionRestartStartsFromState(t *testing.T) {
 		for slot := 1; slot <= slots; slot++ {
 			if slot%7 == 0 {
 				cur[mover] *= complex(0.99, 0.03)
-				s.RetapAll(cur)
+				retapAll(s, cur)
 			}
-			s.AppendSlot(rows[slot-1], obss[slot-1])
+			appendSlot(s, rows[slot-1], obss[slot-1])
 			s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
 			what := fmt.Sprintf("trial %d slot %d", trial, slot)
 			s.prepareGram()
@@ -288,13 +288,13 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, observe
 					next[i] *= complex(1+0.01*float64(arg%5), 0.005)
 				}
 			}
-			each(func(x *Session) { x.RetapAll(next) })
+			each(func(x *Session) { retapAll(x, next) })
 		default:
 			if g.L == s.maxSlots {
 				continue
 			}
 			row, obs := drv.slot()
-			each(func(x *Session) { x.AppendSlot(row, obs) })
+			each(func(x *Session) { appendSlot(x, row, obs) })
 			if !observer {
 				// DecodeSlot's schedule beside the full-fan twin, checking
 				// each Gram position's passes while the workspace holds
@@ -341,7 +341,7 @@ func fuzzSession(t *testing.T, k, frameLen int, seed uint64, ops []byte, observe
 
 // FuzzSessionSlot drives small hard-mode sessions (K ≤ 12, frame
 // length ≤ 4) through random slot appends and decodes, CRC locks,
-// Retire, RetireTag and RetapAll. It must never panic; after every
+// Retire, RetireTag and RetapTags. It must never panic; after every
 // decode (not after each mutation, which leaves the cached state stale
 // until the decode rebuilds it) PosError must match a from-scratch
 // ‖y − D·H·b‖² within 1e-9 relative, a restart built from each

@@ -51,7 +51,7 @@ func driveGateSessions(t *testing.T, trials int, seed uint64, after func(s *Sess
 					cur[i] *= complex(0.999, 0.01)
 				}
 			}
-			s.RetapAll(cur)
+			retapAll(s, cur)
 			row := make(bits.Vector, k)
 			for i := range row {
 				row[i] = src.Bernoulli(q)
@@ -66,7 +66,7 @@ func driveGateSessions(t *testing.T, trials int, seed uint64, after func(s *Sess
 				}
 				obs[p] = y
 			}
-			s.AppendSlot(row, obs)
+			appendSlot(s, row, obs)
 			s.DecodeSlot(slot, locked, 0x6A3, minMargin, ambiguous)
 			if s.gramOn {
 				gramSlots++
@@ -316,7 +316,7 @@ func TestSessionObserversNeverChangeDecode(t *testing.T) {
 			if slot%7 == 0 {
 				cur[src.IntN(k)] *= complex(0.99, 0.03)
 				for _, s := range twins {
-					s.RetapAll(cur)
+					retapAll(s, cur)
 				}
 			}
 			q := 0.15 + 0.5*src.Float64()
@@ -336,7 +336,7 @@ func TestSessionObserversNeverChangeDecode(t *testing.T) {
 			}
 			valid := obsv.stateValid
 			for x, s := range twins {
-				s.AppendSlot(row, obs)
+				appendSlot(s, row, obs)
 				s.DecodeSlot(slot, locked, base, margins[x], amb[x])
 			}
 			for i := 0; i < k; i++ {

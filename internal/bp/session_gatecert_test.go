@@ -97,7 +97,7 @@ func TestSessionGateCertificateMatchesGate(t *testing.T) {
 func TestGateCertifiedThresholds(t *testing.T) {
 	s := NewSession()
 	s.Begin(2, 1, 2, 2, []complex128{1, 0.5})
-	s.AppendSlot([]bool{true, true}, []complex128{0})
+	appendSlot(s, []bool{true, true}, []complex128{0})
 	s.prepareSlot(1, nil, 0)
 	if s.certA[0] != 1 || s.certA[1] != 1 {
 		t.Fatalf("staged A %v, want [1 1]", s.certA[:2])
@@ -126,7 +126,7 @@ func TestGateCertifiedThresholds(t *testing.T) {
 		}
 	}
 	s.Begin(2, 1, 2, 0, []complex128{1, 0.5})
-	s.AppendSlot([]bool{true, true}, []complex128{0})
+	appendSlot(s, []bool{true, true}, []complex128{0})
 	s.prepareSlot(1, nil, 0)
 	s.states[0].gain[0], s.states[0].gain[1] = -10, -10
 	if s.gateCertified(0, 0, 0.1) {
@@ -168,7 +168,7 @@ func TestSessionGrowWithinCapMovesNothing(t *testing.T) {
 	decode := func() {
 		slot++
 		for _, s := range both {
-			s.AppendSlot(rows[slot-1][:k], obss[slot-1])
+			appendSlot(s, rows[slot-1][:k], obss[slot-1])
 		}
 		decodeCompare(t, capped, wide, slot, locked[:k], base, k, frameLen)
 	}

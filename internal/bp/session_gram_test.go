@@ -54,12 +54,12 @@ func TestSessionGramRestartMatchesRowRestart(t *testing.T) {
 		for slot := 1; slot <= slots; slot++ {
 			cur[mover] *= complex(0.995, 0.02)
 			if slot%9 == 0 {
-				// Move half the taps: RetapAll falls back to a rebuild.
+				// Move half the taps: RetapTags falls back to a rebuild.
 				for i := 0; i < k; i += 2 {
 					cur[i] *= complex(0.999, 0.01)
 				}
 			}
-			s.RetapAll(cur)
+			retapAll(s, cur)
 			row := make(bits.Vector, k)
 			for i := range row {
 				row[i] = src.Bernoulli(q)
@@ -74,7 +74,7 @@ func TestSessionGramRestartMatchesRowRestart(t *testing.T) {
 				}
 				obs[p] = y
 			}
-			s.AppendSlot(row, obs)
+			appendSlot(s, row, obs)
 			s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
 			if s.gramOn {
 				gramSlots++
@@ -208,9 +208,9 @@ func checkMatchedFilter(t *testing.T, s *Session, what string) {
 }
 
 // TestSessionMatchedFilterState drives sessions through random
-// interleavings of AppendSlot, DecodeSlot with CRC locks, Retire,
+// interleavings of AppendColliders, DecodeSlot with CRC locks, Retire,
 // RetireTag, Grow (within and past
-// the reserved tag cap) and RetapAll, and after most steps checks the
+// the reserved tag cap) and RetapTags, and after most steps checks the
 // matched-filter state against a from-scratch recount
 // (checkMatchedFilter). Skipped checks leave rows unfolded, so the
 // mutations also run on rows the state has not absorbed yet.
@@ -238,7 +238,7 @@ func TestSessionMatchedFilterState(t *testing.T) {
 			switch op := src.IntN(10); {
 			case op < 4 && g.L < maxSlots:
 				row, obs := drv.slot()
-				s.AppendSlot(row, obs)
+				appendSlot(s, row, obs)
 				s.DecodeSlot(g.L, locked, 0x3F0, make([]float64, k), make([]bool, k))
 			case op == 4 && g.L > 0:
 				s.Retire(g.retired + 1 + src.IntN(3))
@@ -255,7 +255,7 @@ func TestSessionMatchedFilterState(t *testing.T) {
 			case op == 8:
 				next := append([]complex128(nil), g.taps...)
 				next[src.IntN(k)] *= complex(0.98, 0.05)
-				s.RetapAll(next)
+				retapAll(s, next)
 			case op == 9:
 				if i := src.IntN(k); src.Bernoulli(0.3) {
 					locked[i] = true
@@ -305,8 +305,8 @@ func TestSessionGramPassZeroMatchesRowPassZero(t *testing.T) {
 		gb := make(bits.Vector, k)
 		for slot := 1; slot <= slots; slot++ {
 			cur[slot%k] *= complex(0.99, 0.04)
-			s.RetapAll(cur)
-			s.AppendSlot(rows[slot-1], obss[slot-1])
+			retapAll(s, cur)
+			appendSlot(s, rows[slot-1], obss[slot-1])
 			s.prepareSlot(slot, locked, base)
 			if !s.gramOn {
 				s.prepareGram()

@@ -199,7 +199,7 @@ func passErrsMatch(s *Session, ws *workspace, errOf func(bits.Vector) float64) i
 // TestSessionGramKernelsMatchReference pins the Gram-path kernels
 // (gramInput, gramStart, gramDescend, gramError) to the reference
 // copies above, bitwise, on random sessions driven through CRC locks,
-// Retire, RetireTag and RetapAll, some to a tap of exactly zero. On
+// Retire, RetireTag and RetapTags, some to a tap of exactly zero. On
 // every Gram slot, for every position:
 //   - the decode's B, every recorded pass error (a restart that ends on
 //     an earlier pass's bits reuses that pass's error; a certified
@@ -293,8 +293,8 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 					// the reference skipped it.
 					cur[k-1] = complex(math.Copysign(0, -1), 0)
 				}
-				s.RetapAll(cur)
-				tw.ref.RetapAll(cur)
+				retapAll(s, cur)
+				retapAll(tw.ref, cur)
 			}
 			row := make(bits.Vector, k)
 			for i := range row {
@@ -310,8 +310,8 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 				}
 				obs[p] = y
 			}
-			s.AppendSlot(row, obs)
-			tw.ref.AppendSlot(row, obs)
+			appendSlot(s, row, obs)
+			appendSlot(tw.ref, row, obs)
 			ref = refGram{}
 			tw.decode(t, s, slot, locked, base, minMargin, ambiguous, func(p int, ws *workspace) {
 				if !s.gramOn {

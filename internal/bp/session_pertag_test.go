@@ -7,7 +7,7 @@ import (
 )
 
 // TestSessionRetireTagKeepsStateConsistent drives RetireTag
-// interleaved with Grow, RetapAll, global Retire and mid-transfer locks
+// interleaved with Grow, RetapTags, global Retire and mid-transfer locks
 // across DISTINCT tags. Each removal invalidates the cached state, and
 // after the next DecodeSlot the rebuilt state must match a
 // from-scratch recompute over the surviving model, per-tag drift
@@ -70,7 +70,7 @@ func TestSessionRetireTagKeepsStateConsistent(t *testing.T) {
 	// Interleave a minority retap, then another tag's retirement.
 	newTaps := append([]complex128(nil), taps[:s.k]...)
 	newTaps[1] *= complex(1.03, 0.011)
-	s.RetapAll(newTaps)
+	retapAll(s, newTaps)
 	settle("after retap")
 	s.RetireTag(1, 5)
 	settle("after RetireTag on retapped state")
@@ -145,7 +145,7 @@ func TestSessionRetireTagAllRows(t *testing.T) {
 
 	minMargin := make([]float64, k)
 	ambiguous := make([]bool, k)
-	s.AppendSlot(rows[slot-1], obss[slot-1])
+	appendSlot(s, rows[slot-1], obss[slot-1])
 	s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
 	verifyState(t, s, locked, "after retire-all of one tag")
 	if !rows[slot-1][victim] && minMargin[victim] != 0 {
@@ -160,7 +160,7 @@ func TestSessionRetireTagAllRows(t *testing.T) {
 // regression to the per-tag window: on a WARM session — one that has
 // already run a transfer of this shape, so every row's adjacency
 // backing and every tag's drift ledger holds its capacity — the
-// per-slot cycle RetapAll (mover drift) + AppendSlot + DecodeSlot +
+// per-slot cycle RetapTags (mover drift) + AppendColliders + DecodeSlot +
 // RetireTag must not touch the heap. (Unlike the global window, whose
 // retired rows recycle their backing within the round, a per-tag round
 // keeps every row live for the parked tags, so the first transfer
@@ -179,6 +179,7 @@ func TestSessionPerTagSteadyStateAllocationFree(t *testing.T) {
 	taps := randomTaps(k, src)
 	est := randomEstimates(k, frameLen, src)
 	rows, obss := scriptSlots(k, frameLen, 32, 0xBEAD)
+	cols, all := colsOfRows(rows), allTags(k)
 
 	s := NewSession()
 	locked := make([]bool, k)
@@ -190,8 +191,8 @@ func TestSessionPerTagSteadyStateAllocationFree(t *testing.T) {
 	cycle := func() {
 		i := (slot - 1) % len(rows)
 		cur[mover] *= complex(0.9995, 0.002)
-		s.RetapAll(cur)
-		s.AppendSlot(rows[i], obss[i])
+		s.RetapTags(cur, all)
+		s.AppendColliders(cols[i], obss[i])
 		s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
 		if slot > window {
 			s.RetireTag(mover, slot-window)

@@ -17,7 +17,7 @@ func driveSlots(t *testing.T, s *Session, rows []bits.Vector, obss [][]complex12
 	ambiguous := make([]bool, s.k)
 	slot := from
 	for i := 0; i < n; i++ {
-		s.AppendSlot(rows[slot-1][:s.k], obss[slot-1])
+		appendSlot(s, rows[slot-1][:s.k], obss[slot-1])
 		s.DecodeSlot(slot, locked[:s.k], base, minMargin, ambiguous)
 		slot++
 	}
@@ -37,7 +37,7 @@ func scriptSlots(k, frameLen, n int, seed uint64) ([]bits.Vector, [][]complex128
 }
 
 // TestSessionRetireKeepsStateConsistent drives Retire interleaved with
-// Grow, RetapAll and mid-transfer locks. Each retire invalidates the
+// Grow, RetapTags and mid-transfer locks. Each retire invalidates the
 // cached state, and after the next DecodeSlot the rebuilt state must
 // match a from-scratch recompute over the live rows, drift bookkeeping
 // included.
@@ -93,11 +93,11 @@ func TestSessionRetireKeepsStateConsistent(t *testing.T) {
 	slot = driveSlots(t, s, rows, obss, slot, 1, locked, base)
 	verifyState(t, s, locked, "after retire past grow")
 
-	// RetapAll a minority of unlocked tags, then retire again.
+	// RetapTags a minority of unlocked tags, then retire again.
 	newTaps := append([]complex128(nil), taps...)
 	newTaps[0] *= complex(1.02, 0.013)
 	newTaps[5] *= complex(0.98, -0.02)
-	s.RetapAll(newTaps)
+	retapAll(s, newTaps)
 	slot = driveSlots(t, s, rows, obss, slot, 2, locked, base)
 	verifyState(t, s, locked, "after retap")
 	if n := s.Retire(9); n != 2 {
@@ -212,7 +212,7 @@ func TestSessionRetireAllRows(t *testing.T) {
 	}
 	minMargin := make([]float64, k)
 	ambiguous := make([]bool, k)
-	s.AppendSlot(rows[slot-1], obss[slot-1])
+	appendSlot(s, rows[slot-1], obss[slot-1])
 	s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
 	for p := 0; p < frameLen; p++ {
 		if math.IsNaN(s.PosError(p)) {
@@ -234,7 +234,7 @@ func TestSessionRetireAllRows(t *testing.T) {
 
 // TestSessionWindowSteadyStateAllocationFree extends the PR-1/PR-2
 // allocation regression to the windowed decoder: one steady-state slot
-// cycle — AppendSlot, DecodeSlot, Retire — on a warm session must not
+// cycle — AppendColliders, DecodeSlot, Retire — on a warm session must not
 // touch the heap. The retire step's drift bookkeeping and the rebuild
 // it triggers run on session-owned buffers, so a sliding window costs
 // zero allocations per slot, exactly like the growing decode it
@@ -251,6 +251,7 @@ func TestSessionWindowSteadyStateAllocationFree(t *testing.T) {
 	taps := randomTaps(k, src)
 	est := randomEstimates(k, frameLen, src)
 	rows, obss := scriptSlots(k, frameLen, 32, 0xF00D)
+	cols := colsOfRows(rows)
 
 	s := NewSession()
 	s.Begin(k, frameLen, maxSlots, 2, taps)
@@ -263,7 +264,7 @@ func TestSessionWindowSteadyStateAllocationFree(t *testing.T) {
 	slot := 1
 	cycle := func() {
 		i := (slot - 1) % len(rows)
-		s.AppendSlot(rows[i], obss[i])
+		s.AppendColliders(cols[i], obss[i])
 		s.DecodeSlot(slot, locked, base, minMargin, ambiguous)
 		if slot > window {
 			s.Retire(slot - window)

@@ -18,12 +18,15 @@
 // Every process derives its randomness from addressable prng.Mix3
 // streams keyed by (seed, slot/block, tag), so the taps in effect at a
 // given slot are a pure function of the seed — independent of query
-// order and of which tags have joined the round.
+// order and of which tags have joined the round. Freezing a tag
+// (Process.Freeze) stops its own evolution and changes no other tag's
+// taps.
 package channel
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/prng"
 )
@@ -57,6 +60,18 @@ type Process interface {
 	// Processes whose tags all move together (Static, BlockFading) fall
 	// back to the global value.
 	CoherenceSlotsTag(tag int) int
+	// Freeze stops tag's evolution: from the next slot ModelAt leaves
+	// its tap where it is now, and skips its draw. The caller freezes a
+	// tag whose tap nothing will read again (a departed tag the decoder
+	// has settled; see ratedapt.Stream.NewlyQuiescent), so the saved
+	// draws are the whole effect. Every other tag's taps stay bitwise
+	// what they would be unfrozen, since each tag's innovations come from
+	// its own (slot, tag) stream. Freezing is permanent and idempotent.
+	// GaussMarkov implements it; Static has nothing to stop, and
+	// BlockFading ignores it (a redraw per block costs the same whether
+	// or not a tag is skipped, and the decoder tolerates a moving tap it
+	// no longer reads).
+	Freeze(tag int)
 }
 
 // StaticProcess adapts a frozen Model to the Process interface — the
@@ -83,6 +98,9 @@ func (s *StaticProcess) CoherenceSlots() int { return 0 }
 // CoherenceSlotsTag falls back to the global value: every frozen tag is
 // coherent forever.
 func (s *StaticProcess) CoherenceSlotsTag(int) int { return 0 }
+
+// Freeze does nothing: every tap is already frozen.
+func (s *StaticProcess) Freeze(int) {}
 
 // BlockFading redraws every tag's tap independently at the start of
 // each block of BlockLen slots: within a block the channel is the
@@ -133,6 +151,9 @@ func (b *BlockFading) CoherenceSlots() int { return b.blockLen }
 // redrawn on the same block boundaries.
 func (b *BlockFading) CoherenceSlotsTag(int) int { return b.blockLen }
 
+// Freeze does nothing: block fading redraws every tap at each block.
+func (b *BlockFading) Freeze(int) {}
+
 // ModelAt returns the model of the block containing the 1-based slot,
 // redrawing the taps when the block index changed.
 func (b *BlockFading) ModelAt(slot int) *Model {
@@ -161,12 +182,14 @@ func (b *BlockFading) ModelAt(slot int) *Model {
 // all t) and per-(slot, tag) innovations from the addressable stream
 // Mix3(seed, slot, tag). The lag-1 autocorrelation of each tap sequence
 // is exactly ρ_i; under Jakes' model ρ = J₀(2π·f_D·T) for Doppler f_D
-// and slot duration T (see RhoFromDoppler).
+// and slot duration T (see RhoFromDoppler). A frozen tag (Freeze) keeps
+// its tap and draws nothing.
 type GaussMarkov struct {
 	m       *Model
 	seed    uint64
 	rho     []float64
 	innov   []float64 // √(1−ρ_i²)·σ_i, hoisted
+	live    []int     // the tags not frozen, ascending: the ones ModelAt advances
 	curSlot int
 }
 
@@ -190,8 +213,9 @@ func NewGaussMarkov(init *Model, rho []float64, seed uint64) *GaussMarkov {
 	default:
 		panic(fmt.Sprintf("channel: GaussMarkov got %d rho coefficients for %d tags", len(rho), k))
 	}
-	g := &GaussMarkov{m: init, seed: seed, rho: r, innov: make([]float64, k)}
+	g := &GaussMarkov{m: init, seed: seed, rho: r, innov: make([]float64, k), live: make([]int, k)}
 	for i, h := range init.Taps {
+		g.live[i] = i
 		if r[i] < 0 || r[i] > 1 {
 			panic(fmt.Sprintf("channel: GaussMarkov rho[%d] = %v outside [0, 1]", i, r[i]))
 		}
@@ -228,16 +252,25 @@ func (g *GaussMarkov) CoherenceSlotsTag(tag int) int {
 	return CoherenceSlotsFromRho(g.rho[tag])
 }
 
-// ModelAt advances the recursion through every slot up to the given
-// 1-based slot (h(0) is the initial model, in effect at slot 1) and
-// returns the evolved model.
+// Freeze stops advancing tag's tap: it keeps the value in effect at the
+// last slot ModelAt reached. O(live tags).
+func (g *GaussMarkov) Freeze(tag int) {
+	if x, ok := slices.BinarySearch(g.live, tag); ok {
+		g.live = slices.Delete(g.live, x, x+1)
+	}
+}
+
+// ModelAt advances the recursion of every tag not frozen through every
+// slot up to the given 1-based slot (h(0) is the initial model, in
+// effect at slot 1) and returns the evolved model.
 func (g *GaussMarkov) ModelAt(slot int) *Model {
 	var src prng.Source
+	taps := g.m.Taps
 	for t := g.curSlot + 1; t <= slot-1; t++ {
 		st := prng.Mix2(g.seed, uint64(t))
-		for i, h := range g.m.Taps {
+		for _, i := range g.live {
 			src.Reseed(prng.Mix3From(st, uint64(i)))
-			g.m.Taps[i] = complex(g.rho[i], 0)*h + src.ComplexNorm()*complex(g.innov[i], 0)
+			taps[i] = complex(g.rho[i], 0)*taps[i] + src.ComplexNorm()*complex(g.innov[i], 0)
 		}
 	}
 	if slot-1 > g.curSlot {

@@ -259,3 +259,68 @@ func TestProcessCoherenceSlotsPerTag(t *testing.T) {
 		t.Errorf("global coherence %d, want the fastest tag's %d", got, want)
 	}
 }
+
+// TestGaussMarkovFreezeTwin checks Freeze against an unfrozen twin: a
+// frozen tag's tap stays exactly where it was when it froze, and every
+// other tap stays bitwise equal to the twin's for 3,000 slots, with
+// tags frozen at different slots, one frozen twice, and two slots
+// skipped at a time (ModelAt then advances two steps in one call).
+func TestGaussMarkovFreezeTwin(t *testing.T) {
+	const (
+		k     = 9
+		slots = 3000
+	)
+	freezeAt := map[int][]int{1: {4}, 7: {0, 8}, 250: {3}, 251: {3}, 1999: {6}}
+	for _, rho := range []float64{0, 0.99995, 1} {
+		init := NewFromSNRBand(k, 10, 26, prng.NewSource(0x5EED))
+		twinInit := NewExact(append([]complex128(nil), init.Taps...), init.NoisePower)
+		frozen := NewGaussMarkov(init, []float64{rho}, 0xF2EE)
+		twin := NewGaussMarkov(twinInit, []float64{rho}, 0xF2EE)
+		held := map[int]complex128{}
+		for slot := 1; slot <= slots; slot++ {
+			if slot%500 == 0 {
+				slot++ // a skipped slot: the next ModelAt advances two steps
+			}
+			got, want := frozen.ModelAt(slot).Taps, twin.ModelAt(slot).Taps
+			for i := range got {
+				h, ok := held[i]
+				switch {
+				case ok && got[i] != h:
+					t.Fatalf("rho %v slot %d: frozen tag %d moved from %v to %v", rho, slot, i, h, got[i])
+				case !ok && got[i] != want[i]:
+					t.Fatalf("rho %v slot %d: tag %d is %v, unfrozen twin %v", rho, slot, i, got[i], want[i])
+				}
+			}
+			for _, i := range freezeAt[slot] {
+				frozen.Freeze(i)
+				if _, ok := held[i]; !ok {
+					held[i] = got[i]
+				}
+			}
+		}
+		if len(held) != 5 {
+			t.Fatalf("rho %v: %d tags frozen, want 5", rho, len(held))
+		}
+	}
+}
+
+// TestFreezeIgnoredByStaticAndBlockFading pins that the processes
+// without per-tag evolution ignore Freeze.
+func TestFreezeIgnoredByStaticAndBlockFading(t *testing.T) {
+	bf, twin := NewBlockFading(4, 10, 20, 8, 0, 3), NewBlockFading(4, 10, 20, 8, 0, 3)
+	bf.Freeze(1)
+	for slot := 1; slot <= 40; slot++ {
+		got, want := bf.ModelAt(slot).Taps, twin.ModelAt(slot).Taps
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("block fading slot %d tag %d: %v after Freeze, %v without", slot, i, got[i], want[i])
+			}
+		}
+	}
+	m := NewUniform(3, 20, prng.NewSource(1))
+	st := NewStatic(m)
+	st.Freeze(0)
+	if st.ModelAt(9) != m {
+		t.Fatal("static process changed its model on Freeze")
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -185,10 +187,12 @@ func (s *Server) handle(nc net.Conn) {
 			break
 		}
 	}
-	// Retire every session still open, each with its Closed reply; after
-	// a failed write the socket is closed and these writes fail at once.
-	for _, cs := range c.sessions {
-		c.closeSession(cs)
+	// Retire every session still open, each with its Closed reply, in
+	// ascending session ID so the replies' order does not depend on the
+	// map's; after a failed write the socket is closed and these writes
+	// fail at once.
+	for _, id := range slices.Sorted(maps.Keys(c.sessions)) {
+		c.closeSession(c.sessions[id])
 	}
 	nc.Close()
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -448,6 +449,47 @@ func TestOversizedSlotRejectedOverWire(t *testing.T) {
 		c.Close()
 	}
 	waitCounter(t, func() int64 { return m.Snapshot().ResourcesInFlight }, 0)
+}
+
+// TestHangUpClosesSessionsInIDOrder pins the order of the Closed replies
+// a connection gets when it half-closes with sessions open: ascending
+// session ID, every time. Each of 20 connections opens four sessions,
+// shuts its write side and reads replies until the server hangs up.
+func TestHangUpClosesSessionsInIDOrder(t *testing.T) {
+	leaktest.Check(t)
+	_, _, addr := startWireServer(t, engine.Config{Workers: 1}, engine.ServerConfig{})
+	for run := 0; run < 20; run++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		var opened []uint64
+		for x := 0; x < 4; x++ {
+			id, _ := openSession(t, conn, uint64(10*run+x))
+			opened = append(opened, id)
+		}
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		var closed []uint64
+		for {
+			rep, err := wire.ReadFrame(conn)
+			if err != nil {
+				break
+			}
+			c, ok := rep.(*wire.Closed)
+			if !ok {
+				t.Fatalf("run %d: reply %+v after hang-up, want Closed", run, rep)
+			}
+			closed = append(closed, c.SessionID)
+		}
+		conn.Close()
+		slices.Sort(opened)
+		if !slices.Equal(closed, opened) {
+			t.Fatalf("run %d: Closed replies for sessions %v, want %v in ascending order", run, closed, opened)
+		}
+	}
 }
 
 // isClosed reports whether f is a Closed frame.

@@ -167,7 +167,9 @@ type DynamicResult struct {
 // joins the code from its arrival slot on. Departures retire tags from
 // the flip fan-out without restarting the round. Channel drift is
 // folded into the cached decoder state incrementally
-// (bp.Session.RetapAll), and under a WindowPolicy collision slots
+// (bp.Session.RetapTags), a departed tag's channel stops evolving once
+// the stream finds it quiescent (Stream.NewlyQuiescent,
+// channel.Process.Freeze), and under a WindowPolicy collision slots
 // older than the channel's coherence time are retired from the graph
 // (bp.Session.Retire) with the margin gates re-calibrated for the
 // drift that remains — the fast-mobility regime ρ ≲ 0.99 per slot is
@@ -200,28 +202,25 @@ func TransferDynamic(cfg Config, roster []RosterTag, air, decoder channel.Proces
 
 // airFunc synthesizes one collision slot: the received symbol per bit
 // position when the joined tags flagged in active (join order = roster
-// order) transmit. The returned slice is reused across slots.
-type airFunc func(slot int, active []bool) []complex128
+// order) transmit; cols lists the same tags, ascending. The returned
+// slice is reused across slots.
+type airFunc func(slot int, active []bool, cols []int) []complex128
 
 // processAir is the symbol-level air over a channel process: sparseAir
 // against the taps in effect at each slot, staged once per round from
-// the roster's frames. The per-tag tap powers are refreshed whenever the
-// taps move or the joined population grows.
+// the roster's frames. Only the colliders' taps are read, so only their
+// powers are refreshed, every slot.
 func processAir(proc channel.Process, noise *prng.Source, sc *scratch.Scratch) func(frames []bits.Vector) airFunc {
 	return func(frames []bits.Vector) airFunc {
-		k := len(frames)
 		obs := sc.Complex(len(frames[0]))
-		activeIdx, tagPow := sc.Int(k), sc.Float(k)
-		powN := 0
-		return func(slot int, active []bool) []complex128 {
+		tagPow := sc.Float(len(frames))
+		return func(slot int, _ []bool, cols []int) []complex128 {
 			m := proc.ModelAt(slot)
-			if n := len(active); n != powN || !proc.Static() {
-				for i, h := range m.Taps[:n] {
-					tagPow[i] = real(h)*real(h) + imag(h)*imag(h)
-				}
-				powN = n
+			for _, i := range cols {
+				h := m.Taps[i]
+				tagPow[i] = real(h)*real(h) + imag(h)*imag(h)
 			}
-			sparseAir(m, frames, active, obs, activeIdx, tagPow, noise)
+			sparseAir(m, frames, cols, obs, tagPow, noise)
 			return obs
 		}
 	}
@@ -327,12 +326,19 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 	}
 
 	var alive []bool
+	var aliveCols []int
 	if cfg.DiesAtSlot != nil {
 		alive = sc.Bool(kTot)
+		aliveCols = sc.Int(kTot)
 	}
 	arriving := make([]int, 0, kTot-k0)
 	for slot := 1; slot <= maxSlots && !(walk.Arrived() == kTot && st.Done()); slot++ {
 		// --- Population events and channel drift. ---
+		// The tags the last slot left quiescent: nothing reads their taps
+		// again, so their channel stops evolving.
+		for _, i := range st.NewlyQuiescent() {
+			decoder.Freeze(i)
+		}
 		ev := walk.Next(slot, decoder)
 		if n := len(ev.Arrivals); n > 0 && cfg.OnArrival != nil {
 			arriving = arriving[:0]
@@ -350,20 +356,26 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 		if err != nil {
 			return nil, err
 		}
-		active := row
+		active, cols := row, st.cols
 		if alive != nil {
 			active = alive[:len(row)]
+			na := 0
 			for i, on := range row {
 				dies := 0
 				if i < len(cfg.DiesAtSlot) {
 					dies = cfg.DiesAtSlot[i]
 				}
 				active[i] = on && (dies <= 0 || slot < dies)
+				if active[i] {
+					aliveCols[na] = i
+					na++
+				}
 			}
+			cols = aliveCols[:na]
 		}
 
 		// --- Reader side: append, decode, gates, window slide. ---
-		step, err := st.Ingest(air(slot, active))
+		step, err := st.Ingest(air(slot, active, cols))
 		if err != nil {
 			return nil, err
 		}

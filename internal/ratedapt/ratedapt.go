@@ -341,12 +341,12 @@ func (cfg *Config) acceptSlot(sess *bp.Session, slot, k, frameLen int, gs *gateS
 	// update is independent, so the refresh walks unlocked tags only. The
 	// estimates equal the session's bits after every refresh, and a new
 	// tag's from its Grow on, so a decode that moved no bit
-	// (DecodeMoved) leaves nothing to refresh.
+	// (DecodeMoved) leaves nothing to refresh. The session's unlocked
+	// list is exactly the tags gs.locked leaves unlocked: the decode
+	// deactivated every locked tag, and nothing has locked since.
+	unlocked := sess.UnlockedTags()
 	if sess.DecodeMoved() {
-		for i := 0; i < k; i++ {
-			if gs.locked[i] {
-				continue
-			}
+		for _, i := range unlocked {
 			est := gs.estimates[i]
 			for p := 0; p < frameLen; p++ {
 				if b := sess.PosBits(p)[i]; bool(est[p]) != b {
@@ -365,9 +365,9 @@ func (cfg *Config) acceptSlot(sess *bp.Session, slot, k, frameLen int, gs *gateS
 		return true
 	}
 	newly := 0
-	for i := 0; i < k; i++ {
+	for _, i := range unlocked {
 		deg := sess.Degree(i)
-		if gs.locked[i] || deg < cfg.minDegree() || ambiguous[i] {
+		if deg < cfg.minDegree() || ambiguous[i] {
 			continue
 		}
 		if gs.frameChanged[i] || !gs.crcValid[i] {
@@ -590,10 +590,17 @@ func staticRoster(seeds []uint64, messages []bits.Vector) ([]RosterTag, error) {
 // replay client plays the tag/air side of a streaming session (the
 // daemon only ever sees observations, like a real reader) and must
 // synthesize collision slots byte-identically to the in-process air.
-// Same contract as sparseAir; bitIdx is unused (nil is fine).
+// The transmitting tags are those active flags, which it stages as an
+// index list in activeIdx (at least len(active) entries); bitIdx is
+// unused (nil is fine). Otherwise the contract is sparseAir's.
 func SynthAir(m *channel.Model, frames []bits.Vector, active []bool, obs []complex128,
 	activeIdx, bitIdx []int, tagPow []float64, noise *prng.Source) {
-	sparseAir(m, frames, active, obs, activeIdx, tagPow, noise)
+	na := 0
+	for i, on := range active {
+		activeIdx[na] = i
+		na += bits.Index(on)
+	}
+	sparseAir(m, frames, activeIdx[:na], obs, tagPow, noise)
 }
 
 // ParticipationDensity exposes participationDensity for stream drivers:
@@ -603,32 +610,27 @@ func ParticipationDensity(explicit float64, n int) float64 {
 	return participationDensity(explicit, n)
 }
 
-// sparseAir synthesizes one collision slot of received symbols:
-// obs[p] = Σ_{i active} b_i[p]·h_i plus one AWGN sample whenever the
-// noise power N₀ + AGCNoiseFraction·Σ_{i active} b_i[p]·|h_i|² is
+// sparseAir synthesizes one collision slot of received symbols, whose
+// transmitting tags are cols (ascending):
+// obs[p] = Σ_{i∈cols} b_i[p]·h_i plus one AWGN sample whenever the
+// noise power N₀ + AGCNoiseFraction·Σ_{i∈cols} b_i[p]·|h_i|² is
 // positive, with no branch on a random bit. A block of positions at a
 // time (the power sums live on the stack), each collider walks its
 // frame and adds b·h_i and b·|h_i|² to every position. A clear bit adds
 // a zero, which is exact: a sum started at +0 is never −0, so each
 // position gets the bits of a sum over its set-bit colliders alone, in
-// ascending tag order, down to the sign of a zero. activeIdx is
-// caller-owned staging of at least len(active) entries; tagPow[i] must
-// hold |m.Taps[i]|² for every tag that can be active.
-func sparseAir(m *channel.Model, frames []bits.Vector, active []bool, obs []complex128,
-	activeIdx []int, tagPow []float64, noise *prng.Source) {
+// ascending tag order, down to the sign of a zero. tagPow[i] must hold
+// |m.Taps[i]|² for every tag in cols.
+func sparseAir(m *channel.Model, frames []bits.Vector, cols []int, obs []complex128,
+	tagPow []float64, noise *prng.Source) {
 
-	na := 0
-	for i, on := range active {
-		activeIdx[na] = i
-		na += bits.Index(on)
-	}
 	var powBlock [64]float64
 	for p0 := 0; p0 < len(obs); p0 += len(powBlock) {
 		ys := obs[p0:min(p0+len(powBlock), len(obs))]
 		pows := powBlock[:len(ys)]
 		clear(ys)
 		clear(pows)
-		for _, i := range activeIdx[:na] {
+		for _, i := range cols {
 			h, pw := m.Taps[i], tagPow[i]
 			for p, b := range frames[i][p0 : p0+len(ys)] {
 				s := float64(bits.Index(b))

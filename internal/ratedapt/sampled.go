@@ -124,7 +124,7 @@ func (cfg *SampledConfig) sampledAir(ch *channel.Model, noiseSrc *prng.Source) f
 		obs := sc.Complex(frameLen)
 		samples := sc.Complex(frameLen * spb)
 		tagsBuf := make([]phy.TagSignal, 0, k)
-		return func(_ int, active []bool) []complex128 {
+		return func(_ int, active []bool, _ []int) []complex128 {
 			tags := tagsBuf[:0]
 			for i, on := range active {
 				if on {

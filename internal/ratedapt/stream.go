@@ -2,6 +2,7 @@ package ratedapt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bits"
 	"repro/internal/bp"
@@ -68,6 +69,24 @@ type Stream struct {
 	tapStage []complex128
 	accepted []int
 
+	// The slot cycle walks these lists of join-order indices, never the
+	// joined roster. present (ascending) holds the joined tags not
+	// departed, the only ones Advance draws; cols (ascending) the slot's
+	// colliders; live (ascending) the joined tags not quiescent, the only
+	// taps a retap installs; parting the departed tags not yet
+	// quiescent, which FinishIngest checks; and quiesced the tags the
+	// last FinishIngest found quiescent (NewlyQuiescent).
+	present, cols, live, parting, quiesced []int
+	// noQuiesce makes the stream find no tag quiescent, so every retap
+	// installs every joined tag's tap and nothing is reported to freeze.
+	// Only tests set it: the unfrozen side of the freeze twin.
+	noQuiesce bool
+
+	// margin and ambiguous are the decode's per-tag outputs, kept for
+	// the stream's life and extended as tags join.
+	margin    []float64
+	ambiguous []bool
+
 	// Decision-directed channel refinement (Config.RefineChannel):
 	// d materializes the participation matrix for the least-squares fit
 	// and taps holds the decoder's current estimates; d is nil when off.
@@ -76,10 +95,7 @@ type Stream struct {
 
 	row           bits.Vector
 	staged        bool
-	stageMargin   []float64
-	stageAmb      []bool
 	slot          int
-	colliders     int
 	nJ            int
 	nDeparted     int
 	nResolved     int
@@ -115,7 +131,9 @@ type SlotEvents struct {
 	Departs []int
 	// Retap, when non-nil, supplies this slot's decoder taps for every
 	// joined tag (post-arrival count): the channel-drift fold-in
-	// (bp.Session.RetapAll). Nil means the taps have not moved.
+	// (bp.Session.RetapTags). The taps of tags the stream has found
+	// quiescent (NewlyQuiescent) are not read. Nil means the taps have
+	// not moved.
 	Retap []complex128
 }
 
@@ -291,6 +309,14 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 		st.ownSess = true
 	}
 	st.openMark = st.sc.Mark()
+	// The slot cycle's lists and the decode outputs live in the stream's
+	// scratch scope, sized for the roster cap.
+	st.present, st.live = st.sc.Int(cap0)[:k0], st.sc.Int(cap0)[:k0]
+	for i := range k0 {
+		st.present[i], st.live[i] = i, i
+	}
+	st.cols, st.parting, st.quiesced = st.sc.Int(cap0)[:0], st.sc.Int(cap0)[:0], st.sc.Int(cap0)[:0]
+	st.margin, st.ambiguous = st.sc.Float(cap0)[:k0], st.sc.Bool(cap0)[:k0]
 
 	if cap0 > k0 {
 		// Size the session for the roster cap at admission, not lazily on
@@ -391,6 +417,10 @@ func (st *Stream) Advance(ev SlotEvents) (bits.Vector, error) {
 			st.crcValid = append(st.crcValid, false)
 			st.participation = append(st.participation, 0)
 			st.rowsRetiredTag = append(st.rowsRetiredTag, 0)
+			st.present = append(st.present, first+j)
+			st.live = append(st.live, first+j)
+			st.margin = append(st.margin, 0)
+			st.ambiguous = append(st.ambiguous, false)
 			if st.wins != nil {
 				st.wins = append(st.wins, st.clampTagWindow(a.Window))
 			}
@@ -410,6 +440,12 @@ func (st *Stream) Advance(ev SlotEvents) (bits.Vector, error) {
 		st.departed[i] = true
 		st.nDeparted++
 		st.popChanged = true
+		if x, ok := slices.BinarySearch(st.present, i); ok {
+			st.present = slices.Delete(st.present, x, x+1)
+		}
+		if !st.noQuiesce {
+			st.parting = append(st.parting, i)
+		}
 		if !st.locked[i] {
 			// Retire: freeze the reader's best estimate of the departed
 			// tag out of the fan-out; its message is lost.
@@ -433,25 +469,27 @@ func (st *Stream) Advance(ev SlotEvents) (bits.Vector, error) {
 		if len(ev.Retap) != st.nJ {
 			return nil, fmt.Errorf("ratedapt: retap has %d taps for %d joined tags", len(ev.Retap), st.nJ)
 		}
-		st.sess.RetapAll(ev.Retap)
+		// A quiescent tag's tap is read by nothing (bp.Session.Quiescent),
+		// so it keeps the one it had, whether or not the driver froze it.
+		st.sess.RetapTags(ev.Retap, st.live)
 	}
 
 	st.slotMark = st.sc.Mark()
 	st.inSlot = true
 	st.slot = slot
 	row := bits.Vector(st.sc.Bool(st.nJ))
-	st.colliders = 0
-	for i := 0; i < st.nJ; i++ {
+	cols := st.cols[:0]
+	for _, i := range st.present {
 		// Verified tags keep colliding until the single global stop
 		// (§8.2 rejects per-tag ACKs) unless the reader ACKs them
 		// (SilenceDecoded); either way the reader's D knows who is on.
-		row[i] = !st.departed[i] && !(st.cfg.SilenceDecoded && st.verified[i]) &&
-			Participates(st.seeds[i], st.cfg.SessionSalt, slot, st.density)
-		if row[i] {
-			st.colliders++
+		if !(st.cfg.SilenceDecoded && st.verified[i]) && Participates(st.seeds[i], st.cfg.SessionSalt, slot, st.density) {
+			row[i] = true
+			cols = append(cols, i)
 			st.participation[i]++
 		}
 	}
+	st.cols = cols
 	if st.d != nil {
 		st.d.AppendRow(row)
 	}
@@ -487,7 +525,7 @@ func (st *Stream) BeginIngest(obs []complex128) error {
 	if len(obs) != st.frameLen {
 		return fmt.Errorf("ratedapt: got %d observations for frame length %d", len(obs), st.frameLen)
 	}
-	st.sess.AppendSlot(st.row, obs)
+	st.sess.AppendColliders(st.cols, obs)
 	if st.d != nil && st.slot > 1 {
 		// Re-fit the taps against the current estimates — after this
 		// slot's append, before its decode — and let the next DecodeSlot
@@ -497,8 +535,6 @@ func (st *Stream) BeginIngest(obs []complex128) error {
 			st.sess.SetTaps(refined)
 		}
 	}
-	st.stageMargin = st.sc.Float(st.nJ)
-	st.stageAmb = st.sc.Bool(st.nJ)
 	st.staged = true
 	return nil
 }
@@ -511,8 +547,8 @@ func (st *Stream) SlotJob() bp.SlotJob {
 		Slot:      st.slot,
 		Locked:    st.locked[:st.nJ],
 		Base:      st.decodeBase,
-		MinMargin: st.stageMargin,
-		Ambiguous: st.stageAmb,
+		MinMargin: st.margin,
+		Ambiguous: st.ambiguous,
 	}
 }
 
@@ -524,12 +560,10 @@ func (st *Stream) FinishIngest() (StepResult, error) {
 		return StepResult{}, fmt.Errorf("ratedapt: FinishIngest without BeginIngest")
 	}
 	st.staged = false
-	minMargin, ambiguous := st.stageMargin, st.stageAmb
-	st.stageMargin, st.stageAmb = nil, nil
 
 	// Acceptance gates (see acceptSlot).
 	st.accepted = st.accepted[:0]
-	newly := st.cfg.acceptSlot(st.sess, st.slot, st.nJ, st.frameLen, &st.gateState, minMargin, ambiguous,
+	newly := st.cfg.acceptSlot(st.sess, st.slot, st.nJ, st.frameLen, &st.gateState, st.margin, st.ambiguous,
 		st.cfg.gatesWith(st.sess, st.win, st.wins, st.confirmWin), func(i int) {
 			st.verified[i] = true
 			st.nResolved++
@@ -542,13 +576,14 @@ func (st *Stream) FinishIngest() (StepResult, error) {
 		retired += slideTagWindows(st.sess, st.wins, st.nJ, st.slot, st.rowsRetiredTag)
 	}
 	st.rowsRetired += retired
+	st.findQuiescent()
 
 	st.sc.Release(st.slotMark)
 	st.inSlot = false
 	st.row = nil
 	return StepResult{
 		Slot:          st.slot,
-		Colliders:     st.colliders,
+		Colliders:     len(st.cols),
 		NewlyAccepted: newly,
 		TotalAccepted: st.totalAccepted,
 		RowsRetired:   retired,
@@ -565,7 +600,6 @@ func (st *Stream) Close() {
 	}
 	st.inSlot = false
 	st.staged = false
-	st.stageMargin, st.stageAmb = nil, nil
 	st.sc.Release(st.openMark)
 	if st.ownSess {
 		bp.PutSession(st.sess)
@@ -573,6 +607,34 @@ func (st *Stream) Close() {
 	st.sess = nil
 	st.closed = true
 }
+
+// findQuiescent moves the departed tags the session now finds quiescent
+// (bp.Session.Quiescent) from parting to quiesced and out of live. A
+// departed tag joins no new row, so that is exactly the session's rule,
+// and it is permanent.
+func (st *Stream) findQuiescent() {
+	st.quiesced = st.quiesced[:0]
+	keep := st.parting[:0]
+	for _, i := range st.parting {
+		if !st.sess.Quiescent(i) {
+			keep = append(keep, i)
+			continue
+		}
+		st.quiesced = append(st.quiesced, i)
+		if x, ok := slices.BinarySearch(st.live, i); ok {
+			st.live = slices.Delete(st.live, x, x+1)
+		}
+	}
+	st.parting = keep
+}
+
+// NewlyQuiescent lists the tags the last Ingest found quiescent: departed
+// tags whose taps no decision reads again (bp.Session.Quiescent). Each
+// is listed once. The stream installs no later tap for them, so a
+// driver can stop evolving them (channel.Process.Freeze, as
+// TransferDynamic does) and every output stays as it was. A driver may also keep
+// sending their moving taps. Valid until the next Ingest.
+func (st *Stream) NewlyQuiescent() []int { return st.quiesced }
 
 // Done reports whether every joined tag is resolved (verified or
 // retired by departure).

@@ -118,7 +118,7 @@ func TestGoldenDecodeCost(t *testing.T) {
 // TestGoldenLargeK pins two Gauss–Markov transfers of 80 tags, past the
 // paper's K ≤ 16, the way TestGoldenDecodeCost pins the example specs:
 // outcome digest and exact DecodeCost, at GOMAXPROCS 1 and 4 (the
-// subtests' par). The per-tag window drives RetireTag and RetapAll
+// subtests' par). The per-tag window drives RetireTag and RetapTags
 // every slot; the auto window at ρ 0.99 drives Retire. Each of them
 // invalidates the session, so both transfers rebuild on nearly every
 // slot.

@@ -2,14 +2,15 @@
 # Output A/B: builds buzzsim at the base revision and in this checkout
 # and compares, byte for byte, what `buzzsim run -repeat 3` prints for
 # every example spec (examples/scenarios/*.json of this checkout, run by
-# both binaries).
+# both binaries), and what `buzzsim sweep -seed 555001` prints for
+# warehouse.json, the sweep path CI's warehouse-scale job runs.
 #
 #   scripts/outputs-ab.sh <base-rev>
 #
-# A perf-only or simplicity change must leave every spec identical; a
-# change that moves decode outcomes on purpose lists the specs it moved.
-# The script prints one line per spec, "identical" or "differs", and
-# exits 1 when any spec differs or a side fails to run it. GOMAXPROCS is
+# A perf-only or simplicity change must leave every output identical; a
+# change that moves decode outcomes on purpose lists the outputs it
+# moved. The script prints one line per output, "identical" or
+# "differs", and exits 1 when any differs or a side fails to run it. GOMAXPROCS is
 # taken from the environment, so running it at two values checks
 # schedule independence as well. With $GITHUB_STEP_SUMMARY set, the
 # table is appended there. Needs git and go.
@@ -36,10 +37,13 @@ go build -o "$tmp/buzzsim-head" ./cmd/buzzsim
 
 rows=()
 differ=0
-for spec in examples/scenarios/*.json; do
-	verdict=identical
+# compare <label> <buzzsim args...>: runs both binaries with the args and
+# records whether their outputs are byte-identical.
+compare() {
+	local label=$1 verdict=identical
+	shift
 	for side in base head; do
-		if ! "$tmp/buzzsim-$side" run -repeat "$repeat" "$spec" > "$tmp/$side.out" 2>&1; then
+		if ! "$tmp/buzzsim-$side" "$@" > "$tmp/$side.out" 2>&1; then
 			verdict="differs ($side failed)"
 		fi
 	done
@@ -50,17 +54,21 @@ for spec in examples/scenarios/*.json; do
 		differ=$((differ + 1))
 		diff "$tmp/base.out" "$tmp/head.out" | head -n 20 >&2 || true
 	fi
-	echo "$spec: $verdict"
-	rows+=("| $spec | $verdict |")
+	echo "$label: $verdict"
+	rows+=("| $label | $verdict |")
+}
+for spec in examples/scenarios/*.json; do
+	compare "$spec" run -repeat "$repeat" "$spec"
 done
+compare "sweep -seed 555001 examples/scenarios/warehouse.json" sweep -seed 555001 examples/scenarios/warehouse.json
 procs="${GOMAXPROCS:-$(nproc)}"
-echo "$differ of ${#rows[@]} specs differ from ${base:0:12} (buzzsim run -repeat $repeat, GOMAXPROCS $procs)"
+echo "$differ of ${#rows[@]} outputs differ from ${base:0:12} (buzzsim run -repeat $repeat and one sweep, GOMAXPROCS $procs)"
 
 if [[ -n ${GITHUB_STEP_SUMMARY:-} ]]; then
 	{
-		echo "### Outputs against ${base:0:12} (buzzsim run -repeat $repeat, GOMAXPROCS $procs)"
+		echo "### Outputs against ${base:0:12} (buzzsim run -repeat $repeat and one sweep, GOMAXPROCS $procs)"
 		echo
-		echo "| spec | output |"
+		echo "| output | verdict |"
 		echo "|---|---|"
 		printf '%s\n' "${rows[@]}"
 		echo
