@@ -859,16 +859,16 @@ func (st *descentState) appendRow(g *Graph, row int, obs complex128, b bits.Vect
 // applyFlip flips bit i in b and updates residual, S-sums and the gains
 // of every touched tag: O(w_i · colliders) sum updates (one complex
 // subtraction each — every touched residual entry moves by the same
-// −δ·h_i), then one gain recompute per unique neighbor via the
-// dirty-list: a neighbor sharing several rows with tag i has its sum
-// moved once per shared row but its gain recomputed once.
+// −δ, δ = h_i·bSign[i] exactly, so the flip needs no branch on b[i],
+// which bSign[i] must agree with), then one gain recompute per unique
+// neighbor via the dirty-list: a neighbor sharing several rows with
+// tag i has its sum moved once per shared row but its gain recomputed
+// once.
 func (st *descentState) applyFlip(g *Graph, b bits.Vector, locked []bool, i int) {
-	delta := g.taps[i]
-	if b[i] {
-		delta = -delta
-	}
+	d, h := st.bSign[i], g.taps[i]
+	delta := complex(d*real(h), d*imag(h))
 	b[i] = !b[i]
-	st.bSign[i] = -st.bSign[i]
+	st.bSign[i] = -d
 	nd := 0
 	for _, row := range g.colRows[i] {
 		st.residual[row] -= delta

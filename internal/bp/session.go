@@ -106,7 +106,7 @@ type Session struct {
 	// and |h|²·w constants. gramLocked lists (ascending) the locked tags
 	// that share a live row with an active tag, the only locked tags
 	// whose taps enter B (gramInput); gramLockCol[j·Ka+x] = N_{x,l}·h_l
-	// for l = gramLocked[j], and gramLockNZ marks its nonzero counts.
+	// for l = gramLocked[j], an exact +0 where the count is zero.
 	gramOn      bool
 	gramNH      []complex128
 	gramTap     []complex128
@@ -114,7 +114,6 @@ type Session struct {
 	gramLocked  []int
 	gramMark    []bool
 	gramLockCol []complex128
-	gramLockNZ  []bool
 	// gramErr[p] is position p's adopted pass error on a Gram slot
 	// (decodePosition): gramError at the position's decoded bits, the
 	// acceptance gate's base error (conditionalMarginGram).
@@ -367,7 +366,8 @@ func (s *Session) shapeMatchedFilter(prevK, k, frameLen int) {
 // gramInput sets gB to position p's matched-filter output over the
 // ranked active tags, from the session's matched-filter state at the
 // position's bits b: B_a = mf_a − Σ_l C_al·h_l over the locked tags l
-// whose bit b sets, summed in ascending l and skipping zero counts.
+// whose bit b sets, summed in ascending l and skipping zero counts:
+// their staged entries are exact +0s, and x − (+0) is x for every x.
 // Only locked bits enter, and they never change within a slot, so B
 // serves every pass of the position; only the locked tags that share a
 // row with an active tag (gramLocked) can have C_al ≠ 0, and
@@ -385,89 +385,87 @@ func (w *workspace) gramInput(s *Session, p int, b bits.Vector) {
 		if !b[l] {
 			continue
 		}
-		nz := s.gramLockNZ[j*ka : (j+1)*ka]
 		for x, v := range s.gramLockCol[j*ka : (j+1)*ka] {
-			if nz[x] {
-				B[x] -= v
-			}
+			B[x] -= v
 		}
 	}
 }
 
 // gramStart sets one pass's Gram state at the bits in b (active
-// entries): S = B − N·m with m_a = h_a on the set bits (gramNH's rows
-// of the set ranks), the flip signs, the gains and the ranked bits, in
-// O(Ka²).
-func (w *workspace) gramStart(s *Session, b bits.Vector) {
+// entries): S = B − N·m with m_a = h_a on the set bits, each S_y being
+// B_y less the set ranks' gramNH entries in ascending rank, then the
+// flip signs, the gains and the ranked bits, in O(Ka²). It returns the
+// argmaxAbove of the gains, taken in the same loop. No branch reads a
+// bit: the signs and the set-rank list come from integer selects.
+func (w *workspace) gramStart(s *Session, b bits.Vector) int {
 	act := s.g.activeTags
 	ka := len(act)
 	nh, h, wp := s.gramNH, s.gramTap, s.gramWPow
-	S, gain := w.gS[:ka], w.gGain[:ka]
+	B, S, gain := w.gB[:ka], w.gS[:ka], w.gGain[:ka]
 	sign, lb := w.gSign[:ka], w.gBits[:ka]
-	copy(S, w.gB[:ka])
+	set, n := w.gSet[:ka], 0
 	for x, i := range act {
+		bi := bits.Index(b[i])
 		lb[x] = b[i]
-		if !b[i] {
-			sign[x] = 1
-			continue
-		}
-		sign[x] = -1
-		for y, v := range nh[x*ka : (x+1)*ka] {
-			S[y] -= v
-		}
+		sign[x] = float64(1 - 2*bi)
+		set[n] = x
+		n += bi
 	}
-	for y := range gain {
-		gain[y] = 2*(real(h[y])*real(S[y])+imag(h[y])*imag(S[y]))*sign[y] - wp[y]
+	set = set[:n]
+	best, bestG := -1, math.Float64bits(s.eps)
+	for y := range S {
+		v := B[y]
+		for _, x := range set {
+			v -= nh[x*ka+y]
+		}
+		S[y] = v
+		gv := 2*(real(h[y])*real(v)+imag(h[y])*imag(v))*sign[y] - wp[y]
+		gain[y] = gv
+		best, bestG = keepMax(best, bestG, y, gv)
 	}
+	return best
 }
 
 // gramDescend runs one pass's descent in Gram space from the bits in b
 // (active entries), leaving the local optimum's bits there, and returns
 // the flip count. It is descentState.descend over S = B − N·m: the same
 // gains, scan order, eps and flip cap, with a flip of rank x moving S
-// by gramNH's row x (subtracted when the bit is set, added when it is
-// cleared) in O(Ka) instead of walking x's rows, and the next flip's
-// argmax taken in the same loop that refreshes the gains. The ranks in
-// pins never flip: their gains are held at −∞ (the decode passes nil;
-// the acceptance gate pins its forced bit and the caller's locks), so a
-// pinned descent rescans after the hold.
+// by −d·(gramNH's row x), d its flip sign before the flip (±1 scales
+// exactly, and a − (−v) is a + v), in O(Ka) instead of walking x's
+// rows, and each flip's argmax taken in the loop that refreshed the
+// gains (gramStart's for the first). The ranks in pins never flip: their
+// gains are held at −∞ (the decode passes nil; the acceptance gate pins
+// its forced bit and the caller's locks), so a pinned descent rescans
+// after the hold.
 func (w *workspace) gramDescend(s *Session, b bits.Vector, maxFlips int, pins []int) int {
-	w.gramStart(s, b)
+	best := w.gramStart(s, b)
 	act := s.g.activeTags
 	ka := len(act)
 	nh, h, wp := s.gramNH, s.gramTap, s.gramWPow
 	S, gain := w.gS[:ka], w.gGain[:ka]
 	sign, lb := w.gSign[:ka], w.gBits[:ka]
-	for _, x := range pins {
-		gain[x] = math.Inf(-1)
-	}
-	best := argmaxAbove(gain, s.eps)
 	flips := 0
-	for ; flips < maxFlips && best >= 0; flips++ {
-		set := !lb[best]
-		lb[best] = set
-		sign[best] = -sign[best]
-		row := nh[best*ka : (best+1)*ka]
-		best = -1
-		bestG := s.eps
-		for y, v := range row {
-			if set {
-				S[y] -= v
-			} else {
-				S[y] += v
-			}
-			gv := 2*(real(h[y])*real(S[y])+imag(h[y])*imag(S[y]))*sign[y] - wp[y]
-			gain[y] = gv
-			if gv > bestG {
-				bestG = gv
-				best = y
-			}
-		}
+	for ; ; flips++ {
 		if len(pins) > 0 {
 			for _, x := range pins {
 				gain[x] = math.Inf(-1)
 			}
 			best = argmaxAbove(gain, s.eps)
+		}
+		if flips >= maxFlips || best < 0 {
+			break
+		}
+		d := sign[best]
+		lb[best] = !lb[best]
+		sign[best] = -d
+		row := nh[best*ka : (best+1)*ka]
+		best = -1
+		bestG := math.Float64bits(s.eps)
+		for y, v := range row {
+			S[y] -= complex(d*real(v), d*imag(v))
+			gv := 2*(real(h[y])*real(S[y])+imag(h[y])*imag(S[y]))*sign[y] - wp[y]
+			gain[y] = gv
+			best, bestG = keepMax(best, bestG, y, gv)
 		}
 	}
 	for x, i := range act {
@@ -479,14 +477,20 @@ func (w *workspace) gramDescend(s *Session, b bits.Vector, maxFlips int, pins []
 // argmaxAbove returns the first index of the largest gain above eps,
 // or −1 when none is: the descent's (gain desc, index asc) scan.
 func argmaxAbove(gain []float64, eps float64) int {
-	best, bestG := -1, eps
+	best, bestG := -1, math.Float64bits(eps)
 	for y, gv := range gain {
-		if gv > bestG {
-			bestG = gv
-			best = y
-		}
+		best, bestG = keepMax(best, bestG, y, gv)
 	}
 	return best
+}
+
+// keepMax is one step of the argmax scan: gain gv at index y replaces
+// the running best (best, whose gain's bits are bestG) when it is
+// strictly greater, selected by masks rather than a branch, since which
+// gain wins is as random as the bits behind it.
+func keepMax(best int, bestG uint64, y int, gv float64) (int, uint64) {
+	m := -bits.Index(gv > math.Float64frombits(bestG))
+	return best ^ (best^y)&m, bestG ^ (bestG^math.Float64bits(gv))&uint64(m)
 }
 
 // gramInstall installs the workspace's gains (gramStart's, or a
@@ -501,15 +505,15 @@ func (w *workspace) gramInstall(s *Session, st *descentState) {
 
 // gramError returns the active rows' ‖r‖² at bits b (active entries) in
 // Gram form, less the constant E0 = ‖base‖² over the active rows:
-// −Re(mᴴ(2B − N·m)), summed over the set ranks in ascending order: an
-// unset rank's terms are exact zeros, and so are a set rank's whose tap
-// is exactly zero (adding a zero never changes the sum, which is never
-// −0), so neither changes a bit of the result. Every reader compares
-// errors within one position (adoption, the ambiguity gaps), where E0
-// cancels. It is a pure function of the bits, evaluated in a fixed
-// order, so two passes that end on the same bits score exactly the
-// same. The counts are symmetric integers, so gramNH[y·Ka+x] = N_xy·h_y
-// exactly.
+// −Re(mᴴ(2B − N·m)), summed over the set ranks in ascending order, which
+// it lists from integer selects: an unset rank's terms are exact zeros,
+// and so are a set rank's whose tap is exactly zero (adding a zero never
+// changes the sum, which is never −0), so neither changes a bit of the
+// result. Every reader compares errors within one position (adoption,
+// the ambiguity gaps), where E0 cancels. It is a pure function of the
+// bits, evaluated in a fixed order, so two passes that end on the same
+// bits score exactly the same. The counts are symmetric integers, so
+// gramNH[y·Ka+x] = N_xy·h_y exactly.
 func (w *workspace) gramError(s *Session, b bits.Vector) float64 {
 	act := s.g.activeTags
 	ka := len(act)
@@ -517,9 +521,7 @@ func (w *workspace) gramError(s *Session, b bits.Vector) float64 {
 	set, n := w.gSet[:ka], 0
 	for x, i := range act {
 		set[n] = x
-		if b[i] {
-			n++
-		}
+		n += bits.Index(b[i])
 	}
 	set = set[:n]
 	acc := 0.0
@@ -1759,7 +1761,7 @@ func (s *Session) prepareGram() {
 		h := g.taps[a]
 		s.gramTap[x] = h
 		s.gramWPow[x] = g.wPow[a]
-		gramColumn(nh[x*ka:(x+1)*ka], nil, s.cooc[a*s.kStride:], act, h)
+		gramColumn(nh[x*ka:(x+1)*ka], s.cooc[a*s.kStride:], act, h, false)
 	}
 	mark := s.gramMark[:g.K]
 	lk := s.gramLocked[:0]
@@ -1777,22 +1779,21 @@ func (s *Session) prepareGram() {
 	}
 	s.gramLocked = lk
 	s.gramLockCol = grow(s.gramLockCol, len(lk)*ka)
-	s.gramLockNZ = grow(s.gramLockNZ, len(lk)*ka)
 	for j, l := range lk {
-		gramColumn(s.gramLockCol[j*ka:(j+1)*ka], s.gramLockNZ[j*ka:(j+1)*ka], s.cooc[l*s.kStride:], act, g.taps[l])
+		gramColumn(s.gramLockCol[j*ka:(j+1)*ka], s.cooc[l*s.kStride:], act, g.taps[l], true)
 	}
 }
 
 // gramColumn sets dst[x] = c·h, componentwise, with c the count
-// counts[act[x]], and nz[x] (when nz is not nil) to whether c is
-// nonzero: one row of gramNH, or one locked tag's gramLockCol column
-// (the counts are symmetric, so a row of cooc serves as its column).
-func gramColumn(dst []complex128, nz []bool, counts []int32, act []int, h complex128) {
+// counts[act[x]]: one row of gramNH, or (locked) one locked tag's
+// gramLockCol column, where a zero count writes an exact +0 (the counts
+// are symmetric, so a row of cooc serves as its column).
+func gramColumn(dst []complex128, counts []int32, act []int, h complex128, locked bool) {
 	for x, a := range act {
 		c := float64(counts[a])
 		dst[x] = complex(c*real(h), c*imag(h))
-		if nz != nil {
-			nz[x] = c != 0
+		if locked && c == 0 {
+			dst[x] = 0
 		}
 	}
 }
@@ -1826,11 +1827,11 @@ func (s *Session) finishSlot(minMargin []float64, anyAmbiguous []bool) {
 		minMargin[i] = math.Inf(-1) // staging: max gain over positions
 	}
 	for p := 0; p < s.frameLen; p++ {
-		grow := s.states[p].gain
+		gains := s.states[p].gain
 		arow := s.ambiguous[p*s.kStride : p*s.kStride+s.k]
 		for _, i := range active {
-			if grow[i] > minMargin[i] {
-				minMargin[i] = grow[i]
+			if gains[i] > minMargin[i] {
+				minMargin[i] = gains[i]
 			}
 			if arow[i] {
 				anyAmbiguous[i] = true
@@ -2042,9 +2043,7 @@ func (s *Session) restartsGram(p int, ws *workspace, allBits []bool, passErr []f
 	keys := ws.passKey[:len(passErr)]
 	keys[0] = 0
 	for x, i := range active {
-		if allBits[i] {
-			keys[0] |= 1 << uint(x)
-		}
+		keys[0] |= uint64(bits.Index(allBits[i])) << uint(x)
 	}
 	ws.src.Reseed(prng.Mix3(s.curBase, uint64(s.curSlot), uint64(p)))
 	best := passErr[0]
@@ -2055,9 +2054,7 @@ func (s *Session) restartsGram(p int, ws *workspace, allBits []bool, passErr []f
 		flips += uint64(ws.gramDescend(s, bhat, maxFlips, nil))
 		key := uint64(0)
 		for x, v := range ws.gBits[:len(active)] {
-			if v {
-				key |= 1 << uint(x)
-			}
+			key |= uint64(bits.Index(v)) << uint(x)
 		}
 		keys[pass] = key
 		q := slices.Index(keys[:pass], key)

@@ -371,12 +371,12 @@ func TestSessionMutationsInvalidate(t *testing.T) {
 	}
 }
 
-// TestSessionRetapAllKeepsStateConsistent drives RetapTags through each
+// TestSessionRetapTagsKeepsStateConsistent drives RetapTags through each
 // kind of move — a minority of unlocked taps, a locked tag's tap, a
 // majority of taps — on a session with a mid-transfer lock. After each
 // retap the next DecodeSlot rebuilds, and its state must match a
 // from-scratch recompute under the new taps.
-func TestSessionRetapAllKeepsStateConsistent(t *testing.T) {
+func TestSessionRetapTagsKeepsStateConsistent(t *testing.T) {
 	const (
 		k        = 9
 		frameLen = 7

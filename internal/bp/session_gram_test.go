@@ -2,6 +2,7 @@ package bp
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/bits"
@@ -348,4 +349,32 @@ func TestSessionGramPassZeroMatchesRowPassZero(t *testing.T) {
 		t.Fatal("no pass 0 flipped a bit")
 	}
 	t.Logf("%d pass-0 pairs compared, %d with flips", compared, flipped)
+}
+
+// TestArgmaxAboveScanOrder pins the argmax scan every Gram pass runs
+// (keepMax, here through argmaxAbove): the first index of the largest
+// gain strictly above eps, −1 when none is, a NaN never winning and
+// signed zeros tying.
+func TestArgmaxAboveScanOrder(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	for _, c := range []struct {
+		gain []float64
+		eps  float64
+		want int
+	}{
+		{nil, 0, -1},
+		{[]float64{1, 3, 3, 2}, 0, 1},
+		{[]float64{0.5, 0.5}, 0.5, -1},
+		{[]float64{0.25, 0.5}, 0.25, 1},
+		{[]float64{nan, 2, nan, 2.5, nan}, 0, 3},
+		{[]float64{nan, nan}, -inf, -1},
+		{[]float64{-inf, inf, inf}, 0, 1},
+		{[]float64{-1, -2}, -3, 0},
+		{[]float64{negZero, 0, 1e-300}, -1, 2},
+		{[]float64{0, negZero}, -1, 0},
+	} {
+		if got := argmaxAbove(c.gain, c.eps); got != c.want {
+			t.Errorf("argmaxAbove(%v, %v) = %d, want %d", c.gain, c.eps, got, c.want)
+		}
+	}
 }

@@ -196,15 +196,66 @@ func passErrsMatch(s *Session, ws *workspace, errOf func(bits.Vector) float64) i
 	return -1
 }
 
+// gramTally counts what a comparison with the reference exercised.
+type gramTally struct {
+	// gramSlots counts Gram slots, passes their decode passes, reused the
+	// restarts that ended on pass 0's bits and descents the random-bit
+	// descents compared; lockedB and zeroTaps count positions with a
+	// locked set bit in B and with an active set bit of a zero tap;
+	// maxKa is the most active tags a Gram slot ranked.
+	gramSlots, passes, reused, descents, lockedB, zeroTaps, maxKa int
+}
+
+// checkGramPosition fails unless what the decode of position p on a
+// Gram slot left in ws matches the reference (prepared for the slot) at
+// the same bits, bitwise: the decode's B, every recorded pass error (a
+// restart that ends on an earlier pass's bits reuses that pass's error;
+// a certified position records pass 0's alone) and the installed gains.
+func checkGramPosition(t *testing.T, s *Session, ref *refGram, p int, ws *workspace, tally *gramTally) {
+	t.Helper()
+	k := s.k
+	pb := bits.Vector(s.PosBits(p))
+	ref.input(s, p, pb)
+	if slices.ContainsFunc(s.gramLocked, func(l int) bool { return pb[l] }) {
+		tally.lockedB++
+	}
+	if slices.ContainsFunc(s.g.activeTags, func(i int) bool { return s.g.taps[i] == 0 && pb[i] }) {
+		tally.zeroTaps++
+	}
+	for x := range ref.B {
+		if !bitsEqual(ws.gB[x], ref.B[x]) {
+			t.Fatalf("position %d rank %d: B %v, reference %v", p, x, ws.gB[x], ref.B[x])
+		}
+	}
+	if bad := passErrsMatch(s, ws, func(b bits.Vector) float64 { return ref.error(s, b) }); bad >= 0 {
+		t.Fatalf("position %d pass %d: recorded error %v, reference %v", p, bad, ws.passErr[bad], ref.error(s, ws.allBits[bad*k:(bad+1)*k]))
+	}
+	for pass := 1; pass < ws.passes; pass++ {
+		same := true
+		for _, i := range s.g.activeTags {
+			same = same && ws.allBits[pass*k+i] == ws.allBits[i]
+		}
+		if same {
+			tally.reused++
+		}
+	}
+	tally.passes += ws.passes
+	st := &s.states[p]
+	ref.start(s, pb)
+	for x, i := range s.g.activeTags {
+		if math.Float64bits(st.gain[i]) != math.Float64bits(ref.gain[x]) {
+			t.Fatalf("position %d tag %d: installed gain %v, reference %v", p, i, st.gain[i], ref.gain[x])
+		}
+	}
+}
+
 // TestSessionGramKernelsMatchReference pins the Gram-path kernels
 // (gramInput, gramStart, gramDescend, gramError) to the reference
 // copies above, bitwise, on random sessions driven through CRC locks,
 // Retire, RetireTag and RetapTags, some to a tap of exactly zero. On
 // every Gram slot, for every position:
-//   - the decode's B, every recorded pass error (a restart that ends on
-//     an earlier pass's bits reuses that pass's error; a certified
-//     position records pass 0's alone) and the installed gains must
-//     equal the reference's at the same bits;
+//   - the decode's B, every recorded pass error and the installed gains
+//     must equal the reference's at the same bits (checkGramPosition);
 //   - from random bits, with no pins and with a forced bit plus random
 //     pins (the acceptance gate's descent), the start state, the
 //     descent's S, gains, signs, bits and flips, and the error at the
@@ -222,7 +273,8 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 		inits    = 4
 		base     = 0x25A
 	)
-	var gramSlots, passes, descents, reused, lockedB, zeroTaps, certified, fanned int
+	var tally gramTally
+	var certified, fanned int
 	for trial := 0; trial < 10; trial++ {
 		src := prng.NewSource(0x25A0 + uint64(trial))
 		k := 4 + src.IntN(9)
@@ -245,41 +297,6 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 		cur := append([]complex128(nil), taps...)
 		var ref refGram
 		b := make(bits.Vector, k)
-		check := func(p int, ws *workspace) {
-			pb := bits.Vector(s.PosBits(p))
-			ref.input(s, p, pb)
-			if slices.ContainsFunc(s.gramLocked, func(l int) bool { return pb[l] }) {
-				lockedB++
-			}
-			if s.g.taps[k-1] == 0 && pb[k-1] && !s.g.deactivated[k-1] {
-				zeroTaps++
-			}
-			for x := range ref.B {
-				if !bitsEqual(ws.gB[x], ref.B[x]) {
-					t.Fatalf("position %d rank %d: B %v, reference %v", p, x, ws.gB[x], ref.B[x])
-				}
-			}
-			if bad := passErrsMatch(s, ws, func(b bits.Vector) float64 { return ref.error(s, b) }); bad >= 0 {
-				t.Fatalf("position %d pass %d: recorded error %v, reference %v", p, bad, ws.passErr[bad], ref.error(s, ws.allBits[bad*k:(bad+1)*k]))
-			}
-			for pass := 1; pass < ws.passes; pass++ {
-				same := true
-				for _, i := range s.g.activeTags {
-					same = same && ws.allBits[pass*k+i] == ws.allBits[i]
-				}
-				if same {
-					reused++
-				}
-			}
-			passes += ws.passes
-			st := &s.states[p]
-			ref.start(s, pb)
-			for x, i := range s.g.activeTags {
-				if math.Float64bits(st.gain[i]) != math.Float64bits(ref.gain[x]) {
-					t.Fatalf("position %d tag %d: installed gain %v, reference %v", p, i, st.gain[i], ref.gain[x])
-				}
-			}
-		}
 		for slot := 1; slot <= slots; slot++ {
 			if slot%4 == 0 {
 				for i := range cur {
@@ -320,11 +337,12 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 				if ref.n == nil {
 					ref.prepare(s)
 				}
-				check(p, ws)
+				checkGramPosition(t, s, &ref, p, ws, &tally)
 			})
 			if s.gramOn {
-				gramSlots++
-				descents += checkGramKernels(t, s, &ref, src, b, inits)
+				tally.gramSlots++
+				tally.maxKa = max(tally.maxKa, len(s.g.activeTags))
+				tally.descents += checkGramKernels(t, s, &ref, src, b, inits)
 			}
 			switch {
 			case slot%7 == 0 && slot/7 <= nLock:
@@ -341,10 +359,148 @@ func TestSessionGramKernelsMatchReference(t *testing.T) {
 		certified += tw.gramCert
 		fanned += tw.gramFan
 	}
-	if gramSlots < 20 || reused == 0 || lockedB == 0 || zeroTaps == 0 || certified == 0 || fanned == 0 {
-		t.Fatalf("%d Gram slots, %d restarts ending on pass 0's bits, %d positions with a locked set bit in B, %d with a set zero-tap bit, %d certified, %d ran the fan; want at least 20 and 1, 1, 1, 1, 1", gramSlots, reused, lockedB, zeroTaps, certified, fanned)
+	if tally.gramSlots < 20 || tally.reused == 0 || tally.lockedB == 0 || tally.zeroTaps == 0 || certified == 0 || fanned == 0 {
+		t.Fatalf("%+v, %d certified, %d ran the fan; want at least 20 Gram slots and every other count above 0", tally, certified, fanned)
 	}
-	t.Logf("%d Gram slots: %d decode passes (%d restarts ending on pass 0's bits; %d positions with a locked set bit in B, %d with a set zero-tap bit; %d positions certified, %d ran the fan) and %d descents matched the reference", gramSlots, passes, reused, lockedB, zeroTaps, certified, fanned, descents)
+	t.Logf("%+v; %d positions certified, %d ran the fan", tally, certified, fanned)
+}
+
+// gramKernelsTwin replays one op script on a session of k tags and
+// compares its Gram kernels with the reference copies above, bitwise,
+// on every Gram slot: each position's decode (checkGramPosition), then
+// descents from random bits, unpinned and with a forced bit plus random
+// pins (checkGramKernels). The first third of the tags start at their
+// messages, so locking them is a CRC lock.
+//
+// Ops, one byte each (the low three bits pick, the rest is the
+// argument): 0–3 append 1 + 4·(argument mod 8) rows, each tag colliding
+// with probability 0.2 + 0.1·(argument ÷ 8), and decode a slot; 4 locks
+// tag argument mod k at the next decode; 5 retires every row but the
+// newest 4 + argument mod 16; 6 retires tag argument mod k's rows but
+// the newest argument mod 8; 7 moves about half the taps, and with an
+// odd argument sets tag (argument ÷ 2) mod k's tap to a zero whose part
+// signs the argument's next bits pick.
+func gramKernelsTwin(t *testing.T, k, frameLen int, seed uint64, ops []byte, tally *gramTally) {
+	t.Helper()
+	const (
+		restarts = 2
+		maxSlots = 256
+		inits    = 2
+	)
+	src := prng.NewSource(seed)
+	taps := randomTaps(k, src)
+	msgs := randomEstimates(k, frameLen, src)
+	est := randomEstimates(k, frameLen, src)
+	for i := 0; i < k/3; i++ {
+		est[i] = msgs[i]
+	}
+	s := NewSession()
+	s.Begin(k, frameLen, maxSlots, restarts, taps)
+	s.InitPositions(est)
+	locked := make([]bool, k)
+	minMargin := make([]float64, k)
+	ambiguous := make([]bool, k)
+	b := make(bits.Vector, k)
+	row := make(bits.Vector, k)
+	obs := make([]complex128, frameLen)
+	slot := 0
+	for _, op := range ops {
+		arg := int(op >> 3)
+		switch op & 7 {
+		case 0, 1, 2, 3:
+			q := 0.2 + 0.1*float64(arg/8)
+			for n := 1 + 4*(arg%8); n > 0 && s.g.L < maxSlots; n-- {
+				for i := range row {
+					row[i] = src.Bernoulli(q)
+				}
+				for p := range obs {
+					y := 0.3 * src.ComplexNorm()
+					for i, on := range row {
+						if on && msgs[i][p] {
+							y += taps[i]
+						}
+					}
+					obs[p] = y
+				}
+				appendSlot(s, row, obs)
+			}
+			slot++
+			var ref refGram
+			decodeSlotChecked(s, slot, locked, 0x6A7+seed, minMargin, ambiguous, func(p int, ws *workspace) {
+				if !s.gramOn {
+					return
+				}
+				if ref.n == nil {
+					ref.prepare(s)
+				}
+				checkGramPosition(t, s, &ref, p, ws, tally)
+			})
+			if s.gramOn {
+				tally.gramSlots++
+				tally.maxKa = max(tally.maxKa, len(s.g.activeTags))
+				tally.descents += checkGramKernels(t, s, &ref, src, b, inits)
+			}
+		case 4:
+			locked[arg%k] = true
+		case 5:
+			s.Retire(s.g.L - 4 - arg%16)
+		case 6:
+			s.RetireTag(arg%k, s.g.L-arg%8)
+		case 7:
+			for i := range taps {
+				if src.Bernoulli(0.5) {
+					taps[i] *= complex(0.995, 0.02)
+				}
+			}
+			if arg%2 == 1 {
+				re, im := 0.0, 0.0
+				if arg&2 != 0 {
+					re = math.Copysign(0, -1)
+				}
+				if arg&4 != 0 {
+					im = math.Copysign(0, -1)
+				}
+				taps[(arg/2)%k] = complex(re, im)
+			}
+			retapAll(s, taps)
+		}
+	}
+}
+
+// TestGramKernelsTwinReachesMaxKa runs the fuzz target's first seed
+// script and fails unless it ranked gramMaxKa active tags on a Gram slot
+// and reached a locked set bit in B, an active set bit of a zero tap and
+// a restart ending on pass 0's bits.
+func TestGramKernelsTwinReachesMaxKa(t *testing.T) {
+	var tally gramTally
+	gramKernelsTwin(t, gramMaxKa, 2, 1, gramTwinSeedOps, &tally)
+	if tally.maxKa != gramMaxKa || tally.lockedB == 0 || tally.zeroTaps == 0 || tally.reused == 0 {
+		t.Fatalf("%+v; want maxKa %d and every other count above 0", tally, gramMaxKa)
+	}
+	t.Logf("%+v", tally)
+}
+
+// gramTwinSeedOps is FuzzGramKernelsTwin's first seed script: five
+// dense batches of 29 rows, then retaps (one to a zero), locks and
+// retirements between further dense batches.
+var gramTwinSeedOps = []byte{0xF8, 0xF8, 0xF8, 0xF8, 0xF8, 0x07, 0xF8, 0x0C, 0x4F, 0x3B, 0xF9, 0x15, 0x2E, 0xF8}
+
+// FuzzGramKernelsTwin is gramKernelsTwin over fuzzed op scripts:
+// sessions of up to gramMaxKa tags, so Ka spans the Gram path's whole
+// range, and frame length up to 3 must run the Gram kernels bitwise as
+// the reference copies do, from the decode's bits and from random bits
+// and pins, whatever the order of appends, locks, retirements and
+// retaps to zero taps. Its seed corpus reaches Ka = gramMaxKa.
+func FuzzGramKernelsTwin(f *testing.F) {
+	f.Add(uint8(gramMaxKa-1), uint8(1), uint64(1), gramTwinSeedOps)
+	f.Add(uint8(20), uint8(2), uint64(7), []byte{0x78, 0x78, 0x78, 0x0C, 0x4F, 0x78, 0x14, 0x1D, 0x78, 0x26, 0x78, 0x5F, 0x78})
+	f.Add(uint8(5), uint8(0), uint64(9), []byte{0x38, 0x38, 0x04, 0x1F, 0x38, 0x3D, 0x38, 0x0E, 0x38})
+	f.Fuzz(func(t *testing.T, kb, fb uint8, seed uint64, ops []byte) {
+		if len(ops) > 32 {
+			ops = ops[:32]
+		}
+		gramKernelsTwin(t, 1+int(kb)%gramMaxKa, 1+int(fb)%3, seed, ops, &gramTally{})
+	})
 }
 
 // checkGramKernels runs the session's Gram kernels and the reference

@@ -40,6 +40,8 @@ const DefaultSketchBuffer = 4096
 // NewQuantileSketchCapacity).
 type QuantileSketch struct {
 	// levels[h] holds items of weight 2^h, unsorted between operations.
+	// A level grows on demand, so a sketch of a few samples holds a few
+	// floats, not a buffer of cap+1; a compaction keeps its capacity.
 	levels [][]float64
 	// parity[h] alternates which half a compaction of level h promotes.
 	parity []bool
@@ -76,7 +78,7 @@ func (s *QuantileSketch) Add(v float64) {
 		return
 	}
 	if len(s.levels) == 0 {
-		s.levels = append(s.levels, make([]float64, 0, s.cap+1))
+		s.levels = append(s.levels, nil)
 		s.parity = append(s.parity, false)
 	}
 	s.levels[0] = append(s.levels[0], v)
@@ -105,7 +107,7 @@ func (s *QuantileSketch) compact(h int) {
 		return
 	}
 	if h+1 == len(s.levels) {
-		s.levels = append(s.levels, make([]float64, 0, s.cap+1))
+		s.levels = append(s.levels, nil)
 		s.parity = append(s.parity, false)
 	}
 	off := 0
@@ -168,13 +170,22 @@ func (s *QuantileSketch) RankErrorBound() int { return s.errB }
 // q = 0 and q = 1 return the exactly-tracked minimum and maximum. An
 // empty sketch returns NaN.
 func (s *QuantileSketch) Quantile(q float64) float64 {
-	if s.n == 0 {
+	var items []weightedItem
+	if s.n > 0 && q > 0 && q < 1 {
+		items = s.pooled()
+	}
+	return s.quantileIn(items, q)
+}
+
+// quantileIn answers Quantile(q) from the sketch's pooled items, which
+// it reads only for 0 < q < 1.
+func (s *QuantileSketch) quantileIn(items []weightedItem, q float64) float64 {
+	switch {
+	case s.n == 0:
 		return math.NaN()
-	}
-	if q <= 0 {
+	case q <= 0:
 		return s.min
-	}
-	if q >= 1 {
+	case q >= 1:
 		return s.max
 	}
 	target := int(math.Ceil(q * float64(s.n)))
@@ -184,7 +195,6 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 	if target > s.n {
 		target = s.n
 	}
-	items := s.pooled()
 	cum := 0
 	for _, it := range items {
 		cum += it.w
@@ -196,15 +206,20 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 }
 
 // Summary returns the five-number summary over the sketch, the same
-// shape ExactQuantiles produces.
+// shape ExactQuantiles produces, flattening and sorting the levels once
+// for all three interior quantiles.
 func (s *QuantileSketch) Summary() Quantiles {
+	var items []weightedItem
+	if s.n > 0 {
+		items = s.pooled()
+	}
 	return Quantiles{
 		N:   s.n,
-		Min: s.Quantile(0),
-		P50: s.Quantile(0.50),
-		P90: s.Quantile(0.90),
-		P99: s.Quantile(0.99),
-		Max: s.Quantile(1),
+		Min: s.quantileIn(items, 0),
+		P50: s.quantileIn(items, 0.50),
+		P90: s.quantileIn(items, 0.90),
+		P99: s.quantileIn(items, 0.99),
+		Max: s.quantileIn(items, 1),
 	}
 }
 

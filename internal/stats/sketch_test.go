@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -213,4 +214,56 @@ func TestSketchEmpty(t *testing.T) {
 	if sk.N() != 0 || sk.Compacted() {
 		t.Fatal("empty sketch has state")
 	}
+}
+
+// TestSketchSmallAllocation pins what a small sketch costs: a trial's
+// sketch holds a handful of completion samples, so its levels must grow
+// with them instead of starting at the buffer's 4,097 floats (32 KB),
+// and its Summary must flatten the levels once. The queries must still
+// equal ExactQuantile's.
+func TestSketchSmallAllocation(t *testing.T) {
+	const runs = 200
+	src := prng.NewSource(11)
+	for _, n := range []int{1, 4, 16} {
+		xs := sketchDistributions(src, n)["censored"]
+		sinks := make([]*QuantileSketch, runs)
+		sums := make([]Quantiles, runs)
+		build := func(r int) {
+			sk := NewQuantileSketch()
+			for _, x := range xs {
+				sk.Add(x)
+			}
+			sinks[r] = sk
+		}
+		summarize := func(r int) { sums[r] = sinks[r].Summary() }
+		// 376 and 344 bytes at n = 16 on amd64.
+		if b := bytesPerRun(runs, build); b > 512 {
+			t.Fatalf("n=%d: building a sketch allocated %d bytes, want at most 512", n, b)
+		}
+		if b := bytesPerRun(runs, summarize); b > 512 {
+			t.Fatalf("n=%d: Summary allocated %d bytes, want at most 512", n, b)
+		}
+		sk := sinks[0]
+		for _, q := range sketchTestQs {
+			if got, want := sk.Quantile(q), ExactQuantile(xs, q); got != want {
+				t.Fatalf("n=%d q=%v: sketch %v, exact %v", n, q, got, want)
+			}
+		}
+		if got, want := sums[0], ExactQuantiles(xs); got != want {
+			t.Fatalf("n=%d: Summary %+v, exact %+v", n, got, want)
+		}
+	}
+}
+
+// bytesPerRun returns the heap bytes f allocates per call, averaged
+// over runs calls f(0), …, f(runs−1).
+func bytesPerRun(runs int, f func(r int)) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		f(r)
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
