@@ -28,6 +28,15 @@
 //	tag 0xe9c0000: delivered at slot 3, payload 74616730
 //	...
 //
+// With -repeat N the session runs from N consecutive seeds, prints its
+// two summary lines per seed, and ends with one totals line. The
+// summary lines count a wrong payload as delivered; the totals line
+// counts it apart, and also counts the wrong payloads that equal
+// another tag's:
+//
+//	$ buzzsim -k 8 -seed 88 -repeat 8 | tail -1
+//	totals: 8 sessions, 62/64 identified, 60 delivered correct, 1 wrong (1 another tag's payload), 371 transfer slots
+//
 // Scenario output:
 //
 //	$ buzzsim run examples/scenarios/mobility.json
@@ -42,11 +51,13 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 
 	"repro/buzz"
@@ -405,7 +416,41 @@ func runScenario(path string, repeat int) error {
 	return nil
 }
 
+// sessionTally totals ad-hoc sessions. A delivered payload counts as
+// correct only when it equals the one its tag sent; a wrong payload that
+// equals another tag's is also counted as a copy.
+type sessionTally struct {
+	sessions, tags, identified, correct, wrong, copies, slots int
+}
+
+func (t *sessionTally) add(tags []buzz.Tag, res *buzz.Transfer) {
+	t.sessions++
+	t.tags += len(tags)
+	t.slots += res.Slots
+	for i, tr := range res.Tags {
+		if tr.Identified {
+			t.identified++
+		}
+		switch {
+		case !tr.Delivered:
+		case bytes.Equal(tr.Payload, tags[i].Payload):
+			t.correct++
+		default:
+			t.wrong++
+			if slices.ContainsFunc(tags, func(o buzz.Tag) bool { return bytes.Equal(tr.Payload, o.Payload) }) {
+				t.copies++
+			}
+		}
+	}
+}
+
+func (t *sessionTally) String() string {
+	return fmt.Sprintf("totals: %d sessions, %d/%d identified, %d delivered correct, %d wrong (%d another tag's payload), %d transfer slots",
+		t.sessions, t.identified, t.tags, t.correct, t.wrong, t.copies, t.slots)
+}
+
 func run(k, nBytes, repeat int, seed uint64, snrLo, snrHi float64, periodic bool) error {
+	var total sessionTally
 	for r := 0; r < repeat; r++ {
 		tags := make([]buzz.Tag, k)
 		for i := range tags {
@@ -440,6 +485,7 @@ func run(k, nBytes, repeat int, seed uint64, snrLo, snrHi float64, periodic bool
 		}
 		fmt.Printf("transfer: %d slots, %.2f ms, %.2f bits/symbol, %d/%d delivered\n",
 			res.Slots, res.Millis, res.BitsPerSymbol, res.Delivered(), k)
+		total.add(tags, res)
 		if repeat > 1 {
 			continue // per-tag detail only makes sense for a single session
 		}
@@ -454,6 +500,9 @@ func run(k, nBytes, repeat int, seed uint64, snrLo, snrHi float64, periodic bool
 				fmt.Printf("tag %#x: NOT identified this round (snr %.1f dB)\n", tr.ID, sess.SNRdB(i))
 			}
 		}
+	}
+	if repeat > 1 {
+		fmt.Println(&total)
 	}
 	return nil
 }

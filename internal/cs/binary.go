@@ -209,13 +209,16 @@ func bestAtom(zr, zi []float64, weight []int, inSupport []bool) (best int, bestS
 // (gramRowInto), O(cols·s) multiply-adds for the score refresh
 // (contiguous passes over the Gram rows, see refreshScores), O(cols)
 // for the scoring, one division per candidate, and O(s²) for the
-// triangular solves. At stage C's shape (about 100 rows, 500
-// candidates, 15 iterations) no one part dominates: the refresh's
-// O(cols·s²) and the Aᴴy setup take about 30% of the pursuit each, and
-// the scoring and the new atoms (Gram rows and factor updates) about a
-// sixth each. No dense matrix is assembled, no Householder QR runs and
-// no residual vector exists at all (its norm comes from
-// ‖y‖² − 2Re(xᴴBᴴy) + xᴴGx).
+// triangular solves. On the headline workload (about 100 to 200 rows,
+// up to about 1,000 candidates) the pursuit stops at its reporting floor
+// (OMPOptions.MinCoeffMag) one to two iterations past the number of
+// tags. The score refresh is then the largest part, a quarter to a half
+// of the pursuit in headline profiles; the Aᴴy setup, the new atoms
+// (Gram rows and factor updates) and the scoring share the rest. The
+// refresh is also the part that grows with the iteration count, as
+// O(cols·s²) over a pursuit. No dense matrix is assembled, no
+// Householder QR runs and no residual vector exists at all (its norm
+// comes from ‖y‖² − 2Re(xᴴBᴴy) + xᴴGx).
 //
 // Options mean the same as for OMP. The recovered supports match the
 // dense solver's; coefficients agree to least-squares accuracy (the
@@ -386,6 +389,10 @@ func OMPBits(a *BinaryMat, y dsp.Vec, opts OMPOptions) (*Result, error) {
 	zr := sc.Float(a.Cols)
 	zi := sc.Float(a.Cols)
 
+	// The reporting floor: a candidate whose one-atom coefficient
+	// |z_c|/w_c is under MinCoeffMag/4 scores below w_c·floorSq.
+	floorSq := opts.MinCoeffMag * opts.MinCoeffMag / 16
+
 	iters := 0
 	for len(support)-dcAtoms < opts.MaxSparsity && len(support) < a.Rows {
 		iters++
@@ -393,6 +400,9 @@ func OMPBits(a *BinaryMat, y dsp.Vec, opts OMPOptions) (*Result, error) {
 		best, bestScore := bestAtom(zr, zi, weight, inSupport)
 		if best < 0 || bestScore < 1e-24 { // |z|/√w < 1e-12
 			break // nothing left to explain
+		}
+		if bestScore < float64(weight[best])*floorSq {
+			break // the best atom left would fit noise below the floor
 		}
 		if !addAtom(best) {
 			// Numerically dependent atom (e.g. two candidate ids with

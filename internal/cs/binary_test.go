@@ -42,13 +42,18 @@ func binaryProblem(src *prng.Source, rows, cols, k int, density, mag, sigma floa
 
 // TestOMPBitsMatchesDense pins OMPBits against the dense Householder
 // solver on random binary problems, with and without the DC atom: the
-// two must pick the same atoms in the same number of iterations, and
-// the normal-equation coefficients and residual must agree with the QR
-// ones to 1e-9 relative to ‖y‖ (the problems are well conditioned, so
-// squaring the condition number costs a few digits at most).
+// two must pick the same atoms in the same number of iterations, stop
+// for the same reason, and the normal-equation coefficients and
+// residual must agree with the QR ones to 1e-9 relative to ‖y‖ (the
+// problems are well conditioned, so squaring the condition number
+// costs a few digits at most). The trials must cover each way a
+// pursuit stops: at the residual tolerance, at the support budget
+// (ErrNoConvergence), and at the reporting floor (short of both, no
+// error).
 func TestOMPBitsMatchesDense(t *testing.T) {
 	const tol = 1e-9
 	src := prng.NewSource(41)
+	var atTol, atBudget, atFloor int
 	for trial := 0; trial < 60; trial++ {
 		rows := 24 + src.IntN(40)
 		cols := 16 + src.IntN(100)
@@ -56,6 +61,12 @@ func TestOMPBitsMatchesDense(t *testing.T) {
 		dc := trial%2 == 1
 		bm, dense, y := binaryProblem(src, rows, cols, k, 0.5, 1, 0.05)
 		opts := OMPOptions{MaxSparsity: k + 3, ResidualTol: 0.01, MinCoeffMag: 0.2, DCAtom: dc}
+		switch trial % 3 {
+		case 1: // a tolerance the noise lets the pursuit reach
+			opts.ResidualTol = 1.5 * 0.05 * math.Sqrt(float64(rows)) / y.Norm()
+		case 2: // no reporting floor, so no floor stop
+			opts.MinCoeffMag = 0
+		}
 		want, werr := OMP(dense, y, opts)
 		got, gerr := OMPBits(bm, y, opts)
 		if werr != gerr {
@@ -74,6 +85,19 @@ func TestOMPBitsMatchesDense(t *testing.T) {
 		if d := math.Abs(got.Residual - want.Residual); d > tol*scale {
 			t.Fatalf("trial %d (DCAtom=%v): residual %g, dense %g", trial, dc, got.Residual, want.Residual)
 		}
+		switch {
+		case gerr == ErrNoConvergence:
+			atBudget++
+		case got.Residual <= opts.ResidualTol*scale:
+			atTol++
+		default:
+			atFloor++
+		}
+	}
+	t.Logf("stopped at the tolerance %d, at the budget %d, at the floor %d", atTol, atBudget, atFloor)
+	if atTol == 0 || atBudget == 0 || atFloor == 0 {
+		t.Fatalf("trials stopped at the tolerance %d, at the budget %d and at the floor %d times: want each stop covered",
+			atTol, atBudget, atFloor)
 	}
 }
 

@@ -51,8 +51,9 @@ func (r *Result) Dense(n int) dsp.Vec {
 	return out
 }
 
-// ErrNoConvergence is returned when a solver exhausts its iteration or
-// sparsity budget with a residual still above tolerance.
+// ErrNoConvergence is returned when a pursuit exhausts its support
+// budget with the residual still above tolerance. A pursuit that stops
+// at its reporting floor (OMPOptions.MinCoeffMag) returns no error.
 var ErrNoConvergence = errors.New("cs: solver did not reach the residual tolerance")
 
 // OMPOptions tunes Orthogonal Matching Pursuit.
@@ -66,7 +67,15 @@ type OMPOptions struct {
 	ResidualTol float64
 	// MinCoeffMag drops recovered coefficients with magnitude below this
 	// threshold during the final pruning pass — spurious atoms picked up
-	// from noise have tiny weights.
+	// from noise have tiny weights. It also sets the pursuit's floor:
+	// the pursuit stops, without ErrNoConvergence, once the best
+	// remaining candidate's one-atom coefficient |z_c|/‖a_c‖² (z_c its
+	// correlation with the residual) is under MinCoeffMag/4. Such an
+	// atom would fit noise: the prune drops it, but the final fit would
+	// already have carried that noise into the other coefficients. With
+	// the DC atom, a coefficient exactly at MinCoeffMag scores about
+	// MinCoeffMag/2 (a binary column's centered part is half its ones),
+	// so the quarter leaves a factor of two. Zero disables both.
 	MinCoeffMag float64
 	// DCAtom adds a free all-ones regressor to every least-squares
 	// solve. Binary 0/1 dictionaries share a strong common component
@@ -183,6 +192,9 @@ func OMP(a *dsp.Mat, y dsp.Vec, opts OMPOptions) (*Result, error) {
 		}
 		if best < 0 || bestScore < 1e-12 {
 			break // nothing left to explain
+		}
+		if bestScore < opts.MinCoeffMag/4*colNorm[best] {
+			break // the best atom left would fit noise below the floor
 		}
 		inSupport[best] = true
 		support = append(support, best)

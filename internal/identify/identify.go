@@ -165,6 +165,10 @@ type Result struct {
 	Candidates int
 	// Identified lists the recovered tags.
 	Identified []Identified
+	// CSIterations is the number of stage-C pursuit iterations
+	// (cs.Result.Iterations): a machine-independent measure of the
+	// solver's work.
+	CSIterations int
 
 	// salt records the session salt Run was configured with, so Match
 	// can re-derive the tags' temporary ids.
@@ -410,6 +414,7 @@ func Run(cfg Config, activeIDs []uint64, ch *channel.Model, noiseSrc *prng.Sourc
 	if err != nil && err != cs.ErrNoConvergence {
 		return nil, fmt.Errorf("identify: stage C solve: %w", err)
 	}
+	res.CSIterations = sol.Iterations
 	for i, col := range sol.Support {
 		res.Identified = append(res.Identified, Identified{
 			TempID: candidates[col],
