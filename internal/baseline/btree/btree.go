@@ -22,29 +22,14 @@ import (
 	"repro/internal/prng"
 )
 
-// Config parameterizes a binary-tree identification run.
-type Config struct {
-	// IDBits is the temporary-id length tags draw and transmit. Zero
-	// means the RN16's 16 bits.
-	IDBits int
-	// EmptySlotBits is the listening time charged for a pruned branch,
-	// in uplink bit durations. Zero means 2.
-	EmptySlotBits int
-}
+// Config parameterizes a binary-tree identification run. It has no
+// fields: tags draw RN16 temporary ids (epc.RN16Bits), and a pruned
+// branch costs emptySlotBits of listening time.
+type Config struct{}
 
-func (c *Config) idBits() int {
-	if c.IDBits > 0 {
-		return c.IDBits
-	}
-	return epc.RN16Bits
-}
-
-func (c *Config) emptySlotBits() int {
-	if c.EmptySlotBits > 0 {
-		return c.EmptySlotBits
-	}
-	return 2
-}
+// emptySlotBits is the listening time charged for a pruned branch, in
+// uplink bit durations.
+const emptySlotBits = 2
 
 // Result reports a run.
 type Result struct {
@@ -70,7 +55,7 @@ func Run(cfg Config, k int, src *prng.Source) (*Result, error) {
 	if k == 0 {
 		return res, nil
 	}
-	bitsN := cfg.idBits()
+	bitsN := epc.RN16Bits
 	ids := make([]uint64, k)
 	for i := range ids {
 		ids[i] = uint64(prng.UintN(src.Uint64(), 1<<uint(bitsN)))
@@ -102,7 +87,7 @@ func Run(cfg Config, k int, src *prng.Source) (*Result, error) {
 		switch {
 		case matching == 0:
 			res.Empties++
-			res.Time.AddUplink(float64(cfg.emptySlotBits()))
+			res.Time.AddUplink(emptySlotBits)
 		case matching == 1:
 			res.Singles++
 			res.Identified++

@@ -72,31 +72,23 @@ func parity(x uint) int {
 type Config struct {
 	// CRC selects the per-message checksum.
 	CRC bits.CRCKind
-	// OffsetModel draws each tag's initial timing offset; nil uses
-	// phy.MooOffsets (the paper's computational tags).
-	OffsetModel *phy.SyncOffsetModel
-	// ResidualDriftPPM bounds the per-tag clock-rate error remaining
-	// after the §8.1 drift correction (uniform in ±ResidualDriftPPM).
-	// It matters for CDMA far more than for the other schemes: a CDMA
-	// frame is spreading-factor times longer than a TDMA frame (Ns·P
-	// chip durations), so even a corrected clock walks a meaningful
-	// fraction of a chip by the end, and Walsh orthogonality decays
-	// with it. Zero means 1500 ppm — the realistic figure for tags whose
-	// one-shot drift calibration (§8.1: computed once, reused for
-	// months) has aged across temperature and supply swings.
-	// SyncPerfect overrides to 0.
-	ResidualDriftPPM float64
 	// SyncPerfect zeroes offsets and drift — the idealized CDMA the
-	// ablation bench compares against.
+	// ablation bench compares against. Otherwise each tag draws its
+	// initial timing offset from phy.MooOffsets (the paper's
+	// computational tags) and its clock drift from ±residualDriftPPM.
 	SyncPerfect bool
 }
 
-func (c *Config) residualDriftPPM() float64 {
-	if c.ResidualDriftPPM > 0 {
-		return c.ResidualDriftPPM
-	}
-	return 1500
-}
+// residualDriftPPM bounds the per-tag clock-rate error remaining after
+// the §8.1 drift correction (uniform in ±residualDriftPPM). It matters
+// for CDMA far more than for the other schemes: a CDMA frame is
+// spreading-factor times longer than a TDMA frame (Ns·P chip
+// durations), so even a corrected clock walks a meaningful fraction of
+// a chip by the end, and Walsh orthogonality decays with it. 1500 ppm
+// is the realistic figure for tags whose one-shot drift calibration
+// (§8.1: computed once, reused for months) has aged across temperature
+// and supply swings.
+const residualDriftPPM = 1500
 
 // Result reports a CDMA data phase.
 type Result struct {
@@ -178,15 +170,10 @@ func Run(cfg Config, messages []bits.Vector, ch *channel.Model, noiseSrc *prng.S
 	offsets := make([]float64, k)
 	drifts := make([]float64, k)
 	if !cfg.SyncPerfect {
-		model := cfg.OffsetModel
-		if model == nil {
-			m := phy.MooOffsets
-			model = &m
-		}
 		chipMicros := 1e6 / epc.UplinkBitRate
 		for i := range offsets {
-			offsets[i] = model.Draw(noiseSrc) / chipMicros
-			drifts[i] = (noiseSrc.Float64()*2 - 1) * cfg.residualDriftPPM() * 1e-6
+			offsets[i] = phy.MooOffsets.Draw(noiseSrc) / chipMicros
+			drifts[i] = (noiseSrc.Float64()*2 - 1) * residualDriftPPM * 1e-6
 		}
 	}
 

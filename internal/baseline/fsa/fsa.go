@@ -28,17 +28,9 @@ import (
 type Config struct {
 	// InitialQ is the starting Q exponent. Zero means the standard's 4.
 	InitialQ int
-	// C is the Q adjustment constant. Zero means the standard's 0.3.
-	C float64
 	// TempIDBits is the temporary id length tags backscatter. Zero
 	// means the RN16's 16 bits; the known-K variant passes fewer.
 	TempIDBits int
-	// EmptySlotBits is the listening time wasted on an empty slot, in
-	// uplink bit durations (the reader times out quickly). Zero means 2.
-	EmptySlotBits int
-	// MaxSlots aborts a run that stops making progress. Zero means
-	// 4096 + 512·K.
-	MaxSlots int
 }
 
 func (c *Config) initialQ() int {
@@ -48,13 +40,6 @@ func (c *Config) initialQ() int {
 	return epc.InitialQ
 }
 
-func (c *Config) cParam() float64 {
-	if c.C > 0 {
-		return c.C
-	}
-	return epc.QAdjustC
-}
-
 func (c *Config) tempIDBits() int {
 	if c.TempIDBits > 0 {
 		return c.TempIDBits
@@ -62,17 +47,12 @@ func (c *Config) tempIDBits() int {
 	return epc.RN16Bits
 }
 
-func (c *Config) emptySlotBits() int {
-	if c.EmptySlotBits > 0 {
-		return c.EmptySlotBits
-	}
-	return 2
-}
+// emptySlotBits is the listening time wasted on an empty slot, in
+// uplink bit durations (the reader times out quickly).
+const emptySlotBits = 2
 
-func (c *Config) maxSlots(k int) int {
-	if c.MaxSlots > 0 {
-		return c.MaxSlots
-	}
+// maxSlots aborts a run of k tags that stops making progress.
+func maxSlots(k int) int {
 	return 4096 + 512*k
 }
 
@@ -110,7 +90,8 @@ type Result struct {
 	Queries, QueryReps, QueryAdjusts, Acks int
 	// Time is the air-time account (the Fig. 14 y-axis).
 	Time epc.TimeAccount
-	// Aborted reports hitting the MaxSlots safety valve.
+	// Aborted reports hitting the maxSlots safety valve (4096 + 512·K
+	// slots).
 	Aborted bool
 }
 
@@ -126,7 +107,6 @@ func Run(cfg Config, k int, src *prng.Source) (*Result, error) {
 
 	qfp := float64(cfg.initialQ())
 	q := cfg.initialQ()
-	c := cfg.cParam()
 	idBits := cfg.tempIDBits()
 	ackBits := 2 + idBits // command code + echoed id
 
@@ -149,7 +129,7 @@ func Run(cfg Config, k int, src *prng.Source) (*Result, error) {
 	redrawAll()
 
 	for pending > 0 {
-		if res.Slots >= cfg.maxSlots(k) {
+		if res.Slots >= maxSlots(k) {
 			res.Aborted = true
 			break
 		}
@@ -168,8 +148,8 @@ func Run(cfg Config, k int, src *prng.Source) (*Result, error) {
 		switch {
 		case replying == 0:
 			res.Empties++
-			res.Time.AddUplink(float64(cfg.emptySlotBits()))
-			qfp = math.Max(0, qfp-c)
+			res.Time.AddUplink(emptySlotBits)
+			qfp = math.Max(0, qfp-epc.QAdjustC)
 		case replying == 1:
 			res.Singles++
 			res.Time.AddUplink(float64(idBits))
@@ -184,7 +164,7 @@ func Run(cfg Config, k int, src *prng.Source) (*Result, error) {
 			res.Collisions++
 			// The colliding replies occupy the slot anyway.
 			res.Time.AddUplink(float64(idBits))
-			qfp = math.Min(epc.MaxQ, qfp+c)
+			qfp = math.Min(epc.MaxQ, qfp+epc.QAdjustC)
 			// Colliding tags re-arbitrate within the current frame.
 			n := 1 << uint(q)
 			for i := 0; i < pending; i++ {

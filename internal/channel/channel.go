@@ -7,17 +7,13 @@
 //
 //	y = Σ_{i active} h_i · b_i + n,   n ~ CN(0, N₀)
 //
-// which is exactly what Model.Symbol computes. Channels are synthesized
-// two ways, mirroring the two ways the paper's testbed varied them:
-//
-//   - Placement-driven (§7: tags at 0.5–6 ft on a bench): log-distance
-//     path loss with lognormal shadowing and uniform phase. Moving tags
-//     farther away degrades every tap together and spreads the near-far
-//     disparity, reproducing the Fig. 10/11 location sweep.
-//   - SNR-band-driven (§9, Fig. 12: "channel quality (SNR range in dB)"):
-//     per-tag SNRs drawn uniformly inside a stated dB band, from which tap
-//     magnitudes are back-computed against the noise floor. This gives
-//     direct control of the x-axis of the challenging-conditions figure.
+// which is exactly what Model.Symbol computes. Every figure draws its
+// channels from an SNR band (§9, Fig. 12: "channel quality (SNR range in
+// dB)"): per-tag SNRs uniform inside a stated dB band, from which tap
+// magnitudes are back-computed against the noise floor, with uniform
+// phase. The Fig. 10/11 bench sweep draws from the 14–30 dB band of
+// sim.DefaultProfile, one draw per location; Fig. 12's
+// challenging-conditions bands set its x-axis directly.
 package channel
 
 import (
@@ -124,73 +120,8 @@ func (m *Model) MinMaxSNRdB() (lo, hi float64) {
 	return lo, hi
 }
 
-// NearFarRatiodB returns the power ratio between the strongest and
-// weakest tap in dB — the near-far disparity CDMA suffers from (§6d).
-func (m *Model) NearFarRatiodB() float64 {
-	lo, hi := m.MinMaxSNRdB()
-	return hi - lo
-}
-
 func snrPower(h complex128) float64 {
 	return real(h)*real(h) + imag(h)*imag(h)
-}
-
-// Placement describes a bench-style deployment in the spirit of the
-// paper's testbed (§7): tags on a cart at sub-2 ft to 6 ft from the
-// reader antenna.
-type Placement struct {
-	// MinDistanceFt and MaxDistanceFt bound the uniform tag placement,
-	// in feet (the paper's range is [0.5, 6]).
-	MinDistanceFt float64
-	MaxDistanceFt float64
-	// PathLossExponent is the log-distance exponent γ; ~2 in free space,
-	// higher indoors. Backscatter links attenuate with d^γ in each
-	// direction, so the round-trip tap magnitude goes as d^(-γ).
-	PathLossExponent float64
-	// ReferenceSNRdB is the per-tag SNR a tag at MinDistanceFt enjoys.
-	// Everything farther is scaled down by path loss.
-	ReferenceSNRdB float64
-	// ShadowingSigmadB is the standard deviation of lognormal shadowing
-	// applied per tag, in dB. Zero disables shadowing.
-	ShadowingSigmadB float64
-}
-
-// DefaultPlacement mirrors the paper's bench: distances 0.5–6 ft,
-// indoor-ish path loss, and a strong reference SNR so that nearby tags
-// decode in one collision while far tags need several.
-func DefaultPlacement() Placement {
-	return Placement{
-		MinDistanceFt:    0.5,
-		MaxDistanceFt:    6,
-		PathLossExponent: 2.7,
-		ReferenceSNRdB:   30,
-		ShadowingSigmadB: 3,
-	}
-}
-
-// NewFromPlacement draws a Model for k tags from the placement using src.
-// The noise floor is normalized to 1 so tap powers equal linear SNRs.
-func NewFromPlacement(k int, p Placement, src *prng.Source) *Model {
-	if p.MaxDistanceFt < p.MinDistanceFt {
-		p.MinDistanceFt, p.MaxDistanceFt = p.MaxDistanceFt, p.MinDistanceFt
-	}
-	m := &Model{Taps: make([]complex128, k), NoisePower: 1}
-	for i := 0; i < k; i++ {
-		d := p.MinDistanceFt + src.Float64()*(p.MaxDistanceFt-p.MinDistanceFt)
-		snrDB := p.ReferenceSNRdB
-		if d > 0 && p.MinDistanceFt > 0 {
-			// Round-trip (reader→tag→reader) log-distance loss: 2γ per
-			// decade of distance relative to the reference point, in
-			// power terms d^(-2γ)... the paper's single-tap h already
-			// folds both directions, so apply the doubled exponent once.
-			snrDB -= 10 * 2 * p.PathLossExponent * math.Log10(d/p.MinDistanceFt) / 2
-		}
-		if p.ShadowingSigmadB > 0 {
-			snrDB += src.NormFloat64() * p.ShadowingSigmadB
-		}
-		m.Taps[i] = tapForSNR(snrDB, m.NoisePower, src)
-	}
-	return m
 }
 
 // NewFromSNRBand draws a Model with per-tag SNRs uniform in
@@ -232,19 +163,4 @@ func tapForSNR(snrDB, noisePower float64, src *prng.Source) complex128 {
 	amp := math.Sqrt(dsp.DBToLinear(snrDB) * noisePower)
 	phase := 2 * math.Pi * src.Float64()
 	return cmplx.Rect(amp, phase)
-}
-
-// Perturb returns a copy of the model with every tap rotated and scaled
-// by small random amounts (fractional magnitude jitter magJitter, phase
-// jitter up to phaseJitter radians). Experiments use it to model channel
-// drift between the identification phase (where H is estimated) and the
-// data phase (where it is used).
-func (m *Model) Perturb(magJitter, phaseJitter float64, src *prng.Source) *Model {
-	out := &Model{Taps: make([]complex128, len(m.Taps)), NoisePower: m.NoisePower}
-	for i, h := range m.Taps {
-		scale := 1 + (src.Float64()*2-1)*magJitter
-		rot := (src.Float64()*2 - 1) * phaseJitter
-		out.Taps[i] = h * cmplx.Rect(scale, rot)
-	}
-	return out
 }

@@ -93,30 +93,12 @@ func TestNewFromSNRBandSwappedBounds(t *testing.T) {
 	}
 }
 
-func TestNewFromPlacementNearFar(t *testing.T) {
-	// Near tags must on average beat far tags: correlation between
-	// distance and SNR is what produces the near-far effect.
-	src := prng.NewSource(8)
-	p := DefaultPlacement()
-	p.ShadowingSigmadB = 0 // isolate the distance effect
-	near := Placement{MinDistanceFt: 0.5, MaxDistanceFt: 0.5001, PathLossExponent: p.PathLossExponent, ReferenceSNRdB: p.ReferenceSNRdB}
-	far := Placement{MinDistanceFt: 0.5, MaxDistanceFt: 0.5001, PathLossExponent: p.PathLossExponent, ReferenceSNRdB: p.ReferenceSNRdB}
-	far.MinDistanceFt, far.MaxDistanceFt = 5.9999, 6.0 // same reference point semantics
-	// The far placement references its own MinDistanceFt, so instead
-	// compare within a single wide placement: bucket tags by SNR.
-	m := NewFromPlacement(400, p, src)
-	lo, hi := m.MinMaxSNRdB()
-	if hi-lo < 10 {
-		t.Fatalf("wide placement should spread SNRs by >10 dB, got %f", hi-lo)
-	}
-	_ = near
-	_ = far
-}
-
+// TestNearFarRatio pins MinMaxSNRdB on exact taps: the near-far
+// disparity CDMA suffers from (§6d) is hi − lo.
 func TestNearFarRatio(t *testing.T) {
 	m := NewExact([]complex128{10, 1}, 1)
-	if math.Abs(m.NearFarRatiodB()-20) > 1e-9 {
-		t.Fatalf("near-far ratio %f, want 20 dB", m.NearFarRatiodB())
+	if lo, hi := m.MinMaxSNRdB(); math.Abs(lo) > 1e-9 || math.Abs(hi-20) > 1e-9 {
+		t.Fatalf("SNR range [%f, %f] dB, want [0, 20]", lo, hi)
 	}
 }
 
@@ -129,38 +111,12 @@ func TestNewExactCopies(t *testing.T) {
 	}
 }
 
-func TestPerturbBounded(t *testing.T) {
-	src := prng.NewSource(9)
-	m := NewUniform(20, 20, src)
-	p := m.Perturb(0.1, 0.2, src)
-	if p.K() != m.K() {
-		t.Fatal("Perturb changed K")
-	}
-	for i := range m.Taps {
-		ratio := cmplx.Abs(p.Taps[i]) / cmplx.Abs(m.Taps[i])
-		if ratio < 0.89 || ratio > 1.11 {
-			t.Fatalf("tap %d magnitude jitter out of bounds: %f", i, ratio)
-		}
-	}
-}
-
-func TestPerturbZeroIsIdentity(t *testing.T) {
-	src := prng.NewSource(10)
-	m := NewUniform(5, 15, src)
-	p := m.Perturb(0, 0, src)
-	for i := range m.Taps {
-		if cmplx.Abs(p.Taps[i]-m.Taps[i]) > 1e-12 {
-			t.Fatal("zero perturbation changed taps")
-		}
-	}
-}
-
 func TestDeterministicGivenSeed(t *testing.T) {
-	a := NewFromPlacement(10, DefaultPlacement(), prng.NewSource(42))
-	b := NewFromPlacement(10, DefaultPlacement(), prng.NewSource(42))
+	a := NewFromSNRBand(10, 14, 30, prng.NewSource(42))
+	b := NewFromSNRBand(10, 14, 30, prng.NewSource(42))
 	for i := range a.Taps {
 		if a.Taps[i] != b.Taps[i] {
-			t.Fatal("placement generation not deterministic")
+			t.Fatal("SNR-band generation not deterministic")
 		}
 	}
 }

@@ -37,18 +37,8 @@ import (
 
 // Config parameterizes a SessionManager.
 type Config struct {
-	// Workers is the trial fan-out width for batch runs (RunBatch); 0 =
-	// GOMAXPROCS. Streaming sessions decode on their callers' goroutines.
-	Workers int
 	// MaxSessions caps concurrently live streaming sessions; 0 = no cap.
 	MaxSessions int
-}
-
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Resources is one worker's pooled decode state: the scratch arena and
@@ -200,7 +190,7 @@ func (m *SessionManager) dropResources() {
 }
 
 // RunBatch fans body out over a worker pool — the re-parented
-// sim.forEachTrial. Worker count is min(Workers, trials); each worker
+// sim.forEachTrial. Worker count is min(GOMAXPROCS, trials); each worker
 // draws pooled Resources, runs trials off a shared queue, and resets
 // the scratch arena between trials. Each trial decodes on its worker's
 // goroutine, so the trial workers are the batch's only parallelism, and
@@ -210,7 +200,7 @@ func (m *SessionManager) RunBatch(trials int, body func(trial int, res *Resource
 	if trials <= 0 {
 		return nil
 	}
-	workers := min(m.cfg.workers(), trials)
+	workers := min(runtime.GOMAXPROCS(0), trials)
 	var wg sync.WaitGroup
 	errs := make([]error, trials)
 	next := make(chan int)

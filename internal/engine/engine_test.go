@@ -38,7 +38,7 @@ func feedSlots(t *testing.T, ls *engine.LiveSession, n int) {
 
 func TestStreamingSessionLifecycle(t *testing.T) {
 	defer leaktest.Check(t)()
-	m := engine.New(engine.Config{Workers: 2})
+	m := engine.New(engine.Config{})
 	defer m.Close()
 
 	ls, err := m.Open(streamCfg(7))
@@ -77,7 +77,7 @@ func TestStreamingSessionLifecycle(t *testing.T) {
 // Close and its admission slot freed.
 func TestFailedSessionDecodesNothing(t *testing.T) {
 	defer leaktest.Check(t)()
-	m := engine.New(engine.Config{Workers: 1, MaxSessions: 1})
+	m := engine.New(engine.Config{MaxSessions: 1})
 	defer m.Close()
 	ls, err := m.Open(streamCfg(9))
 	if err != nil {
@@ -117,7 +117,7 @@ func TestFailedSessionDecodesNothing(t *testing.T) {
 
 func TestDrainRefusesNewSessions(t *testing.T) {
 	defer leaktest.Check(t)()
-	m := engine.New(engine.Config{Workers: 1})
+	m := engine.New(engine.Config{})
 	defer m.Close()
 
 	ls, err := m.Open(streamCfg(3))
@@ -140,7 +140,7 @@ func TestDrainRefusesNewSessions(t *testing.T) {
 
 func TestSessionCap(t *testing.T) {
 	defer leaktest.Check(t)()
-	m := engine.New(engine.Config{Workers: 1, MaxSessions: 1})
+	m := engine.New(engine.Config{MaxSessions: 1})
 	defer m.Close()
 
 	ls, err := m.Open(streamCfg(1))
@@ -168,7 +168,7 @@ func TestSessionCap(t *testing.T) {
 
 func TestOpenRejectsOwnedResources(t *testing.T) {
 	defer leaktest.Check(t)()
-	m := engine.New(engine.Config{Workers: 1})
+	m := engine.New(engine.Config{})
 	defer m.Close()
 	cfg := streamCfg(5)
 	cfg.Scratch = scratch.New()
@@ -184,7 +184,7 @@ func TestOpenRejectsOwnedResources(t *testing.T) {
 
 func TestRunBatchCountsTrials(t *testing.T) {
 	defer leaktest.Check(t)()
-	m := engine.New(engine.Config{Workers: 2})
+	m := engine.New(engine.Config{})
 	defer m.Close()
 	var n sync.Map
 	err := m.RunBatch(9, func(trial int, res *engine.Resources) error {

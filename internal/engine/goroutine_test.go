@@ -80,7 +80,7 @@ func TestGoroutinesPerConnection(t *testing.T) {
 	leaktest.Check(t)
 	waitGoroutines(t, engineGoroutines{}, "before the test")
 
-	m := engine.New(engine.Config{Workers: 2})
+	m := engine.New(engine.Config{})
 	defer m.Close()
 	none := func(when string) {
 		t.Helper()
@@ -98,7 +98,7 @@ func TestGoroutinesPerConnection(t *testing.T) {
 	ls.Close()
 	none("after Close")
 
-	_, _, addr := startWireServer(t, engine.Config{Workers: 2}, engine.ServerConfig{})
+	_, _, addr := startWireServer(t, engine.Config{}, engine.ServerConfig{})
 	for i := 0; i < 2; i++ {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {

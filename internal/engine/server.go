@@ -402,7 +402,7 @@ func openTooLarge(o *wire.Open) string {
 
 func (c *serverConn) handleOpen(o *wire.Open) bool {
 	if o.Version != wire.ProtocolVersion {
-		return c.reply(&wire.Error{Msg: fmt.Sprintf("protocol version %d, want %d", o.Version, wire.ProtocolVersion)})
+		return c.reply(&wire.Error{Code: wire.CodeProtocol, Msg: fmt.Sprintf("protocol version %d, want %d", o.Version, wire.ProtocolVersion)})
 	}
 	if o.CRC > uint8(bits.CRC16) {
 		return c.reply(&wire.Error{Msg: fmt.Sprintf("unknown CRC kind %d", o.CRC)})
@@ -411,21 +411,17 @@ func (c *serverConn) handleOpen(o *wire.Open) bool {
 		return c.reply(&wire.Error{Msg: msg})
 	}
 	cfg := ratedapt.StreamConfig{
-		SessionSalt:     o.Salt,
-		CRC:             bits.CRCKind(o.CRC),
-		Density:         o.Density,
-		Restarts:        int(o.Restarts),
-		MinDegreeForCRC: int(o.MinDegree),
-		MarginThreshold: o.MarginThreshold,
-		MessageBits:     int(o.MessageBits),
-		MaxSlots:        int(o.MaxSlots),
-		WindowSlots:     int(o.WindowSlots),
-		WindowSoft:      o.WindowSoft,
-		ConfirmWindow:   int(o.ConfirmWindow),
-		Seeds:           o.Seeds,
-		Taps:            o.Taps,
-		RosterCap:       int(o.RosterCap),
-		DecodeSrc:       prng.NewSource(o.DecodeSeed),
+		SessionSalt:   o.Salt,
+		CRC:           bits.CRCKind(o.CRC),
+		Restarts:      int(o.Restarts),
+		MessageBits:   int(o.MessageBits),
+		MaxSlots:      int(o.MaxSlots),
+		WindowSlots:   int(o.WindowSlots),
+		ConfirmWindow: int(o.ConfirmWindow),
+		Seeds:         o.Seeds,
+		Taps:          o.Taps,
+		RosterCap:     int(o.RosterCap),
+		DecodeSrc:     prng.NewSource(o.DecodeSeed),
 	}
 	if o.WindowTag != nil {
 		cfg.WindowTag = make([]int, len(o.WindowTag))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -92,7 +93,7 @@ func (l *acceptGate) Accept() (net.Conn, error) {
 
 func TestServerShutdownIdempotent(t *testing.T) {
 	leaktest.Check(t)
-	m := engine.New(engine.Config{Workers: 1})
+	m := engine.New(engine.Config{})
 	defer m.Close()
 	srv := engine.NewServer(m, engine.ServerConfig{})
 	raw, err := net.Listen("tcp", "127.0.0.1:0")
@@ -152,7 +153,7 @@ func TestServerShutdownIdempotent(t *testing.T) {
 
 func TestServerShutdownWithoutServe(t *testing.T) {
 	leaktest.Check(t)
-	m := engine.New(engine.Config{Workers: 1})
+	m := engine.New(engine.Config{})
 	defer m.Close()
 	srv := engine.NewServer(m, engine.ServerConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -168,7 +169,7 @@ func TestServerShutdownWithoutServe(t *testing.T) {
 func TestMalformedFrameBudget(t *testing.T) {
 	leaktest.Check(t)
 	const budget = 2
-	m, _, addr := startWireServer(t, engine.Config{Workers: 1}, engine.ServerConfig{MalformedBudget: budget})
+	m, _, addr := startWireServer(t, engine.Config{}, engine.ServerConfig{MalformedBudget: budget})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +215,7 @@ func TestMalformedFrameBudget(t *testing.T) {
 
 func TestIdleTimeoutDropsConnection(t *testing.T) {
 	leaktest.Check(t)
-	m, _, addr := startWireServer(t, engine.Config{Workers: 1},
+	m, _, addr := startWireServer(t, engine.Config{},
 		engine.ServerConfig{IdleTimeout: 100 * time.Millisecond})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -233,7 +234,7 @@ func TestIdleTimeoutDropsConnection(t *testing.T) {
 
 func TestBusyRejectedOverWire(t *testing.T) {
 	leaktest.Check(t)
-	m, _, addr := startWireServer(t, engine.Config{Workers: 1, MaxSessions: 1}, engine.ServerConfig{})
+	m, _, addr := startWireServer(t, engine.Config{MaxSessions: 1}, engine.ServerConfig{})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -267,54 +268,103 @@ func TestBusyRejectedOverWire(t *testing.T) {
 	}
 }
 
-// TestWindowSoftOpenRejectedOverWire pins the removed soft per-tag
-// mode on the wire: the Open frame still carries its WindowSoft byte,
-// and an Open that sets it gets a typed Error, not a session. The
-// rejection must leave nothing behind: with room for one session, a
-// valid Open on the same connection still succeeds, and once it closes
-// no session or pooled resource is left in flight.
-func TestWindowSoftOpenRejectedOverWire(t *testing.T) {
-	leaktest.Check(t)
-	m, _, addr := startWireServer(t, engine.Config{Workers: 1, MaxSessions: 1}, engine.ServerConfig{})
-	conn, err := net.Dial("tcp", addr)
+// v1Open hand-encodes o as a protocol-1 client sent it: the layout
+// carried MinDegree, MarginThreshold, Density and WindowSoft (sent as
+// zeros here) between Restarts and RosterCap.
+func v1Open(o *wire.Open) []byte {
+	le := binary.LittleEndian
+	p := le.AppendUint16(nil, 1)
+	p = le.AppendUint64(p, o.Salt)
+	p = le.AppendUint64(p, o.DecodeSeed)
+	p = append(p, o.CRC)
+	p = le.AppendUint16(p, o.MessageBits)
+	p = le.AppendUint32(p, o.MaxSlots)
+	p = le.AppendUint16(p, o.Restarts)
+	p = append(p, make([]byte, 2+8+8)...) // MinDegree, MarginThreshold, Density
+	p = le.AppendUint32(p, o.WindowSlots)
+	p = le.AppendUint32(p, o.ConfirmWindow)
+	p = append(p, 0) // WindowSoft
+	p = le.AppendUint32(p, o.RosterCap)
+	p = le.AppendUint32(p, uint32(len(o.Seeds)))
+	for _, s := range o.Seeds {
+		p = le.AppendUint64(p, s)
+	}
+	p = le.AppendUint32(p, uint32(len(o.Taps)))
+	for _, tap := range o.Taps {
+		p = le.AppendUint64(p, math.Float64bits(real(tap)))
+		p = le.AppendUint64(p, math.Float64bits(imag(tap)))
+	}
+	p = append(p, 0) // no WindowTag
+	frame := le.AppendUint32(nil, uint32(1+len(p)))
+	return append(append(frame, wire.TypeOpen), p...)
+}
+
+// TestRejectedOpenOverWire pins two Opens the daemon refuses with an
+// Error instead of a session: a protocol-1 Open, refused by version
+// (CodeProtocol) rather than as a malformed frame, and an Open that
+// asks for a global and a per-tag window at once. A rejection leaves
+// nothing behind: no malformed frame is counted, and with room for one
+// session a valid Open on the same connection still succeeds; once it
+// closes, no session or pooled resource is left in flight.
+func TestRejectedOpenOverWire(t *testing.T) {
+	mixed := minOpen(5)
+	mixed.WindowSlots, mixed.WindowTag = 8, []uint32{0}
+	mixedRaw, err := wire.Append(nil, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		code uint8
+		msg  string
+	}{
+		{"protocol 1", v1Open(minOpen(5)), wire.CodeProtocol, fmt.Sprintf("protocol version 1, want %d", wire.ProtocolVersion)},
+		{"global and per-tag window", mixedRaw, wire.CodeGeneric, "WindowSlots 8 with a per-tag WindowTag"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leaktest.Check(t)
+			m, _, addr := startWireServer(t, engine.Config{MaxSessions: 1}, engine.ServerConfig{})
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
 
-	soft := minOpen(5)
-	soft.WindowSoft = true
-	if err := wire.WriteFrame(conn, soft); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := rep.(*wire.Error); !ok || e.Code != wire.CodeGeneric || !strings.Contains(e.Msg, "WindowSoft was removed") {
-		t.Fatalf("soft open reply %+v, want a generic Error naming WindowSoft", rep)
-	}
-	if s := m.Snapshot(); s.SessionsOpened != 0 || s.ResourcesInFlight != 0 {
-		t.Fatalf("rejected open left %d sessions opened and %d resources in flight", s.SessionsOpened, s.ResourcesInFlight)
-	}
+			if _, err := conn.Write(tc.raw); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := wire.ReadFrame(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e, ok := rep.(*wire.Error); !ok || e.Code != tc.code || !strings.Contains(e.Msg, tc.msg) {
+				t.Fatalf("open reply %+v, want an Error with code %d naming %q", rep, tc.code, tc.msg)
+			}
+			if s := m.Snapshot(); s.MalformedFrames != 0 || s.SessionsOpened != 0 || s.ResourcesInFlight != 0 {
+				t.Fatalf("rejected open left %d malformed frames, %d sessions opened and %d resources in flight",
+					s.MalformedFrames, s.SessionsOpened, s.ResourcesInFlight)
+			}
 
-	sid, _ := openSession(t, conn, 6)
-	if err := wire.WriteFrame(conn, &wire.Close{SessionID: sid}); err != nil {
-		t.Fatal(err)
+			sid, _ := openSession(t, conn, 6)
+			if err := wire.WriteFrame(conn, &wire.Close{SessionID: sid}); err != nil {
+				t.Fatal(err)
+			}
+			if rep, err = wire.ReadFrame(conn); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := rep.(*wire.Closed); !ok {
+				t.Fatalf("close reply %T, want Closed", rep)
+			}
+			conn.Close()
+			waitCounter(t, func() int64 { return m.Snapshot().ResourcesInFlight }, 0)
+			waitCounter(t, func() int64 {
+				s := m.Snapshot()
+				return s.SessionsOpened - s.SessionsClosed
+			}, 0)
+		})
 	}
-	if rep, err = wire.ReadFrame(conn); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rep.(*wire.Closed); !ok {
-		t.Fatalf("close reply %T, want Closed", rep)
-	}
-	conn.Close()
-	waitCounter(t, func() int64 { return m.Snapshot().ResourcesInFlight }, 0)
-	waitCounter(t, func() int64 {
-		s := m.Snapshot()
-		return s.SessionsOpened - s.SessionsClosed
-	}, 0)
 }
 
 // TestOversizedOpenRejectedOverWire pins the Open size bound: an Open
@@ -324,7 +374,7 @@ func TestWindowSoftOpenRejectedOverWire(t *testing.T) {
 // following valid Open on it succeeds.
 func TestOversizedOpenRejectedOverWire(t *testing.T) {
 	leaktest.Check(t)
-	m, _, addr := startWireServer(t, engine.Config{Workers: 1, MaxSessions: 1}, engine.ServerConfig{})
+	m, _, addr := startWireServer(t, engine.Config{MaxSessions: 1}, engine.ServerConfig{})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +437,7 @@ func TestOversizedOpenRejectedOverWire(t *testing.T) {
 // a sibling session on another connection decodes and closes cleanly.
 func TestOversizedSlotRejectedOverWire(t *testing.T) {
 	leaktest.Check(t)
-	m, _, addr := startWireServer(t, engine.Config{Workers: 2}, engine.ServerConfig{})
+	m, _, addr := startWireServer(t, engine.Config{}, engine.ServerConfig{})
 	conns := make([]net.Conn, 2)
 	for x := range conns {
 		c, err := net.Dial("tcp", addr)
@@ -457,7 +507,7 @@ func TestOversizedSlotRejectedOverWire(t *testing.T) {
 // shuts its write side and reads replies until the server hangs up.
 func TestHangUpClosesSessionsInIDOrder(t *testing.T) {
 	leaktest.Check(t)
-	_, _, addr := startWireServer(t, engine.Config{Workers: 1}, engine.ServerConfig{})
+	_, _, addr := startWireServer(t, engine.Config{}, engine.ServerConfig{})
 	for run := 0; run < 20; run++ {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -500,7 +550,7 @@ func isClosed(f wire.Frame) bool {
 
 func TestPanicIsolationOverWire(t *testing.T) {
 	leaktest.Check(t)
-	m, _, addr := startWireServer(t, engine.Config{Workers: 1}, engine.ServerConfig{})
+	m, _, addr := startWireServer(t, engine.Config{}, engine.ServerConfig{})
 
 	// Victim session panics decoding slot 2; the sibling on the same
 	// daemon must finish untouched and the daemon must keep serving.

@@ -23,9 +23,9 @@ import (
 	"repro/internal/bits"
 )
 
-// ProtocolVersion is the wire protocol revision; Open carries it and
-// the daemon refuses mismatches.
-const ProtocolVersion = 1
+// ProtocolVersion is the wire protocol revision; Open carries it first
+// and the daemon refuses mismatches.
+const ProtocolVersion = 2
 
 // MaxFrameLen bounds one frame's payload. Large enough for any real
 // slot (observations scale with frame length, not population), small
@@ -60,26 +60,22 @@ type Frame interface {
 // resolution happens exactly once, client-side. DecodeSeed seeds the
 // daemon's decode source; a client that mirrors a batch run transmits
 // the fork seed of its setup stream so both sides draw identical
-// estimate and decode-base streams. WindowSoft is the removed soft
-// per-tag mode's flag: its byte stays so the frame layout is unchanged,
-// and the daemon rejects an Open that sets it.
+// estimate and decode-base streams. An Open whose Version is not
+// ProtocolVersion decodes to that Version alone (see decodePayload), so
+// the daemon can refuse it by version rather than as malformed.
 type Open struct {
-	Version         uint16
-	Salt            uint64
-	DecodeSeed      uint64
-	CRC             uint8
-	MessageBits     uint16
-	MaxSlots        uint32
-	Restarts        uint16
-	MinDegree       uint16
-	MarginThreshold float64
-	Density         float64
-	WindowSlots     uint32
-	ConfirmWindow   uint32
-	WindowSoft      bool
-	RosterCap       uint32
-	Seeds           []uint64
-	Taps            []complex128
+	Version       uint16
+	Salt          uint64
+	DecodeSeed    uint64
+	CRC           uint8
+	MessageBits   uint16
+	MaxSlots      uint32
+	Restarts      uint16
+	WindowSlots   uint32
+	ConfirmWindow uint32
+	RosterCap     uint32
+	Seeds         []uint64
+	Taps          []complex128
 	// WindowTag is nil (no per-tag windows) or one resolved window per
 	// seed; non-nil arms per-tag gating even if all entries are zero.
 	WindowTag []uint32
@@ -153,8 +149,9 @@ type StatsReply struct {
 	ActiveSessions int64
 	SessionsOpened int64
 	SessionsClosed int64
-	// SessionsShed is no longer produced and always reads 0; retire it
-	// with the next protocol version.
+	// SessionsShed is no longer produced and always reads 0. Protocol 2
+	// keeps it because bench/loopback.go reads it; retire it with the
+	// next protocol version.
 	SessionsShed     int64
 	SlotsIngested    int64
 	RowsRetired      int64
@@ -172,15 +169,16 @@ type StatsReply struct {
 // the named session is dead but the connection survives, and TooLarge
 // refuses a Slot whose arrivals would grow the named session's tables
 // past the daemon's per-session bound (the session stays open and has
-// not seen the slot). Shed is no longer produced; retire it with the
-// next protocol version.
+// not seen the slot). Protocol answers a server-to-client frame sent by
+// a client (the daemon then hangs up) or an Open of another protocol
+// version (the connection stays open). Code 5
+// was Shed, retired in protocol 2: do not reuse it.
 const (
 	CodeGeneric        uint8 = 0
 	CodeBusy           uint8 = 1
 	CodeDraining       uint8 = 2
 	CodeMalformed      uint8 = 3
 	CodePanic          uint8 = 4
-	CodeShed           uint8 = 5
 	CodeUnknownSession uint8 = 6
 	CodeProtocol       uint8 = 7
 	CodeTooLarge       uint8 = 8
@@ -258,12 +256,8 @@ func (f *Open) appendPayload(b []byte) []byte {
 	b = appendU16(b, f.MessageBits)
 	b = appendU32(b, f.MaxSlots)
 	b = appendU16(b, f.Restarts)
-	b = appendU16(b, f.MinDegree)
-	b = appendF64(b, f.MarginThreshold)
-	b = appendF64(b, f.Density)
 	b = appendU32(b, f.WindowSlots)
 	b = appendU32(b, f.ConfirmWindow)
-	b = appendBool(b, f.WindowSoft)
 	b = appendU32(b, f.RosterCap)
 	b = appendU32(b, uint32(len(f.Seeds)))
 	for _, s := range f.Seeds {
@@ -485,20 +479,24 @@ func (r *reader) bitvec() bits.Vector {
 	return out
 }
 
+// decodePayload reads Version first. A payload of any other version is
+// consumed unparsed: its layout is not this one, and the daemon answers
+// it with a version error instead of spending the sender's malformed
+// budget.
 func (f *Open) decodePayload(r *reader) error {
 	f.Version = r.u16()
+	if r.err == nil && f.Version != ProtocolVersion {
+		r.take(len(r.b) - r.off)
+		return nil
+	}
 	f.Salt = r.u64()
 	f.DecodeSeed = r.u64()
 	f.CRC = r.u8()
 	f.MessageBits = r.u16()
 	f.MaxSlots = r.u32()
 	f.Restarts = r.u16()
-	f.MinDegree = r.u16()
-	f.MarginThreshold = r.f64()
-	f.Density = r.f64()
 	f.WindowSlots = r.u32()
 	f.ConfirmWindow = r.u32()
-	f.WindowSoft = r.boolean()
 	f.RosterCap = r.u32()
 	if n := r.count(8); r.err == nil && n > 0 {
 		f.Seeds = make([]uint64, n)

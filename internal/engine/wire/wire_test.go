@@ -37,9 +37,8 @@ func TestRoundTripAllFrames(t *testing.T) {
 	frames := []Frame{
 		&Open{
 			Version: ProtocolVersion, Salt: 0xDEAD_BEEF_CAFE, DecodeSeed: 42,
-			CRC: 2, MessageBits: 96, MaxSlots: 4000, Restarts: 2, MinDegree: 3,
-			MarginThreshold: 1.75, Density: 0.5, WindowSlots: 120, ConfirmWindow: 90,
-			WindowSoft: true, RosterCap: 24,
+			CRC: 2, MessageBits: 96, MaxSlots: 4000, Restarts: 2,
+			WindowSlots: 120, ConfirmWindow: 90, RosterCap: 24,
 			Seeds: []uint64{1, math.MaxUint64, 7},
 			Taps:  []complex128{1 + 2i, complex(math.Inf(1), -0.25), -3},
 			// WindowTag non-nil but with zero entries must survive too.
@@ -122,7 +121,7 @@ func TestReadFrameErrors(t *testing.T) {
 		{"truncated payload", []byte{10, 0, 0, 0, TypeClose, 1, 2}},
 		{"unknown type", []byte{1, 0, 0, 0, 0x55}},
 		{"trailing bytes", []byte{10, 0, 0, 0, TypeClose, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
-		{"truncated open", []byte{3, 0, 0, 0, TypeOpen, 1, 0}},
+		{"truncated open", []byte{3, 0, 0, 0, TypeOpen, ProtocolVersion, 0}},
 		// Slot claiming 2^32-1 arrivals in a 16-byte payload: the
 		// count guard must refuse before allocating.
 		{"hostile count", append([]byte{17, 0, 0, 0, TypeSlot, 1, 0, 0, 0, 0, 0, 0, 0}, 0xff, 0xff, 0xff, 0xff)},
@@ -146,7 +145,7 @@ func TestReadFrameErrors(t *testing.T) {
 func TestReadFrameErrorClass(t *testing.T) {
 	malformed := [][]byte{
 		{1, 0, 0, 0, 0x55},                                  // unknown frame type, framing fine
-		{3, 0, 0, 0, TypeOpen, 1, 0},                        // truncated Open payload
+		{3, 0, 0, 0, TypeOpen, ProtocolVersion, 0},          // truncated Open payload
 		{10, 0, 0, 0, TypeClose, 1, 2, 3, 4, 5, 6, 7, 8, 9}, // trailing bytes
 	}
 	for _, raw := range malformed {
@@ -261,7 +260,7 @@ func TestBitVectorPacking(t *testing.T) {
 // two parses must agree.
 func FuzzWireDecode(f *testing.F) {
 	seedFrames := []Frame{
-		&Open{Version: 1, MessageBits: 8, MaxSlots: 10, Seeds: []uint64{3},
+		&Open{Version: ProtocolVersion, MessageBits: 8, MaxSlots: 10, Seeds: []uint64{3},
 			Taps: []complex128{1}, WindowTag: []uint32{5}},
 		&Slot{SessionID: 2, Arrivals: []Arrival{{Seed: 9, Tap: 1i, Window: 3}},
 			Departs: []uint32{0}, Retap: []complex128{2}, Obs: []complex128{1, -1}},
@@ -310,7 +309,7 @@ func FuzzWireDecode(f *testing.F) {
 	// Count fields corrupted to claim more elements than the payload
 	// holds (the allocation-guard path), and an Error frame whose
 	// message length outruns its bytes.
-	f.Add(byte(TypeOpen), append(bytes.Repeat([]byte{0}, 47), 0xff, 0xff, 0xff, 0x7f))
+	f.Add(byte(TypeOpen), append(append([]byte{ProtocolVersion, 0}, make([]byte, 37)...), 0xff, 0xff, 0xff, 0x7f))
 	f.Add(byte(TypeError), []byte{1, 0, 0, 0, 0, 0, 0, 0, CodeBusy, 0xff, 0xff, 'h', 'i'})
 	f.Add(byte(TypeDecisions), append(bytes.Repeat([]byte{2}, 21), 0xee, 0xee, 0xee, 0xee))
 

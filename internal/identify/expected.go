@@ -12,7 +12,7 @@ import "math"
 //     extra likelihood-sharpening steps, capped at MaxSteps; each step
 //     costs SlotsPerStep slots.
 //   - Stage B costs one slot per bucket: c·k.
-//   - Stage C charges ⌈k·log₂ a⌉ + MSlackBits measurement rows, capped
+//   - Stage C charges ⌈k·log₂ a⌉ + 2k + 8 measurement rows, capped
 //     at candidates + 2k + 16 with the candidate count taken at its
 //     expectation a·E[occupied buckets].
 //
@@ -40,7 +40,7 @@ func ExpectedSlots(k int) int {
 	}
 	kEstSlots := steps * s
 
-	a := cfg.aParam(k)
+	a := bucketSize(k)
 	nBuckets := cfg.cParam() * k
 	bucketSlots := nBuckets
 
@@ -53,7 +53,7 @@ func ExpectedSlots(k int) int {
 	if logA < 1 {
 		logA = 1
 	}
-	m := int(math.Ceil(float64(k)*logA)) + cfg.mSlack(k)
+	m := int(math.Ceil(float64(k)*logA)) + mSlack(k)
 	if lim := candidates + 2*k + 16; m > lim {
 		m = lim
 	}

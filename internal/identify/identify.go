@@ -33,8 +33,9 @@ import (
 )
 
 // Config parameterizes an identification session. The zero value gives
-// the paper's settings (s = 4 slots per step, termination threshold
-// 0.75, c = 10, a = K̂).
+// the paper's termination threshold 0.75 and c = 10, with s = 8 slots
+// per step and a bucket size of a = 4·K̂ (see SlotsPerStep and
+// bucketSize).
 type Config struct {
 	// SlotsPerStep is s, the number of slots per stage-A step. The
 	// paper's implementation uses 4; the default here is 8, because at
@@ -50,28 +51,14 @@ type Config struct {
 	// means 48.
 	MaxSteps int
 	// C is the bucket multiplier: stage B uses C·K̂ buckets. Zero means
-	// the paper's 10.
+	// the paper's 10. The ablation bench sweeps this.
 	C int
-	// A is the bucket size (ids per bucket). Zero derives a = 4·K̂. The
-	// paper's experiments use a = K̂; we default to four times that
-	// because a larger id space costs no extra air time in stages A or
-	// B (only log(a) more stage-C slots) while quartering the
-	// probability that two tags draw the same temporary id and become
-	// indistinguishable. The ablation bench sweeps a and c.
-	A int
-	// MSlackBits adds slots beyond the K̂·log₂(a) baseline in stage C;
-	// greedy recovery under noise wants a little more than the L1
-	// information bound. Zero means 2·K̂ + 8.
-	MSlackBits int
 	// Salt decorrelates sessions (fresh randomness per reader query).
 	Salt uint64
 	// DetectFactor scales the power-detection threshold relative to the
 	// noise floor: a slot is "occupied" when its power exceeds
 	// DetectFactor·N₀. Zero means 5.
 	DetectFactor float64
-	// SparsitySlack extends the CS solver's support budget beyond K̂.
-	// Zero means K̂/2 + 4.
-	SparsitySlack int
 	// Scratch, when non-nil, supplies the session's working buffers —
 	// per-slot activity vectors, the stage-C measurement matrix, and the
 	// sparse solver's workspace — from a per-worker arena instead of the
@@ -108,14 +95,13 @@ func (c *Config) cParam() int {
 	return 10
 }
 
-func (c *Config) aParam(kHat int) int {
-	if c.A > 0 {
-		return c.A
-	}
-	if kHat < 2 {
-		kHat = 2
-	}
-	return 4 * kHat
+// bucketSize is a, the number of ids per stage-B bucket: 4·K̂. The
+// paper's experiments use a = K̂; four times that costs no extra air
+// time in stages A or B (only log(a) more stage-C slots) while
+// quartering the probability that two tags draw the same temporary id
+// and become indistinguishable.
+func bucketSize(kHat int) int {
+	return 4 * max(kHat, 2)
 }
 
 func (c *Config) detectFactor() float64 {
@@ -125,17 +111,15 @@ func (c *Config) detectFactor() float64 {
 	return 5
 }
 
-func (c *Config) mSlack(kHat int) int {
-	if c.MSlackBits > 0 {
-		return c.MSlackBits
-	}
+// mSlack is the number of stage-C slots beyond the K̂·log₂(a)
+// baseline: greedy recovery under noise wants a little more than the
+// L1 information bound.
+func mSlack(kHat int) int {
 	return 2*kHat + 8
 }
 
-func (c *Config) sparsitySlack(kHat int) int {
-	if c.SparsitySlack > 0 {
-		return c.SparsitySlack
-	}
+// sparsitySlack extends the CS solver's support budget beyond K̂.
+func sparsitySlack(kHat int) int {
 	return kHat/2 + 4
 }
 
@@ -292,7 +276,7 @@ func Run(cfg Config, activeIDs []uint64, ch *channel.Model, noiseSrc *prng.Sourc
 	res.KEstimate = kHat
 
 	// ---- Stage B: bucket elimination. ----
-	a := cfg.aParam(kHat)
+	a := bucketSize(kHat)
 	c := cfg.cParam()
 	nBuckets := c * kHat
 	idSpace := uint64(a) * uint64(nBuckets)
@@ -352,7 +336,7 @@ func Run(cfg Config, activeIDs []uint64, ch *channel.Model, noiseSrc *prng.Sourc
 	if logA < 1 {
 		logA = 1
 	}
-	m := int(math.Ceil(float64(kForC)*logA)) + cfg.mSlack(kForC)
+	m := int(math.Ceil(float64(kForC)*logA)) + mSlack(kForC)
 	// A few rows beyond the candidate count still improve conditioning
 	// under noise; far beyond it they only burn slots.
 	if cap := len(candidates) + 2*kForC + 16; m > cap {
@@ -405,7 +389,7 @@ func Run(cfg Config, activeIDs []uint64, ch *channel.Model, noiseSrc *prng.Sourc
 		relTol = 1.5 * noiseFloor * math.Sqrt(float64(m)) / yn
 	}
 	sol, err := cs.OMPBits(aPrime, y, cs.OMPOptions{
-		MaxSparsity: kForC + cfg.sparsitySlack(kForC),
+		MaxSparsity: kForC + sparsitySlack(kForC),
 		ResidualTol: relTol,
 		MinCoeffMag: 2 * noiseFloor,
 		DCAtom:      true,

@@ -304,46 +304,6 @@ func BenchmarkRunHeadlineBand(b *testing.B) {
 	}
 }
 
-func TestRunWithRetriesCompletes(t *testing.T) {
-	src := prng.NewSource(61)
-	complete := 0
-	const trials = 8
-	for trial := 0; trial < trials; trial++ {
-		k := 6 + src.IntN(8)
-		ids := activeSet(src, k)
-		ch := channel.NewFromSNRBand(k, 15, 25, src)
-		res, err := RunWithRetries(Config{Salt: uint64(trial)}, ids, ch, src.Fork(uint64(trial)), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Complete {
-			complete++
-			for i, ok := range res.Identified {
-				if !ok {
-					t.Fatalf("complete result with unidentified tag %d", i)
-				}
-			}
-		}
-		if res.TotalSlots < res.Final.TotalSlots {
-			t.Fatal("total slots must cover at least the final round")
-		}
-		if res.Rounds < 1 || res.Rounds > 5 {
-			t.Fatalf("impossible round count %d", res.Rounds)
-		}
-	}
-	if complete < trials-1 {
-		t.Fatalf("only %d/%d retry sessions completed", complete, trials)
-	}
-}
-
-func TestRunWithRetriesValidation(t *testing.T) {
-	src := prng.NewSource(62)
-	ch := channel.NewUniform(1, 20, src)
-	if _, err := RunWithRetries(Config{}, []uint64{1}, ch, src, 0); err == nil {
-		t.Fatal("expected maxRounds validation error")
-	}
-}
-
 // TestRunSteadyStateAllocBound pins a warm session's allocations on a
 // reused arena at K = 16: every working buffer of the three stages,
 // stage B's candidate and temporary-id lists included, comes from the

@@ -285,7 +285,6 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 		CRC:             cfg.CRC,
 		Density:         cfg.Density,
 		Restarts:        cfg.Restarts,
-		MinDegreeForCRC: cfg.MinDegreeForCRC,
 		MarginThreshold: cfg.MarginThreshold,
 		MessageBits:     msgLen,
 		MaxSlots:        maxSlots,

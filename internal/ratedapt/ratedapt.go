@@ -64,11 +64,6 @@ type Config struct {
 	// Restarts is the number of extra random BP initializations per bit
 	// position each round (0 = single descent per round).
 	Restarts int
-	// MinDegreeForCRC is the participation count a tag needs before the
-	// reader will CRC-check (and potentially lock) its message. Below 1
-	// a tag's bits are pure initialization noise and a 5-bit CRC would
-	// false-accept 1 in 32 of them. Default 1.
-	MinDegreeForCRC int
 	// MarginThreshold gates CRC checks on decoding confidence: a frame
 	// is only checked when every bit position's normalized flip margin
 	// (the minMargin output of bp.Session.DecodeSlot) is at least this
@@ -151,13 +146,6 @@ func participationDensity(explicit float64, n int) float64 {
 		return MaxDensity
 	}
 	return d
-}
-
-func (c *Config) minDegree() int {
-	if c.MinDegreeForCRC > 0 {
-		return c.MinDegreeForCRC
-	}
-	return 1
 }
 
 func (c *Config) marginThreshold() float64 {
@@ -366,8 +354,11 @@ func (cfg *Config) acceptSlot(sess *bp.Session, slot, k, frameLen int, gs *gateS
 	}
 	newly := 0
 	for _, i := range unlocked {
+		// A tag is CRC-checked (and possibly locked) only once it has
+		// participated: before that its bits are pure initialization
+		// noise, and a 5-bit CRC would false-accept 1 in 32 of them.
 		deg := sess.Degree(i)
-		if deg < cfg.minDegree() || ambiguous[i] {
+		if deg == 0 || ambiguous[i] {
 			continue
 		}
 		if gs.frameChanged[i] || !gs.crcValid[i] {

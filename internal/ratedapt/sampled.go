@@ -20,47 +20,24 @@ import (
 type SampledConfig struct {
 	// Config is the protocol configuration, shared with Transfer.
 	Config
-	// SamplesPerBit is the reader's oversampling factor (the paper's
-	// USRP samples 80 kbps signals at 4 MHz ⇒ 50; default 10).
-	SamplesPerBit int
 	// OffsetModel draws per-tag initial offsets; nil means
 	// phy.MooOffsets. Offsets apply at the start of each slot (tags
 	// re-synchronize on the reader's inter-slot framing).
 	OffsetModel *phy.SyncOffsetModel
-	// DriftPPM bounds each tag's residual clock drift (uniform ±).
-	// Zero means 30 ppm (drift-corrected tags, §8.1).
-	DriftPPM float64
-	// MidSampleWindow is how many central samples of each bit the
-	// reader integrates (the §8.1 "use the middle samples" trick).
-	// Zero means SamplesPerBit−4 (drop two samples at each edge),
-	// clamped to at least 1.
-	MidSampleWindow int
 }
 
-func (c *SampledConfig) samplesPerBit() int {
-	if c.SamplesPerBit > 0 {
-		return c.SamplesPerBit
-	}
-	return 10
-}
-
-func (c *SampledConfig) driftPPM() float64 {
-	if c.DriftPPM > 0 {
-		return c.DriftPPM
-	}
-	return 30
-}
-
-func (c *SampledConfig) midWindow() int {
-	if c.MidSampleWindow > 0 {
-		return c.MidSampleWindow
-	}
-	w := c.samplesPerBit() - 4
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+const (
+	// samplesPerBit is the reader's oversampling factor (the paper's
+	// USRP samples 80 kbps signals at 4 MHz ⇒ 50).
+	samplesPerBit = 10
+	// sampledDriftPPM bounds each tag's residual clock drift (uniform
+	// ±): drift-corrected tags, §8.1.
+	sampledDriftPPM = 30
+	// midSampleWindow is how many central samples of each bit the
+	// reader integrates (the §8.1 "use the middle samples" trick): two
+	// samples are dropped at each edge.
+	midSampleWindow = samplesPerBit - 4
+)
 
 // TransferSampled is Transfer with the air replaced by oversampled
 // waveform synthesis: each slot's collision is rendered sample by
@@ -68,7 +45,7 @@ func (c *SampledConfig) midWindow() int {
 // integrates the central samples of each bit into one observation, and
 // the standard incremental decoder runs on those observations.
 //
-// The per-sample noise power is ch.SlotNoisePower(active)·SamplesPerBit,
+// The per-sample noise power is ch.SlotNoisePower(active)·samplesPerBit,
 // so a full-bit integration recovers exactly the symbol-level model's
 // noise — any performance difference from Transfer is attributable to
 // the timing imperfections alone.
@@ -105,10 +82,9 @@ func (cfg *SampledConfig) sampledAir(ch *channel.Model, noiseSrc *prng.Source) f
 		}
 		timings := make([]phy.Timing, k)
 		for i := range timings {
-			timings[i] = model.DrawTiming(phy.DefaultBitRate, cfg.driftPPM(), noiseSrc)
+			timings[i] = model.DrawTiming(phy.DefaultBitRate, sampledDriftPPM, noiseSrc)
 		}
-		spb := cfg.samplesPerBit()
-		mid := cfg.midWindow()
+		spb, mid := samplesPerBit, midSampleWindow
 		lead := (spb - mid) / 2
 
 		// Staging buffers persist across slots: per-tag chip streams are

@@ -164,15 +164,14 @@ type StepResult struct {
 // call the same Resolve — so resolution happens exactly once,
 // driver-side.
 type StreamConfig struct {
-	// SessionSalt, CRC, Density, Restarts, MinDegreeForCRC and
-	// MarginThreshold mean exactly what they mean on Config; Density is
+	// SessionSalt, CRC, Density, Restarts and MarginThreshold mean
+	// exactly what they mean on Config; Density is
 	// the explicit override (0 = derive from the live population,
 	// re-tuned as it churns).
 	SessionSalt     uint64
 	CRC             bits.CRCKind
 	Density         float64
 	Restarts        int
-	MinDegreeForCRC int
 	MarginThreshold float64
 	// Parallelism is the removed per-slot position fan-out's width,
 	// kept so existing callers compile: a session decodes its positions
@@ -195,10 +194,13 @@ type StreamConfig struct {
 	// WindowTag, when non-nil, arms the per-tag window policy with the
 	// initial tags' resolved windows (len == len(Seeds), 0 entries =
 	// never windows; non-nil even if all zero keeps per-tag gating on —
-	// arrivals may window). Arrivals carry their own windows.
+	// arrivals may window). Arrivals carry their own windows. A stream
+	// runs one window mode: OpenStream rejects a non-nil WindowTag with
+	// a positive WindowSlots (a PerTag policy resolves to no global
+	// window).
 	WindowTag []int
 	// WindowSoft is the removed soft per-tag down-weighting mode's
-	// flag, kept so callers and the wire Open frame keep their layout:
+	// flag, kept so callers that pass a spec's flag keep compiling:
 	// OpenStream rejects true.
 	WindowSoft bool
 	// ConfirmWindow is the double-confirmation distance for
@@ -259,6 +261,9 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 	if cfg.WindowTag != nil && len(cfg.WindowTag) != k0 {
 		return nil, fmt.Errorf("ratedapt: WindowTag has %d entries for %d tags", len(cfg.WindowTag), k0)
 	}
+	if cfg.WindowTag != nil && cfg.WindowSlots > 0 {
+		return nil, fmt.Errorf("ratedapt: WindowSlots %d with a per-tag WindowTag: a stream runs either a global or a per-tag window, not both", cfg.WindowSlots)
+	}
 	if cfg.DecodeSrc == nil {
 		return nil, fmt.Errorf("ratedapt: OpenStream needs a DecodeSrc")
 	}
@@ -276,7 +281,6 @@ func OpenStream(cfg StreamConfig) (*Stream, error) {
 			CRC:             cfg.CRC,
 			Density:         cfg.Density,
 			Restarts:        cfg.Restarts,
-			MinDegreeForCRC: cfg.MinDegreeForCRC,
 			MarginThreshold: cfg.MarginThreshold,
 			SilenceDecoded:  cfg.silenceDecoded,
 		},

@@ -36,9 +36,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs)-1)
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Median returns the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
@@ -226,7 +223,7 @@ func Summarize(xs []float64) Summary {
 		N:      len(xs),
 		Mean:   Mean(xs),
 		Median: Median(xs),
-		Std:    StdDev(xs),
+		Std:    math.Sqrt(Variance(xs)),
 		Min:    min,
 		Max:    max,
 		P10:    Percentile(xs, 10),

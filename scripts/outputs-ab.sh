@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
-# Output A/B: builds buzzsim at the base revision and in this checkout
-# and compares, byte for byte, what `buzzsim run -repeat 3` prints for
-# every example spec (examples/scenarios/*.json of this checkout, run by
-# both binaries), and what `buzzsim sweep -seed 555001` prints for
-# warehouse.json, the sweep path CI's warehouse-scale job runs.
+# Output A/B: builds buzzsim and figures at the base revision and in
+# this checkout and compares, byte for byte, what `buzzsim run -repeat 3`
+# prints for every example spec (examples/scenarios/*.json of this
+# checkout, run by both binaries), what `buzzsim sweep -seed 555001`
+# prints for warehouse.json, the sweep path CI's warehouse-scale job
+# runs, and two outputs of the paths no example spec runs:
+# `figures -fig all -trials 4` (identification, the FSA, BTree, TDMA
+# and CDMA baselines, every figure's data phase) and the ad-hoc
+# `buzzsim -k 8 -seed 1 -repeat 200` (the public buzz pipeline:
+# estimated taps and RefineChannel).
 #
 #   scripts/outputs-ab.sh <base-rev>
 #
@@ -32,18 +37,21 @@ cleanup() {
 }
 trap cleanup EXIT
 git worktree add --quiet --detach "$tmp/base" "$base"
-(cd "$tmp/base" && go build -o "$tmp/buzzsim-base" ./cmd/buzzsim)
-go build -o "$tmp/buzzsim-head" ./cmd/buzzsim
+for cmd in buzzsim figures; do
+	(cd "$tmp/base" && go build -o "$tmp/$cmd-base" "./cmd/$cmd")
+	go build -o "$tmp/$cmd-head" "./cmd/$cmd"
+done
 
 rows=()
 differ=0
-# compare <label> <buzzsim args...>: runs both binaries with the args and
-# records whether their outputs are byte-identical.
+# compare <label> <command> <args...>: runs the command's base and head
+# binaries with the args and records whether their outputs are
+# byte-identical.
 compare() {
-	local label=$1 verdict=identical
-	shift
+	local label=$1 cmd=$2 verdict=identical
+	shift 2
 	for side in base head; do
-		if ! "$tmp/buzzsim-$side" "$@" > "$tmp/$side.out" 2>&1; then
+		if ! "$tmp/$cmd-$side" "$@" > "$tmp/$side.out" 2>&1; then
 			verdict="differs ($side failed)"
 		fi
 	done
@@ -58,15 +66,18 @@ compare() {
 	rows+=("| $label | $verdict |")
 }
 for spec in examples/scenarios/*.json; do
-	compare "$spec" run -repeat "$repeat" "$spec"
+	compare "$spec" buzzsim run -repeat "$repeat" "$spec"
 done
-compare "sweep -seed 555001 examples/scenarios/warehouse.json" sweep -seed 555001 examples/scenarios/warehouse.json
+compare "sweep -seed 555001 examples/scenarios/warehouse.json" buzzsim sweep -seed 555001 examples/scenarios/warehouse.json
+compare "figures -fig all -trials 4" figures -fig all -trials 4
+compare "buzzsim -k 8 -seed 1 -repeat 200" buzzsim -k 8 -seed 1 -repeat 200
 procs="${GOMAXPROCS:-$(nproc)}"
-echo "$differ of ${#rows[@]} outputs differ from ${base:0:12} (buzzsim run -repeat $repeat and one sweep, GOMAXPROCS $procs)"
+what="buzzsim run -repeat $repeat, one sweep, figures and the ad-hoc pipeline"
+echo "$differ of ${#rows[@]} outputs differ from ${base:0:12} ($what, GOMAXPROCS $procs)"
 
 if [[ -n ${GITHUB_STEP_SUMMARY:-} ]]; then
 	{
-		echo "### Outputs against ${base:0:12} (buzzsim run -repeat $repeat and one sweep, GOMAXPROCS $procs)"
+		echo "### Outputs against ${base:0:12} ($what, GOMAXPROCS $procs)"
 		echo
 		echo "| output | verdict |"
 		echo "|---|---|"
