@@ -1,10 +1,10 @@
 // Package repro's root bench harness: one benchmark per table and figure
-// of the paper's evaluation, plus ablation benches for the design
-// choices DESIGN.md calls out. Each benchmark prints the regenerated
-// series through b.Log on the first iteration (visible with -v) and
-// reports domain metrics via b.ReportMetric, so `go test -bench=.`
-// doubles as the reproduction harness. cmd/figures prints the same
-// series as readable tables.
+// of the paper's evaluation, plus ablation benches for the decoder's
+// design choices (README, "Benchmarks as the reproduction harness").
+// Each benchmark prints the regenerated series through b.Log on the
+// first iteration (visible with -v) and reports domain metrics via
+// b.ReportMetric, so `go test -bench=.` doubles as the reproduction
+// harness. cmd/figures prints the same series as readable tables.
 package repro
 
 import (

@@ -72,23 +72,23 @@ func TestCheckRejectsMalformedSpecs(t *testing.T) {
 	}{
 		{
 			name:    "unknown top-level field",
-			spec:    `{"k": 4, "trials": 2, "seed": 1, "snr_low_db": 10}`,
+			spec:    `{"version": 2, "trials": 2, "seed": 1, "workload": {"k": 4}, "snr_low_db": 10}`,
 			wantMsg: "snr_low_db",
 		},
 		{
 			name:    "trailing content after the spec object",
-			spec:    `{"k": 4, "trials": 2, "seed": 1} {"k": 8}`,
+			spec:    `{"version": 2, "trials": 2, "seed": 1, "workload": {"k": 4}} {"workload": {"k": 8}}`,
 			wantMsg: "trailing content",
 		},
 		{
 			name:    "trailing garbage token",
-			spec:    `{"k": 4, "trials": 2, "seed": 1}]`,
+			spec:    `{"version": 2, "trials": 2, "seed": 1, "workload": {"k": 4}}]`,
 			wantMsg: "trailing content",
 		},
 		{
 			name:    "structurally invalid value",
-			spec:    `{"k": 0, "trials": 2, "seed": 1}`,
-			wantMsg: "k",
+			spec:    `{"version": 2, "trials": 2, "seed": 1, "workload": {"k": 0}}`,
+			wantMsg: "k must be",
 		},
 	}
 	dir := t.TempDir()
@@ -112,27 +112,27 @@ func TestCheckRejectsMalformedSpecs(t *testing.T) {
 // TestCheckAcceptsValidSpec is the control: check on a well-formed
 // spec exits 0.
 func TestCheckAcceptsValidSpec(t *testing.T) {
-	path := writeSpec(t, `{"k": 4, "trials": 2, "seed": 1}`)
+	path := writeSpec(t, `{"version": 2, "trials": 2, "seed": 1, "workload": {"k": 4}}`)
 	if code, stderr := runBuzzsim(t, "check", path); code != 0 {
 		t.Fatalf("valid spec rejected: exit %d, stderr %q", code, stderr)
 	}
 }
 
-// TestSubcommandCheck exercises the v2 spelling of the pre-flight:
-// `buzzsim check <spec>` accepts valid specs (both schema versions),
-// rejects malformed ones, and complains about usage when the spec path
-// is missing.
+// TestSubcommandCheck exercises the subcommand spelling of the
+// pre-flight: `buzzsim check <spec>` accepts a valid spec, rejects the
+// removed flat layout and malformed specs, and complains about usage
+// when the spec path is missing.
 func TestSubcommandCheck(t *testing.T) {
-	v1 := writeSpec(t, `{"k": 4, "trials": 2, "seed": 1}`)
-	if code, stderr := runBuzzsim(t, "check", v1); code != 0 {
-		t.Fatalf("check rejected valid v1 spec: exit %d, stderr %q", code, stderr)
+	flat := writeSpec(t, `{"k": 4, "trials": 2, "seed": 1}`)
+	if code, stderr := runBuzzsim(t, "check", flat); code == 0 || !strings.Contains(stderr, "flat version-1 layout was removed") {
+		t.Fatalf("check on a flat-layout spec: exit %d, stderr %q", code, stderr)
 	}
 	v2 := writeSpec(t, `{"version": 2, "trials": 2, "seed": 1, "workload": {"k": 4}}`)
 	if code, stderr := runBuzzsim(t, "check", v2); code != 0 {
 		t.Fatalf("check rejected valid v2 spec: exit %d, stderr %q", code, stderr)
 	}
 	bad := writeSpec(t, `{"version": 2, "trials": 2, "workload": {"k": 0}}`)
-	if code, stderr := runBuzzsim(t, "check", bad); code == 0 || !strings.Contains(stderr, "k") {
+	if code, stderr := runBuzzsim(t, "check", bad); code == 0 || !strings.Contains(stderr, "k must be") {
 		t.Fatalf("check accepted k=0 spec: exit %d, stderr %q", code, stderr)
 	}
 	if code, stderr := runBuzzsim(t, "check"); code == 0 || !strings.Contains(stderr, "usage") {
@@ -143,7 +143,7 @@ func TestSubcommandCheck(t *testing.T) {
 // TestSubcommandRun pins the `buzzsim run <spec>` spelling on a tiny
 // scenario: exit 0 and a scheme line on stdout.
 func TestSubcommandRun(t *testing.T) {
-	path := writeSpec(t, `{"k": 2, "trials": 1, "seed": 7}`)
+	path := writeSpec(t, `{"version": 2, "trials": 1, "seed": 7, "workload": {"k": 2}}`)
 	code, stdout, stderr := runBuzzsimFull(t, "run", path)
 	if code != 0 {
 		t.Fatalf("run failed: exit %d, stderr %q", code, stderr)
@@ -191,7 +191,7 @@ func TestSubcommandSweep(t *testing.T) {
 	if code, stderr := runBuzzsim(t, "sweep", noSLO); code == 0 || !strings.Contains(stderr, "slo") {
 		t.Fatalf("sweep without slo: exit %d, stderr %q", code, stderr)
 	}
-	noArrivals := writeSpec(t, `{"k": 2, "trials": 2, "seed": 1}`)
+	noArrivals := writeSpec(t, `{"version": 2, "trials": 2, "seed": 1, "workload": {"k": 2}}`)
 	if code, stderr := runBuzzsim(t, "sweep", noArrivals); code == 0 || !strings.Contains(stderr, "arrivals") {
 		t.Fatalf("sweep without arrivals: exit %d, stderr %q", code, stderr)
 	}
@@ -205,7 +205,7 @@ func TestSubcommandSweep(t *testing.T) {
 // both orders give byte-identical output, and a second path is still a
 // usage error (exit 2), whichever side of the flags it stands.
 func TestSubcommandFlagOrder(t *testing.T) {
-	runSpec := writeSpec(t, `{"k": 2, "trials": 1, "seed": 7}`)
+	runSpec := writeSpec(t, `{"version": 2, "trials": 1, "seed": 7, "workload": {"k": 2}}`)
 	sweepSpec := writeSpec(t, sweepTestSpec)
 	for _, tc := range []struct {
 		cmd, path, flag, value string

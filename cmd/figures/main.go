@@ -6,9 +6,9 @@
 //
 //	figures [-fig all|table12|2|3|7|8|9|10|11|12|13|14|headline] [-trials N] [-seed S]
 //
-// Absolute numbers depend on the simulated substrate (see DESIGN.md);
-// the shapes — who wins, by what factor, where crossovers fall — are the
-// reproduction targets recorded in EXPERIMENTS.md.
+// Absolute numbers depend on the simulated substrate; the shapes — who
+// wins, by what factor, where crossovers fall — are the reproduction
+// targets (README, "Benchmarks as the reproduction harness").
 package main
 
 import (

@@ -116,11 +116,6 @@ func (r *Result) Lost() int {
 	return n
 }
 
-// Account returns the air-time account for this run.
-func (r *Result) Account() epc.TimeAccount {
-	return epc.TimeAccount{UplinkBits: float64(r.BitSlots)}
-}
-
 // Run executes the CDMA data phase at sample level.
 func Run(cfg Config, messages []bits.Vector, ch *channel.Model, noiseSrc *prng.Source) (*Result, error) {
 	k := len(messages)

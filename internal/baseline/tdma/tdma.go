@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/channel"
-	"repro/internal/epc"
 	"repro/internal/phy"
 	"repro/internal/prng"
 )
@@ -74,11 +73,6 @@ func (r *Result) Lost() int {
 		}
 	}
 	return n
-}
-
-// Account returns the air-time account for this run.
-func (r *Result) Account() epc.TimeAccount {
-	return epc.TimeAccount{UplinkBits: float64(r.BitSlots)}
 }
 
 // Run executes the TDMA data phase: every tag transmits its frame in its

@@ -152,19 +152,6 @@ func TestRunMismatchedChannel(t *testing.T) {
 	}
 }
 
-func TestAccountMatchesBitSlots(t *testing.T) {
-	src := prng.NewSource(7)
-	msgs := makeMessages(src, 4, 32)
-	ch := channel.NewUniform(4, 25, src)
-	res, err := Run(Config{CRC: bits.CRC5, UseMiller: true}, msgs, ch, src.Fork(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Account().UplinkBits != float64(res.BitSlots) {
-		t.Fatal("account does not reflect bit slots")
-	}
-}
-
 func BenchmarkRunK8Miller(b *testing.B) {
 	src := prng.NewSource(8)
 	msgs := makeMessages(src, 8, 32)

@@ -31,31 +31,6 @@ func Index(b bool) int {
 	return x
 }
 
-// FromUint64 unpacks the low width bits of v, MSB first.
-func FromUint64(v uint64, width int) Vector {
-	out := make(Vector, width)
-	for i := 0; i < width; i++ {
-		out[i] = (v>>uint(width-1-i))&1 == 1
-	}
-	return out
-}
-
-// Uint64 packs up to 64 bits back into an integer, MSB first. It panics
-// if the vector is longer than 64 bits.
-func (v Vector) Uint64() uint64 {
-	if len(v) > 64 {
-		panic("bits: Vector longer than 64 bits")
-	}
-	var out uint64
-	for _, b := range v {
-		out <<= 1
-		if b {
-			out |= 1
-		}
-	}
-	return out
-}
-
 // Random returns a vector of n fair random bits drawn from src.
 func Random(src *prng.Source, n int) Vector {
 	out := make(Vector, n)
@@ -110,17 +85,6 @@ func (v Vector) HammingDistance(w Vector) int {
 	return d
 }
 
-// Ones counts set bits.
-func (v Vector) Ones() int {
-	n := 0
-	for _, b := range v {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // String renders the vector as a 0/1 string for logs and goldens.
 func (v Vector) String() string {
 	var sb strings.Builder
@@ -133,23 +97,6 @@ func (v Vector) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// Parse converts a 0/1 string into a Vector. Any rune other than '0' or
-// '1' is an error.
-func Parse(s string) (Vector, error) {
-	out := make(Vector, 0, len(s))
-	for i, r := range s {
-		switch r {
-		case '0':
-			out = append(out, false)
-		case '1':
-			out = append(out, true)
-		default:
-			return nil, fmt.Errorf("bits: invalid character %q at position %d", r, i)
-		}
-	}
-	return out, nil
 }
 
 // CRCKind selects the checksum protecting a Message.
@@ -195,11 +142,6 @@ func (m Message) Frame() Vector {
 	return Vector(crc.Append5(m.Payload))
 }
 
-// FrameLen returns the on-air length in bits.
-func (m Message) FrameLen() int {
-	return len(m.Payload) + m.Kind.Width()
-}
-
 // Verify reports whether frame is a CRC-valid frame for kind.
 func Verify(frame Vector, kind CRCKind) bool {
 	if kind == CRC16 {
@@ -226,11 +168,6 @@ type Matrix struct {
 	data       []bool
 }
 
-// NewMatrix allocates a zero Rows×Cols matrix.
-func NewMatrix(rows, cols int) *Matrix {
-	return &Matrix{Rows: rows, Cols: cols, data: make([]bool, rows*cols)}
-}
-
 // NewMatrixBacked returns an empty matrix with the given column count
 // whose row storage reuses buf's backing array (its length is reset to
 // zero). AppendRow stays allocation-free until cap(buf) is exhausted;
@@ -243,63 +180,6 @@ func NewMatrixBacked(cols int, buf []bool) *Matrix {
 // At returns element (r, c).
 func (m *Matrix) At(r, c int) bool {
 	return m.data[r*m.Cols+c]
-}
-
-// Set assigns element (r, c).
-func (m *Matrix) Set(r, c int, v bool) {
-	m.data[r*m.Cols+c] = v
-}
-
-// Row returns a copy of row r.
-func (m *Matrix) Row(r int) Vector {
-	out := make(Vector, m.Cols)
-	copy(out, m.data[r*m.Cols:(r+1)*m.Cols])
-	return out
-}
-
-// Col returns a copy of column c.
-func (m *Matrix) Col(c int) Vector {
-	out := make(Vector, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		out[r] = m.At(r, c)
-	}
-	return out
-}
-
-// ColWeight counts ones in column c without allocating.
-func (m *Matrix) ColWeight(c int) int {
-	n := 0
-	for r := 0; r < m.Rows; r++ {
-		if m.At(r, c) {
-			n++
-		}
-	}
-	return n
-}
-
-// RowWeight counts ones in row r without allocating.
-func (m *Matrix) RowWeight(r int) int {
-	n := 0
-	for _, b := range m.data[r*m.Cols : (r+1)*m.Cols] {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-// Density returns the fraction of ones in the matrix.
-func (m *Matrix) Density() float64 {
-	if len(m.data) == 0 {
-		return 0
-	}
-	n := 0
-	for _, b := range m.data {
-		if b {
-			n++
-		}
-	}
-	return float64(n) / float64(len(m.data))
 }
 
 // AppendRow grows the matrix by one row with the given bits. It panics if

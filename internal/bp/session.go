@@ -1171,9 +1171,6 @@ func (s *Session) Retire(throughSlot int) int {
 	return hi - lo
 }
 
-// Retired returns the number of collision slots retired so far.
-func (s *Session) Retired() int { return s.g.retired }
-
 // RetireTag drops tag's participation in every collision slot up to and
 // including throughSlot (1-based) from the decode — the per-tag
 // coherence window. Where Retire forgets whole rows for every tag,
@@ -1349,9 +1346,6 @@ func (s *Session) Quiescent(i int) bool {
 	g := &s.g
 	return g.deactivated[i] && g.actDeg[i] == 0 && (!s.trackDrift || len(g.colRows[i]) == 0)
 }
-
-// Slots returns the number of collision slots absorbed so far.
-func (s *Session) Slots() int { return s.g.L }
 
 // Ys exposes the per-position observation store (ys[p][l] = position
 // p's symbol in slot l) for the channel-refinement fit. Callers must

@@ -320,13 +320,13 @@ func TestSessionMutationsInvalidate(t *testing.T) {
 		changes int
 	}{
 		{"retap-one-tap", func(t *testing.T, s *Session, _ []bool) int { retap(s, 1); return 1 }, 1},
-		{"retire-one-row", func(t *testing.T, s *Session, _ []bool) int { return s.Retire(s.Retired() + 1) }, 1},
+		{"retire-one-row", func(t *testing.T, s *Session, _ []bool) int { return s.Retire(s.g.retired + 1) }, 1},
 		{"retire-tag-one-row", func(t *testing.T, s *Session, locked []bool) int {
 			tag, row := firstRow(t, s, locked)
 			return s.RetireTag(tag, row+1)
 		}, 1},
 		{"retap-no-tap", func(t *testing.T, s *Session, _ []bool) int { retap(s, 0); return 0 }, 0},
-		{"retire-no-row", func(t *testing.T, s *Session, _ []bool) int { return s.Retire(s.Retired()) }, 0},
+		{"retire-no-row", func(t *testing.T, s *Session, _ []bool) int { return s.Retire(s.g.retired) }, 0},
 		{"retire-tag-no-row", func(t *testing.T, s *Session, locked []bool) int {
 			tag, row := firstRow(t, s, locked)
 			return s.RetireTag(tag, row)
@@ -592,8 +592,8 @@ func growMatchesFresh(t *testing.T, k0, kNew int, lockEarly []int, wantInactive 
 		t.Fatal("no row went inactive before the growth")
 	}
 	grown.Grow(taps[k0:], est[k0:])
-	if grown.Slots() != fresh.Slots() {
-		t.Fatalf("slot counts diverged: %d vs %d", grown.Slots(), fresh.Slots())
+	if grown.g.L != fresh.g.L {
+		t.Fatalf("slot counts diverged: %d vs %d", grown.g.L, fresh.g.L)
 	}
 	for s := 4; s < 8; s++ {
 		appendSlot(grown, rows[s], obss[s])

@@ -67,8 +67,8 @@ func TestSessionRetireKeepsStateConsistent(t *testing.T) {
 	if n := s.Retire(2); n != 2 {
 		t.Fatalf("Retire(2) retired %d rows, want 2", n)
 	}
-	if s.Retired() != 2 {
-		t.Fatalf("Retired() = %d, want 2", s.Retired())
+	if s.g.retired != 2 {
+		t.Fatalf("Retired() = %d, want 2", s.g.retired)
 	}
 	slot = driveSlots(t, s, rows, obss, slot, 1, locked, base)
 	verifyState(t, s, locked, "after first retire")
@@ -278,7 +278,7 @@ func TestSessionWindowSteadyStateAllocationFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("steady-state windowed slot cycle allocates %v times, want 0", allocs)
 	}
-	if s.Retired() == 0 {
+	if s.g.retired == 0 {
 		t.Fatal("window never slid — the cycle under test did not exercise Retire")
 	}
 }

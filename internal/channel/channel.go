@@ -104,22 +104,6 @@ func (m *Model) SNRdB(i int) float64 {
 	return dsp.SNRdB(snrPower(m.Taps[i]), m.NoisePower)
 }
 
-// MinMaxSNRdB returns the weakest and strongest per-tag SNR in dB, the
-// statistic the paper uses to label channel-quality bands in Fig. 12.
-func (m *Model) MinMaxSNRdB() (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for i := range m.Taps {
-		s := m.SNRdB(i)
-		if s < lo {
-			lo = s
-		}
-		if s > hi {
-			hi = s
-		}
-	}
-	return lo, hi
-}
-
 func snrPower(h complex128) float64 {
 	return real(h)*real(h) + imag(h)*imag(h)
 }

@@ -53,9 +53,10 @@ func TestBlockFadingBlocks(t *testing.T) {
 		t.Fatal("block boundary did not redraw any tap")
 	}
 	m := p.ModelAt(blockLen + 1)
-	loSNR, hiSNR := m.MinMaxSNRdB()
-	if loSNR < lo-1e-9 || hiSNR > hi+1e-9 {
-		t.Fatalf("block-2 SNRs [%.2f, %.2f] escape the band [%v, %v]", loSNR, hiSNR, lo, hi)
+	for i := range m.Taps {
+		if s := m.SNRdB(i); s < lo-1e-9 || s > hi+1e-9 {
+			t.Fatalf("block-2 tag %d SNR %.2f escapes the band [%v, %v]", i, s, lo, hi)
+		}
 	}
 	if m.AGCNoiseFraction != 0.002 || m.NoisePower != 1 {
 		t.Fatalf("model impairments not carried: agc=%v n0=%v", m.AGCNoiseFraction, m.NoisePower)

@@ -129,21 +129,3 @@ func Check16(frame []bool) bool {
 	}
 	return got == want
 }
-
-// ChecksumBytes16 computes the CRC-16/CCITT over whole bytes, MSB first
-// within each byte. It matches Checksum16 applied to the unpacked bits and
-// exists for callers that frame messages as byte slices.
-func ChecksumBytes16(data []byte) uint16 {
-	reg := uint16(Preset16)
-	for _, by := range data {
-		for i := 7; i >= 0; i-- {
-			in := uint16((by >> uint(i)) & 1)
-			msb := (reg >> 15) & 1
-			reg <<= 1
-			if msb^in == 1 {
-				reg ^= Poly16
-			}
-		}
-	}
-	return ^reg
-}

@@ -41,11 +41,6 @@ func NewBinaryMatScratch(rows, cols int, sc *scratch.Scratch) *BinaryMat {
 // Col returns column c's bitset words.
 func (m *BinaryMat) Col(c int) []uint64 { return m.Bits[c*m.Words : (c+1)*m.Words] }
 
-// Set sets entry (r, c) to 1.
-func (m *BinaryMat) Set(r, c int) {
-	m.Bits[c*m.Words+r/64] |= 1 << uint(r%64)
-}
-
 // ColWeight returns the popcount of column c.
 func (m *BinaryMat) ColWeight(c int) int {
 	n := 0

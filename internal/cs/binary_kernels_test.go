@@ -63,7 +63,7 @@ func TestBinaryMatKernelsMatchReference(t *testing.T) {
 			}
 			for r := 0; r < rows; r++ {
 				if src.Float64() < density {
-					bm.Set(r, c)
+					bm.Col(c)[r/64] |= 1 << (r % 64)
 				}
 			}
 		}

@@ -21,7 +21,7 @@ func binaryProblem(src *prng.Source, rows, cols, k int, density, mag, sigma floa
 	for c := 0; c < cols; c++ {
 		for r := 0; r < rows; r++ {
 			if src.Float64() < density {
-				bm.Set(r, c)
+				bm.Col(c)[r/64] |= 1 << (r % 64)
 				dense.Set(r, c, 1)
 			}
 		}

@@ -40,17 +40,6 @@ type Result struct {
 	Iterations int
 }
 
-// Dense expands the result into a length-n dense vector.
-func (r *Result) Dense(n int) dsp.Vec {
-	out := dsp.NewVec(n)
-	for i, c := range r.Support {
-		if c >= 0 && c < n {
-			out[c] = r.Coeffs[i]
-		}
-	}
-	return out
-}
-
 // ErrNoConvergence is returned when a pursuit exhausts its support
 // budget with the residual still above tolerance. A pursuit that stops
 // at its reporting floor (OMPOptions.MinCoeffMag) returns no error.

@@ -1,7 +1,7 @@
 // Package dsp provides the complex-valued signal-processing and linear
-// algebra kernels the reproduction relies on: vector arithmetic over
-// complex128, dense complex matrices, Householder-QR least squares, and
-// power/SNR bookkeeping.
+// algebra kernels the reproduction relies on: complex128 vectors, dense
+// complex matrices, Householder-QR least squares, and power/SNR
+// bookkeeping.
 //
 // The compressive-sensing stage of Buzz (§5C) repeatedly solves small
 // complex least-squares problems (the OMP projection step), and the
@@ -25,26 +25,6 @@ type Vec []complex128
 // NewVec allocates a zero vector of length n.
 func NewVec(n int) Vec { return make(Vec, n) }
 
-// Clone returns a copy of v.
-func (v Vec) Clone() Vec {
-	out := make(Vec, len(v))
-	copy(out, v)
-	return out
-}
-
-// Dot returns the inner product <v, w> = Σ conj(v_i)·w_i. It panics on
-// length mismatch: a silent truncation here would corrupt decoding math.
-func (v Vec) Dot(w Vec) complex128 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("dsp: Dot length mismatch %d vs %d", len(v), len(w)))
-	}
-	var s complex128
-	for i := range v {
-		s += cmplx.Conj(v[i]) * w[i]
-	}
-	return s
-}
-
 // Norm returns the Euclidean norm ‖v‖₂.
 func (v Vec) Norm() float64 {
 	return math.Sqrt(v.NormSq())
@@ -57,58 +37,6 @@ func (v Vec) NormSq() float64 {
 		s += real(x)*real(x) + imag(x)*imag(x)
 	}
 	return s
-}
-
-// Add returns v + w as a new vector.
-func (v Vec) Add(w Vec) Vec {
-	if len(v) != len(w) {
-		panic("dsp: Add length mismatch")
-	}
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
-}
-
-// Sub returns v − w as a new vector.
-func (v Vec) Sub(w Vec) Vec {
-	if len(v) != len(w) {
-		panic("dsp: Sub length mismatch")
-	}
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
-// Scale returns a·v as a new vector.
-func (v Vec) Scale(a complex128) Vec {
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = a * v[i]
-	}
-	return out
-}
-
-// AXPYInPlace performs v ← v + a·w in place.
-func (v Vec) AXPYInPlace(a complex128, w Vec) {
-	if len(v) != len(w) {
-		panic("dsp: AXPY length mismatch")
-	}
-	for i := range v {
-		v[i] += a * w[i]
-	}
-}
-
-// MeanPower returns the average per-sample power ‖v‖²/n, the quantity SNR
-// accounting is defined over. An empty vector has zero power.
-func (v Vec) MeanPower() float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return v.NormSq() / float64(len(v))
 }
 
 // Mat is a dense complex matrix stored row-major.
@@ -128,15 +56,6 @@ func (m *Mat) At(r, c int) complex128 { return m.Data[r*m.Cols+c] }
 // Set assigns element (r, c).
 func (m *Mat) Set(r, c int, v complex128) { m.Data[r*m.Cols+c] = v }
 
-// Col returns a copy of column c.
-func (m *Mat) Col(c int) Vec {
-	out := make(Vec, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		out[r] = m.At(r, c)
-	}
-	return out
-}
-
 // ColNorm returns ‖column c‖₂ without materializing the column. OMP's
 // score normalization calls this once per column per solve.
 func (m *Mat) ColNorm(c int) float64 {
@@ -146,20 +65,6 @@ func (m *Mat) ColNorm(c int) float64 {
 		s += real(x)*real(x) + imag(x)*imag(x)
 	}
 	return math.Sqrt(s)
-}
-
-// Row returns a copy of row r.
-func (m *Mat) Row(r int) Vec {
-	out := make(Vec, m.Cols)
-	copy(out, m.Data[r*m.Cols:(r+1)*m.Cols])
-	return out
-}
-
-// Clone deep-copies the matrix.
-func (m *Mat) Clone() *Mat {
-	out := NewMat(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
 }
 
 // MulVecInto computes m·x into dst (which must have length Rows) and

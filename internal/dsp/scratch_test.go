@@ -87,8 +87,12 @@ func TestIntoVariantsMatchAllocatingForms(t *testing.T) {
 		}
 	}
 
+	col := make(Vec, m.Rows)
 	for c := 0; c < m.Cols; c++ {
-		if got, want := m.ColNorm(c), m.Col(c).Norm(); cmplx.Abs(complex(got-want, 0)) > 1e-12 {
+		for r := range col {
+			col[r] = m.At(r, c)
+		}
+		if got, want := m.ColNorm(c), col.Norm(); cmplx.Abs(complex(got-want, 0)) > 1e-12 {
 			t.Fatalf("ColNorm(%d) = %v, want %v", c, got, want)
 		}
 	}

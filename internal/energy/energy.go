@@ -20,11 +20,6 @@
 // from the calibration constant.
 package energy
 
-import (
-	"fmt"
-	"math"
-)
-
 // Cost parameterizes the per-event energy model. Units are joules.
 type Cost struct {
 	// PerSwitch is the energy per impedance toggle.
@@ -84,41 +79,4 @@ func (t *Tally) Joules(c Cost) float64 {
 	return float64(t.Switches)*c.PerSwitch +
 		t.ActiveBits*c.PerActiveBit +
 		t.AwakeBits*c.PerAwakeBit
-}
-
-// Capacitor models the Moo's storage capacitor with the paper's
-// workaround attached (§9: a 0.1 F capacitor so the accumulated drain of
-// 8800 queries is measurable).
-type Capacitor struct {
-	// Farads is the capacitance (paper: 0.1 F).
-	Farads float64
-	// Volts is the current voltage.
-	Volts float64
-}
-
-// NewCapacitor returns a capacitor charged to v0.
-func NewCapacitor(farads, v0 float64) *Capacitor {
-	return &Capacitor{Farads: farads, Volts: v0}
-}
-
-// Energy returns the stored energy ½CV².
-func (c *Capacitor) Energy() float64 {
-	return 0.5 * c.Farads * c.Volts * c.Volts
-}
-
-// Drain removes the given energy, lowering the voltage; it reports an
-// error if the capacitor cannot supply it.
-func (c *Capacitor) Drain(joules float64) error {
-	e := c.Energy() - joules
-	if e < 0 {
-		return fmt.Errorf("energy: capacitor exhausted (need %g J, have %g J)", joules, c.Energy())
-	}
-	c.Volts = math.Sqrt(2 * e / c.Farads)
-	return nil
-}
-
-// Consumed reports E = ½CV₀² − ½CV_f² for a capacitor that started at
-// v0 and ended at vf — Eq. 10 of the paper.
-func Consumed(farads, v0, vf float64) float64 {
-	return 0.5*farads*v0*v0 - 0.5*farads*vf*vf
 }

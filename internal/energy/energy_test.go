@@ -3,51 +3,7 @@ package energy
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestCapacitorEnergy(t *testing.T) {
-	c := NewCapacitor(0.1, 3) // the paper's 0.1 F at 3 V
-	if math.Abs(c.Energy()-0.45) > 1e-12 {
-		t.Fatalf("½·0.1·9 = %v, want 0.45", c.Energy())
-	}
-}
-
-func TestCapacitorDrainLowersVoltage(t *testing.T) {
-	c := NewCapacitor(0.1, 3)
-	if err := c.Drain(0.05); err != nil {
-		t.Fatal(err)
-	}
-	if c.Volts >= 3 {
-		t.Fatal("drain did not lower voltage")
-	}
-	// Energy accounting must be exact: remaining = 0.45 − 0.05.
-	if math.Abs(c.Energy()-0.40) > 1e-12 {
-		t.Fatalf("remaining energy %v, want 0.40", c.Energy())
-	}
-}
-
-func TestCapacitorOverdrain(t *testing.T) {
-	c := NewCapacitor(0.001, 1)
-	if err := c.Drain(1); err == nil {
-		t.Fatal("expected exhaustion error")
-	}
-}
-
-func TestConsumedMatchesDrain(t *testing.T) {
-	f := func(v0raw, drainRaw uint16) bool {
-		v0 := 2 + float64(v0raw%300)/100 // 2..5 V
-		c := NewCapacitor(0.1, v0)
-		drain := float64(drainRaw%1000) / 1e6 // up to 1 mJ
-		if err := c.Drain(drain); err != nil {
-			return true
-		}
-		return math.Abs(Consumed(0.1, v0, c.Volts)-drain) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestTallyPricing(t *testing.T) {
 	cost := Cost{PerSwitch: 2, PerActiveBit: 3, PerAwakeBit: 5}

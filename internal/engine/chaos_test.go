@@ -185,7 +185,6 @@ func runChaosPass(t *testing.T, seed uint64, files []string) *chaosPass {
 	pass.counts = plan.CountsSnapshot()
 	pass.panics = panicsFired.Load()
 	pass.dials = dialN.Load()
-	m.Close()
 
 	// Ledger reconciliation: every session the daemon ever opened —
 	// including half-fed ones orphaned by killed connections — must be

@@ -47,7 +47,6 @@ func TestLoopbackConformance(t *testing.T) {
 	}
 
 	m := engine.New(engine.Config{})
-	defer m.Close()
 	srv := engine.NewServer(m, engine.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -85,15 +84,14 @@ func TestLoopbackConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			streamed, err := replay.RunScenario(conn, spec)
-			if err != nil {
-				t.Fatalf("loopback replay: %v", err)
+			if len(batch.Trials) != spec.Trials {
+				t.Fatalf("batch ran %d trials, spec has %d", len(batch.Trials), spec.Trials)
 			}
-
-			if len(streamed) != len(batch.Trials) {
-				t.Fatalf("replayed %d trials, batch ran %d", len(streamed), len(batch.Trials))
-			}
-			for trial, st := range streamed {
+			for trial := range batch.Trials {
+				st, err := replay.RunTrial(conn, spec, trial)
+				if err != nil {
+					t.Fatalf("loopback replay, trial %d: %v", trial, err)
+				}
 				bt := &batch.Trials[trial]
 				if !reflect.DeepEqual(st.Verified, bt.Verified) {
 					t.Errorf("trial %d: verified flags diverge\n wire  %v\n batch %v", trial, st.Verified, bt.Verified)

@@ -135,9 +135,6 @@ func New(cfg Config) *SessionManager {
 	return &SessionManager{cfg: cfg, start: time.Now()}
 }
 
-// Stats returns the live counter block.
-func (m *SessionManager) Stats() *Stats { return &m.stats }
-
 // Snapshot copies the counters for serialization.
 func (m *SessionManager) Snapshot() StatsSnapshot {
 	up := time.Since(m.start).Seconds()
@@ -460,12 +457,4 @@ func (m *SessionManager) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Close refuses every later Open. Call after Drain; batch RunBatch
-// stays usable — it owns its own goroutines.
-func (m *SessionManager) Close() {
-	m.mu.Lock()
-	m.draining = true
-	m.mu.Unlock()
 }

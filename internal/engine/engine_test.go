@@ -39,7 +39,6 @@ func feedSlots(t *testing.T, ls *engine.LiveSession, n int) {
 func TestStreamingSessionLifecycle(t *testing.T) {
 	defer leaktest.Check(t)()
 	m := engine.New(engine.Config{})
-	defer m.Close()
 
 	ls, err := m.Open(streamCfg(7))
 	if err != nil {
@@ -78,7 +77,6 @@ func TestStreamingSessionLifecycle(t *testing.T) {
 func TestFailedSessionDecodesNothing(t *testing.T) {
 	defer leaktest.Check(t)()
 	m := engine.New(engine.Config{MaxSessions: 1})
-	defer m.Close()
 	ls, err := m.Open(streamCfg(9))
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +116,6 @@ func TestFailedSessionDecodesNothing(t *testing.T) {
 func TestDrainRefusesNewSessions(t *testing.T) {
 	defer leaktest.Check(t)()
 	m := engine.New(engine.Config{})
-	defer m.Close()
 
 	ls, err := m.Open(streamCfg(3))
 	if err != nil {
@@ -141,7 +138,6 @@ func TestDrainRefusesNewSessions(t *testing.T) {
 func TestSessionCap(t *testing.T) {
 	defer leaktest.Check(t)()
 	m := engine.New(engine.Config{MaxSessions: 1})
-	defer m.Close()
 
 	ls, err := m.Open(streamCfg(1))
 	if err != nil {
@@ -169,7 +165,6 @@ func TestSessionCap(t *testing.T) {
 func TestOpenRejectsOwnedResources(t *testing.T) {
 	defer leaktest.Check(t)()
 	m := engine.New(engine.Config{})
-	defer m.Close()
 	cfg := streamCfg(5)
 	cfg.Scratch = scratch.New()
 	if _, err := m.Open(cfg); err == nil {
@@ -185,7 +180,6 @@ func TestOpenRejectsOwnedResources(t *testing.T) {
 func TestRunBatchCountsTrials(t *testing.T) {
 	defer leaktest.Check(t)()
 	m := engine.New(engine.Config{})
-	defer m.Close()
 	var n sync.Map
 	err := m.RunBatch(9, func(trial int, res *engine.Resources) error {
 		if res.Scratch == nil || res.Session == nil {

@@ -81,7 +81,6 @@ func TestGoroutinesPerConnection(t *testing.T) {
 	waitGoroutines(t, engineGoroutines{}, "before the test")
 
 	m := engine.New(engine.Config{})
-	defer m.Close()
 	none := func(when string) {
 		t.Helper()
 		if got := countEngineGoroutines(); got != (engineGoroutines{}) {
@@ -162,7 +161,6 @@ func startFlooder(t *testing.T, m *engine.SessionManager, scfg engine.ServerConf
 		if err := srv.Shutdown(ctx); err != nil {
 			t.Errorf("cleanup shutdown: %v", err)
 		}
-		m.Close()
 	})
 	nc, err := net.Dial("unix", sock)
 	if err != nil {

@@ -236,10 +236,12 @@ func (st *trialState) finished() bool {
 	return false
 }
 
-// checkDecisions vets one slot reply against the transcript position.
-// Any mismatch means the transport desynchronized (a duplicated,
-// dropped, or corrupted frame) and the session is unsalvageable on this
-// connection — the caller reconnects and refeeds.
+// checkDecisions vets one slot reply against the transcript position,
+// whose sent frame st.sent[slot-1] must already be recorded: a decision
+// may name only a tag that has joined by that slot. Any mismatch means
+// the transport desynchronized (a duplicated, dropped, or corrupted
+// frame) and the session is unsalvageable on this connection — the
+// caller reconnects and refeeds.
 func (st *trialState) checkDecisions(dec *wire.Decisions, sid uint64, slot int) error {
 	if dec.SessionID != sid {
 		return fmt.Errorf("replay: slot %d: reply for session %d, want %d", slot, dec.SessionID, sid)
@@ -247,9 +249,10 @@ func (st *trialState) checkDecisions(dec *wire.Decisions, sid uint64, slot int) 
 	if int(dec.Slot) != slot {
 		return fmt.Errorf("replay: slot %d: reply for slot %d — stream desynchronized", slot, dec.Slot)
 	}
+	joined := st.sent[slot-1].nextArr
 	for _, d := range dec.Accepted {
-		if int(d.Tag) >= st.kTot {
-			return fmt.Errorf("replay: daemon accepted unknown tag %d", d.Tag)
+		if int(d.Tag) >= joined {
+			return fmt.Errorf("replay: slot %d: daemon accepted tag %d, but only %d tags have joined", slot, d.Tag, joined)
 		}
 		if len(d.Frame) != st.frameLen || !bits.Verify(d.Frame, st.crc) {
 			return fmt.Errorf("replay: slot %d: accepted frame for tag %d fails CRC — corrupted in flight", slot, d.Tag)
@@ -401,20 +404,6 @@ func RunTrial(rw io.ReadWriter, spec scenario.Spec, trial int) (*TrialResult, er
 		return nil, err
 	}
 	return st.result(), nil
-}
-
-// RunScenario replays every trial of spec sequentially over one
-// connection and returns the per-trial results.
-func RunScenario(rw io.ReadWriter, spec scenario.Spec) ([]*TrialResult, error) {
-	out := make([]*TrialResult, spec.Trials)
-	for trial := 0; trial < spec.Trials; trial++ {
-		res, err := RunTrial(rw, spec, trial)
-		if err != nil {
-			return nil, fmt.Errorf("trial %d: %w", trial, err)
-		}
-		out[trial] = res
-	}
-	return out, nil
 }
 
 // Client is the reconnecting replay client: it plays trials like

@@ -45,7 +45,6 @@ func startServer(t *testing.T, mcfg engine.Config, scfg engine.ServerConfig) (*e
 		if err := srv.Shutdown(ctx); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
-		m.Close()
 	})
 	return m, ln.Addr().String()
 }

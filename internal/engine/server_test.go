@@ -37,7 +37,6 @@ func startWireServer(t *testing.T, mcfg engine.Config, scfg engine.ServerConfig)
 		if err := srv.Shutdown(ctx); err != nil {
 			t.Errorf("cleanup shutdown: %v", err)
 		}
-		m.Close()
 	})
 	return m, srv, ln.Addr().String()
 }
@@ -94,7 +93,6 @@ func (l *acceptGate) Accept() (net.Conn, error) {
 func TestServerShutdownIdempotent(t *testing.T) {
 	leaktest.Check(t)
 	m := engine.New(engine.Config{})
-	defer m.Close()
 	srv := engine.NewServer(m, engine.ServerConfig{})
 	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -154,7 +152,6 @@ func TestServerShutdownIdempotent(t *testing.T) {
 func TestServerShutdownWithoutServe(t *testing.T) {
 	leaktest.Check(t)
 	m := engine.New(engine.Config{})
-	defer m.Close()
 	srv := engine.NewServer(m, engine.ServerConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

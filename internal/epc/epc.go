@@ -93,10 +93,3 @@ func (t *TimeAccount) Micros() float64 {
 
 // Millis returns the total accounted air time in milliseconds.
 func (t *TimeAccount) Millis() float64 { return t.Micros() / 1000 }
-
-// Add merges another account into this one.
-func (t *TimeAccount) Add(o TimeAccount) {
-	t.UplinkBits += o.UplinkBits
-	t.DownlinkBits += o.DownlinkBits
-	t.TurnaroundCount += o.TurnaroundCount
-}

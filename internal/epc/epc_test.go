@@ -30,15 +30,6 @@ func TestTimeAccountAccumulates(t *testing.T) {
 	}
 }
 
-func TestTimeAccountAdd(t *testing.T) {
-	a := TimeAccount{UplinkBits: 10, DownlinkBits: 5, TurnaroundCount: 1}
-	b := TimeAccount{UplinkBits: 3, DownlinkBits: 2, TurnaroundCount: 4}
-	a.Add(b)
-	if a.UplinkBits != 13 || a.DownlinkBits != 7 || a.TurnaroundCount != 5 {
-		t.Fatalf("merged account wrong: %+v", a)
-	}
-}
-
 func TestDownlinkSlowerThanUplink(t *testing.T) {
 	// The asymmetry that makes per-tag ACKs expensive (§8.2's 75%
 	// overhead estimate) and Buzz's single stop signal cheap.

@@ -171,7 +171,7 @@ func TempIDFor(globalID, salt, idSpace uint64) uint64 {
 }
 
 // PatternSeed is the per-session pattern key of a temporary id — the
-// hoisted common factor of every PatternBit/PatternWord evaluation for
+// hoisted common factor of every PatternWord evaluation for
 // that id.
 func PatternSeed(tempID, salt uint64) uint64 {
 	return prng.Mix3(tempID, salt, 0xC5)
@@ -183,14 +183,6 @@ func PatternSeed(tempID, salt uint64) uint64 {
 // whole A′ columns; a tag shifts the same word out bit by bit.
 func PatternWord(seed uint64, w int) uint64 {
 	return prng.Mix2(seed, uint64(w))
-}
-
-// PatternBit is the stage-C pattern: whether the tag with the given
-// temporary id transmits in pattern row m. Both the tag (to transmit)
-// and the reader (to rebuild A′ columns) evaluate it — the tag reads
-// its bit out of the same 64-row word the reader batches.
-func PatternBit(tempID, salt uint64, m int) bool {
-	return PatternWord(PatternSeed(tempID, salt), m/64)>>(uint(m)%64)&1 == 1
 }
 
 // Run executes a full identification session. activeIDs are the global

@@ -2,6 +2,7 @@ package identify
 
 import (
 	"math"
+	mbits "math/bits"
 	"math/cmplx"
 	"testing"
 
@@ -191,15 +192,14 @@ func TestTempIDsUniformInSpace(t *testing.T) {
 
 func TestPatternBitSharedAndFair(t *testing.T) {
 	ones := 0
-	const rows = 10000
-	for m := 0; m < rows; m++ {
-		a := PatternBit(42, 7, m)
-		if a != PatternBit(42, 7, m) {
-			t.Fatal("pattern bit not deterministic")
+	const rows = 10048
+	seed := PatternSeed(42, 7)
+	for w := 0; w < rows/64; w++ {
+		a := PatternWord(seed, w)
+		if a != PatternWord(PatternSeed(42, 7), w) {
+			t.Fatal("pattern word not deterministic")
 		}
-		if a {
-			ones++
-		}
+		ones += mbits.OnesCount64(a)
 	}
 	frac := float64(ones) / rows
 	if frac < 0.47 || frac > 0.53 {

@@ -3,7 +3,7 @@
 // Gen-2 robust mode TDMA uses in the paper's experiments), tag timing
 // imperfections (initial synchronization offset and clock drift, §8.1),
 // oversampled waveform synthesis, and the reader-side primitives —
-// integrate-and-dump, power detection, matched filtering.
+// integrate-and-dump and chip observations.
 //
 // Two levels of fidelity coexist:
 //
@@ -27,9 +27,6 @@ import (
 // DefaultBitRate is the uplink bit rate used throughout the paper's
 // evaluation: 80 kbps (§8.2, §9).
 const DefaultBitRate = 80_000
-
-// MaxBitRate is the EPC Gen-2 ceiling of 640 kbps (§8.1).
-const MaxBitRate = 640_000
 
 // BitDuration returns the duration of one bit in microseconds at the
 // given bit rate.
@@ -158,19 +155,9 @@ func (e *MillerEncoder) EncodeBit(b bool, dst []bool) []bool {
 	return dst
 }
 
-// MillerEncode encodes a whole bit vector into its chip stream.
-func MillerEncode(v bits.Vector) []bool {
-	var e MillerEncoder
-	out := make([]bool, 0, len(v)*ChipsPerBit)
-	for _, b := range v {
-		out = e.EncodeBit(b, out)
-	}
-	return out
-}
-
 // MillerEncodeInto encodes v into dst (which must have capacity for
 // len(v)·ChipsPerBit chips) and returns the filled slice. It produces
-// exactly MillerEncode's stream, written half-bit blocks at a time
+// exactly MillerEncoder's stream, written half-bit blocks at a time
 // instead of chip by chip — the form the TDMA baseline's inner loop
 // uses.
 func MillerEncodeInto(v bits.Vector, dst []bool) []bool {
@@ -293,16 +280,6 @@ func OOKChips(v bits.Vector) []bool {
 	return out
 }
 
-// OOKDemod makes the per-bit hard decision for a single-tag OOK symbol
-// through channel tap h: whichever of {0, h} is closer to y.
-func OOKDemod(y, h complex128) bool {
-	d0 := real(y)*real(y) + imag(y)*imag(y)
-	d1r := real(y) - real(h)
-	d1i := imag(y) - imag(h)
-	d1 := d1r*d1r + d1i*d1i
-	return d1 < d0
-}
-
 // IntegrateAndDump averages groups of n samples into one symbol each,
 // reducing noise variance by n. The reader's oversampling gain of §8.1
 // ("use the middle samples of each bit") is this operation.
@@ -319,18 +296,4 @@ func IntegrateAndDump(samples []complex128, n int) []complex128 {
 		out = append(out, s/complex(float64(n), 0))
 	}
 	return out
-}
-
-// PowerDetect reports whether the mean power of the samples exceeds the
-// threshold. Stage A and B of the identification protocol only need this
-// occupied/empty distinction (§5.1).
-func PowerDetect(samples []complex128, threshold float64) bool {
-	if len(samples) == 0 {
-		return false
-	}
-	var p float64
-	for _, s := range samples {
-		p += real(s)*real(s) + imag(s)*imag(s)
-	}
-	return p/float64(len(samples)) > threshold
 }

@@ -87,16 +87,6 @@ func Magnitudes(samples []complex128) []float64 {
 	return out
 }
 
-// RemoveCarrier subtracts the carrier pedestal, returning the pure
-// backscatter superposition the symbol-level decoders operate on.
-func RemoveCarrier(samples []complex128, carrier complex128) []complex128 {
-	out := make([]complex128, len(samples))
-	for i, s := range samples {
-		out[i] = s - carrier
-	}
-	return out
-}
-
 // ChipObservations folds an oversampled, carrier-removed capture into one
 // complex observation per chip by integrate-and-dump.
 func (c Capture) ChipObservations(samples []complex128) []complex128 {
@@ -173,12 +163,4 @@ func MinConstellationDistance(points []complex128) float64 {
 		}
 	}
 	return min
-}
-
-// MisalignmentAt measures, in fractions of a chip, how far a drifting
-// tag's chip boundary has moved from nominal after t chips. Fig. 8's
-// "misaligned by 50% of the symbol length after 2 ms" is this quantity.
-func MisalignmentAt(tm Timing, tChips float64) float64 {
-	local := (tChips - tm.InitialOffsetBits) * (1 + tm.DriftPPM*1e-6)
-	return math.Abs(local - tChips)
 }

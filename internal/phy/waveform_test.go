@@ -57,7 +57,10 @@ func TestRemoveCarrierThenChipObservations(t *testing.T) {
 	h := complex(0.2, 0.1)
 	tag := TagSignal{Chips: []bool{true, false, true}, H: h, Timing: Ideal}
 	samples := cap.Synthesize([]TagSignal{tag}, 3, prng.NewSource(4))
-	obs := cap.ChipObservations(RemoveCarrier(samples, cap.Carrier))
+	for i := range samples {
+		samples[i] -= cap.Carrier
+	}
+	obs := cap.ChipObservations(samples)
 	if len(obs) != 3 {
 		t.Fatalf("got %d chip observations, want 3", len(obs))
 	}

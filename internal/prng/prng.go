@@ -10,7 +10,7 @@
 //
 // The package offers two styles:
 //
-//   - Stateless, addressable randomness: BitAt, BiasedBitAt, Bucket and
+//   - Stateless, addressable randomness: Mix2, Mix3, BiasedBitAt and
 //     friends map a (seed, index) pair straight to a value. The reader can
 //     evaluate any cell of D or A without generating the prefix before it.
 //   - Stateful streams: Source is a SplitMix64-based sequential generator
@@ -66,14 +66,6 @@ func Uniform01(h uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// BitAt returns the fair random bit generated by the node with the given
-// seed for the given index (time slot or pattern row). Both the tag and
-// the reader call this; the reader uses it to reconstruct columns of the
-// measurement matrix A and the participation matrix D.
-func BitAt(seed, index uint64) bool {
-	return Mix2(seed, index)&1 == 1
-}
-
 // BiasedBitAt returns a bit that is 1 with probability p for the node with
 // the given seed at the given index. It backs the geometric schedule of the
 // K estimator (p = 2^-j) and the sparse participation matrix D, whose
@@ -86,21 +78,6 @@ func BiasedBitAt(seed, index uint64, p float64) bool {
 		return true
 	}
 	return Uniform01(Mix2(seed, index)) < p
-}
-
-// Bucket maps an id into one of n buckets under the given salt. Stage B of
-// the identification protocol hashes the temporary id space into cK buckets
-// with it; a fresh salt per session keeps adversarial or repeated-collision
-// patterns from persisting across rounds.
-func Bucket(id, salt uint64, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	// Multiply-shift style reduction of the mixed value avoids the modulo
-	// bias that a plain % would introduce for n not a power of two.
-	h := Mix2(id, salt)
-	hi, _ := mul64(h, uint64(n))
-	return int(hi)
 }
 
 // mul64 returns the 128-bit product of a and b as (hi, lo) without
@@ -279,14 +256,6 @@ func (s *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudorandomly permutes the first n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.IntN(i + 1)
-		swap(i, j)
-	}
 }
 
 // Fork derives an independent child source. Children forked with distinct

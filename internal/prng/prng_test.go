@@ -70,34 +70,6 @@ func TestUniform01Range(t *testing.T) {
 	}
 }
 
-func TestBitAtSharedBetweenTagAndReader(t *testing.T) {
-	// The whole protocol depends on tag and reader computing identical
-	// bits from (seed, slot). Simulate both sides.
-	for seed := uint64(0); seed < 50; seed++ {
-		for slot := uint64(0); slot < 200; slot++ {
-			tagSide := BitAt(seed, slot)
-			readerSide := BitAt(seed, slot)
-			if tagSide != readerSide {
-				t.Fatalf("seed=%d slot=%d disagree", seed, slot)
-			}
-		}
-	}
-}
-
-func TestBitAtFair(t *testing.T) {
-	ones := 0
-	const n = 20000
-	for i := uint64(0); i < n; i++ {
-		if BitAt(7, i) {
-			ones++
-		}
-	}
-	frac := float64(ones) / n
-	if frac < 0.47 || frac > 0.53 {
-		t.Fatalf("BitAt bias: got fraction %.4f of ones", frac)
-	}
-}
-
 func TestBiasedBitAtEdgeProbabilities(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		if BiasedBitAt(3, i, 0) {
@@ -145,53 +117,6 @@ func TestBiasedBitAtMonotoneInP(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBucketRange(t *testing.T) {
-	f := func(id, salt uint64, nRaw uint16) bool {
-		n := int(nRaw%1000) + 1
-		b := Bucket(id, salt, n)
-		return b >= 0 && b < n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBucketUniformity(t *testing.T) {
-	const n = 16
-	const trials = 32000
-	counts := make([]int, n)
-	for id := uint64(0); id < trials; id++ {
-		counts[Bucket(id, 12345, n)]++
-	}
-	want := float64(trials) / n
-	for b, c := range counts {
-		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
-			t.Errorf("bucket %d count %d deviates from %f", b, c, want)
-		}
-	}
-}
-
-func TestBucketSaltChangesAssignment(t *testing.T) {
-	same := 0
-	const n = 64
-	const ids = 1000
-	for id := uint64(0); id < ids; id++ {
-		if Bucket(id, 1, n) == Bucket(id, 2, n) {
-			same++
-		}
-	}
-	// Expected collisions across salts ~ ids/n; allow generous slack.
-	if same > ids/4 {
-		t.Fatalf("salts look correlated: %d/%d ids kept their bucket", same, ids)
-	}
-}
-
-func TestBucketDegenerateN(t *testing.T) {
-	if Bucket(5, 5, 0) != 0 || Bucket(5, 5, -3) != 0 {
-		t.Fatal("degenerate n must map to bucket 0")
 	}
 }
 
@@ -296,23 +221,6 @@ func TestSourcePermIsPermutation(t *testing.T) {
 			}
 			seen[v] = true
 		}
-	}
-}
-
-func TestSourceShuffleKeepsMultiset(t *testing.T) {
-	s := NewSource(11)
-	data := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range data {
-		sum += v
-	}
-	s.Shuffle(len(data), func(i, j int) { data[i], data[j] = data[j], data[i] })
-	sum2 := 0
-	for _, v := range data {
-		sum2 += v
-	}
-	if sum != sum2 {
-		t.Fatal("shuffle changed elements")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/channel"
+	"repro/internal/epc"
 	"repro/internal/prng"
 	"repro/internal/scratch"
 )
@@ -388,9 +389,9 @@ func runRound(cfg Config, roster []RosterTag, decoder channel.Process, decodeSrc
 		res.SlotsUsed = slot
 		res.RowsRetired += step.RowsRetired
 		if cfg.SilenceDecoded {
-			// ACK = 2-bit command code + 16-bit temporary id echo, plus
-			// two link turnarounds, per newly verified tag.
-			res.AckDownlinkBits += 18 * step.NewlyAccepted
+			// One ACK (command code + temporary id echo), plus two
+			// link turnarounds, per newly verified tag.
+			res.AckDownlinkBits += epc.AckBits * step.NewlyAccepted
 			res.AckTurnarounds += 2 * step.NewlyAccepted
 		}
 	}

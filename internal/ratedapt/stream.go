@@ -657,9 +657,6 @@ func (st *Stream) Joined() int { return st.nJ }
 // FrameLen returns the session's frame length (payload + CRC bits).
 func (st *Stream) FrameLen() int { return st.frameLen }
 
-// MaxSlots returns the session's slot budget.
-func (st *Stream) MaxSlots() int { return st.maxSlots }
-
 // TotalAccepted returns the cumulative accepted-frame count.
 func (st *Stream) TotalAccepted() int { return st.totalAccepted }
 

@@ -11,7 +11,7 @@ import (
 // may reject arbitrary bytes but must never panic, and a spec it
 // accepts is a fixed point — re-marshaled to JSON, it parses again to
 // a spec with the same content address (Hash). The corpus is seeded
-// with every committed example spec, v1 and v2 layouts alike.
+// with every committed example spec.
 func FuzzSpecParse(f *testing.F) {
 	paths, err := filepath.Glob("../../examples/scenarios/*.json")
 	if err != nil {
@@ -27,9 +27,9 @@ func FuzzSpecParse(f *testing.F) {
 		}
 		f.Add(raw)
 	}
-	f.Add([]byte(`{"version": 1, "k": 4, "trials": 2, "seed": 9}`))
+	f.Add([]byte(`{"version": 2, "trials": 2, "seed": 9, "workload": {"k": 4}}`))
 	f.Add([]byte(`{"version": 3}`))
-	f.Add([]byte(`{"k": 4} {"k": 5}`))
+	f.Add([]byte(`{"version": 2, "workload": {"k": 4}} {"version": 2, "workload": {"k": 5}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)

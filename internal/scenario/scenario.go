@@ -8,12 +8,12 @@
 // bands) are just particular static Specs, and the goldens pin that a
 // static Spec reproduces them byte for byte.
 //
-// The schema is versioned. Version 2 (this file) groups the spec into
-// sections — "workload" (who is in the field and when), "channel" (what
-// the air does to them), "decode" (the reader's budget and window
-// policy) — plus an optional "slo" block consumed by the capacity-sweep
-// driver. Version 1, the original flat layout, still parses via an
-// upgrade path (v1.go) and runs byte-identically.
+// The schema is versioned, and a document must say "version": 2. It
+// groups the spec into sections — "workload" (who is in the field and
+// when), "channel" (what the air does to them), "decode" (the reader's
+// budget and window policy) — plus an optional "slo" block consumed by
+// the capacity-sweep driver. Parse rejects the flat version-1 layout
+// with an error that names it.
 package scenario
 
 import (
@@ -269,8 +269,8 @@ func (d DecodeSpec) Validate() error {
 
 // Spec is a complete declarative workload (schema version 2).
 type Spec struct {
-	// Version is the schema version: 0/1 (the flat v1 layout, accepted
-	// via the upgrade path) or 2. WithDefaults normalizes to 2.
+	// Version is the schema version, 2. A parsed document must say so;
+	// a Spec built in Go may leave it 0, which WithDefaults sets to 2.
 	Version int `json:"version,omitempty"`
 	// Name labels the scenario in reports.
 	Name string `json:"name,omitempty"`
@@ -296,37 +296,26 @@ type Spec struct {
 
 // Parse decodes a JSON spec, rejecting unknown fields (a typo in a
 // workload file should fail loudly, not silently fall back to a
-// default), and applies defaults. Documents without a "version" field
-// (or with "version": 1) decode as the flat v1 schema and upgrade;
-// "version": 2 decodes the sectioned layout directly.
+// default), and applies defaults. The document must say "version": 2.
 func Parse(data []byte) (Spec, error) {
-	// Version sniff: a loose pass that only reads the version number.
-	// Unknown fields and trailing content are judged by the strict pass
-	// below, so a v1 document's field set is never measured against the
-	// v2 schema (and vice versa).
+	// Version sniff: a loose pass that only reads the version number, so
+	// that a document in the removed flat layout gets one error naming
+	// it instead of a complaint about its first unknown key.
 	var probe struct {
 		Version int `json:"version"`
 	}
 	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&probe); err != nil {
 		return Spec{}, fmt.Errorf("scenario: %w", err)
 	}
+	if probe.Version != 2 {
+		return Spec{}, versionError(probe.Version)
+	}
 
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	switch probe.Version {
-	case 0, 1:
-		var v1 specV1
-		if err := dec.Decode(&v1); err != nil {
-			return Spec{}, fmt.Errorf("scenario: %w", err)
-		}
-		s = v1.upgrade()
-	case 2:
-		if err := dec.Decode(&s); err != nil {
-			return Spec{}, fmt.Errorf("scenario: %w", err)
-		}
-	default:
-		return Spec{}, fmt.Errorf("scenario: unsupported spec version %d (this build understands 1 and 2)", probe.Version)
+	if err := dec.Decode(&s); err != nil {
+		return Spec{}, fmt.Errorf("scenario: %w", err)
 	}
 	// One document per file: trailing content after the spec object —
 	// a second object, a stray bracket from a botched merge — is a
@@ -336,6 +325,17 @@ func Parse(data []byte) (Spec, error) {
 	}
 	s = s.WithDefaults()
 	return s, s.Validate()
+}
+
+// versionError rejects a spec that is not version 2. Version 0 is a
+// document without the key, which is how the flat layout was written.
+func versionError(v int) error {
+	what := `spec has no "version": 2`
+	if v != 0 {
+		what = fmt.Sprintf("unsupported spec version %d", v)
+	}
+	return fmt.Errorf(`scenario: %s; the flat version-1 layout was removed: `+
+		`say "version": 2 and move its keys into the "workload", "channel" and "decode" sections`, what)
 }
 
 // Load reads and parses a JSON spec file.
@@ -354,7 +354,7 @@ func Load(path string) (Spec, error) {
 // WithDefaults fills the zero-value fields with the bench defaults the
 // classic experiments use.
 func (s Spec) WithDefaults() Spec {
-	if s.Version == 0 || s.Version == 1 {
+	if s.Version == 0 {
 		s.Version = 2
 	}
 	ch := &s.Channel
@@ -537,8 +537,8 @@ func (s Spec) PresenceWindows() ([]Window, error) {
 // Validate first, then the cross-section invariants no section can see
 // alone. It assumes defaults have been applied (Parse does both).
 func (s Spec) Validate() error {
-	if s.Version != 0 && s.Version != 1 && s.Version != 2 {
-		return fmt.Errorf("scenario: unsupported spec version %d (this build understands 1 and 2)", s.Version)
+	if s.Version != 0 && s.Version != 2 {
+		return versionError(s.Version)
 	}
 	if s.Trials < 1 {
 		return fmt.Errorf("scenario: trials must be >= 1, got %d", s.Trials)

@@ -10,7 +10,7 @@ import (
 )
 
 func TestParseDefaults(t *testing.T) {
-	s, err := Parse([]byte(`{"k": 4, "trials": 2, "seed": 9}`))
+	s, err := Parse([]byte(`{"version": 2, "trials": 2, "seed": 9, "workload": {"k": 4}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestParseDefaults(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
 	if s.Version != 2 {
-		t.Fatalf("v1 spec upgraded to version %d, want 2", s.Version)
+		t.Fatalf("spec parsed to version %d, want 2", s.Version)
 	}
 	if kind, err := s.CRCKind(); err != nil || kind != bits.CRC5 {
 		t.Fatalf("CRCKind = %v, %v", kind, err)
@@ -31,12 +31,12 @@ func TestParseDefaults(t *testing.T) {
 }
 
 func TestParseRejectsUnknownFields(t *testing.T) {
-	if _, err := Parse([]byte(`{"k": 4, "trials": 2, "snr_low_db": 10}`)); err == nil {
+	if _, err := Parse([]byte(`{"version": 2, "trials": 2, "workload": {"k": 4}, "snr_low_db": 10}`)); err == nil {
 		t.Fatal("typo field accepted")
 	}
-	// The v2 surface is strict too, section by section.
+	// Strict section by section too.
 	if _, err := Parse([]byte(`{"version": 2, "trials": 2, "workload": {"k": 4, "snr_lo_db": 10}}`)); err == nil {
-		t.Fatal("typo field in a v2 section accepted")
+		t.Fatal("typo field in a section accepted")
 	}
 }
 
@@ -47,8 +47,25 @@ func TestParseRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
+// TestParseRejectsFlatLayout pins the removal of the flat version-1
+// layout: a document that does not say "version": 2 is rejected with
+// one error that names the removed layout, whether it is written flat,
+// says "version": 1, or is sectioned but leaves the version out.
+func TestParseRejectsFlatLayout(t *testing.T) {
+	for _, raw := range []string{
+		`{"k": 4, "trials": 2, "seed": 9}`,
+		`{"version": 1, "k": 4, "trials": 2, "seed": 9}`,
+		`{"trials": 2, "seed": 9, "workload": {"k": 4}}`,
+	} {
+		_, err := Parse([]byte(raw))
+		if err == nil || !strings.Contains(err.Error(), "flat version-1 layout was removed") {
+			t.Errorf("Parse(%s): err = %v, want the removed flat layout named", raw, err)
+		}
+	}
+}
+
 func TestParseNoAGC(t *testing.T) {
-	s, err := Parse([]byte(`{"k": 2, "trials": 1, "no_agc": true}`))
+	s, err := Parse([]byte(`{"version": 2, "trials": 1, "workload": {"k": 2}, "channel": {"no_agc": true}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,22 +131,22 @@ func TestValidateErrors(t *testing.T) {
 // decode_window implies "fixed", "auto" stands alone, and the zero
 // value stays the classic decoder.
 func TestParseWindowFields(t *testing.T) {
-	s, err := Parse([]byte(`{"k": 4, "trials": 2, "decode_window": 12}`))
+	s, err := Parse([]byte(`{"version": 2, "trials": 2, "workload": {"k": 4}, "decode": {"decode_window": 12}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Decode.Window != WindowFixed || s.Decode.DecodeWindow != 12 {
 		t.Fatalf("bare decode_window parsed to window=%q decode_window=%d", s.Decode.Window, s.Decode.DecodeWindow)
 	}
-	s, err = Parse([]byte(`{"k": 4, "trials": 2, "window": "auto",
-		"channel": {"kind": "gauss-markov", "rho": 0.9}}`))
+	s, err = Parse([]byte(`{"version": 2, "trials": 2, "workload": {"k": 4},
+		"channel": {"kind": "gauss-markov", "rho": 0.9}, "decode": {"window": "auto"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Decode.Window != WindowAuto || s.Decode.DecodeWindow != 0 {
 		t.Fatalf("auto parsed to window=%q decode_window=%d", s.Decode.Window, s.Decode.DecodeWindow)
 	}
-	s, err = Parse([]byte(`{"k": 4, "trials": 2}`))
+	s, err = Parse([]byte(`{"version": 2, "trials": 2, "workload": {"k": 4}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +220,8 @@ func TestNewProcess(t *testing.T) {
 // TestParsePerTagWindow pins the per-tag window spec surface: a valid
 // per_tag spec parses, and every inconsistent combination fails loudly.
 func TestParsePerTagWindow(t *testing.T) {
-	s, err := Parse([]byte(`{"k": 4, "trials": 2, "window": "per_tag",
-		"channel": {"kind": "gauss-markov", "per_tag_rho": [1, 1, 0.9, 0.9]}}`))
+	s, err := Parse([]byte(`{"version": 2, "trials": 2, "workload": {"k": 4},
+		"channel": {"kind": "gauss-markov", "per_tag_rho": [1, 1, 0.9, 0.9]}, "decode": {"window": "per_tag"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +231,10 @@ func TestParsePerTagWindow(t *testing.T) {
 
 	bad := []string{
 		// per_tag needs a time-varying channel.
-		`{"k": 4, "trials": 2, "window": "per_tag"}`,
+		`{"version": 2, "trials": 2, "workload": {"k": 4}, "decode": {"window": "per_tag"}}`,
 		// per_tag derives its windows; an explicit length conflicts.
-		`{"k": 4, "trials": 2, "window": "per_tag", "decode_window": 8,
-			"channel": {"kind": "gauss-markov", "rho": 0.9}}`,
+		`{"version": 2, "trials": 2, "workload": {"k": 4},
+			"channel": {"kind": "gauss-markov", "rho": 0.9}, "decode": {"window": "per_tag", "decode_window": 8}}`,
 	}
 	for _, spec := range bad {
 		if _, err := Parse([]byte(spec)); err == nil {
@@ -226,16 +243,16 @@ func TestParsePerTagWindow(t *testing.T) {
 	}
 }
 
-// TestParseRejectsWindowSoft pins the removed soft per-tag mode: a v1
-// and a v2 spec that set window_soft both fail Parse with an error that
-// says the key was removed, whatever window they pair it with.
+// TestParseRejectsWindowSoft pins the removed soft per-tag mode: a spec
+// that sets window_soft fails Parse with an error that says the key was
+// removed, whatever window it pairs it with.
 func TestParseRejectsWindowSoft(t *testing.T) {
 	for _, raw := range []string{
-		`{"k": 4, "trials": 2, "window": "per_tag", "window_soft": true,
-			"channel": {"kind": "block-fading", "block_len": 16}}`,
-		`{"k": 4, "trials": 2, "window": "auto", "window_soft": true,
-			"channel": {"kind": "gauss-markov", "rho": 0.9}}`,
-		`{"k": 4, "trials": 2, "window_soft": true}`,
+		`{"version": 2, "trials": 2, "workload": {"k": 4},
+			"channel": {"kind": "block-fading", "block_len": 16}, "decode": {"window": "per_tag", "window_soft": true}}`,
+		`{"version": 2, "trials": 2, "workload": {"k": 4},
+			"channel": {"kind": "gauss-markov", "rho": 0.9}, "decode": {"window": "auto", "window_soft": true}}`,
+		`{"version": 2, "trials": 2, "workload": {"k": 4}, "decode": {"window_soft": true}}`,
 		`{"version": 2, "trials": 2, "workload": {"k": 4},
 			"channel": {"kind": "gauss-markov", "per_tag_rho": [1, 1, 0.9, 0.9]},
 			"decode": {"window": "per_tag", "window_soft": true}}`,
@@ -253,10 +270,10 @@ func TestParseRejectsTrailingContent(t *testing.T) {
 	// second object from a botched merge, a stray bracket — must fail
 	// loudly instead of being silently dropped.
 	for _, raw := range []string{
-		`{"k": 4, "trials": 2, "seed": 1} {"k": 8, "trials": 1, "seed": 2}`,
-		`{"k": 4, "trials": 2, "seed": 1}]`,
-		`{"k": 4, "trials": 2, "seed": 1} 7`,
-		`{"k": 4, "trials": 2, "seed": 1} garbage`,
+		`{"version": 2, "trials": 2, "seed": 1, "workload": {"k": 4}} {"version": 2, "trials": 1, "seed": 2, "workload": {"k": 8}}`,
+		`{"version": 2, "trials": 2, "seed": 1, "workload": {"k": 4}}]`,
+		`{"version": 2, "trials": 2, "seed": 1, "workload": {"k": 4}} 7`,
+		`{"version": 2, "trials": 2, "seed": 1, "workload": {"k": 4}} garbage`,
 		`{"version": 2, "trials": 2, "workload": {"k": 4}} {"version": 2}`,
 	} {
 		if _, err := Parse([]byte(raw)); err == nil {
@@ -266,7 +283,7 @@ func TestParseRejectsTrailingContent(t *testing.T) {
 		}
 	}
 	// Trailing whitespace stays legal.
-	if _, err := Parse([]byte("{\"k\": 4, \"trials\": 2, \"seed\": 1}\n\t \n")); err != nil {
+	if _, err := Parse([]byte("{\"version\": 2, \"trials\": 2, \"seed\": 1, \"workload\": {\"k\": 4}}\n\t \n")); err != nil {
 		t.Errorf("Parse rejected trailing whitespace: %v", err)
 	}
 }

@@ -130,12 +130,12 @@ func TestGoldenLargeK(t *testing.T) {
 	}{
 		{
 			"per-tag",
-			`{"k": 80, "trials": 1, "seed": 2026, "channel": {"kind": "gauss-markov", "rho": 0.95}, "window": "per_tag", "max_slots": 200}`,
+			`{"version": 2, "trials": 1, "seed": 2026, "workload": {"k": 80}, "channel": {"kind": "gauss-markov", "rho": 0.95}, "decode": {"window": "per_tag", "max_slots": 200}}`,
 			"c3266c08ca5a2a1b", bp.DecodeCost{DescentPasses: 7400, RestartPasses: 14796, Flips: 325435},
 		},
 		{
 			"auto",
-			`{"k": 80, "trials": 1, "seed": 2026, "channel": {"kind": "gauss-markov", "rho": 0.99}, "window": "auto", "max_slots": 200}`,
+			`{"version": 2, "trials": 1, "seed": 2026, "workload": {"k": 80}, "channel": {"kind": "gauss-markov", "rho": 0.99}, "decode": {"window": "auto", "max_slots": 200}}`,
 			"b5b8d1165e52dcec", bp.DecodeCost{DescentPasses: 7400, RestartPasses: 14794, Flips: 532663},
 		},
 	}

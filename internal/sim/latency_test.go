@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/stats"
 )
 
 // TestLatencySamplesUnit pins the per-tag sample semantics on crafted
@@ -28,14 +29,12 @@ func TestLatencySamplesUnit(t *testing.T) {
 		t.Fatalf("offered/delivered = %d/%d, want 5/3", tl.offered, tl.delivered)
 	}
 	// The completion multiset is {3, 12, 20, +Inf, +Inf}; the sketch is
-	// uncompacted at this size, so each rank is an exact order
-	// statistic.
-	wantRanked := []float64{3, 12, 20, math.Inf(1), math.Inf(1)}
-	for r, want := range wantRanked {
-		q := float64(r+1) / 5
-		if got := tl.completion.Quantile(q); got != want {
-			t.Fatalf("completion rank %d = %v, want %v", r+1, got, want)
-		}
+	// uncompacted at this size, so its summary holds exact order
+	// statistics.
+	inf := math.Inf(1)
+	want := stats.Quantiles{N: 5, Min: 3, P50: 20, P90: inf, P99: inf, Max: inf}
+	if got := tl.completion.Summary(); got != want {
+		t.Fatalf("completion summary %+v, want %+v", got, want)
 	}
 	if tl.first != 7 {
 		t.Fatalf("first = %v, want 7 (minimum verified decode slot)", tl.first)
@@ -46,8 +45,8 @@ func TestLatencySamplesUnit(t *testing.T) {
 	if tl.delivered != 0 || tl.offered != 2 {
 		t.Fatalf("nil decodedAt: offered/delivered = %d/%d, want 2/0", tl.offered, tl.delivered)
 	}
-	if !math.IsInf(tl.completion.Quantile(0), 1) {
-		t.Fatalf("nil decodedAt: min completion = %v, want +Inf", tl.completion.Quantile(0))
+	if got := tl.completion.Summary().Min; !math.IsInf(got, 1) {
+		t.Fatalf("nil decodedAt: min completion = %v, want +Inf", got)
 	}
 	if !math.IsInf(tl.first, 1) {
 		t.Fatalf("nil decodedAt: first = %v, want +Inf", tl.first)

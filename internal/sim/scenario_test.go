@@ -18,10 +18,10 @@ import (
 // the scenario engine existed).
 func TestScenarioStaticMatchesDataPhaseGolden(t *testing.T) {
 	spec, err := scenario.Parse([]byte(`{
-		"name": "fig10-k8",
-		"k": 8, "trials": 4, "seed": 777,
-		"snr_lo_db": 14, "snr_hi_db": 30,
-		"restarts": 2, "max_slots": 320,
+		"version": 2, "name": "fig10-k8", "trials": 4, "seed": 777,
+		"workload": {"k": 8},
+		"channel": {"snr_lo_db": 14, "snr_hi_db": 30},
+		"decode": {"restarts": 2, "max_slots": 320},
 		"schemes": ["buzz", "tdma", "cdma"]
 	}`))
 	if err != nil {

@@ -28,8 +28,7 @@ import (
 
 // Profile fixes the environment shared by all schemes in a comparison:
 // channel statistics and receiver impairments. The default profile is
-// calibrated so the testbed-shaped results of §9/§10 reproduce (see
-// EXPERIMENTS.md for the calibration notes).
+// calibrated so the testbed-shaped results of §9/§10 reproduce.
 type Profile struct {
 	// SNRLodB and SNRHidB bound the per-tag SNR band the channels are
 	// drawn from.

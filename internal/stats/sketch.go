@@ -152,9 +152,6 @@ func (s *QuantileSketch) Merge(other *QuantileSketch) {
 	}
 }
 
-// N returns the number of samples the sketch summarizes.
-func (s *QuantileSketch) N() int { return s.n }
-
 // Compacted reports whether any compaction has run — false means every
 // query is exact (bit-identical to ExactQuantile over the same
 // samples).
@@ -164,18 +161,6 @@ func (s *QuantileSketch) Compacted() bool { return s.errB > 0 }
 // Quantile answer: the returned value is guaranteed to be a sample
 // whose true rank is within ±RankErrorBound of the queried one.
 func (s *QuantileSketch) RankErrorBound() int { return s.errB }
-
-// Quantile returns the q-quantile under the nearest-rank definition
-// ExactQuantile uses, up to RankErrorBound ranks of displacement.
-// q = 0 and q = 1 return the exactly-tracked minimum and maximum. An
-// empty sketch returns NaN.
-func (s *QuantileSketch) Quantile(q float64) float64 {
-	var items []weightedItem
-	if s.n > 0 && q > 0 && q < 1 {
-		items = s.pooled()
-	}
-	return s.quantileIn(items, q)
-}
 
 // quantileIn answers Quantile(q) from the sketch's pooled items, which
 // it reads only for 0 < q < 1.

@@ -43,7 +43,10 @@ func sketchDistributions(src *prng.Source, n int) map[string][]float64 {
 	}
 }
 
-var sketchTestQs = []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1}
+// summaryQs pairs each order statistic of a Summary with its quantile.
+func summaryQs(s Quantiles) [5][2]float64 {
+	return [5][2]float64{{0, s.Min}, {0.5, s.P50}, {0.9, s.P90}, {0.99, s.P99}, {1, s.Max}}
+}
 
 // TestSketchExactBelowBuffer: until the buffer overflows the sketch is
 // the sample multiset and must answer bit-identically to ExactQuantile
@@ -63,11 +66,8 @@ func TestSketchExactBelowBuffer(t *testing.T) {
 			if sk.RankErrorBound() != 0 {
 				t.Fatalf("%s n=%d: rank error bound %d without compaction", name, n, sk.RankErrorBound())
 			}
-			for _, q := range sketchTestQs {
-				got, want := sk.Quantile(q), ExactQuantile(xs, q)
-				if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-					t.Fatalf("%s n=%d q=%v: sketch %v, exact %v", name, n, q, got, want)
-				}
+			if got, want := sk.Summary(), ExactQuantiles(xs); got != want {
+				t.Fatalf("%s n=%d: sketch %+v, exact %+v", name, n, got, want)
 			}
 		}
 	}
@@ -85,8 +85,9 @@ func TestSketchRankErrorBound(t *testing.T) {
 				for _, x := range xs {
 					sk.Add(x)
 				}
-				if sk.N() != n {
-					t.Fatalf("%s n=%d cap=%d: sketch counts %d samples", name, n, capacity, sk.N())
+				sum := sk.Summary()
+				if sum.N != n {
+					t.Fatalf("%s n=%d cap=%d: sketch counts %d samples", name, n, capacity, sum.N)
 				}
 				b := sk.RankErrorBound()
 				if n > capacity && b == 0 {
@@ -94,8 +95,8 @@ func TestSketchRankErrorBound(t *testing.T) {
 				}
 				sorted := append([]float64(nil), xs...)
 				sort.Float64s(sorted)
-				for _, q := range sketchTestQs {
-					got := sk.Quantile(q)
+				for _, qv := range summaryQs(sum) {
+					q, got := qv[0], qv[1]
 					target := int(math.Ceil(q * float64(n)))
 					lo := sortedRank(sorted, target-b)
 					hi := sortedRank(sorted, target+b)
@@ -104,7 +105,7 @@ func TestSketchRankErrorBound(t *testing.T) {
 							name, n, capacity, q, got, lo, hi, b)
 					}
 				}
-				if sk.Quantile(0) != sorted[0] || sk.Quantile(1) != sorted[n-1] {
+				if sum.Min != sorted[0] || sum.Max != sorted[n-1] {
 					t.Fatalf("%s n=%d cap=%d: extremes not exact", name, n, capacity)
 				}
 			}
@@ -160,17 +161,11 @@ func TestSketchMergeOrderInvariance(t *testing.T) {
 			order = src.Perm(parts)
 		}
 		m := mergeAll(order)
-		if m.N() != ref.N() || m.RankErrorBound() != ref.RankErrorBound() {
-			t.Fatalf("order %v: n=%d bound=%d, ref n=%d bound=%d",
-				order, m.N(), m.RankErrorBound(), ref.N(), ref.RankErrorBound())
+		if m.RankErrorBound() != ref.RankErrorBound() {
+			t.Fatalf("order %v: bound=%d, ref bound=%d", order, m.RankErrorBound(), ref.RankErrorBound())
 		}
-		for _, q := range sketchTestQs {
-			if got, want := m.Quantile(q), ref.Quantile(q); got != want {
-				t.Fatalf("order %v q=%v: %v != %v", order, q, got, want)
-			}
-		}
-		if m.Summary() != ref.Summary() {
-			t.Fatalf("order %v: summary diverged", order)
+		if got, want := m.Summary(), ref.Summary(); got != want {
+			t.Fatalf("order %v: summary %+v, ref %+v", order, got, want)
 		}
 	}
 }
@@ -195,8 +190,8 @@ func TestSketchMergedBoundHolds(t *testing.T) {
 	sorted := append([]float64(nil), all...)
 	sort.Float64s(sorted)
 	b := m.RankErrorBound()
-	for _, q := range sketchTestQs {
-		got := m.Quantile(q)
+	for _, qv := range summaryQs(m.Summary()) {
+		q, got := qv[0], qv[1]
 		target := int(math.Ceil(q * float64(len(all))))
 		lo := sortedRank(sorted, target-b)
 		hi := sortedRank(sorted, target+b)
@@ -208,10 +203,10 @@ func TestSketchMergedBoundHolds(t *testing.T) {
 
 func TestSketchEmpty(t *testing.T) {
 	sk := NewQuantileSketch()
-	if !math.IsNaN(sk.Quantile(0.5)) {
+	if !math.IsNaN(sk.Summary().P50) {
 		t.Fatal("empty sketch should answer NaN")
 	}
-	if sk.N() != 0 || sk.Compacted() {
+	if sk.n != 0 || sk.Compacted() {
 		t.Fatal("empty sketch has state")
 	}
 }
@@ -219,8 +214,8 @@ func TestSketchEmpty(t *testing.T) {
 // TestSketchSmallAllocation pins what a small sketch costs: a trial's
 // sketch holds a handful of completion samples, so its levels must grow
 // with them instead of starting at the buffer's 4,097 floats (32 KB),
-// and its Summary must flatten the levels once. The queries must still
-// equal ExactQuantile's.
+// and its Summary must flatten the levels once. The summary must still
+// equal ExactQuantiles'.
 func TestSketchSmallAllocation(t *testing.T) {
 	const runs = 200
 	src := prng.NewSource(11)
@@ -242,12 +237,6 @@ func TestSketchSmallAllocation(t *testing.T) {
 		}
 		if b := bytesPerRun(runs, summarize); b > 512 {
 			t.Fatalf("n=%d: Summary allocated %d bytes, want at most 512", n, b)
-		}
-		sk := sinks[0]
-		for _, q := range sketchTestQs {
-			if got, want := sk.Quantile(q), ExactQuantile(xs, q); got != want {
-				t.Fatalf("n=%d q=%v: sketch %v, exact %v", n, q, got, want)
-			}
 		}
 		if got, want := sums[0], ExactQuantiles(xs); got != want {
 			t.Fatalf("n=%d: Summary %+v, exact %+v", n, got, want)

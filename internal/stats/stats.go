@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses: means, medians, percentiles, empirical CDFs (Fig. 7's
-// plot type) and simple aggregation over repeated trials.
+// harness uses: means, medians, percentiles, quantile summaries and
+// simple aggregation over repeated trials.
 package stats
 
 import (
@@ -173,40 +173,6 @@ func MinMax(xs []float64) (min, max float64) {
 		}
 	}
 	return min, max
-}
-
-// CDFPoint is one step of an empirical CDF.
-type CDFPoint struct {
-	// Value is the sample value.
-	Value float64
-	// Fraction is P(X ≤ Value).
-	Fraction float64
-}
-
-// CDF returns the empirical distribution of the samples as step points,
-// one per sample, sorted by value — the series Fig. 7 plots.
-func CDF(xs []float64) []CDFPoint {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, len(sorted))
-	for i, v := range sorted {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(len(sorted))}
-	}
-	return out
-}
-
-// CDFAt evaluates the empirical CDF at value v.
-func CDFAt(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for _, x := range xs {
-		if x <= v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }
 
 // Summary is the per-series aggregate the figure tables print.

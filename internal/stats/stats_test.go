@@ -81,32 +81,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestCDFProperties(t *testing.T) {
-	xs := []float64{1, 3, 2, 2}
-	cdf := CDF(xs)
-	if len(cdf) != 4 {
-		t.Fatal("CDF length")
-	}
-	if cdf[len(cdf)-1].Fraction != 1 {
-		t.Fatal("CDF must end at 1")
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].Value < cdf[i-1].Value || cdf[i].Fraction <= cdf[i-1].Fraction {
-			t.Fatal("CDF not monotone")
-		}
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if CDFAt(xs, 2.5) != 0.5 {
-		t.Fatalf("CDFAt(2.5) = %v", CDFAt(xs, 2.5))
-	}
-	if CDFAt(xs, 0) != 0 || CDFAt(xs, 9) != 1 {
-		t.Fatal("CDFAt extremes wrong")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
